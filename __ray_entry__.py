@@ -1,7 +1,7 @@
 """Driver contract for the graft builder (Ray Data target).
 
 ``entry()`` runs the flagship pipeline (spans documents → decode →
-zonal mean-NDVI → span-preserving join) on a deterministic synthetic
+zonal mean-NDVI appended to each document batch) on a deterministic synthetic
 interleaved-document world plus the sf0.001 driver tables smoke path.
 ``queries()``/``oracle_sql()`` expose every implemented operator from
 SURVEY.md §2 over ``sf_dir`` with DuckDB oracles where SQL-expressible.

@@ -27,7 +27,7 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
 #: benchmark suite: name → (queries() key, rows metric)
 BENCH_QUERIES = [
-    "spans_mean_ndvi",      # flagship: decode + zonal + span-preserving join
+    "spans_mean_ndvi",      # flagship: decode + zonal appended to the documents
     "zonal_mean_ndvi",      # raster⇄vector alignment over driver docs
     "knn_greenspace",       # cell-local kNN accessibility
     "cell_assignment",      # tile assignment groupby

@@ -26,15 +26,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 
+import ray
 import ray.data
 
-from .functions.joins import bucket_join_attach
-from .pipelines import accessibility as _acc
+from .functions.joins import append_metrics, as_pool, bucket_join_attach, heavy_pool
 from .pipelines import availability as _av
 from .pipelines import visibility as _vis
 from .sources import documents as doc_src
+from .stages.access import NearestGreenspace
+from .stages.zonal import LandcoverLocal, ZonalStatsLocal
 
 
 def _validate_positive(name: str, value) -> None:
@@ -66,8 +69,6 @@ def _docs_from_gpkg(path: str) -> "ray.data.Dataset":
     passthrough) runs unchanged.  ``doc_id`` follows the reference's id
     assignment (M4): the layer's ``id`` column when present and
     non-null, else 1..n in file order."""
-    import pyarrow as pa
-
     from .sources.gpkg import read_gpkg
 
     t = read_gpkg(path)
@@ -114,7 +115,6 @@ def _vector_table(src, dst_crs: str | None = None):
     if not (isinstance(src, str) and src.lower().endswith(".gpkg")):
         return pq.read_table(src)
     import numpy as np
-    import pyarrow as pa
 
     from . import geom
     from .sources.gpkg import polygons_to_rings, read_gpkg
@@ -204,47 +204,34 @@ def _shift_xy(pts: "ray.data.Dataset", dx: float, dy: float):
         return pts
 
     def add(b: "pa.Table") -> "pa.Table":
-        return _shift_table(b, dx, dy, xcols=("x", "ring_x"),
-                            ycols=("y", "ring_y"))
+        return doc_src.shift_coords(b, dx, dy, xcols=("x", "ring_x"),
+                                    ycols=("y", "ring_y"))
 
     return pts.map_batches(add, batch_format="pyarrow")
 
 
-def _shift_table(tab: "pa.Table", dx: float, dy: float,
-                 xcols=("x",), ycols=("y",)) -> "pa.Table":
-    """Translate coordinate columns of a small side-input pa.Table into
-    the tile store's local frame (the same shift `_shift_xy` applies to
-    the PoI stream — graph nodes / edge geometries must move WITH the
-    points or snapping and raster windows run in mismatched frames).
-    Handles plain float64 columns and list<double> polyline columns."""
-    if dx == 0.0 and dy == 0.0:
-        return tab
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    def add(col, d):
-        if pa.types.is_list(col.type) or pa.types.is_large_list(col.type):
-            ca = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-            cls = (pa.LargeListArray if pa.types.is_large_list(ca.type)
-                   else pa.ListArray)
-            mask = ca.is_null() if ca.null_count else None
-            # keep the list flavor and the validity bitmap — from_arrays
-            # without a mask would silently turn null rows into []
-            return cls.from_arrays(
-                ca.offsets, pc.add(ca.values, pa.scalar(d, pa.float64())),
-                mask=mask)
-        return pc.add(col, pa.scalar(d, pa.float64()))
-
-    for names, d in ((xcols, dx), (ycols, dy)):
-        for name in names:
-            if name in tab.column_names:
-                i = tab.schema.get_field_index(name)
-                tab = tab.set_column(i, name, add(tab.column(name), d))
-    return tab
+def _decoded(docs, decoder, columns: list[str]) -> "ray.data.Dataset":
+    """Decoded PoI columns for the stages that are not one row per
+    document (polygon-AoI groupbys, visibility sampling)."""
+    return docs.map_batches(decoder, batch_format="pyarrow",
+                            zero_copy_batch=True).select_columns(columns)
 
 
-def _attach(docs, metrics):
-    return bucket_join_attach(docs, metrics, key="doc_id")
+_RING_COLS = ["doc_id", "ring_x", "ring_y", "ring_sizes"]
+
+#: schema of the GVI rollups (``pipelines/visibility.py``)
+_GVI_FIELDS = {"GVI": pa.float64(), "nr_of_points": pa.int64()}
+
+
+def _attach(docs, metrics, fields: dict):
+    """Keyed many→one attach of per-PoI rollups (polygon-AoI groupbys,
+    GVI) onto the documents.  ``fields`` (metric column → Arrow type) is
+    passed explicitly, so the lazy metrics pipeline is never executed
+    just to probe its schema.  One-row-per-PoI kernels go through
+    :func:`~greenex_py_ray.functions.joins.append_metrics` instead."""
+    return bucket_join_attach(
+        docs, metrics, key="doc_id",
+        right_fields=[pa.field(n, t) for n, t in fields.items()])
 
 
 #: OSM highway-class exclusions per network_type — the engine's analog
@@ -285,7 +272,6 @@ def _filter_network_type(edges: "pa.Table", network_type: str) -> "pa.Table":
             f"network_type={network_type!r} needs a 'highway' column on "
             "the edges table to filter by (or pass a pre-filtered "
             f"{network_type} network with network_type='all')")
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     drop = pa.array(sorted(_NETWORK_TYPE_EXCLUDES[network_type]))
@@ -334,7 +320,6 @@ def _dissolve_units(gs: "pa.Table") -> "pa.Table":
     centroid and ``min_greenspace_area`` thresholds merged-unit areas.
     Identity on disjoint tables."""
     import numpy as np
-    import pyarrow as pa
 
     from .stages.dissolve import dissolve_polygons
 
@@ -405,7 +390,6 @@ def _dissolve_units_distributed(gs: "pa.Table") -> "pa.Table":
     row order in BOTH paths, so union moments are bit-identical
     (parity-tested in tests/test_api_kwargs.py)."""
     import numpy as np
-    import pyarrow as pa
 
     import ray.data
 
@@ -495,27 +479,23 @@ def _emit(ds, name: str, docs, src_crs, write_to_file: bool,
     os.makedirs(out, exist_ok=True)
     if write_to_file and output_format == "gpkg":
         import pandas as pd
-        import pyarrow as pa
-
-        import ray as _ray
 
         from .sources.gpkg import write_gpkg
 
         ds = ds.materialize()
         tbl = pa.concat_tables(
-            [_ray.get(r) for r in ds.to_arrow_refs()],
+            [ray.get(r) for r in ds.to_arrow_refs()],
             promote_options="default")
         flat = tbl.select([c for c in tbl.column_names
                            if not pa.types.is_nested(
                                tbl.schema.field(c).type)])
         poly = _geom_kind(docs) in ("POLYGON", "MULTIPOLYGON")
-        geo_cols = (["doc_id", "ring_x", "ring_y", "ring_sizes"]
-                    if poly else ["doc_id", "x", "y"])
+        geo_cols = _RING_COLS if poly else ["doc_id", "x", "y"]
+        decoded = _decoded(
+            docs, doc_src.DecodeGeom(parse_polygons=poly, src_crs=src_crs),
+            geo_cols).materialize()
         gt = pa.concat_tables(
-            [_ray.get(r) for r in docs.map_batches(
-                doc_src.DecodeGeom(parse_polygons=poly, src_crs=src_crs),
-                batch_format="pyarrow", zero_copy_batch=True,
-            ).select_columns(geo_cols).materialize().to_arrow_refs()],
+            [ray.get(r) for r in decoded.to_arrow_refs()],
             promote_options="default")
         idx = pd.Index(gt.column("doc_id").to_pylist()).get_indexer(
             flat.column("doc_id").to_pylist())
@@ -540,10 +520,9 @@ def _emit(ds, name: str, docs, src_crs, write_to_file: bool,
         from . import plotmap
 
         poly = _geom_kind(docs) in ("POLYGON", "MULTIPOLYGON")
-        pts = docs.map_batches(
-            doc_src.DecodeGeom(parse_polygons=poly, src_crs=src_crs),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ).select_columns(["doc_id", "x", "y"]).limit(10_000)
+        pts = _decoded(
+            docs, doc_src.DecodeGeom(parse_polygons=poly, src_crs=src_crs),
+            ["doc_id", "x", "y"]).limit(10_000)
         rows = pts.take_all()
         kind = "points"
         if buffer_dist:
@@ -579,14 +558,16 @@ def _geom_kind(docs) -> str:
 
 def _route_poi(docs, src_crs, polygon_type, buffer_type, dist):
     """Geometry dispatch shared by the four availability functions
-    (availability.py:80-125, 230-247).  Returns ``(mode, decoded)``:
+    (availability.py:80-125, 230-247).  Returns ``(mode, decoder)``:
 
-    * ``("point", pts)`` — point PoIs (or polygon PoIs collapsed to
+    * ``("point", decoder)`` — point PoIs (or polygon PoIs collapsed to
       centroids: ``polygon_type='house'``, or ``buffer_type='network'``
-      where isochrones need a seed point); columns ``doc_id, x, y``.
-    * ``("polygon", polys)`` — ``polygon_type='neighbourhood'`` rows
-      whose own (optionally euclidean-dilated) polygon is the AoI;
-      columns ``doc_id, ring_x, ring_y, ring_sizes``.
+      where isochrones need a seed point); the kernel reads ``x, y``.
+    * ``("polygon", decoder)`` — ``polygon_type='neighbourhood'`` rows
+      whose own (optionally euclidean-dilated) polygon is the AoI; the
+      kernel reads ``ring_x, ring_y, ring_sizes``.
+
+    ``decoder`` is the ``DecodeGeom`` that yields those columns.
     """
     if buffer_type is not None and buffer_type not in ("euclidean", "network"):
         raise ValueError("buffer_type must be 'euclidean', 'network' or None")
@@ -603,14 +584,11 @@ def _route_poi(docs, src_crs, polygon_type, buffer_type, dist):
             "buffer distance required for point geometries "
             "(buffer_type='euclidean' needs a positive buffer_dist, or "
             "travel_speed + trip_time)")
+    decoder = doc_src.DecodeGeom(parse_polygons=is_poly, src_crs=src_crs)
     if is_poly:
         if polygon_type not in ("neighbourhood", "house"):
             raise ValueError(
                 "polygon_type must be 'neighbourhood' or 'house'")
-        decoded = docs.map_batches(
-            doc_src.DecodeGeom(parse_polygons=True, src_crs=src_crs),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
         if polygon_type == "house" or buffer_type == "network":
             # centroid conversion (availability.py:90-94, 241-247); after
             # it the rows ARE points, so the reference's point check
@@ -619,18 +597,26 @@ def _route_poi(docs, src_crs, polygon_type, buffer_type, dist):
                 raise ValueError(
                     "buffer_type must be 'euclidean' or 'network' when "
                     "polygon_type='house' (centroids are points)")
-            return "point", decoded.select_columns(["doc_id", "x", "y"])
+            return "point", decoder
         if buffer_type == "euclidean" and dist is None:
             raise ValueError(
                 "buffer_dist must be set when buffer_type='euclidean'")
-        return "polygon", decoded.select_columns(
-            ["doc_id", "ring_x", "ring_y", "ring_sizes"])
+        return "polygon", decoder
     if buffer_type is None:
         raise ValueError(
             "buffer_type must be 'euclidean' or 'network' for point PoIs")
-    pts = doc_src.decode_geom(docs, src_crs=src_crs).select_columns(
-        ["doc_id", "x", "y"])
-    return "point", pts
+    return "point", decoder
+
+
+def _network(nodes_file: str, edges_file: str, network_type: str,
+             shift=(0.0, 0.0)) -> dict:
+    """Broadcast refs of the street graph, filtered by ``network_type``
+    and moved into the tile-local frame WITH the points (nearest-node
+    snapping and the isochrone's raster windows otherwise compare
+    shifted PoIs against unshifted node coordinates)."""
+    nodes = doc_src.shift_coords(pq.read_table(nodes_file), *shift)
+    edges = _filter_network_type(pq.read_table(edges_file), network_type)
+    return dict(nodes_ref=ray.put(nodes), edges_ref=ray.put(edges))
 
 
 def get_mean_NDVI(poi, ndvi_tile_dir: str, buffer_dist: float | None = 300.0,
@@ -654,29 +640,35 @@ def get_mean_NDVI(poi, ndvi_tile_dir: str, buffer_dist: float | None = 300.0,
     isochrones (``buffer_type='network'``) / ``polygon_type='house'``."""
     dist = _resolve_buffer(buffer_dist, travel_speed, trip_time)
     docs = _poi(poi)
-    mode, pts = _route_poi(docs, src_crs, polygon_type, buffer_type, dist)
+    mode, decoder = _route_poi(docs, src_crs, polygon_type, buffer_type, dist)
     tile_dir, shift, _ = _tiles(ndvi_tile_dir, "ndvi")
-    pts = _shift_xy(pts, *shift)
     if mode == "polygon":
         metrics = _av.mean_ndvi_polygon_aoi(
-            pts, tile_dir, concurrency=concurrency,
+            _shift_xy(_decoded(docs, decoder, _RING_COLS), *shift), tile_dir,
+            concurrency=concurrency,
             dilate=(dist if buffer_type == "euclidean" else 0.0),
         )
+        out = _attach(docs, metrics, {"mean_NDVI": pa.float64(),
+                                      "std_NDVI": pa.float64()})
     elif buffer_type == "euclidean":
-        metrics = _av.mean_ndvi(pts, tile_dir, dist, concurrency=concurrency)
-    else:
-        # the street graph must move into the tile-local frame WITH the
-        # points: nearest-node snapping and the isochrone's raster
-        # windows otherwise compare shifted PoIs against unshifted
-        # node coordinates (silently wrong snaps / empty windows)
-        nodes = _shift_table(pq.read_table(network_nodes_file), *shift)
-        metrics = _av.mean_ndvi_isochrone(
-            pts, nodes,
-            _filter_network_type(pq.read_table(network_edges_file),
-                                 network_type),
-            tile_dir, buffer_dist=dist, concurrency=concurrency,
+        out = append_metrics(
+            docs, ZonalStatsLocal,
+            dict(tile_root=tile_dir, band="ndvi", radius=dist),
+            decode=decoder, shift=shift, batch_size=2048,
+            **heavy_pool(concurrency),
         )
-    return _emit(_attach(docs, metrics), "mean_NDVI", docs, src_crs,
+    else:
+        from .stages.netaccess import IsochroneZonal
+
+        out = append_metrics(
+            docs, IsochroneZonal,
+            dict(tile_root=tile_dir, buffer_dist=dist,
+                 **_network(network_nodes_file, network_edges_file,
+                            network_type, shift)),
+            decode=decoder, shift=shift, batch_size=256,
+            **heavy_pool(concurrency),
+        )
+    return _emit(out, "mean_NDVI", docs, src_crs,
                  write_to_file, output_dir, plot_aoi,
                  buffer_dist=(dist if mode == "point" else None),
                  output_format=output_format)
@@ -711,39 +703,88 @@ def get_landcover_percentages(poi, landcover_tile_dir: str,
     to the synthetic world's classes."""
     dist = _resolve_buffer(buffer_dist, travel_speed, trip_time)
     docs = _poi(poi)
-    mode, pts = _route_poi(docs, src_crs, polygon_type, buffer_type, dist)
+    mode, decoder = _route_poi(docs, src_crs, polygon_type, buffer_type, dist)
     tile_dir, shift, info = _tiles(landcover_tile_dir, "lulc")
     if classmap is None and info.get("codes"):
         nodata = info.get("nodata_code")
         classmap = {c: _WORLDCOVER_LEGEND.get(
                         c, "nodata" if c == nodata else str(c))
                     for c in info["codes"]}
-    pts = _shift_xy(pts, *shift)
+    classmap = classmap or _av.DEFAULT_CLASSMAP
     if mode == "polygon":
         metrics = _av.landcover_percentages_polygon_aoi(
-            pts, tile_dir, classmap=classmap, stringify=stringify,
-            concurrency=concurrency,
+            _shift_xy(_decoded(docs, decoder, _RING_COLS), *shift), tile_dir,
+            classmap=classmap, stringify=stringify, concurrency=concurrency,
             dilate=(dist if buffer_type == "euclidean" else 0.0),
         )
+        pct_t = pa.string() if stringify else pa.float64()
+        out = _attach(docs, metrics,
+                      {classmap[c]: pct_t for c in sorted(classmap)})
     elif buffer_type == "network":
-        # graph moves into the tile-local frame WITH the points (same
-        # frame rule as the NDVI network branch)
-        nodes = _shift_table(pq.read_table(network_nodes_file), *shift)
-        metrics = _av.landcover_percentages_isochrone(
-            pts, nodes,
-            _filter_network_type(pq.read_table(network_edges_file),
-                                 network_type),
-            tile_dir, dist,
-            stringify=stringify, concurrency=concurrency, classmap=classmap,
+        from .stages.netaccess import IsochroneLandcover
+
+        out = append_metrics(
+            docs, IsochroneLandcover,
+            dict(tile_root=tile_dir, buffer_dist=dist, classmap=classmap,
+                 stringify=stringify,
+                 **_network(network_nodes_file, network_edges_file,
+                            network_type, shift)),
+            decode=decoder, shift=shift, batch_size=256,
+            **heavy_pool(concurrency),
         )
     else:
-        metrics = _av.landcover_percentages(
-            pts, tile_dir, dist, stringify=stringify,
-            concurrency=concurrency, classmap=classmap,
+        out = append_metrics(
+            docs, LandcoverLocal,
+            dict(tile_root=tile_dir, radius=dist, classmap=classmap,
+                 stringify=stringify),
+            decode=decoder, shift=shift, batch_size=4096,
+            **heavy_pool(concurrency),
         )
-    return _emit(_attach(docs, metrics), "landcover_percentages", docs,
+    return _emit(out, "landcover_percentages", docs,
                  src_crs, write_to_file, output_dir, plot_aoi,
                  buffer_dist=(dist if mode == "point" else None),
+                 output_format=output_format)
+
+
+def _coverage(poi, vector_file, name: str, dissolve: bool, buffer_dist,
+              buffer_type, polygon_type, network_type, network_nodes_file,
+              network_edges_file, travel_speed, trip_time, stringify,
+              plot_aoi, write_to_file, output_dir, output_format,
+              concurrency, src_crs, out_name: str):
+    """Shared body of get_canopy_percentage / get_greenspace_percentage:
+    percent of each PoI's AoI covered by the vector layer — the
+    euclidean buffer, the isochrone (``buffer_type='network'``), or a
+    polygon PoI's own (optionally dilated) geometry.  ``dissolve``
+    selects union membership (greenspace) vs the reference's raw
+    per-member clip-sum (canopy, availability.py:764)."""
+    from .stages.coverage import PolygonCoverage
+
+    dist = _resolve_buffer(buffer_dist, travel_speed, trip_time)
+    docs = _poi(poi)
+    mode, decoder = _route_poi(docs, src_crs, polygon_type, buffer_type, dist)
+    kw = dict(polys_ref=ray.put(_vector_table(vector_file,
+                                              dst_crs=_poi_crs(poi))),
+              name=name, stringify=stringify, dissolve=dissolve)
+    if mode == "polygon":
+        kernel = PolygonCoverage
+        kw.update(buffer_dist=(dist if buffer_type == "euclidean" else 0.0),
+                  aoi_shape="self")
+        pool = dict(batch_size=256, concurrency=as_pool(concurrency),
+                    num_cpus=0.5)
+    elif buffer_type == "network":
+        from .stages.netaccess import IsochroneCoverage
+
+        kernel = IsochroneCoverage
+        kw.update(buffer_dist=dist, **_network(
+            network_nodes_file, network_edges_file, network_type))
+        pool = dict(batch_size=256, **heavy_pool(concurrency))
+    else:
+        kernel = PolygonCoverage
+        kw.update(buffer_dist=dist)
+        pool = dict(concurrency=as_pool(concurrency), num_cpus=0.25)
+    out = append_metrics(docs, kernel, kw, decode=decoder, **pool)
+    return _emit(out, out_name, docs, src_crs, write_to_file, output_dir,
+                 plot_aoi, buffer_dist=(dist if mode == "point" else None),
                  output_format=output_format)
 
 
@@ -767,33 +808,12 @@ def get_canopy_percentage(poi, canopy_vector_file: str,
     ``buffer_type='network'`` uses the isochrone AoI
     (availability.py:682-710 + make_iso_poly); polygon PoIs use their
     own (optionally dilated) geometry as the AoI."""
-    dist = _resolve_buffer(buffer_dist, travel_speed, trip_time)
-    docs = _poi(poi)
-    mode, pts = _route_poi(docs, src_crs, polygon_type, buffer_type, dist)
-    canopy = _vector_table(canopy_vector_file, dst_crs=_poi_crs(poi))
-    if mode == "polygon":
-        metrics = _av.coverage_percentage_polygon_aoi(
-            pts, canopy, stringify=stringify, concurrency=concurrency,
-            name="canopy_cover", dissolve=False,
-            dilate=(dist if buffer_type == "euclidean" else 0.0),
-        )
-    elif buffer_type == "network":
-        metrics = _av.canopy_percentage_isochrone(
-            pts, pq.read_table(network_nodes_file),
-            _filter_network_type(pq.read_table(network_edges_file),
-                                 network_type),
-            canopy, dist,
-            stringify=stringify, concurrency=concurrency, dissolve=False,
-        )
-    else:
-        metrics = _av.canopy_percentage(
-            pts, canopy, dist, stringify=stringify, concurrency=concurrency,
-            dissolve=False,
-        )
-    return _emit(_attach(docs, metrics), "canopy_percentage", docs,
-                 src_crs, write_to_file, output_dir, plot_aoi,
-                 buffer_dist=(dist if mode == "point" else None),
-                 output_format=output_format)
+    return _coverage(
+        poi, canopy_vector_file, "canopy_cover", False, buffer_dist,
+        buffer_type, polygon_type, network_type, network_nodes_file,
+        network_edges_file, travel_speed, trip_time, stringify, plot_aoi,
+        write_to_file, output_dir, output_format, concurrency, src_crs,
+        "canopy_percentage")
 
 
 def get_greenspace_percentage(poi, greenspace_vector_file: str,
@@ -816,34 +836,12 @@ def get_greenspace_percentage(poi, greenspace_vector_file: str,
     ``buffer_type='network'`` uses the isochrone AoI
     (availability.py:943-997); polygon PoIs use their own (optionally
     dilated) geometry as the AoI with dissolved-union membership."""
-    dist = _resolve_buffer(buffer_dist, travel_speed, trip_time)
-    docs = _poi(poi)
-    mode, pts = _route_poi(docs, src_crs, polygon_type, buffer_type, dist)
-    gs = _vector_table(greenspace_vector_file, dst_crs=_poi_crs(poi))
-    if mode == "polygon":
-        metrics = _av.coverage_percentage_polygon_aoi(
-            pts, gs, stringify=stringify, concurrency=concurrency,
-            name="greenspace_cover", dissolve=True,
-            dilate=(dist if buffer_type == "euclidean" else 0.0),
-        )
-    elif buffer_type == "network":
-        # dissolved-union semantics: membership in ANY greenspace
-        metrics = _av.canopy_percentage_isochrone(
-            pts, pq.read_table(network_nodes_file),
-            _filter_network_type(pq.read_table(network_edges_file),
-                                 network_type),
-            gs, dist,
-            stringify=stringify, concurrency=concurrency,
-            name="greenspace_cover", dissolve=True,
-        )
-    else:
-        metrics = _av.greenspace_percentage(
-            pts, gs, dist, stringify=stringify, concurrency=concurrency,
-        )
-    return _emit(_attach(docs, metrics), "greenspace_percentage", docs,
-                 src_crs, write_to_file, output_dir, plot_aoi,
-                 buffer_dist=(dist if mode == "point" else None),
-                 output_format=output_format)
+    return _coverage(
+        poi, greenspace_vector_file, "greenspace_cover", True, buffer_dist,
+        buffer_type, polygon_type, network_type, network_nodes_file,
+        network_edges_file, travel_speed, trip_time, stringify, plot_aoi,
+        write_to_file, output_dir, output_format, concurrency, src_crs,
+        "greenspace_percentage")
 
 
 def get_shortest_distance_greenspace(poi, greenspace_vector_file: str,
@@ -876,13 +874,9 @@ def get_shortest_distance_greenspace(poi, greenspace_vector_file: str,
     # (reference accessibility.py:142-146), by _filter_network_type
     _validate_positive("target_dist", target_dist)
     docs = _poi(poi)
-    if _geom_kind(docs) in ("POLYGON", "MULTIPOLYGON"):
-        pts = docs.map_batches(
-            doc_src.DecodeGeom(parse_polygons=True, src_crs=src_crs),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ).select_columns(["doc_id", "x", "y"])
-    else:
-        pts = doc_src.decode_geom(docs, src_crs=src_crs).select_columns(["doc_id", "x", "y"])
+    decoder = doc_src.DecodeGeom(
+        parse_polygons=_geom_kind(docs) in ("POLYGON", "MULTIPOLYGON"),
+        src_crs=src_crs)
     flag = f"greenspace_within_{int(target_dist)}m"
     gs = _vector_table(greenspace_vector_file, dst_crs=_poi_crs(poi))
     if (destination == "centroids" or min_greenspace_area is not None
@@ -895,8 +889,6 @@ def get_shortest_distance_greenspace(poi, greenspace_vector_file: str,
         # lack them, which every network/entrance stage requires
         gs = _min_area_filter(_dissolve_units(gs), min_greenspace_area)
     if distance_type == "euclidean" and destination == "centroids":
-        import pyarrow as pa
-
         # dissolved members carry identical (gs_id, centroid) rows;
         # duplicates are harmless for a min-distance and deduping by
         # gs_id alone would fabricate a phantom centroid if distinct
@@ -904,24 +896,26 @@ def get_shortest_distance_greenspace(poi, greenspace_vector_file: str,
         centroids = pa.table({"gs_id": gs.column("gs_id"),
                               "cx": gs.column("centroid_x"),
                               "cy": gs.column("centroid_y")})
-        metrics = _acc.nearest_greenspace(
-            pts, centroids, target_dist, concurrency=concurrency, flag_name=flag,
-        ).select_columns(["doc_id", "distance_to_greenspace", flag])
+        out = append_metrics(
+            docs, NearestGreenspace,
+            dict(centroids_ref=ray.put(centroids), target_dist=target_dist,
+                 flag_name=flag),
+            columns=["distance_to_greenspace", flag], decode=decoder,
+            batch_size=8192, concurrency=as_pool(concurrency), num_cpus=0.25,
+        )
     else:
-        metrics = _acc.network_distance_greenspace(
-            pts, pq.read_table(network_nodes_file),
-            _filter_network_type(pq.read_table(network_edges_file),
-                                 network_type),
-            gs, target_dist=target_dist, destination=destination,
-            distance_type=distance_type, concurrency=concurrency,
+        from .stages.netaccess import NetworkDistance
+
+        out = append_metrics(
+            docs, NetworkDistance,
+            dict(greenspace_ref=ray.put(gs), target_dist=target_dist,
+                 destination=destination, distance_type=distance_type,
+                 flag_name=flag,
+                 **_network(network_nodes_file, network_edges_file,
+                            network_type)),
+            decode=decoder, batch_size=512, **heavy_pool(concurrency),
         )
-        metrics = metrics.map_batches(
-            lambda b: b.rename_columns(
-                ["doc_id", "distance_to_greenspace", flag]
-            ),
-            batch_format="pyarrow",
-        )
-    return _emit(_attach(docs, metrics), "shortest_distance_greenspace",
+    return _emit(out, "shortest_distance_greenspace",
                  docs, src_crs, write_to_file, output_dir, plot_aoi,
                  buffer_dist=target_dist,
                  output_format=output_format)
@@ -938,20 +932,16 @@ def _vis_poi(docs, src_crs, polygon_type, buffer_dist):
         if polygon_type not in ("neighbourhood", "house"):
             raise ValueError(
                 "polygon_type must be 'neighbourhood' or 'house'")
-        decoded = docs.map_batches(
-            doc_src.DecodeGeom(parse_polygons=True, src_crs=src_crs),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
+        decoder = doc_src.DecodeGeom(parse_polygons=True, src_crs=src_crs)
         if polygon_type == "house":
             _require_positive_buffer(buffer_dist)
-            return "point", decoded.select_columns(["doc_id", "x", "y"])
+            return "point", _decoded(docs, decoder, ["doc_id", "x", "y"])
         if buffer_dist is not None:
             _require_positive_buffer(buffer_dist)
-        return "polygon", decoded.select_columns(
-            ["doc_id", "ring_x", "ring_y", "ring_sizes"])
+        return "polygon", _decoded(docs, decoder, _RING_COLS)
     _require_positive_buffer(buffer_dist)
-    return "point", doc_src.decode_geom(docs, src_crs=src_crs).select_columns(
-        ["doc_id", "x", "y"])
+    return "point", _decoded(docs, doc_src.DecodeGeom(src_crs=src_crs),
+                             ["doc_id", "x", "y"])
 
 
 def _require_positive_buffer(buffer_dist) -> None:
@@ -1000,7 +990,7 @@ def get_viewshed_GVI(poi, dsm_tile_dir: str,
         observer_height=observer_height, concurrency=concurrency,
         poi_kind=poi_kind,
     )
-    out = _emit(_attach(docs, rollup), "viewshed_GVI", docs, src_crs,
+    out = _emit(_attach(docs, rollup, _GVI_FIELDS), "viewshed_GVI", docs, src_crs,
                 write_to_file, output_dir, False,
                  output_format=output_format)
     return out, per_point
@@ -1031,7 +1021,7 @@ def get_streetview_GVI(poi, network_nodes_file: str, network_edges_file: str,
         poi_ds, edges, features, buffer_dist=buffer_dist, concurrency=concurrency,
         poi_kind=poi_kind, crop_by_road_centres=crop_by_road_centres,
     )
-    out = _emit(_attach(docs, rollup), "streetview_GVI", docs, src_crs,
+    out = _emit(_attach(docs, rollup, _GVI_FIELDS), "streetview_GVI", docs, src_crs,
                 write_to_file, output_dir, False,
                  output_format=output_format)
     return out, per_point
@@ -1047,10 +1037,9 @@ def get_mean_NDVI_streets(network_nodes_file: str, network_edges_file: str,
     edges file carries them."""
     _validate_positive("buffer_dist", buffer_dist)
     import numpy as np
-    import pyarrow as pa
 
     tile_dir, shift, _ = _tiles(ndvi_tile_dir, "ndvi")
-    edges_tbl = _shift_table(
+    edges_tbl = doc_src.shift_coords(
         _vis.edge_coords_table(network_nodes_file, network_edges_file), *shift,
         xcols=("ax", "bx", "geom_x"), ycols=("ay", "by", "geom_y"))
     edges_tbl = edges_tbl.append_column(

@@ -107,7 +107,7 @@ def resumable_write(ds: "ray.data.Dataset", out_dir: str, key: str,
         return read_manifest(out_dir)
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch.column(key).to_pylist(), num_partitions)
+        b = stable_bucket(batch.column(key).to_pandas(), num_partitions)
         return batch.append_column("__part", pa.array(b))
 
     bucketed = ds.map_batches(bucketize, batch_format="pyarrow",

@@ -13,35 +13,9 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..functions.joins import as_pool, bucket_join_attach, heavy_pool
+from ..functions.joins import append_metrics, as_pool, heavy_pool
 from ..sources import documents as doc_src
 from ..stages.access import NearestGreenspace
-
-
-def nearest_greenspace(
-    poi: "ray.data.Dataset",
-    centroids: "pa.Table",
-    target_dist: float,
-    key_col: str = "doc_id",
-    concurrency: int | None = None,
-    batch_size: int = 8192,
-    dist_name: str = "distance_to_greenspace",
-    flag_name: str = "greenspace_within_target",
-) -> "ray.data.Dataset":
-    """poi(key,x,y) + small centroid table (broadcast via ray.put) →
-    (key, distance_to_greenspace, within flag, nearest_gs_id)."""
-    ref = ray.put(centroids)
-    return poi.map_batches(
-        NearestGreenspace,
-        fn_constructor_kwargs=dict(
-            centroids_ref=ref, target_dist=target_dist, key_col=key_col,
-            dist_name=dist_name, flag_name=flag_name,
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=as_pool(concurrency),
-        num_cpus=0.25,
-    )
 
 
 def get_shortest_distance_greenspace_documents(
@@ -49,26 +23,25 @@ def get_shortest_distance_greenspace_documents(
     greenspace_path: str,
     target_dist: float = 300.0,
     concurrency: int | None = None,
-    num_join_partitions: int | None = None,
 ) -> "ray.data.Dataset":
     """Spans documents + greenspace table → documents + distance/flag
-    columns, spans untouched.  Greenspace centroids come from the side
-    table's precomputed centroid columns (accessibility.py:134-135)."""
+    columns, spans untouched, one read and no exchange.  Greenspace
+    centroids come from the side table's precomputed centroid columns
+    (accessibility.py:134-135)."""
     import pyarrow.parquet as pq
 
-    docs = doc_src.read_documents(documents_path)
-    poi = doc_src.decode_geom(docs).select_columns(["doc_id", "x", "y"])
     gs = pq.read_table(greenspace_path, columns=["gs_id", "centroid_x", "centroid_y"])
     centroids = pa.table(
         {"gs_id": gs.column("gs_id"), "cx": gs.column("centroid_x"),
          "cy": gs.column("centroid_y")}
     )
-    metrics = nearest_greenspace(
-        poi, centroids, target_dist, key_col="doc_id", concurrency=as_pool(concurrency),
-        flag_name=f"greenspace_within_{int(target_dist)}m",
+    return append_metrics(
+        doc_src.read_documents(documents_path), NearestGreenspace,
+        dict(centroids_ref=ray.put(centroids), target_dist=target_dist,
+             flag_name=f"greenspace_within_{int(target_dist)}m"),
+        batch_size=8192, concurrency=as_pool(concurrency),
+        num_cpus=0.25,
     )
-    return bucket_join_attach(docs, metrics, key="doc_id",
-                              num_buckets=num_join_partitions)
 
 
 def network_distance_greenspace(

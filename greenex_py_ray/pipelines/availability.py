@@ -7,9 +7,9 @@ zonal statistics against a tiled raster store, per-key rollup.
 
 Each function takes an already-decoded PoI dataset (columns ``key, x,
 y``) and returns a metrics Dataset keyed by ``key``; ``*_documents``
-wrappers run the whole flow from the interleaved spans table and join
-the metrics back so the output keeps the untouched ``spans`` column
-(per-row span-sequence invariant).
+wrappers run the whole flow from the interleaved spans table, appending
+the metrics to each document batch so the output keeps the untouched
+``spans`` column (per-row span-sequence invariant).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
 
-from ..functions.joins import as_pool, bucket_join_attach, heavy_pool
+from ..functions.joins import append_metrics, as_pool, heavy_pool
 from ..sources import documents as doc_src
 from ..stages import zonal
 
@@ -36,37 +36,11 @@ def mean_ndvi(
     key_col: str = "doc_id",
     concurrency: int | None = None,
     batch_size: int = 2048,
-    locality_sort: bool = False,
 ) -> "ray.data.Dataset":
     """poi(key,x,y) → (key, mean_NDVI, std_NDVI); semantics of
-    availability.py:289 (clamp ≥0, population std, round 3).
-
-    ``locality_sort=True`` switches to the partial+final path with a
-    ``tile_key`` co-location sort — for radii spanning many tiles or
-    when the tile working set exceeds the per-actor cache.  The default
-    is the FUSED local path (``ZonalStatsLocal``): a disk spans ≤4 tiles
-    at typical radii, so per-key aggregation is actor-local and the
-    pipeline has NO shuffle at all.
-    """
-    if locality_sort:
-        cov = poi.map_batches(
-            zonal.TileCover(radius, key_col), batch_format="pyarrow",
-            zero_copy_batch=True,
-        ).sort("tile_key")
-        part = cov.map_batches(
-            zonal.ZonalStatsPartial,
-            fn_constructor_kwargs=dict(
-                tile_root=tile_root, band="ndvi", radius=radius, key_col=key_col
-            ),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=as_pool(concurrency),
-            num_cpus=0.25,
-        )
-        agg = part.groupby(key_col).aggregate(Sum("psum"), Sum("psumsq"), Sum("pcount"))
-        return agg.map_batches(
-            lambda b: zonal.finish_mean_std(b, key_col), batch_format="pyarrow"
-        )
+    availability.py:289 (clamp ≥0, population std, round 3).  One fused
+    actor stage (``ZonalStatsLocal``), no shuffle: each disk's
+    aggregation is local to the actor's tile cache."""
     return poi.map_batches(
         zonal.ZonalStatsLocal,
         fn_constructor_kwargs=dict(
@@ -87,38 +61,15 @@ def landcover_percentages(
     concurrency: int | None = None,
     batch_size: int = 4096,
     stringify: bool = False,
-    locality_sort: bool = False,
 ) -> "ray.data.Dataset":
     """poi(key,x,y) → (key, pct_<class>...); availability.py:1068-1082
     semantics (count/total*100 round 3; ``stringify=True`` reproduces the
     reference's ``"12.345%"`` string columns)."""
-    classmap = classmap or DEFAULT_CLASSMAP
-    names = [classmap[c] for c in sorted(classmap)]
-    if locality_sort:
-        cov = poi.map_batches(
-            zonal.TileCover(radius, key_col), batch_format="pyarrow",
-            zero_copy_batch=True,
-        ).sort("tile_key")
-        part = cov.map_batches(
-            zonal.LandcoverPartial,
-            fn_constructor_kwargs=dict(
-                tile_root=tile_root, radius=radius, classmap=classmap, key_col=key_col
-            ),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=as_pool(concurrency),
-            num_cpus=0.25,
-        )
-        aggs = [Sum(f"cnt_{n}") for n in names] + [Sum("cnt_total")]
-        agg = part.groupby(key_col).aggregate(*aggs)
-        return agg.map_batches(
-            lambda b: zonal.finish_landcover(b, names, key_col, stringify=stringify),
-            batch_format="pyarrow",
-        )
     return poi.map_batches(
         zonal.LandcoverLocal,
         fn_constructor_kwargs=dict(
-            tile_root=tile_root, radius=radius, classmap=classmap, key_col=key_col,
+            tile_root=tile_root, radius=radius,
+            classmap=classmap or DEFAULT_CLASSMAP, key_col=key_col,
             stringify=stringify,
         ),
         batch_format="pyarrow",
@@ -134,47 +85,34 @@ def landcover_percentages(
 
 def get_mean_ndvi_documents(
     documents_path: str, tile_root: str, buffer_dist: float = 300.0,
-    concurrency: int | None = None, num_join_partitions: int | None = None,
-    batch_size: int = 2048,
+    concurrency: int | None = None, batch_size: int = 2048,
 ) -> "ray.data.Dataset":
-    """Flagship pipeline: spans documents → decode geom → zonal NDVI →
-    join metrics back onto the untouched documents (span passthrough).
+    """Flagship pipeline: spans documents → one actor stage that decodes
+    each batch, runs the zonal NDVI kernel and appends mean/std to the
+    untouched documents (span passthrough).  One read, no exchange.
 
     ``batch_size``: raise toward 16384 on large inputs — the SAT-chord
     kernel runs one vectorized pass per (tile, point-group), so larger
     batches amortize numpy dispatch (+40 % single-thread measured);
     keep small on small inputs so the actor pool stays fed."""
-    docs = doc_src.read_documents(documents_path)
-    poi = doc_src.decode_geom(docs).select_columns(["doc_id", "x", "y"])
-    metrics = mean_ndvi(poi, tile_root, buffer_dist, key_col="doc_id",
-                        concurrency=as_pool(concurrency),
-                        batch_size=batch_size)
-    # metrics schema passed explicitly: .schema() on the lazy zonal
-    # pipeline would execute a probe slice of it
-    return bucket_join_attach(
-        docs, metrics, key="doc_id", num_buckets=num_join_partitions,
-        right_fields=[pa.field("doc_id", pa.string()),
-                      pa.field("mean_NDVI", pa.float64()),
-                      pa.field("std_NDVI", pa.float64())],
+    return append_metrics(
+        doc_src.read_documents(documents_path), zonal.ZonalStatsLocal,
+        dict(tile_root=tile_root, band="ndvi", radius=buffer_dist),
+        batch_size=batch_size, **heavy_pool(as_pool(concurrency)),
     )
 
 
 def get_landcover_percentages_documents(
     documents_path: str, tile_root: str, buffer_dist: float = 500.0,
-    concurrency: int | None = None, num_join_partitions: int | None = None, stringify: bool = True,
+    concurrency: int | None = None, stringify: bool = True,
 ) -> "ray.data.Dataset":
-    docs = doc_src.read_documents(documents_path)
-    poi = doc_src.decode_geom(docs).select_columns(["doc_id", "x", "y"])
-    metrics = landcover_percentages(
-        poi, tile_root, buffer_dist, key_col="doc_id", concurrency=as_pool(concurrency),
-        stringify=stringify,
-    )
-    pct_t = pa.string() if stringify else pa.float64()
-    names = [DEFAULT_CLASSMAP[c] for c in sorted(DEFAULT_CLASSMAP)]
-    return bucket_join_attach(
-        docs, metrics, key="doc_id", num_buckets=num_join_partitions,
-        right_fields=[pa.field("doc_id", pa.string())]
-        + [pa.field(n, pct_t) for n in names],
+    """Spans documents → documents + per-class percentage columns, one
+    read and no exchange (see :func:`get_mean_ndvi_documents`)."""
+    return append_metrics(
+        doc_src.read_documents(documents_path), zonal.LandcoverLocal,
+        dict(tile_root=tile_root, radius=buffer_dist,
+             classmap=DEFAULT_CLASSMAP, stringify=stringify),
+        batch_size=4096, **heavy_pool(as_pool(concurrency)),
     )
 
 
@@ -462,10 +400,9 @@ def landcover_majority(
     standard GIS zonal-statistics mode, derived from the same per-class
     integer pixel counts as :func:`landcover_percentages`.  Ties break
     to the smallest class code (np.argmax first-hit == SQL
-    ``ORDER BY n DESC, cls ASC``).  Same physical plan as the
-    ``locality_sort`` percentage path: per-(PoI, tile) count partials
-    (a disk spanning tiles emits one partial per tile), ONE integer
-    groupby-sum per PoI, then a per-row argmax — exact int64 counts,
+    ``ORDER BY n DESC, cls ASC``).  Physical plan: per-(PoI, tile)
+    count partials (a disk spanning tiles emits one partial per tile),
+    ONE integer groupby-sum per PoI, then a per-row argmax — exact int64 counts,
     so the majority can't wobble across engines."""
     classmap = classmap or DEFAULT_CLASSMAP
     codes = sorted(classmap)

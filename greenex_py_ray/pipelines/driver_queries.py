@@ -2457,11 +2457,12 @@ def _world_poi(limit: int | None = None):
 
 
 def q_spans_mean_ndvi(sf_dir: str):
-    """Flagship: spans documents → zonal NDVI → span-preserving join.
+    """Flagship: spans documents → zonal NDVI appended to each document
+    batch (one read, no exchange; spans pass through untouched).
 
     Not a gate entry of its own (it was permanently ``no_oracle`` while
     its two children are hash-green): the metrics half is value-verified
-    by ``spans_mean_ndvi_metrics`` and the span-preserving join by
+    by ``spans_mean_ndvi_metrics`` and the span passthrough by
     ``spans_mean_ndvi_payload`` (which runs THIS pipeline and serializes
     the spans); bench.py still times it directly as the flagship."""
     w = _world_paths()
@@ -2472,9 +2473,9 @@ def q_spans_mean_ndvi(sf_dir: str):
 
 
 def q_spans_mean_ndvi_metrics(sf_dir: str):
-    """Flagship zonal WITHOUT the span-attach join — the north-star
-    'per-point exposure-metric throughput' measurement (the join back
-    onto the document payload is output materialization, benchmarked
+    """Flagship zonal WITHOUT the span payload — the north-star
+    'per-point exposure-metric throughput' measurement (carrying the
+    document payload through is output materialization, benchmarked
     separately in q_spans_mean_ndvi)."""
     poi, w = _world_poi()
     # Input-aware batch size: 16384 on big inputs — the SAT-chord kernel
@@ -2492,8 +2493,8 @@ def q_spans_mean_ndvi_payload(sf_dir: str):
     """Flagship output with the span payload serialized to CANONICAL
     JSON — value-verifies the north rule's per-row invariant
     (span-sequence equality: kind, text, media_ref, order) straight
-    through the zonal pipeline and the span-preserving bucket join,
-    against DuckDB's ``to_json`` of the source table."""
+    through the zonal append stage, against DuckDB's ``to_json`` of the
+    source table."""
     import json
 
     out = q_spans_mean_ndvi(sf_dir)

@@ -353,3 +353,35 @@ def validate_within_bounds(ds: "ray.data.Dataset", x0: float, y0: float,
     if not all_ok and strict:
         raise ValueError("not all PoIs fall within the provided bounds")
     return all_ok
+
+
+def shift_coords(tab: pa.Table, dx: float, dy: float,
+                 xcols=("x",), ycols=("y",)) -> pa.Table:
+    """Translate coordinate columns of a decoded batch or side-input
+    table into a tile store's local frame (graph nodes / edge geometries
+    must move WITH the points or snapping and raster windows run in
+    mismatched frames).  Handles plain float64 columns and list<double>
+    polyline/ring columns; absent columns are skipped."""
+    if dx == 0.0 and dy == 0.0:
+        return tab
+    import pyarrow.compute as pc
+
+    def add(col, d):
+        if pa.types.is_list(col.type) or pa.types.is_large_list(col.type):
+            ca = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+            cls = (pa.LargeListArray if pa.types.is_large_list(ca.type)
+                   else pa.ListArray)
+            mask = ca.is_null() if ca.null_count else None
+            # keep the list flavor and the validity bitmap — from_arrays
+            # without a mask would silently turn null rows into []
+            return cls.from_arrays(
+                ca.offsets, pc.add(ca.values, pa.scalar(d, pa.float64())),
+                mask=mask)
+        return pc.add(col, pa.scalar(d, pa.float64()))
+
+    for names, d in ((xcols, dx), (ycols, dy)):
+        for name in names:
+            if name in tab.column_names:
+                i = tab.schema.get_field_index(name)
+                tab = tab.set_column(i, name, add(tab.column(name), d))
+    return tab

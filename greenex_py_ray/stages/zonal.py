@@ -1,8 +1,5 @@
 """Zonal statistics over raster tiles (availability pillar).
 
-Reimplements the reference's per-row raster clips as a partitioned
-partial+final aggregation:
-
 * ``get_mean_NDVI`` — ``ndvi.rio.clip([aoi]).clip(min=0).mean()/.std()``
   rounded to 3 (`/root/reference/GreenExp/availability.py:289`).
   Population std (xarray default ddof=0); negatives clamped to 0 but
@@ -11,12 +8,13 @@ partial+final aggregation:
   ``count/total*100`` rounded to 3
   (`availability.py:553-560, 1068-1082`).
 
-Physical plan (the "raster⇄vector cell alignment" of the north rule)::
+Disk AoIs run fused (``ZonalStatsLocal`` / ``LandcoverLocal``): each
+actor keeps a tile cache plus per-tile row-cumsum tables, and a point's
+whole disk reduces inside the actor — one output row per input row, no
+shuffle.  Polygon AoIs and the zonal majority run partial + final::
 
-    poi ── map_batches(TileCover)        # flat cover expansion: 1 row per (poi, touched tile)
-        ── sort("tile_key")              # co-locate rows of the same tile
-        ── map_batches(ZonalPartialActor, concurrency=k)   # per-actor LRU tile cache,
-        │                                # vectorized pixel mask per poi → partial Σ,Σ²,n
+    poi ── map_batches(cover)            # 1 row per (poi, touched tile)
+        ── map_batches(*Partial)         # per-actor LRU tile cache → partial Σ,Σ²,n / counts
         ── groupby(key).aggregate(Sum…)  # small shuffle over partials, not pixels
         ── map_batches(finish)           # mean/std/percentage + rounding
 
@@ -113,62 +111,6 @@ def _pixel_disk_values(store: TileStore, band: str, tix: int, tiy: int,
     if not out_idx:
         return np.empty(0, np.int64), np.empty(0)
     return np.concatenate(out_idx), np.concatenate(out_vals)
-
-
-class ZonalStatsPartial:
-    """Actor-pool stage: (key, x, y, tile_key) rows → per-(key, tile)
-    partial sums (Σ, Σ², n) of clamped band values within the disk.
-
-    Tile decode + cache live in ``__init__`` (once per actor), the batch
-    body is vectorized per tile.  Emits one row per input row (partials),
-    to be summed by ``groupby(key)``.
-    """
-
-    def __init__(self, tile_root: str, band: str, radius: float,
-                 key_col: str = "doc_id", clamp_min: float | None = 0.0,
-                 cache_tiles: int = 256):
-        self.store = TileStore(tile_root, capacity=cache_tiles)
-        self.band = band
-        self.radius = radius
-        self.key_col = key_col
-        self.clamp_min = clamp_min
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        x = batch.column("x").to_numpy(zero_copy_only=False)
-        y = batch.column("y").to_numpy(zero_copy_only=False)
-        tk = batch.column("tile_key").to_numpy(zero_copy_only=False)
-        n = len(x)
-        psum = np.zeros(n)
-        psumsq = np.zeros(n)
-        pcount = np.zeros(n, dtype=np.int64)
-        for tile in np.unique(tk):
-            sel = np.flatnonzero(tk == tile)
-            tix = int(tile) // TILE_KEY_STRIDE
-            tiy = int(tile) - tix * TILE_KEY_STRIDE
-            li, vals = _pixel_disk_values(
-                self.store, self.band, tix, tiy, x[sel], y[sel], self.radius
-            )
-            if len(vals) == 0:
-                continue
-            # skip nodata (NaN) pixels — same skipna semantics as the
-            # fused path's finite-masked SATs; no-op on the synth world
-            fin = np.isfinite(vals)
-            if not fin.all():
-                li, vals = li[fin], vals[fin]
-            if self.clamp_min is not None:
-                vals = np.maximum(vals, self.clamp_min)
-            rows = sel[li]
-            np.add.at(psum, rows, vals)
-            np.add.at(psumsq, rows, vals * vals)
-            np.add.at(pcount, rows, 1)
-        return pa.table(
-            {
-                self.key_col: batch.column(self.key_col),
-                "psum": pa.array(psum),
-                "psumsq": pa.array(psumsq),
-                "pcount": pa.array(pcount),
-            }
-        )
 
 
 def finish_mean_std(batch: pa.Table, key_col: str = "doc_id",
@@ -529,8 +471,7 @@ class ZonalStatsLocal:
     A disk AoI spans at most ceil(2r/TILE_SIZE+1)² tiles (≤4 for
     r≤1280 m), so each row's full aggregation is local to the actor via
     the tile cache — strictly cheaper than partial+groupby at every
-    scale.  ``ZonalStatsPartial`` + groupby remains the path for radii
-    spanning many tiles.
+    scale, including radii spanning many tiles.
 
     Kernel: per-tile row-cumsum tables of (clamped value, value², count)
     built once per actor; each point's disk reduces to per-row chord

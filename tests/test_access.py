@@ -163,3 +163,37 @@ def test_e2sfca_decay_weights():
     assert out.access_q[0] == round(w0 * float(rq) / E2_WQ)
     assert out.access_q[1] == round(w1 * float(rq) / E2_WQ)
     assert out.access_q[2] == 0
+
+
+def test_shortest_distance_append_matches_bucket_join(world):
+    """get_shortest_distance_greenspace's append path equals the keyed
+    join of the same kernel output onto the documents: values, spans,
+    column order."""
+    import ray.data
+
+    import greenex_py_ray as gx
+    from greenex_py_ray import api
+    from greenex_py_ray.functions.joins import bucket_join_attach
+    from greenex_py_ray.stages.access import NearestGreenspace
+
+    def table(ds):
+        t = pa.concat_tables(
+            list(ds.iter_batches(batch_size=None, batch_format="pyarrow")))
+        return t.take(pa.compute.sort_indices(t.column("doc_id")))
+
+    flag = "greenspace_within_300m"
+    got = gx.get_shortest_distance_greenspace(
+        world["documents"], world["greenspace"], target_dist=300.0)
+    gs = api._dissolve_units(pq.read_table(world["greenspace"]))
+    centroids = pa.table({"gs_id": gs.column("gs_id"),
+                          "cx": gs.column("centroid_x"),
+                          "cy": gs.column("centroid_y")})
+    poi = doc_src.DecodeGeom()(pq.read_table(world["documents"]))
+    metrics = NearestGreenspace(centroids, 300.0, flag_name=flag)(poi).select(
+        ["doc_id", "distance_to_greenspace", flag])
+    a = table(got)
+    b = table(bucket_join_attach(doc_src.read_documents(world["documents"]),
+                                 ray.data.from_arrow(metrics), key="doc_id"))
+    assert a.num_rows == 300
+    assert a.column_names == b.column_names
+    assert a.equals(b)

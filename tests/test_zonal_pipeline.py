@@ -186,3 +186,101 @@ def test_zonal_median_matches_bruteforce(ray_session, tmp_path):
         "SELECT quantile_cont(v, 0.5) FROM (VALUES (3), (8)) t(v)"
     ).fetchone()[0]
     assert got == np.median(np.array([3, 8], dtype=np.int64)) == 5.5
+
+
+def _table(ds) -> pa.Table:
+    return pa.concat_tables(
+        list(ds.iter_batches(batch_size=None, batch_format="pyarrow")))
+
+
+def _by_doc_id(tbl: pa.Table) -> pa.Table:
+    return tbl.take(pa.compute.sort_indices(tbl.column("doc_id")))
+
+
+def _operator_names(ds) -> list[str]:
+    out, todo = [], [ds._get_stats_summary()]
+    while todo:
+        s = todo.pop()
+        out += [op.operator_name for op in s.operators_stats]
+        todo += s.parents
+    return out
+
+
+def test_append_path_matches_bucket_join(world):
+    """The public API's append path equals the keyed join of the same
+    kernel output onto the documents: values, spans, column order."""
+    import greenex_py_ray as gx
+    from greenex_py_ray.functions.joins import bucket_join_attach
+
+    docs = doc_src.read_documents(world["documents"])
+    poi = doc_src.decode_geom(docs).select_columns(["doc_id", "x", "y"])
+    cases = [
+        (gx.get_mean_NDVI(world["documents"], world["tiles"], buffer_dist=300.0),
+         availability.mean_ndvi(poi, world["tiles"], 300.0)),
+        (gx.get_landcover_percentages(world["documents"], world["tiles"],
+                                      buffer_dist=500.0),
+         availability.landcover_percentages(poi, world["tiles"], 500.0,
+                                            stringify=True)),
+    ]
+    for got, metrics in cases:
+        a = _by_doc_id(_table(got))
+        b = _by_doc_id(_table(bucket_join_attach(docs, metrics, key="doc_id")))
+        assert a.num_rows == 300
+        assert a.column_names == b.column_names
+        assert a.equals(b)
+
+
+def test_mean_ndvi_plan_is_one_read_no_exchange(world):
+    """get_mean_NDVI reads the documents once, runs no all-to-all
+    operator, and Ray logs no schema-mismatch warning."""
+    import logging
+
+    import greenex_py_ray as gx
+
+    warnings = []
+
+    class Collect(logging.Handler):
+        def emit(self, record):
+            warnings.append(record.getMessage())
+
+    handler = Collect(level=logging.WARNING)
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        ds = gx.get_mean_NDVI(world["documents"], world["tiles"],
+                              buffer_dist=300.0)
+        assert _table(ds).num_rows == 300
+    finally:
+        logger.removeHandler(handler)
+    names = _operator_names(ds)
+    assert sum("ReadParquet" in n for n in names) == 1, names
+    exchange = ("Sort", "Aggregate", "MapGroups", "Repartition", "Shuffle",
+                "Union", "Join")
+    assert not [n for n in names if any(k in n for k in exchange)], names
+    assert not [m for m in warnings if "different schema" in m]
+
+
+def test_append_metrics_fails_loud(world):
+    """A kernel that drops or reorders rows raises instead of losing
+    documents the way an inner join would."""
+    import pytest
+
+    from greenex_py_ray.functions.joins import append_columns, append_metrics
+
+    class DropLast:
+        def __call__(self, batch):
+            return pa.table({"doc_id": batch.column("doc_id"),
+                             "m": pa.array(np.zeros(batch.num_rows))}
+                            ).slice(0, batch.num_rows - 1)
+
+    ds = append_metrics(doc_src.read_documents(world["documents"]),
+                        DropLast, {}, concurrency=(1, 1))
+    with pytest.raises(Exception, match="one row per input row"):
+        ds.materialize()
+
+    batch = pa.table({"doc_id": ["a", "b"], "v": [1, 2]})
+    swapped = pa.table({"doc_id": ["b", "a"], "m": [0.5, 0.25]})
+    with pytest.raises(ValueError, match="input row order"):
+        append_columns(batch, swapped)
+    assert append_columns(batch, swapped.take([1, 0])).column_names == [
+        "doc_id", "v", "m"]
