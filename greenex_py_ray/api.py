@@ -32,12 +32,11 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from .functions.joins import append_metrics, as_pool, bucket_join_attach, heavy_pool
+from .functions.joins import append_metrics, bucket_join_attach
+from .pipelines import accessibility as _acc
 from .pipelines import availability as _av
 from .pipelines import visibility as _vis
 from .sources import documents as doc_src
-from .stages.access import NearestGreenspace
-from .stages.zonal import LandcoverLocal, ZonalStatsLocal
 
 
 def _validate_positive(name: str, value) -> None:
@@ -609,14 +608,14 @@ def _route_poi(docs, src_crs, polygon_type, buffer_type, dist):
 
 
 def _network(nodes_file: str, edges_file: str, network_type: str,
-             shift=(0.0, 0.0)) -> dict:
-    """Broadcast refs of the street graph, filtered by ``network_type``
-    and moved into the tile-local frame WITH the points (nearest-node
-    snapping and the isochrone's raster windows otherwise compare
-    shifted PoIs against unshifted node coordinates)."""
+             shift=(0.0, 0.0)) -> tuple["pa.Table", "pa.Table"]:
+    """``(nodes, edges)`` of the street graph, filtered by
+    ``network_type`` and moved into the tile-local frame WITH the points
+    (nearest-node snapping and the isochrone's raster windows otherwise
+    compare shifted PoIs against unshifted node coordinates)."""
     nodes = doc_src.shift_coords(pq.read_table(nodes_file), *shift)
     edges = _filter_network_type(pq.read_table(edges_file), network_type)
-    return dict(nodes_ref=ray.put(nodes), edges_ref=ray.put(edges))
+    return nodes, edges
 
 
 def get_mean_NDVI(poi, ndvi_tile_dir: str, buffer_dist: float | None = 300.0,
@@ -650,24 +649,19 @@ def get_mean_NDVI(poi, ndvi_tile_dir: str, buffer_dist: float | None = 300.0,
         )
         out = _attach(docs, metrics, {"mean_NDVI": pa.float64(),
                                       "std_NDVI": pa.float64()})
-    elif buffer_type == "euclidean":
-        out = append_metrics(
-            docs, ZonalStatsLocal,
-            dict(tile_root=tile_dir, band="ndvi", radius=dist),
-            decode=decoder, shift=shift, batch_size=2048,
-            **heavy_pool(concurrency),
-        )
     else:
-        from .stages.netaccess import IsochroneZonal
+        if buffer_type == "euclidean":
+            stage = _av.mean_ndvi_stage(tile_dir, dist,
+                                        concurrency=concurrency)
+        else:
+            from .stages.netaccess import IsochroneZonal
 
-        out = append_metrics(
-            docs, IsochroneZonal,
-            dict(tile_root=tile_dir, buffer_dist=dist,
-                 **_network(network_nodes_file, network_edges_file,
-                            network_type, shift)),
-            decode=decoder, shift=shift, batch_size=256,
-            **heavy_pool(concurrency),
-        )
+            stage = _av.isochrone_stage(
+                IsochroneZonal,
+                *_network(network_nodes_file, network_edges_file,
+                          network_type, shift),
+                concurrency, tile_root=tile_dir, buffer_dist=dist)
+        out = append_metrics(docs, stage, decode=decoder, shift=shift)
     return _emit(out, "mean_NDVI", docs, src_crs,
                  write_to_file, output_dir, plot_aoi,
                  buffer_dist=(dist if mode == "point" else None),
@@ -720,26 +714,21 @@ def get_landcover_percentages(poi, landcover_tile_dir: str,
         pct_t = pa.string() if stringify else pa.float64()
         out = _attach(docs, metrics,
                       {classmap[c]: pct_t for c in sorted(classmap)})
-    elif buffer_type == "network":
-        from .stages.netaccess import IsochroneLandcover
-
-        out = append_metrics(
-            docs, IsochroneLandcover,
-            dict(tile_root=tile_dir, buffer_dist=dist, classmap=classmap,
-                 stringify=stringify,
-                 **_network(network_nodes_file, network_edges_file,
-                            network_type, shift)),
-            decode=decoder, shift=shift, batch_size=256,
-            **heavy_pool(concurrency),
-        )
     else:
-        out = append_metrics(
-            docs, LandcoverLocal,
-            dict(tile_root=tile_dir, radius=dist, classmap=classmap,
-                 stringify=stringify),
-            decode=decoder, shift=shift, batch_size=4096,
-            **heavy_pool(concurrency),
-        )
+        if buffer_type == "network":
+            from .stages.netaccess import IsochroneLandcover
+
+            stage = _av.isochrone_stage(
+                IsochroneLandcover,
+                *_network(network_nodes_file, network_edges_file,
+                          network_type, shift),
+                concurrency, tile_root=tile_dir, buffer_dist=dist,
+                classmap=classmap, stringify=stringify)
+        else:
+            stage = _av.landcover_stage(tile_dir, dist, classmap=classmap,
+                                        concurrency=concurrency,
+                                        stringify=stringify)
+        out = append_metrics(docs, stage, decode=decoder, shift=shift)
     return _emit(out, "landcover_percentages", docs,
                  src_crs, write_to_file, output_dir, plot_aoi,
                  buffer_dist=(dist if mode == "point" else None),
@@ -757,32 +746,28 @@ def _coverage(poi, vector_file, name: str, dissolve: bool, buffer_dist,
     polygon PoI's own (optionally dilated) geometry.  ``dissolve``
     selects union membership (greenspace) vs the reference's raw
     per-member clip-sum (canopy, availability.py:764)."""
-    from .stages.coverage import PolygonCoverage
-
     dist = _resolve_buffer(buffer_dist, travel_speed, trip_time)
     docs = _poi(poi)
     mode, decoder = _route_poi(docs, src_crs, polygon_type, buffer_type, dist)
-    kw = dict(polys_ref=ray.put(_vector_table(vector_file,
-                                              dst_crs=_poi_crs(poi))),
-              name=name, stringify=stringify, dissolve=dissolve)
+    polys = _vector_table(vector_file, dst_crs=_poi_crs(poi))
     if mode == "polygon":
-        kernel = PolygonCoverage
-        kw.update(buffer_dist=(dist if buffer_type == "euclidean" else 0.0),
-                  aoi_shape="self")
-        pool = dict(batch_size=256, concurrency=as_pool(concurrency),
-                    num_cpus=0.5)
+        stage = _av.coverage_stage(
+            polys, (dist if buffer_type == "euclidean" else 0.0),
+            concurrency=concurrency, stringify=stringify, name=name,
+            aoi_shape="self", dissolve=dissolve)
     elif buffer_type == "network":
         from .stages.netaccess import IsochroneCoverage
 
-        kernel = IsochroneCoverage
-        kw.update(buffer_dist=dist, **_network(
-            network_nodes_file, network_edges_file, network_type))
-        pool = dict(batch_size=256, **heavy_pool(concurrency))
+        stage = _av.isochrone_stage(
+            IsochroneCoverage,
+            *_network(network_nodes_file, network_edges_file, network_type),
+            concurrency, polys_ref=ray.put(polys), buffer_dist=dist,
+            name=name, stringify=stringify, dissolve=dissolve)
     else:
-        kernel = PolygonCoverage
-        kw.update(buffer_dist=dist)
-        pool = dict(concurrency=as_pool(concurrency), num_cpus=0.25)
-    out = append_metrics(docs, kernel, kw, decode=decoder, **pool)
+        stage = _av.coverage_stage(polys, dist, concurrency=concurrency,
+                                   stringify=stringify, name=name,
+                                   dissolve=dissolve)
+    out = append_metrics(docs, stage, decode=decoder)
     return _emit(out, out_name, docs, src_crs, write_to_file, output_dir,
                  plot_aoi, buffer_dist=(dist if mode == "point" else None),
                  output_format=output_format)
@@ -896,25 +881,17 @@ def get_shortest_distance_greenspace(poi, greenspace_vector_file: str,
         centroids = pa.table({"gs_id": gs.column("gs_id"),
                               "cx": gs.column("centroid_x"),
                               "cy": gs.column("centroid_y")})
-        out = append_metrics(
-            docs, NearestGreenspace,
-            dict(centroids_ref=ray.put(centroids), target_dist=target_dist,
-                 flag_name=flag),
-            columns=["distance_to_greenspace", flag], decode=decoder,
-            batch_size=8192, concurrency=as_pool(concurrency), num_cpus=0.25,
-        )
+        stage = _acc.nearest_greenspace_stage(centroids, target_dist, flag,
+                                              concurrency=concurrency)
+        out = append_metrics(docs, stage,
+                             columns=["distance_to_greenspace", flag],
+                             decode=decoder)
     else:
-        from .stages.netaccess import NetworkDistance
-
-        out = append_metrics(
-            docs, NetworkDistance,
-            dict(greenspace_ref=ray.put(gs), target_dist=target_dist,
-                 destination=destination, distance_type=distance_type,
-                 flag_name=flag,
-                 **_network(network_nodes_file, network_edges_file,
-                            network_type)),
-            decode=decoder, batch_size=512, **heavy_pool(concurrency),
-        )
+        stage = _acc.network_distance_stage(
+            *_network(network_nodes_file, network_edges_file, network_type),
+            gs, target_dist, destination, distance_type,
+            concurrency=concurrency, flag_name=flag)
+        out = append_metrics(docs, stage, decode=decoder)
     return _emit(out, "shortest_distance_greenspace",
                  docs, src_crs, write_to_file, output_dir, plot_aoi,
                  buffer_dist=target_dist,

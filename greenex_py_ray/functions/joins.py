@@ -9,7 +9,10 @@ documents:
   kernel on it and appends the kernel's columns to the same batch: one
   read, no exchange, and the ``spans`` payload never leaves its batch.
   Row count and key column are checked per batch, so a kernel that drops
-  or reorders rows raises instead of losing documents.
+  or reorders rows raises instead of losing documents.  Each kernel's
+  stage is defined once as a ``KernelStage`` (class, constructor kwargs,
+  pool wiring) that runs either here, on the documents, or over decoded
+  PoI rows (``KernelStage.on``).
 * ``Dataset.join`` (Ray 2.49 hash-shuffle join) — used for flat
   columns.  One aggregator actor per partition, so the partition count
   must respect the cluster CPU budget (``default_join_partitions``).
@@ -27,7 +30,7 @@ documents:
 
 from __future__ import annotations
 
-import gc
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -159,22 +162,22 @@ def bucket_join_attach(
     return u.groupby("__bucket").map_groups(merge, batch_format="pyarrow")
 
 
-def append_columns(batch: pa.Table, out: pa.Table, key: str = "doc_id",
+def append_columns(batch: pa.Table, out: pa.Table,
                    columns: "list[str] | None" = None) -> pa.Table:
-    """``batch`` with ``out``'s ``columns`` (default: all but ``key``)
+    """``batch`` with ``out``'s ``columns`` (default: all but ``doc_id``)
     appended.  ``out`` must hold one row per ``batch`` row, in the same
-    order, with an equal ``key`` column; anything else raises (a keyed
+    order, with an equal ``doc_id`` column; anything else raises (a keyed
     inner join would silently drop the unmatched documents)."""
     if out.num_rows != batch.num_rows:
         raise ValueError(
             f"kernel emitted {out.num_rows} rows for {batch.num_rows} "
             "input rows; append_metrics needs one row per input row")
-    if not out.column(key).equals(batch.column(key)):
+    if not out.column("doc_id").equals(batch.column("doc_id")):
         raise ValueError(
-            f"kernel output {key!r} differs from the input's row for row; "
+            "kernel output 'doc_id' differs from the input's row for row; "
             "append_metrics needs the input row order")
-    names = ([n for n in out.column_names if n != key] if columns is None
-             else list(columns))
+    names = ([n for n in out.column_names if n != "doc_id"]
+             if columns is None else list(columns))
     dup = set(names) & set(batch.column_names)
     if dup:
         raise ValueError(f"overlapping non-key columns: {dup}")
@@ -187,51 +190,57 @@ class _AppendKernel:
     """Actor body of :func:`append_metrics`: one kernel instance (its
     tile cache / index lives as long as the actor)."""
 
-    def __init__(self, kernel_cls, kernel_kwargs: dict, key: str, columns,
-                 decode, shift: tuple[float, float]):
+    def __init__(self, kernel_cls, kernel_kwargs: dict, columns, decode,
+                 shift: tuple[float, float]):
         self.kernel = kernel_cls(**kernel_kwargs)
         self.decode = decode if decode is not None else DecodeGeom()
-        self.key = key
         self.columns = columns
         self.shift = shift
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         pts = shift_coords(self.decode(batch), *self.shift,
                            xcols=("x", "ring_x"), ycols=("y", "ring_y"))
-        return append_columns(batch, self.kernel(pts), self.key, self.columns)
+        return append_columns(batch, self.kernel(pts), self.columns)
+
+
+class KernelStage(NamedTuple):
+    """The one definition of a one-row-per-PoI kernel's actor stage:
+    its class, constructor kwargs and ``map_batches`` wiring (batch
+    size, pool, CPUs).  :meth:`on` runs it over decoded PoI rows (the
+    metric-table pipelines); :func:`append_metrics` runs it on raw
+    documents (the span-preserving API)."""
+
+    cls: type
+    kwargs: dict
+    map_kwargs: dict
+
+    def on(self, poi: "ray.data.Dataset") -> "ray.data.Dataset":
+        return poi.map_batches(self.cls, fn_constructor_kwargs=self.kwargs,
+                               batch_format="pyarrow", **self.map_kwargs)
 
 
 def append_metrics(
     docs: "ray.data.Dataset",
-    kernel_cls,
-    kernel_kwargs: dict,
-    key: str = "doc_id",
+    stage: KernelStage,
     columns: "list[str] | None" = None,
     decode=None,
     shift: tuple[float, float] = (0.0, 0.0),
-    **map_kwargs,
 ) -> "ray.data.Dataset":
     """Documents with a one-row-per-row kernel's metric columns appended.
 
     Per raw document batch: ``decode`` (a ``DecodeGeom``, default
     point decode) → translate the decoded coordinates by ``shift`` into
-    the tile store's frame → ``kernel_cls(**kernel_kwargs)`` → the input
-    batch plus the kernel's ``columns`` (default: all but ``key``).  The
-    decoded coordinates are not kept.  ``map_kwargs`` (pool width, CPUs,
-    ``batch_size``) go to ``map_batches``."""
-    # Ray Data lets a finished stage's actors die by refcount, but each
-    # handle sits in a reference cycle with its method wrappers, so the
-    # actors keep their CPUs until this process's cyclic GC runs.  A new
-    # pool plus its read task then waited for them: on 4 CPUs ~1 call in
-    # 10 of back-to-back get_mean_NDVI calls stalled 12-18 s (0 in 25
-    # with this collect, which costs ~0.08 s).
-    gc.collect()
+    the tile store's frame → the ``stage`` kernel (keyed by ``doc_id``)
+    → the input batch plus the kernel's ``columns`` (default: all but
+    ``doc_id``).  The decoded coordinates are not kept.  The stage's
+    ``map_kwargs`` (pool width, CPUs, ``batch_size``) go to
+    ``map_batches``."""
     return docs.map_batches(
         _AppendKernel,
         fn_constructor_kwargs=dict(
-            kernel_cls=kernel_cls, kernel_kwargs=kernel_kwargs, key=key,
+            kernel_cls=stage.cls, kernel_kwargs=stage.kwargs,
             columns=columns, decode=decode, shift=shift),
-        batch_format="pyarrow", zero_copy_batch=True, **map_kwargs,
+        batch_format="pyarrow", zero_copy_batch=True, **stage.map_kwargs,
     )
 
 

@@ -13,9 +13,23 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..functions.joins import append_metrics, as_pool, heavy_pool
+from ..functions.joins import KernelStage, append_metrics, as_pool, heavy_pool
 from ..sources import documents as doc_src
 from ..stages.access import NearestGreenspace
+
+
+def nearest_greenspace_stage(centroids: "pa.Table", target_dist: float,
+                             flag_name: str, key_col: str = "doc_id",
+                             concurrency: int | None = None) -> KernelStage:
+    """(key,x,y) + small centroid table (gs_id, cx, cy; broadcast via
+    ray.put) → (key, distance_to_greenspace, ``flag_name``,
+    nearest_gs_id)."""
+    return KernelStage(
+        NearestGreenspace,
+        dict(centroids_ref=ray.put(centroids), target_dist=target_dist,
+             key_col=key_col, flag_name=flag_name),
+        dict(batch_size=8192, concurrency=as_pool(concurrency),
+             num_cpus=0.25))
 
 
 def get_shortest_distance_greenspace_documents(
@@ -36,12 +50,37 @@ def get_shortest_distance_greenspace_documents(
          "cy": gs.column("centroid_y")}
     )
     return append_metrics(
-        doc_src.read_documents(documents_path), NearestGreenspace,
-        dict(centroids_ref=ray.put(centroids), target_dist=target_dist,
-             flag_name=f"greenspace_within_{int(target_dist)}m"),
-        batch_size=8192, concurrency=as_pool(concurrency),
-        num_cpus=0.25,
-    )
+        doc_src.read_documents(documents_path),
+        nearest_greenspace_stage(centroids, target_dist,
+                                 f"greenspace_within_{int(target_dist)}m",
+                                 concurrency=concurrency))
+
+
+def network_distance_stage(
+    nodes: "pa.Table",
+    edges: "pa.Table",
+    greenspace: "pa.Table",
+    target_dist: float = 300.0,
+    destination: str = "centroids",
+    distance_type: str = "network",
+    key_col: str = "doc_id",
+    concurrency: int | None = None,
+    flag_name: str = "greenspace_within_target",
+) -> KernelStage:
+    """Network/entrance branches of get_shortest_distance_greenspace
+    (accessibility.py:226-301): GraphActor pool with broadcast graph +
+    greenspace tables; ``distance_type='euclidean'`` +
+    ``destination='entrance'`` gives the straight-line-to-entrance
+    variant."""
+    from ..stages.netaccess import NetworkDistance
+
+    return KernelStage(
+        NetworkDistance,
+        dict(nodes_ref=ray.put(nodes), edges_ref=ray.put(edges),
+             greenspace_ref=ray.put(greenspace), target_dist=target_dist,
+             destination=destination, distance_type=distance_type,
+             key_col=key_col, flag_name=flag_name),
+        dict(batch_size=512, **heavy_pool(concurrency)))
 
 
 def network_distance_greenspace(
@@ -55,25 +94,11 @@ def network_distance_greenspace(
     key_col: str = "doc_id",
     concurrency: int | None = None,
 ) -> "ray.data.Dataset":
-    """Network/entrance branches of get_shortest_distance_greenspace
-    (accessibility.py:226-301): GraphActor pool with broadcast graph +
-    greenspace tables; ``distance_type='euclidean'`` +
-    ``destination='entrance'`` gives the straight-line-to-entrance
-    variant."""
-    import ray as _ray
-
-    from ..stages.netaccess import NetworkDistance
-
-    return poi.map_batches(
-        NetworkDistance,
-        fn_constructor_kwargs=dict(
-            nodes_ref=_ray.put(nodes), edges_ref=_ray.put(edges),
-            greenspace_ref=_ray.put(greenspace), target_dist=target_dist,
-            destination=destination, distance_type=distance_type, key_col=key_col,
-        ),
-        batch_format="pyarrow", batch_size=512,
-        **heavy_pool(concurrency),
-    )
+    """poi(key,x,y) → network/entrance distance rows; see
+    :func:`network_distance_stage`."""
+    return network_distance_stage(
+        nodes, edges, greenspace, target_dist, destination, distance_type,
+        key_col, concurrency).on(poi)
 
 
 def od_cost_matrix(

@@ -9,17 +9,21 @@ Each function takes an already-decoded PoI dataset (columns ``key, x,
 y``) and returns a metrics Dataset keyed by ``key``; ``*_documents``
 wrappers run the whole flow from the interleaved spans table, appending
 the metrics to each document batch so the output keeps the untouched
-``spans`` column (per-row span-sequence invariant).
+``spans`` column (per-row span-sequence invariant).  A ``*_stage``
+function is the one definition of its kernel's actor stage, run by both
+the metric pipeline (``KernelStage.on``) and the append path
+(``append_metrics``).
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 
+import ray
 import ray.data
 from ray.data.aggregate import Sum
 
-from ..functions.joins import append_metrics, as_pool, heavy_pool
+from ..functions.joins import KernelStage, append_metrics, as_pool, heavy_pool
 from ..sources import documents as doc_src
 from ..stages import zonal
 
@@ -29,27 +33,41 @@ DEFAULT_CLASSMAP = {10: "pct_tree", 30: "pct_grass", 40: "pct_crop",
                     50: "pct_builtup", 60: "pct_bare", 80: "pct_water"}
 
 
-def mean_ndvi(
-    poi: "ray.data.Dataset",
-    tile_root: str,
-    radius: float,
-    key_col: str = "doc_id",
-    concurrency: int | None = None,
-    batch_size: int = 2048,
-) -> "ray.data.Dataset":
-    """poi(key,x,y) → (key, mean_NDVI, std_NDVI); semantics of
+def mean_ndvi_stage(tile_root: str, radius: float, key_col: str = "doc_id",
+                    concurrency: int | None = None,
+                    batch_size: int = 2048) -> KernelStage:
+    """(key,x,y) → (key, mean_NDVI, std_NDVI); semantics of
     availability.py:289 (clamp ≥0, population std, round 3).  One fused
     actor stage (``ZonalStatsLocal``), no shuffle: each disk's
     aggregation is local to the actor's tile cache."""
-    return poi.map_batches(
+    return KernelStage(
         zonal.ZonalStatsLocal,
-        fn_constructor_kwargs=dict(
-            tile_root=tile_root, band="ndvi", radius=radius, key_col=key_col
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        **heavy_pool(concurrency),
-    )
+        dict(tile_root=tile_root, band="ndvi", radius=radius, key_col=key_col),
+        dict(batch_size=batch_size, **heavy_pool(concurrency)))
+
+
+def mean_ndvi(poi: "ray.data.Dataset", tile_root: str, radius: float,
+              key_col: str = "doc_id", concurrency: int | None = None,
+              batch_size: int = 2048) -> "ray.data.Dataset":
+    """poi(key,x,y) → (key, mean_NDVI, std_NDVI); see
+    :func:`mean_ndvi_stage`."""
+    return mean_ndvi_stage(tile_root, radius, key_col, concurrency,
+                           batch_size).on(poi)
+
+
+def landcover_stage(tile_root: str, radius: float, key_col: str = "doc_id",
+                    classmap: dict[int, str] | None = None,
+                    concurrency: int | None = None, batch_size: int = 4096,
+                    stringify: bool = False) -> KernelStage:
+    """(key,x,y) → (key, pct_<class>...); availability.py:1068-1082
+    semantics (count/total*100 round 3; ``stringify=True`` reproduces the
+    reference's ``"12.345%"`` string columns)."""
+    return KernelStage(
+        zonal.LandcoverLocal,
+        dict(tile_root=tile_root, radius=radius,
+             classmap=classmap or DEFAULT_CLASSMAP, key_col=key_col,
+             stringify=stringify),
+        dict(batch_size=batch_size, **heavy_pool(concurrency)))
 
 
 def landcover_percentages(
@@ -62,20 +80,10 @@ def landcover_percentages(
     batch_size: int = 4096,
     stringify: bool = False,
 ) -> "ray.data.Dataset":
-    """poi(key,x,y) → (key, pct_<class>...); availability.py:1068-1082
-    semantics (count/total*100 round 3; ``stringify=True`` reproduces the
-    reference's ``"12.345%"`` string columns)."""
-    return poi.map_batches(
-        zonal.LandcoverLocal,
-        fn_constructor_kwargs=dict(
-            tile_root=tile_root, radius=radius,
-            classmap=classmap or DEFAULT_CLASSMAP, key_col=key_col,
-            stringify=stringify,
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        **heavy_pool(concurrency),
-    )
+    """poi(key,x,y) → (key, pct_<class>...); see
+    :func:`landcover_stage`."""
+    return landcover_stage(tile_root, radius, key_col, classmap, concurrency,
+                           batch_size, stringify).on(poi)
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +104,10 @@ def get_mean_ndvi_documents(
     batches amortize numpy dispatch (+40 % single-thread measured);
     keep small on small inputs so the actor pool stays fed."""
     return append_metrics(
-        doc_src.read_documents(documents_path), zonal.ZonalStatsLocal,
-        dict(tile_root=tile_root, band="ndvi", radius=buffer_dist),
-        batch_size=batch_size, **heavy_pool(as_pool(concurrency)),
-    )
+        doc_src.read_documents(documents_path),
+        mean_ndvi_stage(tile_root, buffer_dist,
+                        concurrency=as_pool(concurrency),
+                        batch_size=batch_size))
 
 
 def get_landcover_percentages_documents(
@@ -109,11 +117,39 @@ def get_landcover_percentages_documents(
     """Spans documents → documents + per-class percentage columns, one
     read and no exchange (see :func:`get_mean_ndvi_documents`)."""
     return append_metrics(
-        doc_src.read_documents(documents_path), zonal.LandcoverLocal,
-        dict(tile_root=tile_root, radius=buffer_dist,
-             classmap=DEFAULT_CLASSMAP, stringify=stringify),
-        batch_size=4096, **heavy_pool(as_pool(concurrency)),
-    )
+        doc_src.read_documents(documents_path),
+        landcover_stage(tile_root, buffer_dist,
+                        concurrency=as_pool(concurrency),
+                        stringify=stringify))
+
+
+def coverage_stage(
+    polys: "pa.Table",
+    buffer_dist: float,
+    key_col: str = "doc_id",
+    concurrency: int | None = None,
+    stringify: bool = False,
+    name: str = "canopy_cover",
+    aoi_shape: str = "circle",
+    dissolve: bool = True,
+) -> KernelStage:
+    """Percent of each PoI's AoI covered by the broadcast polygon table.
+    ``aoi_shape="self"`` uses each row's own polygon (``ring_*``
+    columns) dilated by ``buffer_dist`` as the AoI (see
+    :class:`~greenex_py_ray.stages.coverage.PolygonCoverage`)."""
+    from ..stages.coverage import PolygonCoverage
+
+    if aoi_shape == "self":
+        pool = dict(batch_size=256, concurrency=as_pool(concurrency),
+                    num_cpus=0.5)
+    else:
+        pool = dict(concurrency=as_pool(concurrency), num_cpus=0.25)
+    return KernelStage(
+        PolygonCoverage,
+        dict(polys_ref=ray.put(polys), buffer_dist=buffer_dist,
+             key_col=key_col, name=name, stringify=stringify,
+             aoi_shape=aoi_shape, dissolve=dissolve),
+        pool)
 
 
 def canopy_percentage(
@@ -133,22 +169,8 @@ def canopy_percentage(
     AoI instead of the shapely 64-gon buffer); ``dissolve=False``
     reproduces the reference's raw ``clip().area.sum()`` (overlaps
     double-count, availability.py:764)."""
-    import pyarrow as pa  # noqa: F811
-
-    import ray as _ray
-
-    from ..stages.coverage import PolygonCoverage
-
-    ref = _ray.put(canopy)
-    return poi.map_batches(
-        PolygonCoverage,
-        fn_constructor_kwargs=dict(
-            polys_ref=ref, buffer_dist=buffer_dist, key_col=key_col,
-            name=name, stringify=stringify, aoi_shape=aoi_shape,
-            dissolve=dissolve,
-        ),
-        batch_format="pyarrow", concurrency=as_pool(concurrency), num_cpus=0.25,
-    )
+    return coverage_stage(canopy, buffer_dist, key_col, concurrency,
+                          stringify, name, aoi_shape, dissolve).on(poi)
 
 
 def greenspace_percentage(
@@ -168,6 +190,19 @@ def greenspace_percentage(
     )
 
 
+def isochrone_stage(kernel_cls, nodes: "pa.Table", edges: "pa.Table",
+                    concurrency: int | None = None,
+                    **kwargs) -> KernelStage:
+    """A GraphActor-pool isochrone kernel (``IsochroneZonal``,
+    ``IsochroneLandcover`` or ``IsochroneCoverage`` from
+    :mod:`~greenex_py_ray.stages.netaccess`) with the street graph
+    broadcast; ``kwargs`` go to its constructor."""
+    return KernelStage(
+        kernel_cls,
+        dict(nodes_ref=ray.put(nodes), edges_ref=ray.put(edges), **kwargs),
+        dict(batch_size=256, **heavy_pool(concurrency)))
+
+
 def mean_ndvi_isochrone(
     poi: "ray.data.Dataset",
     nodes: "pa.Table",
@@ -180,21 +215,11 @@ def mean_ndvi_isochrone(
     """get_mean_NDVI with buffer_type='network' (availability.py:263-275):
     per-PoI isochrone AoI from the street graph, zonal stats inside the
     GraphActor pool."""
-    import ray as _ray
-
     from ..stages.netaccess import IsochroneZonal
 
-    from ..functions.joins import heavy_pool as _hp
-
-    return poi.map_batches(
-        IsochroneZonal,
-        fn_constructor_kwargs=dict(
-            nodes_ref=_ray.put(nodes), edges_ref=_ray.put(edges),
-            tile_root=tile_root, buffer_dist=buffer_dist, key_col=key_col,
-        ),
-        batch_format="pyarrow", batch_size=256,
-        **_hp(concurrency),
-    )
+    return isochrone_stage(
+        IsochroneZonal, nodes, edges, concurrency, tile_root=tile_root,
+        buffer_dist=buffer_dist, key_col=key_col).on(poi)
 
 
 def landcover_percentages_isochrone(
@@ -211,22 +236,12 @@ def landcover_percentages_isochrone(
     """get_landcover_percentages with buffer_type='network'
     (availability.py:505-516): per-PoI isochrone AoI, per-class pixel
     percentages inside the GraphActor pool."""
-    import ray as _ray
-
-    from ..functions.joins import heavy_pool as _hp
     from ..stages.netaccess import IsochroneLandcover
 
-    classmap = classmap or DEFAULT_CLASSMAP
-    return poi.map_batches(
-        IsochroneLandcover,
-        fn_constructor_kwargs=dict(
-            nodes_ref=_ray.put(nodes), edges_ref=_ray.put(edges),
-            tile_root=tile_root, buffer_dist=buffer_dist, classmap=classmap,
-            key_col=key_col, stringify=stringify,
-        ),
-        batch_format="pyarrow", batch_size=256,
-        **_hp(concurrency),
-    )
+    return isochrone_stage(
+        IsochroneLandcover, nodes, edges, concurrency, tile_root=tile_root,
+        buffer_dist=buffer_dist, classmap=classmap or DEFAULT_CLASSMAP,
+        key_col=key_col, stringify=stringify).on(poi)
 
 
 def canopy_percentage_isochrone(
@@ -246,22 +261,12 @@ def canopy_percentage_isochrone(
     of the isochrone AoI covered by the vector layer (see the
     raster-analog deviation note on
     :class:`~greenex_py_ray.stages.netaccess.IsochroneCoverage`)."""
-    import ray as _ray
-
-    from ..functions.joins import heavy_pool as _hp
     from ..stages.netaccess import IsochroneCoverage
 
-    return poi.map_batches(
-        IsochroneCoverage,
-        fn_constructor_kwargs=dict(
-            nodes_ref=_ray.put(nodes), edges_ref=_ray.put(edges),
-            polys_ref=_ray.put(polys), buffer_dist=buffer_dist,
-            key_col=key_col, name=name, stringify=stringify,
-            dissolve=dissolve,
-        ),
-        batch_format="pyarrow", batch_size=256,
-        **_hp(concurrency),
-    )
+    return isochrone_stage(
+        IsochroneCoverage, nodes, edges, concurrency,
+        polys_ref=ray.put(polys), buffer_dist=buffer_dist, key_col=key_col,
+        name=name, stringify=stringify, dissolve=dissolve).on(poi)
 
 
 def _polygon_cover(poi_polygons, key_col: str, dilate: float):
@@ -345,23 +350,13 @@ def coverage_percentage_polygon_aoi(
     layer — exact scanline overlay at ``dilate=0``, pixel-center analog
     of the buffered-polygon AoI at ``dilate>0`` (see
     :class:`~greenex_py_ray.stages.coverage.PolygonCoverage`)."""
-    import ray as _ray
-
-    from ..stages.coverage import PolygonCoverage
-
     ring_cols = [key_col, "ring_x", "ring_y"]
     if "ring_sizes" in poi_polygons.schema().names:
         ring_cols.append("ring_sizes")
-    return poi_polygons.select_columns(ring_cols).map_batches(
-        PolygonCoverage,
-        fn_constructor_kwargs=dict(
-            polys_ref=_ray.put(polys), buffer_dist=dilate, key_col=key_col,
-            name=name, stringify=stringify, dissolve=dissolve,
-            aoi_shape="self",
-        ),
-        batch_format="pyarrow", batch_size=256,
-        concurrency=as_pool(concurrency), num_cpus=0.5,
-    )
+    return coverage_stage(
+        polys, dilate, key_col, concurrency, stringify, name,
+        aoi_shape="self", dissolve=dissolve,
+    ).on(poi_polygons.select_columns(ring_cols))
 
 
 def mean_ndvi_line_aoi(

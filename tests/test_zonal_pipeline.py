@@ -265,7 +265,8 @@ def test_append_metrics_fails_loud(world):
     documents the way an inner join would."""
     import pytest
 
-    from greenex_py_ray.functions.joins import append_columns, append_metrics
+    from greenex_py_ray.functions.joins import (
+        KernelStage, append_columns, append_metrics)
 
     class DropLast:
         def __call__(self, batch):
@@ -274,7 +275,7 @@ def test_append_metrics_fails_loud(world):
                             ).slice(0, batch.num_rows - 1)
 
     ds = append_metrics(doc_src.read_documents(world["documents"]),
-                        DropLast, {}, concurrency=(1, 1))
+                        KernelStage(DropLast, {}, dict(concurrency=(1, 1))))
     with pytest.raises(Exception, match="one row per input row"):
         ds.materialize()
 
