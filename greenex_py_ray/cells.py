@@ -152,18 +152,3 @@ def neighbors(cell: np.ndarray, rings: int = 1) -> np.ndarray:
     offs = np.arange(-rings, rings + 1, dtype=np.int64)
     ox, oy = np.meshgrid(offs, offs, indexing="ij")
     return cell_id(ix[:, None] + ox.ravel()[None, :], iy[:, None] + oy.ravel()[None, :])
-
-
-def salt_for(cell: np.ndarray, doc_key: np.ndarray, hot_cells: dict | None, default_k: int = 1):
-    """Salt hot cells: append ``hash(doc) % k`` where k comes from a
-    (broadcast) ``hot_cells`` map built by a cheap groupby(cell).count()
-    stats pass.  Cold cells get salt 0 (k=1)."""
-    cell = np.asarray(cell, dtype=np.int64)
-    key = np.asarray(doc_key)
-    if not hot_cells:
-        return np.zeros(len(cell), dtype=np.int64)
-    ks = np.full(len(cell), default_k, dtype=np.int64)
-    for c, k in hot_cells.items():
-        ks[cell == c] = k
-    h = (key.astype(np.int64) * np.int64(2654435761)) & np.int64(0x7FFFFFFF)
-    return h % ks

@@ -10,8 +10,9 @@ pattern every wide aggregation in this engine uses.
 
 Semantics are exactly ``GROUP BY key`` with per-column ``sum``/``min``/
 ``max`` (int64-exact: ``np.add.reduceat`` and friends never leave the
-integer domain).  Keys must be int64-like; bucket = Fibonacci-mixed
-``key mod num_buckets`` so structured id spaces can't skew a bucket.
+integer domain).  Keys must be int64-like; the shuffle is the shared
+:func:`~.exchange.bucket_exchange` (value hash of the key, so structured
+id spaces can't skew a bucket).
 """
 
 from __future__ import annotations
@@ -21,15 +22,9 @@ import pyarrow as pa
 
 import ray.data
 
-_PHI64 = np.uint64(11400714819323198485)
+from .exchange import bucket_exchange
 
 _UFUNC = {"sum": np.add, "min": np.minimum, "max": np.maximum}
-
-
-def _bucket_of(keys: np.ndarray, num_buckets: int) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        mixed = keys.astype(np.uint64) * _PHI64
-    return (mixed % np.uint64(num_buckets)).astype(np.int64)
 
 
 def _reduce_table(batch: pa.Table, key_col: str, cols: list[str],
@@ -71,20 +66,14 @@ def bucket_group_reduce(ds: "ray.data.Dataset", key_col: str,
             raise ValueError(f"unsupported op {op!r}")
     final_ops = ["sum" if o == "count" else o for o in ops]
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = _reduce_table(batch, key_col, cols, ops) if pre_reduce \
-            else batch
-        k = t.column(key_col).to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "__bucket", pa.array(_bucket_of(k, num_buckets)))
-
     def final(t: pa.Table) -> pa.Table:
         return _reduce_table(t, key_col, cols, final_ops)
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("__bucket")
-            .map_groups(final, batch_format="pyarrow"))
+    if pre_reduce:
+        ds = ds.map_batches(
+            lambda b: _reduce_table(b, key_col, cols, ops),
+            batch_format="pyarrow", zero_copy_batch=True)
+    return bucket_exchange(ds, key_col, final, num_buckets)
 
 
 def bucket_distinct(ds: "ray.data.Dataset", key_col: str,
@@ -94,17 +83,10 @@ def bucket_distinct(ds: "ray.data.Dataset", key_col: str,
     pattern ``groupby(key).min(key)`` replays 48× slower."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        u = np.unique(batch.column(key_col).to_numpy(
-            zero_copy_only=False))
-        return pa.table({key_col: pa.array(u),
-                         "__bucket": pa.array(
-                             _bucket_of(u, num_buckets))})
-
-    def final(t: pa.Table) -> pa.Table:
         return pa.table({key_col: pa.array(np.unique(
-            t.column(key_col).to_numpy(zero_copy_only=False)))})
+            batch.column(key_col).to_numpy(zero_copy_only=False)))})
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("__bucket")
-            .map_groups(final, batch_format="pyarrow"))
+    return bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        key_col, partial, num_buckets)

@@ -1,6 +1,6 @@
 """Join strategies.
 
-Three implementations, chosen by how the metric rows relate to the
+Two implementations, chosen by how the metric rows relate to the
 documents:
 
 * ``append_metrics`` — for kernels that emit exactly one row per input
@@ -13,19 +13,16 @@ documents:
   stage is defined once as a ``KernelStage`` (class, constructor kwargs,
   pool wiring) that runs either here, on the documents, or over decoded
   PoI rows (``KernelStage.on``).
-* ``Dataset.join`` (Ray 2.49 hash-shuffle join) — used for flat
-  columns.  One aggregator actor per partition, so the partition count
-  must respect the cluster CPU budget (``default_join_partitions``).
-* ``bucket_join_attach`` — explicit partitioned hash join for keyed
-  many→one attaches (per-PoI rollups of per-sample or per-tile rows)
-  onto tables carrying nested columns (the ``spans`` list<struct>
-  payload), which Arrow's join kernel rejects ("not supported in join
-  non-key field").  Pattern: add ``__bucket = stable_hash(key) % B`` to
-  both sides, align schemas with typed null columns, ``union`` →
-  ``groupby(__bucket)`` → per-bucket Arrow-native index merge (``take``
-  on each side, column hstack).  Nested values never round-trip through
-  pandas/python, so span bytes stay identical.  One all-to-all exchange
-  of the document payload.
+* ``bucket_join_attach`` — every keyed join (inner / left outer attach,
+  semi, anti) as one :func:`~.exchange.bucket_exchange`: tag each side
+  with ``__side``, align schemas with typed null columns, ``union`` →
+  per-bucket Arrow-native index merge (``take`` on each side, column
+  hstack).  Used for keyed many→one attaches (per-PoI rollups of
+  per-sample or per-tile rows) onto tables carrying nested columns (the
+  ``spans`` list<struct> payload, which Arrow's join kernel rejects:
+  "not supported in join non-key field") and for flat tables alike.
+  Nested values never round-trip through pandas/python, so span bytes
+  stay identical.  One all-to-all exchange of both sides.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ import ray
 import ray.data
 
 from ..sources.documents import DecodeGeom, shift_coords
+from .exchange import bucket_exchange
 
 
 def cluster_cpus(default: int = 8) -> int:
@@ -52,35 +50,6 @@ def cluster_cpus(default: int = 8) -> int:
         return default
 
 
-def default_join_partitions(requested: int | None = None) -> int:
-    """~half the cluster CPUs (min 2): scales up on real clusters, stays
-    small on the 4-CPU test fixture so join aggregator actors don't
-    starve the map stages."""
-    if requested is not None:
-        return requested
-    return max(2, cluster_cpus() // 2)
-
-
-def stable_bucket(keys, num_buckets: int) -> np.ndarray:
-    """Process-stable hash bucket of a key array (siphash via pandas,
-    fixed key — identical on every worker)."""
-    h = pd.util.hash_pandas_object(pd.Series(keys), index=False).to_numpy()
-    return (h % np.uint64(num_buckets)).astype(np.int64)
-
-
-def _with_bucket_and_nulls(ds, key: str, num_buckets: int, side: int,
-                           null_fields: list[pa.Field]):
-    def add(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch.column(key).to_pandas(), num_buckets)
-        out = batch.append_column("__bucket", pa.array(b))
-        out = out.append_column("__side", pa.array(np.full(len(b), side, dtype=np.int8)))
-        for f in null_fields:
-            out = out.append_column(f.name, pa.nulls(len(b), f.type))
-        return out
-
-    return ds.map_batches(add, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def bucket_join_attach(
     left: "ray.data.Dataset",
     right: "ray.data.Dataset",
@@ -88,15 +57,27 @@ def bucket_join_attach(
     num_buckets: int | None = None,
     left_fields: "list[pa.Field] | None" = None,
     right_fields: "list[pa.Field] | None" = None,
+    right_key: str | None = None,
+    how: str = "inner",
 ) -> "ray.data.Dataset":
-    """Inner join attaching ``right``'s non-key columns to ``left``,
-    supporting nested left payloads.  Requires unique keys on the right
-    (metric tables are keyed by doc)."""
+    """Keyed join of ``left`` with ``right`` (on ``left[key] ==
+    right[right_key]``, default the same name) over one
+    :func:`bucket_exchange`; null keys never match.
+
+    ``how="inner"`` / ``"left_outer"`` attach ``right``'s non-key
+    columns to ``left`` (right keys must be unique: metric tables are
+    keyed by doc; a left row without a match is dropped / gets nulls).
+    ``how="semi"`` / ``"anti"`` keep the ``left`` rows with / without a
+    key match and attach nothing (right keys may repeat).  Nested left
+    payloads are supported: rows only move by Arrow ``take``."""
+    if how not in ("inner", "left_outer", "semi", "anti"):
+        raise ValueError(f"unsupported join kind {how!r}")
+    right_key = right_key or key
     if num_buckets is None:
         # scale bucket count with the left payload (each bucket becomes
         # ONE in-memory pa.Table inside map_groups, so a fixed cap would
         # bound parallelism and grow per-bucket memory with data size);
-        # floor at 2×cluster-width so small inputs still parallelize.
+        # floor at the cluster width so small inputs still parallelize.
         # size_bytes() EXECUTES a lazy lineage (measured ~1 s extra per
         # join at bench scale), so the estimate is read only from inputs
         # that already know their size: materialized datasets and
@@ -110,7 +91,7 @@ def bucket_join_attach(
         except Exception:
             est = 0
         by_bytes = est // (128 << 20)  # ~128 MB of payload per bucket
-        num_buckets = int(min(4096, max(default_join_partitions(None) * 2,
+        num_buckets = int(min(4096, max(2 * max(2, cluster_cpus() // 2),
                                         by_bytes)))
     # .schema() on a LAZY side executes part of its pipeline just for
     # the probe (measured ~2 s on the flagship); callers that know their
@@ -119,47 +100,62 @@ def bucket_join_attach(
         lschema = left.schema()
         left_fields = [pa.field(n, t)
                        for n, t in zip(lschema.names, lschema.types)]
-    if right_fields is None:
+    if how in ("semi", "anti"):
+        right_fields = []
+    elif right_fields is None:
         rschema = right.schema()
         right_fields = [pa.field(n, t)
                         for n, t in zip(rschema.names, rschema.types)]
-    lfields = list(left_fields)
-    rfields = [f for f in right_fields if f.name != key]
-    lnames = [f.name for f in lfields if f.name != key]
+    lfields = [f for f in left_fields if f.name != key]
+    rfields = [f for f in right_fields if f.name != right_key]
+    lnames = [f.name for f in lfields]
     rnames = [f.name for f in rfields]
     dup = set(lnames) & set(rnames)
     if dup:
         raise ValueError(f"overlapping non-key columns: {dup}")
 
-    l2 = _with_bucket_and_nulls(left, key, num_buckets, 0, rfields)
-    r2 = _with_bucket_and_nulls(right.select_columns([key] + rnames), key,
-                                num_buckets, 1, [f for f in lfields if f.name != key])
-    # align column order for union
-    order = [key] + lnames + rnames + ["__bucket", "__side"]
-    l2 = l2.select_columns(order)
-    r2 = r2.select_columns(order)
-    u = l2.union(r2)
+    names = [key] + lnames + rnames + ["__side"]
+    types = {f.name: f.type for f in lfields + rfields}
+
+    def tag(side: int, side_key: str, own: list[str]):
+        # one map per side: the key under the left's name, the side's
+        # own columns, typed nulls for the other side's
+        def fn(batch: pa.Table) -> pa.Table:
+            n = batch.num_rows
+            return pa.table(
+                [batch.column(side_key)]
+                + [batch.column(c) if c in own else pa.nulls(n, types[c])
+                   for c in lnames + rnames]
+                + [pa.array(np.full(n, side, dtype=np.int8))], names=names)
+        return fn
+
+    sides = [left.map_batches(tag(0, key, lnames), batch_format="pyarrow",
+                              zero_copy_batch=True),
+             right.map_batches(tag(1, right_key, rnames),
+                               batch_format="pyarrow", zero_copy_batch=True)]
 
     def merge(tbl: pa.Table) -> pa.Table:
         side = tbl.column("__side").to_numpy(zero_copy_only=False)
-        li = np.flatnonzero(side == 0)
-        ri = np.flatnonzero(side == 1)
-        lt = tbl.take(pa.array(li))
-        rt = tbl.take(pa.array(ri))
+        lt = tbl.filter(pa.array(side == 0))
+        rt = tbl.filter(pa.array(side == 1))
+        rt = rt.filter(rt.column(key).is_valid())
         lk = pd.Index(lt.column(key).to_pandas())
         rk = pd.Index(rt.column(key).to_pandas())
+        if how in ("semi", "anti"):
+            hit = np.asarray(lk.isin(rk))
+            keep = hit if how == "semi" else ~hit
+            return lt.filter(pa.array(keep)).select([key] + lnames)
         pos = rk.get_indexer(lk)
-        hit = pos >= 0
-        lt = lt.take(pa.array(np.flatnonzero(hit)))
-        rt = rt.take(pa.array(pos[hit]))
-        cols = {key: lt.column(key)}
-        for n in lnames:
-            cols[n] = lt.column(n)
-        for n in rnames:
-            cols[n] = rt.column(n)
-        return pa.table(cols)
+        if how == "inner":
+            hit = pos >= 0
+            lt = lt.take(pa.array(np.flatnonzero(hit)))
+            pos = pos[hit]
+        rt = rt.take(pa.array(pos, mask=pos < 0))
+        return pa.table([lt.column(n) for n in [key] + lnames]
+                        + [rt.column(n) for n in rnames],
+                        names=[key] + lnames + rnames)
 
-    return u.groupby("__bucket").map_groups(merge, batch_format="pyarrow")
+    return bucket_exchange(sides, key, merge, num_buckets)
 
 
 def append_columns(batch: pa.Table, out: pa.Table,
@@ -276,10 +272,11 @@ def heavy_pool(concurrency=None) -> dict:
         # fixed pool; silently ignoring the caller's width made a
         # (1, 4) gate spec into a 16-actor pool whose ramp dominated
         # small inputs)
-        n = max(1, int(concurrency[-1]))
-        return dict(concurrency=(n, n), num_cpus=1)
+        concurrency = concurrency[-1]
     if concurrency is not None:
-        n = max(1, int(concurrency))
+        # one CPU stays free: a fixed pool holding every CPU starves the
+        # read tasks that feed it, and the pipeline hangs
+        n = max(1, min(int(concurrency), cluster_cpus() - 1))
         return dict(concurrency=(n, n), num_cpus=1)
     # half the cluster: the dominant kernel still needs its FEED stages
     # (read/decode tasks at 1 CPU each) to run wide, or the pool starves

@@ -548,14 +548,6 @@ def overlay_area(layers, mode="union") -> float:
     return overlay_moments(layers, mode)[0]
 
 
-def union_area_general(polys) -> float:
-    """Area of the union of arbitrary polygons.  ``polys``: list where
-    each entry is a single ring or a list of rings (holes/multipolygon,
-    even-odd)."""
-    layers = [[p] if isinstance(p, np.ndarray) else list(p) for p in polys]
-    return overlay_area(layers, "union")
-
-
 def clip_area_general(subject_rings, clip_rings) -> float:
     """Area of (subject ∩ clip) for arbitrary polygons (each side a ring
     or list of rings, even-odd)."""

@@ -520,21 +520,6 @@ def transform(x, y, src: str, dst: str):
     return grid.forward(lon_r, lat_r)
 
 
-def reproject_batch(batch, src: str, dst: str, x_col: str = "x",
-                    y_col: str = "y"):
-    """map_batches body: replace ``x``/``y`` with projected coords
-    (M2, accessibility.py:40-50).  Zero-copy on all other columns."""
-    import pyarrow as pa
-
-    x = batch.column(x_col).to_numpy(zero_copy_only=False)
-    y = batch.column(y_col).to_numpy(zero_copy_only=False)
-    nx, ny = transform(x, y, src, dst)
-    ix = batch.column_names.index(x_col)
-    iy = batch.column_names.index(y_col)
-    out = batch.set_column(ix, x_col, pa.array(nx))
-    return out.set_column(iy, y_col, pa.array(ny))
-
-
 def bbox_to_wgs84(x0: float, y0: float, x1: float, y1: float, src: str,
                   n_edge: int = 32):
     """Projected bbox → geographic (lon/lat) bbox (M8,

@@ -32,7 +32,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from .functions.joins import stable_bucket
+from .functions.exchange import bucket_exchange
 
 
 def _checksum(tbl: pa.Table) -> int:
@@ -106,25 +106,17 @@ def resumable_write(ds: "ray.data.Dataset", out_dir: str, key: str,
     if not todo:
         return read_manifest(out_dir)
 
-    def bucketize(batch: pa.Table) -> pa.Table:
-        b = stable_bucket(batch.column(key).to_pandas(), num_partitions)
-        return batch.append_column("__part", pa.array(b))
-
-    bucketed = ds.map_batches(bucketize, batch_format="pyarrow",
-                              zero_copy_batch=True)
     todo_set = set(todo)
 
     def write_group(tbl: pa.Table) -> pa.Table:
-        part = int(tbl.column("__part")[0].as_py())
+        part = int(tbl.column("__bucket")[0].as_py())
         if part in todo_set:
-            body = tbl.drop_columns(["__part"])
+            body = tbl.drop_columns(["__bucket"])
             body = body.take(pa.compute.sort_indices(body.column(key)))
             write_partition(body, out_dir, part)
         return pa.table({"partition": pa.array([part], pa.int64())})
 
-    bucketed.groupby("__part").map_groups(
-        write_group, batch_format="pyarrow"
-    ).materialize()
+    bucket_exchange(ds, key, write_group, num_partitions).materialize()
     return read_manifest(out_dir)
 
 

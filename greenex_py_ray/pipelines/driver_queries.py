@@ -2354,8 +2354,8 @@ def _slope_oracle_sql() -> str:
 
 ORACLE_SQL["slope_gradient"] = _slope_oracle_sql()
 
-# distributed anti-join (stages/setops.exists_join over Ray's native
-# hash join, right side pre-collapsed to distinct keys): orders with
+# distributed anti-join (stages/setops.exists_join over the bucket
+# exchange, right side pre-collapsed to distinct keys): orders with
 # no high-quantity lineitem.
 ORACLE_SQL["orders_no_bulk_item"] = """
     SELECT o.o_orderkey,
@@ -5500,8 +5500,8 @@ def q_slope_gradient(sf_dir: str):
 
 
 def q_orders_no_bulk_item(sf_dir: str):
-    """Distributed anti-join (stages/setops.exists_join → Ray native
-    left_anti hash join, right side pre-collapsed to distinct keys):
+    """Distributed anti-join (stages/setops.exists_join → bucket-exchange
+    anti join, right side pre-collapsed to distinct keys):
     orders with no lineitem of quantity > 45."""
     from ..stages.setops import exists_join
 
@@ -7305,7 +7305,7 @@ PMI_K, PMI_MIN = 20, 5
 def q_pmi_topk(sf_dir: str):
     """Top-20 collocations by pointwise mutual information
     (stages/text.pmi_topk: partial-combined unigram+bigram counts, two
-    native hash joins, no driver vocabulary)."""
+    bucket-exchange joins, no driver vocabulary)."""
     from ..stages.text import pmi_topk
 
     ds = dt.read_table(sf_dir, "documents", columns=["text"])

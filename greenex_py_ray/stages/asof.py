@@ -16,7 +16,7 @@ import pyarrow as pa
 
 import ray.data
 
-from ..functions.joins import stable_bucket
+from ..functions.exchange import bucket_exchange
 
 
 def asof_join_latest(
@@ -45,7 +45,6 @@ def asof_join_latest(
             "ts": pa.array(ts),
             "row_id": batch.column(left_id),
             "side": pa.array(np.zeros(len(k), dtype=np.int8)),
-            "bucket": pa.array(stable_bucket(k, num_buckets)),
         })
 
     def tag_right(batch: pa.Table) -> pa.Table:
@@ -56,12 +55,10 @@ def asof_join_latest(
             "ts": pa.array(ts),
             "row_id": pa.nulls(len(k), pa.int64()),
             "side": pa.array(np.ones(len(k), dtype=np.int8)),
-            "bucket": pa.array(stable_bucket(k, num_buckets)),
         })
 
     lt = left.map_batches(tag_left, batch_format="pyarrow", zero_copy_batch=True)
     rt = right.map_batches(tag_right, batch_format="pyarrow", zero_copy_batch=True)
-    u = lt.union(rt)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         lg = g[g["side"] == 0].sort_values("ts", kind="stable")
@@ -84,7 +81,7 @@ def asof_join_latest(
         return pd.DataFrame({left_id: m["row_id"].to_numpy(dtype="int64"),
                              out_col: m["rts"].to_numpy(dtype="float64") / 1e6})
 
-    return u.groupby("bucket").map_groups(merge, batch_format="pandas")
+    return bucket_exchange([lt, rt], "k", merge, num_buckets, "pandas")
 
 
 def _lex_searchsorted(
@@ -146,14 +143,12 @@ def range_join_count(
             "ts": pa.array(t),
             "row_id": batch.column(rid) if rid else pa.nulls(len(k), pa.int64()),
             "side": pa.array(np.full(len(k), side, dtype=np.int8)),
-            "bucket": pa.array(stable_bucket(k, num_buckets)),
         })
 
     lt = left.map_batches(lambda b: tag(b, left_key, left_ts, left_id, 0),
                           batch_format="pyarrow", zero_copy_batch=True)
     rt = right.map_batches(lambda b: tag(b, right_key, right_ts, None, 1),
                            batch_format="pyarrow", zero_copy_batch=True)
-    u = lt.union(rt)
 
     def count(g: pd.DataFrame) -> pd.DataFrame:
         lg = g[g["side"] == 0]
@@ -175,7 +170,7 @@ def range_join_count(
         return pd.DataFrame({left_id: lg["row_id"].to_numpy(dtype="int64"),
                              out_col: out})
 
-    return u.groupby("bucket").map_groups(count, batch_format="pandas")
+    return bucket_exchange([lt, rt], "k", count, num_buckets, "pandas")
 
 
 def sessionize(ds: "ray.data.Dataset", gap_us: int,
@@ -188,15 +183,12 @@ def sessionize(ds: "ray.data.Dataset", gap_us: int,
     emits one row per (user, session) with count / start / end / value
     sum.
 
-    Scale shape: users are HASH-BUCKETED (``user_id % num_buckets``)
+    Scale shape: users are HASH-BUCKETED (one ``bucket_exchange``)
     so the shuffle has ``num_buckets`` groups, not one pandas call per
     user; inside a bucket the multi-user kernel is one lexsort +
     vectorized break/reduceat pass.  Timestamps ride as int64
     microseconds end-to-end."""
-    import pyarrow as pa
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        u = b.column(user_col).to_numpy(zero_copy_only=False)
+    def project(b: pa.Table) -> pa.Table:
         ts = b.column(ts_col)
         if pa.types.is_timestamp(ts.type):
             ts = ts.cast(pa.int64())
@@ -205,7 +197,6 @@ def sessionize(ds: "ray.data.Dataset", gap_us: int,
             "ts_us": ts,
             order_col: b.column(order_col),
             value_col: b.column(value_col),
-            "bucket": pa.array((u % num_buckets).astype(np.int64)),
         })
 
     def kernel(g: pd.DataFrame) -> pd.DataFrame:
@@ -238,7 +229,7 @@ def sessionize(ds: "ray.data.Dataset", gap_us: int,
             "sum_value": np.round(np.add.reduceat(v, starts), 6),
         })
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("bucket")
-            .map_groups(kernel, batch_format="pandas"))
+    return bucket_exchange(
+        ds.map_batches(project, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        user_col, kernel, num_buckets, "pandas")

@@ -19,13 +19,11 @@ base=1 / delta=2); if the same version can repeat per key, pass a
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 import ray.data
 
-_FNV = np.uint64(1099511628211)
+from ..functions.exchange import bucket_exchange
 
 
 def compact_latest(base: "ray.data.Dataset", updates: "ray.data.Dataset",
@@ -39,18 +37,8 @@ def compact_latest(base: "ray.data.Dataset", updates: "ray.data.Dataset",
         df = df.sort_values(sort_cols, kind="stable")
         return df.drop_duplicates(subset=key_col, keep="last")
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = latest(df)
-        h = pd.util.hash_pandas_object(df[key_col], index=False).to_numpy()
-        df = df.copy()
-        df["__bucket"] = ((h * _FNV) % np.uint64(num_buckets)).astype(
-            np.int64)
-        return df
-
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         return latest(df).drop(columns="__bucket")
 
-    u = base.union(updates)
-    part = u.map_batches(partial, batch_format="pandas")
-    return part.groupby("__bucket").map_groups(finish,
-                                               batch_format="pandas")
+    part = base.union(updates).map_batches(latest, batch_format="pandas")
+    return bucket_exchange(part, key_col, finish, num_buckets, "pandas")

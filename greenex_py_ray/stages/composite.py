@@ -25,7 +25,7 @@ import pyarrow as pa
 
 import ray.data
 
-_FNV = np.uint64(1099511628211)
+from ..functions.exchange import bucket_exchange
 
 
 def max_composite_stats(tiles: "ray.data.Dataset", n_dates: int,
@@ -38,14 +38,6 @@ def max_composite_stats(tiles: "ray.data.Dataset", n_dates: int,
     sum_q, mean_v)`` with ``sum_q = Σ round(max_d v · q_scale)`` exact
     int64 and ``mean_v = sum_q / n_px / q_scale``.
     """
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        tx = batch.column("tx").to_numpy(zero_copy_only=False)
-        ty = batch.column("ty").to_numpy(zero_copy_only=False)
-        h = (tx.astype(np.uint64) * _FNV
-             + ty.astype(np.uint64)) % np.uint64(num_buckets)
-        return batch.append_column("__bucket",
-                                   pa.array(h.astype(np.int64)))
 
     def reduce_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["tx", "ty", "date"], kind="stable")
@@ -64,10 +56,8 @@ def max_composite_stats(tiles: "ray.data.Dataset", n_dates: int,
             "mean_v": sum_q.astype(np.float64) / npx / q_scale,
         })
 
-    part = tiles.map_batches(add_bucket, batch_format="pyarrow",
-                             zero_copy_batch=True)
-    return part.groupby("__bucket").map_groups(reduce_bucket,
-                                               batch_format="pandas")
+    return bucket_exchange(tiles, ["tx", "ty"], reduce_bucket, num_buckets,
+                           "pandas")
 
 
 def chi_square_drift(ds: "ray.data.Dataset", group_col: str,

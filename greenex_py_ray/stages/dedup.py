@@ -19,14 +19,15 @@ shape is hash-partition + per-group reduce, never a driver-side set.
 
 from __future__ import annotations
 
-from ..functions.joins import as_pool
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
+
+from ..functions.exchange import bucket_exchange
+from ..functions.joins import as_pool
 
 # ---------------------------------------------------------------------------
 # content hash + exact dedup
@@ -251,18 +252,8 @@ def minhash_lsh_candidates(
 
     # LSH buckets are NEAR-UNIQUE keys: groupby((band_id, band_hash))
     # would pay one pandas group call per bucket (hundreds of thousands).
-    # Instead co-locate buckets under ~coarse hash groups and resolve
-    # the real bucket boundaries vectorized inside each group.
-    num_coarse = 64
-
-    def add_coarse(b: pa.Table) -> pa.Table:
-        h = (b.column("band_hash").to_numpy(zero_copy_only=False)
-             .astype(np.uint64) * np.uint64(31)
-             + b.column("band_id").to_numpy(zero_copy_only=False)
-             .astype(np.uint64))
-        return b.append_column(
-            "coarse", pa.array((h % np.uint64(num_coarse)).astype(np.int64)))
-
+    # Instead co-locate buckets under 64 hash groups and resolve the
+    # real bucket boundaries vectorized inside each group.
     def pairs_in_coarse(g: pd.DataFrame) -> pd.DataFrame:
         bid = g["band_id"].to_numpy()
         bh = g["band_hash"].to_numpy()
@@ -290,8 +281,8 @@ def minhash_lsh_candidates(
         return pd.DataFrame({"key_a": np.concatenate(out_a),
                              "key_b": np.concatenate(out_b)})
 
-    cand = bands_ds.map_batches(add_coarse, batch_format="pyarrow") \
-        .groupby("coarse").map_groups(pairs_in_coarse, batch_format="pandas")
+    cand = bucket_exchange(bands_ds, ["band_id", "band_hash"],
+                           pairs_in_coarse, 64, "pandas")
     # dedup pairs surfaced by multiple bands (bucketed, not per-pair groups)
     return bucket_dedup(cand, subset=["key_a", "key_b"])
 
@@ -398,28 +389,6 @@ class SimHasher:
             score = bits.sum(axis=0) * 2 - len(th)
             out[i] = (weights[score > 0]).sum(dtype=np.uint64)
         return batch.append_column("simhash", pa.array(out.astype(np.int64)))
-
-
-def simhash_block_batch(batch: pa.Table, blocks: int = 4, key_col: str = "doc_id") -> pa.Table:
-    """Explode simhash into (block_id, block_bits) keys: two hashes within
-    Hamming distance < blocks share at least one identical block
-    (pigeonhole) — the groupby key for near-dup candidates."""
-    sh = batch.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
-    n = len(sh)
-    width = 64 // blocks
-    mask = np.uint64((1 << width) - 1)
-    out_blocks = np.empty((n, blocks), dtype=np.int64)
-    for b in range(blocks):
-        out_blocks[:, b] = ((sh >> np.uint64(b * width)) & mask).astype(np.int64)
-    idx = np.repeat(np.arange(n), blocks)
-    return pa.table(
-        {
-            key_col: batch.column(key_col).take(pa.array(idx)),
-            "block_id": pa.array(np.tile(np.arange(blocks, dtype=np.int32), n)),
-            "block_bits": pa.array(out_blocks.reshape(-1)),
-            "simhash": pa.array(np.repeat(sh.astype(np.int64), blocks)),
-        }
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -549,29 +518,14 @@ def bucket_dedup(ds: "ray.data.Dataset", subset: list[str],
     ``drop_duplicates`` per bucket is equivalent and O(num_buckets)
     pandas calls.  ``sort_by`` picks the surviving row deterministically
     (min of that column), matching GROUP BY → min() oracles."""
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = np.zeros(len(batch), dtype=np.uint64)
-        for col in subset:
-            # to_pandas keeps numeric columns as typed arrays (no python
-            # object round-trip); the hash only drives bucket placement
-            vals = pd.util.hash_pandas_object(
-                batch.column(col).to_pandas(), index=False
-            ).to_numpy()
-            h = h * np.uint64(1099511628211) + vals
-        return batch.append_column(
-            "__dedup_bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64))
-        )
 
     def drop_dups(g: pd.DataFrame) -> pd.DataFrame:
         if sort_by is not None:
             g = g.sort_values(sort_by, kind="stable")
-        return g.drop_duplicates(subset=subset).drop(columns="__dedup_bucket")
+        return g.drop_duplicates(subset=subset).drop(columns="__bucket")
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__dedup_bucket")
-        .map_groups(drop_dups, batch_format="pandas")
-    )
+    return bucket_exchange(ds, list(subset), drop_dups, num_buckets,
+                           "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -1012,22 +966,8 @@ def edit_near_pairs(ds: "ray.data.Dataset", k: int = 12,
                             "dist": lev[ok].astype(np.int64)})
         return out.drop_duplicates(["doc_a", "doc_b"])
 
-    def add_gb(batch: pa.Table) -> pa.Table:
-        # deterministic hash bucket over (blk, bucket) — co-locates a
-        # logical group while keeping map_groups task count bounded
-        blk = batch.column("blk")
-        from .text import hash_string_array
-
-        hb = hash_string_array(blk.combine_chunks()
-                               if isinstance(blk, pa.ChunkedArray) else blk)
-        bk = batch.column("bucket").to_numpy(zero_copy_only=False)
-        gb = ((hb ^ (bk.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)))
-              % np.uint64(16)).astype(np.int64)
-        return batch.append_column("__gb", pa.array(gb))
-
-    return (ds.map_batches(expand, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .map_batches(add_gb, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("__gb")
-            .map_groups(kernel, batch_format="pandas"))
+    # hash groups over (blk, bucket): co-locate a logical group while
+    # keeping the map_groups task count bounded
+    return bucket_exchange(
+        ds.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True),
+        ["blk", "bucket"], kernel, 16, "pandas")

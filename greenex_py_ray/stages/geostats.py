@@ -36,6 +36,8 @@ import pyarrow as pa
 
 import ray
 
+from ..functions.exchange import bucket_exchange
+
 #: integer quantization grids for the order-independent IDW sums
 IDW_DEN_Q = 1e12
 IDW_NUM_Q = 1e9
@@ -807,9 +809,6 @@ def group_convex_hull(ds: "ray.data.Dataset", key_col: str = "cell",
                            np.empty(0, np.int64)),
             "yq": pa.array(np.concatenate(yo) if yo else
                            np.empty(0, np.int64)),
-            "bucket": pa.array(
-                (np.concatenate(ko).astype(np.int64) % num_buckets)
-                if ko else np.empty(0, np.int64)),
         })
 
     def final(grp: pd.DataFrame) -> pd.DataFrame:
@@ -824,9 +823,9 @@ def group_convex_hull(ds: "ray.data.Dataset", key_col: str = "cell",
         return (pd.concat(out, ignore_index=True) if out else
                 pd.DataFrame({key_col: [], "xq": [], "yq": []}))
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("bucket").map_groups(final, batch_format="pandas"))
+    return bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        key_col, final, num_buckets, "pandas")
 
 
 # ---------------------------------------------------------------------------

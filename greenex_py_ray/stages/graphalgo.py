@@ -44,6 +44,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from ..functions.exchange import bucket_exchange
 from ..functions.joins import bucket_join_attach
 
 
@@ -274,13 +275,8 @@ def triangle_count(edges: "ray.data.Dataset", u_col: str = "u",
     def key_of(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a << np.int64(32)) + b  # valid for ids < 2^31
 
-    def bucketed(batch: pa.Table) -> pa.Table:
-        u = batch.column(u_col).to_numpy(zero_copy_only=False)
-        h = (u.astype(np.uint64) * np.uint64(1099511628211)
-             % np.uint64(num_buckets)).astype(np.int64)
-        return pa.table({"u": u,
-                         "v": batch.column(v_col),
-                         "__bucket": h})
+    def project(batch: pa.Table) -> pa.Table:
+        return pa.table({"u": batch.column(u_col), "v": batch.column(v_col)})
 
     def wedges(df: pd.DataFrame) -> pd.DataFrame:
         m = df.merge(df, on="u")
@@ -288,10 +284,10 @@ def triangle_count(edges: "ray.data.Dataset", u_col: str = "u",
         return pd.DataFrame(
             {"wk": key_of(m["v_x"].to_numpy(), m["v_y"].to_numpy())})
 
-    wedge_ds = (edges.map_batches(bucketed, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                .groupby("__bucket").map_groups(wedges,
-                                                batch_format="pandas"))
+    wedge_ds = bucket_exchange(
+        edges.map_batches(project, batch_format="pyarrow",
+                          zero_copy_batch=True),
+        "u", wedges, num_buckets, "pandas")
 
     ekeys = edges.map_batches(
         lambda b: pa.table({
@@ -300,7 +296,11 @@ def triangle_count(edges: "ray.data.Dataset", u_col: str = "u",
             "closed": np.ones(b.num_rows, np.int64)}),
         batch_format="pyarrow", zero_copy_batch=True)
 
-    closed = bucket_join_attach(wedge_ds, ekeys, key="wk")
+    # known schemas: probing the lazy wedge side would run its exchange
+    closed = bucket_join_attach(
+        wedge_ds, ekeys, key="wk", left_fields=[pa.field("wk", pa.int64())],
+        right_fields=[pa.field("wk", pa.int64()),
+                      pa.field("closed", pa.int64())])
 
     def ones(name: str):
         def fn(batch: pa.Table) -> pa.Table:

@@ -25,6 +25,8 @@ import pyarrow as pa
 
 import ray
 
+from ..functions.exchange import bucket_exchange
+
 
 class SegmentSnapper:
     """Actor stage: nearest-segment snap within ``radius``.
@@ -186,18 +188,10 @@ def viterbi_match(pings: "ray.data.Dataset", segments: pa.Table,
     }
     S, K = int(n_steps), int(k_cand)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        h = (u * np.int64(2654435761)) % np.int64(num_buckets)
-        return batch.append_column("__bucket", pa.array(h))
-
     def run_bucket(t: pa.Table) -> pa.Table:
         return _viterbi_bucket(t, seg, S, K)
 
-    return (pings.map_batches(add_bucket, batch_format="pyarrow",
-                              zero_copy_batch=True)
-            .groupby("__bucket")
-            .map_groups(run_bucket, batch_format="pyarrow"))
+    return bucket_exchange(pings, "user_id", run_bucket, num_buckets)
 
 
 def _viterbi_bucket(t: pa.Table, seg: dict, S: int, K: int) -> pa.Table:

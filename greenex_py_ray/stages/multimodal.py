@@ -25,6 +25,8 @@ import pyarrow.compute as pc
 
 import ray
 
+from ..functions.exchange import bucket_exchange
+
 
 def extract_media_refs_batch(batch: pa.Table) -> pa.Table:
     """documents → (doc_id, media_ref) rows for every media span
@@ -308,8 +310,6 @@ def media_ref_rollup(ds: "ray.data.Dataset",
         m = m.take(pa.array(keep))
         tx = pc.cast(m.field("tx"), pa.int64())
         ty = pc.cast(m.field("ty"), pa.int64())
-        bucket = (tx.to_numpy(zero_copy_only=False) * 1024
-                  + ty.to_numpy(zero_copy_only=False)) % num_buckets
         # per-batch (doc, asset) dedup shrinks the shuffle payload
         df = pd.DataFrame({
             "doc_id": refs.column("doc_id").take(
@@ -317,10 +317,9 @@ def media_ref_rollup(ds: "ray.data.Dataset",
             "band": m.field("band").to_pandas(),
             "tx": tx.to_numpy(zero_copy_only=False),
             "ty": ty.to_numpy(zero_copy_only=False),
-            "bucket": bucket.astype(np.int64),
             "n": 1,
         })
-        g = (df.groupby(["bucket", "band", "tx", "ty", "doc_id"],
+        g = (df.groupby(["band", "tx", "ty", "doc_id"],
                         sort=False)["n"].sum().reset_index())
         return pa.Table.from_pandas(g, preserve_index=False)
 
@@ -332,9 +331,9 @@ def media_ref_rollup(ds: "ray.data.Dataset",
         a["n_docs"] = a["n_docs"].astype(np.int64)
         return a
 
-    return (ds.map_batches(parse, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("bucket").map_groups(kernel, batch_format="pandas"))
+    return bucket_exchange(
+        ds.map_batches(parse, batch_format="pyarrow", zero_copy_batch=True),
+        ["tx", "ty"], kernel, num_buckets, "pandas")
 
 
 def span_fingerprint_batch(batch: pa.Table,

@@ -27,6 +27,8 @@ import pyarrow as pa
 
 import ray
 
+from ..functions.exchange import bucket_exchange
+
 #: positive bias for packed tile keys (negative-index aliasing guard)
 _TB = np.int64(1 << 20)
 
@@ -75,12 +77,6 @@ def rasterize_coverage(rects: "ray.data.Dataset", res: float,
             "lr1": pa.array(np.minimum(r1[rix], tiy * px + px - 1)),
         })
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        k = batch.column("tkey").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "__bucket", pa.array((k * np.int64(2654435761))
-                                 % np.int64(num_buckets)))
-
     def burn(t: pa.Table) -> pa.Table:
         k = t.column("tkey").to_numpy(zero_copy_only=False).astype(np.int64)
         lc0 = t.column("lc0").to_numpy(zero_copy_only=False)
@@ -110,9 +106,7 @@ def rasterize_coverage(rects: "ray.data.Dataset", res: float,
             "n_covered": pa.array(np.asarray(out_n, np.int64)),
         })
 
-    return (rects.map_batches(to_tiles, batch_format="pyarrow",
-                              zero_copy_batch=True)
-            .map_batches(add_bucket, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("__bucket")
-            .map_groups(burn, batch_format="pyarrow"))
+    return bucket_exchange(
+        rects.map_batches(to_tiles, batch_format="pyarrow",
+                          zero_copy_batch=True),
+        "tkey", burn, num_buckets)

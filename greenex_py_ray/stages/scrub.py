@@ -27,6 +27,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.joins import bucket_join_attach
 from .text import explode_words
 
 #: RE2 patterns shared verbatim with the DuckDB oracle (both engines
@@ -416,8 +417,8 @@ def dup_window_flags(ds: "ray.data.Dataset", width: int = 8,
     partials before the single O(distinct windows) groupby.  The
     duplicated-window set is delivered two ways: broadcast via
     ``ray.put`` when it fits (``<= max_broadcast`` keys — 16 MB/M keys),
-    else a hash-bucketed ``left_semi`` join of per-doc window partials
-    against the dup-key table, followed by an O(docs) count join — no
+    else a bucket-exchange semi join of per-doc window partials against
+    the dup-key table, followed by an O(docs) left-outer count join — no
     driver text materialization on either path."""
     import ray as _ray
     from ray.data.aggregate import Sum
@@ -467,17 +468,20 @@ def dup_window_flags(ds: "ray.data.Dataset", width: int = 8,
         return pa.table({key_col: batch.column(key_col),
                          "n_windows": pa.array(n_win)})
 
-    hits = (ds.map_batches(win_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .join(dup_keys, join_type="left_semi",
-                  num_partitions=num_partitions, on=("wh",),
-                  right_on=("wh",))
+    hits = (bucket_join_attach(
+                ds.map_batches(win_partial, batch_format="pyarrow",
+                               zero_copy_batch=True),
+                dup_keys, key="wh", num_buckets=num_partitions, how="semi")
             .groupby(key_col).aggregate(Sum("k", alias_name="n_dup")))
     base = ds.map_batches(base_counts, batch_format="pyarrow",
                           zero_copy_batch=True)
-    joined = base.join(hits, join_type="left_outer",
-                       num_partitions=num_partitions,
-                       on=(key_col,), right_on=(key_col,))
+    # both schemas are known: probing the lazy `hits` would run its join
+    sch = ds.schema()
+    kf = pa.field(key_col, sch.types[sch.names.index(key_col)])
+    joined = bucket_join_attach(
+        base, hits, key=key_col, num_buckets=num_partitions,
+        left_fields=[kf, pa.field("n_windows", pa.int64())],
+        right_fields=[kf, pa.field("n_dup", pa.int64())], how="left_outer")
 
     def finish(batch: pa.Table) -> pa.Table:
         nd = pc.fill_null(batch.column("n_dup"), 0)

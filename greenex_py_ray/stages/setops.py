@@ -1,17 +1,16 @@
-"""Distributed set-membership joins: semi / anti over Ray's hash join.
+"""Distributed set-membership joins and distinct counts.
 
-``exists_join`` wraps ``Dataset.join(join_type='left_semi'/'left_anti')``
-— Ray Data's native distributed hash join (hash-partition both sides
-into ``num_partitions``, build/probe inside each partition) — with the
-one preparation that matters at 100 TB: the right side collapses to
-DISTINCT KEYS FIRST via per-batch unique partials, so the shuffle moves
-O(#distinct keys) instead of O(right rows) (a fact table with 10 rows
-per key ships 10× less).  Per-batch uniques alone bound the payload;
-the join's own hash partitioning dedups the rest.
+``exists_join`` is a semi / anti join on the shared bucket exchange
+(``functions.joins.bucket_join_attach`` with ``how="semi"/"anti"``),
+with the one preparation that matters at 100 TB: the right side
+collapses to DISTINCT KEYS FIRST via per-batch unique partials, so the
+shuffle moves O(#distinct keys) instead of O(right rows) (a fact table
+with 10 rows per key ships 10× less).  Per-batch uniques alone bound the
+payload; each bucket's membership test handles the repeats that remain.
 
-``num_partitions`` sizes the hash exchange: at gate scale a handful,
-at cluster scale ~2–4× total cores so each partition's build side fits
-in a worker heap.
+``num_partitions`` sizes the exchange (its bucket count): at gate scale
+a handful, at cluster scale ~2–4× total cores so each bucket's key set
+fits in a worker heap.
 """
 
 from __future__ import annotations
@@ -19,11 +18,13 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..functions.exchange import bucket_exchange
+from ..functions.joins import bucket_join_attach
+
 
 def distinct_keys(ds: "ray.data.Dataset", key_col: str) -> "ray.data.Dataset":
     """Per-batch unique partial — rows collapse to distinct keys before
-    anything shuffles (final global dedup happens inside the join's own
-    hash partitions)."""
+    anything shuffles."""
 
     def partial(batch: pa.Table) -> pa.Table:
         k = np.unique(batch.column(key_col).to_numpy(zero_copy_only=False))
@@ -39,14 +40,10 @@ def exists_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                 num_partitions: int = 8) -> "ray.data.Dataset":
     """Left rows that have (semi) / lack (anti) a key match in right."""
     right_on = right_on or on
-    keys = distinct_keys(right, right_on)
-    return left.join(
-        keys,
-        join_type="left_anti" if anti else "left_semi",
-        num_partitions=num_partitions,
-        on=(on,),
-        right_on=(right_on,),
-    )
+    return bucket_join_attach(left, distinct_keys(right, right_on), key=on,
+                              right_key=right_on,
+                              num_buckets=num_partitions,
+                              how="anti" if anti else "semi")
 
 
 def distinct_count(ds: "ray.data.Dataset", key_col: str, val_col: str,
@@ -54,7 +51,7 @@ def distinct_count(ds: "ray.data.Dataset", key_col: str, val_col: str,
     """Exact per-key distinct-value count (``COUNT(DISTINCT val)``).
 
     Scale shape: per-batch pair dedup collapses rows before anything
-    moves, keys HASH-BUCKET (``key % num_buckets``) so the single
+    moves, keys HASH-BUCKET (one ``bucket_exchange``) so the single
     shuffle has ``num_buckets`` integer-keyed groups (a 2-column
     string-keyed ``groupby`` aggregate measured ~8× slower on the same
     input), and the per-bucket kernel is one pandas
@@ -63,10 +60,7 @@ def distinct_count(ds: "ray.data.Dataset", key_col: str, val_col: str,
     import pandas as pd
 
     def pair_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch[[key_col, val_col]].drop_duplicates()
-        k = out[key_col].to_numpy()
-        out = out.assign(bucket=(k % num_buckets).astype(np.int64))
-        return out
+        return batch[[key_col, val_col]].drop_duplicates()
 
     def kernel(grp: pd.DataFrame) -> pd.DataFrame:
         g = (grp[[key_col, val_col]].drop_duplicates()
@@ -74,5 +68,6 @@ def distinct_count(ds: "ray.data.Dataset", key_col: str, val_col: str,
         return pd.DataFrame({key_col: g.index.to_numpy(),
                              "n_distinct": g.to_numpy().astype(np.int64)})
 
-    return (ds.map_batches(pair_partial, batch_format="pandas")
-            .groupby("bucket").map_groups(kernel, batch_format="pandas"))
+    return bucket_exchange(
+        ds.map_batches(pair_partial, batch_format="pandas"),
+        key_col, kernel, num_buckets, "pandas")

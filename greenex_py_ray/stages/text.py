@@ -22,6 +22,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.exchange import bucket_exchange
+from ..functions.joins import bucket_join_attach
+
 _WS = re.compile(r"\s+")
 _PUNCT = set(".,;:!?\"'()[]{}-")
 
@@ -406,9 +409,6 @@ def build_postings(ds: "ray.data.Dataset", min_df: int = 1,
         toks, docs = toks[nonempty], docs[nonempty]
         df = _pd.DataFrame({"token": toks, key_col: docs})
         df = df.drop_duplicates()
-        h = _pd.util.hash_pandas_object(df["token"],
-                                        index=False).to_numpy()
-        df["__bucket"] = (h % np.uint64(num_buckets)).astype(np.int64)
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def assemble(df: "_pd.DataFrame") -> "_pd.DataFrame":
@@ -425,8 +425,7 @@ def build_postings(ds: "ray.data.Dataset", min_df: int = 1,
 
     part = ds.map_batches(explode, batch_format="pyarrow",
                           zero_copy_batch=True)
-    return part.groupby("__bucket").map_groups(assemble,
-                                               batch_format="pandas")
+    return bucket_exchange(part, "token", assemble, num_buckets, "pandas")
 
 
 def pmi_topk(ds: "ray.data.Dataset", k: int = 20, min_count: int = 5,
@@ -436,11 +435,12 @@ def pmi_topk(ds: "ray.data.Dataset", k: int = 20, min_count: int = 5,
     counts, ties by bigram string.
 
     Scale shape: unigram and bigram counts are both partial-combined
-    per batch before their groupby reduces; the PMI join runs as two
-    native hash joins of the (min-count-filtered) bigram table against
-    the unigram table — no driver-side vocabulary, no broadcast of an
-    unbounded count map.  The two scalar totals (Nu, Nb) are tiny
-    aggregate results.
+    per batch before their groupby reduces, and are materialized once
+    (each feeds a scalar total and a join); the PMI join runs as two
+    bucket-exchange joins (``bucket_join_attach``) of the
+    (min-count-filtered) bigram table against the unigram table — no
+    driver-side vocabulary, no broadcast of an unbounded count map.  The
+    two scalar totals (Nu, Nb) are tiny aggregate results.
     """
     import pyarrow as _pa
 
@@ -455,12 +455,14 @@ def pmi_topk(ds: "ray.data.Dataset", k: int = 20, min_count: int = 5,
                              "uc": cnt})
 
     uni = (ds.map_batches(unigram_partial, batch_format="pandas")
-           .groupby("tok").aggregate(Sum("uc", alias_name="uc")))
+           .groupby("tok").aggregate(Sum("uc", alias_name="uc"))
+           .materialize())
     bi = (ds.map_batches(
         lambda b: bigram_counts_partial(b, text_col),
         batch_format="pandas")
         .groupby("bigram").aggregate(Sum("c", alias_name="c"))
-        .filter(expr=f"c >= {min_count}"))
+        .filter(expr=f"c >= {min_count}")
+        .materialize())
 
     nu = int(uni.aggregate(Sum("uc", alias_name="s"))["s"])
     nb_row = bi.aggregate(Sum("c", alias_name="s"))["s"]
@@ -478,12 +480,20 @@ def pmi_topk(ds: "ray.data.Dataset", k: int = 20, min_count: int = 5,
                          "c": b.column("c"), "a": a, "b": bb})
 
     pairs = bi.map_batches(split, batch_format="pyarrow")
-    j1 = pairs.join(uni, "inner", 16, on=("a",), right_on=("tok",))
-    # the native join drops the right key column; only uc needs renaming
-    j1 = j1.map_batches(lambda t: t.rename_columns(
+    # uni's blocks are pandas (no Arrow schema to probe) and j1 is lazy:
+    # the fields are spelled out
+    psch = pairs.schema()
+    fields = [pa.field(n, t) for n, t in zip(psch.names, psch.types)]
+    uni_ca = uni.map_batches(lambda t: t.rename_columns(
         [{"uc": "ca"}.get(c, c) for c in t.column_names]),
         batch_format="pyarrow")
-    j2 = j1.join(uni, "inner", 16, on=("b",), right_on=("tok",))
+    j1 = bucket_join_attach(pairs, uni_ca, key="a", right_key="tok",
+                            num_buckets=16, left_fields=fields,
+                            right_fields=[pa.field("ca", pa.int64())])
+    j2 = bucket_join_attach(j1, uni, key="b", right_key="tok",
+                            num_buckets=16,
+                            left_fields=fields + [pa.field("ca", pa.int64())],
+                            right_fields=[pa.field("uc", pa.int64())])
 
     def score(t: _pa.Table) -> _pa.Table:
         c = t.column("c").to_numpy(zero_copy_only=False).astype(np.float64)

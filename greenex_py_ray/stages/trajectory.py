@@ -7,7 +7,7 @@ great-/plane-distances), net displacement (first→last ping) and ping
 count.
 
 Scale shape (same as ``stages/asof.sessionize``): entities are
-HASH-BUCKETED (``id % num_buckets``) so the shuffle has ``num_buckets``
+HASH-BUCKETED (one ``bucket_exchange``) so the shuffle has ``num_buckets``
 groups; inside a bucket the multi-entity kernel is one lexsort +
 vectorized diff/reduceat pass — no per-entity pandas calls.
 
@@ -24,6 +24,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.exchange import bucket_exchange
+
 #: step-length quantization (micro-units)
 TRAJ_Q = 1e6
 
@@ -37,8 +39,7 @@ def trajectory_stats(ds: "ray.data.Dataset",
     total path length), ``disp_q`` (micro-unit first→last
     displacement).  Ordering is (ts, order_col) within entity."""
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        u = b.column(id_col).to_numpy(zero_copy_only=False)
+    def project(b: pa.Table) -> pa.Table:
         ts = b.column(ts_col)
         if pa.types.is_timestamp(ts.type):
             ts = ts.cast(pa.int64())
@@ -48,7 +49,6 @@ def trajectory_stats(ds: "ray.data.Dataset",
             order_col: b.column(order_col),
             x_col: b.column(x_col),
             y_col: b.column(y_col),
-            "bucket": pa.array((u % num_buckets).astype(np.int64)),
         })
 
     def kernel(g: pd.DataFrame) -> pd.DataFrame:
@@ -86,6 +86,6 @@ def trajectory_stats(ds: "ray.data.Dataset",
             "disp_q": disp_q,
         })
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("bucket").map_groups(kernel, batch_format="pandas"))
+    return bucket_exchange(
+        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        id_col, kernel, num_buckets, "pandas")

@@ -5,7 +5,7 @@ The reference engine has no event-funnel surface; these belong to the
 large-scale-pipeline family (sessionize / trajectory / as-of) that a
 training-data or product-analytics workload runs over the same event
 table.  Scale shape is identical to ``stages/asof.sessionize``:
-entities are HASH-BUCKETED (``user_id % num_buckets``) so the single
+entities are HASH-BUCKETED (one ``bucket_exchange``) so the single
 shuffle has ``num_buckets`` groups, and the per-bucket kernel is one
 lexsort plus vectorized segment passes — never a Python loop over
 users or rows.
@@ -33,29 +33,32 @@ import pyarrow as pa
 
 import ray
 
+from ..functions.exchange import bucket_exchange
+
 #: micro-unit quantization for window value sums
 WIN_Q = 1e6
 _I64_MAX = np.iinfo(np.int64).max
 
 
 def _bucketed_events(ds: "ray.data.Dataset", user_col: str, ts_col: str,
-                     keep: list[str], num_buckets: int) -> "ray.data.Dataset":
-    """Project to (user, int64-us ts, *keep, bucket) — one zero-copy
-    Arrow pass, the only full-data stage before the bucket shuffle."""
+                     keep: list[str], kernel,
+                     num_buckets: int) -> "ray.data.Dataset":
+    """Project to (user, int64-us ts, *keep) — one zero-copy Arrow pass,
+    the only full-data stage — then run the pandas ``kernel`` per user
+    hash bucket."""
 
-    def add_bucket(b: pa.Table) -> pa.Table:
-        u = b.column(user_col).to_numpy(zero_copy_only=False)
+    def project(b: pa.Table) -> pa.Table:
         ts = b.column(ts_col)
         if pa.types.is_timestamp(ts.type):
             ts = ts.cast(pa.int64())
         cols = {user_col: b.column(user_col), "ts_us": ts}
         for c in keep:
             cols[c] = b.column(c)
-        cols["bucket"] = pa.array((u % num_buckets).astype(np.int64))
         return pa.table(cols)
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow",
-                          zero_copy_batch=True)
+    return bucket_exchange(
+        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        user_col, kernel, num_buckets, "pandas")
 
 
 def funnel(ds: "ray.data.Dataset", steps: list[str],
@@ -119,9 +122,8 @@ def funnel(ds: "ray.data.Dataset", steps: list[str],
         out.loc[~complete, "complete_us"] = pd.NA
         return out
 
-    return (_bucketed_events(ds, user_col, ts_col, [type_col], num_buckets)
-            .groupby("bucket")
-            .map_groups(kernel, batch_format="pandas"))
+    return _bucketed_events(ds, user_col, ts_col, [type_col], kernel,
+                            num_buckets)
 
 
 def rolling_window(ds: "ray.data.Dataset", window: int,
@@ -168,10 +170,8 @@ def rolling_window(ds: "ray.data.Dataset", window: int,
             "sum_q": cs[i + 1] - cs[i + 1 - win],
         })
 
-    return (_bucketed_events(ds, user_col, ts_col, [order_col, value_col],
-                             num_buckets)
-            .groupby("bucket")
-            .map_groups(kernel, batch_format="pandas"))
+    return _bucketed_events(ds, user_col, ts_col, [order_col, value_col],
+                            kernel, num_buckets)
 
 
 def cohort_retention(ds: "ray.data.Dataset", user_col: str = "user_id",
@@ -218,8 +218,7 @@ def cohort_retention(ds: "ray.data.Dataset", user_col: str = "user_id",
 
     from ray.data.aggregate import Sum
 
-    part = (_bucketed_events(ds, user_col, ts_col, [], num_buckets)
-            .groupby("bucket").map_groups(kernel, batch_format="pandas"))
+    part = _bucketed_events(ds, user_col, ts_col, [], kernel, num_buckets)
     return (part.groupby(["cohort_day", "day_offset"])
             .aggregate(Sum("n_users", alias_name="n_users")))
 
@@ -313,9 +312,6 @@ def event_transitions(ds: "ray.data.Dataset", user_col: str = "user_id",
     """
     from ray.data.aggregate import Sum as _Sum
 
-    ev = _bucketed_events(ds, user_col, ts_col, [type_col, tie_col],
-                          num_buckets)
-
     def kernel(g: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd
 
@@ -334,6 +330,7 @@ def event_transitions(ds: "ray.data.Dataset", user_col: str = "user_id",
             "n": flat[ai, bi].astype(np.int64),
         })
 
-    part = ev.groupby("bucket").map_groups(kernel, batch_format="pandas")
+    part = _bucketed_events(ds, user_col, ts_col, [type_col, tie_col],
+                            kernel, num_buckets)
     return part.groupby(["from_type", "to_type"]).aggregate(
         _Sum("n", alias_name="n"))

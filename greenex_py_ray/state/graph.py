@@ -112,23 +112,6 @@ def points_to_segments_dist(px: np.ndarray, py: np.ndarray,
     return np.sqrt(ddx * ddx + ddy * ddy).min(axis=1)
 
 
-def isochrone_mask(
-    graph: CSRGraph, ego_nodes: set[int], px: np.ndarray, py: np.ndarray,
-    edge_buff: float = 25.0,
-) -> np.ndarray:
-    """Membership of query points in the isochrone polygon.
-
-    Capsule-union test against the ego subgraph's edges; hole filling is
-    applied by callers that evaluate on a raster window (zonal stats) —
-    for scattered query points the capsule test is used directly."""
-    eu, ev = graph.ego_edges(ego_nodes)
-    if len(eu) == 0:
-        return np.zeros(len(px), dtype=bool)
-    d = points_to_segments_dist(px, py, graph.x[eu], graph.y[eu],
-                                graph.x[ev], graph.y[ev])
-    return d <= edge_buff
-
-
 def fill_holes(mask: np.ndarray) -> np.ndarray:
     """Fill holes of a 2-D boolean mask (regions of False not connected
     to the border become True) — replicates

@@ -291,3 +291,38 @@ def test_visibility_polygon_dispatch_validation(world):
         gx.get_streetview_GVI(rd.from_arrow(pts), world["network_nodes"],
                               world["network_edges"],
                               world["image_features"], buffer_dist=-5.0)
+
+
+def test_gvi_rollup_attach_logs_no_schema_warning(world):
+    """The GVI rollups reach the documents through bucket_join_attach;
+    Ray logs no schema-mismatch warning for either function."""
+    import logging
+
+    warnings = []
+
+    class Collect(logging.Handler):
+        def emit(self, record):
+            warnings.append(record.getMessage())
+
+    _, R = _rect_docs(n=4, seed=101)
+    cx = (R[:, 0] + R[:, 2]) / 2.0
+    cy = (R[:, 1] + R[:, 3]) / 2.0
+    pts = _docs_table([f"r{i}" for i in range(len(R))],
+                      [f"POINT({cx[i]!r} {cy[i]!r})" for i in range(len(R))])
+    handler = Collect(level=logging.WARNING)
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        view, _ = gx.get_viewshed_GVI(
+            rd.from_arrow(pts), world["tiles"], world["network_nodes"],
+            world["network_edges"], buffer_dist=100.0, viewing_dist=150.0,
+            sample_dist=50.0, concurrency=2)
+        street, _ = gx.get_streetview_GVI(
+            rd.from_arrow(pts), world["network_nodes"],
+            world["network_edges"], world["image_features"],
+            buffer_dist=150.0, concurrency=2)
+        assert view.count() == len(R)
+        assert street.count() == len(R)
+    finally:
+        logger.removeHandler(handler)
+    assert not [m for m in warnings if "different schema" in m]

@@ -7,6 +7,7 @@ Usage: python tools/check_gate.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time as _time
 
@@ -81,7 +82,7 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()

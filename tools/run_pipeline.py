@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
 import ray
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def main() -> None:

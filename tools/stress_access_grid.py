@@ -13,6 +13,7 @@ parity check (bit-equal by construction; verified here end-to-end).
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -21,7 +22,7 @@ import pyarrow as pa
 
 import ray
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from greenex_py_ray.stages import access  # noqa: E402
 

@@ -11,6 +11,7 @@ Usage: python tools/stress_box_join.py [n_i n_j]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -19,7 +20,7 @@ import pyarrow as pa
 
 import ray
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from greenex_py_ray.stages.spatial_join import cell_box_join  # noqa: E402
 

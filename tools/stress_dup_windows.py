@@ -11,6 +11,7 @@ passage, so width-8 windows inside it appear in N/100 distinct docs.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -19,7 +20,7 @@ import pyarrow as pa
 
 import ray
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from greenex_py_ray.stages.scrub import dup_window_flags  # noqa: E402
 

@@ -6,6 +6,7 @@ Usage: python tools/stress_graph_clustering.py [n_edges] [n_points]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -33,7 +34,7 @@ def main() -> None:
     DataContext.get_current().enable_progress_bars = False
     import ray.data as rd
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     from greenex_py_ray.stages.clustering import grid_dbscan
     from greenex_py_ray.stages.graphalgo import pagerank
 

@@ -7,6 +7,7 @@ points."""
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -15,7 +16,7 @@ import pyarrow as pa
 
 import ray
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from greenex_py_ray.stages.geostats import _hull_points, group_convex_hull  # noqa: E402
 
