@@ -58,8 +58,8 @@ def _resolve_buffer(buffer_dist, travel_speed, trip_time):
     return buffer_dist
 
 
-def _docs_from_gpkg(path: str) -> "ray.data.Dataset":
-    """GeoPackage point layer → a spans-documents-shaped Dataset.
+def _docs_from_gpkg(path: str) -> "pa.Table":
+    """GeoPackage point layer → a spans-documents-shaped table.
 
     Reference users hand every function a ``.gpkg`` path
     (``gpd.read_file``, availability.py:45-48); this adapter reads it
@@ -82,17 +82,39 @@ def _docs_from_gpkg(path: str) -> "ray.data.Dataset":
                "media_ref": "", "offset": 0}] for i in range(n)]
     span_t = pa.struct([("kind", pa.string()), ("text", pa.string()),
                         ("media_ref", pa.string()), ("offset", pa.int32())])
-    return ray.data.from_arrow(pa.table({
+    return pa.table({
         "doc_id": pa.array(ids, pa.string()),
         "spans": pa.array(spans, pa.list_(span_t)),
-    }))
+    })
 
 
-def _poi(poi) -> "ray.data.Dataset":
+def _first_spans(path: str) -> list:
+    """``spans`` of the first row of a parquet documents path (file or
+    directory: its first fragment in sorted order), read in this process
+    — ``[]`` when there are no rows."""
+    import pyarrow.dataset as pads
+
+    d = pads.dataset(path, format="parquet")
+    for f in sorted(d.files):
+        with pq.ParquetFile(f, filesystem=d.filesystem) as pf:
+            for b in pf.iter_batches(batch_size=1, columns=["spans"]):
+                if b.num_rows:
+                    return b.column(0).to_pylist()[:1]
+    return []
+
+
+def _poi(poi) -> "tuple[ray.data.Dataset, str]":
+    """``(docs, kind)``: the spans documents of a PoI input and the
+    geometry type of their first row (:func:`_geom_kind`).  A path or
+    ``.gpkg`` input is probed in this process; only a Dataset input runs
+    a one-row Ray job."""
     if isinstance(poi, str) and poi.lower().endswith(".gpkg"):
-        return _docs_from_gpkg(poi)
-    docs = doc_src.read_documents(poi) if isinstance(poi, str) else poi
-    return docs
+        t = _docs_from_gpkg(poi)
+        return (ray.data.from_arrow(t),
+                _geom_kind(t.column("spans").slice(0, 1).to_pylist()))
+    if isinstance(poi, str):
+        return doc_src.read_documents(poi), _geom_kind(_first_spans(poi))
+    return poi, _geom_kind([r["spans"] for r in poi.limit(1).take(1)])
 
 
 def _poi_crs(poi) -> str | None:
@@ -454,7 +476,7 @@ def _min_area_filter(gs: "pa.Table", min_area) -> "pa.Table":
     return gs.filter(pc.greater_equal(area, float(min_area)))
 
 
-def _emit(ds, name: str, docs, src_crs, write_to_file: bool,
+def _emit(ds, name: str, docs, kind: str, src_crs, write_to_file: bool,
           output_dir, plot_aoi: bool, buffer_dist=None,
           output_format: str = "parquet"):
     """Shared ``write_to_file`` / ``output_dir`` / ``plot_aoi`` tail —
@@ -488,7 +510,7 @@ def _emit(ds, name: str, docs, src_crs, write_to_file: bool,
         flat = tbl.select([c for c in tbl.column_names
                            if not pa.types.is_nested(
                                tbl.schema.field(c).type)])
-        poly = _geom_kind(docs) in ("POLYGON", "MULTIPOLYGON")
+        poly = kind in _POLYGONS
         geo_cols = _RING_COLS if poly else ["doc_id", "x", "y"]
         decoded = _decoded(
             docs, doc_src.DecodeGeom(parse_polygons=poly, src_crs=src_crs),
@@ -518,7 +540,7 @@ def _emit(ds, name: str, docs, src_crs, write_to_file: bool,
     if plot_aoi:
         from . import plotmap
 
-        poly = _geom_kind(docs) in ("POLYGON", "MULTIPOLYGON")
+        poly = kind in _POLYGONS
         pts = _decoded(
             docs, doc_src.DecodeGeom(parse_polygons=poly, src_crs=src_crs),
             ["doc_id", "x", "y"]).limit(10_000)
@@ -542,20 +564,23 @@ def _emit(ds, name: str, docs, src_crs, write_to_file: bool,
     return ds
 
 
-def _geom_kind(docs) -> str:
-    """Geometry type of the first PoI row's first geom span — the
-    reference samples ``poi.iloc[0]['geometry'].geom_type``
-    (availability.py:80-82); homogeneity is validated separately (M1,
+def _geom_kind(first: list) -> str:
+    """Geometry type of the first geom span in ``first`` (the first PoI
+    row's ``spans``, or empty) — the reference samples
+    ``poi.iloc[0]['geometry'].geom_type`` (availability.py:80-82);
+    homogeneity is validated separately (M1,
     :func:`~greenex_py_ray.sources.documents.validate_geometry_homogeneous`)."""
-    rows = docs.limit(1).take(1)
-    if rows:
-        for span in rows[0]["spans"]:
+    for spans in first:
+        for span in spans:
             if span["kind"] == "geom":
                 return span["text"].split("(", 1)[0].strip().upper()
     return "POINT"
 
 
-def _route_poi(docs, src_crs, polygon_type, buffer_type, dist):
+_POLYGONS = ("POLYGON", "MULTIPOLYGON")
+
+
+def _route_poi(kind, src_crs, polygon_type, buffer_type, dist):
     """Geometry dispatch shared by the four availability functions
     (availability.py:80-125, 230-247).  Returns ``(mode, decoder)``:
 
@@ -570,8 +595,7 @@ def _route_poi(docs, src_crs, polygon_type, buffer_type, dist):
     """
     if buffer_type is not None and buffer_type not in ("euclidean", "network"):
         raise ValueError("buffer_type must be 'euclidean', 'network' or None")
-    kind = _geom_kind(docs)
-    is_poly = kind in ("POLYGON", "MULTIPOLYGON")
+    is_poly = kind in _POLYGONS
     if (buffer_type == "euclidean" and dist is None
             and (not is_poly or polygon_type == "house")):
         # the reference raises this BEFORE any geometry work
@@ -638,8 +662,8 @@ def get_mean_NDVI(poi, ndvi_tile_dir: str, buffer_dist: float | None = 300.0,
     (``buffer_type='euclidean'``), or collapsed to centroids for
     isochrones (``buffer_type='network'``) / ``polygon_type='house'``."""
     dist = _resolve_buffer(buffer_dist, travel_speed, trip_time)
-    docs = _poi(poi)
-    mode, decoder = _route_poi(docs, src_crs, polygon_type, buffer_type, dist)
+    docs, kind = _poi(poi)
+    mode, decoder = _route_poi(kind, src_crs, polygon_type, buffer_type, dist)
     tile_dir, shift, _ = _tiles(ndvi_tile_dir, "ndvi")
     if mode == "polygon":
         metrics = _av.mean_ndvi_polygon_aoi(
@@ -662,7 +686,7 @@ def get_mean_NDVI(poi, ndvi_tile_dir: str, buffer_dist: float | None = 300.0,
                           network_type, shift),
                 concurrency, tile_root=tile_dir, buffer_dist=dist)
         out = append_metrics(docs, stage, decode=decoder, shift=shift)
-    return _emit(out, "mean_NDVI", docs, src_crs,
+    return _emit(out, "mean_NDVI", docs, kind, src_crs,
                  write_to_file, output_dir, plot_aoi,
                  buffer_dist=(dist if mode == "point" else None),
                  output_format=output_format)
@@ -696,8 +720,8 @@ def get_landcover_percentages(poi, landcover_tile_dir: str,
     (availability.py:447-450,556); for a prebuilt tile store it defaults
     to the synthetic world's classes."""
     dist = _resolve_buffer(buffer_dist, travel_speed, trip_time)
-    docs = _poi(poi)
-    mode, decoder = _route_poi(docs, src_crs, polygon_type, buffer_type, dist)
+    docs, kind = _poi(poi)
+    mode, decoder = _route_poi(kind, src_crs, polygon_type, buffer_type, dist)
     tile_dir, shift, info = _tiles(landcover_tile_dir, "lulc")
     if classmap is None and info.get("codes"):
         nodata = info.get("nodata_code")
@@ -729,7 +753,7 @@ def get_landcover_percentages(poi, landcover_tile_dir: str,
                                         concurrency=concurrency,
                                         stringify=stringify)
         out = append_metrics(docs, stage, decode=decoder, shift=shift)
-    return _emit(out, "landcover_percentages", docs,
+    return _emit(out, "landcover_percentages", docs, kind,
                  src_crs, write_to_file, output_dir, plot_aoi,
                  buffer_dist=(dist if mode == "point" else None),
                  output_format=output_format)
@@ -747,8 +771,8 @@ def _coverage(poi, vector_file, name: str, dissolve: bool, buffer_dist,
     selects union membership (greenspace) vs the reference's raw
     per-member clip-sum (canopy, availability.py:764)."""
     dist = _resolve_buffer(buffer_dist, travel_speed, trip_time)
-    docs = _poi(poi)
-    mode, decoder = _route_poi(docs, src_crs, polygon_type, buffer_type, dist)
+    docs, kind = _poi(poi)
+    mode, decoder = _route_poi(kind, src_crs, polygon_type, buffer_type, dist)
     polys = _vector_table(vector_file, dst_crs=_poi_crs(poi))
     if mode == "polygon":
         stage = _av.coverage_stage(
@@ -768,7 +792,7 @@ def _coverage(poi, vector_file, name: str, dissolve: bool, buffer_dist,
                                    stringify=stringify, name=name,
                                    dissolve=dissolve)
     out = append_metrics(docs, stage, decode=decoder)
-    return _emit(out, out_name, docs, src_crs, write_to_file, output_dir,
+    return _emit(out, out_name, docs, kind, src_crs, write_to_file, output_dir,
                  plot_aoi, buffer_dist=(dist if mode == "point" else None),
                  output_format=output_format)
 
@@ -858,10 +882,9 @@ def get_shortest_distance_greenspace(poi, greenspace_vector_file: str,
     # network_type is validated only when a network is actually used
     # (reference accessibility.py:142-146), by _filter_network_type
     _validate_positive("target_dist", target_dist)
-    docs = _poi(poi)
-    decoder = doc_src.DecodeGeom(
-        parse_polygons=_geom_kind(docs) in ("POLYGON", "MULTIPOLYGON"),
-        src_crs=src_crs)
+    docs, kind = _poi(poi)
+    decoder = doc_src.DecodeGeom(parse_polygons=kind in _POLYGONS,
+                                 src_crs=src_crs)
     flag = f"greenspace_within_{int(target_dist)}m"
     gs = _vector_table(greenspace_vector_file, dst_crs=_poi_crs(poi))
     if (destination == "centroids" or min_greenspace_area is not None
@@ -893,19 +916,18 @@ def get_shortest_distance_greenspace(poi, greenspace_vector_file: str,
             concurrency=concurrency, flag_name=flag)
         out = append_metrics(docs, stage, decode=decoder)
     return _emit(out, "shortest_distance_greenspace",
-                 docs, src_crs, write_to_file, output_dir, plot_aoi,
+                 docs, kind, src_crs, write_to_file, output_dir, plot_aoi,
                  buffer_dist=target_dist,
                  output_format=output_format)
 
 
-def _vis_poi(docs, src_crs, polygon_type, buffer_dist):
+def _vis_poi(docs, kind, src_crs, polygon_type, buffer_dist):
     """Visibility-function PoI dispatch (visibility.py:59-99, 305-344):
     polygon PoIs with ``polygon_type='house'`` collapse to centroids;
     ``'neighbourhood'`` keeps the polygon itself as the AoI
     (``buffer_dist`` optional); point-type PoIs (incl. centroids)
     require a positive ``buffer_dist``.  Returns ``(poi_kind, ds)``."""
-    kind = _geom_kind(docs)
-    if kind in ("POLYGON", "MULTIPOLYGON"):
+    if kind in _POLYGONS:
         if polygon_type not in ("neighbourhood", "house"):
             raise ValueError(
                 "polygon_type must be 'neighbourhood' or 'house'")
@@ -947,8 +969,8 @@ def get_viewshed_GVI(poi, dsm_tile_dir: str,
     for n, v in [("viewing_dist", viewing_dist),
                  ("sample_dist", sample_dist), ("observer_height", observer_height)]:
         _validate_positive(n, v)
-    docs = _poi(poi)
-    poi_kind, pts = _vis_poi(docs, src_crs, polygon_type, buffer_dist)
+    docs, kind = _poi(poi)
+    poi_kind, pts = _vis_poi(docs, kind, src_crs, polygon_type, buffer_dist)
     if isinstance(dsm_tile_dir, str) and dsm_tile_dir.lower().endswith(
             (".tif", ".tiff")):
         # the viewshed kernel reads THREE co-registered bands
@@ -967,9 +989,9 @@ def get_viewshed_GVI(poi, dsm_tile_dir: str,
         observer_height=observer_height, concurrency=concurrency,
         poi_kind=poi_kind,
     )
-    out = _emit(_attach(docs, rollup, _GVI_FIELDS), "viewshed_GVI", docs, src_crs,
-                write_to_file, output_dir, False,
-                 output_format=output_format)
+    out = _emit(_attach(docs, rollup, _GVI_FIELDS), "viewshed_GVI", docs, kind,
+                src_crs, write_to_file, output_dir, False,
+                output_format=output_format)
     return out, per_point
 
 
@@ -988,19 +1010,20 @@ def get_streetview_GVI(poi, network_nodes_file: str, network_edges_file: str,
     per-point Dataset).  ``crop_by_road_centres=False`` scores panoramas
     over four equal central-band crops instead of the road-centre crops
     (visibility.py:944-949)."""
-    docs = _poi(poi)
+    docs, kind = _poi(poi)
     # Dataset PoI side: broadcast below streetview_gvi's size threshold,
     # cell-bucketed shuffle join above it (no driver materialization)
-    poi_kind, poi_ds = _vis_poi(docs, src_crs, polygon_type, buffer_dist)
+    poi_kind, poi_ds = _vis_poi(docs, kind, src_crs, polygon_type,
+                                buffer_dist)
     edges = _vis.edge_coords_table(network_nodes_file, network_edges_file)
     features = pq.read_table(image_features_file)
     rollup, per_point = _vis.streetview_gvi(
         poi_ds, edges, features, buffer_dist=buffer_dist, concurrency=concurrency,
         poi_kind=poi_kind, crop_by_road_centres=crop_by_road_centres,
     )
-    out = _emit(_attach(docs, rollup, _GVI_FIELDS), "streetview_GVI", docs, src_crs,
-                write_to_file, output_dir, False,
-                 output_format=output_format)
+    out = _emit(_attach(docs, rollup, _GVI_FIELDS), "streetview_GVI", docs, kind,
+                src_crs, write_to_file, output_dir, False,
+                output_format=output_format)
     return out, per_point
 
 

@@ -5,14 +5,18 @@ documents:
 
 * ``append_metrics`` — for kernels that emit exactly one row per input
   row, in input order (zonal, nearest-centroid, isochrone and coverage
-  kernels).  One actor stage decodes each raw document batch, runs the
+  kernels).  One task stage decodes each raw document batch, runs the
   kernel on it and appends the kernel's columns to the same batch: one
   read, no exchange, and the ``spans`` payload never leaves its batch.
   Row count and key column are checked per batch, so a kernel that drops
   or reorders rows raises instead of losing documents.  Each kernel's
   stage is defined once as a ``KernelStage`` (class, constructor kwargs,
-  pool wiring) that runs either here, on the documents, or over decoded
-  PoI rows (``KernelStage.on``).
+  task wiring) that runs either here, on the documents, or over decoded
+  PoI rows (``KernelStage.on``).  Both run the same task function,
+  which keeps the last kernel it built in its worker process, keyed by
+  class and constructor kwargs (paths stamped with their files' mtime
+  and size): the next call of the same stage reuses that kernel's tile
+  cache, SAT tables and indexes instead of building them again.
 * ``bucket_join_attach`` — every keyed join (inner / left outer attach,
   semi, anti) as one :func:`~.exchange.bucket_exchange`: tag each side
   with ``__side``, align schemas with typed null columns, ``union`` →
@@ -27,6 +31,7 @@ documents:
 
 from __future__ import annotations
 
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +40,7 @@ import pyarrow as pa
 
 import ray
 import ray.data
+from ray import cloudpickle
 
 from ..sources.documents import DecodeGeom, shift_coords
 from .exchange import bucket_exchange
@@ -182,37 +188,91 @@ def append_columns(batch: pa.Table, out: pa.Table,
     return batch
 
 
-class _AppendKernel:
-    """Actor body of :func:`append_metrics`: one kernel instance (its
-    tile cache / index lives as long as the actor)."""
+#: this worker process's kernel: ``(key, instance)`` of the last stage
+#: it ran, so the next call of the same stage reuses its tile / SAT
+#: caches and indexes instead of rebuilding them
+_KERNEL: "tuple | None" = None
 
-    def __init__(self, kernel_cls, kernel_kwargs: dict, columns, decode,
-                 shift: tuple[float, float]):
-        self.kernel = kernel_cls(**kernel_kwargs)
-        self.decode = decode if decode is not None else DecodeGeom()
-        self.columns = columns
-        self.shift = shift
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        pts = shift_coords(self.decode(batch), *self.shift,
-                           xcols=("x", "ring_x"), ycols=("y", "ring_y"))
-        return append_columns(batch, self.kernel(pts), self.columns)
+def _run_kernel(batch: pa.Table, cls, kwargs: dict, key,
+                append=None) -> pa.Table:
+    """Task body of every :class:`KernelStage`: the process's cached
+    kernel for ``key`` (built on a miss) applied to ``batch``, or, with
+    ``append=(columns, decode, shift)``, to the decoded and shifted
+    batch, its columns appended to the batch (:func:`append_metrics`)."""
+    global _KERNEL
+    if _KERNEL is None or _KERNEL[0] != key:
+        _KERNEL = None  # drop the old kernel before building the new one
+        _KERNEL = (key, cls(**kwargs))
+    kernel = _KERNEL[1]
+    if append is None:
+        return kernel(batch)
+    columns, decode, shift = append
+    pts = shift_coords(decode(batch), *shift,
+                       xcols=("x", "ring_x"), ycols=("y", "ring_y"))
+    return append_columns(batch, kernel(pts), columns)
+
+
+def _path_stamp(path: str) -> tuple:
+    """``(file, mtime_ns, size)`` of the file ``path`` or of every file
+    under the directory ``path``, so a store rewritten in place gets a
+    new cache key."""
+    files = ([path] if os.path.isfile(path) else sorted(
+        os.path.join(d, f) for d, _, fs in os.walk(path) for f in fs))
+    out = []
+    for f in files:
+        st = os.stat(f)
+        out.append((f, st.st_mtime_ns, st.st_size))
+    return tuple(out)
+
+
+def _freeze(v):
+    """A hashable form of a constructor kwarg that compares by value in
+    any process: dicts and lists become tuples, an ``ObjectRef`` its id,
+    an existing path the path plus its :func:`_path_stamp`, any other
+    object but a plain value or class its pickled bytes."""
+    if isinstance(v, dict):
+        return ("dict",) + tuple((k, _freeze(x)) for k, x in v.items())
+    if isinstance(v, (list, tuple)):
+        return ("seq",) + tuple(_freeze(x) for x in v)
+    if isinstance(v, ray.ObjectRef):
+        return ("ref", v.hex())
+    if isinstance(v, str) and os.path.exists(v):
+        return ("path", v, _path_stamp(v))
+    if v is None or isinstance(v, (str, bytes, int, float, bool, type)):
+        return v
+    return ("pickled", cloudpickle.dumps(v))
 
 
 class KernelStage(NamedTuple):
-    """The one definition of a one-row-per-PoI kernel's actor stage:
-    its class, constructor kwargs and ``map_batches`` wiring (batch
-    size, pool, CPUs).  :meth:`on` runs it over decoded PoI rows (the
-    metric-table pipelines); :func:`append_metrics` runs it on raw
-    documents (the span-preserving API)."""
+    """The one definition of a one-row-per-PoI kernel's stage: its
+    class, constructor kwargs and ``map_batches`` wiring (batch size,
+    CPUs, ``concurrency`` — at most that many kernel tasks at once; a
+    ``(min, max)`` pool spec caps at its max).  Both callers run
+    :func:`_run_kernel` tasks: :meth:`on` over decoded PoI rows (the
+    metric-table pipelines), :func:`append_metrics` on raw documents
+    (the span-preserving API).  The kernel cache key — the class plus
+    its frozen kwargs — is computed once here, in the calling process."""
 
     cls: type
     kwargs: dict
     map_kwargs: dict
 
+    def _map(self, ds: "ray.data.Dataset", append=None) -> "ray.data.Dataset":
+        kw = dict(self.map_kwargs)
+        conc = kw.pop("concurrency", None)
+        if isinstance(conc, tuple):
+            conc = conc[-1]
+        key = (self.cls, _freeze(self.kwargs))
+        return ds.map_batches(
+            _run_kernel,
+            fn_kwargs=dict(cls=self.cls, kwargs=self.kwargs, key=key,
+                           append=append),
+            batch_format="pyarrow", zero_copy_batch=True, concurrency=conc,
+            **kw)
+
     def on(self, poi: "ray.data.Dataset") -> "ray.data.Dataset":
-        return poi.map_batches(self.cls, fn_constructor_kwargs=self.kwargs,
-                               batch_format="pyarrow", **self.map_kwargs)
+        return self._map(poi)
 
 
 def append_metrics(
@@ -229,15 +289,10 @@ def append_metrics(
     the tile store's frame → the ``stage`` kernel (keyed by ``doc_id``)
     → the input batch plus the kernel's ``columns`` (default: all but
     ``doc_id``).  The decoded coordinates are not kept.  The stage's
-    ``map_kwargs`` (pool width, CPUs, ``batch_size``) go to
+    ``map_kwargs`` (task cap, CPUs, ``batch_size``) go to
     ``map_batches``."""
-    return docs.map_batches(
-        _AppendKernel,
-        fn_constructor_kwargs=dict(
-            kernel_cls=stage.cls, kernel_kwargs=stage.kwargs,
-            columns=columns, decode=decode, shift=shift),
-        batch_format="pyarrow", zero_copy_batch=True, **stage.map_kwargs,
-    )
+    return stage._map(docs, append=(
+        columns, decode if decode is not None else DecodeGeom(), shift))
 
 
 def as_pool(concurrency) -> tuple[int, int]:
@@ -266,6 +321,8 @@ def heavy_pool(concurrency=None) -> dict:
     parallelism == pool min), so the one stage that owns the wall-clock
     gets all-but-two CPUs reserved up front.  Rule: at most ONE heavy
     pool per pipeline — the two spare CPUs keep reads/shuffles moving.
+    A :class:`KernelStage` runs the same width as a cap on its
+    concurrent kernel tasks.
     """
     if isinstance(concurrency, tuple):
         # a tuple spec pins the pool at its MAX (heavy stages need a
@@ -280,11 +337,5 @@ def heavy_pool(concurrency=None) -> dict:
         return dict(concurrency=(n, n), num_cpus=1)
     # half the cluster: the dominant kernel still needs its FEED stages
     # (read/decode tasks at 1 CPU each) to run wide, or the pool starves
-    import os
-
-    env = os.environ.get("GREENEX_HEAVY_WIDTH")
-    if env:  # A/B knob for pool-width experiments (see BASELINE.md)
-        n = max(1, int(env))
-    else:
-        n = max(1, cluster_cpus() // 2)
+    n = max(1, cluster_cpus() // 2)
     return dict(concurrency=(n, n), num_cpus=1)

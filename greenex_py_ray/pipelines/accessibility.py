@@ -3,7 +3,7 @@
 Ray-Data-native reimplementation of
 ``GreenExp/accessibility.py::get_shortest_distance_greenspace``
 (`:24-223`), euclidean/centroids branch; the network branch is added by
-``pipelines/netaccess`` (GraphActor pool).
+:func:`network_distance_stage`.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def network_distance_stage(
     flag_name: str = "greenspace_within_target",
 ) -> KernelStage:
     """Network/entrance branches of get_shortest_distance_greenspace
-    (accessibility.py:226-301): GraphActor pool with broadcast graph +
+    (accessibility.py:226-301): a kernel stage with broadcast graph +
     greenspace tables; ``distance_type='euclidean'`` +
     ``destination='entrance'`` gives the straight-line-to-entrance
     variant."""

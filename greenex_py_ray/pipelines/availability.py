@@ -10,9 +10,10 @@ y``) and returns a metrics Dataset keyed by ``key``; ``*_documents``
 wrappers run the whole flow from the interleaved spans table, appending
 the metrics to each document batch so the output keeps the untouched
 ``spans`` column (per-row span-sequence invariant).  A ``*_stage``
-function is the one definition of its kernel's actor stage, run by both
+function is the one definition of its kernel's task stage, run by both
 the metric pipeline (``KernelStage.on``) and the append path
-(``append_metrics``).
+(``append_metrics``); each worker process keeps the kernel it built, so
+repeated calls on the same tile store reuse its tiles and SAT tables.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ def mean_ndvi_stage(tile_root: str, radius: float, key_col: str = "doc_id",
                     concurrency: int | None = None,
                     batch_size: int = 2048) -> KernelStage:
     """(key,x,y) → (key, mean_NDVI, std_NDVI); semantics of
-    availability.py:289 (clamp ≥0, population std, round 3).  One fused
-    actor stage (``ZonalStatsLocal``), no shuffle: each disk's
-    aggregation is local to the actor's tile cache."""
+    availability.py:289 (clamp ≥0, population std, round 3).  One task
+    stage (``ZonalStatsLocal``), no shuffle: each disk's aggregation is
+    local to the worker's cached kernel and its tile cache."""
     return KernelStage(
         zonal.ZonalStatsLocal,
         dict(tile_root=tile_root, band="ndvi", radius=radius, key_col=key_col),
@@ -95,14 +96,14 @@ def get_mean_ndvi_documents(
     documents_path: str, tile_root: str, buffer_dist: float = 300.0,
     concurrency: int | None = None, batch_size: int = 2048,
 ) -> "ray.data.Dataset":
-    """Flagship pipeline: spans documents → one actor stage that decodes
+    """Flagship pipeline: spans documents → one task stage that decodes
     each batch, runs the zonal NDVI kernel and appends mean/std to the
     untouched documents (span passthrough).  One read, no exchange.
 
     ``batch_size``: raise toward 16384 on large inputs — the SAT-chord
     kernel runs one vectorized pass per (tile, point-group), so larger
     batches amortize numpy dispatch (+40 % single-thread measured);
-    keep small on small inputs so the actor pool stays fed."""
+    keep small on small inputs so several kernel tasks run at once."""
     return append_metrics(
         doc_src.read_documents(documents_path),
         mean_ndvi_stage(tile_root, buffer_dist,
@@ -193,10 +194,11 @@ def greenspace_percentage(
 def isochrone_stage(kernel_cls, nodes: "pa.Table", edges: "pa.Table",
                     concurrency: int | None = None,
                     **kwargs) -> KernelStage:
-    """A GraphActor-pool isochrone kernel (``IsochroneZonal``,
+    """An isochrone kernel stage (``IsochroneZonal``,
     ``IsochroneLandcover`` or ``IsochroneCoverage`` from
     :mod:`~greenex_py_ray.stages.netaccess`) with the street graph
-    broadcast; ``kwargs`` go to its constructor."""
+    broadcast; ``kwargs`` go to its constructor.  The graph refs are
+    new per call, so each call builds its kernel once per worker."""
     return KernelStage(
         kernel_cls,
         dict(nodes_ref=ray.put(nodes), edges_ref=ray.put(edges), **kwargs),
@@ -213,8 +215,8 @@ def mean_ndvi_isochrone(
     concurrency: int | None = None,
 ) -> "ray.data.Dataset":
     """get_mean_NDVI with buffer_type='network' (availability.py:263-275):
-    per-PoI isochrone AoI from the street graph, zonal stats inside the
-    GraphActor pool."""
+    per-PoI isochrone AoI from the street graph, zonal stats in the
+    isochrone kernel stage."""
     from ..stages.netaccess import IsochroneZonal
 
     return isochrone_stage(
@@ -235,7 +237,7 @@ def landcover_percentages_isochrone(
 ) -> "ray.data.Dataset":
     """get_landcover_percentages with buffer_type='network'
     (availability.py:505-516): per-PoI isochrone AoI, per-class pixel
-    percentages inside the GraphActor pool."""
+    percentages in the isochrone kernel stage."""
     from ..stages.netaccess import IsochroneLandcover
 
     return isochrone_stage(

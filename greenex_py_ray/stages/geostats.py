@@ -159,8 +159,8 @@ class HaversineNearest:
         # scale path: degree-space grid + ring expansion.  Partitioning
         # assumptions (documented): lon in [-180, 180] with no
         # antimeridian-wrapping neighbour pairs, |lat| < 89.9.  The
-        # ring lower bound uses 111.0 km/deg * cos(max |lat|), safe for
-        # both lat- and lon-separated cells.
+        # ring lower bound is the chord bound in _grid_nearest, which
+        # needs cos(max facility |lat|).
         self.grid = None
         if len(self.fid) > dense_max:
             from ..state.index import GridIndex
@@ -202,6 +202,9 @@ class HaversineNearest:
             sel = order[bounds[gidx]:bounds[gidx + 1]]
             bix, biy = int(qix[sel[0]]), int(qiy[sel[0]])
             glon, glat = lon[sel], lat[sel]
+            # sqrt(cos(query lat) * cos(max facility |lat|)), per query
+            cos_pair = np.sqrt(np.maximum(np.cos(np.radians(glat)), 0.0)
+                               * self.cos_lat_max)
             bdq = best_dq[sel]
             bdr = best_draw[sel]
             bfid = best_fid[sel]
@@ -227,13 +230,16 @@ class HaversineNearest:
                     bdq[upd] = cdq[upd]
                     bdr[upd] = d[rows, j][upd]
                     bfid[upd] = cfid[upd]
-                # cells beyond this ring are >= ring*cs degrees away in
-                # lat or lon; 2R·cos(lat_max)·sin(sep/2) lower-bounds
-                # the great-circle distance for BOTH separations (exact
-                # chord bound — a linear km/deg would overshoot at wide
-                # angles), with tie slack for round-6 ties
+                # cells beyond this ring are >= sep = ring*cs degrees
+                # away in lat or lon.  With haversine term a, the
+                # distance is 2R·asin(sqrt(a)) >= 2R·sqrt(a) (a chord),
+                # and a >= sin²(Δφ/2) for a lat separation, a >=
+                # cosφq·cosφf·sin²(Δλ/2) for a lon separation.  So
+                # 2R·sqrt(cosφq·cos(lat_max))·sin(sep/2) bounds both
+                # (cosφf >= cos(lat_max); the factor is <= 1), whatever
+                # the query's latitude; 2e-6 is the round-6 tie slack
                 sep = np.radians(min(ring * self.cs_deg, 180.0))
-                lower_next = (2.0 * EARTH_R_KM * self.cos_lat_max
+                lower_next = (2.0 * EARTH_R_KM * cos_pair
                               * np.sin(sep / 2.0))
                 done = np.isfinite(bdq) & (bdq + 2e-6 <= lower_next)
                 if done.all() or ring > ring_cap + 1:

@@ -1,13 +1,15 @@
-"""Per-actor raster tile cache.
+"""Per-kernel raster tile cache.
 
 The reference loads whole rasters into driver memory and clips per row
 (`/root/reference/GreenExp/availability.py:209-216`,
 `visibility.py:113-216`).  At 100 TB that is impossible; here raster
 data lives in a partitioned tile store (parquet, one row per 256×256
-tile, small row groups for predicate pushdown) and each worker actor
+tile, small row groups for predicate pushdown) and each kernel instance
 holds an LRU cache of decoded tiles.  Tiles are fetched lazily by
-``(band, tix, tiy)``; batches arrive grouped/sorted by tile id so the
-working set per actor stays within ``capacity``.
+``(band, tix, tiy)``; at most ``capacity`` of them stay decoded.
+A one-row-per-PoI kernel lives in its worker process's kernel cache
+(``functions/joins.py``) and keeps its tiles across calls on the same
+store; an actor stage's kernel lives as long as its actor.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from ..sources import synth
 class TileStore:
     """LRU-cached reader over the tile parquet store.
 
-    Thread-compatible within one actor (Ray Data calls ``__call__``
-    serially per actor).  ``capacity`` is in tiles (~0.5 MB each).
+    Thread-compatible within one worker (Ray runs one task at a time
+    per worker process and calls an actor serially).  ``capacity`` is
+    in tiles (~0.5 MB each).
     """
 
     def __init__(self, root: str, capacity: int = 256):

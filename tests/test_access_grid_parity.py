@@ -146,6 +146,29 @@ def test_haversine_grid_sparse_far_queries():
     _tables_equal(dense(b), grid(b))
 
 
+def test_haversine_grid_queries_poleward_of_facilities():
+    """Queries poleward of every facility: a lon-separated facility is
+    nearer than cos(max facility lat) alone bounds, so the ring prune
+    must fold in the query's latitude.  From (0, 80) the facility at
+    (90, 70) is 2476 km away, the one at (0, 55) 2780 km."""
+    from greenex_py_ray.stages.geostats import HaversineNearest
+
+    fac = pa.table({
+        "fid": pa.array([1, 2, 3, 4], pa.int64()),
+        "flon": pa.array([0.0, 90.0, 45.0, 10.0]),
+        "flat": pa.array([55.0, 70.0, -60.0, -50.0]),
+    })
+    lon = np.array([0.0, 1.0, -2.0, 3.5])
+    lat = np.array([80.0, 81.0, 82.0, 79.5])
+    b = pa.table({"doc_id": pa.array(["a", "b", "c", "d"]),
+                  "lon": pa.array(lon), "lat": pa.array(lat)})
+    dense = HaversineNearest(fac, dense_max=10**9)
+    grid = HaversineNearest(fac, dense_max=2)
+    assert grid.grid is not None
+    assert dense(b).column("fid").to_pylist()[0] == 2
+    _tables_equal(dense(b), grid(b))
+
+
 def test_nearest_image_feature_matches_bruteforce():
     """J7 grid-indexed nearest-feature (100 m cutoff) vs the dense
     argmin, including the miss sentinel columns."""

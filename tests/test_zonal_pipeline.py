@@ -295,3 +295,79 @@ def test_heavy_pool_leaves_a_cpu_for_its_feed():
     assert heavy_pool(4) == dict(concurrency=(3, 3), num_cpus=1)
     assert heavy_pool((1, 8))["concurrency"] == (3, 3)
     assert heavy_pool(2)["concurrency"] == (2, 2)
+
+
+def test_kernel_cache_builds_once_per_process():
+    """Two runs of the same stage build its kernel at most once in each
+    worker process: the second run reuses the first run's instances."""
+    import os
+    import uuid
+
+    from greenex_py_ray.functions.joins import KernelStage
+
+    class Pid:
+        def __init__(self):
+            self.build = uuid.uuid4().hex
+
+        def __call__(self, batch):
+            n = batch.num_rows
+            return pa.table({"doc_id": batch.column("doc_id"),
+                             "pid": pa.array([os.getpid()] * n, pa.int64()),
+                             "build": pa.array([self.build] * n)})
+
+    poi = ray.data.from_items([{"doc_id": str(i)} for i in range(256)],
+                              override_num_blocks=8)
+    runs = [_table(KernelStage(Pid, {}, dict(batch_size=16,
+                                             concurrency=2)).on(poi))
+            for _ in range(2)]
+    builds = {}
+    for t in runs:
+        for pid, build in zip(t.column("pid").to_pylist(),
+                              t.column("build").to_pylist()):
+            builds.setdefault(pid, set()).add(build)
+    assert all(len(b) == 1 for b in builds.values()), builds
+    pids = [set(t.column("pid").to_pylist()) for t in runs]
+    assert pids[0] & pids[1], pids
+
+
+def test_kernel_cache_sees_tile_store_rewritten_in_place(world, tmp_path):
+    """A tile store rewritten at the same path is read afresh: the
+    cached kernel's key carries the files' mtime and size."""
+    import os
+    import shutil
+
+    import greenex_py_ray as gx
+
+    tiles = str(tmp_path / "tiles")
+    shutil.copytree(world["tiles"], tiles)
+
+    def mean_ndvi():
+        t = _table(gx.get_mean_NDVI(world["documents"], tiles,
+                                    buffer_dist=300.0))
+        return _by_doc_id(t).column("mean_NDVI").to_pylist()
+
+    before = mean_ndvi()
+    path = os.path.join(tiles, "tiles_ndvi.parquet")
+    t = pq.read_table(path)
+    flat = [np.full(h * w, 0.25).tobytes() for h, w in
+            zip(t.column("h").to_pylist(), t.column("w").to_pylist())]
+    pq.write_table(t.set_column(t.schema.get_field_index("data"), "data",
+                                pa.array(flat, pa.binary())), path)
+    after = mean_ndvi()
+    assert before != after
+    assert set(after) == {0.25}
+
+
+def test_geom_probe_of_a_path_runs_no_ray_job(world, monkeypatch):
+    """The geometry-type probe of a documents path reads the first row
+    with pyarrow in the calling process, not through a ``limit(1)``
+    Ray job."""
+    import greenex_py_ray as gx
+
+    def no_limit(self, *args, **kwargs):
+        raise AssertionError("Dataset.limit called")
+
+    monkeypatch.setattr(ray.data.Dataset, "limit", no_limit)
+    ds = gx.get_mean_NDVI(world["documents"], world["tiles"],
+                          buffer_dist=300.0)
+    assert _table(ds).num_rows == 300
