@@ -31,7 +31,7 @@ BENCH_QUERIES = [
     "zonal_mean_ndvi",      # raster⇄vector alignment over driver docs
     "knn_greenspace",       # cell-local kNN accessibility
     "cell_assignment",      # tile assignment groupby
-    "viewshed_gvi",         # stateful viewshed actor pool
+    "viewshed_gvi",         # viewshed kernel stage
     "network_distance",     # graph actor pool
     "dedup_exact",          # hash-partition dedup
     "minhash_lsh",          # LSH near-dup

@@ -32,7 +32,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from .functions.joins import append_metrics, bucket_join_attach
+from .functions.joins import (append_metrics, bucket_join_attach,
+                              drop_zero_count)
 from .pipelines import accessibility as _acc
 from .pipelines import availability as _av
 from .pipelines import visibility as _vis
@@ -240,15 +241,15 @@ def _decoded(docs, decoder, columns: list[str]) -> "ray.data.Dataset":
 
 _RING_COLS = ["doc_id", "ring_x", "ring_y", "ring_sizes"]
 
-#: schema of the GVI rollups (``pipelines/visibility.py``)
+#: schema of the streetview GVI rollup (``pipelines/visibility.py``)
 _GVI_FIELDS = {"GVI": pa.float64(), "nr_of_points": pa.int64()}
 
 
 def _attach(docs, metrics, fields: dict):
     """Keyed many→one attach of per-PoI rollups (polygon-AoI groupbys,
-    GVI) onto the documents.  ``fields`` (metric column → Arrow type) is
-    passed explicitly, so the lazy metrics pipeline is never executed
-    just to probe its schema.  One-row-per-PoI kernels go through
+    streetview GVI) onto the documents.  ``fields`` (metric column →
+    Arrow type) is passed explicitly, so the lazy metrics pipeline is
+    never executed just to probe its schema.  One-row-per-PoI kernels go through
     :func:`~greenex_py_ray.functions.joins.append_metrics` instead."""
     return bucket_join_attach(
         docs, metrics, key="doc_id",
@@ -391,13 +392,9 @@ def _dissolve_units(gs: "pa.Table") -> "pa.Table":
 
 #: Above this many greenspace rows the API dissolve routes through the
 #: distributed cell-shuffle path (mirrors near_dedup's driver_threshold
-#: pattern, stages/dedup.py) instead of the driver union-find.  The
-#: env override exists so tests can force the distributed branch on
-#: small tables.
-import os as _os
-
-_DISSOLVE_DRIVER_MAX = int(
-    _os.environ.get("GREENEX_DISSOLVE_DRIVER_MAX", "200000"))
+#: pattern, stages/dedup.py) instead of the driver union-find.  Tests
+#: set it to 0 to force the distributed branch on small tables.
+_DISSOLVE_DRIVER_MAX = 200_000
 
 
 def _dissolve_units_distributed(gs: "pa.Table") -> "pa.Table":
@@ -921,12 +918,13 @@ def get_shortest_distance_greenspace(poi, greenspace_vector_file: str,
                  output_format=output_format)
 
 
-def _vis_poi(docs, kind, src_crs, polygon_type, buffer_dist):
+def _vis_poi(kind, src_crs, polygon_type, buffer_dist):
     """Visibility-function PoI dispatch (visibility.py:59-99, 305-344):
     polygon PoIs with ``polygon_type='house'`` collapse to centroids;
     ``'neighbourhood'`` keeps the polygon itself as the AoI
     (``buffer_dist`` optional); point-type PoIs (incl. centroids)
-    require a positive ``buffer_dist``.  Returns ``(poi_kind, ds)``."""
+    require a positive ``buffer_dist``.  Returns ``(poi_kind, decoder,
+    columns)``: the decoded columns the visibility stages read."""
     if kind in _POLYGONS:
         if polygon_type not in ("neighbourhood", "house"):
             raise ValueError(
@@ -934,13 +932,13 @@ def _vis_poi(docs, kind, src_crs, polygon_type, buffer_dist):
         decoder = doc_src.DecodeGeom(parse_polygons=True, src_crs=src_crs)
         if polygon_type == "house":
             _require_positive_buffer(buffer_dist)
-            return "point", _decoded(docs, decoder, ["doc_id", "x", "y"])
+            return "point", decoder, ["doc_id", "x", "y"]
         if buffer_dist is not None:
             _require_positive_buffer(buffer_dist)
-        return "polygon", _decoded(docs, decoder, _RING_COLS)
+        return "polygon", decoder, _RING_COLS
     _require_positive_buffer(buffer_dist)
-    return "point", _decoded(docs, doc_src.DecodeGeom(src_crs=src_crs),
-                             ["doc_id", "x", "y"])
+    return ("point", doc_src.DecodeGeom(src_crs=src_crs),
+            ["doc_id", "x", "y"])
 
 
 def _require_positive_buffer(buffer_dist) -> None:
@@ -965,12 +963,19 @@ def get_viewshed_GVI(poi, dsm_tile_dir: str,
                      concurrency: int | None = None,
                   src_crs: str | None = None):
     """visibility.get_viewshed_GVI (visibility.py:50-293).  Returns
-    (poi-with-metrics Dataset, per-sample-point Dataset)."""
+    (poi-with-metrics Dataset, per-sample-point Dataset).
+
+    A PoI without a road sample point within reach (``buffer_dist``, or
+    its polygon) gets no row in either table.  The rollup is one kernel
+    stage appended to the document read; the per-sample-point table is
+    a second run of the same stage that happens only when it is
+    consumed."""
     for n, v in [("viewing_dist", viewing_dist),
                  ("sample_dist", sample_dist), ("observer_height", observer_height)]:
         _validate_positive(n, v)
     docs, kind = _poi(poi)
-    poi_kind, pts = _vis_poi(docs, kind, src_crs, polygon_type, buffer_dist)
+    poi_kind, decoder, cols = _vis_poi(kind, src_crs, polygon_type,
+                                       buffer_dist)
     if isinstance(dsm_tile_dir, str) and dsm_tile_dir.lower().endswith(
             (".tif", ".tiff")):
         # the viewshed kernel reads THREE co-registered bands
@@ -982,16 +987,18 @@ def get_viewshed_GVI(poi, dsm_tile_dir: str,
             "and green bands; ingest each GeoTIFF via "
             "sources.geotiff.ingest_to_tiles(path, out_dir, band=...) "
             "into the same out_dir first")
-    edges = _vis.edge_coords_table(network_nodes_file, network_edges_file)
-    rollup, per_point = _vis.viewshed_gvi(
-        pts, edges, dsm_tile_dir, buffer_dist=buffer_dist,
-        viewing_dist=viewing_dist, sample_dist=sample_dist,
-        observer_height=observer_height, concurrency=concurrency,
-        poi_kind=poi_kind,
-    )
-    out = _emit(_attach(docs, rollup, _GVI_FIELDS), "viewshed_GVI", docs, kind,
-                src_crs, write_to_file, output_dir, False,
-                output_format=output_format)
+    kw = dict(buffer_dist=buffer_dist, viewing_dist=viewing_dist,
+              sample_dist=sample_dist, observer_height=observer_height,
+              concurrency=concurrency, poi_kind=poi_kind)
+    stage = _vis.viewshed_stage(network_nodes_file, network_edges_file,
+                                dsm_tile_dir, **kw)
+    per_point = _vis.viewshed_stage(
+        network_nodes_file, network_edges_file, dsm_tile_dir,
+        per_point=True, **kw).on(_decoded(docs, decoder, cols))
+    out = _emit(drop_zero_count(append_metrics(docs, stage, decode=decoder),
+                                "nr_of_points"),
+                "viewshed_GVI", docs, kind, src_crs, write_to_file,
+                output_dir, False, output_format=output_format)
     return out, per_point
 
 
@@ -1013,13 +1020,13 @@ def get_streetview_GVI(poi, network_nodes_file: str, network_edges_file: str,
     docs, kind = _poi(poi)
     # Dataset PoI side: broadcast below streetview_gvi's size threshold,
     # cell-bucketed shuffle join above it (no driver materialization)
-    poi_kind, poi_ds = _vis_poi(docs, kind, src_crs, polygon_type,
-                                buffer_dist)
+    poi_kind, decoder, cols = _vis_poi(kind, src_crs, polygon_type,
+                                       buffer_dist)
     edges = _vis.edge_coords_table(network_nodes_file, network_edges_file)
     features = pq.read_table(image_features_file)
     rollup, per_point = _vis.streetview_gvi(
-        poi_ds, edges, features, buffer_dist=buffer_dist, concurrency=concurrency,
-        poi_kind=poi_kind, crop_by_road_centres=crop_by_road_centres,
+        _decoded(docs, decoder, cols), edges, features,
+        buffer_dist=buffer_dist, concurrency=concurrency, poi_kind=poi_kind, crop_by_road_centres=crop_by_road_centres,
     )
     out = _emit(_attach(docs, rollup, _GVI_FIELDS), "streetview_GVI", docs, kind,
                 src_crs, write_to_file, output_dir, False,

@@ -2433,10 +2433,7 @@ def _world_poi(limit: int | None = None):
     # kind/text leaves (geom WKT lives in text); media_ref/offset stay
     # on disk — 2.3× fewer bytes through the object store on the
     # DRAM-bandwidth-bound zonal scan (round-2 verdict #5)
-    if os.environ.get("GREENEX_PRUNED_READ", "1") == "1":
-        docs = doc_src.read_documents_pruned(w["documents"])
-    else:
-        docs = doc_src.read_documents(w["documents"])
+    docs = doc_src.read_documents_pruned(w["documents"])
     if limit:
         # limit BEFORE decode so a large world doesn't decode rows the
         # query then drops.  A limit collapses the stream to a couple
@@ -3983,17 +3980,20 @@ def world_oracle_sql() -> dict[str, str]:
 def q_zonal_median(sf_dir: str):
     """Per-PoI zonal MEDIAN NDVI (stages/zonal.ZonalMedianLocal):
     int64 micro-unit quantization before the median, so numpy and the
-    SQL quantile_cont over the exact pixel table agree bit-for-bit."""
+    SQL quantile_cont over the exact pixel table agree bit-for-bit.  A
+    disk with no pixel (outside the tiled world) gets no row, like the
+    oracle's inner join."""
+    from ..functions.joins import drop_zero_count
     from ..stages.zonal import ZonalMedianLocal
 
     poi, w = _world_poi(limit=COMPOSITE_POIS)
-    return poi.map_batches(
+    return drop_zero_count(poi.map_batches(
         ZonalMedianLocal,
         fn_constructor_kwargs=dict(tile_root=w["tiles"], band="ndvi",
                                    radius=NDVI_RADIUS),
         batch_format="pyarrow", zero_copy_batch=True,
         concurrency=(1, 4), num_cpus=0.5,
-    )
+    ), "n_pix")
 
 
 def q_raster_downsample(sf_dir: str):
@@ -4021,41 +4021,30 @@ def q_viewshed_gvi(sf_dir: str):
     from . import visibility as vpipe
 
     poi, w = _world_poi(limit=int(os.environ.get("GREENEX_VIEWSHED_POIS", "300")))
-    edges = vpipe.edge_coords_table(w["network_nodes"], w["network_edges"])
     rollup, _ = vpipe.viewshed_gvi(
-        poi, edges, w["tiles"], buffer_dist=100.0, viewing_dist=250.0,
-        sample_dist=50.0, concurrency=None,
+        poi, w["network_nodes"], w["network_edges"], w["tiles"],
+        buffer_dist=100.0, viewing_dist=250.0, sample_dist=50.0,
     )
     return rollup
 
 
 def q_composite_exposure(sf_dir: str):
-    """Composite exposure over ONE PoI read (VERDICT r4 #4): the
+    """Composite exposure over ONE document read (VERDICT r4 #4): the
     reference README's worked-example sequence — availability
     (zonal mean/std NDVI), accessibility (nearest-greenspace centroid
     distance + flag) and visibility (viewshed GVI) — as a single
-    pipeline: shared decode, three metric branches off one materialized
-    PoI table, one span-preserving join chain back onto the document
-    payload."""
+    pipeline: three kernel stages appended in turn to each limited
+    document batch, spans untouched, then the viewshed's zero-point
+    filter."""
     import json
 
-    from ..functions.joins import bucket_join_attach
+    from ..functions.joins import append_metrics, drop_zero_count
     from ..sources import documents as doc_src
+    from .accessibility import nearest_greenspace_stage
     from . import visibility as vpipe
 
     w = _world_paths()
     docs = doc_src.read_documents(w["documents"]).limit(COMPOSITE_POIS)
-    poi = (docs.map_batches(
-               doc_src.DecodeGeom(), batch_format="pyarrow",
-               zero_copy_batch=True,
-               batch_size=max(32, COMPOSITE_POIS // 64))
-           .select_columns(["doc_id", "x", "y"])
-           .materialize())  # tiny (COMPOSITE_POIS rows): the fan-out
-    # point for the three branches; at scale this would be a
-    # checkpointed intermediate, not a driver materialization
-
-    metrics = availability.mean_ndvi(poi, w["tiles"], NDVI_RADIUS,
-                                     key_col="doc_id", concurrency=4)
 
     gs = pq.read_table(w["greenspace"],
                        columns=["gs_id", "x0", "y0", "x1", "y1"])
@@ -4066,50 +4055,18 @@ def q_composite_exposure(sf_dir: str):
     cent = pa.table({"gs_id": gs.column("gs_id"),
                      "cx": pa.array((gx0 + gx1) / 2.0),
                      "cy": pa.array((gy0 + gy1) / 2.0)})
-    near = poi.map_batches(
-        NearestGreenspace,
-        fn_constructor_kwargs=dict(centroids_ref=ray.put(cent),
-                                   target_dist=KNN_TARGET),
-        batch_format="pyarrow", concurrency=(1, 4), num_cpus=0.25,
-    )
 
-    edges = vpipe.edge_coords_table(w["network_nodes"],
-                                    w["network_edges"])
-    rollup, _ = vpipe.viewshed_gvi(
-        poi, edges, w["tiles"], buffer_dist=100.0, viewing_dist=250.0,
-        sample_dist=50.0, concurrency=None,
-    )
-
-    span_t = pa.list_(pa.struct([("kind", pa.string()),
-                                 ("text", pa.string()),
-                                 ("media_ref", pa.string()),
-                                 ("offset", pa.int32())]))
-    doc_fields = [pa.field("doc_id", pa.string()),
-                  pa.field("spans", span_t)]
-    out = bucket_join_attach(
-        docs, metrics, key="doc_id", left_fields=list(doc_fields),
-        right_fields=[pa.field("doc_id", pa.string()),
-                      pa.field("mean_NDVI", pa.float64()),
-                      pa.field("std_NDVI", pa.float64())])
-    out = bucket_join_attach(
-        out, near, key="doc_id",
-        left_fields=doc_fields + [pa.field("mean_NDVI", pa.float64()),
-                                  pa.field("std_NDVI", pa.float64())],
-        right_fields=[pa.field("doc_id", pa.string()),
-                      pa.field("distance_to_greenspace", pa.float64()),
-                      pa.field("greenspace_within_target", pa.bool_()),
-                      pa.field("nearest_gs_id", pa.int64())])
-    out = bucket_join_attach(
-        out, rollup, key="doc_id",
-        left_fields=doc_fields + [
-            pa.field("mean_NDVI", pa.float64()),
-            pa.field("std_NDVI", pa.float64()),
-            pa.field("distance_to_greenspace", pa.float64()),
-            pa.field("greenspace_within_target", pa.bool_()),
-            pa.field("nearest_gs_id", pa.int64())],
-        right_fields=[pa.field("doc_id", pa.string()),
-                      pa.field("GVI", pa.float64()),
-                      pa.field("nr_of_points", pa.int64())])
+    for stage in (
+            availability.mean_ndvi_stage(w["tiles"], NDVI_RADIUS,
+                                         concurrency=4),
+            nearest_greenspace_stage(cent, KNN_TARGET,
+                                     "greenspace_within_target",
+                                     concurrency=4),
+            vpipe.viewshed_stage(w["network_nodes"], w["network_edges"],
+                                 w["tiles"], buffer_dist=100.0,
+                                 viewing_dist=250.0, sample_dist=50.0)):
+        docs = append_metrics(docs, stage)
+    out = drop_zero_count(docs, "nr_of_points")
 
     def finalize(b: pa.Table) -> pa.Table:
         js = [json.dumps(sp, separators=(",", ":"))
@@ -4462,10 +4419,10 @@ def q_polygon_viewshed(sf_dir: str):
     from . import visibility as vpipe
 
     rects, w = _world_rect_poly_docs(VS_POLY_POIS)
-    edges = vpipe.edge_coords_table(w["network_nodes"], w["network_edges"])
     rollup, _ = vpipe.viewshed_gvi(
-        rects, edges, w["tiles"], buffer_dist=None, viewing_dist=250.0,
-        sample_dist=50.0, concurrency=None, poi_kind="polygon",
+        rects, w["network_nodes"], w["network_edges"], w["tiles"],
+        buffer_dist=None, viewing_dist=250.0, sample_dist=50.0,
+        poi_kind="polygon",
     )
     return rollup
 

@@ -4,170 +4,76 @@ Ray-Data-native reimplementation of
 ``GreenExp/visibility.py::get_viewshed_GVI`` (`:50-293`) and
 ``::get_streetview_GVI`` (`:296-437`).  Both return the reference's two
 tables: per-PoI rollup (``GVI`` mean rounded 3 + ``nr_of_points``) and
-the per-sample-point table.
+the per-sample-point table.  The viewshed is one one-row-per-PoI
+``KernelStage`` (sample, score, roll up in one task); streetview samples
+the whole network once and rolls up over keyed exchanges.
 """
 
 from __future__ import annotations
 
-from ..functions.joins import as_pool, heavy_pool
-
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Mean, Sum
+from ray.data.aggregate import Sum
 
+from ..functions.joins import KernelStage, as_pool, drop_zero_count, heavy_pool
 from ..sources import documents as doc_src
 from ..stages import visibility as vis
+from ..stages.visibility import edge_coords_table
 
 
-def edge_coords_table(nodes_path: str, edges_path: str) -> pa.Table:
-    """(u, v, length) edge table + node coords → (ax, ay, bx, by, length)
-    straight-segment geometry.  If the edges parquet carries per-edge
-    polyline columns ``geom_x``/``geom_y`` (list<double> vertex chains —
-    real OSM networks' curved LineStrings, reference
-    visibility.py:581-586,633-641), they are passed through and the
-    sampling stages interpolate along the true polyline instead of the
-    node-to-node chord."""
-    nodes = pq.read_table(nodes_path)
-    edges = pq.read_table(edges_path)
-    nid = nodes.column("node_id").to_numpy(zero_copy_only=False)
-    nx = nodes.column("x").to_numpy(zero_copy_only=False)
-    ny = nodes.column("y").to_numpy(zero_copy_only=False)
-    u = edges.column("u").to_numpy(zero_copy_only=False)
-    v = edges.column("v").to_numpy(zero_copy_only=False)
-    # node-id → position via searchsorted over the sorted id array —
-    # pure vector (the per-edge dict lookup this replaces was minutes
-    # of driver time on a 10^8-edge continental network); endpoints
-    # missing from the node table raise like the dict KeyError did
-    order = np.argsort(nid, kind="stable")
-    sn = nid[order]
-    iu = np.searchsorted(sn, u).clip(0, len(sn) - 1)
-    iv = np.searchsorted(sn, v).clip(0, len(sn) - 1)
-    if not ((sn[iu] == u).all() and (sn[iv] == v).all()):
-        raise KeyError("edge endpoint missing from the node table")
-    pu = order[iu]
-    pv = order[iv]
-    cols = {
-        "ax": pa.array(nx[pu]), "ay": pa.array(ny[pu]),
-        "bx": pa.array(nx[pv]), "by": pa.array(ny[pv]),
-        "length": edges.column("length"),
-    }
-    if "geom_x" in edges.column_names and "geom_y" in edges.column_names:
-        cols["geom_x"] = edges.column("geom_x")
-        cols["geom_y"] = edges.column("geom_y")
-    return pa.table(cols)
-
-
-def _finish_rollup(batch: pa.Table, key_col: str) -> pa.Table:
-    mean = batch.column("mean_gvi_raw").to_numpy(zero_copy_only=False)
-    return pa.table(
-        {
-            key_col: batch.column(key_col),
-            "GVI": pa.array(np.round(mean, 3)),  # visibility.py:564 round(3)
-            "nr_of_points": batch.column("nr_of_points"),
-        }
-    )
-
-
-def viewshed_gvi(
-    poi: "ray.data.Dataset",
-    edges_coords: pa.Table,
+def viewshed_stage(
+    nodes_path: str,
+    edges_path: str,
     tile_root: str,
-    buffer_dist: float = 100.0,
+    buffer_dist: float | None = 100.0,
     viewing_dist: float = 250.0,
     sample_dist: float = 50.0,
     observer_height: float = 1.7,
     key_col: str = "doc_id",
     concurrency: int | None = None,
-    batch_size: int = 512,
     poi_kind: str = "point",
-    sample_batch_size: int = 64,
-) -> tuple["ray.data.Dataset", "ray.data.Dataset"]:
-    """poi(key,x,y) → (per-PoI rollup, per-sample-point GVI rows).
-
-    Stage plan: sample-point actor (broadcast edge index) → flat explode
-    → ViewshedGVI actor pool (precomputed rays + tile cache) →
-    groupby(key) Mean/Count rollup.
+    per_point: bool = False,
+) -> KernelStage:
+    """poi(key,x,y) → (key, GVI, nr_of_points), one row per PoI row
+    (``per_point=True``: the scored sample points (key, sp_x, sp_y,
+    GVI)); see :class:`~greenex_py_ray.stages.visibility.ViewshedPoI`.
+    One task stage, no shuffle: sampling, scoring and the rollup run in
+    the worker's cached kernel, whose edge index and tile cache outlive
+    the call (the kwargs are paths, so the cache key repeats).
 
     ``poi_kind='polygon'`` expects ``key, ring_x, ring_y, ring_sizes``
     rows instead (``polygon_type='neighbourhood'``): edges intersecting
     each PoI's own polygon (dilated by ``buffer_dist`` when set) are
-    sampled (visibility.py:568-572); ``buffer_dist`` may be ``None``.
-    """
-    kernel_conc = concurrency
-    if kernel_conc is None:
-        # the Bresenham kernel is ~95 % of this pipeline's compute and
-        # its feed (decode + sample expansion) is cheap, so the default
-        # heavy_pool width of cpus//2 leaves near-half the box idle —
-        # measured 152 s vs 92 s at 32 cores / 400k PoIs for 16 vs 28
-        # actors.  cpus-4 keeps 4 whole CPUs for the feed stages and the
-        # rollup shuffle; the cpus//2 floor keeps small boxes (<8 CPUs)
-        # at the old width instead of collapsing to 1 actor
-        from ..functions.joins import cluster_cpus
+    sampled (visibility.py:568-572); ``buffer_dist`` may be ``None``."""
+    return KernelStage(
+        vis.ViewshedPoI,
+        dict(nodes_path=nodes_path, edges_path=edges_path,
+             tile_root=tile_root, buffer_dist=buffer_dist,
+             viewing_dist=viewing_dist, sample_dist=sample_dist,
+             observer_height=observer_height, key_col=key_col,
+             poi_kind=poi_kind, per_point=per_point),
+        # PoIs per task: each costs tens of sample-point kernel calls, so
+        # small batches still amortize a task and spread a few hundred
+        # PoIs over the whole pool
+        dict(batch_size=32, **heavy_pool(concurrency)))
 
-        cpus = cluster_cpus()
-        kernel_conc = max(1, cpus // 2, cpus - 4)
-    eref = ray.put(edges_coords)
-    sampler = (vis.SamplePointsViewshedPolygon if poi_kind == "polygon"
-               else vis.SamplePointsViewshed)
-    pts = poi.map_batches(
-        sampler,
-        fn_constructor_kwargs=dict(
-            edges_ref=eref, buffer_dist=buffer_dist, sample_dist=sample_dist,
-            key_col=key_col,
-        ),
-        # one sampler batch → one kernel-feed block: 256-PoI batches
-        # collapse a 2k-PoI input to 8 blocks, starving a 28-actor
-        # kernel pool (Ray warned 'operator only received 8 inputs');
-        # 64 keeps the pool fed at gate scale and is noise at 400k PoIs
-        batch_format="pyarrow", batch_size=sample_batch_size,
-        concurrency=as_pool(concurrency), num_cpus=0.25,
-    )
-    scored = pts.map_batches(
-        vis.ViewshedGVI,
-        fn_constructor_kwargs=dict(
-            tile_root=tile_root, viewing_dist=viewing_dist,
-            observer_height=observer_height, key_col=key_col,
-        ),
-        batch_format="pyarrow", batch_size=batch_size,
-        **heavy_pool(kernel_conc),
-    )
-    # partial pre-aggregation: a PoI's sample points are generated
-    # contiguously, so per-batch (key, Σgvi, n) partials shrink the
-    # rollup shuffle from one row per sample point to ~one row per
-    # (PoI, block) — the Aggregate otherwise owns the pipeline tail
-    def partial(batch: pa.Table) -> pa.Table:
-        keys = batch.column(key_col).to_numpy(zero_copy_only=False)
-        g = batch.column("GVI").to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        s = np.zeros(len(uniq))
-        c = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(s, inv, g)
-        np.add.at(c, inv, 1)
-        return pa.table({key_col: pa.array(uniq), "gvi_sum": pa.array(s),
-                         "gvi_n": pa.array(c)})
 
-    agg = scored.map_batches(partial, batch_format="pyarrow").groupby(key_col).aggregate(
-        Sum("gvi_sum", alias_name="s"), Sum("gvi_n", alias_name="n")
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        sv = batch.column("s").to_numpy(zero_copy_only=False)
-        nv = batch.column("n").to_numpy(zero_copy_only=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean = sv / nv
-        return pa.table({
-            key_col: batch.column(key_col),
-            "GVI": pa.array(np.round(mean, 3)),  # visibility.py:564 round(3)
-            "nr_of_points": pa.array(nv),
-        })
-
-    rollup = agg.map_batches(finish, batch_format="pyarrow")
-    return rollup, scored
+def viewshed_gvi(poi: "ray.data.Dataset", nodes_path: str, edges_path: str,
+                 tile_root: str, **kw
+                 ) -> tuple["ray.data.Dataset", "ray.data.Dataset"]:
+    """poi → (per-PoI rollup, per-sample-point GVI rows), both lazy
+    :func:`viewshed_stage` runs over ``poi``; ``kw`` go to
+    :func:`viewshed_stage`.  A PoI without sample points has no row in
+    either table, as in the gates' oracle, which joins sample points to
+    PoIs."""
+    return (drop_zero_count(viewshed_stage(nodes_path, edges_path, tile_root,
+                                           **kw).on(poi), "nr_of_points"),
+            viewshed_stage(nodes_path, edges_path, tile_root, per_point=True,
+                           **kw).on(poi))
 
 
 def streetview_gvi(
@@ -334,11 +240,11 @@ def get_viewshed_gvi_documents(
 ):
     docs = doc_src.read_documents(documents_path)
     poi = doc_src.decode_geom(docs).select_columns(["doc_id", "x", "y"])
-    edges = edge_coords_table(world_paths["network_nodes"], world_paths["network_edges"])
     return viewshed_gvi(
-        poi, edges, world_paths["tiles"], buffer_dist=buffer_dist,
+        poi, world_paths["network_nodes"], world_paths["network_edges"],
+        world_paths["tiles"], buffer_dist=buffer_dist,
         viewing_dist=viewing_dist, sample_dist=sample_dist,
-        concurrency=as_pool(concurrency),
+        concurrency=concurrency,
     )
 
 

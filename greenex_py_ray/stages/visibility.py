@@ -1,10 +1,12 @@
 """Visibility pillar stages: viewshed GVI + streetview GVI.
 
-Viewshed path (``GreenExp/visibility.py:50-293``):
+Viewshed path (``GreenExp/visibility.py:50-293``), one kernel
+(``ViewshedPoI``) per batch of PoI rows:
   poi → sample points on road edges within buffer (M19, :568-589)
-      → ViewshedGVI actor pool (M21/M22 kernel with DSM/DTM/green tile
-        cache; the lineOfSight argument swap is replicated — see
-        state/viewshed.py) → per-PoI mean/count rollup (:564).
+      → ViewshedGVI per sample point (M21/M22 kernel with DSM/DTM/green
+        tile cache; the lineOfSight argument swap is replicated — see
+        state/viewshed.py) → per-PoI mean/count rollup (:564), one row
+        per PoI row in input order.
 
 Streetview path (``visibility.py:296-437``):
   road edges → points every N m (M20, :624-650, dedup on geometry)
@@ -24,6 +26,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
 
@@ -42,12 +45,50 @@ def _resolve(ref):
 # ---------------------------------------------------------------------------
 
 
+def edge_coords_table(nodes_path: str, edges_path: str) -> pa.Table:
+    """(u, v, length) edge table + node coords → (ax, ay, bx, by, length)
+    straight-segment geometry.  If the edges parquet carries per-edge
+    polyline columns ``geom_x``/``geom_y`` (list<double> vertex chains —
+    real OSM networks' curved LineStrings, reference
+    visibility.py:581-586,633-641), they are passed through and the
+    sampling stages interpolate along the true polyline instead of the
+    node-to-node chord."""
+    nodes = pq.read_table(nodes_path)
+    edges = pq.read_table(edges_path)
+    nid = nodes.column("node_id").to_numpy(zero_copy_only=False)
+    nx = nodes.column("x").to_numpy(zero_copy_only=False)
+    ny = nodes.column("y").to_numpy(zero_copy_only=False)
+    u = edges.column("u").to_numpy(zero_copy_only=False)
+    v = edges.column("v").to_numpy(zero_copy_only=False)
+    # node-id → position via searchsorted over the sorted id array —
+    # pure vector (the per-edge dict lookup this replaces was minutes
+    # of driver time on a 10^8-edge continental network); endpoints
+    # missing from the node table raise like the dict KeyError did
+    order = np.argsort(nid, kind="stable")
+    sn = nid[order]
+    iu = np.searchsorted(sn, u).clip(0, len(sn) - 1)
+    iv = np.searchsorted(sn, v).clip(0, len(sn) - 1)
+    if not ((sn[iu] == u).all() and (sn[iv] == v).all()):
+        raise KeyError("edge endpoint missing from the node table")
+    pu = order[iu]
+    pv = order[iv]
+    cols = {
+        "ax": pa.array(nx[pu]), "ay": pa.array(ny[pu]),
+        "bx": pa.array(nx[pv]), "by": pa.array(ny[pv]),
+        "length": edges.column("length"),
+    }
+    if "geom_x" in edges.column_names and "geom_y" in edges.column_names:
+        cols["geom_x"] = edges.column("geom_x")
+        cols["geom_y"] = edges.column("geom_y")
+    return pa.table(cols)
+
+
 class SamplePointsViewshed:
-    """map_batches actor: per PoI, road sample points at ``sample_dist``
-    intervals on edges intersecting the PoI buffer
+    """Per PoI, road sample points at ``sample_dist`` intervals on
+    edges intersecting the PoI buffer
     (get_network_sample_points, visibility.py:568-589).
 
-    Edge table (ax, ay, bx, by, length) is broadcast; an edge-midpoint
+    The whole edge table (:func:`edge_coords_table`) is held; an edge-midpoint
     grid index prunes candidates; edges shorter than ``sample_dist``
     contribute their midpoint, others ``linspace(0, len, n)`` points
     (duplicates across edges intentionally kept — the reference does not
@@ -417,11 +458,11 @@ def streetview_sample_batch(batch: pa.Table, interval: float = 50.0) -> pa.Table
 
 
 class ViewshedGVI:
-    """Actor-pool stage: GVI per sample point.
+    """GVI per sample point.
 
     Kernel + rays precomputed in ``__init__``; DSM/DTM/green fetched as
-    stitched windows from the per-actor tile cache.  Emits one row per
-    sample point (key, sp_x, sp_y, GVI)."""
+    stitched windows from the tile cache.  Appends ``GVI`` to each
+    sample-point row (key, sp_x, sp_y)."""
 
     def __init__(self, tile_root: str, viewing_dist: float,
                  observer_height: float = 1.7, key_col: str = "doc_id",
@@ -449,6 +490,60 @@ class ViewshedGVI:
             green = self.store.window("green", r0 - R, c0 - R, 2 * R + 1, 2 * R + 1)
             gvis[i] = self.kernel.gvi(dsm, dtm, green)
         return batch.append_column("GVI", pa.array(gvis))
+
+
+class ViewshedPoI:
+    """The viewshed kernel of ``get_viewshed_GVI``: per batch of PoI
+    rows, sample the road points (``SamplePointsViewshed``, or
+    ``SamplePointsViewshedPolygon`` for ``poi_kind='polygon'`` rows of
+    ``ring_x, ring_y[, ring_sizes]``), score each with ``ViewshedGVI``
+    and roll them up per PoI: one ``(key, GVI, nr_of_points)`` row per
+    input row, in input order, ``GVI`` the mean rounded to 3
+    (visibility.py:564).  A row without sample points gets a null
+    ``GVI`` and 0 points.  ``per_point=True`` returns the scored sample
+    points ``(key, sp_x, sp_y, GVI)`` instead.
+
+    Sample points carry the row position in place of the key, so the
+    rollup is a ``bincount`` over positions."""
+
+    def __init__(self, nodes_path: str, edges_path: str, tile_root: str,
+                 buffer_dist: float | None, viewing_dist: float,
+                 sample_dist: float, observer_height: float = 1.7,
+                 key_col: str = "doc_id", poi_kind: str = "point",
+                 per_point: bool = False):
+        sampler = (SamplePointsViewshedPolygon if poi_kind == "polygon"
+                   else SamplePointsViewshed)
+        self.sample = sampler(edge_coords_table(nodes_path, edges_path),
+                              buffer_dist=buffer_dist,
+                              sample_dist=sample_dist, key_col="pos")
+        self.score = ViewshedGVI(tile_root, viewing_dist=viewing_dist,
+                                 observer_height=observer_height,
+                                 key_col="pos")
+        self.geom_cols = (("ring_x", "ring_y", "ring_sizes")
+                          if poi_kind == "polygon" else ("x", "y"))
+        self.key_col = key_col
+        self.per_point = per_point
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        n = batch.num_rows
+        keys = batch.column(self.key_col)
+        rows = batch.select([c for c in self.geom_cols
+                             if c in batch.column_names])
+        scored = self.score(self.sample(
+            rows.append_column("pos", pa.array(np.arange(n)))))
+        pos = scored.column("pos").to_numpy()
+        if self.per_point:
+            return scored.set_column(0, self.key_col, keys.take(pos))
+        cnt = np.bincount(pos, minlength=n)
+        total = np.bincount(pos, weights=scored.column("GVI").to_numpy(),
+                            minlength=n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = np.round(total / cnt, 3)
+        return pa.table({
+            self.key_col: keys,
+            "GVI": pa.array(mean, mask=cnt == 0),
+            "nr_of_points": pa.array(cnt.astype(np.int64)),
+        })
 
 
 # ---------------------------------------------------------------------------

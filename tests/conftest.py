@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 
 import pytest
 
@@ -36,3 +37,16 @@ def world(tmp_path_factory):
 @pytest.fixture(scope="session")
 def sf_dir():
     return os.environ.get("GRAFT_TEST_SF_DIR", "/root/testdata/sf0.001")
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Print each distinct skip reason with its count, so a skipped
+    group of tests (the reference goldens without their data) shows in
+    ``-q`` output too."""
+    reasons = Counter(
+        rep.longrepr[2] if isinstance(rep.longrepr, tuple) else str(rep.longrepr)
+        for rep in terminalreporter.stats.get("skipped", []))
+    if reasons:
+        terminalreporter.write_sep("-", "skip reasons")
+        for reason, n in reasons.most_common():
+            terminalreporter.write_line(f"{n:4d}  {reason}")

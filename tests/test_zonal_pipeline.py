@@ -188,6 +188,24 @@ def test_zonal_median_matches_bruteforce(ray_session, tmp_path):
     assert got == np.median(np.array([3, 8], dtype=np.int64)) == 5.5
 
 
+def test_zonal_median_gate_drops_pixelless_disks(world, monkeypatch):
+    """The zonal_median gate gives no row to a PoI whose disk holds no
+    pixel (outside the tiled world), like its oracle's inner join;
+    in-world PoIs keep theirs."""
+    from greenex_py_ray.pipelines import driver_queries as dq
+
+    docs = doc_src.decode_geom(doc_src.read_documents(world["documents"]))
+    inside = _table(docs.select_columns(["doc_id", "x", "y"])).slice(0, 20)
+    outside = pa.table({"doc_id": ["outside"], "x": [-1e6], "y": [-1e6]},
+                       schema=inside.schema)
+    poi = ray.data.from_arrow(pa.concat_tables([inside, outside]))
+    monkeypatch.setattr(dq, "_world_poi", lambda limit=None: (poi, world))
+    out = _table(dq.q_zonal_median("unused"))
+    assert (sorted(out.column("doc_id").to_pylist())
+            == sorted(inside.column("doc_id").to_pylist()))
+    assert min(out.column("n_pix").to_pylist()) > 0
+
+
 def _table(ds) -> pa.Table:
     return pa.concat_tables(
         list(ds.iter_batches(batch_size=None, batch_format="pyarrow")))
