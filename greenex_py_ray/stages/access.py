@@ -32,7 +32,14 @@ def _resolve(ref):
 
 
 class NearestGreenspace:
-    """map_batches actor: append nearest-centroid distance + within flag."""
+    """Kernel: nearest greenspace centroid per PoI, its distance rounded
+    to 0 decimals, and the within-``target_dist`` flag.
+
+    One :meth:`GridIndex.nearest` call per batch does the search: a few
+    vectorized passes over all of the batch's query cells, exact, with
+    ties going to the lowest centroid row.  The index is built once per
+    worker, in ``__init__``.
+    """
 
     def __init__(self, centroids_ref, target_dist: float, key_col: str = "doc_id",
                  index_cell: float = 500.0,

@@ -131,13 +131,13 @@ class NetworkDistance:
         dist_out = np.full(n, self.target)
         flag_out = np.zeros(n, dtype=bool)
         g = self.graph
+        pos, snap = g.nearest_node(x, y)
         for i in range(n):
             cands = self._candidates(x[i], y[i])
             if not cands:
                 continue
-            pos, snap = g.nearest_node(np.array([x[i]]), np.array([y[i]]))
-            src = int(pos[0])
-            penalty_home = float(snap[0])
+            src = int(pos[i])
+            penalty_home = float(snap[i])
             reach = g.dijkstra(src, cutoff=self.target * 1.5)
             if not reach:
                 continue
@@ -193,12 +193,19 @@ class _IsochroneAoI:
         self.edge_buff = float(edge_buff)
         self.key_col = key_col
 
-    def _aoi_mask(self, x: float, y: float):
-        """(r0, c0, hole-filled bool mask) of the isochrone AoI in
-        global pixel coordinates, or None when the ego graph is empty."""
+    def _snap(self, batch: pa.Table) -> np.ndarray:
+        """Nearest graph node position of every PoI in the batch."""
+        pos, _ = self.graph.nearest_node(
+            batch.column("x").to_numpy(zero_copy_only=False),
+            batch.column("y").to_numpy(zero_copy_only=False))
+        return pos
+
+    def _aoi_mask(self, src: int):
+        """(r0, c0, hole-filled bool mask) of the isochrone AoI around
+        snapped node position ``src`` in global pixel coordinates, or
+        None when the ego graph is empty."""
         g = self.graph
-        pos, _ = g.nearest_node(np.array([x]), np.array([y]))
-        reach = g.dijkstra(int(pos[0]), cutoff=self.buffer_dist)
+        reach = g.dijkstra(int(src), cutoff=self.buffer_dist)
         ego = set(reach.keys())
         eu, ev = g.ego_edges(ego)
         if len(eu) == 0:
@@ -239,8 +246,8 @@ class IsochroneZonal(_IsochroneAoI):
         self.mean_name = mean_name
         self.std_name = std_name
 
-    def _aoi_stats(self, x: float, y: float):
-        aoi = self._aoi_mask(x, y)
+    def _aoi_stats(self, src: int):
+        aoi = self._aoi_mask(src)
         if aoi is None:
             return np.nan, np.nan
         r0, c0, mask = aoi
@@ -254,12 +261,11 @@ class IsochroneZonal(_IsochroneAoI):
         return round(float(mean), 3), round(float(vals.std()), 3)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        x = batch.column("x").to_numpy(zero_copy_only=False)
-        y = batch.column("y").to_numpy(zero_copy_only=False)
-        means = np.empty(len(x))
-        stds = np.empty(len(x))
-        for i in range(len(x)):
-            means[i], stds[i] = self._aoi_stats(x[i], y[i])
+        pos = self._snap(batch)
+        means = np.empty(len(pos))
+        stds = np.empty(len(pos))
+        for i, src in enumerate(pos):
+            means[i], stds[i] = self._aoi_stats(src)
         # empty AoI (no ego edges / no pixels) → NULL, matching the SQL
         # oracle's empty-group aggregate (a NaN would hash-mismatch)
         miss = ~np.isfinite(means)
@@ -293,8 +299,8 @@ class IsochroneLandcover(_IsochroneAoI):
         self.names = [classmap[c] for c in self.classes]
         self.stringify = stringify
 
-    def _pcts(self, x: float, y: float) -> np.ndarray:
-        aoi = self._aoi_mask(x, y)
+    def _pcts(self, src: int) -> np.ndarray:
+        aoi = self._aoi_mask(src)
         if aoi is None:
             return np.full(len(self.classes), np.nan)
         r0, c0, mask = aoi
@@ -308,11 +314,10 @@ class IsochroneLandcover(_IsochroneAoI):
         return np.round(counts / vals.size * 100.0, 3)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        x = batch.column("x").to_numpy(zero_copy_only=False)
-        y = batch.column("y").to_numpy(zero_copy_only=False)
-        pcts = np.empty((len(x), len(self.classes)))
-        for i in range(len(x)):
-            pcts[i] = self._pcts(x[i], y[i])
+        pos = self._snap(batch)
+        pcts = np.empty((len(pos), len(self.classes)))
+        for i, src in enumerate(pos):
+            pcts[i] = self._pcts(src)
         cols = {self.key_col: batch.column(self.key_col)}
         for j, name in enumerate(self.names):
             col = pcts[:, j]
@@ -367,8 +372,8 @@ class IsochroneCoverage(_IsochroneAoI):
         self.stringify = stringify
         self.dissolve = dissolve
 
-    def _pct(self, x: float, y: float) -> float:
-        aoi = self._aoi_mask(x, y)
+    def _pct(self, src: int) -> float:
+        aoi = self._aoi_mask(src)
         if aoi is None:
             return np.nan
         r0, c0, mask = aoi
@@ -402,9 +407,7 @@ class IsochroneCoverage(_IsochroneAoI):
         return covered / len(px) * 100.0
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        x = batch.column("x").to_numpy(zero_copy_only=False)
-        y = batch.column("y").to_numpy(zero_copy_only=False)
-        pct = np.array([self._pct(x[i], y[i]) for i in range(len(x))])
+        pct = np.array([self._pct(src) for src in self._snap(batch)])
         pct = np.where(np.isfinite(pct), np.round(pct, 2), pct)
         if self.stringify:
             # availability.py:764: str(round(pct, 2)) + '%'

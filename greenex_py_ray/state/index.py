@@ -4,8 +4,10 @@ Replaces the reference's ad-hoc ``scipy.cKDTree`` builds per call
 (`/root/reference/GreenExp/accessibility.py:281`, `visibility.py:706`)
 with a grid-hash index built ONCE per actor in ``__init__`` from a
 broadcast side table (``ray.put`` once on the driver, read per actor).
-Queries are exact: ring expansion continues until no closer candidate
-can exist in an unexplored ring.
+Queries are exact: ``nearest`` widens every query cell's candidate
+square, all cells in one vectorized pass at a time, until no closer
+point can lie outside it; ``within`` / ``candidate_groups`` walk the
+Chebyshev rings a radius reaches.
 """
 
 from __future__ import annotations
@@ -13,11 +15,26 @@ from __future__ import annotations
 import numpy as np
 
 
+def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(start[k], start[k] + length[k])``."""
+    seg = np.cumsum(length) - length
+    return np.arange(int(length.sum())) + np.repeat(start - seg, length)
+
+
 class GridIndex:
     """Point grid index: exact nearest-neighbour + radius queries.
 
+    Points are bucketed by grid cell and kept sorted by bucket key
+    ``ix * 2**32 + iy``, so the points of any cell range in one grid
+    column are one ``searchsorted`` pair away.  ``nearest`` gathers, per
+    pass, the points of each open query cell's square of cells with
+    one such pair per (cell, populated column), and compares each query
+    with its cell's candidates only: memory is O(candidate pairs) per
+    pass, never O(extent), however small ``cell_size`` is.  Exact ties
+    go to the lowest point index.
+
     ``cell_size`` should be on the order of the typical query radius —
-    bigger cells mean fewer ring expansions but more candidates per ring.
+    bigger cells mean fewer passes but more candidates per cell.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, cell_size: float = 500.0):
@@ -33,6 +50,9 @@ class GridIndex:
         uniq, starts = np.unique(key, return_index=True)
         self._bucket_key = uniq
         self._bucket_start = np.concatenate([starts, [len(key)]])
+        # populated grid columns, sorted: nearest() searches buckets per
+        # (query cell, populated column)
+        self._cols = np.unique(six)
         # populated bucket extent — bounds ring expansion for unlimited
         # nearest() queries (an empty index would otherwise expand to the
         # global cap per query group: an effective hang)
@@ -84,70 +104,103 @@ class GridIndex:
         """Exact 1-NN for each query point.
 
         Returns (dist, index); misses (empty index / beyond max_dist)
-        get (inf, -1).  Grouped by query cell so ring candidate sets are
-        shared; distance math per group is vectorized.
+        get (inf, -1).  Exact ties go to the lowest point index.
+
+        Queries are grouped by cell and every still-open cell advances
+        together, one vectorized pass at a time.  A pass gathers every
+        indexed point in the cell's (2R+1)^2 cell square (clipped to
+        the populated extent) and takes each query's minimum over those
+        candidates.  Points outside the square are at least R*cs from
+        every query in the cell, so the cell is done once each of its
+        queries has ``d < R*cs``, or once the square covers the extent
+        (or reaches ``max_dist``).  An open cell retries at the smallest
+        radius that settles its current best (twice R while it has no
+        candidate yet), so most cells take one or two passes and each
+        pass's arrays are sized by the candidate pairs it compares.
         """
         qx = np.asarray(qx, dtype=np.float64)
         qy = np.asarray(qy, dtype=np.float64)
         n = len(qx)
         best_d = np.full(n, np.inf)
         best_i = np.full(n, -1, dtype=np.int64)
-        if len(self.x) == 0:
+        if len(self.x) == 0 or n == 0:
             return best_d, best_i
         qix = np.floor(qx / self.cs).astype(np.int64)
         qiy = np.floor(qy / self.cs).astype(np.int64)
         gkey = qix * (1 << 32) + qiy
         order = np.argsort(gkey, kind="stable")
-        uq, starts = np.unique(gkey[order], return_index=True)
-        bounds = np.concatenate([starts, [n]])
-        for g in range(len(uq)):
-            sel = order[bounds[g] : bounds[g + 1]]
-            bix = int(qix[sel[0]])
-            biy = int(qiy[sel[0]])
-            # past this ring every populated bucket has been visited
-            ring_cap = max(
-                2,
-                max(abs(bix - self._ix_lo), abs(bix - self._ix_hi)),
-                max(abs(biy - self._iy_lo), abs(biy - self._iy_hi)),
-            )
-            if max_dist is not None:
-                ring_cap = min(ring_cap, int(np.ceil(max_dist / self.cs)) + 1)
-            gx = qx[sel]
-            gy = qy[sel]
-            gd = best_d[sel]
-            gi = best_i[sel]
-            ring = self._ring_start(bix, biy)
-            if max_dist is not None and (ring - 1) * self.cs > max_dist:
-                continue  # populated extent entirely beyond max_dist
-            while True:
-                cand = self._ring_indices(bix, biy, ring)
-                if len(cand):
-                    dx = gx[:, None] - self.x[cand][None, :]
-                    dy = gy[:, None] - self.y[cand][None, :]
-                    d = np.sqrt(dx * dx + dy * dy)
-                    j = np.argmin(d, axis=1)
-                    dmin = d[np.arange(len(sel)), j]
-                    upd = dmin < gd
-                    gd[upd] = dmin[upd]
-                    gi[upd] = cand[j[upd]]
-                # any point in this bucket is at least (ring)*cs away from
-                # rings > ring+1; stop when no improvement is possible
-                lower_next = ring * self.cs
-                finished = np.isfinite(gd) & (gd <= lower_next)
-                if finished.all():
-                    break
-                if max_dist is not None and lower_next > max_dist:
-                    break
-                ring += 1
-                if ring > ring_cap + 1:
-                    break
-            best_d[sel] = gd
-            best_i[sel] = gi
+        _, starts = np.unique(gkey[order], return_index=True)
+        nq = np.diff(np.append(starts, n))
+        cx, cy = qix[order[starts]], qiy[order[starts]]
+        # Chebyshev distance to the populated extent (rings below it are
+        # empty) and the radius whose square covers all of it
+        gap = np.maximum(np.maximum(self._ix_lo - cx, cx - self._ix_hi),
+                         np.maximum(self._iy_lo - cy, cy - self._iy_hi))
+        cover = np.maximum(
+            np.maximum(np.abs(cx - self._ix_lo), np.abs(cx - self._ix_hi)),
+            np.maximum(np.abs(cy - self._iy_lo), np.abs(cy - self._iy_hi)))
+        cap = cover
+        if max_dist is not None:
+            # rings past ceil(max_dist/cs)+1 are beyond max_dist
+            cap = np.minimum(cover, int(np.ceil(max_dist / self.cs)) + 1)
+        radius = np.minimum(np.maximum(gap, 0) + 1, cap)
+        active = np.arange(len(starts))
+        while len(active):
+            r = radius[active]
+            counts, cand = self._square_candidates(cx[active], cy[active], r)
+            # (query, candidate) pairs: each query against its cell's square
+            nqa = nq[active]
+            qsel = order[_ranges(starts[active], nqa)]
+            qcell = np.repeat(np.arange(len(active)), nqa)
+            qn = counts[qcell]
+            pc = cand[_ranges((np.cumsum(counts) - counts)[qcell], qn)]
+            pq = np.repeat(qsel, qn)
+            dx = qx[pq] - self.x[pc]
+            dy = qy[pq] - self.y[pc]
+            d = np.sqrt(dx * dx + dy * dy)
+            has = qn > 0
+            dq = np.full(len(qsel), np.inf)
+            need = np.zeros(len(qsel), dtype=np.int64)
+            if has.any():
+                seg = (np.cumsum(qn) - qn)[has]
+                dq[has] = np.minimum.reduceat(d, seg)
+                tie = np.where(d == np.repeat(dq, qn), pc, len(self.x))
+                best_i[qsel[has]] = np.minimum.reduceat(tie, seg)
+                # smallest R with d < R*cs; the 1e-9-cell slack absorbs
+                # float rounding in the cell assignment of the points
+                need[has] = np.floor(dq[has] / self.cs + 1e-9).astype(np.int64) + 1
+            best_d[qsel] = dq
+            need_cell = np.maximum.reduceat(need, np.cumsum(nqa) - nqa)
+            done = (r >= cap[active]) | ((counts > 0) & (need_cell <= r))
+            grow = np.where(counts > 0, np.maximum(need_cell, r + 1), 2 * r)
+            radius[active] = np.minimum(grow, cap[active])
+            active = active[~done]
         if max_dist is not None:
             miss = best_d > max_dist
             best_d[miss] = np.inf
             best_i[miss] = -1
         return best_d, best_i
+
+    def _square_candidates(self, cx: np.ndarray, cy: np.ndarray, r: np.ndarray):
+        """Indexed points in each cell's (2r+1)^2 square, clipped to the
+        populated extent: (count per cell, point indices grouped by
+        cell).  One searchsorted pair per (cell, populated column) on
+        the sorted bucket keys, so no array is sized by the extent."""
+        x0 = np.maximum(cx - r, self._ix_lo)
+        x1 = np.minimum(cx + r, self._ix_hi)
+        y0 = np.maximum(cy - r, self._iy_lo)
+        y1 = np.minimum(cy + r, self._iy_hi)
+        c_lo = np.searchsorted(self._cols, x0, side="left")
+        c_hi = np.searchsorted(self._cols, x1, side="right")
+        ncol = np.where(y0 <= y1, np.maximum(c_hi - c_lo, 0), 0)
+        pair = np.repeat(np.arange(len(cx)), ncol)
+        base = self._cols[_ranges(c_lo, ncol)] * (1 << 32)
+        b_lo = np.searchsorted(self._bucket_key, base + y0[pair], side="left")
+        b_hi = np.searchsorted(self._bucket_key, base + y1[pair], side="right")
+        p_lo = self._bucket_start[b_lo]
+        npts = self._bucket_start[b_hi] - p_lo
+        counts = np.bincount(pair, weights=npts, minlength=len(cx))
+        return counts.astype(np.int64), self._order[_ranges(p_lo, npts)]
 
     def candidate_groups(self, qx: np.ndarray, qy: np.ndarray,
                          radius: float):

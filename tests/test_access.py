@@ -4,10 +4,33 @@ reference's miss/rounding semantics (accessibility.py:277-320)."""
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from greenex_py_ray.pipelines import accessibility
 from greenex_py_ray.sources import documents as doc_src
 from greenex_py_ray.state.index import GridIndex, RectIndex
+
+# a numeric warning (e.g. casting inf to int64 in nearest()'s pass
+# bound) is a defect, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _bruteforce_nearest(px, py, qx, qy, max_dist=None):
+    """Reference 1-NN: the index's distance expression over every pair,
+    ties to the lowest point index (argmin), misses (inf, -1)."""
+    d = np.full(len(qx), np.inf)
+    i = np.full(len(qx), -1, dtype=np.int64)
+    if len(px) and len(qx):
+        dx = qx[:, None] - px[None, :]
+        dy = qy[:, None] - py[None, :]
+        bf = np.sqrt(dx * dx + dy * dy)
+        i = bf.argmin(axis=1)
+        d = bf[np.arange(len(qx)), i]
+    if max_dist is not None:
+        miss = d > max_dist
+        d[miss] = np.inf
+        i[miss] = -1
+    return d, i
 
 
 def test_grid_index_nearest_matches_bruteforce():
@@ -197,3 +220,79 @@ def test_shortest_distance_append_matches_bucket_join(world):
     assert a.num_rows == 300
     assert a.column_names == b.column_names
     assert a.equals(b)
+
+
+@pytest.mark.parametrize("cell", [1.0, 50.0, 250.0, 700.0, 2000.0])
+def test_grid_index_nearest_property(cell):
+    """Bit-equal distances and lowest-index ties against brute force:
+    duplicate points (dissolved members share a centroid), grid-aligned
+    coordinates (exact ties on cell edges), queries far outside the
+    extent."""
+    rng = np.random.default_rng(int(cell))
+    for trial in range(12):
+        n = int(rng.integers(1, 150))
+        px = np.round(rng.uniform(0, 3000, n) / 50.0) * 50.0
+        py = np.round(rng.uniform(0, 3000, n) / 50.0) * 50.0
+        dup = rng.integers(0, n, n // 3)
+        px[dup], py[dup] = px[0], py[0]
+        qx = np.round(rng.uniform(-1000, 4000, 200) / 25.0) * 25.0
+        qy = np.round(rng.uniform(-1000, 4000, 200) / 25.0) * 25.0
+        qx[:5] = [-1e5, 1e5, 1500.0, -2e4, 3e4]
+        qy[:5] = [1e5, -1e5, 2e5, -3e4, 1500.0]
+        d, i = GridIndex(px, py, cell_size=cell).nearest(qx, qy)
+        exp_d, exp_i = _bruteforce_nearest(px, py, qx, qy)
+        assert np.array_equal(d, exp_d), (cell, trial)
+        assert np.array_equal(i, exp_i), (cell, trial)
+
+
+def test_grid_index_nearest_small_inputs():
+    one = GridIndex(np.array([10.0]), np.array([20.0]), cell_size=100.0)
+    d, i = one.nearest(np.array([-5e5, 10.0, 400.0]),
+                       np.array([3e5, 20.0, -90.0]))
+    exp_d, exp_i = _bruteforce_nearest(np.array([10.0]), np.array([20.0]),
+                                       np.array([-5e5, 10.0, 400.0]),
+                                       np.array([3e5, 20.0, -90.0]))
+    assert np.array_equal(d, exp_d) and (i == 0).all()
+    d, i = one.nearest(np.empty(0), np.empty(0))
+    assert d.shape == i.shape == (0,) and i.dtype == np.int64
+    rng = np.random.default_rng(8)
+    px, py = rng.uniform(0, 1000, 40), rng.uniform(0, 1000, 40)
+    d, i = GridIndex(px, py, cell_size=30.0).nearest(np.array([2500.0]),
+                                                     np.array([-700.0]))
+    exp_d, exp_i = _bruteforce_nearest(px, py, np.array([2500.0]),
+                                       np.array([-700.0]))
+    assert np.array_equal(d, exp_d) and np.array_equal(i, exp_i)
+
+
+@pytest.mark.parametrize("max_dist", [0.0, 40.0, 333.3, 2500.0])
+def test_grid_index_nearest_max_dist(max_dist):
+    """Misses beyond max_dist give (inf, -1); hits equal brute force."""
+    rng = np.random.default_rng(9)
+    px = np.round(rng.uniform(0, 2000, 60) / 20.0) * 20.0
+    py = np.round(rng.uniform(0, 2000, 60) / 20.0) * 20.0
+    qx = np.concatenate([px[:10], rng.uniform(-3000, 5000, 300)])
+    qy = np.concatenate([py[:10], rng.uniform(-3000, 5000, 300)])
+    for cell in (25.0, 100.0, 500.0):
+        d, i = GridIndex(px, py, cell_size=cell).nearest(qx, qy,
+                                                         max_dist=max_dist)
+        exp_d, exp_i = _bruteforce_nearest(px, py, qx, qy, max_dist)
+        assert np.array_equal(d, exp_d) and np.array_equal(i, exp_i)
+        miss = i == -1
+        assert miss.any() and np.isinf(d[miss]).all()
+        assert (d[~miss] <= max_dist).all()
+
+
+def test_grid_index_nearest_runs_no_per_cell_ring_loop(monkeypatch):
+    """nearest() answers without the per-cell bucket/ring helpers."""
+    def boom(*args, **kwargs):
+        raise AssertionError("per-cell helper called")
+
+    rng = np.random.default_rng(10)
+    px, py = rng.uniform(0, 5000, 100), rng.uniform(0, 5000, 100)
+    qx, qy = rng.uniform(-500, 5500, 400), rng.uniform(-500, 5500, 400)
+    idx = GridIndex(px, py, cell_size=300.0)
+    monkeypatch.setattr(GridIndex, "_bucket", boom)
+    monkeypatch.setattr(GridIndex, "_ring_indices", boom)
+    d, i = idx.nearest(qx, qy)
+    exp_d, exp_i = _bruteforce_nearest(px, py, qx, qy)
+    assert np.array_equal(d, exp_d) and np.array_equal(i, exp_i)
