@@ -103,8 +103,9 @@ class GridIndex:
     def nearest(self, qx: np.ndarray, qy: np.ndarray, max_dist: float | None = None):
         """Exact 1-NN for each query point.
 
-        Returns (dist, index); misses (empty index / beyond max_dist)
-        get (inf, -1).  Exact ties go to the lowest point index.
+        Returns (dist, index); misses (empty index / beyond max_dist /
+        NaN or infinite query coordinates) get (inf, -1).  Exact ties
+        go to the lowest point index.
 
         Queries are grouped by cell and every still-open cell advances
         together, one vectorized pass at a time.  A pass gathers every
@@ -124,6 +125,12 @@ class GridIndex:
         best_d = np.full(n, np.inf)
         best_i = np.full(n, -1, dtype=np.int64)
         if len(self.x) == 0 or n == 0:
+            return best_d, best_i
+        ok = np.isfinite(qx) & np.isfinite(qy)
+        if not ok.all():
+            # a query without coordinates (a document with no geom span
+            # decodes to NaN) has no cell: it stays a miss
+            best_d[ok], best_i[ok] = self.nearest(qx[ok], qy[ok], max_dist)
             return best_d, best_i
         qix = np.floor(qx / self.cs).astype(np.int64)
         qiy = np.floor(qy / self.cs).astype(np.int64)

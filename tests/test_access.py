@@ -262,6 +262,38 @@ def test_grid_index_nearest_small_inputs():
     exp_d, exp_i = _bruteforce_nearest(px, py, np.array([2500.0]),
                                        np.array([-700.0]))
     assert np.array_equal(d, exp_d) and np.array_equal(i, exp_i)
+    # a query without coordinates (no geom span decodes to NaN) is a
+    # miss, alone or mixed into a batch, with or without max_dist
+    idx = GridIndex(px, py, cell_size=30.0)
+    for md in (None, 500.0):
+        d, i = idx.nearest(np.array([np.nan, np.nan]),
+                           np.array([np.nan, 5.0]), max_dist=md)
+        assert np.isinf(d).all() and (i == -1).all()
+        qx = np.array([px[3], np.nan, 200.0, np.inf])
+        qy = np.array([py[3], 300.0, np.nan, 10.0])
+        d, i = idx.nearest(qx, qy, max_dist=md)
+        exp_d, exp_i = _bruteforce_nearest(px, py, qx[:1], qy[:1], md)
+        assert d[0] == exp_d[0] and i[0] == exp_i[0]
+        assert np.isinf(d[1:]).all() and (i[1:] == -1).all()
+
+
+def test_nearest_greenspace_poi_without_geom_is_a_miss():
+    """A PoI with no geom span (NaN x/y) gets the miss row
+    (target distance, False, -1), not an error for the whole batch."""
+    from greenex_py_ray.stages.access import NearestGreenspace
+
+    centroids = pa.table({"gs_id": pa.array([7, 8], pa.int64()),
+                          "cx": [100.0, 900.0], "cy": [100.0, 900.0]})
+    poi = pa.table({"doc_id": ["a", "b", "c"],
+                    "x": [110.0, np.nan, 5000.0],
+                    "y": [100.0, np.nan, 5000.0]})
+    out = NearestGreenspace(centroids, 300.0)(poi)
+    assert out.column("distance_to_greenspace").to_pylist() == [10.0, 300.0,
+                                                                300.0]
+    assert out.column("greenspace_within_target").to_pylist() == [True,
+                                                                   False,
+                                                                   False]
+    assert out.column("nearest_gs_id").to_pylist() == [7, -1, 8]
 
 
 @pytest.mark.parametrize("max_dist", [0.0, 40.0, 333.3, 2500.0])
