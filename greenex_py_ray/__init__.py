@@ -12,7 +12,7 @@ Layout:
   sources/               — documents (spans) reader/decoder, synthetic world,
                            driver-testdata adapters
   stages/                — map_batches stage bodies (zonal, access, text, dedup…)
-  state/                 — per-actor state (tile cache, grid indexes, graphs)
+  state/                 — kernel state (mmapped tile store, grid indexes, graphs)
   pipelines/             — end-to-end pipelines mirroring the reference API
   functions/             — scalar helpers
 """

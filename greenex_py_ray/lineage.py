@@ -36,12 +36,20 @@ from .functions.exchange import bucket_exchange
 
 
 def _checksum(tbl: pa.Table) -> int:
-    """Order-insensitive value checksum: xor of crc32 per serialized row
-    batch sorted by first column."""
+    """Order-free value checksum: crc32 of the table's IPC stream with
+    its rows in one canonical order — by the first column, and rows that
+    share a first-column value by the crc32 of their own values, so
+    duplicate keys in any order give one checksum."""
     if tbl.num_rows == 0:
         return 0
-    order = pa.compute.sort_indices(tbl.column(0))
-    tbl = tbl.take(order)
+    key = tbl.column(0).combine_chunks()
+    codes = pc.fill_null(pc.dictionary_encode(key).indices, -1).to_numpy() + 1
+    tie = np.zeros(tbl.num_rows, dtype=np.int64)
+    for i in np.flatnonzero(np.bincount(codes)[codes] > 1):
+        tie[i] = zlib.crc32(repr(tbl.slice(i, 1).to_pylist()).encode())
+    order = pc.sort_indices(pa.table({"key": key, "tie": tie}),
+                            sort_keys=[("key", "ascending"), ("tie", "ascending")])
+    tbl = tbl.take(order).combine_chunks()
     sink = pa.BufferOutputStream()
     with pa.ipc.new_stream(sink, tbl.schema) as w:
         w.write_table(tbl)

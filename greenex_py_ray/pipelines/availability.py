@@ -40,7 +40,7 @@ def mean_ndvi_stage(tile_root: str, radius: float, key_col: str = "doc_id",
     """(key,x,y) → (key, mean_NDVI, std_NDVI); semantics of
     availability.py:289 (clamp ≥0, population std, round 3).  One task
     stage (``ZonalStatsLocal``), no shuffle: each disk's aggregation is
-    local to the worker's cached kernel and its tile cache."""
+    local to the worker's cached kernel and its tile store."""
     return KernelStage(
         zonal.ZonalStatsLocal,
         dict(tile_root=tile_root, band="ndvi", radius=radius, key_col=key_col),

@@ -5446,7 +5446,7 @@ def q_orders_by_nation(sf_dir: str):
 def q_slope_gradient(sf_dir: str):
     """Raster derivative (stages/terrain.point_gradient): 3x3
     central-difference gradient at each doc's center pixel through the
-    actor-pool tile LRU; NULLs at the stored extent's edge."""
+    actor-pool tile store; NULLs at the stored extent's edge."""
     from ..stages.terrain import point_gradient
 
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE)

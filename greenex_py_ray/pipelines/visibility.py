@@ -42,7 +42,7 @@ def viewshed_stage(
     (``per_point=True``: the scored sample points (key, sp_x, sp_y,
     GVI)); see :class:`~greenex_py_ray.stages.visibility.ViewshedPoI`.
     One task stage, no shuffle: sampling, scoring and the rollup run in
-    the worker's cached kernel, whose edge index and tile cache outlive
+    the worker's cached kernel, whose edge index and tile store outlive
     the call (the kwargs are paths, so the cache key repeats).
 
     ``poi_kind='polygon'`` expects ``key, ring_x, ring_y, ring_sizes``

@@ -173,8 +173,6 @@ def write_raster_tiles(out_dir: str, bands=BANDS, extent: float = WORLD) -> str:
                 "data": pa.array(rows["data"], pa.binary()),
             }
         )
-        # small row groups → tile-granular predicate pushdown for the
-        # per-actor tile cache (state/tiles.py)
         pq.write_table(t, os.path.join(out_dir, f"tiles_{band}.parquet"), row_group_size=4)
     return out_dir
 

@@ -38,11 +38,10 @@ class FocalTileStats:
     neighbors (NaN fill excluded), matching the oracle's inner join.
     """
 
-    def __init__(self, tile_root: str, band: str = "ndvi",
-                 cache_tiles: int = 64):
+    def __init__(self, tile_root: str, band: str = "ndvi"):
         from ..sources import synth
 
-        self.store = TileStore(tile_root, capacity=cache_tiles)
+        self.store = TileStore(tile_root)
         self.band = band
         self.px = synth.TILE_PX
 
@@ -111,11 +110,10 @@ class DownsampleTile:
     just lower ``n_in``; fully-empty output pixels are not emitted.
     """
 
-    def __init__(self, tile_root: str, band: str = "ndvi",
-                 cache_tiles: int = 64):
+    def __init__(self, tile_root: str, band: str = "ndvi"):
         from ..sources import synth
 
-        self.store = TileStore(tile_root, capacity=cache_tiles)
+        self.store = TileStore(tile_root)
         self.band = band
         self.px = synth.TILE_PX
 
@@ -182,10 +180,10 @@ class ContourCells:
     """
 
     def __init__(self, tile_root: str, band: str = "ndvi",
-                 threshold: float = 0.3, cache_tiles: int = 64):
+                 threshold: float = 0.3):
         from ..sources import synth
 
-        self.store = TileStore(tile_root, capacity=cache_tiles)
+        self.store = TileStore(tile_root)
         self.band = band
         self.thr = float(threshold)
         self.px = synth.TILE_PX

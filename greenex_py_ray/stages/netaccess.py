@@ -229,7 +229,7 @@ class _IsochroneAoI:
 class IsochroneZonal(_IsochroneAoI):
     """map_batches actor: per-PoI isochrone AoI + zonal band stats.
 
-    One actor = graph + tile cache; per row: Dijkstra ego subgraph →
+    One actor = graph + tile store; per row: Dijkstra ego subgraph →
     capsule mask over the covering pixel window → hole fill → clamped
     mean/std (availability.py:289 semantics).  Emits final metrics
     directly (the AoI never leaves the actor — no polygon shuffle).
@@ -241,7 +241,7 @@ class IsochroneZonal(_IsochroneAoI):
                  mean_name: str = "mean_NDVI", std_name: str = "std_NDVI"):
         super().__init__(nodes_ref, edges_ref, buffer_dist,
                          edge_buff=edge_buff, key_col=key_col)
-        self.store = TileStore(tile_root, capacity=256)
+        self.store = TileStore(tile_root)
         self.band = band
         self.mean_name = mean_name
         self.std_name = std_name
@@ -293,7 +293,7 @@ class IsochroneLandcover(_IsochroneAoI):
                  key_col: str = "doc_id", stringify: bool = False):
         super().__init__(nodes_ref, edges_ref, buffer_dist,
                          edge_buff=edge_buff, key_col=key_col)
-        self.store = TileStore(tile_root, capacity=256)
+        self.store = TileStore(tile_root)
         self.band = band
         self.classes = sorted(classmap)
         self.names = [classmap[c] for c in self.classes]

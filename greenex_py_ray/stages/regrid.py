@@ -7,7 +7,7 @@ output tile), and an actor-pool stage samples each output tile's pixel
 centers from the SOURCE tile store after inverse-projecting them through
 :mod:`greenex_py_ray.geoproj` — nearest-neighbor resampling
 (``Resampling.nearest``, the reference default).  No global raster is
-ever materialized; each actor holds an LRU source-tile cache.
+ever materialized; each actor reads the memory-mapped source tiles.
 
 Output rows carry the same (band, tix, tiy, x0, y0, res, w, h, data)
 schema as :func:`greenex_py_ray.sources.synth.write_raster_tiles`, so
@@ -60,8 +60,8 @@ class RegridTiles:
     NaN (float bands) / ``fill_int`` (int bands)."""
 
     def __init__(self, src_root: str, src_crs: str, dst_crs: str,
-                 band: str, cache_tiles: int = 256, fill_int: int = -1):
-        self.store = TileStore(src_root, capacity=cache_tiles)
+                 band: str, fill_int: int = -1):
+        self.store = TileStore(src_root)
         self.src_crs = src_crs
         self.dst_crs = dst_crs
         self.band = band

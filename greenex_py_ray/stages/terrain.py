@@ -36,9 +36,8 @@ class PointGradient:
     nano-units; NULL when any of the 4 neighbor pixels is missing)."""
 
     def __init__(self, tile_root: str, band: str = "ndvi",
-                 res: float = 10.0, cache_tiles: int = 256,
-                 x_col: str = "x", y_col: str = "y"):
-        self.store = TileStore(tile_root, capacity=cache_tiles)
+                 res: float = 10.0, x_col: str = "x", y_col: str = "y"):
+        self.store = TileStore(tile_root)
         self.band = band
         self.res = float(res)
         self.x_col, self.y_col = x_col, y_col
@@ -163,9 +162,8 @@ class D8FlowDirection:
     neighbors (or the center) is outside the stored extent."""
 
     def __init__(self, tile_root: str, band: str = "ndvi",
-                 res: float = 10.0, cache_tiles: int = 256,
-                 x_col: str = "x", y_col: str = "y"):
-        self.store = TileStore(tile_root, capacity=cache_tiles)
+                 res: float = 10.0, x_col: str = "x", y_col: str = "y"):
+        self.store = TileStore(tile_root)
         self.band = band
         self.res = float(res)
         self.x_col, self.y_col = x_col, y_col

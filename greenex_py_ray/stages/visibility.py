@@ -3,8 +3,8 @@
 Viewshed path (``GreenExp/visibility.py:50-293``), one kernel
 (``ViewshedPoI``) per batch of PoI rows:
   poi → sample points on road edges within buffer (M19, :568-589)
-      → ViewshedGVI per sample point (M21/M22 kernel with DSM/DTM/green
-        tile cache; the lineOfSight argument swap is replicated — see
+      → ViewshedGVI per sample point (M21/M22 kernel over the DSM/DTM/green
+        tile store; the lineOfSight argument swap is replicated — see
         state/viewshed.py) → per-PoI mean/count rollup (:564), one row
         per PoI row in input order.
 
@@ -461,19 +461,19 @@ class ViewshedGVI:
     """GVI per sample point.
 
     Kernel + rays precomputed in ``__init__``; DSM/DTM/green fetched as
-    stitched windows from the tile cache.  Appends ``GVI`` to each
+    stitched windows from the tile store.  Appends ``GVI`` to each
     sample-point row (key, sp_x, sp_y)."""
 
     def __init__(self, tile_root: str, viewing_dist: float,
                  observer_height: float = 1.7, key_col: str = "doc_id",
-                 replicate_arg_swap: bool = True, cache_tiles: int = 256):
+                 replicate_arg_swap: bool = True):
         res = synth.RASTER_RES
         self.kernel = ViewshedKernel(
             radius_px=int(viewing_dist // res), resolution=res,
             observer_height=observer_height,
             replicate_arg_swap=replicate_arg_swap,
         )
-        self.store = TileStore(tile_root, capacity=cache_tiles)
+        self.store = TileStore(tile_root)
         self.key_col = key_col
         self.res = res
 

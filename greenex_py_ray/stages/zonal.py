@@ -9,12 +9,13 @@
   (`availability.py:553-560, 1068-1082`).
 
 Disk AoIs run fused (``ZonalStatsLocal`` / ``LandcoverLocal``): each
-actor keeps a tile cache plus per-tile row-cumsum tables, and a point's
-whole disk reduces inside the actor — one output row per input row, no
-shuffle.  Polygon AoIs and the zonal majority run partial + final::
+point's whole disk reduces to chord sums over the tile store's
+memory-mapped row-cumsum planes (``state/tiles.py``) inside one task —
+one output row per input row, no shuffle.  Polygon AoIs and the zonal
+majority run partial + final::
 
     poi ── map_batches(cover)            # 1 row per (poi, touched tile)
-        ── map_batches(*Partial)         # per-actor LRU tile cache → partial Σ,Σ²,n / counts
+        ── map_batches(*Partial)         # memory-mapped tiles → partial Σ,Σ²,n / counts
         ── groupby(key).aggregate(Sum…)  # small shuffle over partials, not pixels
         ── map_batches(finish)           # mean/std/percentage + rounding
 
@@ -34,33 +35,47 @@ from ..state.tiles import TileStore
 TILE_KEY_STRIDE = 1 << 20
 
 
+def _tile_cover_flat(x: np.ndarray, y: np.ndarray, r: float):
+    """Flat (point-index, tile-key) cover expansion for disks —
+    vectorized repeat/cumsum, no per-point Python loop."""
+    ts = synth.TILE_SIZE
+    ix0 = np.floor((x - r) / ts).astype(np.int64)
+    ix1 = np.floor((x + r) / ts).astype(np.int64)
+    iy0 = np.floor((y - r) / ts).astype(np.int64)
+    iy1 = np.floor((y + r) / ts).astype(np.int64)
+    counts = (ix1 - ix0 + 1) * (iy1 - iy0 + 1)
+    idx = np.repeat(np.arange(len(x)), counts)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    local = np.arange(int(counts.sum())) - np.repeat(starts, counts)
+    ny = np.repeat(iy1 - iy0 + 1, counts)
+    dxs = local // ny
+    dys = local - dxs * ny
+    tkx = np.repeat(ix0, counts) + dxs
+    tky = np.repeat(iy0, counts) + dys
+    return idx, tkx * TILE_KEY_STRIDE + tky
+
+
+def _tile_groups(idx: np.ndarray, tkey: np.ndarray):
+    """``(rows, tix, tiy)`` per distinct tile key, ``rows`` being the
+    ``idx`` entries of that key's pairs in their original order."""
+    order = np.argsort(tkey, kind="stable")
+    uniq, starts = np.unique(tkey[order], return_index=True)
+    for tk, sel in zip(uniq.tolist(), np.split(order, starts[1:])):
+        yield idx[sel], tk // TILE_KEY_STRIDE, tk % TILE_KEY_STRIDE
+
+
 def tile_cover_batch(batch: pa.Table, radius: float, key_col: str) -> pa.Table:
     """Flat-map: one output row per (input row, raster tile overlapped by
     the disk bbox).  Output: key, x, y, tile_key (tix*2^20+tiy)."""
     x = batch.column("x").to_numpy(zero_copy_only=False)
     y = batch.column("y").to_numpy(zero_copy_only=False)
-    keys = batch.column(key_col)
-    ts = synth.TILE_SIZE
-    ix0 = np.floor((x - radius) / ts).astype(np.int64)
-    ix1 = np.floor((x + radius) / ts).astype(np.int64)
-    iy0 = np.floor((y - radius) / ts).astype(np.int64)
-    iy1 = np.floor((y + radius) / ts).astype(np.int64)
-    counts = (ix1 - ix0 + 1) * (iy1 - iy0 + 1)
-    total = int(counts.sum())
-    idx = np.repeat(np.arange(len(x), dtype=np.int64), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    local = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    ny = np.repeat(iy1 - iy0 + 1, counts)
-    dx = local // ny
-    dy = local - dx * ny
-    tix = np.repeat(ix0, counts) + dx
-    tiy = np.repeat(iy0, counts) + dy
+    idx, tkey = _tile_cover_flat(x, y, radius)
     return pa.table(
         {
-            key_col: keys.take(pa.array(idx)),
+            key_col: batch.column(key_col).take(pa.array(idx)),
             "x": pa.array(x[idx]),
             "y": pa.array(y[idx]),
-            "tile_key": pa.array(tix * TILE_KEY_STRIDE + tiy),
+            "tile_key": pa.array(tkey),
         }
     )
 
@@ -72,45 +87,6 @@ class TileCover:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         return tile_cover_batch(batch, self.radius, self.key_col)
-
-
-def _pixel_disk_values(store: TileStore, band: str, tix: int, tiy: int,
-                       x: np.ndarray, y: np.ndarray, radius: float):
-    """For each point, values of tile pixels whose centers lie within the
-    disk.  Returns (point_local_index, values) flattened arrays.
-
-    Pixel-center math mirrors the SQL oracle exactly:
-    center = global_pixel_index * res + res/2 (all float64-exact)."""
-    arr = store.get(band, tix, tiy)
-    if arr is None:  # tile outside the raster extent → contributes nothing
-        return np.empty(0, np.int64), np.empty(0)
-    h, w = arr.shape
-    res = synth.RASTER_RES
-    x0 = tix * synth.TILE_SIZE
-    y0 = tiy * synth.TILE_SIZE
-    out_idx = []
-    out_vals = []
-    r2 = radius * radius
-    for i in range(len(x)):
-        c0 = max(int(np.floor((x[i] - radius - x0) / res)), 0)
-        c1 = min(int(np.floor((x[i] + radius - x0) / res)), w - 1)
-        r0 = max(int(np.floor((y[i] - radius - y0) / res)), 0)
-        r1 = min(int(np.floor((y[i] + radius - y0) / res)), h - 1)
-        if c1 < c0 or r1 < r0:
-            continue
-        px = x0 + (np.arange(c0, c1 + 1, dtype=np.float64) + 0.5) * res
-        py = y0 + (np.arange(r0, r1 + 1, dtype=np.float64) + 0.5) * res
-        dx2 = (px - x[i]) * (px - x[i])
-        dy2 = (py - y[i]) * (py - y[i])
-        mask = dy2[:, None] + dx2[None, :] <= r2
-        if not mask.any():
-            continue
-        vals = arr[r0 : r1 + 1, c0 : c1 + 1][mask]
-        out_idx.append(np.full(vals.size, i, dtype=np.int64))
-        out_vals.append(vals)
-    if not out_idx:
-        return np.empty(0, np.int64), np.empty(0)
-    return np.concatenate(out_idx), np.concatenate(out_vals)
 
 
 def finish_mean_std(batch: pa.Table, key_col: str = "doc_id",
@@ -131,53 +107,6 @@ def finish_mean_std(batch: pa.Table, key_col: str = "doc_id",
             std_name: pa.array(np.round(std, 3)),
         }
     )
-
-
-class LandcoverPartial:
-    """Per-(key, tile) class-count partials for landcover percentages.
-
-    Emits one count column per class in ``classmap`` plus a total; the
-    final stage computes ``count/total*100`` rounded to 3
-    (availability.py:1068-1082).  ``classmap`` is a small broadcast dict
-    {class_value: column_name} passed by value to each actor.
-    """
-
-    def __init__(self, tile_root: str, radius: float, classmap: dict[int, str],
-                 key_col: str = "doc_id", band: str = "lulc", cache_tiles: int = 256):
-        self.store = TileStore(tile_root, capacity=cache_tiles)
-        self.band = band
-        self.radius = radius
-        self.key_col = key_col
-        self.classes = sorted(classmap)
-        self.names = [classmap[c] for c in self.classes]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        x = batch.column("x").to_numpy(zero_copy_only=False)
-        y = batch.column("y").to_numpy(zero_copy_only=False)
-        tk = batch.column("tile_key").to_numpy(zero_copy_only=False)
-        n = len(x)
-        counts = np.zeros((n, len(self.classes)), dtype=np.int64)
-        total = np.zeros(n, dtype=np.int64)
-        cls_arr = np.asarray(self.classes)
-        for tile in np.unique(tk):
-            sel = np.flatnonzero(tk == tile)
-            tix = int(tile) // TILE_KEY_STRIDE
-            tiy = int(tile) - tix * TILE_KEY_STRIDE
-            li, vals = _pixel_disk_values(
-                self.store, self.band, tix, tiy, x[sel], y[sel], self.radius
-            )
-            if len(vals) == 0:
-                continue
-            rows = sel[li]
-            np.add.at(total, rows, 1)
-            pos = np.searchsorted(cls_arr, vals)
-            ok = (pos < len(cls_arr)) & (cls_arr[np.minimum(pos, len(cls_arr) - 1)] == vals)
-            np.add.at(counts, (rows[ok], pos[ok]), 1)
-        cols = {self.key_col: batch.column(self.key_col)}
-        for j, name in enumerate(self.names):
-            cols[f"cnt_{name}"] = pa.array(counts[:, j])
-        cols["cnt_total"] = pa.array(total)
-        return pa.table(cols)
 
 
 def finish_landcover(batch: pa.Table, names: list[str], key_col: str = "doc_id",
@@ -248,9 +177,8 @@ class PolygonZonalPartial:
     availability.py:235-237) at pixel resolution."""
 
     def __init__(self, tile_root: str, band: str, key_col: str = "doc_id",
-                 clamp_min: float | None = 0.0, cache_tiles: int = 256,
-                 dilate: float = 0.0):
-        self.store = TileStore(tile_root, capacity=cache_tiles)
+                 clamp_min: float | None = 0.0, dilate: float = 0.0):
+        self.store = TileStore(tile_root)
         self.band = band
         self.key_col = key_col
         self.clamp_min = clamp_min
@@ -325,10 +253,9 @@ class PolygonLandcoverPartial(PolygonZonalPartial):
     the buffered form); sums feed :func:`finish_landcover`."""
 
     def __init__(self, tile_root: str, classmap: dict[int, str],
-                 key_col: str = "doc_id", band: str = "lulc",
-                 cache_tiles: int = 256, dilate: float = 0.0):
+                 key_col: str = "doc_id", band: str = "lulc", dilate: float = 0.0):
         super().__init__(tile_root, band, key_col=key_col, clamp_min=None,
-                         cache_tiles=cache_tiles, dilate=dilate)
+                         dilate=dilate)
         self.classes = sorted(classmap)
         self.names = [classmap[c] for c in self.classes]
 
@@ -444,84 +371,34 @@ def _disk_chords(x: np.ndarray, y: np.ndarray, r: float, x0: float, y0: float,
     return rows_c, lo, hi, use
 
 
-def _tile_cover_flat(x: np.ndarray, y: np.ndarray, r: float):
-    """Flat (point-index, tile-key) cover expansion for disks —
-    vectorized repeat/cumsum, no per-point Python loop."""
-    ts = synth.TILE_SIZE
-    ix0 = np.floor((x - r) / ts).astype(np.int64)
-    ix1 = np.floor((x + r) / ts).astype(np.int64)
-    iy0 = np.floor((y - r) / ts).astype(np.int64)
-    iy1 = np.floor((y + r) / ts).astype(np.int64)
-    counts = (ix1 - ix0 + 1) * (iy1 - iy0 + 1)
-    idx = np.repeat(np.arange(len(x)), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    local = np.arange(int(counts.sum())) - np.repeat(starts, counts)
-    ny = np.repeat(iy1 - iy0 + 1, counts)
-    dxs = local // ny
-    dys = local - dxs * ny
-    tkx = np.repeat(ix0, counts) + dxs
-    tky = np.repeat(iy0, counts) + dys
-    return idx, tkx * TILE_KEY_STRIDE + tky
-
-
 class ZonalStatsLocal:
     """Fused zonal stage: poi(key, x, y) batches → FINAL per-key
     mean/std, no shuffle.
 
     A disk AoI spans at most ceil(2r/TILE_SIZE+1)² tiles (≤4 for
-    r≤1280 m), so each row's full aggregation is local to the actor via
-    the tile cache — strictly cheaper than partial+groupby at every
+    r≤1280 m), so each row's full aggregation is local to the task via
+    the tile store — strictly cheaper than partial+groupby at every
     scale, including radii spanning many tiles.
 
-    Kernel: per-tile row-cumsum tables of (clamped value, value², count)
-    built once per actor; each point's disk reduces to per-row chord
-    segment sums.  Chord column bounds from sqrt are corrected by ±1
-    against the ORIGINAL inequality ``dx²+dy² ≤ r²`` so the included
+    Kernel: each point's disk reduces to per-row chord segment sums
+    over the store's row-cumsum planes of (clamped value, value²,
+    count) — ``TileStore.sat``, converted once per tile file.  Chord
+    column bounds from sqrt are corrected by ±1 against the ORIGINAL
+    inequality ``dx²+dy² ≤ r²`` so the included
     pixel set is bit-identical to the direct mask (and to the SQL
     oracle); only floating-point summation order differs.
     """
 
     def __init__(self, tile_root: str, band: str, radius: float,
                  key_col: str = "doc_id", clamp_min: float | None = 0.0,
-                 mean_name: str = "mean_NDVI", std_name: str = "std_NDVI",
-                 cache_tiles: int = 256):
-        self.store = TileStore(tile_root, capacity=cache_tiles)
+                 mean_name: str = "mean_NDVI", std_name: str = "std_NDVI"):
+        self.store = TileStore(tile_root)
         self.band = band
         self.radius = radius
         self.key_col = key_col
         self.clamp_min = clamp_min
         self.mean_name = mean_name
         self.std_name = std_name
-        self._sat: dict[tuple[int, int], tuple] = {}
-
-    def _tile_sat(self, tix: int, tiy: int):
-        """(row-cumsum of clamped vals, of vals², width) or None."""
-        key = (tix, tiy)
-        if key in self._sat:
-            return self._sat[key]
-        arr = self.store.get(self.band, tix, tiy)
-        if arr is None:
-            self._sat[key] = None
-            return None
-        v = np.maximum(arr, self.clamp_min) if self.clamp_min is not None else arr
-        # nodata (NaN) pixels contribute nothing — the reference's
-        # xarray mean/std skip NaN (skipna).  On the all-finite
-        # synthetic world fin is all-ones, so c1/c2/c0 and every chord
-        # segment are bit-identical to the unmasked form (gates green).
-        fin = np.isfinite(arr)
-        allfin = bool(fin.all())
-        if not allfin:
-            v = np.where(fin, v, 0.0)
-        c1 = np.cumsum(v, axis=1)
-        c2 = np.cumsum(v * v, axis=1)
-        # all-finite tiles (the common case) need no count table: the
-        # chord count is analytic (hi-lo+1), saving one int64 cumsum per
-        # tile and two gathers per point-tile pair
-        c0 = None if allfin else np.cumsum(fin, axis=1, dtype=np.int64)
-        self._sat[key] = (c1, c2, c0, arr.shape[0], arr.shape[1])
-        if len(self._sat) > 512:
-            self._sat.pop(next(iter(self._sat)))
-        return self._sat[key]
 
     def _disk_tile_sums_many(self, tix: int, tiy: int,
                              x: np.ndarray, y: np.ndarray):
@@ -530,21 +407,21 @@ class ZonalStatsLocal:
         2-D (points × candidate rows) — ~10 numpy calls per tile group
         regardless of point count."""
         m = len(x)
-        sat = self._tile_sat(tix, tiy)
+        sat = self.store.sat(self.band, tix, tiy, self.clamp_min)
         if sat is None:
             z = np.zeros(m)
             return z, z.copy(), np.zeros(m, dtype=np.int64)
-        c1, c2, c0, h, w = sat
+        c1, c2, c0 = sat
         rows_c, lo, hi, use = _disk_chords(
             x, y, self.radius, tix * synth.TILE_SIZE, tiy * synth.TILE_SIZE,
-            h, w)
-        lo1 = np.maximum(lo - 1, 0)
-        seg1 = c1[rows_c, hi] - np.where(lo > 0, c1[rows_c, lo1], 0.0)
-        seg2 = c2[rows_c, hi] - np.where(lo > 0, c2[rows_c, lo1], 0.0)
+            c1.shape[0], c1.shape[1] - 1)
+        hi1 = hi + 1
+        seg1 = c1[rows_c, hi1] - c1[rows_c, lo]
+        seg2 = c2[rows_c, hi1] - c2[rows_c, lo]
         if c0 is None:  # all-finite tile: count is the chord length
-            cnt = (hi - lo + 1) * use
+            cnt = (hi1 - lo) * use
         else:
-            cnt = (c0[rows_c, hi] - np.where(lo > 0, c0[rows_c, lo1], 0)) * use
+            cnt = (c0[rows_c, hi1] - c0[rows_c, lo]) * use
         return (
             np.where(use, seg1, 0.0).sum(axis=1),
             np.where(use, seg2, 0.0).sum(axis=1),
@@ -559,15 +436,7 @@ class ZonalStatsLocal:
         psumsq = np.zeros(n)
         pcount = np.zeros(n, dtype=np.int64)
         # flat cover expansion, then one vectorized kernel per tile
-        idx, tkey = _tile_cover_flat(x, y, self.radius)
-        order = np.argsort(tkey, kind="stable")
-        uniq, bounds_start = np.unique(tkey[order], return_index=True)
-        bounds = np.concatenate([bounds_start, [len(tkey)]])
-        for g, tk in enumerate(uniq):
-            sel = order[bounds[g] : bounds[g + 1]]
-            docs = idx[sel]
-            tx = int(tk) // TILE_KEY_STRIDE
-            ty = int(tk) - tx * TILE_KEY_STRIDE
+        for docs, tx, ty in _tile_groups(*_tile_cover_flat(x, y, self.radius)):
             s1, s2, cnt = self._disk_tile_sums_many(tx, ty, x[docs], y[docs])
             np.add.at(psum, docs, s1)
             np.add.at(psumsq, docs, s2)
@@ -587,41 +456,21 @@ class ZonalStatsLocal:
 
 class LandcoverLocal:
     """Fused landcover percentages (no shuffle), analog of
-    :class:`ZonalStatsLocal`: per-tile PER-CLASS row-cumsum tables built
-    once per actor, each point's disk reduced to chord segment count
-    differences — the same ~10-numpy-call-per-tile-group shape as the
-    NDVI SAT kernel (replaces the round-1 per-point, per-tile Python
-    loop that called the mask kernel with 1-point arrays)."""
+    :class:`ZonalStatsLocal`: over the store's PER-CLASS row-cumsum
+    planes (``TileStore.class_sat``), each point's disk reduced to chord
+    segment count differences — the same ~10-numpy-call-per-tile-group
+    shape as the NDVI SAT kernel."""
 
     def __init__(self, tile_root: str, radius: float, classmap: dict[int, str],
                  key_col: str = "doc_id", band: str = "lulc",
-                 stringify: bool = False, cache_tiles: int = 256):
-        self.store = TileStore(tile_root, capacity=cache_tiles)
+                 stringify: bool = False):
+        self.store = TileStore(tile_root)
         self.band = band
         self.radius = radius
         self.key_col = key_col
         self.classes = sorted(classmap)
         self.names = [classmap[c] for c in self.classes]
         self.stringify = stringify
-        self._sat: dict[tuple[int, int], tuple] = {}
-
-    def _tile_class_sat(self, tix: int, tiy: int):
-        """(row-cumsum of (arr == cls) per class, h, w) or None."""
-        key = (tix, tiy)
-        if key in self._sat:
-            return self._sat[key]
-        arr = self.store.get(self.band, tix, tiy)
-        if arr is None:
-            self._sat[key] = None
-            return None
-        cs = np.stack([
-            np.cumsum(arr == cls, axis=1, dtype=np.int32)
-            for cls in self.classes
-        ])
-        self._sat[key] = (cs, arr.shape[0], arr.shape[1])
-        if len(self._sat) > 512:
-            self._sat.pop(next(iter(self._sat)))
-        return self._sat[key]
 
     def _disk_tile_counts_many(self, tix: int, tiy: int,
                                x: np.ndarray, y: np.ndarray):
@@ -629,20 +478,18 @@ class LandcoverLocal:
         within one tile — vectorized over the tile's point group."""
         m = len(x)
         ncls = len(self.classes)
-        sat = self._tile_class_sat(tix, tiy)
-        if sat is None:
+        cs = self.store.class_sat(self.band, tix, tiy, self.classes)
+        if cs is None:
             return np.zeros((m, ncls), np.int64), np.zeros(m, np.int64)
-        cs, h, w = sat
         rows_c, lo, hi, use = _disk_chords(
             x, y, self.radius, tix * synth.TILE_SIZE, tiy * synth.TILE_SIZE,
-            h, w)
-        lo1 = np.maximum(lo - 1, 0)
-        lo_pos = lo > 0
+            cs.shape[1], cs.shape[2] - 1)
+        hi1 = hi + 1
         counts = np.empty((m, ncls), dtype=np.int64)
         for j in range(ncls):
-            seg = cs[j][rows_c, hi] - np.where(lo_pos, cs[j][rows_c, lo1], 0)
+            seg = cs[j][rows_c, hi1] - cs[j][rows_c, lo]
             counts[:, j] = np.where(use, seg, 0).sum(axis=1)
-        total = ((hi - lo + 1) * use).sum(axis=1).astype(np.int64)
+        total = ((hi1 - lo) * use).sum(axis=1).astype(np.int64)
         return counts, total
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -651,15 +498,7 @@ class LandcoverLocal:
         n = len(x)
         counts = np.zeros((n, len(self.classes)), dtype=np.int64)
         total = np.zeros(n, dtype=np.int64)
-        idx, tkey = _tile_cover_flat(x, y, self.radius)
-        order = np.argsort(tkey, kind="stable")
-        uniq, bounds_start = np.unique(tkey[order], return_index=True)
-        bounds = np.concatenate([bounds_start, [len(tkey)]])
-        for g, tk in enumerate(uniq):
-            sel = order[bounds[g] : bounds[g + 1]]
-            docs = idx[sel]
-            tx = int(tk) // TILE_KEY_STRIDE
-            ty = int(tk) - tx * TILE_KEY_STRIDE
+        for docs, tx, ty in _tile_groups(*_tile_cover_flat(x, y, self.radius)):
             c, t = self._disk_tile_counts_many(tx, ty, x[docs], y[docs])
             np.add.at(counts, docs, c)
             np.add.at(total, docs, t)
@@ -672,6 +511,30 @@ class LandcoverLocal:
                 cols[name] = pa.array([None if np.isnan(v) else f"{v!s}%" for v in pct])
             else:
                 cols[name] = pa.array(pct)
+        return pa.table(cols)
+
+
+class LandcoverPartial(LandcoverLocal):
+    """Per-(key, tile) class-count partials for landcover percentages:
+    each :func:`tile_cover_batch` row's disk counted on its own tile by
+    the :class:`LandcoverLocal` chord kernel.  Emits ``cnt_<name>`` per
+    class in ``classmap`` plus ``cnt_total``; :func:`finish_landcover`
+    computes ``count/total*100`` rounded to 3 (availability.py:1068-1082).
+    """
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        x = batch.column("x").to_numpy(zero_copy_only=False)
+        y = batch.column("y").to_numpy(zero_copy_only=False)
+        tk = batch.column("tile_key").to_numpy(zero_copy_only=False)
+        counts = np.zeros((len(x), len(self.classes)), dtype=np.int64)
+        total = np.zeros(len(x), dtype=np.int64)
+        for rows, tix, tiy in _tile_groups(np.arange(len(x)), tk):
+            counts[rows], total[rows] = self._disk_tile_counts_many(
+                tix, tiy, x[rows], y[rows])
+        cols = {self.key_col: batch.column(self.key_col)}
+        for j, name in enumerate(self.names):
+            cols[f"cnt_{name}"] = pa.array(counts[:, j])
+        cols["cnt_total"] = pa.array(total)
         return pa.table(cols)
 
 
@@ -691,9 +554,8 @@ class LineZonalLocal:
 
     def __init__(self, tile_root: str, band: str, buffer_dist: float,
                  key_col: str = "edge_id", clamp_min: float | None = 0.0,
-                 mean_name: str = "mean_NDVI", std_name: str = "std_NDVI",
-                 cache_tiles: int = 256):
-        self.store = TileStore(tile_root, capacity=cache_tiles)
+                 mean_name: str = "mean_NDVI", std_name: str = "std_NDVI"):
+        self.store = TileStore(tile_root)
         self.band = band
         self.d = float(buffer_dist)
         self.key_col = key_col
@@ -853,8 +715,8 @@ class ZonalMedianLocal:
     vectorized mask + partition."""
 
     def __init__(self, tile_root: str, band: str, radius: float,
-                 key_col: str = "doc_id", cache_tiles: int = 256):
-        self.store = TileStore(tile_root, capacity=cache_tiles)
+                 key_col: str = "doc_id"):
+        self.store = TileStore(tile_root)
         self.band = band
         self.radius = float(radius)
         self.key_col = key_col

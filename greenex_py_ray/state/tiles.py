@@ -1,58 +1,122 @@
-"""Per-kernel raster tile cache.
+"""Raster tile store: memory-mapped planes shared by every worker.
 
-The reference loads whole rasters into driver memory and clips per row
-(`/root/reference/GreenExp/availability.py:209-216`,
-`visibility.py:113-216`).  At 100 TB that is impossible; here raster
-data lives in a partitioned tile store (parquet, one row per 256×256
-tile, small row groups for predicate pushdown) and each kernel instance
-holds an LRU cache of decoded tiles.  Tiles are fetched lazily by
-``(band, tix, tiy)``; at most ``capacity`` of them stay decoded.
-A one-row-per-PoI kernel lives in its worker process's kernel cache
-(``functions/joins.py``) and keeps its tiles across calls on the same
-store; an actor stage's kernel lives as long as its actor.
+Bands are ingested as parquet, one row per tile (``tiles_<band>.parquet``
+from ``sources/synth`` or ``sources/geotiff``), the interchange format
+only.  The first lookup of a band converts its file, once per version,
+into uncompressed ``.npy`` planes that every later lookup, in any worker
+process on the node, slices as read-only memory maps: the node holds one
+page-cache copy of a band, not one decoded copy per worker, and no
+lookup reads parquet.
+
+The planes of ``<root>/tiles_<band>.parquet`` live in
+``<parent of root>/.<root name>.planes/<band>-<digest of the file's
+path, mtime and size>/`` — beside the root, not in it, because
+``functions/joins._freeze(root)`` keys kernel caches on its files:
+
+* ``index.npy`` — ``(N, 3)`` int64 rows ``tix, tiy, c0 slot``;
+* ``tiles.npy`` — the ``(N, H, W)`` tile stack in the band's dtype;
+* ``c0.npy`` — the finite mask's row-cumsum per tile with a NaN (at its
+  ``c0 slot``; all-finite tiles have ``-1``);
+* ``sat-<clamp>.npy`` / ``cls-<classes>.npy`` — ``(N, k, H, W+1)``
+  row-cumsums of the clamped value and its square / of each class mask,
+  written by the first :meth:`TileStore.sat` / ``class_sat`` lookup.
+
+Row-cumsum planes start with a zero column: the sum over columns
+``lo..hi`` of row ``r`` is ``c[r, hi + 1] - c[r, lo]``.  Each file is
+written under a per-directory lock, to a temporary name then renamed,
+so concurrent workers convert once.  A rewritten band file gets a new
+digest: it is converted afresh and its older planes are removed.
 """
 
 from __future__ import annotations
 
+import fcntl
+import hashlib
 import os
-from collections import OrderedDict
+import shutil
 
 import numpy as np
 import pyarrow.parquet as pq
+from numpy.lib.format import open_memmap
 
 from ..sources import synth
 
 
+class _Band:
+    """One version of one band file: its plane directory, slots and the
+    memory maps a store opened so far."""
+
+    def __init__(self, path: str, stamp: tuple):
+        self.path = path
+        parent, name = os.path.split(os.path.dirname(path))
+        band = os.path.basename(path)[len("tiles_"):-len(".parquet")]
+        digest = hashlib.sha1(repr((path,) + stamp).encode()).hexdigest()[:16]
+        self.dir = os.path.join(parent, f".{name}.planes", f"{band}-{digest}")
+        self.dtype = synth.BAND_DTYPE.get(band, np.float64)
+        self.maps: dict[str, np.ndarray] = {}
+        self.slots: dict[tuple[int, int], int] | None = None
+
+
 class TileStore:
-    """LRU-cached reader over the tile parquet store.
+    """Read-only lookups of tiles and row-cumsum planes under ``root``.
 
-    Thread-compatible within one worker (Ray runs one task at a time
-    per worker process and calls an actor serially).  ``capacity`` is
-    in tiles (~0.5 MB each).
-    """
+    ``hits``/``misses`` count lookups: the first lookup of a (plane,
+    band, tile) in this store is a miss, later ones are hits.
+    ``conversions`` counts the plane files this store converted."""
 
-    def __init__(self, root: str, capacity: int = 256):
+    def __init__(self, root: str):
         self.root = root
-        self.capacity = capacity
-        self._cache: OrderedDict[tuple[str, int, int], np.ndarray] = OrderedDict()
         self.hits = 0
         self.misses = 0
+        self.conversions = 0
+        self._seen: set[tuple] = set()
+        self._bands: dict[str, _Band] = {}
 
     def get(self, band: str, tix: int, tiy: int) -> "np.ndarray | None":
-        """Decoded tile, or None if the tile does not exist (AoIs crossing
-        the raster edge use only the intersecting part — the reference
-        warns and proceeds, availability.py:282-286)."""
-        key = (band, int(tix), int(tiy))
-        if key in self._cache:
-            self._cache.move_to_end(key)
-            self.hits += 1
-            return self._cache[key]
-        self.misses += 1
-        arr = self._read(band, tix, tiy)
-        self._cache[key] = arr
-        if len(self._cache) > self.capacity:
-            self._cache.popitem(last=False)
-        return arr
+        """Read-only tile view, or None if the tile does not exist (AoIs
+        crossing the raster edge use only the intersecting part — the
+        reference warns and proceeds, availability.py:282-286)."""
+        b, slot = self._lookup("tiles", band, tix, tiy)
+        return None if slot is None else self._plane(b, "tiles")[slot]
+
+    def sat(self, band: str, tix: int, tiy: int, clamp_min: float | None):
+        """``(c1, c2, c0)`` row-cumsum planes of one tile, or None: of
+        the value clamped below at ``clamp_min`` with NaN as 0, of its
+        square, and of the finite mask (None when the tile is all
+        finite: a chord's count is then its length)."""
+        b, slot = self._lookup(("sat", clamp_min), band, tix, tiy)
+        if slot is None:
+            return None
+
+        def fill(out):
+            for i, arr in enumerate(self._plane(b, "tiles")):
+                v = np.maximum(arr, clamp_min) if clamp_min is not None else arr
+                # nodata (NaN) pixels contribute nothing — the
+                # reference's xarray mean/std skip NaN (skipna)
+                fin = np.isfinite(arr)
+                if not fin.all():
+                    v = np.where(fin, v, 0.0)
+                out[i, 0, :, 1:] = np.cumsum(v, axis=1)
+                out[i, 1, :, 1:] = np.cumsum(v * v, axis=1)
+
+        sat = self._plane(b, f"sat-{clamp_min!r}", (np.float64, 2, fill))[slot]
+        c0slot = self._plane(b, "index")[slot, 2]
+        return sat[0], sat[1], None if c0slot < 0 else self._plane(b, "c0")[c0slot]
+
+    def class_sat(self, band: str, tix: int, tiy: int, classes: list) -> "np.ndarray | None":
+        """``(len(classes), H, W+1)`` row-cumsum planes of one tile's
+        ``tile == cls`` masks, or None."""
+        b, slot = self._lookup(("cls", tuple(classes)), band, tix, tiy)
+        if slot is None:
+            return None
+
+        def fill(out):
+            for i, arr in enumerate(self._plane(b, "tiles")):
+                for j, cls in enumerate(classes):
+                    out[i, j, :, 1:] = np.cumsum(arr == cls, axis=1, dtype=np.int32)
+
+        name = "cls-" + "_".join(str(c) for c in classes)
+        return self._plane(b, name, (np.int32, len(classes), fill))[slot]
 
     def window(self, band: str, row0: int, col0: int, h: int, w: int,
                fill=np.nan) -> np.ndarray:
@@ -62,11 +126,7 @@ class TileStore:
         dense raster (viewshed window, isochrone mask) without ever
         materializing the full raster (vs the reference loading whole
         rasters into driver RAM, visibility.py:113-216)."""
-        from ..sources import synth
-
         px = synth.TILE_PX
-        # unknown (ingested) bands store float64 (sources/geotiff.py)
-        dtype = synth.BAND_DTYPE.get(band, np.float64)
         # fast path: window fully inside one tile → zero-copy view
         if (row0 >= 0 and col0 >= 0 and row0 // px == (row0 + h - 1) // px
                 and col0 // px == (col0 + w - 1) // px):
@@ -75,7 +135,7 @@ class TileStore:
                 r0 = row0 - (row0 // px) * px
                 c0 = col0 - (col0 // px) * px
                 return arr[r0 : r0 + h, c0 : c0 + w]
-        out = np.full((h, w), fill, dtype=np.float64 if dtype != np.int16 else np.float64)
+        out = np.full((h, w), fill, dtype=np.float64)
         t0r, t1r = row0 // px, (row0 + h - 1) // px
         t0c, t1c = col0 // px, (col0 + w - 1) // px
         for tiy in range(t0r, t1r + 1):
@@ -94,17 +154,89 @@ class TileStore:
                 ]
         return out
 
-    def _read(self, band: str, tix: int, tiy: int) -> np.ndarray:
-        path = os.path.join(self.root, f"tiles_{band}.parquet")
-        t = pq.read_table(
-            path,
-            columns=["w", "h", "data"],
-            filters=[("tix", "=", int(tix)), ("tiy", "=", int(tiy))],
-        )
-        if t.num_rows == 0:
-            return None
-        w = t.column("w")[0].as_py()
-        h = t.column("h")[0].as_py()
-        buf = t.column("data")[0].as_py()
-        dtype = synth.BAND_DTYPE.get(band, np.float64)
-        return np.frombuffer(buf, dtype=dtype).reshape(h, w)
+    def _lookup(self, plane, band: str, tix: int, tiy: int):
+        """The band's open planes and the tile's slot (None if absent);
+        counts the lookup."""
+        b = self._bands.get(band)
+        if b is None:
+            path = os.path.abspath(os.path.join(self.root, f"tiles_{band}.parquet"))
+            st = os.stat(path)
+            b = self._bands[band] = _Band(path, (st.st_mtime_ns, st.st_size))
+        if b.slots is None:
+            b.slots = {}
+            for i, key in enumerate(map(tuple, self._plane(b, "index")[:, :2].tolist())):
+                b.slots.setdefault(key, i)  # first row wins
+        key = (plane, band, int(tix), int(tiy))
+        if key in self._seen:
+            self.hits += 1
+        else:
+            self._seen.add(key)
+            self.misses += 1
+        return b, b.slots.get(key[2:])
+
+    def _plane(self, b: _Band, name: str, spec=None) -> np.ndarray:
+        """The memory map of plane ``name``, converted first if no worker
+        has.  ``spec`` is None for the planes :func:`_convert` writes,
+        else ``(dtype, k, fill)``: ``fill(out)`` computes an
+        ``(N, k, H, W+1)`` plane from the tiles."""
+        arr = b.maps.get(name)
+        if arr is not None:
+            return arr
+        path = os.path.join(b.dir, f"{name}.npy")
+        if not os.path.exists(path):
+            os.makedirs(b.dir, exist_ok=True)
+            with open(os.path.join(b.dir, ".lock"), "w") as lock:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+                if not os.path.exists(path):
+                    if spec is None:
+                        _convert(b)
+                    else:
+                        n, h, w = self._plane(b, "tiles").shape
+                        _write(path, spec[0], (n, spec[1], h, w + 1), spec[2])
+                    self.conversions += 1
+        arr = b.maps[name] = np.load(path, mmap_mode="r").view(np.ndarray)
+        return arr
+
+
+def _write(path: str, dtype, shape: tuple, fill) -> None:
+    """Write the ``.npy`` that ``fill(out)`` computes into a zeroed
+    ``out`` at ``path``: to a temporary file, then ``os.replace``."""
+    out = open_memmap(path + ".tmp", mode="w+", dtype=dtype, shape=shape)
+    fill(out)
+    out.flush()
+    del out
+    os.replace(path + ".tmp", path)
+
+
+def _convert(b: _Band) -> None:
+    """Band file → ``tiles``, ``c0`` and, last (its presence marks a
+    finished conversion), ``index``; then drop the band's older planes."""
+    t = pq.read_table(b.path, columns=["tix", "tiy", "h", "w", "data"])
+    shapes = set(zip(t.column("h").to_pylist(), t.column("w").to_pylist()))
+    if len(shapes) > 1:
+        raise ValueError(f"{b.path}: tiles of more than one shape {sorted(shapes)}")
+    h, w = shapes.pop() if shapes else (0, 0)
+    index = np.full((t.num_rows, 3), -1, dtype=np.int64)
+    index[:, 0] = t.column("tix").to_numpy()
+    index[:, 1] = t.column("tiy").to_numpy()
+    nonfinite = []
+
+    def fill_tiles(out):
+        for i, buf in enumerate(t.column("data").to_pylist()):
+            out[i] = arr = np.frombuffer(buf, dtype=b.dtype).reshape(h, w)
+            if not np.isfinite(arr).all():
+                index[i, 2] = len(nonfinite)
+                nonfinite.append(arr)
+
+    def fill_c0(out):
+        for i, arr in enumerate(nonfinite):
+            out[i, :, 1:] = np.cumsum(np.isfinite(arr), axis=1, dtype=np.int64)
+
+    _write(os.path.join(b.dir, "tiles.npy"), b.dtype, (len(index), h, w), fill_tiles)
+    _write(os.path.join(b.dir, "c0.npy"), np.int64, (len(nonfinite), h, w + 1), fill_c0)
+    _write(os.path.join(b.dir, "index.npy"), np.int64, index.shape,
+           lambda out: np.copyto(out, index))
+    parent, mine = os.path.split(b.dir)
+    for d in os.listdir(parent):
+        if d != mine and d.rsplit("-", 1)[0] == mine.rsplit("-", 1)[0]:
+            shutil.rmtree(os.path.join(parent, d), ignore_errors=True)

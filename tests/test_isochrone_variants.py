@@ -65,7 +65,7 @@ def test_isochrone_landcover_single_edge_oracle(world, ray_session):
     # oracle: capsule mask + per-class pixel counts straight off the
     # tile store
     r0, c0, mask = _capsule_mask(ax, ay, bx, by)
-    store = TileStore(world["tiles"], capacity=16)
+    store = TileStore(world["tiles"])
     vals = store.window("lulc", r0, c0, *mask.shape)[mask]
     vals = vals[np.isfinite(vals)]
     for cls in sorted(classmap):

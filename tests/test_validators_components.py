@@ -212,6 +212,30 @@ def test_partition_checksum_order_free_and_sensitive(ray_session):
     assert a.loc[diff, "cell"].iloc[0] == cell[5]
 
 
+def test_lineage_checksum_order_free_with_duplicate_keys():
+    """A partition's manifest checksum depends on its rows, not their
+    order: duplicate keys in two orders agree, while a changed value, a
+    doubled row or a moved span does not."""
+    from greenex_py_ray.lineage import _checksum
+
+    spans = [[{"kind": "geom", "text": "POINT(1 2)", "media_ref": "", "offset": 0},
+              {"kind": "text", "text": "park", "media_ref": "", "offset": 1}],
+             [], None, [{"kind": "text", "text": "tree", "media_ref": "", "offset": 0}]]
+    tbl = pa.table({"doc_id": ["d1", "d1", "d2", "d1"],
+                    "mean_NDVI": [0.5, None, 0.25, 0.75],
+                    "n": pa.array([1, 2, 3, None], pa.int32()),
+                    "spans": pa.array(spans, pa.list_(SPAN_TYPE))})
+    base = _checksum(tbl)
+    for order in ([3, 2, 1, 0], [1, 3, 0, 2]):
+        assert _checksum(tbl.take(pa.array(order))) == base
+    changed = tbl.set_column(1, "mean_NDVI", pa.array([0.5, None, 0.25, 0.5]))
+    doubled = tbl.take(pa.array([0, 0, 1, 2, 3]))
+    moved = tbl.set_column(3, "spans", pa.array(
+        [spans[0][::-1]] + spans[1:], pa.list_(SPAN_TYPE)))
+    assert len({base, _checksum(changed), _checksum(doubled),
+                _checksum(moved), _checksum(tbl.slice(0, 0))}) == 5
+
+
 def test_compact_text_spans_order_and_zero_docs(ray_session):
     from greenex_py_ray.stages.multimodal import compact_text_spans_batch
     from greenex_py_ray.stages.text import fingerprint64
