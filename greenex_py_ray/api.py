@@ -168,9 +168,11 @@ _WORLDCOVER_LEGEND = {
 def _tiles(src: str, band: str):
     """Raster side input: a tile-store dir, or a ``.tif`` ingested into
     one (cached under /tmp keyed by path+mtime).  Returns
-    ``(tile_dir, (shift_x, shift_y))`` — the translation into the tile
-    store's local frame, to be applied to the PoI coordinates (areas and
-    distances are translation-invariant)."""
+    ``(tile_dir, (shift_x, shift_y), info)``: the translation into the
+    tile store's local frame, to be applied to the PoI coordinates
+    (areas and distances are translation-invariant), and the ingest
+    record (``codes``, ``nodata_code``, ...; empty for a tile-store
+    dir)."""
     if not (isinstance(src, str) and src.lower().endswith((".tif", ".tiff"))):
         return src, (0.0, 0.0), {}
     import hashlib
@@ -218,42 +220,20 @@ def _tiles(src: str, band: str):
     return out, (float(info["shift_x"]), float(info["shift_y"])), info
 
 
-def _shift_xy(pts: "ray.data.Dataset", dx: float, dy: float):
-    """Translate the decoded coordinate columns (``x``/``y`` and, when
-    present, the ``ring_x``/``ring_y`` polygon columns) into the tile
-    store's local frame."""
-    if dx == 0.0 and dy == 0.0:
-        return pts
-
-    def add(b: "pa.Table") -> "pa.Table":
-        return doc_src.shift_coords(b, dx, dy, xcols=("x", "ring_x"),
-                                    ycols=("y", "ring_y"))
-
-    return pts.map_batches(add, batch_format="pyarrow")
-
-
 def _decoded(docs, decoder, columns: list[str]) -> "ray.data.Dataset":
     """Decoded PoI columns for the stages that are not one row per
-    document (polygon-AoI groupbys, visibility sampling)."""
+    document (visibility sampling, the written GeoPackage's geometry)."""
     return docs.map_batches(decoder, batch_format="pyarrow",
                             zero_copy_batch=True).select_columns(columns)
 
 
 _RING_COLS = ["doc_id", "ring_x", "ring_y", "ring_sizes"]
 
-#: schema of the streetview GVI rollup (``pipelines/visibility.py``)
-_GVI_FIELDS = {"GVI": pa.float64(), "nr_of_points": pa.int64()}
-
-
-def _attach(docs, metrics, fields: dict):
-    """Keyed many→one attach of per-PoI rollups (polygon-AoI groupbys,
-    streetview GVI) onto the documents.  ``fields`` (metric column →
-    Arrow type) is passed explicitly, so the lazy metrics pipeline is
-    never executed just to probe its schema.  One-row-per-PoI kernels go through
-    :func:`~greenex_py_ray.functions.joins.append_metrics` instead."""
-    return bucket_join_attach(
-        docs, metrics, key="doc_id",
-        right_fields=[pa.field(n, t) for n, t in fields.items()])
+#: schema of the streetview GVI rollup (``pipelines/visibility.py``),
+#: passed to the attach so the lazy rollup is never executed just to
+#: probe its schema
+_GVI_FIELDS = [pa.field("GVI", pa.float64()),
+               pa.field("nr_of_points", pa.int64())]
 
 
 #: OSM highway-class exclusions per network_type — the engine's analog
@@ -349,45 +329,18 @@ def _dissolve_units(gs: "pa.Table") -> "pa.Table":
         return gs
     if len(gs) > _DISSOLVE_DRIVER_MAX:
         return _dissolve_units_distributed(gs)
-    has_cen = ("centroid_x" in gs.column_names
-               and "centroid_y" in gs.column_names)
-    has_area = "area" in gs.column_names
     blobs = dissolve_polygons(_gs_polys(gs))
-    if has_cen and has_area and all(
-            len(m) == 1 for m in blobs["member_ids"]):
-        return gs
-    # stored gs_id/centroid/area of single-member (disjoint) rows are
-    # preserved, so adding an unrelated overlap elsewhere in the table
-    # never changes a disjoint row's answer; MERGED blobs get their
-    # exact union moments, and ABSENT columns are synthesized for every
-    # row from its blob (a singleton blob's moments ARE the row's) —
-    # always into fresh float64 arrays so integer-typed stored columns
-    # can't truncate union values
-    n = len(gs)
-    ids = gs.column("gs_id").to_numpy(zero_copy_only=False)
-    rep = ids.copy()
-    cx = (gs.column("centroid_x").to_numpy(zero_copy_only=False)
-          .astype(np.float64) if has_cen else np.empty(n))
-    cy = (gs.column("centroid_y").to_numpy(zero_copy_only=False)
-          .astype(np.float64) if has_cen else np.empty(n))
-    area = (gs.column("area").to_numpy(zero_copy_only=False)
-            .astype(np.float64) if has_area else np.empty(n))
-    for bi, members in enumerate(blobs["member_ids"]):
-        merged = len(members) >= 2
-        m = np.asarray(members, dtype=np.int64)
-        if merged:
-            rep[m] = ids[m.min()]
-        if merged or not has_cen:
-            cx[m] = blobs["centroid_x"][bi]
-            cy[m] = blobs["centroid_y"][bi]
-        if merged or not has_area:
-            area[m] = blobs["area"][bi]
-    cols = dict(zip(gs.column_names, gs.columns))
-    cols["gs_id"] = pa.array(rep)
-    cols["centroid_x"] = pa.array(cx)
-    cols["centroid_y"] = pa.array(cy)
-    cols["area"] = pa.array(area)
-    return pa.table(cols)
+    members = blobs["member_ids"]
+    sizes = np.array([len(m) for m in members])
+    # each row's blob index: blobs partition the rows (positional ids)
+    blob_of = np.empty(len(gs), dtype=np.int64)
+    blob_of[np.concatenate(members).astype(np.int64)] = np.repeat(
+        np.arange(len(members)), sizes)
+    return _rewrite_units(
+        gs, np.asarray(blobs["rep_id"], dtype=np.int64)[blob_of],
+        sizes[blob_of],
+        *(np.asarray(blobs[c], dtype=np.float64)[blob_of]
+          for c in ("centroid_x", "centroid_y", "area")))
 
 
 #: Above this many greenspace rows the API dissolve routes through the
@@ -398,58 +351,66 @@ _DISSOLVE_DRIVER_MAX = 200_000
 
 
 def _dissolve_units_distributed(gs: "pa.Table") -> "pa.Table":
-    """Scale path of :func:`_dissolve_units`: the same per-row
-    (gs_id, centroid, area) rewrite, but with overlap pairs, connected
+    """Scale path of :func:`_dissolve_units`: overlap pairs, connected
     components and blob union moments computed by
     :func:`~greenex_py_ray.stages.dissolve.dissolve_dataset`
-    (``per_member=True``) instead of the driver union-find.  Keys are
-    row positions (the driver path's positional ids) so stored
-    ``gs_id`` values need not be unique; blob members are processed in
-    row order in BOTH paths, so union moments are bit-identical
-    (parity-tested in tests/test_api_kwargs.py)."""
+    (``per_member=True``) instead of the driver union-find, then the
+    same :func:`_rewrite_units`.  Keys are row positions (the driver
+    path's positional ids) so stored ``gs_id`` values need not be
+    unique; blob members are processed in row order in BOTH paths, so
+    union moments are bit-identical (parity-tested in
+    tests/test_api_kwargs.py)."""
     import numpy as np
 
     import ray.data
 
     from .stages.dissolve import dissolve_dataset, flat_rings_table
 
-    n = len(gs)
-    has_cen = ("centroid_x" in gs.column_names
-               and "centroid_y" in gs.column_names)
-    has_area = "area" in gs.column_names
     polys = ray.data.from_arrow(flat_rings_table(gs, key_col="__row"))
     mem = dissolve_dataset(polys, key_col="__row",
                            per_member=True).to_pandas()
-    rows = mem["__row"].to_numpy()
-    inv = np.empty(n, dtype=np.int64)
-    inv[rows] = np.arange(len(rows))
-    rep_row = mem["rep_id"].to_numpy()[inv]
-    nm = mem["n_members"].to_numpy()[inv]
-    b_area = mem["area"].to_numpy()[inv]
-    b_cx = mem["centroid_x"].to_numpy()[inv]
-    b_cy = mem["centroid_y"].to_numpy()[inv]
-    if has_cen and has_area and not (nm >= 2).any():
+    inv = np.empty(len(gs), dtype=np.int64)
+    inv[mem["__row"].to_numpy()] = np.arange(len(mem))
+    return _rewrite_units(
+        gs, *(mem[c].to_numpy()[inv] for c in (
+            "rep_id", "n_members", "centroid_x", "centroid_y", "area")))
+
+
+def _rewrite_units(gs: "pa.Table", rep_row, n_members, cx_b, cy_b,
+                   area_b) -> "pa.Table":
+    """The per-row (gs_id, centroid, area) rewrite of both dissolve
+    paths, from each row's blob: its representative row, member count
+    and union moments.  Stored gs_id/centroid/area of single-member
+    (disjoint) rows are preserved, so adding an unrelated overlap
+    elsewhere in the table never changes a disjoint row's answer;
+    MERGED blobs get their exact union moments, and ABSENT columns are
+    synthesized for every row from its blob (a singleton blob's moments
+    ARE the row's) — always into fresh float64 arrays so integer-typed
+    stored columns can't truncate union values."""
+    import numpy as np
+
+    has_cen = ("centroid_x" in gs.column_names
+               and "centroid_y" in gs.column_names)
+    has_area = "area" in gs.column_names
+    merged = n_members >= 2
+    if has_cen and has_area and not merged.any():
         return gs
+
+    def moment(name: str, blob, stored: bool):
+        if not stored:
+            return pa.array(np.asarray(blob, dtype=np.float64))
+        v = gs.column(name).to_numpy(zero_copy_only=False).astype(np.float64)
+        v[merged] = blob[merged]
+        return pa.array(v)
+
     ids = gs.column("gs_id").to_numpy(zero_copy_only=False)
     rep = ids.copy()
-    cx = (gs.column("centroid_x").to_numpy(zero_copy_only=False)
-          .astype(np.float64) if has_cen else np.empty(n))
-    cy = (gs.column("centroid_y").to_numpy(zero_copy_only=False)
-          .astype(np.float64) if has_cen else np.empty(n))
-    area = (gs.column("area").to_numpy(zero_copy_only=False)
-            .astype(np.float64) if has_area else np.empty(n))
-    merged = nm >= 2
     rep[merged] = ids[rep_row[merged]]
-    cmask = merged if has_cen else np.ones(n, dtype=bool)
-    amask = merged if has_area else np.ones(n, dtype=bool)
-    cx[cmask] = b_cx[cmask]
-    cy[cmask] = b_cy[cmask]
-    area[amask] = b_area[amask]
     cols = dict(zip(gs.column_names, gs.columns))
     cols["gs_id"] = pa.array(rep)
-    cols["centroid_x"] = pa.array(cx)
-    cols["centroid_y"] = pa.array(cy)
-    cols["area"] = pa.array(area)
+    cols["centroid_x"] = moment("centroid_x", cx_b, has_cen)
+    cols["centroid_y"] = moment("centroid_y", cy_b, has_cen)
+    cols["area"] = moment("area", area_b, has_area)
     return pa.table(cols)
 
 
@@ -663,26 +624,20 @@ def get_mean_NDVI(poi, ndvi_tile_dir: str, buffer_dist: float | None = 300.0,
     mode, decoder = _route_poi(kind, src_crs, polygon_type, buffer_type, dist)
     tile_dir, shift, _ = _tiles(ndvi_tile_dir, "ndvi")
     if mode == "polygon":
-        metrics = _av.mean_ndvi_polygon_aoi(
-            _shift_xy(_decoded(docs, decoder, _RING_COLS), *shift), tile_dir,
-            concurrency=concurrency,
-            dilate=(dist if buffer_type == "euclidean" else 0.0),
-        )
-        out = _attach(docs, metrics, {"mean_NDVI": pa.float64(),
-                                      "std_NDVI": pa.float64()})
+        stage = _av.mean_ndvi_polygon_stage(
+            tile_dir, concurrency=concurrency,
+            dilate=(dist if buffer_type == "euclidean" else 0.0))
+    elif buffer_type == "euclidean":
+        stage = _av.mean_ndvi_stage(tile_dir, dist, concurrency=concurrency)
     else:
-        if buffer_type == "euclidean":
-            stage = _av.mean_ndvi_stage(tile_dir, dist,
-                                        concurrency=concurrency)
-        else:
-            from .stages.netaccess import IsochroneZonal
+        from .stages.netaccess import IsochroneZonal
 
-            stage = _av.isochrone_stage(
-                IsochroneZonal,
-                *_network(network_nodes_file, network_edges_file,
-                          network_type, shift),
-                concurrency, tile_root=tile_dir, buffer_dist=dist)
-        out = append_metrics(docs, stage, decode=decoder, shift=shift)
+        stage = _av.isochrone_stage(
+            IsochroneZonal,
+            *_network(network_nodes_file, network_edges_file,
+                      network_type, shift),
+            concurrency, tile_root=tile_dir, buffer_dist=dist)
+    out = append_metrics(docs, stage, decode=decoder, shift=shift)
     return _emit(out, "mean_NDVI", docs, kind, src_crs,
                  write_to_file, output_dir, plot_aoi,
                  buffer_dist=(dist if mode == "point" else None),
@@ -727,29 +682,24 @@ def get_landcover_percentages(poi, landcover_tile_dir: str,
                     for c in info["codes"]}
     classmap = classmap or _av.DEFAULT_CLASSMAP
     if mode == "polygon":
-        metrics = _av.landcover_percentages_polygon_aoi(
-            _shift_xy(_decoded(docs, decoder, _RING_COLS), *shift), tile_dir,
-            classmap=classmap, stringify=stringify, concurrency=concurrency,
+        stage = _av.landcover_polygon_stage(
+            tile_dir, classmap, concurrency=concurrency,
             dilate=(dist if buffer_type == "euclidean" else 0.0),
-        )
-        pct_t = pa.string() if stringify else pa.float64()
-        out = _attach(docs, metrics,
-                      {classmap[c]: pct_t for c in sorted(classmap)})
-    else:
-        if buffer_type == "network":
-            from .stages.netaccess import IsochroneLandcover
+            stringify=stringify)
+    elif buffer_type == "network":
+        from .stages.netaccess import IsochroneLandcover
 
-            stage = _av.isochrone_stage(
-                IsochroneLandcover,
-                *_network(network_nodes_file, network_edges_file,
-                          network_type, shift),
-                concurrency, tile_root=tile_dir, buffer_dist=dist,
-                classmap=classmap, stringify=stringify)
-        else:
-            stage = _av.landcover_stage(tile_dir, dist, classmap=classmap,
-                                        concurrency=concurrency,
-                                        stringify=stringify)
-        out = append_metrics(docs, stage, decode=decoder, shift=shift)
+        stage = _av.isochrone_stage(
+            IsochroneLandcover,
+            *_network(network_nodes_file, network_edges_file,
+                      network_type, shift),
+            concurrency, tile_root=tile_dir, buffer_dist=dist,
+            classmap=classmap, stringify=stringify)
+    else:
+        stage = _av.landcover_stage(tile_dir, dist, classmap=classmap,
+                                    concurrency=concurrency,
+                                    stringify=stringify)
+    out = append_metrics(docs, stage, decode=decoder, shift=shift)
     return _emit(out, "landcover_percentages", docs, kind,
                  src_crs, write_to_file, output_dir, plot_aoi,
                  buffer_dist=(dist if mode == "point" else None),
@@ -1028,9 +978,10 @@ def get_streetview_GVI(poi, network_nodes_file: str, network_edges_file: str,
         _decoded(docs, decoder, cols), edges, features,
         buffer_dist=buffer_dist, concurrency=concurrency, poi_kind=poi_kind, crop_by_road_centres=crop_by_road_centres,
     )
-    out = _emit(_attach(docs, rollup, _GVI_FIELDS), "streetview_GVI", docs, kind,
-                src_crs, write_to_file, output_dir, False,
-                output_format=output_format)
+    out = _emit(bucket_join_attach(docs, rollup, key="doc_id",
+                                   right_fields=_GVI_FIELDS),
+                "streetview_GVI", docs, kind, src_crs, write_to_file,
+                output_dir, False, output_format=output_format)
     return out, per_point
 
 

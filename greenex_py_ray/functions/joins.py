@@ -322,15 +322,16 @@ def as_pool(concurrency) -> tuple[int, int]:
 
 
 def heavy_pool(concurrency=None) -> dict:
-    """map_batches kwargs for THE dominant compute stage of a pipeline.
+    """map_batches kwargs for THE dominant compute stage of a pipeline:
+    a fixed width with a whole CPU per worker.
 
-    Fixed-size pool at ~full cluster width with a whole CPU per actor:
-    Ray's autoscaling pools stay at their minimum in practice (measured
-    parallelism == pool min), so the one stage that owns the wall-clock
-    gets all-but-two CPUs reserved up front.  Rule: at most ONE heavy
-    pool per pipeline — the two spare CPUs keep reads/shuffles moving.
-    A :class:`KernelStage` runs the same width as a cap on its
-    concurrent kernel tasks.
+    The width is half the cluster by default, or ``min(concurrency,
+    cpus - 1)`` when the caller gives one (a ``(min, max)`` spec counts
+    as its max), so the stage's feed (read and decode tasks) always
+    keeps CPUs to run on.  A :class:`KernelStage` uses the width as the
+    cap on its concurrent kernel tasks; an actor stage (a class passed
+    to ``map_batches``) gets a fixed pool of that size, since Ray's
+    autoscaling pools stay at their minimum in practice.
     """
     if isinstance(concurrency, tuple):
         # a tuple spec pins the pool at its MAX (heavy stages need a

@@ -82,12 +82,6 @@ def polygon_area(ring: np.ndarray) -> float:
     return abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))) / 2.0
 
 
-def polygon_area_signed(ring: np.ndarray) -> float:
-    x = ring[:, 0]
-    y = ring[:, 1]
-    return (float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))) / 2.0
-
-
 def polygon_centroid(ring: np.ndarray) -> tuple[float, float]:
     """Area-weighted centroid (shapely ``geometry.centroid`` semantics)."""
     x = ring[:, 0]

@@ -162,10 +162,6 @@ def utm_inverse(easting, northing, zone: int, south: bool = False):
     return np.rad2deg(lon), np.rad2deg(lat)
 
 
-def utm_zone_of(lon_deg: float) -> int:
-    return int(np.floor((lon_deg + 180.0) / 6.0)) % 60 + 1
-
-
 # ---------------------------------------------------------------------------
 # General ellipsoids, datum shifts and national grids (round 3)
 #

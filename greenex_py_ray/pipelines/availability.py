@@ -2,18 +2,19 @@
 
 Ray-Data-native reimplementation of
 ``GreenExp/availability.py::get_mean_NDVI`` (`:41-342`) and
-``::get_landcover_percentages`` (`:344-597`): euclidean-buffer AoIs,
-zonal statistics against a tiled raster store, per-key rollup.
+``::get_landcover_percentages`` (`:344-597`): euclidean-buffer, own-
+polygon and isochrone AoIs, zonal statistics against a tiled raster
+store.
 
 Each function takes an already-decoded PoI dataset (columns ``key, x,
-y``) and returns a metrics Dataset keyed by ``key``; ``*_documents``
-wrappers run the whole flow from the interleaved spans table, appending
-the metrics to each document batch so the output keeps the untouched
-``spans`` column (per-row span-sequence invariant).  A ``*_stage``
-function is the one definition of its kernel's task stage, run by both
-the metric pipeline (``KernelStage.on``) and the append path
+y`` or the ``ring_*`` polygon columns) and returns a metrics Dataset
+keyed by ``key``, one row per PoI.  A ``*_stage`` function is the one
+definition of its kernel's task stage, run by both the metric pipeline
+(``KernelStage.on``) and the span-preserving append path
 (``append_metrics``); each worker process keeps the kernel it built, so
 repeated calls on the same tile store reuse its tiles and SAT tables.
+No zonal statistic shuffles: every kernel reduces a row's whole AoI in
+its own task.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import pyarrow as pa
 
 import ray
 import ray.data
-from ray.data.aggregate import Sum
 
-from ..functions.joins import KernelStage, append_metrics, as_pool, heavy_pool
+from ..functions.joins import (KernelStage, append_metrics, as_pool,
+                               drop_zero_count, heavy_pool)
 from ..sources import documents as doc_src
 from ..stages import zonal
 
@@ -109,19 +110,6 @@ def get_mean_ndvi_documents(
         mean_ndvi_stage(tile_root, buffer_dist,
                         concurrency=as_pool(concurrency),
                         batch_size=batch_size))
-
-
-def get_landcover_percentages_documents(
-    documents_path: str, tile_root: str, buffer_dist: float = 500.0,
-    concurrency: int | None = None, stringify: bool = True,
-) -> "ray.data.Dataset":
-    """Spans documents → documents + per-class percentage columns, one
-    read and no exchange (see :func:`get_mean_ndvi_documents`)."""
-    return append_metrics(
-        doc_src.read_documents(documents_path),
-        landcover_stage(tile_root, buffer_dist,
-                        concurrency=as_pool(concurrency),
-                        stringify=stringify))
 
 
 def coverage_stage(
@@ -271,14 +259,17 @@ def canopy_percentage_isochrone(
         name=name, stringify=stringify, dissolve=dissolve).on(poi)
 
 
-def _polygon_cover(poi_polygons, key_col: str, dilate: float):
-    ring_cols = [key_col, "ring_x", "ring_y"]
-    if "ring_sizes" in poi_polygons.schema().names:
-        ring_cols.append("ring_sizes")
-    return poi_polygons.select_columns(ring_cols).map_batches(
-        lambda b: zonal.polygon_tile_cover_batch(b, key_col, margin=dilate),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
+def mean_ndvi_polygon_stage(tile_root: str, key_col: str = "doc_id",
+                            concurrency: int | None = None,
+                            dilate: float = 0.0) -> KernelStage:
+    """(key, ring_x, ring_y[, ring_sizes]) → (key, mean_NDVI,
+    std_NDVI) over each row's own polygon dilated by ``dilate``
+    (``PolygonZonalLocal``)."""
+    return KernelStage(
+        zonal.PolygonZonalLocal,
+        dict(tile_root=tile_root, band="ndvi", key_col=key_col,
+             dilate=dilate),
+        dict(batch_size=256, **heavy_pool(concurrency)))
 
 
 def mean_ndvi_polygon_aoi(
@@ -286,25 +277,32 @@ def mean_ndvi_polygon_aoi(
     tile_root: str,
     key_col: str = "doc_id",
     concurrency: int | None = None,
-    batch_size: int = 4096,
     dilate: float = 0.0,
 ) -> "ray.data.Dataset":
     """get_mean_NDVI with POLYGON PoIs — the AoI is each row's own
     polygon (``buffer_type=None``, availability.py:230-234), dilated by
     ``dilate`` for the buffered-polygon form (``buffer_type='euclidean'``
     on polygon PoIs, availability.py:235-237).  Input must carry
-    ``ring_x``/``ring_y`` columns (DecodeGeom(parse_polygons=True))."""
-    part = _polygon_cover(poi_polygons, key_col, dilate).map_batches(
-        zonal.PolygonZonalPartial,
-        fn_constructor_kwargs=dict(tile_root=tile_root, band="ndvi",
-                                   key_col=key_col, dilate=dilate),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=as_pool(concurrency), num_cpus=0.25,
-    )
-    agg = part.groupby(key_col).aggregate(Sum("psum"), Sum("psumsq"), Sum("pcount"))
-    return agg.map_batches(
-        lambda b: zonal.finish_mean_std(b, key_col), batch_format="pyarrow"
-    )
+    ``ring_x``/``ring_y`` columns (DecodeGeom(parse_polygons=True)).
+    One row per input row, in input order."""
+    return mean_ndvi_polygon_stage(tile_root, key_col, concurrency,
+                                   dilate).on(poi_polygons)
+
+
+def landcover_polygon_stage(tile_root: str,
+                            classmap: dict[int, str] | None = None,
+                            key_col: str = "doc_id",
+                            concurrency: int | None = None,
+                            dilate: float = 0.0,
+                            stringify: bool = False) -> KernelStage:
+    """(key, ring_x, ring_y[, ring_sizes]) → (key, pct_<class>...)
+    over each row's own polygon dilated by ``dilate``
+    (``PolygonLandcoverLocal``)."""
+    return KernelStage(
+        zonal.PolygonLandcoverLocal,
+        dict(tile_root=tile_root, classmap=classmap or DEFAULT_CLASSMAP,
+             key_col=key_col, dilate=dilate, stringify=stringify),
+        dict(batch_size=256, **heavy_pool(concurrency)))
 
 
 def landcover_percentages_polygon_aoi(
@@ -313,28 +311,15 @@ def landcover_percentages_polygon_aoi(
     classmap: dict[int, str] | None = None,
     key_col: str = "doc_id",
     concurrency: int | None = None,
-    batch_size: int = 4096,
     dilate: float = 0.0,
     stringify: bool = False,
 ) -> "ray.data.Dataset":
     """get_landcover_percentages with POLYGON PoIs (availability.py:
     361-377): per-class pixel percentages of each row's own (optionally
-    dilated) polygon AoI."""
-    classmap = classmap or DEFAULT_CLASSMAP
-    names = [classmap[c] for c in sorted(classmap)]
-    part = _polygon_cover(poi_polygons, key_col, dilate).map_batches(
-        zonal.PolygonLandcoverPartial,
-        fn_constructor_kwargs=dict(tile_root=tile_root, classmap=classmap,
-                                   key_col=key_col, dilate=dilate),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=as_pool(concurrency), num_cpus=0.25,
-    )
-    aggs = [Sum(f"cnt_{n}") for n in names] + [Sum("cnt_total")]
-    agg = part.groupby(key_col).aggregate(*aggs)
-    return agg.map_batches(
-        lambda b: zonal.finish_landcover(b, names, key_col, stringify=stringify),
-        batch_format="pyarrow",
-    )
+    dilated) polygon AoI, one row per input row."""
+    return landcover_polygon_stage(tile_root, classmap, key_col,
+                                   concurrency, dilate,
+                                   stringify).on(poi_polygons)
 
 
 def coverage_percentage_polygon_aoi(
@@ -384,6 +369,19 @@ def mean_ndvi_line_aoi(
     )
 
 
+def landcover_majority_stage(tile_root: str, radius: float,
+                             key_col: str = "doc_id",
+                             classmap: dict[int, str] | None = None,
+                             concurrency: int | None = None) -> KernelStage:
+    """(key,x,y) → (key, majority_class, cnt_major, cnt_total) per disk
+    (``LandcoverMajorityLocal``)."""
+    return KernelStage(
+        zonal.LandcoverMajorityLocal,
+        dict(tile_root=tile_root, radius=radius,
+             classmap=classmap or DEFAULT_CLASSMAP, key_col=key_col),
+        dict(batch_size=4096, **heavy_pool(concurrency)))
+
+
 def landcover_majority(
     poi: "ray.data.Dataset",
     tile_root: str,
@@ -391,55 +389,14 @@ def landcover_majority(
     key_col: str = "doc_id",
     classmap: dict[int, str] | None = None,
     concurrency: int | None = None,
-    batch_size: int = 4096,
 ) -> "ray.data.Dataset":
     """Zonal MAJORITY (dominant landcover class) per PoI buffer — the
-    standard GIS zonal-statistics mode, derived from the same per-class
-    integer pixel counts as :func:`landcover_percentages`.  Ties break
-    to the smallest class code (np.argmax first-hit == SQL
-    ``ORDER BY n DESC, cls ASC``).  Physical plan: per-(PoI, tile)
-    count partials (a disk spanning tiles emits one partial per tile),
-    ONE integer groupby-sum per PoI, then a per-row argmax — exact int64 counts,
-    so the majority can't wobble across engines."""
-    classmap = classmap or DEFAULT_CLASSMAP
-    codes = sorted(classmap)
-    names = [classmap[c] for c in codes]
-
-    cov = poi.map_batches(
-        zonal.TileCover(radius, key_col), batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    part = cov.map_batches(
-        zonal.LandcoverPartial,
-        fn_constructor_kwargs=dict(
-            tile_root=tile_root, radius=radius, classmap=classmap,
-            key_col=key_col,
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=as_pool(concurrency),
-        num_cpus=0.25,
-    )
-    aggs = [Sum(f"cnt_{n}") for n in names] + [Sum("cnt_total")]
-    agg = part.groupby(key_col).aggregate(*aggs)
-
-    import numpy as np
-
-    def finish(b: "pa.Table") -> "pa.Table":
-        cnts = np.stack(
-            [b.column(f"sum(cnt_{n})").to_numpy(zero_copy_only=False)
-             for n in names], axis=1).astype(np.int64)
-        total = b.column("sum(cnt_total)").to_numpy(zero_copy_only=False)
-        idx = np.argmax(cnts, axis=1)
-        rows = np.arange(len(idx))
-        empty = total == 0
-        return pa.table({
-            key_col: b.column(key_col),
-            "majority_class": pa.array(
-                np.asarray(codes, dtype=np.int64)[idx], mask=empty),
-            "cnt_major": pa.array(cnts[rows, idx], mask=empty),
-            "cnt_total": pa.array(total.astype(np.int64)),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow",
-                           zero_copy_batch=True)
+    standard GIS zonal-statistics mode, from the same exact int64
+    per-class pixel counts as :func:`landcover_percentages`, so the
+    majority can't wobble across engines.  Ties break to the smallest
+    class code.  A PoI whose disk holds no pixel (outside the tiled
+    world) gets no row, like a keyed rollup over its pixels."""
+    return drop_zero_count(
+        landcover_majority_stage(tile_root, radius, key_col, classmap,
+                                 concurrency).on(poi),
+        "cnt_total")

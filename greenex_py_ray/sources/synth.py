@@ -128,13 +128,6 @@ def tile_array(band: str, tix: int, tiy: int) -> np.ndarray:
     return _FIELDS[band](gx, gy)
 
 
-def raster_value_at(band: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pixel value under each coordinate (nearest pixel-center sample)."""
-    cx = (np.floor(np.asarray(x) / RASTER_RES) + 0.5) * RASTER_RES
-    cy = (np.floor(np.asarray(y) / RASTER_RES) + 0.5) * RASTER_RES
-    return _FIELDS[band](cx, cy)
-
-
 def write_raster_tiles(out_dir: str, bands=BANDS, extent: float = WORLD) -> str:
     """Materialize the tile store as partitioned parquet: one row per
     (band, tile), data = float32/int16 row-major bytes.  Layout mirrors a

@@ -13,7 +13,7 @@ from greenex_py_ray.sources import documents as doc_src
 from greenex_py_ray.sources import synth
 
 
-def oracle_disk_values(band, x, y, radius):
+def oracle_disk_values(band, x, y, radius, extent=synth.WORLD):
     res = synth.RASTER_RES
     c0 = int(np.floor((x - radius) / res))
     c1 = int(np.floor((x + radius) / res))
@@ -24,7 +24,7 @@ def oracle_disk_values(band, x, y, radius):
     gx, gy = np.meshgrid(px, py, indexing="xy")
     mask = (gx - x) * (gx - x) + (gy - y) * (gy - y) <= radius * radius
     # world clip: only pixels inside the tiled extent exist in the store
-    mask &= (gx >= 0) & (gx <= synth.WORLD) & (gy >= 0) & (gy <= synth.WORLD)
+    mask &= (gx >= 0) & (gx <= extent) & (gy >= 0) & (gy <= extent)
     vals = synth._FIELDS[band](gx, gy)[mask]
     return vals
 
@@ -204,6 +204,63 @@ def test_zonal_median_gate_drops_pixelless_disks(world, monkeypatch):
     assert (sorted(out.column("doc_id").to_pylist())
             == sorted(inside.column("doc_id").to_pylist()))
     assert min(out.column("n_pix").to_pylist()) > 0
+
+
+def test_landcover_majority_matches_class_count_argmax(world):
+    """landcover_majority is the argmax of each disk's per-class pixel
+    counts (numpy oracle over the exact pixel set), cnt_major and
+    cnt_total included."""
+    radius = 500.0
+    doc_ids, x, y = decode_world_docs(world)
+    ds = doc_src.decode_geom(doc_src.read_documents(world["documents"]))
+    out = (availability.landcover_majority(
+        ds.select_columns(["doc_id", "x", "y"]), world["tiles"], radius,
+        concurrency=2).to_pandas().set_index("doc_id"))
+    assert len(out) == len(doc_ids)
+    codes = sorted(availability.DEFAULT_CLASSMAP)
+    # the store holds whole tiles, so it reaches past WORLD to the next
+    # tile edge; disks at the world's edge count those pixels too
+    extent = synth.TILE_SIZE * np.ceil(synth.WORLD / synth.TILE_SIZE)
+    for i in np.random.default_rng(13).choice(len(doc_ids), 30, replace=False):
+        vals = oracle_disk_values("lulc", x[i], y[i], radius, extent)
+        counts = np.array([(vals == c).sum() for c in codes])
+        row = out.loc[doc_ids[i]]
+        assert row["majority_class"] == codes[int(np.argmax(counts))], i
+        assert row["cnt_major"] == counts.max(), i
+        assert row["cnt_total"] == vals.size, i
+
+
+def test_landcover_majority_ties_go_to_smallest_code(world):
+    """Equal top counts pick the smallest class code; a row with no
+    pixel gets a null majority from the kernel."""
+    from greenex_py_ray.stages.zonal import LandcoverMajorityLocal
+
+    kernel = LandcoverMajorityLocal(world["tiles"], 100.0,
+                                    availability.DEFAULT_CLASSMAP)
+    counts = np.array([[3, 3, 0, 0, 0, 0], [0, 1, 5, 0, 0, 5],
+                       [0, 0, 0, 0, 0, 0]], dtype=np.int64)
+    kernel._counts = lambda batch: (counts, counts.sum(axis=1))
+    batch = pa.table({"doc_id": ["a", "b", "c"], "x": [1.0] * 3,
+                      "y": [1.0] * 3})
+    out = kernel(batch)
+    assert out.column("majority_class").to_pylist() == [10, 40, None]
+    assert out.column("cnt_major").to_pylist() == [3, 5, None]
+    assert out.column("cnt_total").to_pylist() == [6, 11, 0]
+
+
+def test_landcover_majority_drops_pixelless_disks(world):
+    """A PoI whose disk holds no pixel (outside the tiled world) gets
+    no landcover_majority row, like the gate oracle's inner join;
+    in-world PoIs keep theirs."""
+    docs = doc_src.decode_geom(doc_src.read_documents(world["documents"]))
+    inside = _table(docs.select_columns(["doc_id", "x", "y"])).slice(0, 20)
+    outside = pa.table({"doc_id": ["outside"], "x": [-1e6], "y": [-1e6]},
+                       schema=inside.schema)
+    poi = ray.data.from_arrow(pa.concat_tables([inside, outside]))
+    out = _table(availability.landcover_majority(poi, world["tiles"], 500.0))
+    assert (sorted(out.column("doc_id").to_pylist())
+            == sorted(inside.column("doc_id").to_pylist()))
+    assert min(out.column("cnt_total").to_pylist()) > 0
 
 
 def _table(ds) -> pa.Table:
