@@ -32,8 +32,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from .functions.joins import (append_metrics, bucket_join_attach,
-                              drop_zero_count)
+from .functions.joins import append_metrics, drop_zero_count
 from .pipelines import accessibility as _acc
 from .pipelines import availability as _av
 from .pipelines import visibility as _vis
@@ -228,12 +227,6 @@ def _decoded(docs, decoder, columns: list[str]) -> "ray.data.Dataset":
 
 
 _RING_COLS = ["doc_id", "ring_x", "ring_y", "ring_sizes"]
-
-#: schema of the streetview GVI rollup (``pipelines/visibility.py``),
-#: passed to the attach so the lazy rollup is never executed just to
-#: probe its schema
-_GVI_FIELDS = [pa.field("GVI", pa.float64()),
-               pa.field("nr_of_points", pa.int64())]
 
 
 #: OSM highway-class exclusions per network_type — the engine's analog
@@ -966,20 +959,26 @@ def get_streetview_GVI(poi, network_nodes_file: str, network_edges_file: str,
     deterministic segmentation stub.  Returns (poi-with-metrics Dataset,
     per-point Dataset).  ``crop_by_road_centres=False`` scores panoramas
     over four equal central-band crops instead of the road-centre crops
-    (visibility.py:944-949)."""
+    (visibility.py:944-949).
+
+    A PoI without a road sample point within reach (``buffer_dist``, or
+    its polygon) gets no row in either table; one with sample points
+    but no image within 100 m of any keeps its row, with a null ``GVI``
+    and ``nr_of_points`` 0.  The rollup is one kernel stage appended to
+    the document read; the per-point table is a second run of the same
+    stage that happens only when it is consumed."""
     docs, kind = _poi(poi)
-    # Dataset PoI side: broadcast below streetview_gvi's size threshold,
-    # cell-bucketed shuffle join above it (no driver materialization)
     poi_kind, decoder, cols = _vis_poi(kind, src_crs, polygon_type,
                                        buffer_dist)
-    edges = _vis.edge_coords_table(network_nodes_file, network_edges_file)
-    features = pq.read_table(image_features_file)
-    rollup, per_point = _vis.streetview_gvi(
-        _decoded(docs, decoder, cols), edges, features,
-        buffer_dist=buffer_dist, concurrency=concurrency, poi_kind=poi_kind, crop_by_road_centres=crop_by_road_centres,
-    )
-    out = _emit(bucket_join_attach(docs, rollup, key="doc_id",
-                                   right_fields=_GVI_FIELDS),
+    kw = dict(buffer_dist=buffer_dist, concurrency=concurrency,
+              poi_kind=poi_kind, crop_by_road_centres=crop_by_road_centres)
+    stage = _vis.streetview_stage(network_nodes_file, network_edges_file,
+                                  image_features_file, **kw)
+    per_point = _vis.streetview_stage(
+        network_nodes_file, network_edges_file, image_features_file,
+        per_point=True, **kw).on(_decoded(docs, decoder, cols))
+    out = _emit(_vis.keep_sampled(append_metrics(docs, stage,
+                                                 decode=decoder)),
                 "streetview_GVI", docs, kind, src_crs, write_to_file,
                 output_dir, False, output_format=output_format)
     return out, per_point

@@ -4,11 +4,11 @@ Two implementations, chosen by how the metric rows relate to the
 documents:
 
 * ``append_metrics`` — for kernels that emit exactly one row per input
-  row, in input order (zonal, nearest-centroid, isochrone, coverage and
-  viewshed kernels).  One task stage decodes each raw document batch,
-  runs the kernel on it and appends the kernel's columns to the same
-  batch: one read, no exchange, and the ``spans`` payload never leaves
-  its batch.
+  row, in input order (zonal, nearest-centroid, isochrone, coverage,
+  viewshed and streetview kernels).  One task stage decodes each raw
+  document batch, runs the kernel on it and appends the kernel's
+  columns to the same batch: one read, no exchange, and the ``spans``
+  payload never leaves its batch.
   Row count and key column are checked per batch, so a kernel that drops
   or reorders rows raises instead of losing documents.  Each kernel's
   stage is defined once as a ``KernelStage`` (class, constructor kwargs,
@@ -22,8 +22,8 @@ documents:
   semi, anti) as one :func:`~.exchange.bucket_exchange`: tag each side
   with ``__side``, align schemas with typed null columns, ``union`` →
   per-bucket Arrow-native index merge (``take`` on each side, column
-  hstack).  Used for keyed many→one attaches (per-PoI rollups of
-  streetview samples or per-tile rows) onto tables carrying nested columns (the
+  hstack).  Used for keyed many→one attaches (graph labels, cell
+  neighbourhoods, text pairs) onto tables carrying nested columns (the
   ``spans`` list<struct> payload, which Arrow's join kernel rejects:
   "not supported in join non-key field") and for flat tables alike.
   Nested values never round-trip through pandas/python, so span bytes

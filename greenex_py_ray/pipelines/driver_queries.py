@@ -4090,10 +4090,9 @@ def q_streetview_gvi(sf_dir: str):
     from . import visibility as vpipe
 
     poi, w = _world_poi()
-    edges = vpipe.edge_coords_table(w["network_nodes"], w["network_edges"])
-    features = pq.read_table(w["image_features"])
     rollup, _ = vpipe.streetview_gvi(
-        poi, edges, features, buffer_dist=100.0, concurrency=None
+        poi, w["network_nodes"], w["network_edges"], w["image_features"],
+        buffer_dist=100.0,
     )
     return rollup
 
@@ -4105,11 +4104,9 @@ def q_streetview_quarters(sf_dir: str):
     from . import visibility as vpipe
 
     poi, w = _world_poi()
-    edges = vpipe.edge_coords_table(w["network_nodes"], w["network_edges"])
-    features = pq.read_table(w["image_features"])
     rollup, _ = vpipe.streetview_gvi(
-        poi, edges, features, buffer_dist=100.0, concurrency=None,
-        crop_by_road_centres=False,
+        poi, w["network_nodes"], w["network_edges"], w["image_features"],
+        buffer_dist=100.0, crop_by_road_centres=False,
     )
     return rollup
 
@@ -4434,11 +4431,9 @@ def q_polygon_streetview(sf_dir: str):
     from . import visibility as vpipe
 
     rects, w = _world_rect_poly_docs()
-    edges = vpipe.edge_coords_table(w["network_nodes"], w["network_edges"])
-    features = pq.read_table(w["image_features"])
     rollup, _ = vpipe.streetview_gvi(
-        rects, edges, features, buffer_dist=POLY_DILATE, concurrency=None,
-        poi_kind="polygon",
+        rects, w["network_nodes"], w["network_edges"], w["image_features"],
+        buffer_dist=POLY_DILATE, poi_kind="polygon",
     )
     return rollup
 

@@ -4,7 +4,7 @@ The broadcast joins in ``stages/access.py`` are right when one side is
 small.  When BOTH sides are large (10^12 docs × millions of polygons),
 the join must shuffle on the spatial cell key — the core
 "groupby-cell shuffle with explicit salting of hot urban cells" of the
-north rule:
+north rule.  ``cell_pip_join`` (points in rectangles):
 
 1. a cheap stats pass (``groupby(cell).count()`` on the point side)
    sizes a salt map for cells above ``hot_threshold`` rows;
@@ -14,8 +14,11 @@ north rule:
 3. ``groupby([cell, salt])`` co-locates candidates; the exact geometry
    predicate is refined per group with a vectorized containment test.
 
-Results are identical to the broadcast path (same SQL oracle validates
-both).
+``cell_box_join`` (box↔box overlap) replicates both sides and emits each
+pair from its ownership cell only.  Results are identical to the
+broadcast path (same SQL oracle validates both).  PoI-buffer joins need
+no shuffle: the PoIs stream through a kernel that holds the indexed
+side (``stages/visibility.StreetviewPoI``).
 """
 
 from __future__ import annotations
@@ -175,111 +178,6 @@ def cell_pip_join(
         })
 
     return u.groupby(["cell", "salt"]).map_groups(join_group, batch_format="pyarrow")
-
-
-def cell_buffer_join(
-    points: "ray.data.Dataset",
-    poi: "ray.data.Dataset",
-    buffer_dist: float,
-    cell_size: float | None = None,
-    key_col: str = "doc_id",
-    px_col: str = "sp_x",
-    py_col: str = "sp_y",
-    semi: bool = False,
-) -> "ray.data.Dataset":
-    """Distance-within join (point ∈ PoI buffer disk) as a groupby-cell
-    shuffle — the scale path replacing the broadcast ``PointsToPoi``
-    when BOTH sides are large (visibility.py:653-660 semi-join and the
-    GVI explode at :1048).
-
-    PoIs are replicated to every cell their buffer bbox touches; each
-    point stays in its own cell, so every (point, poi) pair materializes
-    in exactly one group.  ``semi=True`` keeps each point row at most
-    once (inside ≥1 buffer); otherwise point rows are repeated per
-    matching PoI with ``key_col`` attached.  All point payload columns
-    pass through the shuffle unchanged.
-    """
-
-    from ..state.index import GridIndex
-
-    cs = cell_size or max(cells.DEFAULT_CELL_SIZE, 2.0 * buffer_dist)
-    pt_schema = points.schema()
-    payload = [n for n in pt_schema.names]
-    if key_col in payload:
-        raise ValueError(f"point side already has a {key_col!r} column")
-    poi_schema = poi.schema()
-    poi_key_type = poi_schema.types[poi_schema.names.index(key_col)]
-
-    def tag_points(batch: pa.Table) -> pa.Table:
-        x = batch.column(px_col).to_numpy(zero_copy_only=False)
-        y = batch.column(py_col).to_numpy(zero_copy_only=False)
-        out = batch.append_column(
-            "__cell", pa.array(cells.cell_of(x, y, cs)))
-        out = out.append_column("__side", pa.array(np.zeros(len(x), np.int8)))
-        out = out.append_column("__poi_key", pa.nulls(len(x), poi_key_type))
-        out = out.append_column("__poi_x", pa.nulls(len(x), pa.float64()))
-        out = out.append_column("__poi_y", pa.nulls(len(x), pa.float64()))
-        return out
-
-    pt_fields = [pa.field(n, t) for n, t in zip(pt_schema.names, pt_schema.types)]
-
-    def explode_poi(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col)
-        if isinstance(k, pa.ChunkedArray):
-            k = k.combine_chunks()
-        x = batch.column("x").to_numpy(zero_copy_only=False)
-        y = batch.column("y").to_numpy(zero_copy_only=False)
-        d = buffer_dist
-        ridx, rcell = cells.cover_bbox(x - d, y - d, x + d, y + d, cs)
-        n = len(ridx)
-        cols = {f.name: pa.nulls(n, f.type) for f in pt_fields}
-        cols["__cell"] = pa.array(rcell)
-        cols["__side"] = pa.array(np.ones(n, np.int8))
-        cols["__poi_key"] = k.take(pa.array(ridx))
-        cols["__poi_x"] = pa.array(x[ridx])
-        cols["__poi_y"] = pa.array(y[ridx])
-        return pa.table(cols)
-
-    order = payload + ["__cell", "__side", "__poi_key", "__poi_x", "__poi_y"]
-    u = (
-        points.map_batches(tag_points, batch_format="pyarrow",
-                           zero_copy_batch=True).select_columns(order)
-        .union(poi.select_columns([key_col, "x", "y"]).map_batches(
-            explode_poi, batch_format="pyarrow").select_columns(order))
-    )
-
-    def join_group(tbl: pa.Table) -> pa.Table:
-        side = tbl.column("__side").to_numpy(zero_copy_only=False)
-        pi = np.flatnonzero(side == 0)
-        ri = np.flatnonzero(side == 1)
-        keep_cols = payload if semi else payload + [key_col]
-        if len(pi) == 0 or len(ri) == 0:
-            empty = {f.name: pa.array([], f.type) for f in pt_fields}
-            if not semi:
-                empty[key_col] = pa.array([], poi_key_type)
-            return pa.table({c: empty[c] for c in keep_cols})
-        px = tbl.column(px_col).to_numpy(zero_copy_only=False)[pi]
-        py = tbl.column(py_col).to_numpy(zero_copy_only=False)[pi]
-        if len(ri):
-            idx = GridIndex(
-                tbl.column("__poi_x").to_numpy(zero_copy_only=False)[ri],
-                tbl.column("__poi_y").to_numpy(zero_copy_only=False)[ri],
-                cell_size=max(buffer_dist, 1e-9),
-            )
-            qi, pj, _ = idx.within(px, py, buffer_dist)
-        else:
-            qi = np.empty(0, np.int64)
-            pj = np.empty(0, np.int64)
-        if semi:
-            hit = np.unique(qi)
-            sel = pa.array(pi[hit])
-            return pa.table({c: tbl.column(c).take(sel) for c in payload})
-        sel = pa.array(pi[qi])
-        cols = {c: tbl.column(c).take(sel) for c in payload}
-        cols[key_col] = tbl.column("__poi_key").take(pa.array(ri[pj]))
-        return pa.table(cols)
-
-    return u.groupby("__cell").map_groups(join_group, batch_format="pyarrow")
 
 
 def cell_box_join(

@@ -8,22 +8,25 @@ Viewshed path (``GreenExp/visibility.py:50-293``), one kernel
         state/viewshed.py) → per-PoI mean/count rollup (:564), one row
         per PoI row in input order.
 
-Streetview path (``visibility.py:296-437``):
-  road edges → points every N m (M20, :624-650, dedup on geometry)
-      → semi-join against PoI buffers (J6, :653-660)
-      → nearest image feature within 100 m (J7, :706-717)
-      → segmentation scorer actor (M23-M26) — the Mask2Former model is
-        NOT available in this environment; ``FakeSegmentation`` is a
-        clearly-marked deterministic stub with the real interface
-        (image decode → per-pixel classes); the panorama crop / road
-        centre (RLE + peaks) / green-ratio plumbing is real
-      → per-PoI mean/count rollup (J8, :1036-1056).
+Streetview path (``visibility.py:296-437``), one kernel
+(``StreetviewPoI``) per batch of PoI rows over the network sampled once
+per kernel (M20, :624-650: points every 50 m, deduplicated by value):
+  poi → the sample points in its buffer or dilated polygon (J6, :653-660)
+      → nearest image feature within 100 m per distinct point (J7,
+        :706-717)
+      → segmentation scorer per distinct image (M23-M26) — the
+        Mask2Former model is NOT available in this environment;
+        ``FakeSegmentation`` is a clearly-marked deterministic stub with
+        the real interface (image decode → per-pixel classes); the
+        panorama crop / road centre (RLE + peaks) / green-ratio plumbing
+        is real
+      → per-PoI mean/count rollup (J8, :1036-1056), one row per PoI row
+        in input order.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -336,89 +339,11 @@ class SamplePointsViewshedPolygon(SamplePointsViewshed):
                                     np.concatenate(all_pj), keys)
 
 
-class PointsToPolygonPoi:
-    """Broadcast polygon-PoI membership join for the streetview path:
-    keep (``semi=True``) or key-assign sample points lying inside each
-    PoI's polygon dilated by ``buffer_dist`` (the polygon-PoI analog of
-    ``select_points_within_buffers``, visibility.py:653-660 with
-    ``poi.buffer(buffer_dist)`` replaced by the polygon geometry per
-    visibility.py:568-572)."""
-
-    def __init__(self, poly_ref, buffer_dist: float | None = None,
-                 key_col: str = "doc_id", semi: bool = False):
-        from .. import geom as _geom
-        from ..state.index import RectIndex
-        from .zonal import split_rings
-
-        t = _resolve(poly_ref)
-        rx = t.column("ring_x").to_pylist()
-        ry = t.column("ring_y").to_pylist()
-        sizes = (t.column("ring_sizes").to_pylist()
-                 if "ring_sizes" in t.column_names else [None] * len(rx))
-        self.rings = []
-        self.bbox = np.empty((len(rx), 4))
-        for i in range(len(rx)):
-            ring = np.column_stack([np.asarray(rx[i], np.float64),
-                                    np.asarray(ry[i], np.float64)])
-            self.rings.append(split_rings(ring, sizes[i]))
-            self.bbox[i] = _geom.rings_bbox(ring)
-        self.keys = t.column(key_col).combine_chunks()
-        self.buffer_dist = float(buffer_dist or 0.0)
-        self.key_col = key_col
-        self.semi = semi
-        # grid index over the d-dilated bboxes: per-point candidate
-        # lookup instead of an O(polygons × batch) linear bbox sweep
-        d = self.buffer_dist
-        n = len(self.rings)
-        self.index = RectIndex(
-            self.bbox[:, 0] - d, self.bbox[:, 1] - d,
-            self.bbox[:, 2] + d, self.bbox[:, 3] + d,
-            ids=np.arange(n, dtype=np.int64),
-        ) if n else None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .. import geom as _geom
-
-        x = batch.column("sp_x").to_numpy(zero_copy_only=False)
-        y = batch.column("sp_y").to_numpy(zero_copy_only=False)
-        d = self.buffer_dist
-        qi_parts, pj_parts = [], []
-        if self.index is not None and len(x):
-            cq, cr = self.index.containing(x, y)
-            # exact membership per candidate polygon (pairs grouped by
-            # polygon so each ring set is tested once, vectorized)
-            order = np.argsort(cr, kind="stable")
-            cq, cr = cq[order], cr[order]
-            uniq, starts = np.unique(cr, return_index=True)
-            bounds = np.concatenate([starts, [len(cr)]])
-            for g, j in enumerate(uniq):
-                qs = cq[bounds[g]:bounds[g + 1]]
-                m = _geom.points_within_rings_dist(
-                    x[qs], y[qs], self.rings[j], d)
-                hit = qs[m]
-                if len(hit):
-                    qi_parts.append(hit)
-                    pj_parts.append(np.full(len(hit), j, dtype=np.int64))
-        if not qi_parts:
-            if self.semi:
-                return batch.slice(0, 0)
-            return batch.slice(0, 0).append_column(
-                self.key_col, self.keys.slice(0, 0))
-        qi = np.concatenate(qi_parts)
-        pj = np.concatenate(pj_parts)
-        if self.semi:
-            return batch.take(pa.array(np.unique(qi)))
-        order = np.argsort(qi, kind="stable")
-        qi, pj = qi[order], pj[order]
-        tbl = batch.take(pa.array(qi))
-        return tbl.append_column(self.key_col, self.keys.take(pa.array(pj)))
-
-
 def streetview_sample_batch(batch: pa.Table, interval: float = 50.0) -> pa.Table:
     """Points every ``interval`` m along each edge
     (select_points_on_road_network, visibility.py:624-650:
     ``range(0, int(len), N)`` — start included, far end excluded).
-    Exact dedup on geometry happens downstream via groupby."""
+    Points shared by edges repeat; ``StreetviewPoI`` dedups them."""
     from .. import geom as _geom
 
     ax = batch.column("ax").to_numpy(zero_copy_only=False)
@@ -552,8 +477,8 @@ class ViewshedPoI:
 
 
 class NearestImageFeature:
-    """map_batches actor: nearest image feature within 100 m (J7,
-    visibility.py:706-717); misses get image_id "" / distance null."""
+    """Nearest image feature within 100 m of each sample point (J7,
+    visibility.py:706-717); misses get image_id "" / distance NaN."""
 
     def __init__(self, features_ref, max_distance: float = 100.0,
                  index_cell: float = 500.0):
@@ -674,7 +599,7 @@ class FakeSegmentation:
 
 
 class SegmentationGVI:
-    """Actor-pool scorer: image → green-pixel fraction (M25/M26).
+    """Image scorer: image → green-pixel fraction (M25/M26).
 
     Real plumbing, stubbed decode: panoramic images get the reference's
     crop flow (drop bottom 20 %, wrap first 25 %, 4:3 crops around road
@@ -685,7 +610,7 @@ class SegmentationGVI:
 
     def __init__(self, model: type = FakeSegmentation,
                  crop_by_road_centres: bool = True):
-        self.model = model()  # loaded once per actor
+        self.model = model()  # loaded once per kernel
         self.crop_by_road_centres = bool(crop_by_road_centres)
 
     def _gvi_pano(self, seg: np.ndarray) -> float:
@@ -750,36 +675,109 @@ class SegmentationGVI:
         return batch.append_column("GVI", pa.array(gvi))
 
 
-class PointsToPoi:
-    """map_batches actor: assign sample points to every PoI whose buffer
-    contains them (J6/J8 semi-join, broadcast PoI side).  Emits one row
-    per (point, poi).
+class StreetviewPoI:
+    """The streetview kernel of ``get_streetview_GVI``: per batch of PoI
+    rows, the network sample points inside each row's buffer
+    (``poi_kind='point'``) or inside its polygon dilated by
+    ``buffer_dist`` (``'polygon'``: ``ring_x, ring_y[, ring_sizes]``
+    rows), each distinct point's nearest image (``NearestImageFeature``)
+    and each distinct image's GVI (``SegmentationGVI``), rolled up per
+    PoI: one ``(key, GVI, nr_of_points, sample_points)`` row per input
+    row, in input order.  ``nr_of_points`` counts the row's points with
+    a GVI, ``GVI`` is their mean rounded to 3 or null when there is none
+    (pandas ``mean``/``count``, visibility.py:1048-1049) and
+    ``sample_points`` counts all of the row's points.
+    ``per_point=True`` returns one row per (PoI row, sample point)
+    instead: ``sp_x, sp_y, image_id, is_panoramic, feature_distance,
+    GVI, key``, a point without an image keeping a NaN ``GVI``.
 
-    With ``semi=True`` it instead FILTERS the batch to points inside at
-    least one buffer without duplication (the reference's
-    ``select_points_within_buffers`` unique-point semi-join,
-    visibility.py:653-660)."""
+    The network is sampled once per kernel, every 50 m, the points
+    deduplicated by value (visibility.py:624-650) and indexed."""
 
-    def __init__(self, poi_ref, buffer_dist: float, key_col: str = "doc_id",
-                 semi: bool = False):
-        t = _resolve(poi_ref)
-        self.index = GridIndex(
-            t.column("x").to_numpy(zero_copy_only=False),
-            t.column("y").to_numpy(zero_copy_only=False),
-            cell_size=max(500.0, buffer_dist),
-        )
-        self.keys = t.column(key_col).to_pylist()
-        self.buffer_dist = float(buffer_dist)
+    def __init__(self, nodes_path: str, edges_path: str, features_path: str,
+                 buffer_dist: float | None, key_col: str = "doc_id",
+                 poi_kind: str = "point", crop_by_road_centres: bool = True,
+                 per_point: bool = False):
+        pts = streetview_sample_batch(
+            edge_coords_table(nodes_path, edges_path), 50.0)
+        xy = np.unique(np.column_stack([pts.column("sp_x").to_numpy(),
+                                        pts.column("sp_y").to_numpy()]),
+                       axis=0)
+        self.x, self.y = xy[:, 0], xy[:, 1]
+        self.buffer_dist = float(buffer_dist or 0.0)
+        self.index = GridIndex(self.x, self.y,
+                               cell_size=max(self.buffer_dist, 100.0))
+        self.nearest = NearestImageFeature(pq.read_table(features_path))
+        self.score = SegmentationGVI(
+            crop_by_road_centres=crop_by_road_centres)
+        self.polygon = poi_kind == "polygon"
         self.key_col = key_col
-        self.semi = semi
+        self.per_point = per_point
+
+    def _polygon_pairs(self, batch: pa.Table):
+        """(row, point) pairs: the points inside each row's ring bbox
+        grown by ``buffer_dist``, refined by the dilated-polygon test."""
+        from .. import geom as _geom
+        from .zonal import split_rings
+
+        rx = batch.column("ring_x").to_pylist()
+        ry = batch.column("ring_y").to_pylist()
+        sizes = (batch.column("ring_sizes").to_pylist()
+                 if "ring_sizes" in batch.column_names else [None] * len(rx))
+        rings, box = [], np.full((len(rx), 4), np.nan)
+        for i in range(len(rx)):
+            ring = np.column_stack([np.asarray(rx[i] or [], np.float64),
+                                    np.asarray(ry[i] or [], np.float64)])
+            rings.append(split_rings(ring, sizes[i]))
+            if len(ring):
+                box[i] = _geom.rings_bbox(ring)
+        d = self.buffer_dist
+        qi, pj = self.index.in_boxes(box[:, 0] - d, box[:, 1] - d,
+                                     box[:, 2] + d, box[:, 3] + d)
+        keep = np.zeros(len(qi), dtype=bool)
+        rows, starts = np.unique(qi, return_index=True)
+        for i, lo, hi in zip(rows, starts, np.append(starts[1:], len(qi))):
+            c = pj[lo:hi]
+            keep[lo:hi] = _geom.points_within_rings_dist(
+                self.x[c], self.y[c], rings[i], d)
+        return qi[keep], pj[keep]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        x = batch.column("sp_x").to_numpy(zero_copy_only=False)
-        y = batch.column("sp_y").to_numpy(zero_copy_only=False)
-        qi, pj, _ = self.index.within(x, y, self.buffer_dist)
-        if self.semi:
-            keep = np.unique(qi)
-            return batch.take(pa.array(keep))
-        tbl = batch.take(pa.array(qi))
-        keys = pa.array([self.keys[j] for j in pj])
-        return tbl.append_column(self.key_col, keys)
+        n = batch.num_rows
+        keys = batch.column(self.key_col)
+        if self.polygon:
+            qi, pj = self._polygon_pairs(batch)
+        else:
+            qi, pj, _ = self.index.within(
+                batch.column("x").to_numpy(zero_copy_only=False),
+                batch.column("y").to_numpy(zero_copy_only=False),
+                self.buffer_dist)
+            order = np.argsort(qi, kind="stable")
+            qi, pj = qi[order], pj[order]
+        # nearest image once per distinct point, GVI once per distinct
+        # image (the miss "" scores NaN)
+        upt, inv = np.unique(pj, return_inverse=True)
+        feats = self.nearest(pa.table({"sp_x": self.x[upt],
+                                       "sp_y": self.y[upt]}))
+        code = (feats.column("image_id").combine_chunks()
+                .dictionary_encode().indices.to_numpy())
+        first = np.unique(code, return_index=True)[1]
+        images = feats.take(pa.array(first)).select(["image_id",
+                                                     "is_panoramic"])
+        gvi = self.score(images).column("GVI").to_numpy()[code][inv]
+        if self.per_point:
+            return (feats.take(pa.array(inv))
+                    .append_column("GVI", pa.array(gvi))
+                    .append_column(self.key_col, keys.take(pa.array(qi))))
+        ok = np.isfinite(gvi)
+        cnt = np.bincount(qi[ok], minlength=n)
+        total = np.bincount(qi[ok], weights=gvi[ok], minlength=n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = np.round(total / cnt, 3)
+        return pa.table({
+            self.key_col: keys,
+            "GVI": pa.array(mean, mask=cnt == 0),
+            "nr_of_points": pa.array(cnt.astype(np.int64)),
+            "sample_points": pa.array(
+                np.bincount(qi, minlength=n).astype(np.int64)),
+        })

@@ -6,8 +6,9 @@ with a grid-hash index built ONCE per actor in ``__init__`` from a
 broadcast side table (``ray.put`` once on the driver, read per actor).
 Queries are exact: ``nearest`` widens every query cell's candidate
 square, all cells in one vectorized pass at a time, until no closer
-point can lie outside it; ``within`` / ``candidate_groups`` walk the
-Chebyshev rings a radius reaches.
+point can lie outside it; ``in_boxes`` gathers each box's cells the
+same way; ``within`` / ``candidate_groups`` walk the Chebyshev rings a
+radius reaches.
 """
 
 from __future__ import annotations
@@ -154,7 +155,9 @@ class GridIndex:
         active = np.arange(len(starts))
         while len(active):
             r = radius[active]
-            counts, cand = self._square_candidates(cx[active], cy[active], r)
+            acx, acy = cx[active], cy[active]
+            counts, cand = self._box_candidates(acx - r, acy - r,
+                                                acx + r, acy + r)
             # (query, candidate) pairs: each query against its cell's square
             nqa = nq[active]
             qsel = order[_ranges(starts[active], nqa)]
@@ -188,25 +191,27 @@ class GridIndex:
             best_i[miss] = -1
         return best_d, best_i
 
-    def _square_candidates(self, cx: np.ndarray, cy: np.ndarray, r: np.ndarray):
-        """Indexed points in each cell's (2r+1)^2 square, clipped to the
-        populated extent: (count per cell, point indices grouped by
-        cell).  One searchsorted pair per (cell, populated column) on
-        the sorted bucket keys, so no array is sized by the extent."""
-        x0 = np.maximum(cx - r, self._ix_lo)
-        x1 = np.minimum(cx + r, self._ix_hi)
-        y0 = np.maximum(cy - r, self._iy_lo)
-        y1 = np.minimum(cy + r, self._iy_hi)
+    def _box_candidates(self, x0: np.ndarray, y0: np.ndarray,
+                        x1: np.ndarray, y1: np.ndarray):
+        """Indexed points in each box of grid cells ``[x0, x1] × [y0,
+        y1]`` (cell numbers, inclusive), clipped to the populated
+        extent: (count per box, point indices grouped by box).  One
+        searchsorted pair per (box, populated column) on the sorted
+        bucket keys, so no array is sized by the extent."""
+        x0 = np.maximum(x0, self._ix_lo)
+        x1 = np.minimum(x1, self._ix_hi)
+        y0 = np.maximum(y0, self._iy_lo)
+        y1 = np.minimum(y1, self._iy_hi)
         c_lo = np.searchsorted(self._cols, x0, side="left")
         c_hi = np.searchsorted(self._cols, x1, side="right")
         ncol = np.where(y0 <= y1, np.maximum(c_hi - c_lo, 0), 0)
-        pair = np.repeat(np.arange(len(cx)), ncol)
+        pair = np.repeat(np.arange(len(x0)), ncol)
         base = self._cols[_ranges(c_lo, ncol)] * (1 << 32)
         b_lo = np.searchsorted(self._bucket_key, base + y0[pair], side="left")
         b_hi = np.searchsorted(self._bucket_key, base + y1[pair], side="right")
         p_lo = self._bucket_start[b_lo]
         npts = self._bucket_start[b_hi] - p_lo
-        counts = np.bincount(pair, weights=npts, minlength=len(cx))
+        counts = np.bincount(pair, weights=npts, minlength=len(x0))
         return counts.astype(np.int64), self._order[_ranges(p_lo, npts)]
 
     def candidate_groups(self, qx: np.ndarray, qy: np.ndarray,
@@ -243,9 +248,15 @@ class GridIndex:
 
     def within(self, qx: np.ndarray, qy: np.ndarray, radius: float):
         """All index points within ``radius`` of each query point.
-        Returns (query_local_index, point_index, dist) flat arrays."""
+        Returns (query_local_index, point_index, dist) flat arrays; a
+        query with a NaN or infinite coordinate matches nothing."""
         qx = np.asarray(qx, dtype=np.float64)
         qy = np.asarray(qy, dtype=np.float64)
+        ok = np.isfinite(qx) & np.isfinite(qy)
+        if not ok.all():
+            # no cell for a query without coordinates (see nearest)
+            qi, pj, d = self.within(qx[ok], qy[ok], radius)
+            return np.flatnonzero(ok)[qi], pj, d
         rings = int(np.ceil(radius / self.cs)) + 1
         out_q, out_p, out_d = [], [], []
         qix = np.floor(qx / self.cs).astype(np.int64)
@@ -273,6 +284,27 @@ class GridIndex:
         if not out_q:
             return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
         return np.concatenate(out_q), np.concatenate(out_p), np.concatenate(out_d)
+
+    def in_boxes(self, x0: np.ndarray, y0: np.ndarray,
+                 x1: np.ndarray, y1: np.ndarray):
+        """Index points inside each closed box ``[x0, x1] × [y0, y1]``.
+        Returns (box_index, point_index) flat arrays, grouped by box; a
+        box with a NaN or infinite bound holds nothing."""
+        x0, y0, x1, y1 = (np.asarray(v, dtype=np.float64)
+                          for v in (x0, y0, x1, y1))
+        ok = np.flatnonzero(np.isfinite(x0) & np.isfinite(y0)
+                            & np.isfinite(x1) & np.isfinite(y1))
+        if not len(ok) or not len(self.x):
+            return np.empty(0, np.int64), np.empty(0, np.int64)
+        bx0, by0, bx1, by1 = x0[ok], y0[ok], x1[ok], y1[ok]
+        counts, cand = self._box_candidates(
+            *(np.floor(v / self.cs).astype(np.int64)
+              for v in (bx0, by0, bx1, by1)))
+        box = np.repeat(np.arange(len(ok)), counts)
+        px, py = self.x[cand], self.y[cand]
+        inside = ((px >= bx0[box]) & (px <= bx1[box])
+                  & (py >= by0[box]) & (py <= by1[box]))
+        return ok[box[inside]], cand[inside]
 
 
 class RectIndex:

@@ -62,6 +62,49 @@ def test_grid_index_within_matches_bruteforce():
     assert got == {(int(a), int(b)) for a, b in exp}
 
 
+def test_grid_index_within_skips_queries_without_coordinates():
+    """A NaN or infinite query (a document with no geom span) matches
+    nothing; the finite queries of the same batch keep their matches
+    at their own positions."""
+    rng = np.random.default_rng(6)
+    px = rng.uniform(0, 2000, 100)
+    py = rng.uniform(0, 2000, 100)
+    qx = np.array([np.nan, 500.0, 1200.0, np.inf, 900.0])
+    qy = np.array([300.0, 700.0, np.nan, 40.0, 1500.0])
+    qi, pj, d = GridIndex(px, py, cell_size=250.0).within(qx, qy, 400.0)
+    got = set(zip(qi.tolist(), pj.tolist()))
+    with np.errstate(invalid="ignore"):
+        bf = np.sqrt((qx[:, None] - px[None, :]) ** 2
+                     + (qy[:, None] - py[None, :]) ** 2)
+    exp = set(zip(*np.nonzero(bf <= 400.0)))
+    assert got == {(int(a), int(b)) for a, b in exp}
+    assert set(qi.tolist()) == {1, 4}
+    dx, dy = qx[qi] - px[pj], qy[qi] - py[pj]
+    assert np.array_equal(d, np.sqrt(dx * dx + dy * dy))
+
+
+def test_grid_index_in_boxes_matches_bruteforce():
+    rng = np.random.default_rng(7)
+    px = rng.uniform(0, 5000, 300)
+    py = rng.uniform(0, 5000, 300)
+    x0 = rng.uniform(-500, 5000, 40)
+    y0 = rng.uniform(-500, 5000, 40)
+    x1 = x0 + rng.uniform(0, 900, 40)
+    y1 = y0 + rng.uniform(0, 900, 40)
+    x0[3] = np.nan  # a box without bounds holds nothing
+    # a box whose edges pass through indexed points (closed bounds)
+    x0[5], x1[5], y0[5], y1[5] = px[0], px[1] + 1.0, py[0], py[0]
+    bi, pj = GridIndex(px, py, cell_size=300.0).in_boxes(x0, y0, x1, y1)
+    assert (np.diff(bi) >= 0).all()
+    got = set(zip(bi.tolist(), pj.tolist()))
+    with np.errstate(invalid="ignore"):
+        inside = ((px[None, :] >= x0[:, None]) & (px[None, :] <= x1[:, None])
+                  & (py[None, :] >= y0[:, None]) & (py[None, :] <= y1[:, None]))
+    exp = set(zip(*np.nonzero(inside)))
+    assert got == {(int(a), int(b)) for a, b in exp}
+    assert (5, 0) in got
+
+
 def test_rect_index_matches_bruteforce():
     rng = np.random.default_rng(5)
     cx = rng.uniform(0, 5000, 80)

@@ -175,12 +175,12 @@ def test_sample_points_viewshed_polygon_edge_selection():
         assert (d2.min(axis=1) < 1e-12).all()
 
 
-def test_points_to_polygon_poi_membership_and_explode():
-    import ray
-
+def test_streetview_polygon_membership_matches_bruteforce(world):
+    """Polygon PoIs: the per-point rows of each rect are exactly the
+    deduplicated network sample points within ``d`` of it (closed-form
+    point↔rect distance); overlapping rects share points."""
     from greenex_py_ray.stages import visibility as vis
 
-    rng = np.random.default_rng(9)
     rects = np.array([[100.0, 100, 500, 400],
                       [400.0, 300, 900, 700]])  # overlapping pair
     rows = []
@@ -193,21 +193,25 @@ def test_points_to_polygon_poi_membership_and_explode():
         "ring_y": pa.array([r[2] for r in rows], pa.list_(pa.float64())),
         "ring_sizes": pa.array([r[3] for r in rows], pa.list_(pa.int32())),
     })
-    px = rng.uniform(0, 1000, 2000)
-    py = rng.uniform(0, 800, 2000)
-    batch = pa.table({"sp_x": px, "sp_y": py})
     d = 50.0
-    inside = np.stack([_d_point_rect(px, py, *r) <= d for r in rects])
-    semi = vis.PointsToPolygonPoi(ray.put(poly), buffer_dist=d, semi=True)
-    out = semi(batch)
-    assert len(out) == int(inside.any(axis=0).sum())
-    expl = vis.PointsToPolygonPoi(ray.put(poly), buffer_dist=d, semi=False)
-    out2 = expl(batch)
-    # one output row per (point, containing polygon) pair
-    assert len(out2) == int(inside.sum())
-    keys = np.array(out2.column("doc_id").to_pylist())
-    assert (keys == "p0").sum() == int(inside[0].sum())
-    assert (keys == "p1").sum() == int(inside[1].sum())
+    kernel = vis.StreetviewPoI(world["network_nodes"], world["network_edges"],
+                               world["image_features"], buffer_dist=d,
+                               poi_kind="polygon", per_point=True)
+    out = kernel(poly)
+    got = set(zip(out.column("doc_id").to_pylist(),
+                  out.column("sp_x").to_pylist(),
+                  out.column("sp_y").to_pylist()))
+    assert len(got) == out.num_rows
+    pts = vis.streetview_sample_batch(vis.edge_coords_table(
+        world["network_nodes"], world["network_edges"]), 50.0)
+    xy = np.unique(np.column_stack([pts.column("sp_x").to_numpy(),
+                                    pts.column("sp_y").to_numpy()]), axis=0)
+    exp = {(f"p{i}", x, y) for i, r in enumerate(rects)
+           for x, y in xy[_d_point_rect(xy[:, 0], xy[:, 1], *r) <= d]}
+    assert got == exp
+    shared = ({(x, y) for k, x, y in got if k == "p0"}
+              & {(x, y) for k, x, y in got if k == "p1"})
+    assert shared and len(got) > len(shared)
 
 
 # -------------------------------------------------------------------- API
@@ -294,8 +298,9 @@ def test_visibility_polygon_dispatch_validation(world):
 
 
 def test_gvi_rollup_attach_logs_no_schema_warning(world):
-    """The GVI rollups reach the documents through bucket_join_attach;
-    Ray logs no schema-mismatch warning for either function."""
+    """The GVI rollups are kernel columns appended to each document
+    batch (no keyed attach); Ray logs no schema-mismatch warning for
+    either function."""
     import logging
 
     warnings = []

@@ -140,28 +140,6 @@ def test_fake_segmentation_distinct_per_image():
         assert s.shape == (m.H, m.W)
 
 
-def test_streetview_shuffle_join_matches_broadcast(world):
-    """cell_buffer_join PoI path (broadcast_threshold=0) must reproduce
-    the broadcast PointsToPoi rollup exactly."""
-    import pyarrow.parquet as pq
-
-    from greenex_py_ray.pipelines import visibility as vpipe
-    from greenex_py_ray.sources import documents as doc_src
-
-    docs = doc_src.read_documents(world["documents"])
-    poi = doc_src.decode_geom(docs).select_columns(
-        ["doc_id", "x", "y"]).limit(300).materialize()
-    edges = vpipe.edge_coords_table(world["network_nodes"], world["network_edges"])
-    features = pq.read_table(world["image_features"])
-    a, _ = vpipe.streetview_gvi(poi, edges, features, buffer_dist=100.0,
-                                concurrency=2)
-    b, _ = vpipe.streetview_gvi(poi, edges, features, buffer_dist=100.0,
-                                concurrency=2, broadcast_threshold=0)
-    da = a.to_pandas().sort_values("doc_id").reset_index(drop=True)
-    db = b.to_pandas().sort_values("doc_id").reset_index(drop=True)
-    assert da.equals(db), (len(da), len(db))
-
-
 def test_polyline_edge_sampling():
     """Curved-edge support: sample points follow the true polyline
     (visibility.py:581-586,633-641), not the node-to-node chord."""

@@ -13,7 +13,12 @@ from greenex_py_ray.sources import documents as doc_src
 from greenex_py_ray.sources import synth
 
 
-def oracle_disk_values(band, x, y, radius, extent=synth.WORLD):
+#: the tile store holds whole tiles, so it reaches past WORLD to the
+#: next tile edge (20480 m); disks at the world's edge count those pixels
+TILED_EXTENT = synth.TILE_SIZE * np.ceil(synth.WORLD / synth.TILE_SIZE)
+
+
+def oracle_disk_values(band, x, y, radius, extent=TILED_EXTENT):
     res = synth.RASTER_RES
     c0 = int(np.floor((x - radius) / res))
     c1 = int(np.floor((x + radius) / res))
@@ -27,6 +32,16 @@ def oracle_disk_values(band, x, y, radius, extent=synth.WORLD):
     mask &= (gx >= 0) & (gx <= extent) & (gy >= 0) & (gy <= extent)
     vals = synth._FIELDS[band](gx, gy)[mask]
     return vals
+
+
+def sampled_and_edge_docs(x, y, radius, n, seed):
+    """``n`` random document positions plus every document whose disk
+    crosses x or y = WORLD, where the store's pixels run past the
+    world."""
+    edge = np.flatnonzero((x + radius > synth.WORLD)
+                          | (y + radius > synth.WORLD))
+    pick = np.random.default_rng(seed).choice(len(x), n, replace=False)
+    return np.union1d(pick, edge)
 
 
 def decode_world_docs(world):
@@ -56,7 +71,7 @@ def test_mean_ndvi_parity(world):
         .set_index("doc_id")
     )
     assert len(out) == len(doc_ids)
-    for i in np.random.default_rng(7).choice(len(doc_ids), 40, replace=False):
+    for i in sampled_and_edge_docs(x, y, radius, 40, seed=7):
         vals = np.maximum(oracle_disk_values("ndvi", x[i], y[i], radius), 0.0)
         exp_mean = round(vals.mean(), 3)
         exp_std = round(vals.std(), 3)
@@ -78,7 +93,7 @@ def test_landcover_parity(world):
         .set_index("doc_id")
     )
     classmap = availability.DEFAULT_CLASSMAP
-    for i in np.random.default_rng(11).choice(len(doc_ids), 20, replace=False):
+    for i in sampled_and_edge_docs(x, y, radius, 20, seed=11):
         vals = oracle_disk_values("lulc", x[i], y[i], radius)
         total = vals.size
         row = out.loc[doc_ids[i]]
@@ -218,11 +233,8 @@ def test_landcover_majority_matches_class_count_argmax(world):
         concurrency=2).to_pandas().set_index("doc_id"))
     assert len(out) == len(doc_ids)
     codes = sorted(availability.DEFAULT_CLASSMAP)
-    # the store holds whole tiles, so it reaches past WORLD to the next
-    # tile edge; disks at the world's edge count those pixels too
-    extent = synth.TILE_SIZE * np.ceil(synth.WORLD / synth.TILE_SIZE)
     for i in np.random.default_rng(13).choice(len(doc_ids), 30, replace=False):
-        vals = oracle_disk_values("lulc", x[i], y[i], radius, extent)
+        vals = oracle_disk_values("lulc", x[i], y[i], radius)
         counts = np.array([(vals == c).sum() for c in codes])
         row = out.loc[doc_ids[i]]
         assert row["majority_class"] == codes[int(np.argmax(counts))], i
