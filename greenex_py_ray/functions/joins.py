@@ -32,6 +32,7 @@ documents:
 
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import NamedTuple
 
@@ -249,7 +250,9 @@ class KernelStage(NamedTuple):
     """The one definition of a one-row-per-PoI kernel's stage: its
     class, constructor kwargs and ``map_batches`` wiring (batch size,
     CPUs, ``concurrency`` — at most that many kernel tasks at once; a
-    ``(min, max)`` pool spec caps at its max).  Both callers run
+    ``(min, max)`` pool spec caps at its max; none by default: a task
+    gives its CPU back when it ends, so unlike a fixed actor pool
+    (:func:`heavy_pool`) it cannot starve its feed).  Both callers run
     :func:`_run_kernel` tasks: :meth:`on` over decoded PoI rows (the
     metric-table pipelines), :func:`append_metrics` on raw documents
     (the span-preserving API).  The kernel cache key — the class plus
@@ -264,6 +267,13 @@ class KernelStage(NamedTuple):
         conc = kw.pop("concurrency", None)
         if isinstance(conc, tuple):
             conc = conc[-1]
+        if conc is not None:
+            # Ray warns of a cap above the operator's inputs: in-memory
+            # data's block count is known up front, a read's is not
+            # (read off Ray's private plan, left alone if that changes)
+            with contextlib.suppress(AttributeError):
+                if not ds._plan.has_lazy_input():
+                    conc = min(conc, ds._plan.initial_num_blocks() or conc)
         key = (self.cls, _freeze(self.kwargs))
         return ds.map_batches(
             _run_kernel,
@@ -304,7 +314,8 @@ def drop_zero_count(ds: "ray.data.Dataset", column: str) -> "ray.data.Dataset":
 
 
 def as_pool(concurrency) -> tuple[int, int]:
-    """Normalize a concurrency spec to an autoscaling (min, max) pool.
+    """Normalize a concurrency spec to an autoscaling (min, max) actor
+    pool (a :class:`KernelStage` caps its tasks at the max).
 
     Fixed-size pools reserve all their CPUs up front; on small clusters
     two fixed pools can starve the shuffle tasks and deadlock the
@@ -322,16 +333,15 @@ def as_pool(concurrency) -> tuple[int, int]:
 
 
 def heavy_pool(concurrency=None) -> dict:
-    """map_batches kwargs for THE dominant compute stage of a pipeline:
-    a fixed width with a whole CPU per worker.
+    """map_batches kwargs for THE dominant actor stage of a pipeline (a
+    class passed to ``map_batches``): a fixed pool with a whole CPU per
+    actor, since Ray's autoscaling pools stay at their minimum in
+    practice.
 
     The width is half the cluster by default, or ``min(concurrency,
     cpus - 1)`` when the caller gives one (a ``(min, max)`` spec counts
-    as its max), so the stage's feed (read and decode tasks) always
-    keeps CPUs to run on.  A :class:`KernelStage` uses the width as the
-    cap on its concurrent kernel tasks; an actor stage (a class passed
-    to ``map_batches``) gets a fixed pool of that size, since Ray's
-    autoscaling pools stay at their minimum in practice.
+    as its max): actors hold their CPUs for the whole run, so the
+    stage's feed (read and decode tasks) must keep CPUs to run on.
     """
     if isinstance(concurrency, tuple):
         # a tuple spec pins the pool at its MAX (heavy stages need a

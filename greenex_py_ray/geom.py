@@ -285,9 +285,9 @@ def points_within_rings_dist(px: np.ndarray, py: np.ndarray,
     polygon, or within ``dist`` of its boundary — i.e. member of the
     polygon dilated by ``dist`` (shapely ``geom.buffer(d).contains(pt)``
     in the exact Minkowski limit; the engine-wide euclidean-buffer
-    deviation documented in MIGRATION.md).  Semantics-twin of
-    ``stages/zonal.mask_rings_dilated`` (pixel-lattice layout there,
-    arbitrary points here) — keep the sqrt boundary-tie rule in sync."""
+    deviation documented in MIGRATION.md).  The pixel-centre AoI test of
+    the dilated polygon kernels; its sqrt boundary-tie rule is the SQL
+    oracles' (``sqrt(least(d2)) <= d``)."""
     px = np.asarray(px, dtype=np.float64)
     py = np.asarray(py, dtype=np.float64)
     mask = points_in_rings(px, py, rings)
@@ -299,8 +299,7 @@ def points_within_rings_dist(px: np.ndarray, py: np.ndarray,
     step = max(1, chunk // max(1, len(sx0)))
     for s in range(0, len(out), step):
         idx = out[s:s + step]
-        # sqrt-compare: identical tie rule to mask_rings_dilated and
-        # the SQL oracles (sqrt(least(d2)) <= d)
+        # sqrt-compare: the SQL oracles' tie rule (sqrt(least(d2)) <= d)
         near = np.sqrt(_point_seg_d2(px[idx], py[idx], sx0, sy0, sx1, sy1)
                        .min(axis=1)) <= dist
         mask[idx] = near
@@ -366,8 +365,8 @@ def segments_within_rings_dist(ax: np.ndarray, ay: np.ndarray,
                         _point_seg_d2(sx1, sy1, ax[j], ay[j], bx[j], by[j]),
                     ).min(axis=0),
                 )
-                # sqrt-compare: identical tie rule to mask_rings_dilated
-                # and the SQL oracles (sqrt(least(d2)) <= d)
+                # sqrt-compare: the SQL oracles' tie rule
+                # (sqrt(least(d2)) <= d)
                 hit[miss] |= np.sqrt(dmin) <= dist
         mask[idx] = hit
     return mask

@@ -13,7 +13,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..functions.joins import KernelStage, append_metrics, as_pool, heavy_pool
+from ..functions.joins import KernelStage, append_metrics, heavy_pool
 from ..sources import documents as doc_src
 from ..stages.access import NearestGreenspace
 
@@ -28,8 +28,7 @@ def nearest_greenspace_stage(centroids: "pa.Table", target_dist: float,
         NearestGreenspace,
         dict(centroids_ref=ray.put(centroids), target_dist=target_dist,
              key_col=key_col, flag_name=flag_name),
-        dict(batch_size=8192, concurrency=as_pool(concurrency),
-             num_cpus=0.25))
+        dict(batch_size=8192, concurrency=concurrency, num_cpus=0.25))
 
 
 def get_shortest_distance_greenspace_documents(
@@ -80,7 +79,7 @@ def network_distance_stage(
              greenspace_ref=ray.put(greenspace), target_dist=target_dist,
              destination=destination, distance_type=distance_type,
              key_col=key_col, flag_name=flag_name),
-        dict(batch_size=512, **heavy_pool(concurrency)))
+        dict(batch_size=512, num_cpus=1, concurrency=concurrency))
 
 
 def network_distance_greenspace(

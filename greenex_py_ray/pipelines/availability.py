@@ -25,7 +25,7 @@ import ray
 import ray.data
 
 from ..functions.joins import (KernelStage, append_metrics, as_pool,
-                               drop_zero_count, heavy_pool)
+                               drop_zero_count)
 from ..sources import documents as doc_src
 from ..stages import zonal
 
@@ -45,7 +45,7 @@ def mean_ndvi_stage(tile_root: str, radius: float, key_col: str = "doc_id",
     return KernelStage(
         zonal.ZonalStatsLocal,
         dict(tile_root=tile_root, band="ndvi", radius=radius, key_col=key_col),
-        dict(batch_size=batch_size, **heavy_pool(concurrency)))
+        dict(batch_size=batch_size, num_cpus=1, concurrency=concurrency))
 
 
 def mean_ndvi(poi: "ray.data.Dataset", tile_root: str, radius: float,
@@ -69,7 +69,7 @@ def landcover_stage(tile_root: str, radius: float, key_col: str = "doc_id",
         dict(tile_root=tile_root, radius=radius,
              classmap=classmap or DEFAULT_CLASSMAP, key_col=key_col,
              stringify=stringify),
-        dict(batch_size=batch_size, **heavy_pool(concurrency)))
+        dict(batch_size=batch_size, num_cpus=1, concurrency=concurrency))
 
 
 def landcover_percentages(
@@ -101,15 +101,14 @@ def get_mean_ndvi_documents(
     each batch, runs the zonal NDVI kernel and appends mean/std to the
     untouched documents (span passthrough).  One read, no exchange.
 
-    ``batch_size``: raise toward 16384 on large inputs — the SAT-chord
-    kernel runs one vectorized pass per (tile, point-group), so larger
-    batches amortize numpy dispatch (+40 % single-thread measured);
-    keep small on small inputs so several kernel tasks run at once."""
+    ``batch_size``: rows per kernel task.  The kernel's chord pass works
+    through a batch a few hundred points at a time (``zonal.disk_sums``),
+    so a larger batch saves little beyond per-task overhead; keep it
+    small enough that the input splits into a task per CPU."""
     return append_metrics(
         doc_src.read_documents(documents_path),
         mean_ndvi_stage(tile_root, buffer_dist,
-                        concurrency=as_pool(concurrency),
-                        batch_size=batch_size))
+                        concurrency=concurrency, batch_size=batch_size))
 
 
 def coverage_stage(
@@ -129,10 +128,9 @@ def coverage_stage(
     from ..stages.coverage import PolygonCoverage
 
     if aoi_shape == "self":
-        pool = dict(batch_size=256, concurrency=as_pool(concurrency),
-                    num_cpus=0.5)
+        pool = dict(batch_size=256, concurrency=concurrency, num_cpus=0.5)
     else:
-        pool = dict(concurrency=as_pool(concurrency), num_cpus=0.25)
+        pool = dict(concurrency=concurrency, num_cpus=0.25)
     return KernelStage(
         PolygonCoverage,
         dict(polys_ref=ray.put(polys), buffer_dist=buffer_dist,
@@ -190,7 +188,7 @@ def isochrone_stage(kernel_cls, nodes: "pa.Table", edges: "pa.Table",
     return KernelStage(
         kernel_cls,
         dict(nodes_ref=ray.put(nodes), edges_ref=ray.put(edges), **kwargs),
-        dict(batch_size=256, **heavy_pool(concurrency)))
+        dict(batch_size=256, num_cpus=1, concurrency=concurrency))
 
 
 def mean_ndvi_isochrone(
@@ -269,7 +267,7 @@ def mean_ndvi_polygon_stage(tile_root: str, key_col: str = "doc_id",
         zonal.PolygonZonalLocal,
         dict(tile_root=tile_root, band="ndvi", key_col=key_col,
              dilate=dilate),
-        dict(batch_size=256, **heavy_pool(concurrency)))
+        dict(batch_size=256, num_cpus=1, concurrency=concurrency))
 
 
 def mean_ndvi_polygon_aoi(
@@ -302,7 +300,7 @@ def landcover_polygon_stage(tile_root: str,
         zonal.PolygonLandcoverLocal,
         dict(tile_root=tile_root, classmap=classmap or DEFAULT_CLASSMAP,
              key_col=key_col, dilate=dilate, stringify=stringify),
-        dict(batch_size=256, **heavy_pool(concurrency)))
+        dict(batch_size=256, num_cpus=1, concurrency=concurrency))
 
 
 def landcover_percentages_polygon_aoi(
@@ -379,7 +377,7 @@ def landcover_majority_stage(tile_root: str, radius: float,
         zonal.LandcoverMajorityLocal,
         dict(tile_root=tile_root, radius=radius,
              classmap=classmap or DEFAULT_CLASSMAP, key_col=key_col),
-        dict(batch_size=4096, **heavy_pool(concurrency)))
+        dict(batch_size=4096, num_cpus=1, concurrency=concurrency))
 
 
 def landcover_majority(

@@ -3560,8 +3560,9 @@ def world_oracle_sql() -> dict[str, str]:
 
     def rect_pix(d: float) -> str:
         """Pixel-center membership in the rect dilated by ``d`` — the
-        SQL twin of ``mask_rings_dilated`` (interior test, else min
-        point→edge-segment distance term-for-term via ``_seg_d2``)."""
+        SQL twin of ``geom.points_within_rings_dist`` (interior test,
+        else min point→edge-segment distance term-for-term via
+        ``_seg_d2``)."""
         inside = "px > x0 AND px < x1 AND py > y0 AND py < y1"
         if d > 0:
             segs = [("x0", "y0", "x1", "y0"), ("x1", "y0", "x1", "y1"),

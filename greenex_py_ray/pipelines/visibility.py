@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import ray.data
 
-from ..functions.joins import KernelStage, drop_zero_count, heavy_pool
+from ..functions.joins import KernelStage, drop_zero_count
 from ..sources import documents as doc_src
 from ..stages import visibility as vis
 from ..stages.visibility import edge_coords_table  # noqa: F401  (re-export)
@@ -53,7 +53,7 @@ def viewshed_stage(
         # PoIs per task: each costs tens of sample-point kernel calls, so
         # small batches still amortize a task and spread a few hundred
         # PoIs over the whole pool
-        dict(batch_size=32, **heavy_pool(concurrency)))
+        dict(batch_size=32, num_cpus=1, concurrency=concurrency))
 
 
 def viewshed_gvi(poi: "ray.data.Dataset", nodes_path: str, edges_path: str,
@@ -100,9 +100,9 @@ def streetview_stage(
              key_col=key_col, poi_kind=poi_kind,
              crop_by_road_centres=crop_by_road_centres,
              per_point=per_point),
-        # PoIs per task: an image is scored once per batch it appears
-        # in, so batches hold a few hundred neighbouring PoIs
-        dict(batch_size=256, **heavy_pool(concurrency)))
+        # PoIs per task: a few hundred, so each task's index queries and
+        # its worker's image memo amortize over many PoIs
+        dict(batch_size=256, num_cpus=1, concurrency=concurrency))
 
 
 def keep_sampled(ds: "ray.data.Dataset") -> "ray.data.Dataset":

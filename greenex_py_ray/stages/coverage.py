@@ -310,7 +310,6 @@ class PolygonCoverage:
             return self._covered_in_groups(cand, clip_area) / aoi_area * 100.0
         # dilated AoI: pixel-center analog on the engine lattice
         from ..sources import synth as _synth
-        from .zonal import mask_rings_dilated
 
         res = _synth.RASTER_RES
         c0 = int(np.floor((bx0 - d) / res))
@@ -321,7 +320,7 @@ class PolygonCoverage:
         py = (np.arange(r0, r1 + 1, dtype=np.float64) + 0.5) * res
         gx, gy = np.meshgrid(px, py, indexing="xy")
         gx, gy = gx.ravel(), gy.ravel()
-        aoi = mask_rings_dilated(gx, gy, rings_i, d)
+        aoi = geom.points_within_rings_dist(gx, gy, rings_i, d)
         if not aoi.any():
             return np.nan
         qx, qy = gx[aoi], gy[aoi]

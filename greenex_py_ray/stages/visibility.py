@@ -692,7 +692,8 @@ class StreetviewPoI:
     GVI, key``, a point without an image keeping a NaN ``GVI``.
 
     The network is sampled once per kernel, every 50 m, the points
-    deduplicated by value (visibility.py:624-650) and indexed."""
+    deduplicated by value (visibility.py:624-650) and indexed; each
+    image is scored once per kernel, whichever batches it appears in."""
 
     def __init__(self, nodes_path: str, edges_path: str, features_path: str,
                  buffer_dist: float | None, key_col: str = "doc_id",
@@ -710,6 +711,7 @@ class StreetviewPoI:
         self.nearest = NearestImageFeature(pq.read_table(features_path))
         self.score = SegmentationGVI(
             crop_by_road_centres=crop_by_road_centres)
+        self.gvi: dict = {}  # image_id → GVI of every image scored so far
         self.polygon = poi_kind == "polygon"
         self.key_col = key_col
         self.per_point = per_point
@@ -755,7 +757,7 @@ class StreetviewPoI:
             order = np.argsort(qi, kind="stable")
             qi, pj = qi[order], pj[order]
         # nearest image once per distinct point, GVI once per distinct
-        # image (the miss "" scores NaN)
+        # image and kernel (the miss "" scores NaN)
         upt, inv = np.unique(pj, return_inverse=True)
         feats = self.nearest(pa.table({"sp_x": self.x[upt],
                                        "sp_y": self.y[upt]}))
@@ -764,7 +766,12 @@ class StreetviewPoI:
         first = np.unique(code, return_index=True)[1]
         images = feats.take(pa.array(first)).select(["image_id",
                                                      "is_panoramic"])
-        gvi = self.score(images).column("GVI").to_numpy()[code][inv]
+        ids = images.column("image_id").to_pylist()
+        new = [i for i, img in enumerate(ids) if img not in self.gvi]
+        scored = self.score(images.take(pa.array(new, pa.int64())))
+        self.gvi.update(zip([ids[i] for i in new],
+                            scored.column("GVI").to_pylist()))
+        gvi = np.array([self.gvi[img] for img in ids], np.float64)[code][inv]
         if self.per_point:
             return (feats.take(pa.array(inv))
                     .append_column("GVI", pa.array(gvi))

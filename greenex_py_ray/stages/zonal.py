@@ -12,11 +12,14 @@ Every zonal statistic is one kernel that emits one row per input
 row, in input order, run as a ``KernelStage`` task
 (``functions/joins.py``): no shuffle, no keyed rollup.  Disk AoIs
 (``ZonalStatsLocal`` / ``LandcoverLocal`` / ``LandcoverMajorityLocal``)
-reduce each point's disk to chord sums over the tile store's
-memory-mapped row-cumsum planes (``state/tiles.py``).  Polygon AoIs
-(``PolygonZonalLocal`` / ``PolygonLandcoverLocal``) loop over the tiles
-each row's ring bbox covers and mask those tiles' pixels; any worker
-reads any tile, so a row's whole AoI is reduced in its own task.
+take a batch's disks apart into chords on the global pixel lattice
+(:func:`disk_chords`), and one reducer (:func:`chord_sums`) reads each
+chord's sums off the tile store's stacked, memory-mapped row-cumsum
+planes (``state/tiles.py``) with flat gathers, whatever tiles the chord
+crosses.  Polygon AoIs (``PolygonZonalLocal`` /
+``PolygonLandcoverLocal``) loop over the tiles each row's ring bbox
+covers and mask those tiles' pixels; any worker reads any tile, so a
+row's whole AoI is reduced in its own task.
 
 The AoI here is the euclidean disk of ``radius`` (pixel-center-in-circle
 test — the limit of the reference's 64-gon buffer discretization; exact
@@ -30,37 +33,6 @@ import pyarrow as pa
 
 from ..sources import synth
 from ..state.tiles import TileStore
-
-TILE_KEY_STRIDE = 1 << 20
-
-
-def _tile_cover_flat(x: np.ndarray, y: np.ndarray, r: float):
-    """Flat (point-index, tile-key) cover expansion for disks —
-    vectorized repeat/cumsum, no per-point Python loop."""
-    ts = synth.TILE_SIZE
-    ix0 = np.floor((x - r) / ts).astype(np.int64)
-    ix1 = np.floor((x + r) / ts).astype(np.int64)
-    iy0 = np.floor((y - r) / ts).astype(np.int64)
-    iy1 = np.floor((y + r) / ts).astype(np.int64)
-    counts = (ix1 - ix0 + 1) * (iy1 - iy0 + 1)
-    idx = np.repeat(np.arange(len(x)), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    local = np.arange(int(counts.sum())) - np.repeat(starts, counts)
-    ny = np.repeat(iy1 - iy0 + 1, counts)
-    dxs = local // ny
-    dys = local - dxs * ny
-    tkx = np.repeat(ix0, counts) + dxs
-    tky = np.repeat(iy0, counts) + dys
-    return idx, tkx * TILE_KEY_STRIDE + tky
-
-
-def _tile_groups(idx: np.ndarray, tkey: np.ndarray):
-    """``(rows, tix, tiy)`` per distinct tile key, ``rows`` being the
-    ``idx`` entries of that key's pairs in their original order."""
-    order = np.argsort(tkey, kind="stable")
-    uniq, starts = np.unique(tkey[order], return_index=True)
-    for tk, sel in zip(uniq.tolist(), np.split(order, starts[1:])):
-        yield idx[sel], tk // TILE_KEY_STRIDE, tk % TILE_KEY_STRIDE
 
 
 def mean_std_columns(psum: np.ndarray, psumsq: np.ndarray,
@@ -101,38 +73,6 @@ def split_rings(ring: np.ndarray, sizes) -> "list[np.ndarray]":
         bounds = np.concatenate([[0], np.cumsum(sizes)])
         return [ring[bounds[j]:bounds[j + 1]] for j in range(len(sizes))]
     return [ring]
-
-
-def mask_rings_dilated(px: np.ndarray, py: np.ndarray,
-                       rings_i: "list[np.ndarray]",
-                       dilate: float = 0.0) -> np.ndarray:
-    """Membership of lattice points in a polygon dilated by ``dilate``
-    (the raster form of shapely's ``polygon.buffer(d)`` with an exact
-    disc instead of the 16-segs/quadrant arc approximation — pixel
-    membership is center-in-polygon OR within ``d`` of the boundary).
-    Chunked so the points × edges matrices stay bounded."""
-    from .. import geom as _geom
-    from ..state.graph import points_to_segments_dist
-
-    inside = _geom.points_in_rings(px, py, rings_i)
-    if dilate <= 0.0:
-        return inside
-    out = np.flatnonzero(~inside)
-    if not len(out):
-        return inside
-    ax = np.concatenate([r[:, 0] for r in rings_i])
-    ay = np.concatenate([r[:, 1] for r in rings_i])
-    bx = np.concatenate([np.roll(r[:, 0], -1) for r in rings_i])
-    by = np.concatenate([np.roll(r[:, 1], -1) for r in rings_i])
-    step = max(1, 2_000_000 // max(len(ax), 1))
-    near = np.zeros(len(out), dtype=bool)
-    for s in range(0, len(out), step):
-        sel = out[s:s + step]
-        near[s:s + step] = points_to_segments_dist(
-            px[sel], py[sel], ax, ay, bx, by) <= dilate
-    inside = inside.copy()
-    inside[out] = near
-    return inside
 
 
 class PolygonZonalLocal:
@@ -180,8 +120,8 @@ class PolygonZonalLocal:
         px = x0t + (np.arange(c0, c1 + 1, dtype=np.float64) + 0.5) * res
         py = y0t + (np.arange(r0, r1 + 1, dtype=np.float64) + 0.5) * res
         gx, gy = np.meshgrid(px, py, indexing="xy")
-        mask = mask_rings_dilated(gx.ravel(), gy.ravel(), rings_i,
-                                  self.dilate).reshape(gx.shape)
+        mask = _geom.points_within_rings_dist(
+            gx.ravel(), gy.ravel(), rings_i, self.dilate).reshape(gx.shape)
         if not mask.any():
             return None
         return arr[r0 : r1 + 1, c0 : c1 + 1][mask]
@@ -258,64 +198,119 @@ class PolygonLandcoverLocal(PolygonZonalLocal):
                                        self.stringify)})
 
 
-def _disk_chords(x: np.ndarray, y: np.ndarray, r: float, x0: float, y0: float,
-                 h: int, w: int):
-    """Per-point disk→row-chord decomposition against one tile.
-
-    Returns ``(rows_c, lo, hi, use)``: for each point (axis 0) and each
-    candidate pixel row (axis 1), the clipped row index, the inclusive
-    chord column bounds, and whether the chord is non-empty.  Chord
-    bounds from sqrt are corrected by ±1 against the ORIGINAL inequality
-    ``dx²+dy² ≤ r²`` so the included pixel set is bit-identical to the
-    direct mask (and to the SQL oracle).  Shared by the NDVI SAT kernel
-    and the landcover per-class kernel.
-    """
+def disk_chords(x: np.ndarray, y: np.ndarray, r: float):
+    """Each point's disk of radius ``r`` as chords on the global pixel
+    lattice (pixel ``(row, col)`` centred at ``((col+0.5)·res,
+    (row+0.5)·res)``): ``(row, lo, hi)``, each ``(len(x), K)``, the rows
+    a disk can meet and each row's inclusive column bounds, ``hi = lo -
+    1`` for an empty row or a point without finite coordinates.  Bounds
+    from sqrt are corrected by ±1 against the ORIGINAL inequality
+    ``dx²+dy² ≤ r²``, so the pixel set is exactly the direct mask's (and
+    the SQL oracle's)."""
     res = synth.RASTER_RES
-    K = int(2 * r / res) + 3
-    r0 = np.floor((y - r - y0) / res).astype(np.int64)
-    rlast = np.floor((y + r - y0) / res).astype(np.int64)
-    rows = r0[:, None] + np.arange(K)[None, :]
-    row_ok = (rows >= 0) & (rows <= h - 1) & (rows <= rlast[:, None])
-    py = y0 + (rows + 0.5) * res
-    dy2 = (py - y[:, None]) ** 2
-    rad2 = r * r - dy2
-    ok = row_ok & (rad2 >= 0.0)
-    halfw = np.sqrt(np.maximum(rad2, 0.0))
-    clo = np.ceil((x[:, None] - halfw - x0) / res - 0.5).astype(np.int64)
-    chi = np.floor((x[:, None] + halfw - x0) / res - 0.5).astype(np.int64)
+    fin = np.isfinite(x) & np.isfinite(y)
+    x = np.where(fin, x, 0.0)[:, None]
+    y = np.where(fin, y, 0.0)
+    rr = r * r
+    k = np.arange(int(2 * r / res) + 3)
+    r0 = np.floor((y - r) / res)
+    # pixel centres, half-integers times res, are exact, and stay exact
+    # when shifted by res
+    dy2 = (((r0 + 0.5) * res)[:, None] + k * res - y[:, None]) ** 2
+    half = np.sqrt(np.maximum(rr - dy2, 0.0))
+    lo = (np.ceil((x - half) / res - 0.5) + 0.5) * res
+    hi = (np.floor((x + half) / res - 0.5) + 0.5) * res
+    lo = np.where((lo - res - x) ** 2 + dy2 <= rr, lo - res, lo)
+    lo = np.where((lo - x) ** 2 + dy2 <= rr, lo, lo + res)
+    hi = np.where((hi + res - x) ** 2 + dy2 <= rr, hi + res, hi)
+    hi = np.where((hi - x) ** 2 + dy2 <= rr, hi, hi - res)
+    lo = (lo / res - 0.5).astype(np.int64)
+    hi = (hi / res - 0.5).astype(np.int64)
+    hi = np.where(fin[:, None] & (dy2 <= rr), np.maximum(hi, lo - 1), lo - 1)
+    return r0.astype(np.int64)[:, None] + k, lo, hi
 
-    def _inside(cols):
-        px = x0 + (cols + 0.5) * res
-        dx2 = (px - x[:, None]) ** 2
-        return dx2 + dy2 <= r * r
 
-    clo = np.where(_inside(clo - 1), clo - 1, clo)
-    clo = np.where(~_inside(clo), clo + 1, clo)
-    chi = np.where(_inside(chi + 1), chi + 1, chi)
-    chi = np.where(~_inside(chi), chi - 1, chi)
-    use = ok & (chi >= clo) & (chi >= 0) & (clo <= w - 1)
-    lo = np.clip(clo, 0, w - 1)
-    hi = np.clip(chi, 0, w - 1)
-    rows_c = np.clip(rows, 0, h - 1)
-    return rows_c, lo, hi, use
+def chord_sums(stack: np.ndarray, c0: np.ndarray, table, chords):
+    """Per point, the sums over its ``chords`` (as :func:`disk_chords`
+    gives them) of each channel of a band's row-cumsum ``stack``, and its
+    pixel count: ``(sums (n, k), count (n,))``; ``stack``, ``c0`` and
+    the slot ``table`` come from ``TileStore.stack``.  Pass ``j`` reads
+    the piece of each chord ``j`` tiles past its first: two flat
+    ``take``s per piece and channel.  An absent tile's piece reads the
+    zero first column of slot 0.  A piece counts its finite pixels on a
+    tile with a NaN (from ``c0``), its length elsewhere."""
+    n, kk = chords[0].shape
+    row, lo, hi = (a.reshape(-1) for a in chords)
+    _, k, h, w1 = stack.shape
+    sums, count = np.zeros((n, k)), np.zeros(n)
+    if not len(stack):
+        return sums, count.astype(np.int64)
+    px = synth.TILE_PX
+    p = np.arange(n * kk) // kk
+    tiy = row // px
+    row = row - tiy * px
+    t0 = lo // px
+    cross = hi // px - t0
+    flat, flat0 = stack.reshape(-1), c0.reshape(-1)
+    sel = slice(None)
+    for j in range(cross.max(initial=0) + 1):
+        if j:
+            sel = np.flatnonzero(cross >= j)
+        t = t0[sel] + j
+        a = np.maximum(lo[sel] - t * px, 0)
+        e = np.minimum(hi[sel] + 1 - t * px, px)
+        slot, c0slot = table.slots(t, tiy[sel])
+        ok = slot >= 0
+        base = (slot * k * h + row[sel]) * w1
+        ia, ie = (base + a) * ok, (base + e) * ok
+        for c in range(k):
+            off = c * h * w1  # channel c's zero column, for an absent tile
+            sums[:, c] += np.bincount(p[sel], flat[ie + off] - flat[ia + off], n)
+        cnt = (e - a) * ok
+        nan = np.flatnonzero(c0slot >= 0)
+        b = (c0slot[nan] * h + row[sel][nan]) * w1
+        cnt[nan] = flat0[b + e[nan]] - flat0[b + a[nan]]
+        count += np.bincount(p[sel], cnt, n)
+    return sums, count.astype(np.int64)
+
+
+#: chord rows per :func:`disk_sums` pass, so its arrays stay in cache
+PASS_ROWS = 1 << 14
+
+
+def disk_sums(store: TileStore, plane: tuple, band: str, x: np.ndarray,
+              y: np.ndarray, r: float):
+    """:func:`chord_sums` of each point's :func:`disk_chords` over the
+    store's stacked ``plane`` of ``band``, in passes over points taken in
+    tile order, so a pass's gathers stay in a few tiles.  The store
+    counts a lookup of each tile the batch's disk bounding boxes cover."""
+    ts = synth.TILE_SIZE
+    fin = np.isfinite(x) & np.isfinite(y)
+    boxes = set(zip(*(np.floor(v / ts).astype(np.int64).tolist() for v in
+                      (x[fin] - r, y[fin] - r, x[fin] + r, y[fin] + r))))
+    stack, c0, table = store.stack(plane, band, {
+        (i, j) for x0, y0, x1, y1 in boxes
+        for i in range(x0, x1 + 1) for j in range(y0, y1 + 1)})
+    order = np.lexsort((y, np.floor(x / ts), np.floor(y / ts)))
+    sums = np.empty((len(x), stack.shape[1]))
+    count = np.empty(len(x), np.int64)
+    step = max(1, PASS_ROWS // (int(2 * r / synth.RASTER_RES) + 3))
+    for s in range(0, len(x), step):
+        i = order[s:s + step]
+        sums[i], count[i] = chord_sums(stack, c0, table, disk_chords(x[i], y[i], r))
+    return sums, count
 
 
 class ZonalStatsLocal:
     """Fused zonal stage: poi(key, x, y) batches → FINAL per-key
-    mean/std, no shuffle.
+    mean/std, no shuffle: each row's whole disk is reduced in its task.
 
-    A disk AoI spans at most ceil(2r/TILE_SIZE+1)² tiles (≤4 for
-    r≤1280 m), so each row's full aggregation is local to the task via
-    the tile store — strictly cheaper than per-tile partials plus a
-    keyed rollup at every scale, including radii spanning many tiles.
-
-    Kernel: each point's disk reduces to per-row chord segment sums
-    over the store's row-cumsum planes of (clamped value, value²,
-    count) — ``TileStore.sat``, converted once per tile file.  Chord
-    column bounds from sqrt are corrected by ±1 against the ORIGINAL
-    inequality ``dx²+dy² ≤ r²`` so the included
-    pixel set is bit-identical to the direct mask (and to the SQL
-    oracle); only floating-point summation order differs.
+    Kernel: :func:`disk_sums`, each disk's chords on the global pixel
+    lattice reduced over the store's stacked row-cumsum planes of the
+    clamped value and its square (``TileStore.stack``, converted once
+    per tile file), whatever the radius and however many tiles a disk
+    spans.  The pixel set is bit-identical to the direct mask (and to
+    the SQL oracle); only floating-point summation order differs.
     """
 
     def __init__(self, tile_root: str, band: str, radius: float,
@@ -329,58 +324,21 @@ class ZonalStatsLocal:
         self.mean_name = mean_name
         self.std_name = std_name
 
-    def _disk_tile_sums_many(self, tix: int, tiy: int,
-                             x: np.ndarray, y: np.ndarray):
-        """Vectorized over all points touching one tile: per-point
-        (Σv, Σv², n) of their disk pixels within this tile.  All math is
-        2-D (points × candidate rows) — ~10 numpy calls per tile group
-        regardless of point count."""
-        m = len(x)
-        sat = self.store.sat(self.band, tix, tiy, self.clamp_min)
-        if sat is None:
-            z = np.zeros(m)
-            return z, z.copy(), np.zeros(m, dtype=np.int64)
-        c1, c2, c0 = sat
-        rows_c, lo, hi, use = _disk_chords(
-            x, y, self.radius, tix * synth.TILE_SIZE, tiy * synth.TILE_SIZE,
-            c1.shape[0], c1.shape[1] - 1)
-        hi1 = hi + 1
-        seg1 = c1[rows_c, hi1] - c1[rows_c, lo]
-        seg2 = c2[rows_c, hi1] - c2[rows_c, lo]
-        if c0 is None:  # all-finite tile: count is the chord length
-            cnt = (hi1 - lo) * use
-        else:
-            cnt = (c0[rows_c, hi1] - c0[rows_c, lo]) * use
-        return (
-            np.where(use, seg1, 0.0).sum(axis=1),
-            np.where(use, seg2, 0.0).sum(axis=1),
-            cnt.sum(axis=1).astype(np.int64),
-        )
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         x = batch.column("x").to_numpy(zero_copy_only=False)
         y = batch.column("y").to_numpy(zero_copy_only=False)
-        n = len(x)
-        psum = np.zeros(n)
-        psumsq = np.zeros(n)
-        pcount = np.zeros(n, dtype=np.int64)
-        # flat cover expansion, then one vectorized kernel per tile
-        for docs, tx, ty in _tile_groups(*_tile_cover_flat(x, y, self.radius)):
-            s1, s2, cnt = self._disk_tile_sums_many(tx, ty, x[docs], y[docs])
-            np.add.at(psum, docs, s1)
-            np.add.at(psumsq, docs, s2)
-            np.add.at(pcount, docs, cnt)
+        sums, count = disk_sums(self.store, ("sat", self.clamp_min), self.band,
+                                x, y, self.radius)
         return pa.table({self.key_col: batch.column(self.key_col),
-                         **mean_std_columns(psum, psumsq, pcount,
+                         **mean_std_columns(sums[:, 0], sums[:, 1], count,
                                             self.mean_name, self.std_name)})
 
 
 class LandcoverLocal:
     """Fused landcover percentages (no shuffle), analog of
-    :class:`ZonalStatsLocal`: over the store's PER-CLASS row-cumsum
-    planes (``TileStore.class_sat``), each point's disk reduced to chord
-    segment count differences — the same ~10-numpy-call-per-tile-group
-    shape as the NDVI SAT kernel."""
+    :class:`ZonalStatsLocal`: the same chord pass, reduced over the
+    store's stacked PER-CLASS row-cumsum planes into exact class
+    counts."""
 
     def __init__(self, tile_root: str, radius: float, classmap: dict[int, str],
                  key_col: str = "doc_id", band: str = "lulc",
@@ -393,39 +351,14 @@ class LandcoverLocal:
         self.names = [classmap[c] for c in self.classes]
         self.stringify = stringify
 
-    def _disk_tile_counts_many(self, tix: int, tiy: int,
-                               x: np.ndarray, y: np.ndarray):
-        """Per-point (class counts (m, ncls), total (m,)) of disk pixels
-        within one tile — vectorized over the tile's point group."""
-        m = len(x)
-        ncls = len(self.classes)
-        cs = self.store.class_sat(self.band, tix, tiy, self.classes)
-        if cs is None:
-            return np.zeros((m, ncls), np.int64), np.zeros(m, np.int64)
-        rows_c, lo, hi, use = _disk_chords(
-            x, y, self.radius, tix * synth.TILE_SIZE, tiy * synth.TILE_SIZE,
-            cs.shape[1], cs.shape[2] - 1)
-        hi1 = hi + 1
-        counts = np.empty((m, ncls), dtype=np.int64)
-        for j in range(ncls):
-            seg = cs[j][rows_c, hi1] - cs[j][rows_c, lo]
-            counts[:, j] = np.where(use, seg, 0).sum(axis=1)
-        total = ((hi1 - lo) * use).sum(axis=1).astype(np.int64)
-        return counts, total
-
     def _counts(self, batch: pa.Table):
         """Per-row class counts ``(n, ncls)`` and pixel totals ``(n,)``
         of each point's disk."""
         x = batch.column("x").to_numpy(zero_copy_only=False)
         y = batch.column("y").to_numpy(zero_copy_only=False)
-        n = len(x)
-        counts = np.zeros((n, len(self.classes)), dtype=np.int64)
-        total = np.zeros(n, dtype=np.int64)
-        for docs, tx, ty in _tile_groups(*_tile_cover_flat(x, y, self.radius)):
-            c, t = self._disk_tile_counts_many(tx, ty, x[docs], y[docs])
-            np.add.at(counts, docs, c)
-            np.add.at(total, docs, t)
-        return counts, total
+        counts, total = disk_sums(self.store, ("cls", tuple(self.classes)),
+                                  self.band, x, y, self.radius)
+        return counts.astype(np.int64), total
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         counts, total = self._counts(batch)

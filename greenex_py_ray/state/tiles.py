@@ -19,12 +19,13 @@ path, mtime and size>/`` — beside the root, not in it, because
   ``c0 slot``; all-finite tiles have ``-1``);
 * ``sat-<clamp>.npy`` / ``cls-<classes>.npy`` — ``(N, k, H, W+1)``
   row-cumsums of the clamped value and its square / of each class mask,
-  written by the first :meth:`TileStore.sat` / ``class_sat`` lookup.
+  written by the first :meth:`TileStore.stack` lookup of the plane.
 
 Row-cumsum planes start with a zero column: the sum over columns
-``lo..hi`` of row ``r`` is ``c[r, hi + 1] - c[r, lo]``.  Each file is
-written under a per-directory lock, to a temporary name then renamed,
-so concurrent workers convert once.  A rewritten band file gets a new
+``lo..hi`` of row ``r`` is ``c[r, hi + 1] - c[r, lo]``; kernels read a
+whole stack and its :class:`SlotTable` (:meth:`TileStore.stack`).  Each
+file is written under a per-directory lock, to a temporary name then
+renamed, so concurrent workers convert once.  A rewritten band file gets a new
 digest: it is converted afresh and its older planes are removed.
 """
 
@@ -34,6 +35,7 @@ import fcntl
 import hashlib
 import os
 import shutil
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -42,9 +44,32 @@ from numpy.lib.format import open_memmap
 from ..sources import synth
 
 
+class SlotTable(NamedTuple):
+    """Where a band's tiles sit in its stacked planes: ``grid[(tix - tix0)
+    * ny + tiy - tiy0]`` is the slot of a tile of its ``nx × ny`` extent,
+    ``c0slot[slot]`` its ``c0`` slot, -1 where absent / all finite; each
+    ends in a -1, read by tiles outside the extent and by slot -1."""
+
+    grid: np.ndarray
+    nx: int
+    ny: int
+    tix0: int
+    tiy0: int
+    c0slot: np.ndarray
+
+    def slots(self, tix, tiy):
+        """``(slot, c0slot)`` of each tile ``(tix[i], tiy[i])`` (arrays or
+        scalars of any integer type)."""
+        ix = np.asarray(tix, np.int64) - self.tix0
+        iy = np.asarray(tiy, np.int64) - self.tiy0
+        inside = (ix >= 0) & (ix < self.nx) & (iy >= 0) & (iy < self.ny)
+        slot = self.grid[np.where(inside, ix * self.ny + iy, -1)]
+        return slot, self.c0slot[slot]
+
+
 class _Band:
-    """One version of one band file: its plane directory, slots and the
-    memory maps a store opened so far."""
+    """One version of one band file: its plane directory, slot table and
+    the memory maps a store opened so far."""
 
     def __init__(self, path: str, stamp: tuple):
         self.path = path
@@ -54,7 +79,7 @@ class _Band:
         self.dir = os.path.join(parent, f".{name}.planes", f"{band}-{digest}")
         self.dtype = synth.BAND_DTYPE.get(band, np.float64)
         self.maps: dict[str, np.ndarray] = {}
-        self.slots: dict[tuple[int, int], int] | None = None
+        self.table: SlotTable | None = None
 
 
 class TileStore:
@@ -76,47 +101,64 @@ class TileStore:
         """Read-only tile view, or None if the tile does not exist (AoIs
         crossing the raster edge use only the intersecting part — the
         reference warns and proceeds, availability.py:282-286)."""
-        b, slot = self._lookup("tiles", band, tix, tiy)
-        return None if slot is None else self._plane(b, "tiles")[slot]
+        b = self._band(band)
+        slot, _ = b.table.slots(tix, tiy)
+        self._count("tiles", band, [(int(tix), int(tiy))])
+        return None if slot < 0 else self._plane(b, "tiles")[slot]
+
+    def stack(self, plane: tuple, band: str, tiles):
+        """``(stack, c0, table)``: the band's whole row-cumsum ``plane``
+        — ``("sat", clamp_min)``, the ``(N, 2, H, W+1)`` stack of :meth:`sat`,
+        or ``("cls", classes)``, the ``(N, len(classes), H, W+1)`` stack of
+        :meth:`class_sat` — the finite-mask row-cumsums ``c0`` of the tiles
+        with a NaN, and the :class:`SlotTable` of both.  Counts one lookup
+        of each ``(tix, tiy)`` in ``tiles``, the distinct tiles a batch
+        touches."""
+        b = self._band(band)
+        self._count(plane, band, tiles)
+        kind, arg = plane
+        tiles_plane = self._plane(b, "tiles")
+        if kind == "sat":
+            def fill(out):
+                for i, arr in enumerate(tiles_plane):
+                    v = np.maximum(arr, arg) if arg is not None else arr
+                    # nodata (NaN) pixels contribute nothing — the
+                    # reference's xarray mean/std skip NaN (skipna)
+                    fin = np.isfinite(arr)
+                    if not fin.all():
+                        v = np.where(fin, v, 0.0)
+                    out[i, 0, :, 1:] = np.cumsum(v, axis=1)
+                    out[i, 1, :, 1:] = np.cumsum(v * v, axis=1)
+
+            arr = self._plane(b, f"sat-{arg!r}", (np.float64, 2, fill))
+        else:
+            def fill(out):
+                for i, arr in enumerate(tiles_plane):
+                    for j, cls in enumerate(arg):
+                        out[i, j, :, 1:] = np.cumsum(arr == cls, axis=1,
+                                                     dtype=np.int32)
+
+            arr = self._plane(b, "cls-" + "_".join(str(c) for c in arg),
+                              (np.int32, len(arg), fill))
+        return arr, self._plane(b, "c0"), b.table
 
     def sat(self, band: str, tix: int, tiy: int, clamp_min: float | None):
         """``(c1, c2, c0)`` row-cumsum planes of one tile, or None: of
         the value clamped below at ``clamp_min`` with NaN as 0, of its
         square, and of the finite mask (None when the tile is all
         finite: a chord's count is then its length)."""
-        b, slot = self._lookup(("sat", clamp_min), band, tix, tiy)
-        if slot is None:
+        arr, c0, table = self.stack(("sat", clamp_min), band, [(tix, tiy)])
+        slot, c0slot = table.slots(tix, tiy)
+        if slot < 0:
             return None
-
-        def fill(out):
-            for i, arr in enumerate(self._plane(b, "tiles")):
-                v = np.maximum(arr, clamp_min) if clamp_min is not None else arr
-                # nodata (NaN) pixels contribute nothing — the
-                # reference's xarray mean/std skip NaN (skipna)
-                fin = np.isfinite(arr)
-                if not fin.all():
-                    v = np.where(fin, v, 0.0)
-                out[i, 0, :, 1:] = np.cumsum(v, axis=1)
-                out[i, 1, :, 1:] = np.cumsum(v * v, axis=1)
-
-        sat = self._plane(b, f"sat-{clamp_min!r}", (np.float64, 2, fill))[slot]
-        c0slot = self._plane(b, "index")[slot, 2]
-        return sat[0], sat[1], None if c0slot < 0 else self._plane(b, "c0")[c0slot]
+        return arr[slot, 0], arr[slot, 1], None if c0slot < 0 else c0[c0slot]
 
     def class_sat(self, band: str, tix: int, tiy: int, classes: list) -> "np.ndarray | None":
         """``(len(classes), H, W+1)`` row-cumsum planes of one tile's
         ``tile == cls`` masks, or None."""
-        b, slot = self._lookup(("cls", tuple(classes)), band, tix, tiy)
-        if slot is None:
-            return None
-
-        def fill(out):
-            for i, arr in enumerate(self._plane(b, "tiles")):
-                for j, cls in enumerate(classes):
-                    out[i, j, :, 1:] = np.cumsum(arr == cls, axis=1, dtype=np.int32)
-
-        name = "cls-" + "_".join(str(c) for c in classes)
-        return self._plane(b, name, (np.int32, len(classes), fill))[slot]
+        arr, _, table = self.stack(("cls", tuple(classes)), band, [(tix, tiy)])
+        slot, _ = table.slots(tix, tiy)
+        return None if slot < 0 else arr[slot]
 
     def window(self, band: str, row0: int, col0: int, h: int, w: int,
                fill=np.nan) -> np.ndarray:
@@ -154,25 +196,31 @@ class TileStore:
                 ]
         return out
 
-    def _lookup(self, plane, band: str, tix: int, tiy: int):
-        """The band's open planes and the tile's slot (None if absent);
-        counts the lookup."""
+    def _band(self, band: str) -> _Band:
+        """The band's open planes, its slot table built on first use."""
         b = self._bands.get(band)
         if b is None:
             path = os.path.abspath(os.path.join(self.root, f"tiles_{band}.parquet"))
             st = os.stat(path)
             b = self._bands[band] = _Band(path, (st.st_mtime_ns, st.st_size))
-        if b.slots is None:
-            b.slots = {}
-            for i, key in enumerate(map(tuple, self._plane(b, "index")[:, :2].tolist())):
-                b.slots.setdefault(key, i)  # first row wins
-        key = (plane, band, int(tix), int(tiy))
-        if key in self._seen:
-            self.hits += 1
-        else:
-            self._seen.add(key)
-            self.misses += 1
-        return b, b.slots.get(key[2:])
+        if b.table is None:
+            index = self._plane(b, "index")
+            # a tile's first row wins
+            keys, first = np.unique(index[:, :2], axis=0, return_index=True)
+            lo = keys.min(axis=0) if len(keys) else np.zeros(2, np.int64)
+            nx, ny = keys.max(axis=0) - lo + 1 if len(keys) else (0, 0)
+            grid = np.full(nx * ny + 1, -1, dtype=np.int64)
+            grid[(keys[:, 0] - lo[0]) * ny + keys[:, 1] - lo[1]] = first
+            b.table = SlotTable(grid, int(nx), int(ny), int(lo[0]), int(lo[1]),
+                                np.append(index[:, 2], -1))
+        return b
+
+    def _count(self, plane, band: str, tiles) -> None:
+        """Count one lookup of each distinct ``(tix, tiy)`` in ``tiles``."""
+        keys = {(plane, band, tix, tiy) for tix, tiy in tiles}
+        self.hits += len(keys & self._seen)
+        self.misses += len(keys - self._seen)
+        self._seen |= keys
 
     def _plane(self, b: _Band, name: str, spec=None) -> np.ndarray:
         """The memory map of plane ``name``, converted first if no worker

@@ -120,3 +120,37 @@ def test_streetview_documents_sharing_a_doc_id_keep_their_own_values(world):
     got = _table(dup).to_pandas()[cols]
     assert sorted(map(tuple, got.to_numpy())) == sorted(
         map(tuple, exp.to_numpy()))
+
+
+def test_streetview_kernel_scores_each_image_once(world):
+    """Over several batches, one kernel scores each distinct image once,
+    however many batches see it, and its per-point output is the same
+    as a fresh kernel's per batch."""
+    from collections import Counter
+
+    from greenex_py_ray.sources.documents import DecodeGeom
+    from greenex_py_ray.stages.visibility import StreetviewPoI
+
+    def kernel():
+        return StreetviewPoI(world["network_nodes"], world["network_edges"],
+                             world["image_features"], buffer_dist=100.0,
+                             per_point=True)
+
+    memo = kernel()
+    scored = Counter()
+    score = memo.score
+
+    def counting(images):
+        scored.update(images.column("image_id").to_pylist())
+        return score(images)
+
+    memo.score = counting
+    pts = DecodeGeom()(pq.read_table(world["documents"])).select(
+        ["doc_id", "x", "y"])
+    batches = [pts.slice(s, 40) for s in range(0, pts.num_rows, 40)]
+    per_batch = [set(memo(b).column("image_id").to_pylist()) for b in batches]
+    assert sum(map(len, per_batch)) > len(set().union(*per_batch))
+    assert set(scored) == set().union(*per_batch)
+    assert set(scored.values()) == {1}
+    for b in batches[-2:]:
+        assert memo(b).to_pandas().equals(kernel()(b).to_pandas())

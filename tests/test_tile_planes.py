@@ -119,6 +119,22 @@ def test_store_arrays_are_read_only(tiles):
     assert np.array_equal(arr, _parquet_tile(tiles, "ndvi", 1, 1))
 
 
+def test_lookups_take_any_integer_type(tiles):
+    """Tile indices read from an int32 column look up like Python ints."""
+    store = TileStore(tiles)
+    for tix, tiy in ((np.int32(1), np.int32(2)), (np.int16(1), 2)):
+        assert np.array_equal(store.get("ndvi", tix, tiy),
+                              store.get("ndvi", 1, 2))
+        assert np.array_equal(store.sat("ndvi", tix, tiy, 0.0)[0],
+                              store.sat("ndvi", 1, 2, 0.0)[0])
+        assert np.array_equal(store.class_sat("lulc", tix, tiy, [10]),
+                              store.class_sat("lulc", 1, 2, [10]))
+    for tix, tiy in ((np.int32(-1), np.int32(0)), (np.int32(99), 0)):
+        assert store.get("ndvi", tix, tiy) is None
+        assert store.sat("ndvi", tix, tiy, 0.0) is None
+        assert store.class_sat("lulc", tix, tiy, [10]) is None
+
+
 def _points(n=400, seed=3):
     x, y = synth.doc_coordinates(n, seed)
     return pa.table({"doc_id": [f"p{i}" for i in range(n)], "x": x, "y": y})

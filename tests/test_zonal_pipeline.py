@@ -5,6 +5,7 @@ std, round 3 — availability.py:289; class % round 3 — :1068-1082)."""
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 import ray.data
 
@@ -382,6 +383,27 @@ def test_heavy_pool_leaves_a_cpu_for_its_feed():
     assert heavy_pool(4) == dict(concurrency=(3, 3), num_cpus=1)
     assert heavy_pool((1, 8))["concurrency"] == (3, 3)
     assert heavy_pool(2)["concurrency"] == (2, 2)
+
+
+@pytest.mark.parametrize("width", [None, 3])
+def test_kernel_stage_on_one_block_logs_no_concurrency_warning(world, width):
+    """A kernel stage built without a width passes Ray no task cap, and
+    a width over in-memory data is capped at its block count, so a
+    one-block input does not make Ray warn that the cap is more tasks
+    than the operator has inputs."""
+    import warnings
+
+    from greenex_py_ray.functions.joins import append_metrics
+
+    docs = ray.data.from_arrow(pq.read_table(world["documents"]).slice(0, 50))
+    stage = availability.mean_ndvi_stage(world["tiles"], 300.0,
+                                         concurrency=width)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = _table(append_metrics(docs, stage))
+    assert out.num_rows == 50
+    assert not [w for w in caught
+                if "maximum number of concurrent tasks" in str(w.message)]
 
 
 def test_kernel_cache_builds_once_per_process():
