@@ -24,8 +24,6 @@ enum checks, speed/time → buffer_dist conversion
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -36,6 +34,10 @@ from .functions.joins import append_metrics, drop_zero_count
 from .pipelines import accessibility as _acc
 from .pipelines import availability as _av
 from .pipelines import visibility as _vis
+from . import sidefiles as _side
+# _dissolve_units & co. stay importable from here (perfbench, tests)
+from .sidefiles import (_dissolve_units, _filter_network_type,  # noqa: F401
+                        _min_area_filter)
 from .sources import documents as doc_src
 
 
@@ -128,31 +130,6 @@ def _poi_crs(poi) -> str | None:
     return None
 
 
-def _vector_table(src, dst_crs: str | None = None):
-    """Polygon side input: parquet rings table, or a ``.gpkg`` polygon
-    layer converted into the engine's rings model (reprojected to the
-    PoI CRS like the reference's ``to_crs``, availability.py:633-637)
-    with area/centroid columns appended."""
-    if not (isinstance(src, str) and src.lower().endswith(".gpkg")):
-        return pq.read_table(src)
-    import numpy as np
-
-    from . import geom
-    from .sources.gpkg import polygons_to_rings, read_gpkg
-
-    t = polygons_to_rings(read_gpkg(src), dst_crs=dst_crs)
-    areas, cxs, cys = [], [], []
-    for rlist in t.column("rings").to_pylist():
-        rings = [np.array([[p["x"], p["y"]] for p in ring]) for ring in rlist]
-        a, cx, cy = geom.overlay_moments([rings], "union")
-        areas.append(a)
-        cxs.append(cx)
-        cys.append(cy)
-    return (t.append_column("area", pa.array(areas, pa.float64()))
-             .append_column("centroid_x", pa.array(cxs, pa.float64()))
-             .append_column("centroid_y", pa.array(cys, pa.float64())))
-
-
 #: ESA WorldCover class legend (public; the reference's only landcover
 #: source is the esa-worldcover collection, availability.py:439, whose
 #: STAC classification metadata carries exactly these descriptions)
@@ -227,204 +204,6 @@ def _decoded(docs, decoder, columns: list[str]) -> "ray.data.Dataset":
 
 
 _RING_COLS = ["doc_id", "ring_x", "ring_y", "ring_sizes"]
-
-
-#: OSM highway-class exclusions per network_type — the engine's analog
-#: of the reference's osmnx download filter (accessibility.py:142-149),
-#: following osmnx 1.x's published filter strings restricted to the
-#: highway tag (walk drops motorways+cycleways but NOT trunk; bike
-#: drops motorways+foot-only ways but NOT trunk; drive drops every
-#: non-motor class).  Applied to the edges table's ``highway`` column.
-_NETWORK_TYPE_EXCLUDES = {
-    "all": frozenset(),
-    "walk": frozenset({"motorway", "motorway_link", "cycleway",
-                       "bus_guideway", "construction", "abandoned",
-                       "planned", "platform", "proposed", "raceway"}),
-    "bike": frozenset({"motorway", "motorway_link", "footway", "steps",
-                       "corridor", "elevator", "escalator",
-                       "bus_guideway", "construction", "abandoned",
-                       "planned", "platform", "proposed", "raceway"}),
-    "drive": frozenset({"footway", "path", "pedestrian", "cycleway",
-                        "steps", "corridor", "bridleway", "track",
-                        "elevator", "escalator", "bus_guideway",
-                        "construction", "abandoned", "planned",
-                        "platform", "proposed", "raceway", "service"}),
-}
-
-
-def _filter_network_type(edges: "pa.Table", network_type: str) -> "pa.Table":
-    """Validate ``network_type`` (accessibility.py:142-144) and filter
-    the edges table by its ``highway`` column.  File-based networks
-    without a ``highway`` column must already be of the requested type —
-    asking for a subtype then is an error, not a silent no-op."""
-    if network_type not in ("walk", "bike", "drive", "all"):
-        raise ValueError(
-            "network_type must be 'walk', 'bike', 'drive' or 'all'")
-    if network_type == "all":
-        return edges
-    if "highway" not in edges.column_names:
-        raise ValueError(
-            f"network_type={network_type!r} needs a 'highway' column on "
-            "the edges table to filter by (or pass a pre-filtered "
-            f"{network_type} network with network_type='all')")
-    import pyarrow.compute as pc
-
-    drop = pa.array(sorted(_NETWORK_TYPE_EXCLUDES[network_type]))
-    return edges.filter(
-        pc.invert(pc.is_in(edges.column("highway"), value_set=drop)))
-
-
-def _gs_polys(gs: "pa.Table") -> list:
-    """Greenspace rows → list of polygons (lists of ``(N, 2)`` ring
-    arrays) for the driver dissolve.  Built from the Arrow flat ring
-    buffers via :func:`~greenex_py_ray.stages.dissolve.flat_rings_table`
-    — numpy slices per ring, never per-vertex Python."""
-    import numpy as np
-
-    from .stages.dissolve import flat_rings_table
-
-    flat = flat_rings_table(gs)
-    rx = flat.column("ring_x").combine_chunks()
-    xs = rx.values.to_numpy(zero_copy_only=False)
-    ys = (flat.column("ring_y").combine_chunks()
-          .values.to_numpy(zero_copy_only=False))
-    row_off = rx.offsets.to_numpy()
-    sizes_col = flat.column("ring_sizes").combine_chunks()
-    sizes = sizes_col.values.to_numpy(zero_copy_only=False)
-    size_off = sizes_col.offsets.to_numpy()
-    out = []
-    for i in range(len(flat)):
-        rings = []
-        s = row_off[i]
-        for sz in sizes[size_off[i]:size_off[i + 1]]:
-            rings.append(np.column_stack([xs[s:s + sz], ys[s:s + sz]]))
-            s += sz
-        out.append(rings)
-    return out
-
-
-def _dissolve_units(gs: "pa.Table") -> "pa.Table":
-    """accessibility.py:125-128: the reference merges overlapping
-    greenspaces into one unit (``unary_union`` + dissolve) before any
-    distance computation.  Each row keeps its stored boundary geometry
-    (entrance detection tests member boundaries — interior shared
-    boundaries of a merged unit still count, a documented deviation)
-    but carries its dissolved blob's id (first member's id, the
-    reference's ``aggfunc='first'``), exact union centroid and union
-    area, so ``destination='centroids'`` measures to the MERGED unit's
-    centroid and ``min_greenspace_area`` thresholds merged-unit areas.
-    Identity on disjoint tables."""
-    import numpy as np
-
-    from .stages.dissolve import dissolve_polygons
-
-    if not len(gs):
-        return gs
-    if len(gs) > _DISSOLVE_DRIVER_MAX:
-        return _dissolve_units_distributed(gs)
-    blobs = dissolve_polygons(_gs_polys(gs))
-    members = blobs["member_ids"]
-    sizes = np.array([len(m) for m in members])
-    # each row's blob index: blobs partition the rows (positional ids)
-    blob_of = np.empty(len(gs), dtype=np.int64)
-    blob_of[np.concatenate(members).astype(np.int64)] = np.repeat(
-        np.arange(len(members)), sizes)
-    return _rewrite_units(
-        gs, np.asarray(blobs["rep_id"], dtype=np.int64)[blob_of],
-        sizes[blob_of],
-        *(np.asarray(blobs[c], dtype=np.float64)[blob_of]
-          for c in ("centroid_x", "centroid_y", "area")))
-
-
-#: Above this many greenspace rows the API dissolve routes through the
-#: distributed cell-shuffle path (mirrors near_dedup's driver_threshold
-#: pattern, stages/dedup.py) instead of the driver union-find.  Tests
-#: set it to 0 to force the distributed branch on small tables.
-_DISSOLVE_DRIVER_MAX = 200_000
-
-
-def _dissolve_units_distributed(gs: "pa.Table") -> "pa.Table":
-    """Scale path of :func:`_dissolve_units`: overlap pairs, connected
-    components and blob union moments computed by
-    :func:`~greenex_py_ray.stages.dissolve.dissolve_dataset`
-    (``per_member=True``) instead of the driver union-find, then the
-    same :func:`_rewrite_units`.  Keys are row positions (the driver
-    path's positional ids) so stored ``gs_id`` values need not be
-    unique; blob members are processed in row order in BOTH paths, so
-    union moments are bit-identical (parity-tested in
-    tests/test_api_kwargs.py)."""
-    import numpy as np
-
-    import ray.data
-
-    from .stages.dissolve import dissolve_dataset, flat_rings_table
-
-    polys = ray.data.from_arrow(flat_rings_table(gs, key_col="__row"))
-    mem = dissolve_dataset(polys, key_col="__row",
-                           per_member=True).to_pandas()
-    inv = np.empty(len(gs), dtype=np.int64)
-    inv[mem["__row"].to_numpy()] = np.arange(len(mem))
-    return _rewrite_units(
-        gs, *(mem[c].to_numpy()[inv] for c in (
-            "rep_id", "n_members", "centroid_x", "centroid_y", "area")))
-
-
-def _rewrite_units(gs: "pa.Table", rep_row, n_members, cx_b, cy_b,
-                   area_b) -> "pa.Table":
-    """The per-row (gs_id, centroid, area) rewrite of both dissolve
-    paths, from each row's blob: its representative row, member count
-    and union moments.  Stored gs_id/centroid/area of single-member
-    (disjoint) rows are preserved, so adding an unrelated overlap
-    elsewhere in the table never changes a disjoint row's answer;
-    MERGED blobs get their exact union moments, and ABSENT columns are
-    synthesized for every row from its blob (a singleton blob's moments
-    ARE the row's) — always into fresh float64 arrays so integer-typed
-    stored columns can't truncate union values."""
-    import numpy as np
-
-    has_cen = ("centroid_x" in gs.column_names
-               and "centroid_y" in gs.column_names)
-    has_area = "area" in gs.column_names
-    merged = n_members >= 2
-    if has_cen and has_area and not merged.any():
-        return gs
-
-    def moment(name: str, blob, stored: bool):
-        if not stored:
-            return pa.array(np.asarray(blob, dtype=np.float64))
-        v = gs.column(name).to_numpy(zero_copy_only=False).astype(np.float64)
-        v[merged] = blob[merged]
-        return pa.array(v)
-
-    ids = gs.column("gs_id").to_numpy(zero_copy_only=False)
-    rep = ids.copy()
-    rep[merged] = ids[rep_row[merged]]
-    cols = dict(zip(gs.column_names, gs.columns))
-    cols["gs_id"] = pa.array(rep)
-    cols["centroid_x"] = moment("centroid_x", cx_b, has_cen)
-    cols["centroid_y"] = moment("centroid_y", cy_b, has_cen)
-    cols["area"] = moment("area", area_b, has_area)
-    return pa.table(cols)
-
-
-def _min_area_filter(gs: "pa.Table", min_area) -> "pa.Table":
-    """accessibility.py:81-84,129-131: keep units with area >=
-    ``min_greenspace_area`` — applied AFTER :func:`_dissolve_units`, so
-    the ``area`` column already holds merged-unit union areas."""
-    if min_area is None:
-        return gs
-    if not isinstance(min_area, (int, float)) or min_area <= 0:
-        raise ValueError(
-            "min_greenspace_area must be a positive number")
-    import pyarrow.compute as pc
-
-    if "area" in gs.column_names:
-        area = gs.column("area")
-    else:  # rect side tables (rings tables get 'area' from the dissolve)
-        area = pc.multiply(
-            pc.subtract(gs.column("x1"), gs.column("x0")),
-            pc.subtract(gs.column("y1"), gs.column("y0")))
-    return gs.filter(pc.greater_equal(area, float(min_area)))
 
 
 def _emit(ds, name: str, docs, kind: str, src_crs, write_to_file: bool,
@@ -582,17 +361,6 @@ def _route_poi(kind, src_crs, polygon_type, buffer_type, dist):
     return "point", decoder
 
 
-def _network(nodes_file: str, edges_file: str, network_type: str,
-             shift=(0.0, 0.0)) -> tuple["pa.Table", "pa.Table"]:
-    """``(nodes, edges)`` of the street graph, filtered by
-    ``network_type`` and moved into the tile-local frame WITH the points
-    (nearest-node snapping and the isochrone's raster windows otherwise
-    compare shifted PoIs against unshifted node coordinates)."""
-    nodes = doc_src.shift_coords(pq.read_table(nodes_file), *shift)
-    edges = _filter_network_type(pq.read_table(edges_file), network_type)
-    return nodes, edges
-
-
 def get_mean_NDVI(poi, ndvi_tile_dir: str, buffer_dist: float | None = 300.0,
                   buffer_type: str | None = "euclidean",
                   polygon_type: str = "neighbourhood",
@@ -627,7 +395,7 @@ def get_mean_NDVI(poi, ndvi_tile_dir: str, buffer_dist: float | None = 300.0,
 
         stage = _av.isochrone_stage(
             IsochroneZonal,
-            *_network(network_nodes_file, network_edges_file,
+            *_side.network(network_nodes_file, network_edges_file,
                       network_type, shift),
             concurrency, tile_root=tile_dir, buffer_dist=dist)
     out = append_metrics(docs, stage, decode=decoder, shift=shift)
@@ -684,7 +452,7 @@ def get_landcover_percentages(poi, landcover_tile_dir: str,
 
         stage = _av.isochrone_stage(
             IsochroneLandcover,
-            *_network(network_nodes_file, network_edges_file,
+            *_side.network(network_nodes_file, network_edges_file,
                       network_type, shift),
             concurrency, tile_root=tile_dir, buffer_dist=dist,
             classmap=classmap, stringify=stringify)
@@ -713,7 +481,8 @@ def _coverage(poi, vector_file, name: str, dissolve: bool, buffer_dist,
     dist = _resolve_buffer(buffer_dist, travel_speed, trip_time)
     docs, kind = _poi(poi)
     mode, decoder = _route_poi(kind, src_crs, polygon_type, buffer_type, dist)
-    polys = _vector_table(vector_file, dst_crs=_poi_crs(poi))
+    polys = _side.shared(_side._vector_table, vector_file, _poi_crs(poi),
+                         needs=("rings",))
     if mode == "polygon":
         stage = _av.coverage_stage(
             polys, (dist if buffer_type == "euclidean" else 0.0),
@@ -724,8 +493,9 @@ def _coverage(poi, vector_file, name: str, dissolve: bool, buffer_dist,
 
         stage = _av.isochrone_stage(
             IsochroneCoverage,
-            *_network(network_nodes_file, network_edges_file, network_type),
-            concurrency, polys_ref=ray.put(polys), buffer_dist=dist,
+            *_side.network(network_nodes_file, network_edges_file,
+                           network_type),
+            concurrency, polys_ref=polys, buffer_dist=dist,
             name=name, stringify=stringify, dissolve=dissolve)
     else:
         stage = _av.coverage_stage(polys, dist, concurrency=concurrency,
@@ -826,32 +596,29 @@ def get_shortest_distance_greenspace(poi, greenspace_vector_file: str,
     decoder = doc_src.DecodeGeom(parse_polygons=kind in _POLYGONS,
                                  src_crs=src_crs)
     flag = f"greenspace_within_{int(target_dist)}m"
-    gs = _vector_table(greenspace_vector_file, dst_crs=_poi_crs(poi))
-    if (destination == "centroids" or min_greenspace_area is not None
-            or "centroid_x" not in gs.column_names):
-        # merged-unit centroids / areas are only consumed by the
-        # centroids destination and the area threshold (the entrance
-        # branches read member boundaries — if a future entrance branch
-        # starts consuming gs_id/centroid/area, drop this skip); the
-        # third clause synthesizes centroid columns for tables that
-        # lack them, which every network/entrance stage requires
-        gs = _min_area_filter(_dissolve_units(gs), min_greenspace_area)
+    crs = _poi_crs(poi)
     if distance_type == "euclidean" and destination == "centroids":
-        # dissolved members carry identical (gs_id, centroid) rows;
-        # duplicates are harmless for a min-distance and deduping by
-        # gs_id alone would fabricate a phantom centroid if distinct
-        # rows ever shared an id, so pass rows through as-is
-        centroids = pa.table({"gs_id": gs.column("gs_id"),
-                              "cx": gs.column("centroid_x"),
-                              "cy": gs.column("centroid_y")})
-        stage = _acc.nearest_greenspace_stage(centroids, target_dist, flag,
+        gs = _side.shared(_side.centroids, greenspace_vector_file, crs,
+                          min_greenspace_area)
+        stage = _acc.nearest_greenspace_stage(gs, target_dist, flag,
                                               concurrency=concurrency)
         out = append_metrics(docs, stage,
                              columns=["distance_to_greenspace", flag],
                              decode=decoder)
     else:
+        # merged-unit centroids / areas are only consumed by the
+        # centroids destination and the area threshold (the entrance
+        # branches read member boundaries — if a future entrance branch
+        # starts consuming gs_id/centroid/area, dissolve there too); a
+        # table without centroid columns is dissolved anyway, which
+        # writes them
+        gs = _side.shared(
+            _side.greenspace, greenspace_vector_file, crs,
+            destination == "centroids" or min_greenspace_area is not None,
+            min_greenspace_area, needs=("rings",))
         stage = _acc.network_distance_stage(
-            *_network(network_nodes_file, network_edges_file, network_type),
+            *_side.network(network_nodes_file, network_edges_file,
+                           network_type),
             gs, target_dist, destination, distance_type,
             concurrency=concurrency, flag_name=flag)
         out = append_metrics(docs, stage, decode=decoder)

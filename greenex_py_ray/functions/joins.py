@@ -255,12 +255,17 @@ class KernelStage(NamedTuple):
     (:func:`heavy_pool`) it cannot starve its feed).  Both callers run
     :func:`_run_kernel` tasks: :meth:`on` over decoded PoI rows (the
     metric-table pipelines), :func:`append_metrics` on raw documents
-    (the span-preserving API).  The kernel cache key — the class plus
-    its frozen kwargs — is computed once here, in the calling process."""
+    (the span-preserving API).  The kernel cache key (:attr:`key`) is
+    computed once here, in the calling process."""
 
     cls: type
     kwargs: dict
     map_kwargs: dict
+
+    @property
+    def key(self) -> tuple:
+        """The kernel cache key: the class plus its frozen kwargs."""
+        return (self.cls, _freeze(self.kwargs))
 
     def _map(self, ds: "ray.data.Dataset", append=None) -> "ray.data.Dataset":
         kw = dict(self.map_kwargs)
@@ -274,10 +279,9 @@ class KernelStage(NamedTuple):
             with contextlib.suppress(AttributeError):
                 if not ds._plan.has_lazy_input():
                     conc = min(conc, ds._plan.initial_num_blocks() or conc)
-        key = (self.cls, _freeze(self.kwargs))
         return ds.map_batches(
             _run_kernel,
-            fn_kwargs=dict(cls=self.cls, kwargs=self.kwargs, key=key,
+            fn_kwargs=dict(cls=self.cls, kwargs=self.kwargs, key=self.key,
                            append=append),
             batch_format="pyarrow", zero_copy_batch=True, concurrency=conc,
             **kw)

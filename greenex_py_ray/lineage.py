@@ -39,17 +39,25 @@ def _checksum(tbl: pa.Table) -> int:
     """Order-free value checksum: crc32 of the table's IPC stream with
     its rows in one canonical order — by the first column, and rows that
     share a first-column value by the crc32 of their own values, so
-    duplicate keys in any order give one checksum."""
+    duplicate keys in any order give one checksum.  Rows whose keys
+    already strictly increase (the key-sorted partitions of
+    :func:`resumable_write`) are in that order and are not sorted
+    again."""
     if tbl.num_rows == 0:
         return 0
     key = tbl.column(0).combine_chunks()
-    codes = pc.fill_null(pc.dictionary_encode(key).indices, -1).to_numpy() + 1
-    tie = np.zeros(tbl.num_rows, dtype=np.int64)
-    for i in np.flatnonzero(np.bincount(codes)[codes] > 1):
-        tie[i] = zlib.crc32(repr(tbl.slice(i, 1).to_pylist()).encode())
-    order = pc.sort_indices(pa.table({"key": key, "tie": tie}),
-                            sort_keys=[("key", "ascending"), ("tie", "ascending")])
-    tbl = tbl.take(order).combine_chunks()
+    if key.null_count or not pc.all(pc.less(key[:-1], key[1:]),
+                                    min_count=0).as_py():
+        codes = pc.fill_null(pc.dictionary_encode(key).indices,
+                             -1).to_numpy() + 1
+        tie = np.zeros(tbl.num_rows, dtype=np.int64)
+        for i in np.flatnonzero(np.bincount(codes)[codes] > 1):
+            tie[i] = zlib.crc32(repr(tbl.slice(i, 1).to_pylist()).encode())
+        order = pc.sort_indices(
+            pa.table({"key": key, "tie": tie}),
+            sort_keys=[("key", "ascending"), ("tie", "ascending")])
+        tbl = tbl.take(order)
+    tbl = tbl.combine_chunks()
     sink = pa.BufferOutputStream()
     with pa.ipc.new_stream(sink, tbl.schema) as w:
         w.write_table(tbl)

@@ -10,23 +10,25 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-import ray
 import ray.data
 
 from ..functions.joins import KernelStage, append_metrics, heavy_pool
+from ..sidefiles import shared, shipped, stored_centroids
 from ..sources import documents as doc_src
 from ..stages.access import NearestGreenspace
 
 
-def nearest_greenspace_stage(centroids: "pa.Table", target_dist: float,
+def nearest_greenspace_stage(centroids, target_dist: float,
                              flag_name: str, key_col: str = "doc_id",
                              concurrency: int | None = None) -> KernelStage:
-    """(key,x,y) + small centroid table (gs_id, cx, cy; broadcast via
-    ray.put) → (key, distance_to_greenspace, ``flag_name``,
-    nearest_gs_id)."""
+    """(key,x,y) + small centroid table (gs_id, cx, cy) → (key,
+    distance_to_greenspace, ``flag_name``, nearest_gs_id).  A table
+    goes to the object store; an ``ObjectRef`` (the API's, from
+    :func:`~greenex_py_ray.sidefiles.shared`) is used as given, so calls
+    on one greenspace file version share the kernel cache key."""
     return KernelStage(
         NearestGreenspace,
-        dict(centroids_ref=ray.put(centroids), target_dist=target_dist,
+        dict(centroids_ref=shipped(centroids), target_dist=target_dist,
              key_col=key_col, flag_name=flag_name),
         dict(batch_size=8192, concurrency=concurrency, num_cpus=0.25))
 
@@ -41,13 +43,7 @@ def get_shortest_distance_greenspace_documents(
     columns, spans untouched, one read and no exchange.  Greenspace
     centroids come from the side table's precomputed centroid columns
     (accessibility.py:134-135)."""
-    import pyarrow.parquet as pq
-
-    gs = pq.read_table(greenspace_path, columns=["gs_id", "centroid_x", "centroid_y"])
-    centroids = pa.table(
-        {"gs_id": gs.column("gs_id"), "cx": gs.column("centroid_x"),
-         "cy": gs.column("centroid_y")}
-    )
+    centroids = shared(stored_centroids, greenspace_path)
     return append_metrics(
         doc_src.read_documents(documents_path),
         nearest_greenspace_stage(centroids, target_dist,
@@ -56,9 +52,9 @@ def get_shortest_distance_greenspace_documents(
 
 
 def network_distance_stage(
-    nodes: "pa.Table",
-    edges: "pa.Table",
-    greenspace: "pa.Table",
+    nodes,
+    edges,
+    greenspace,
     target_dist: float = 300.0,
     destination: str = "centroids",
     distance_type: str = "network",
@@ -67,16 +63,17 @@ def network_distance_stage(
     flag_name: str = "greenspace_within_target",
 ) -> KernelStage:
     """Network/entrance branches of get_shortest_distance_greenspace
-    (accessibility.py:226-301): a kernel stage with broadcast graph +
-    greenspace tables; ``distance_type='euclidean'`` +
+    (accessibility.py:226-301): a kernel stage over the graph and
+    greenspace tables (tables go to the object store, ``ObjectRef`` s
+    as given); ``distance_type='euclidean'`` +
     ``destination='entrance'`` gives the straight-line-to-entrance
     variant."""
     from ..stages.netaccess import NetworkDistance
 
     return KernelStage(
         NetworkDistance,
-        dict(nodes_ref=ray.put(nodes), edges_ref=ray.put(edges),
-             greenspace_ref=ray.put(greenspace), target_dist=target_dist,
+        dict(nodes_ref=shipped(nodes), edges_ref=shipped(edges),
+             greenspace_ref=shipped(greenspace), target_dist=target_dist,
              destination=destination, distance_type=distance_type,
              key_col=key_col, flag_name=flag_name),
         dict(batch_size=512, num_cpus=1, concurrency=concurrency))
@@ -114,14 +111,12 @@ def od_cost_matrix(
     (PoI, destination node) pair within ``cutoff`` network metres, cost
     = snap penalty + shortest-path length (the reference's one-to-one
     shortest-distance semantics, applied as an OD matrix)."""
-    import ray as _ray
-
     from ..stages.netaccess import ODMatrix
 
     return poi.map_batches(
         ODMatrix,
         fn_constructor_kwargs=dict(
-            nodes_ref=_ray.put(nodes), edges_ref=_ray.put(edges),
+            nodes_ref=ray.put(nodes), edges_ref=ray.put(edges),
             cutoff=cutoff, dest_mod=dest_mod, dest_ids=dest_ids,
             key_col=key_col,
         ),

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-import ray
 import ray.data
 
-from ..functions.joins import (KernelStage, append_metrics, as_pool,
-                               drop_zero_count)
+from ..functions.joins import KernelStage, append_metrics, drop_zero_count
+from ..sidefiles import shipped
 from ..sources import documents as doc_src
 from ..stages import zonal
 
@@ -112,7 +111,7 @@ def get_mean_ndvi_documents(
 
 
 def coverage_stage(
-    polys: "pa.Table",
+    polys,
     buffer_dist: float,
     key_col: str = "doc_id",
     concurrency: int | None = None,
@@ -121,7 +120,8 @@ def coverage_stage(
     aoi_shape: str = "circle",
     dissolve: bool = True,
 ) -> KernelStage:
-    """Percent of each PoI's AoI covered by the broadcast polygon table.
+    """Percent of each PoI's AoI covered by the polygon table ``polys``
+    (a table goes to the object store, an ``ObjectRef`` as given).
     ``aoi_shape="self"`` uses each row's own polygon (``ring_*``
     columns) dilated by ``buffer_dist`` as the AoI (see
     :class:`~greenex_py_ray.stages.coverage.PolygonCoverage`)."""
@@ -133,7 +133,7 @@ def coverage_stage(
         pool = dict(concurrency=concurrency, num_cpus=0.25)
     return KernelStage(
         PolygonCoverage,
-        dict(polys_ref=ray.put(polys), buffer_dist=buffer_dist,
+        dict(polys_ref=shipped(polys), buffer_dist=buffer_dist,
              key_col=key_col, name=name, stringify=stringify,
              aoi_shape=aoi_shape, dissolve=dissolve),
         pool)
@@ -177,17 +177,19 @@ def greenspace_percentage(
     )
 
 
-def isochrone_stage(kernel_cls, nodes: "pa.Table", edges: "pa.Table",
+def isochrone_stage(kernel_cls, nodes, edges,
                     concurrency: int | None = None,
                     **kwargs) -> KernelStage:
     """An isochrone kernel stage (``IsochroneZonal``,
     ``IsochroneLandcover`` or ``IsochroneCoverage`` from
-    :mod:`~greenex_py_ray.stages.netaccess`) with the street graph
-    broadcast; ``kwargs`` go to its constructor.  The graph refs are
-    new per call, so each call builds its kernel once per worker."""
+    :mod:`~greenex_py_ray.stages.netaccess`) over the street graph;
+    ``kwargs`` go to its constructor.  Graph tables go to the object
+    store, so each call builds the kernel afresh; the API passes the
+    ``ObjectRef`` s that :func:`~greenex_py_ray.sidefiles.shared` keeps
+    per network file version, so each worker builds it once per version."""
     return KernelStage(
         kernel_cls,
-        dict(nodes_ref=ray.put(nodes), edges_ref=ray.put(edges), **kwargs),
+        dict(nodes_ref=shipped(nodes), edges_ref=shipped(edges), **kwargs),
         dict(batch_size=256, num_cpus=1, concurrency=concurrency))
 
 
@@ -253,7 +255,7 @@ def canopy_percentage_isochrone(
 
     return isochrone_stage(
         IsochroneCoverage, nodes, edges, concurrency,
-        polys_ref=ray.put(polys), buffer_dist=buffer_dist, key_col=key_col,
+        polys_ref=shipped(polys), buffer_dist=buffer_dist, key_col=key_col,
         name=name, stringify=stringify, dissolve=dissolve).on(poi)
 
 
@@ -357,14 +359,16 @@ def mean_ndvi_line_aoi(
     buffered polyline (``poi.geometry.buffer(buffer_dist)``, :134).
 
     ``edges`` needs (key_col, ax, ay, bx, by) and optionally
-    ``geom_x``/``geom_y`` polyline columns."""
-    return edges.map_batches(
+    ``geom_x``/``geom_y`` polyline columns.  An edge whose buffer
+    covers no stored pixel gets no row, like a keyed rollup over its
+    pixels."""
+    stage = KernelStage(
         zonal.LineZonalLocal,
-        fn_constructor_kwargs=dict(tile_root=tile_root, band="ndvi",
-                                   buffer_dist=buffer_dist, key_col=key_col),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=as_pool(concurrency), num_cpus=0.25,
-    )
+        dict(tile_root=tile_root, band="ndvi", buffer_dist=buffer_dist,
+             key_col=key_col),
+        dict(batch_size=batch_size, num_cpus=1, concurrency=concurrency))
+    return drop_zero_count(stage.on(edges), "n_pixels").drop_columns(
+        ["n_pixels"])
 
 
 def landcover_majority_stage(tile_root: str, radius: float,

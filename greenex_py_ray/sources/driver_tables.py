@@ -46,7 +46,12 @@ def derive_xy(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class DeriveXY:
-    """map_batches stage: append x, y, cell derived from an int key column."""
+    """map_batches stage: append x, y, cell derived from an int key column.
+
+    The output carries no schema metadata: the testdata files' pandas
+    metadata is a dict, which makes pyarrow's ``Schema.__hash__`` fail
+    when Ray unifies the schemas of batched blocks (it logs "Failed to
+    hash the schemas")."""
 
     def __init__(self, key_col: str, cell_size: float = cells.DEFAULT_CELL_SIZE):
         self.key_col = key_col
@@ -57,7 +62,8 @@ class DeriveXY:
         x, y = derive_xy(k)
         cell = cells.cell_of(x, y, self.cell_size)
         return (
-            batch.append_column("x", pa.array(x, pa.float64()))
+            batch.replace_schema_metadata()
+            .append_column("x", pa.array(x, pa.float64()))
             .append_column("y", pa.array(y, pa.float64()))
             .append_column("cell", pa.array(cell, pa.int64()))
         )

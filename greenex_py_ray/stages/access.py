@@ -9,9 +9,12 @@ euclidean/centroids branch
 * miss (no centroid found / beyond target) → distance set to
   ``target_dist`` and outcome False.
 
-Physical plan: the greenspace side is SMALL relative to the documents —
-it is broadcast once (``ray.put`` on the driver), each actor builds a
-:class:`~greenex_py_ray.state.index.GridIndex` in ``__init__``, and the
+Physical plan: the greenspace side is SMALL relative to the documents.
+The API derives it on the driver (read, dissolve, area threshold) and
+puts it in the object store once per file version
+(:func:`~greenex_py_ray.sidefiles.shared`); each kernel builds a
+:class:`~greenex_py_ray.state.index.GridIndex` in ``__init__``, once
+per worker process and file version, and the
 per-batch body is an exact cell-local kNN with ring expansion.  No
 shuffle at all on the big side (vs. the reference's per-row cKDTree
 rebuild).  The network-distance branch lives in ``stages/netaccess.py``.
@@ -22,13 +25,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
-
+from ..sidefiles import side_table
 from ..state.index import GridIndex, RectIndex
-
-
-def _resolve(ref):
-    return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
 
 
 class NearestGreenspace:
@@ -45,7 +43,7 @@ class NearestGreenspace:
                  index_cell: float = 500.0,
                  dist_name: str = "distance_to_greenspace",
                  flag_name: str = "greenspace_within_target"):
-        t = _resolve(centroids_ref)  # pa.Table {gs_id, cx, cy}
+        t = side_table(centroids_ref)  # pa.Table {gs_id, cx, cy}
         self.index = GridIndex(
             t.column("cx").to_numpy(zero_copy_only=False),
             t.column("cy").to_numpy(zero_copy_only=False),
@@ -85,7 +83,7 @@ class PointsInRects:
     """
 
     def __init__(self, rects_ref, key_col: str = "doc_id", index_cell: float = 1000.0):
-        t = _resolve(rects_ref)  # pa.Table {gs_id, x0, y0, x1, y1}
+        t = side_table(rects_ref)  # pa.Table {gs_id, x0, y0, x1, y1}
         self.index = RectIndex(
             t.column("x0").to_numpy(zero_copy_only=False),
             t.column("y0").to_numpy(zero_copy_only=False),
@@ -140,7 +138,7 @@ class FCADemandCount:
     def __init__(self, fac_ref, radius: float,
                  x_col: str = "x", y_col: str = "y",
                  dense_max: int = DENSE_FAC_MAX):
-        t = _resolve(fac_ref)
+        t = side_table(fac_ref)
         self.fx = t.column("centroid_x").to_numpy(zero_copy_only=False)
         self.fy = t.column("centroid_y").to_numpy(zero_copy_only=False)
         self.fid = t.column("gs_id").to_numpy(zero_copy_only=False)
@@ -178,7 +176,7 @@ class FCAAccess:
     def __init__(self, fac_ref, radius: float, key_col: str = "doc_id",
                  x_col: str = "x", y_col: str = "y",
                  dense_max: int = DENSE_FAC_MAX):
-        t = _resolve(fac_ref)
+        t = side_table(fac_ref)
         self.fx = t.column("centroid_x").to_numpy(zero_copy_only=False)
         self.fy = t.column("centroid_y").to_numpy(zero_copy_only=False)
         self.rq = t.column("rq").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -301,7 +299,7 @@ class GravityAccess:
                  key_col: str = "doc_id",
                  x_col: str = "x", y_col: str = "y",
                  dense_max: int = DENSE_FAC_MAX):
-        t = _resolve(fac_ref)
+        t = side_table(fac_ref)
         self.fx = t.column("centroid_x").to_numpy(zero_copy_only=False)
         self.fy = t.column("centroid_y").to_numpy(zero_copy_only=False)
         self.sup = t.column("supply_q").to_numpy(
@@ -402,7 +400,7 @@ class E2DemandWeight:
     def __init__(self, fac_ref, denom: float, cutoff: float,
                  x_col: str = "x", y_col: str = "y",
                  dense_max: int = DENSE_FAC_MAX):
-        t = _resolve(fac_ref)
+        t = side_table(fac_ref)
         self.fx = t.column("centroid_x").to_numpy(zero_copy_only=False)
         self.fy = t.column("centroid_y").to_numpy(zero_copy_only=False)
         self.fid = t.column("gs_id").to_numpy(zero_copy_only=False)
@@ -446,7 +444,7 @@ class E2Access(E2DemandWeight):
                  dense_max: int = DENSE_FAC_MAX):
         super().__init__(fac_ref, denom, cutoff, x_col, y_col,
                          dense_max=dense_max)
-        t = _resolve(fac_ref)
+        t = side_table(fac_ref)
         self.rq = t.column("rq").to_numpy(
             zero_copy_only=False).astype(np.float64)
         self.key_col = key_col

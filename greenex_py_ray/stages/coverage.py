@@ -26,14 +26,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
-
 from .. import geom
+from ..sidefiles import side_table
 from ..state.index import GridIndex, RectIndex
-
-
-def _resolve(ref):
-    return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
 
 
 def _ring_buffers(gs: pa.Table):
@@ -123,7 +118,7 @@ class RectCoverage:
 
     def __init__(self, rects_ref, half: float, key_col: str = "doc_id",
                  name: str = "rect_cover"):
-        t = _resolve(rects_ref)
+        t = side_table(rects_ref)
         self.x0 = t.column("x0").to_numpy(zero_copy_only=False).astype(np.float64)
         self.y0 = t.column("y0").to_numpy(zero_copy_only=False).astype(np.float64)
         self.x1 = t.column("x1").to_numpy(zero_copy_only=False).astype(np.float64)
@@ -158,8 +153,8 @@ class RectCoverage:
 
 
 class PolygonCoverage:
-    """map_batches actor: percent of each PoI's buffer AoI covered by the
-    (broadcast) polygon table.
+    """Kernel: percent of each PoI's buffer AoI covered by the polygon
+    side table (:func:`~greenex_py_ray.sidefiles.side_table`).
 
     AoI = ``buffer_ngon(x, y, buffer_dist, quad_segs)`` (shapely
     discretization); candidates via a vertex grid index; output column
@@ -171,7 +166,7 @@ class PolygonCoverage:
                  name: str = "canopy_cover", stringify: bool = False,
                  quad_segs: int = 16, dissolve: bool = True,
                  aoi_shape: str = "circle"):
-        t = _resolve(polys_ref)
+        t = side_table(polys_ref)
         polys = _polys_list(t)
         if dissolve:
             from .dissolve import dissolve_polygons

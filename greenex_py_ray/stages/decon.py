@@ -26,11 +26,8 @@ import pyarrow as pa
 
 import ray
 
+from ..sidefiles import side_table
 from .text import explode_words
-
-
-def _resolve(ref):
-    return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
 
 
 def ngram_strings(texts: "pd.Series", n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -64,7 +61,7 @@ class ContaminationTagger:
 
     def __init__(self, grams_ref, n: int, key_col: str = "doc_id",
                  text_col: str = "text"):
-        grams = _resolve(grams_ref)
+        grams = side_table(grams_ref)
         # pandas hash index built once per actor
         self.index = pd.Index(grams)
         self.n = int(n)

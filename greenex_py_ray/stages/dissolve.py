@@ -279,7 +279,7 @@ def dissolve_dataset(
     same rows as the driver-side path (validated in tests).  With
     ``per_member=True`` returns one row PER MEMBER instead:
     (key_col, rep_id, n_members, area, centroid_x, centroid_y), the
-    shape :func:`greenex_py_ray.api._dissolve_units` joins back onto
+    shape :func:`greenex_py_ray.sidefiles._dissolve_units` joins back onto
     the source table above its driver-size gate.
     """
     import pyarrow as pa

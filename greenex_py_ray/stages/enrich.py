@@ -17,9 +17,7 @@ import pyarrow as pa
 
 import ray
 
-
-def _resolve(ref):
-    return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+from ..sidefiles import side_table
 
 
 class BroadcastLookup:
@@ -33,7 +31,7 @@ class BroadcastLookup:
 
     def __init__(self, dim_ref, key_col: str, dim_key: str,
                  add_cols: "tuple[str, ...]", how: str = "inner"):
-        t = _resolve(dim_ref)
+        t = side_table(dim_ref)
         keys = t.column(dim_key).to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(keys, kind="stable")
         self.keys = keys[order]
@@ -103,7 +101,7 @@ class _MinMaxApply:
 
     def __init__(self, stats_ref, group_col: str, value_col: str,
                  q_scale: float):
-        t = _resolve(stats_ref)
+        t = side_table(stats_ref)
         keys = np.asarray(t.column(group_col).to_pylist(), dtype=object)
         order = np.argsort(keys, kind="stable")
         self.keys = keys[order]

@@ -37,15 +37,12 @@ import pyarrow as pa
 import ray
 
 from ..functions.exchange import bucket_exchange
+from ..sidefiles import side_table
 
 #: integer quantization grids for the order-independent IDW sums
 IDW_DEN_Q = 1e12
 IDW_NUM_Q = 1e9
 EARTH_R_KM = 6371.0
-
-
-def _resolve(ref):
-    return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
 
 
 class IDWInterpolator:
@@ -63,7 +60,7 @@ class IDWInterpolator:
     def __init__(self, stations_ref, radius: float,
                  x_col: str = "x", y_col: str = "y",
                  dense_max: int = 4096):
-        t = _resolve(stations_ref)
+        t = side_table(stations_ref)
         self.sx = t.column("sx").to_numpy(zero_copy_only=False).astype(np.float64)
         self.sy = t.column("sy").to_numpy(zero_copy_only=False).astype(np.float64)
         self.val = t.column("val").to_numpy(zero_copy_only=False).astype(np.float64)
@@ -146,7 +143,7 @@ class HaversineNearest:
     def __init__(self, facilities_ref, lon_col: str = "lon",
                  lat_col: str = "lat", dense_max: int = 4096,
                  grid_cell_deg: float = 0.5):
-        t = _resolve(facilities_ref)
+        t = side_table(facilities_ref)
         self.fid = t.column("fid").to_numpy(zero_copy_only=False).astype(np.int64)
         self.flon = t.column("flon").to_numpy(zero_copy_only=False).astype(np.float64)
         self.flat = t.column("flat").to_numpy(zero_copy_only=False).astype(np.float64)

@@ -28,14 +28,11 @@ import pyarrow as pa
 import ray
 from ray.data.aggregate import Sum
 
+from ..sidefiles import side_table
 from .text import explode_words
 
 #: logprob quantization: micro-nats (int64) — order-independent sums
 LOGP_Q = 1e6
-
-
-def _resolve(ref):
-    return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
 
 
 def _vocab_partial(batch: pd.DataFrame, text_col: str) -> pd.DataFrame:
@@ -73,7 +70,7 @@ class UnigramScorer:
 
     def __init__(self, vocab_ref, key_col: str = "doc_id",
                  text_col: str = "text"):
-        self.vocab, self.w_q, self.oov_q = _resolve(vocab_ref)
+        self.vocab, self.w_q, self.oov_q = side_table(vocab_ref)
         self.key_col = key_col
         self.text_col = text_col
 

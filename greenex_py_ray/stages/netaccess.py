@@ -1,8 +1,9 @@
 """Network-distance accessibility + isochrone ("network buffer") AoIs.
 
-Stateful actor-pool stages holding the street graph (SURVEY §2.3
-"GraphActor"): the graph tables are broadcast once (``ray.put``), each
-actor builds a :class:`~greenex_py_ray.state.graph.CSRGraph` in
+Stateful kernels holding the street graph (SURVEY §2.3 "GraphActor"):
+the graph tables reach them as object-store references (the API's are
+kept per network file version, :func:`~greenex_py_ray.sidefiles.shared`),
+each kernel builds a :class:`~greenex_py_ray.state.graph.CSRGraph` in
 ``__init__``, and per-batch work is Dijkstra-based.
 
 Replicated semantics (with citations):
@@ -31,20 +32,17 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
-
 from .. import geom
+from ..sidefiles import side_table
 from ..sources import synth
 from ..state.graph import CSRGraph, fill_holes, points_to_segments_dist
 from ..state.index import GridIndex
 from ..state.tiles import TileStore
 
 
-def _resolve(ref):
-    return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-
-
-def _graph_from_tables(nodes: pa.Table, edges: pa.Table) -> CSRGraph:
+def _graph(nodes_ref, edges_ref) -> CSRGraph:
+    """The street graph of a node and an edge side (:func:`side_table`)."""
+    nodes, edges = side_table(nodes_ref), side_table(edges_ref)
     return CSRGraph(
         nodes.column("node_id").to_numpy(zero_copy_only=False),
         nodes.column("x").to_numpy(zero_copy_only=False),
@@ -84,8 +82,8 @@ class NetworkDistance:
                  distance_type: str = "network", key_col: str = "doc_id",
                  dist_name: str = "distance_to_greenspace",
                  flag_name: str = "greenspace_within_target"):
-        self.graph = _graph_from_tables(_resolve(nodes_ref), _resolve(edges_ref))
-        gs = _resolve(greenspace_ref)
+        self.graph = _graph(nodes_ref, edges_ref)
+        gs = side_table(greenspace_ref)
         self.greenspaces = _rings_from_table(gs)
         # grid index over ring vertices for candidate prefilter
         vx = np.concatenate([g[1][:, 0] for g in self.greenspaces])
@@ -188,7 +186,7 @@ class _IsochroneAoI:
 
     def __init__(self, nodes_ref, edges_ref, buffer_dist: float,
                  edge_buff: float = 25.0, key_col: str = "doc_id"):
-        self.graph = _graph_from_tables(_resolve(nodes_ref), _resolve(edges_ref))
+        self.graph = _graph(nodes_ref, edges_ref)
         self.buffer_dist = float(buffer_dist)
         self.edge_buff = float(edge_buff)
         self.key_col = key_col
@@ -332,8 +330,8 @@ class IsochroneLandcover(_IsochroneAoI):
 
 
 class IsochroneCoverage(_IsochroneAoI):
-    """map_batches actor: percent of each PoI's isochrone AoI covered by
-    the (broadcast) polygon table — ``get_canopy_percentage`` /
+    """Kernel: percent of each PoI's isochrone AoI covered by the
+    polygon side table — ``get_canopy_percentage`` /
     ``get_greenspace_percentage`` with ``buffer_type='network'``
     (reference availability.py:710-764 / 943-997: clip the vector layer
     by the isochrone polygon, covered area / AoI area).
@@ -357,7 +355,7 @@ class IsochroneCoverage(_IsochroneAoI):
                          edge_buff=edge_buff, key_col=key_col)
         from .coverage import _polys_list
 
-        polys = _polys_list(_resolve(polys_ref))
+        polys = _polys_list(side_table(polys_ref))
         self.polys = polys  # list of multi-ring (even-odd) polygons
         vx = np.concatenate([r[:, 0] for p in polys for r in p])
         vy = np.concatenate([r[:, 1] for p in polys for r in p])
@@ -439,8 +437,7 @@ class ODMatrix:
     def __init__(self, nodes_ref, edges_ref, cutoff: float,
                  dest_mod: int | None = None, dest_ids=None,
                  key_col: str = "doc_id"):
-        self.graph = _graph_from_tables(_resolve(nodes_ref),
-                                        _resolve(edges_ref))
+        self.graph = _graph(nodes_ref, edges_ref)
         g = self.graph
         if dest_ids is not None:
             dest = np.sort(np.asarray(dest_ids, dtype=np.int64))

@@ -33,9 +33,7 @@ import pyarrow as pa
 import ray
 from ray.data.aggregate import Sum
 
-
-def _resolve(ref):
-    return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+from ..sidefiles import side_table
 
 
 def _bucket_partial(batch: pa.Table, key_col: str, count_col: str,
@@ -85,7 +83,7 @@ class _PackGroup:
 
     def __call__(self, grp: pd.DataFrame) -> pd.DataFrame:
         if self._tbl is None:
-            self._tbl = _resolve(self._ref)
+            self._tbl = side_table(self._ref)
         self.b, self.off = self._tbl
         grp = grp.sort_values(self.key_col, kind="mergesort")
         k = grp[self.key_col].to_numpy(dtype=np.int64)

@@ -27,11 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
-
-
-def _resolve(ref):
-    return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+from ..sidefiles import side_table
 
 
 class LowestCloudSelector:
@@ -51,7 +47,7 @@ class LowestCloudSelector:
 
     def __init__(self, catalog_ref, max_cloud: float = 20.0,
                  key_col: str = "aoi_id", item_chunk: int = 65536):
-        t = _resolve(catalog_ref)
+        t = side_table(catalog_ref)
         cloud = t.column("cloud_cover").to_numpy(zero_copy_only=False)
         item_id = t.column("item_id").to_numpy(zero_copy_only=False).astype(np.int64)
         keep = cloud < float(max_cloud)  # availability.py:163 (lt 20)

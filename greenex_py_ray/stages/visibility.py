@@ -31,16 +31,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray
-
+from ..sidefiles import side_table
 from ..sources import synth
 from ..state.index import GridIndex
 from ..state.tiles import TileStore
 from ..state.viewshed import ViewshedKernel
-
-
-def _resolve(ref):
-    return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +96,7 @@ class SamplePointsViewshed:
                  key_col: str = "doc_id"):
         from .. import geom as _geom
 
-        e = _resolve(edges_ref)
+        e = side_table(edges_ref)
         self.ax = e.column("ax").to_numpy(zero_copy_only=False)
         self.ay = e.column("ay").to_numpy(zero_copy_only=False)
         self.bx = e.column("bx").to_numpy(zero_copy_only=False)
@@ -482,7 +477,7 @@ class NearestImageFeature:
 
     def __init__(self, features_ref, max_distance: float = 100.0,
                  index_cell: float = 500.0):
-        t = _resolve(features_ref)
+        t = side_table(features_ref)
         self.index = GridIndex(
             t.column("x").to_numpy(zero_copy_only=False),
             t.column("y").to_numpy(zero_copy_only=False),

@@ -399,10 +399,9 @@ class LineZonalLocal:
     (list<double>) or straight-segment ``ax/ay/bx/by``.  The per-edge
     loop is Python, the pixel × segment distance math inside is fully
     vectorized (bbox-clipped per tile) — the same per-row tile loop as
-    :class:`PolygonZonalLocal`.  Unlike the other zonal kernels it
-    drops the rows of edges whose buffer covers no stored pixel, so it
-    runs as a plain ``map_batches`` stage, not through
-    ``append_metrics``.
+    :class:`PolygonZonalLocal`.  One row per edge, with its pixel
+    count ``n_pixels``: the stage drops the edges whose buffer covers
+    no stored pixel (``pipelines.availability.mean_ndvi_line_aoi``).
     """
 
     def __init__(self, tile_root: str, band: str, buffer_dist: float,
@@ -477,13 +476,10 @@ class LineZonalLocal:
                     psum[i] += vals.sum()
                     psumsq[i] += (vals * vals).sum()
                     pcount[i] += vals.size
-        # drop edges whose buffer covers no stored pixel: the SQL oracle
-        # GROUP BYs over matched pixels and omits them — emitting NaN
-        # rows here would be a latent gate mismatch (round-2 advice)
         return pa.table({self.key_col: batch.column(self.key_col),
                          **mean_std_columns(psum, psumsq, pcount,
-                                            self.mean_name, self.std_name)
-                         }).filter(pa.array(pcount > 0))
+                                            self.mean_name, self.std_name),
+                         "n_pixels": pa.array(pcount)})
 
 
 def areal_cell_weights(rects: "ray.data.Dataset",

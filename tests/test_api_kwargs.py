@@ -14,7 +14,7 @@ import pyarrow.parquet as pq
 import pytest
 
 import greenex_py_ray as gx
-from greenex_py_ray import api
+from greenex_py_ray import api, sidefiles
 
 
 def _poi_ids(n=40):
@@ -339,15 +339,15 @@ def test_dissolve_units_distributed_parity(world, monkeypatch):
     per-row (gs_id, centroid, area) rewrites (VERDICT r3 item 1)."""
     gs = pq.read_table(world["greenspace"])
     drv = api._dissolve_units(gs)
-    monkeypatch.setattr(api, "_DISSOLVE_DRIVER_MAX", 0)
+    monkeypatch.setattr(sidefiles, "_DISSOLVE_DRIVER_MAX", 0)
     called = {}
-    real = api._dissolve_units_distributed
+    real = sidefiles._dissolve_units_distributed
 
     def spy(t):
         called["yes"] = True
         return real(t)
 
-    monkeypatch.setattr(api, "_dissolve_units_distributed", spy)
+    monkeypatch.setattr(sidefiles, "_dissolve_units_distributed", spy)
     dist = api._dissolve_units(gs)
     assert called.get("yes"), "distributed branch not taken above gate"
     assert drv.column("gs_id").to_pylist() == dist.column("gs_id").to_pylist()
@@ -368,7 +368,7 @@ def test_dissolve_units_distributed_rect_and_missing_cols(monkeypatch):
         "y1": pa.array([10.0, 15.0, 110.0]),
     })
     drv = api._dissolve_units(gs)
-    monkeypatch.setattr(api, "_DISSOLVE_DRIVER_MAX", 0)
+    monkeypatch.setattr(sidefiles, "_DISSOLVE_DRIVER_MAX", 0)
     dist = api._dissolve_units(gs)
     assert drv.column("gs_id").to_pylist() == dist.column("gs_id").to_pylist()
     for c in ("centroid_x", "centroid_y", "area"):
