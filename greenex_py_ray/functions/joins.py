@@ -252,7 +252,7 @@ class KernelStage(NamedTuple):
     CPUs, ``concurrency`` — at most that many kernel tasks at once; a
     ``(min, max)`` pool spec caps at its max; none by default: a task
     gives its CPU back when it ends, so unlike a fixed actor pool
-    (:func:`heavy_pool`) it cannot starve its feed).  Both callers run
+    it cannot starve its feed).  Both callers run
     :func:`_run_kernel` tasks: :meth:`on` over decoded PoI rows (the
     metric-table pipelines), :func:`append_metrics` on raw documents
     (the span-preserving API).  The kernel cache key (:attr:`key`) is
@@ -334,31 +334,3 @@ def as_pool(concurrency) -> tuple[int, int]:
         # measured effective parallelism stuck at the pool minimum)
         return (max(1, cpus // 8), max(2, cpus // 2))
     return (1, max(1, int(concurrency)))
-
-
-def heavy_pool(concurrency=None) -> dict:
-    """map_batches kwargs for THE dominant actor stage of a pipeline (a
-    class passed to ``map_batches``): a fixed pool with a whole CPU per
-    actor, since Ray's autoscaling pools stay at their minimum in
-    practice.
-
-    The width is half the cluster by default, or ``min(concurrency,
-    cpus - 1)`` when the caller gives one (a ``(min, max)`` spec counts
-    as its max): actors hold their CPUs for the whole run, so the
-    stage's feed (read and decode tasks) must keep CPUs to run on.
-    """
-    if isinstance(concurrency, tuple):
-        # a tuple spec pins the pool at its MAX (heavy stages need a
-        # fixed pool; silently ignoring the caller's width made a
-        # (1, 4) gate spec into a 16-actor pool whose ramp dominated
-        # small inputs)
-        concurrency = concurrency[-1]
-    if concurrency is not None:
-        # one CPU stays free: a fixed pool holding every CPU starves the
-        # read tasks that feed it, and the pipeline hangs
-        n = max(1, min(int(concurrency), cluster_cpus() - 1))
-        return dict(concurrency=(n, n), num_cpus=1)
-    # half the cluster: the dominant kernel still needs its FEED stages
-    # (read/decode tasks at 1 CPU each) to run wide, or the pool starves
-    n = max(1, cluster_cpus() // 2)
-    return dict(concurrency=(n, n), num_cpus=1)

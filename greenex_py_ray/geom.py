@@ -250,19 +250,26 @@ def segments_intersect_circle(
     return px * px + py * py <= r * r
 
 
-def _point_seg_d2(px: np.ndarray, py: np.ndarray,
-                  sx0: np.ndarray, sy0: np.ndarray,
-                  sx1: np.ndarray, sy1: np.ndarray) -> np.ndarray:
-    """(P, E) squared distances from each point to each segment."""
-    dx = (sx1 - sx0)[None, :]
-    dy = (sy1 - sy0)[None, :]
+def seg_d2(px, py, sx0, sy0, sx1, sy1) -> np.ndarray:
+    """Squared distance from point ``(px, py)`` to segment ``(sx0, sy0)``
+    – ``(sx1, sy1)``, elementwise (numpy broadcasting)."""
+    dx = sx1 - sx0
+    dy = sy1 - sy0
     len2 = dx * dx + dy * dy
-    qx = px[:, None] - sx0[None, :]
-    qy = py[:, None] - sy0[None, :]
+    qx = px - sx0
+    qy = py - sy0
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(len2 > 0, (qx * dx + qy * dy) / len2, 0.0)
     t = np.clip(t, 0.0, 1.0)
     return (qx - t * dx) ** 2 + (qy - t * dy) ** 2
+
+
+def _point_seg_d2(px: np.ndarray, py: np.ndarray,
+                  sx0: np.ndarray, sy0: np.ndarray,
+                  sx1: np.ndarray, sy1: np.ndarray) -> np.ndarray:
+    """(P, E) squared distances from each point to each segment."""
+    return seg_d2(px[:, None], py[:, None], sx0[None, :], sy0[None, :],
+                  sx1[None, :], sy1[None, :])
 
 
 def _ring_edges(rings: "list[np.ndarray]"):

@@ -12,7 +12,7 @@ import pyarrow as pa
 
 import ray.data
 
-from ..functions.joins import KernelStage, append_metrics, heavy_pool
+from ..functions.joins import KernelStage, append_metrics
 from ..sidefiles import shared, shipped, stored_centroids
 from ..sources import documents as doc_src
 from ..stages.access import NearestGreenspace
@@ -113,13 +113,9 @@ def od_cost_matrix(
     shortest-distance semantics, applied as an OD matrix)."""
     from ..stages.netaccess import ODMatrix
 
-    return poi.map_batches(
+    return KernelStage(
         ODMatrix,
-        fn_constructor_kwargs=dict(
-            nodes_ref=ray.put(nodes), edges_ref=ray.put(edges),
-            cutoff=cutoff, dest_mod=dest_mod, dest_ids=dest_ids,
-            key_col=key_col,
-        ),
-        batch_format="pyarrow", batch_size=256,
-        **heavy_pool(concurrency),
-    )
+        dict(nodes_ref=shipped(nodes), edges_ref=shipped(edges),
+             cutoff=cutoff, dest_mod=dest_mod, dest_ids=dest_ids,
+             key_col=key_col),
+        dict(batch_size=256, num_cpus=1, concurrency=concurrency)).on(poi)

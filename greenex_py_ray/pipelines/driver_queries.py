@@ -32,7 +32,7 @@ from ..sources import driver_tables as dt
 from ..sources import synth
 from ..stages import dedup as dedup_stage
 from ..stages import similarity, text, zonal
-from ..stages.access import NearestGreenspace, PointsInRects
+from ..stages.access import PointsInRects
 from . import availability
 
 CELL_SIZE = 500.0
@@ -108,14 +108,12 @@ def q_bbox(sf_dir: str):
 def q_knn_greenspace(sf_dir: str):
     """Nearest greenspace centroid per doc (SURVEY J5 + accessibility
     semantics: round 0, miss→target, flag)."""
+    from .accessibility import nearest_greenspace_stage
+
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE)
     centroids = dt.greenspace_centroids_from_part(sf_dir)
-    ref = ray.put(centroids)
-    return ds.map_batches(
-        NearestGreenspace,
-        fn_constructor_kwargs=dict(centroids_ref=ref, target_dist=KNN_TARGET),
-        batch_format="pyarrow", concurrency=(1, 4), num_cpus=0.25,
-    )
+    return nearest_greenspace_stage(centroids, KNN_TARGET,
+                                    "greenspace_within_target").on(ds)
 
 
 def _rects_from_part(sf_dir: str) -> pa.Table:
@@ -249,13 +247,9 @@ def q_zonal_mean_ndvi(sf_dir: str):
     """Zonal NDVI mean/std per doc against the synthetic tile store
     (SURVEY M14/A1: clamp ≥0, population std, round 3)."""
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE)
-    # explicit small fixed pool: heavy_pool() used to ignore tuple
-    # specs, so (1, 4) silently became a 16-actor fixed pool whose ramp
-    # dominated this 5k-row gate (~0.5 s measured — the round-2
-    # zonal_mean_ndvi "regression")
     return availability.mean_ndvi(
         ds.select_columns(["doc_id", "x", "y"]), _world_tiles_root(), NDVI_RADIUS,
-        key_col="doc_id", concurrency=4,
+        key_col="doc_id",
     )
 
 
@@ -264,7 +258,7 @@ def q_landcover_pct(sf_dir: str):
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE)
     return availability.landcover_percentages(
         ds.select_columns(["doc_id", "x", "y"]), _world_tiles_root(), LULC_RADIUS,
-        key_col="doc_id", concurrency=4, stringify=False,
+        key_col="doc_id", stringify=False,
     )
 
 
@@ -4058,11 +4052,9 @@ def q_composite_exposure(sf_dir: str):
                      "cy": pa.array((gy0 + gy1) / 2.0)})
 
     for stage in (
-            availability.mean_ndvi_stage(w["tiles"], NDVI_RADIUS,
-                                         concurrency=4),
+            availability.mean_ndvi_stage(w["tiles"], NDVI_RADIUS),
             nearest_greenspace_stage(cent, KNN_TARGET,
-                                     "greenspace_within_target",
-                                     concurrency=4),
+                                     "greenspace_within_target"),
             vpipe.viewshed_stage(w["network_nodes"], w["network_edges"],
                                  w["tiles"], buffer_dist=100.0,
                                  viewing_dist=250.0, sample_dist=50.0)):
@@ -4145,7 +4137,7 @@ def q_network_distance(sf_dir: str):
 
 def q_od_matrix(sf_dir: str):
     """Many-to-many OD network cost matrix
-    (stages/netaccess.ODMatrix — per-actor CSR graph, one bounded
+    (stages/netaccess.ODMatrix — per-worker CSR graph, one bounded
     Dijkstra per origin, destinations a deterministic node subset)."""
     from . import accessibility as apipe
 
@@ -7700,7 +7692,7 @@ def q_landcover_majority(sf_dir: str):
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE)
     return availability.landcover_majority(
         ds.select_columns(["doc_id", "x", "y"]), _world_tiles_root(),
-        LULC_RADIUS, key_col="doc_id", concurrency=4,
+        LULC_RADIUS, key_col="doc_id",
     )
 
 

@@ -270,16 +270,6 @@ class PolygonCoverage:
                 )
         return area / aoi_area * 100.0
 
-    def _covered_in_groups(self, cand, test_fn) -> float:
-        """Σ over candidate groups of ``test_fn(group-union membership)``
-        — blobs are disjoint so the dissolve=True union equals the sum;
-        dissolve=False groups are singletons so overlaps double-count
-        like the reference's per-polygon clip sum (availability.py:764)."""
-        covered = 0.0
-        for gi in cand:
-            covered += test_fn(self.groups[gi])
-        return covered
-
     def _pct_self(self, rings_i: "list[np.ndarray]") -> float:
         """Coverage with the row's own (possibly dilated) polygon AoI."""
         bxy = np.concatenate(rings_i)
@@ -298,61 +288,49 @@ class PolygonCoverage:
             if aoi_area <= 0.0:
                 return np.nan
 
-            def clip_area(grp):
-                return geom.overlay_area([rings_i] + list(grp),
-                                         "first_and_rest")
+            # Σ over candidate groups: blobs are disjoint, so the
+            # dissolve=True union is the sum; dissolve=False groups are
+            # singletons, so overlaps double-count like the reference's
+            # per-polygon clip sum (availability.py:764)
+            covered = 0.0
+            for gi in cand:
+                covered += geom.overlay_area([rings_i] + list(self.groups[gi]),
+                                             "first_and_rest")
+            return covered / aoi_area * 100.0
+        # dilated AoI: its pixel centres on the engine lattice, as
+        # chords; |AoI ∩ group| = |AoI| + |group| - |AoI ∪ group|, the
+        # group the union of its members' (d = 0) chords
+        from . import zonal
 
-            return self._covered_in_groups(cand, clip_area) / aoi_area * 100.0
-        # dilated AoI: pixel-center analog on the engine lattice
-        from ..sources import synth as _synth
+        def npix(chords):
+            return int((chords[3] - chords[2] + 1).sum())
 
-        res = _synth.RASTER_RES
-        c0 = int(np.floor((bx0 - d) / res))
-        c1 = int(np.floor((bx1 + d) / res))
-        r0 = int(np.floor((by0 - d) / res))
-        r1 = int(np.floor((by1 + d) / res))
-        px = (np.arange(c0, c1 + 1, dtype=np.float64) + 0.5) * res
-        py = (np.arange(r0, r1 + 1, dtype=np.float64) + 0.5) * res
-        gx, gy = np.meshgrid(px, py, indexing="xy")
-        gx, gy = gx.ravel(), gy.ravel()
-        aoi = geom.points_within_rings_dist(gx, gy, rings_i, d)
-        if not aoi.any():
+        aoi = zonal.shape_chords(*zonal.ring_edges([rings_i]), d)
+        if not npix(aoi):
             return np.nan
-        qx, qy = gx[aoi], gy[aoi]
-
-        def hit_count(grp) -> float:
-            inside = np.zeros(len(qx), dtype=bool)
-            for member in grp:
-                inside |= geom.points_in_rings(qx, qy, member)
-            return float(inside.sum())
-
-        return (self._covered_in_groups(cand, hit_count)
-                / float(aoi.sum()) * 100.0)
+        members = [(gi, m) for gi in cand for m in self.groups[gi]]
+        owner, row, lo, hi = zonal.shape_chords(
+            *zonal.ring_edges([m for _, m in members]))
+        groups = zonal.merge_chords(
+            np.array([gi for gi, _ in members])[owner], row, lo, hi)
+        aois = (np.repeat(cand, len(aoi[0])),) + tuple(
+            np.tile(v, len(cand)) for v in aoi[1:])
+        both = zonal.merge_chords(*map(np.append, groups, aois))
+        covered = len(cand) * npix(aoi) + npix(groups) - npix(both)
+        return covered / float(npix(aoi)) * 100.0
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.aoi_shape == "self":
-            from .zonal import split_rings
+        from .zonal import batch_rings, pct_strings
 
-            rx = batch.column("ring_x").to_pylist()
-            ry = batch.column("ring_y").to_pylist()
-            sizes = (batch.column("ring_sizes").to_pylist()
-                     if "ring_sizes" in batch.column_names
-                     else [None] * len(rx))
-            pct = np.array([
-                round(self._pct_self(
-                    split_rings(np.column_stack([rx[i], ry[i]]), sizes[i])), 2)
-                if len(rx[i]) >= 3 else np.nan
-                for i in range(len(rx))
-            ])
+        if self.aoi_shape == "self":
+            pct = np.array([round(self._pct_self(rings), 2)
+                            if sum(map(len, rings)) >= 3 else np.nan
+                            for rings in batch_rings(batch)])
         else:
             x = batch.column("x").to_numpy(zero_copy_only=False)
             y = batch.column("y").to_numpy(zero_copy_only=False)
             pct = np.array([round(self._pct(x[i], y[i]), 2)
                             for i in range(len(x))])
-        if self.stringify:
-            # availability.py:764: str(round(pct, 2)) + '%'
-            col = pa.array([None if np.isnan(v) else f"{v!s}%" for v in pct],
-                           pa.string())
-        else:
-            col = pa.array(pct, pa.float64(), mask=~np.isfinite(pct))
+        col = (pct_strings(pct) if self.stringify
+               else pa.array(pct, pa.float64(), mask=~np.isfinite(pct)))
         return pa.table({self.key_col: batch.column(self.key_col), self.name: col})

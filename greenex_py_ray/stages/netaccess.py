@@ -38,6 +38,7 @@ from ..sources import synth
 from ..state.graph import CSRGraph, fill_holes, points_to_segments_dist
 from ..state.index import GridIndex
 from ..state.tiles import TileStore
+from .zonal import pct_strings
 
 
 def _graph(nodes_ref, edges_ref) -> CSRGraph:
@@ -319,13 +320,8 @@ class IsochroneLandcover(_IsochroneAoI):
         cols = {self.key_col: batch.column(self.key_col)}
         for j, name in enumerate(self.names):
             col = pcts[:, j]
-            if self.stringify:
-                # availability.py:1080: str(round(x, 3)) + '%'
-                cols[name] = pa.array(
-                    [None if np.isnan(v) else f"{v!s}%" for v in col])
-            else:
-                cols[name] = pa.array(col, pa.float64(),
-                                      mask=~np.isfinite(col))
+            cols[name] = (pct_strings(col) if self.stringify else
+                          pa.array(col, pa.float64(), mask=~np.isfinite(col)))
         return pa.table(cols)
 
 
@@ -407,18 +403,14 @@ class IsochroneCoverage(_IsochroneAoI):
     def __call__(self, batch: pa.Table) -> pa.Table:
         pct = np.array([self._pct(src) for src in self._snap(batch)])
         pct = np.where(np.isfinite(pct), np.round(pct, 2), pct)
-        if self.stringify:
-            # availability.py:764: str(round(pct, 2)) + '%'
-            col = pa.array([None if np.isnan(v) else f"{v!s}%" for v in pct],
-                           pa.string())
-        else:
-            col = pa.array(pct, pa.float64(), mask=~np.isfinite(pct))
+        col = (pct_strings(pct) if self.stringify
+               else pa.array(pct, pa.float64(), mask=~np.isfinite(pct)))
         return pa.table({self.key_col: batch.column(self.key_col),
                          self.name: col})
 
 
 class ODMatrix:
-    """map_batches actor: origin→destination network cost matrix.
+    """Kernel: origin→destination network cost matrix.
 
     Per origin: snap to the nearest network node
     (``ox.distance.nearest_nodes`` semantics), one cutoff-bounded
@@ -431,7 +423,7 @@ class ODMatrix:
     (``node_id % dest_mod == 0``) or an explicit id array — at fleet
     scale the destination set (facilities) is tiny next to the node
     table, so it rides inside the broadcast graph state; origins
-    parallelize across the actor pool.
+    parallelize across the kernel's tasks.
     """
 
     def __init__(self, nodes_ref, edges_ref, cutoff: float,

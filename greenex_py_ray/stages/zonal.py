@@ -16,10 +16,12 @@ take a batch's disks apart into chords on the global pixel lattice
 (:func:`disk_chords`), and one reducer (:func:`chord_sums`) reads each
 chord's sums off the tile store's stacked, memory-mapped row-cumsum
 planes (``state/tiles.py``) with flat gathers, whatever tiles the chord
-crosses.  Polygon AoIs (``PolygonZonalLocal`` /
-``PolygonLandcoverLocal``) loop over the tiles each row's ring bbox
-covers and mask those tiles' pixels; any worker reads any tile, so a
-row's whole AoI is reduced in its own task.
+crosses.  Shaped AoIs — a row's own polygon, that polygon dilated
+(``PolygonZonalLocal`` / ``PolygonLandcoverLocal``) or a buffered
+polyline (``LineZonalLocal``) — become chords on the same lattice
+(:func:`shape_chords`: a scanline per pixel row, united with each
+edge's capsule section) and go through the same reducer.  Any worker
+reads any tile, so a row's whole AoI is reduced in its own task.
 
 The AoI here is the euclidean disk of ``radius`` (pixel-center-in-circle
 test — the limit of the reference's 64-gon buffer discretization; exact
@@ -31,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .. import geom as _geom
 from ..sources import synth
 from ..state.tiles import TileStore
 
@@ -49,22 +52,24 @@ def mean_std_columns(psum: np.ndarray, psumsq: np.ndarray,
             std_name: pa.array(np.round(std, 3))}
 
 
+def pct_strings(pct: np.ndarray) -> pa.Array:
+    """The reference's ``str(round(pct, n)) + '%'`` strings of already
+    rounded percentages (availability.py:764,1080); NaN is null."""
+    return pa.array([None if np.isnan(v) else f"{v!s}%" for v in pct],
+                    pa.string())
+
+
 def pct_columns(counts: np.ndarray, total: np.ndarray, names: list[str],
                 stringify: bool = False) -> dict:
     """Per-class percentage columns ``count/total*100`` rounded to 3
     (availability.py:1068-1082) from per-row class counts ``(n, ncls)``
     and pixel totals; ``stringify`` gives the reference's ``"12.345%"``
-    strings (:1080).  A row with no pixel gets NaN (null as a string)."""
+    strings (:func:`pct_strings`).  A row with no pixel gets NaN (null
+    as a string)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         pct = np.round(counts / total.astype(np.float64)[:, None] * 100.0, 3)
-    cols = {}
-    for j, name in enumerate(names):
-        if stringify:
-            cols[name] = pa.array(
-                [None if np.isnan(v) else f"{v!s}%" for v in pct[:, j]])
-        else:
-            cols[name] = pa.array(pct[:, j])
-    return cols
+    return {name: pct_strings(pct[:, j]) if stringify else pa.array(pct[:, j])
+            for j, name in enumerate(names)}
 
 
 def split_rings(ring: np.ndarray, sizes) -> "list[np.ndarray]":
@@ -73,6 +78,17 @@ def split_rings(ring: np.ndarray, sizes) -> "list[np.ndarray]":
         bounds = np.concatenate([[0], np.cumsum(sizes)])
         return [ring[bounds[j]:bounds[j + 1]] for j in range(len(sizes))]
     return [ring]
+
+
+def batch_rings(batch: pa.Table) -> "list[list[np.ndarray]]":
+    """Each row's rings from its flattened ``ring_x``/``ring_y`` vertices
+    and optional ``ring_sizes``; a row without vertices has none."""
+    rx = batch.column("ring_x").to_pylist()
+    ry = batch.column("ring_y").to_pylist()
+    sizes = (batch.column("ring_sizes").to_pylist()
+             if "ring_sizes" in batch.column_names else [None] * len(rx))
+    return [split_rings(np.column_stack([rx[i], ry[i]]), sizes[i]) if rx[i]
+            else [] for i in range(len(rx))]
 
 
 class PolygonZonalLocal:
@@ -85,9 +101,9 @@ class PolygonZonalLocal:
     membership test is center-in-polygon (rio.clip all_touched=False
     semantics).  ``dilate`` > 0 gives the polygon-buffered AoI
     (``poi.geometry.buffer(buffer_dist)`` on polygon PoIs,
-    availability.py:235-237) at pixel resolution.  Each row's values are
-    summed tile by tile over the tiles its ring bbox, grown by
-    ``dilate``, covers."""
+    availability.py:235-237) at pixel resolution.  Kernel: the batch's
+    :func:`shape_chords` reduced by :func:`shape_sums`, like the disk
+    kernels; NaN pixels are skipped."""
 
     def __init__(self, tile_root: str, band: str, key_col: str = "doc_id",
                  clamp_min: float | None = 0.0, dilate: float = 0.0):
@@ -97,73 +113,14 @@ class PolygonZonalLocal:
         self.clamp_min = clamp_min
         self.dilate = float(dilate)
 
-    def _window_vals(self, rings_i, ring, tix: int, tiy: int) -> np.ndarray | None:
-        """Band values under the (optionally dilated) polygon mask,
-        restricted to one tile's window; None when the window is empty."""
-        from .. import geom as _geom
-
-        res = synth.RASTER_RES
-        arr = self.store.get(self.band, tix, tiy)
-        if arr is None:
-            return None
-        h, w = arr.shape
-        x0t = tix * synth.TILE_SIZE
-        y0t = tiy * synth.TILE_SIZE
-        bx0, by0, bx1, by1 = _geom.rings_bbox(ring)
-        d = self.dilate
-        c0 = max(int(np.floor((bx0 - d - x0t) / res)), 0)
-        c1 = min(int(np.floor((bx1 + d - x0t) / res)), w - 1)
-        r0 = max(int(np.floor((by0 - d - y0t) / res)), 0)
-        r1 = min(int(np.floor((by1 + d - y0t) / res)), h - 1)
-        if c1 < c0 or r1 < r0:
-            return None
-        px = x0t + (np.arange(c0, c1 + 1, dtype=np.float64) + 0.5) * res
-        py = y0t + (np.arange(r0, r1 + 1, dtype=np.float64) + 0.5) * res
-        gx, gy = np.meshgrid(px, py, indexing="xy")
-        mask = _geom.points_within_rings_dist(
-            gx.ravel(), gy.ravel(), rings_i, self.dilate).reshape(gx.shape)
-        if not mask.any():
-            return None
-        return arr[r0 : r1 + 1, c0 : c1 + 1][mask]
-
-    def _tile_vals(self, batch: pa.Table):
-        """``(row, values)`` for every (row, covered tile) pair whose
-        window holds AoI pixels; a row without ring vertices has none."""
-        from .. import geom as _geom
-
-        rx = batch.column("ring_x").to_pylist()
-        ry = batch.column("ring_y").to_pylist()
-        sizes = (batch.column("ring_sizes").to_pylist()
-                 if "ring_sizes" in batch.column_names else [None] * len(rx))
-        ts = synth.TILE_SIZE
-        d = self.dilate
-        for i in range(len(rx)):
-            if not rx[i]:
-                continue
-            ring = np.column_stack([rx[i], ry[i]])
-            rings_i = split_rings(ring, sizes[i])
-            bx0, by0, bx1, by1 = _geom.rings_bbox(ring)
-            for tx in range(int(np.floor((bx0 - d) / ts)),
-                            int(np.floor((bx1 + d) / ts)) + 1):
-                for ty in range(int(np.floor((by0 - d) / ts)),
-                                int(np.floor((by1 + d) / ts)) + 1):
-                    vals = self._window_vals(rings_i, ring, tx, ty)
-                    if vals is not None:
-                        yield i, vals
+    def _sums(self, batch: pa.Table, plane: tuple):
+        chords = shape_chords(*ring_edges(batch_rings(batch)), self.dilate)
+        return shape_sums(self.store, plane, self.band, len(batch), chords)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        psum = np.zeros(n)
-        psumsq = np.zeros(n)
-        pcount = np.zeros(n, dtype=np.int64)
-        for i, vals in self._tile_vals(batch):
-            if self.clamp_min is not None:
-                vals = np.maximum(vals, self.clamp_min)
-            psum[i] += vals.sum()
-            psumsq[i] += (vals * vals).sum()
-            pcount[i] += vals.size
+        sums, count = self._sums(batch, ("sat", self.clamp_min))
         return pa.table({self.key_col: batch.column(self.key_col),
-                         **mean_std_columns(psum, psumsq, pcount)})
+                         **mean_std_columns(sums[:, 0], sums[:, 1], count)})
 
 
 class PolygonLandcoverLocal(PolygonZonalLocal):
@@ -183,19 +140,10 @@ class PolygonLandcoverLocal(PolygonZonalLocal):
         self.stringify = stringify
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        counts = np.zeros((n, len(self.classes)), dtype=np.int64)
-        total = np.zeros(n, dtype=np.int64)
-        cls_arr = np.asarray(self.classes)
-        for i, vals in self._tile_vals(batch):
-            vals = vals[np.isfinite(vals)]
-            total[i] += vals.size
-            pos = np.searchsorted(cls_arr, vals)
-            ok = (pos < len(cls_arr)) & (cls_arr[np.minimum(pos, len(cls_arr) - 1)] == vals)
-            np.add.at(counts[i], pos[ok], 1)
+        counts, total = self._sums(batch, ("cls", tuple(self.classes)))
         return pa.table({self.key_col: batch.column(self.key_col),
-                         **pct_columns(counts, total, self.names,
-                                       self.stringify)})
+                         **pct_columns(counts.astype(np.int64), total,
+                                       self.names, self.stringify)})
 
 
 def disk_chords(x: np.ndarray, y: np.ndarray, r: float):
@@ -230,23 +178,180 @@ def disk_chords(x: np.ndarray, y: np.ndarray, r: float):
     return r0.astype(np.int64)[:, None] + k, lo, hi
 
 
-def chord_sums(stack: np.ndarray, c0: np.ndarray, table, chords):
-    """Per point, the sums over its ``chords`` (as :func:`disk_chords`
-    gives them) of each channel of a band's row-cumsum ``stack``, and its
-    pixel count: ``(sums (n, k), count (n,))``; ``stack``, ``c0`` and
-    the slot ``table`` come from ``TileStore.stack``.  Pass ``j`` reads
-    the piece of each chord ``j`` tiles past its first: two flat
-    ``take``s per piece and channel.  An absent tile's piece reads the
-    zero first column of slot 0.  A piece counts its finite pixels on a
-    tile with a NaN (from ``c0``), its length elsewhere."""
-    n, kk = chords[0].shape
-    row, lo, hi = (a.reshape(-1) for a in chords)
+def ring_edges(polys) -> tuple:
+    """The closed edges of each polygon's rings (``polys``: one list of
+    rings per owner): ``(x0, y0, x1, y1, owner)``."""
+    rings = [(i, r) for i, p in enumerate(polys) for r in p if len(r)]
+    xy = np.concatenate([r for _, r in rings] or [np.zeros((0, 2))])
+    size = np.array([len(r) for _, r in rings], np.int64)
+    nxt = np.arange(1, len(xy) + 1)
+    nxt[np.cumsum(size) - 1] = np.cumsum(size) - size  # last → first vertex
+    owner = np.repeat(np.array([i for i, _ in rings], np.int64), size)
+    return xy[:, 0], xy[:, 1], xy[nxt, 0], xy[nxt, 1], owner
+
+
+def polyline_edges(batch: pa.Table) -> tuple:
+    """Each row's polyline — ``geom_x``/``geom_y`` when it has two points
+    or more, else the segment ``ax, ay``–``bx, by`` — as open segments:
+    ``(x0, y0, x1, y1, owner)``."""
+    cols = batch.column_names
+    none = [None] * len(batch)
+    gx, gy = ([batch.column(c).to_pylist() for c in ("geom_x", "geom_y")]
+              if "geom_x" in cols else (none, none))
+    ax, ay, bx, by = ([batch.column(c).to_pylist() for c in ("ax", "ay", "bx", "by")]
+                      if "ax" in cols else (none,) * 4)
+    rows = [(gx[i], gy[i]) if gx[i] and len(gx[i]) >= 2
+            else ([ax[i], bx[i]], [ay[i], by[i]]) for i in range(len(batch))]
+    x = np.array([v for xs, _ in rows for v in xs], np.float64)
+    y = np.array([v for _, ys in rows for v in ys], np.float64)
+    owner = np.repeat(np.arange(len(rows)), [len(xs) for xs, _ in rows])
+    s = np.flatnonzero(owner[1:] == owner[:-1])
+    return x[s], y[s], x[s + 1], y[s + 1], owner[s]
+
+
+def _row_spans(r0, r1):
+    """``(i, row)`` for every integer ``r0[i] ≤ row ≤ r1[i]``."""
+    r0 = r0.astype(np.int64)
+    k = np.maximum(r1.astype(np.int64) - r0 + 1, 0)
+    i = np.repeat(np.arange(len(k)), k)
+    return i, r0[i] + np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+
+
+def _fit(lo, hi, inside) -> None:
+    """Move chord bounds ``lo``/``hi`` (in place) a column at a time until
+    each is the outermost column where ``inside(cols, chords)`` holds:
+    out while the next column holds, then in while the bound does not.
+    A chord with no such column ends with ``hi < lo``."""
+    for b, step, grow in ((lo, -1, True), (hi, 1, True),
+                          (lo, 1, False), (hi, -1, False)):
+        i = np.arange(len(b))
+        while len(i):
+            i = i[inside(b[i] + step, i) if grow
+                  else (lo[i] <= hi[i]) & ~inside(b[i], i)]
+            b[i] += step
+
+
+def _scan_chords(x0, y0, x1, y1, owner):
+    """The polygon chords of every owner's closed edges: on each pixel
+    row, the columns whose centre has an odd count of edges crossing
+    its row right of it, by ``geom.points_in_polygon``'s half-open rule
+    and crossing formula, parity over all of the owner's rings."""
+    res = synth.RASTER_RES
+    e, row = _row_spans(np.floor(np.minimum(y0, y1) / res - 0.5),
+                        np.ceil(np.maximum(y0, y1) / res - 0.5))
+    py = (row + 0.5) * res
+    hit = (y0[e] > py) != (y1[e] > py)
+    e, row, py = e[hit], row[hit], py[hit]
+    xint = x0[e] + (py - y0[e]) / (y1[e] - y0[e]) * (x1[e] - x0[e])
+    # a closed ring crosses a row an even number of times: sorted, each
+    # (owner, row)'s crossings pair up as half-open spans [a, b)
+    o = np.lexsort((xint, row, owner[e]))
+    a, b = xint[o[0::2]], xint[o[1::2]]
+    lo = np.ceil(a / res - 0.5).astype(np.int64)
+    hi = np.ceil(b / res - 0.5).astype(np.int64) - 1
+
+    def inside(c, i):
+        px = (c + 0.5) * res
+        return (px >= a[i]) & (px < b[i])
+
+    _fit(lo, hi, inside)
+    return owner[e][o[0::2]], row[o[0::2]], lo, hi
+
+
+def _capsule_chords(x0, y0, x1, y1, owner, d: float, sqrt_rule: bool):
+    """On each pixel row, the columns whose centre is within ``d`` of
+    one segment, by ``geom.seg_d2``: ``sqrt(d2) <= d`` when
+    ``sqrt_rule`` (``geom.points_within_rings_dist``), else ``d2 <=
+    d*d``.  Starts from each row's section of the capsule (its end disks
+    and its two sides); :func:`_fit` then makes the bounds exact."""
+    res = synth.RASTER_RES
+    e, row = _row_spans(np.floor((np.minimum(y0, y1) - d) / res) - 1,
+                        np.floor((np.maximum(y0, y1) + d) / res) + 1)
+    py = (row + 0.5) * res
+    ax, ay, bx, by = x0[e], y0[e], x1[e], y1[e]
+    ux, uy = bx - ax, by - ay
+    lo, hi = np.full(len(e), np.inf), np.full(len(e), -np.inf)
+    # an end disk's row offset as seg_d2 computes it at t = 0 and t = 1:
+    # a centre nearest that end is inside only if the offset alone is
+    for ex, q in ((ax, py - ay), (bx, (py - ay) - uy)):
+        h = np.where((q * q <= d * d) | (np.abs(q) <= d),
+                     np.sqrt(np.maximum(d * d - q * q, 0.0)), -np.inf)
+        lo, hi = np.minimum(lo, ex - h), np.maximum(hi, ex + h)
+    ln = np.hypot(ux, uy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in (d, -d):
+            t = (py - ay - s * ux / ln) / uy
+            xs = np.where((t >= 0.0) & (t <= 1.0), ax + t * ux - s * uy / ln, np.nan)
+            lo, hi = np.fmin(lo, xs), np.fmax(hi, xs)
+    keep = lo <= hi
+    e, row, py, lo, hi = e[keep], row[keep], py[keep], lo[keep], hi[keep]
+    lo = np.ceil(lo / res - 0.5).astype(np.int64)
+    hi = np.floor(hi / res - 0.5).astype(np.int64)
+
+    def inside(c, i):
+        d2 = _geom.seg_d2((c + 0.5) * res, py[i], x0[e[i]], y0[e[i]],
+                          x1[e[i]], y1[e[i]])
+        return np.sqrt(d2) <= d if sqrt_rule else d2 <= d * d
+
+    _fit(lo, hi, inside)
+    return owner[e], row, lo, hi
+
+
+def merge_chords(owner, row, lo, hi):
+    """Chords in any order, empty ones (``hi < lo``) included → each
+    ``(owner, row)``'s union: sorted by owner, row and column, with no
+    two overlapping or touching."""
+    keep = hi >= lo
+    o = np.lexsort((lo[keep], row[keep], owner[keep]))
+    owner, row, lo, hi = (v[keep][o] for v in (owner, row, lo, hi))
+    if not len(lo):
+        return owner, row, lo, hi
+    new = np.r_[True, (owner[1:] != owner[:-1]) | (row[1:] != row[:-1])]
+    # running max of hi within each (owner, row): offset each run above
+    # the last
+    base = (np.cumsum(new) - 1) * (hi.max() - hi.min() + 1) - hi.min()
+    top = np.maximum.accumulate(hi + base) - base
+    start = np.flatnonzero(new | np.r_[True, lo[1:] > top[:-1] + 1])
+    return owner[start], row[start], lo[start], top[np.r_[start[1:], len(lo)] - 1]
+
+
+def shape_chords(x0, y0, x1, y1, owner, d: float = 0.0, area: bool = True):
+    """Shaped AoIs as merged chords on the global pixel lattice (see
+    :func:`disk_chords`): flat ``(owner, row, lo, hi)``, no two chords of
+    one owner overlapping in a row.  ``area``: the edges close rings,
+    and an owner's AoI is its even-odd polygon (``geom.points_in_rings``)
+    united, for ``d > 0``, with every pixel centre within ``d`` of an
+    edge by ``sqrt(d2) <= d`` (``geom.points_within_rings_dist``).  Else
+    the edges are a polyline's open segments, and its AoI is the pixel
+    centres with ``d2 <= d*d`` to a segment, ``d > 0`` (at ``d = 0``
+    rounding breaks a row's on-segment set into pieces).  Every bound
+    is fitted against those predicates, so the pixel set is theirs
+    exactly."""
+    parts = []
+    if area:
+        parts.append(_scan_chords(x0, y0, x1, y1, owner))
+    if d > 0.0 or not area:
+        parts.append(_capsule_chords(x0, y0, x1, y1, owner, d, sqrt_rule=area))
+    return merge_chords(*(np.concatenate(v) for v in zip(*parts)))
+
+
+def chord_sums(stack: np.ndarray, c0: np.ndarray, table, n: int, chords):
+    """Per owner, the sums over its ``chords`` — flat ``(owner, row, lo,
+    hi)`` (:func:`shape_chords`, or :func:`disk_chords` flattened), one
+    owner's not overlapping — of each channel of a band's row-cumsum
+    ``stack``, and its pixel count: ``(sums (n, k), count (n,))``;
+    ``stack``, ``c0`` and the slot ``table`` come from
+    ``TileStore.stack``.  Pass ``j`` reads the piece of each chord ``j``
+    tiles past its first: two flat ``take``s per piece and channel.  An
+    absent tile's piece reads the zero first column of slot 0.  A piece
+    counts its finite pixels on a tile with a NaN (from ``c0``), its
+    length elsewhere."""
+    p, row, lo, hi = chords
     _, k, h, w1 = stack.shape
     sums, count = np.zeros((n, k)), np.zeros(n)
     if not len(stack):
         return sums, count.astype(np.int64)
     px = synth.TILE_PX
-    p = np.arange(n * kk) // kk
     tiy = row // px
     row = row - tiy * px
     t0 = lo // px
@@ -294,11 +399,30 @@ def disk_sums(store: TileStore, plane: tuple, band: str, x: np.ndarray,
     order = np.lexsort((y, np.floor(x / ts), np.floor(y / ts)))
     sums = np.empty((len(x), stack.shape[1]))
     count = np.empty(len(x), np.int64)
-    step = max(1, PASS_ROWS // (int(2 * r / synth.RASTER_RES) + 3))
+    kk = int(2 * r / synth.RASTER_RES) + 3
+    step = max(1, PASS_ROWS // kk)
     for s in range(0, len(x), step):
         i = order[s:s + step]
-        sums[i], count[i] = chord_sums(stack, c0, table, disk_chords(x[i], y[i], r))
+        chords = disk_chords(x[i], y[i], r)
+        sums[i], count[i] = chord_sums(stack, c0, table, len(i), (
+            np.repeat(np.arange(len(i)), kk),) + tuple(v.reshape(-1) for v in chords))
     return sums, count
+
+
+def shape_sums(store: TileStore, plane: tuple, band: str, n: int, chords):
+    """:func:`chord_sums` of ``n`` owners' :func:`shape_chords` over the
+    store's stacked ``plane`` of ``band``; the store counts a lookup of
+    each tile the chords touch."""
+    _, row, lo, hi = chords
+    px = synth.TILE_PX
+    i, tix = _row_spans(lo // px, hi // px)
+    tiy = row[i] // px
+    t0 = tix.min(initial=0)
+    w = tix.max(initial=0) - t0 + 1
+    key = np.unique(tiy * w + tix - t0)
+    stack, c0, table = store.stack(plane, band, set(zip(
+        (key % w + t0).tolist(), (key // w).tolist())))
+    return chord_sums(stack, c0, table, n, chords)
 
 
 class ZonalStatsLocal:
@@ -393,15 +517,16 @@ class LineZonalLocal:
     (the reference's street-network flow: edges become PoI rows and
     ``poi.geometry.buffer(buffer_dist)`` is a sausage polygon,
     availability.py:52-61,134).  Pixel membership: center within
-    ``buffer_dist`` of any sub-segment (capsule union — exact).
+    ``buffer_dist`` of any sub-segment (capsule union — exact, ``d2 <=
+    d*d``); NaN pixels are skipped.
 
     Expects per-row polyline columns ``geom_x``/``geom_y``
-    (list<double>) or straight-segment ``ax/ay/bx/by``.  The per-edge
-    loop is Python, the pixel × segment distance math inside is fully
-    vectorized (bbox-clipped per tile) — the same per-row tile loop as
-    :class:`PolygonZonalLocal`.  One row per edge, with its pixel
-    count ``n_pixels``: the stage drops the edges whose buffer covers
-    no stored pixel (``pipelines.availability.mean_ndvi_line_aoi``).
+    (list<double>) or straight-segment ``ax/ay/bx/by``.  Kernel: the
+    batch's :func:`shape_chords` of open segments reduced by
+    :func:`shape_sums`, like :class:`PolygonZonalLocal`.  One row per
+    edge, with its pixel count ``n_pixels``: the stage drops the edges
+    whose buffer covers no stored finite pixel
+    (``pipelines.availability.mean_ndvi_line_aoi``).
     """
 
     def __init__(self, tile_root: str, band: str, buffer_dist: float,
@@ -415,71 +540,14 @@ class LineZonalLocal:
         self.mean_name = mean_name
         self.std_name = std_name
 
-    def _edge_polyline(self, batch: pa.Table, i: int) -> np.ndarray:
-        if "geom_x" in batch.column_names:
-            gx = batch.column("geom_x")[i].as_py()
-            gy = batch.column("geom_y")[i].as_py()
-            if gx and len(gx) >= 2:
-                return np.column_stack([np.asarray(gx, np.float64),
-                                        np.asarray(gy, np.float64)])
-        return np.array([
-            [batch.column("ax")[i].as_py(), batch.column("ay")[i].as_py()],
-            [batch.column("bx")[i].as_py(), batch.column("by")[i].as_py()],
-        ])
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        psum = np.zeros(n)
-        psumsq = np.zeros(n)
-        pcount = np.zeros(n, dtype=np.int64)
-        res = synth.RASTER_RES
-        ts = synth.TILE_SIZE
-        d = self.d
-        for i in range(n):
-            g = self._edge_polyline(batch, i)
-            sax, say = g[:-1, 0], g[:-1, 1]
-            sdx, sdy = np.diff(g[:, 0]), np.diff(g[:, 1])
-            len2 = sdx * sdx + sdy * sdy
-            bx0, by0 = g[:, 0].min() - d, g[:, 1].min() - d
-            bx1, by1 = g[:, 0].max() + d, g[:, 1].max() + d
-            for tx in range(int(np.floor(bx0 / ts)), int(np.floor(bx1 / ts)) + 1):
-                for ty in range(int(np.floor(by0 / ts)), int(np.floor(by1 / ts)) + 1):
-                    arr = self.store.get(self.band, tx, ty)
-                    if arr is None:
-                        continue
-                    h, w = arr.shape
-                    x0t, y0t = tx * ts, ty * ts
-                    c0 = max(int(np.floor((bx0 - x0t) / res)), 0)
-                    c1 = min(int(np.floor((bx1 - x0t) / res)), w - 1)
-                    r0 = max(int(np.floor((by0 - y0t) / res)), 0)
-                    r1 = min(int(np.floor((by1 - y0t) / res)), h - 1)
-                    if c1 < c0 or r1 < r0:
-                        continue
-                    px = x0t + (np.arange(c0, c1 + 1, dtype=np.float64) + 0.5) * res
-                    py = y0t + (np.arange(r0, r1 + 1, dtype=np.float64) + 0.5) * res
-                    gx, gy = np.meshgrid(px, py, indexing="xy")
-                    fx = gx.ravel()[:, None]
-                    fy = gy.ravel()[:, None]
-                    qx = fx - sax[None, :]
-                    qy = fy - say[None, :]
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        t = (qx * sdx[None, :] + qy * sdy[None, :]) / len2[None, :]
-                    t = np.where(len2[None, :] > 0, t, 0.0)
-                    t = np.minimum(np.maximum(t, 0.0), 1.0)
-                    d2 = (qx - t * sdx[None, :]) ** 2 + (qy - t * sdy[None, :]) ** 2
-                    mask = (d2 <= d * d).any(axis=1).reshape(gx.shape)
-                    if not mask.any():
-                        continue
-                    vals = arr[r0 : r1 + 1, c0 : c1 + 1][mask]
-                    if self.clamp_min is not None:
-                        vals = np.maximum(vals, self.clamp_min)
-                    psum[i] += vals.sum()
-                    psumsq[i] += (vals * vals).sum()
-                    pcount[i] += vals.size
+        chords = shape_chords(*polyline_edges(batch), self.d, area=False)
+        sums, count = shape_sums(self.store, ("sat", self.clamp_min),
+                                 self.band, len(batch), chords)
         return pa.table({self.key_col: batch.column(self.key_col),
-                         **mean_std_columns(psum, psumsq, pcount,
+                         **mean_std_columns(sums[:, 0], sums[:, 1], count,
                                             self.mean_name, self.std_name),
-                         "n_pixels": pa.array(pcount)})
+                         "n_pixels": pa.array(count)})
 
 
 def areal_cell_weights(rects: "ray.data.Dataset",

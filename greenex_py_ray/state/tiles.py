@@ -108,12 +108,13 @@ class TileStore:
 
     def stack(self, plane: tuple, band: str, tiles):
         """``(stack, c0, table)``: the band's whole row-cumsum ``plane``
-        — ``("sat", clamp_min)``, the ``(N, 2, H, W+1)`` stack of :meth:`sat`,
-        or ``("cls", classes)``, the ``(N, len(classes), H, W+1)`` stack of
-        :meth:`class_sat` — the finite-mask row-cumsums ``c0`` of the tiles
-        with a NaN, and the :class:`SlotTable` of both.  Counts one lookup
-        of each ``(tix, tiy)`` in ``tiles``, the distinct tiles a batch
-        touches."""
+        — ``("sat", clamp_min)``, the ``(N, 2, H, W+1)`` stack of the value
+        clamped below at ``clamp_min`` with NaN as 0 and of its square, or
+        ``("cls", classes)``, the ``(N, len(classes), H, W+1)`` stack of
+        each ``tile == cls`` mask — the finite-mask row-cumsums ``c0`` of
+        the tiles with a NaN, and the :class:`SlotTable` of both.  Counts
+        one lookup of each ``(tix, tiy)`` in ``tiles``, the distinct tiles
+        a batch touches."""
         b = self._band(band)
         self._count(plane, band, tiles)
         kind, arg = plane
@@ -141,24 +142,6 @@ class TileStore:
             arr = self._plane(b, "cls-" + "_".join(str(c) for c in arg),
                               (np.int32, len(arg), fill))
         return arr, self._plane(b, "c0"), b.table
-
-    def sat(self, band: str, tix: int, tiy: int, clamp_min: float | None):
-        """``(c1, c2, c0)`` row-cumsum planes of one tile, or None: of
-        the value clamped below at ``clamp_min`` with NaN as 0, of its
-        square, and of the finite mask (None when the tile is all
-        finite: a chord's count is then its length)."""
-        arr, c0, table = self.stack(("sat", clamp_min), band, [(tix, tiy)])
-        slot, c0slot = table.slots(tix, tiy)
-        if slot < 0:
-            return None
-        return arr[slot, 0], arr[slot, 1], None if c0slot < 0 else c0[c0slot]
-
-    def class_sat(self, band: str, tix: int, tiy: int, classes: list) -> "np.ndarray | None":
-        """``(len(classes), H, W+1)`` row-cumsum planes of one tile's
-        ``tile == cls`` masks, or None."""
-        arr, _, table = self.stack(("cls", tuple(classes)), band, [(tix, tiy)])
-        slot, _ = table.slots(tix, tiy)
-        return None if slot < 0 else arr[slot]
 
     def window(self, band: str, row0: int, col0: int, h: int, w: int,
                fill=np.nan) -> np.ndarray:

@@ -1,7 +1,9 @@
-"""The disk chord pass (``stages/zonal.disk_chords``) and its reducer
-(``chord_sums`` over ``TileStore.stack``) against a brute-force pixel
-mask: random and edge-case points, radii from 5 m to 2 km, a band with
-NaN pixels and a band with missing tiles."""
+"""The chord kernels against a brute-force pixel mask on a band with
+NaN pixels and a band with missing tiles: the disk chord pass
+(``stages/zonal.disk_chords``) and its reducer (``chord_sums`` over
+``TileStore.stack``) on random and edge-case points with radii from
+5 m to 2 km, and the polygon, dilated-polygon and polyline kernels on
+shapes that cross tile edges."""
 
 import numpy as np
 import pyarrow as pa
@@ -9,7 +11,9 @@ import pyarrow.parquet as pq
 import pytest
 
 from greenex_py_ray.sources import synth
-from greenex_py_ray.stages.zonal import (LandcoverLocal, ZonalStatsLocal,
+from greenex_py_ray.stages.zonal import (LandcoverLocal, LineZonalLocal,
+                                         PolygonLandcoverLocal,
+                                         PolygonZonalLocal, ZonalStatsLocal,
                                          disk_sums, mean_std_columns)
 from greenex_py_ray.state.tiles import TileStore
 
@@ -152,3 +156,105 @@ def test_disk_kernels_match_disk_sums(store):
     kernel = LandcoverLocal(root, 300.0, {c: f"pct_{c}" for c in CLASSES})
     got_cls, got_total = kernel._counts(batch)
     assert np.array_equal(got_cls, cls) and np.array_equal(got_total, total)
+
+
+def _shape_mask(rings, d, line):
+    """Brute force: the (rows, cols) of a shaped AoI's pixels within the
+    stores' NT·PX extent — center in the polygon or within ``d`` of its
+    boundary (``sqrt(d2) <= d``), or within ``d`` of a polyline's open
+    segments (``d2 <= d*d``)."""
+    from greenex_py_ray import geom
+
+    n = NT * PX
+    gc, gr = (v.ravel() for v in np.meshgrid(np.arange(n), np.arange(n)))
+    px, py = (gc + 0.5) * RES, (gr + 0.5) * RES
+    if line:
+        g = rings[0]
+        inside = geom._point_seg_d2(px, py, g[:-1, 0], g[:-1, 1], g[1:, 0],
+                                    g[1:, 1]).min(axis=1) <= d * d
+    else:
+        inside = geom.points_within_rings_dist(px, py, rings, d)
+    return gr[inside], gc[inside]
+
+
+#: rings per row, crossing tile edges: over NaN pixels (tile (0, 0) and
+#: the one NaN of tile (1, 1)), the missing tile (2, 0), the world's
+#: south-west corner; one holed, one concave, and a row without vertices
+SHAPES = [
+    [np.array([[2400.0, 2400.0], [2700.0, 2400.0], [2700.0, 2700.0],
+               [2400.0, 2700.0]])],
+    [np.array([[-120.0, -60.0], [340.0, 15.0], [90.0, 260.0]])],
+    [np.array([[4900.0, 100.0], [5400.0, 100.0], [5400.0, 500.0],
+               [4900.0, 500.0]]),
+     np.array([[5100.0, 200.0], [5200.0, 200.0], [5200.0, 300.0]])],
+    [np.array([[2000.0, 1000.0], [3100.0, 1200.0], [2555.0, 1500.0],
+               [3000.0, 2000.0], [2100.0, 2600.0]])],
+    [],
+]
+
+
+def _brute_sums(ndvi, lulc, masks):
+    want = np.zeros((len(masks), 3))
+    want_cls = np.zeros((len(masks), len(CLASSES) + 1), np.int64)
+    for i, (rows, cols) in enumerate(masks):
+        v = ndvi[rows, cols]
+        v = np.maximum(v[np.isfinite(v)], 0.0)
+        want[i] = v.sum(), (v * v).sum(), len(v)
+        c = lulc[rows, cols]
+        want_cls[i] = [(c == k).sum() for k in CLASSES] + [np.isfinite(c).sum()]
+    return want, want_cls
+
+
+def _assert_mean_std(out, want):
+    exp = mean_std_columns(want[:, 0], want[:, 1], want[:, 2])
+    for name in exp:
+        assert np.array_equal(out.column(name).to_numpy(zero_copy_only=False),
+                              exp[name].to_numpy(zero_copy_only=False),
+                              equal_nan=True), name
+
+
+@pytest.mark.parametrize("dilate", [0.0, 35.0, 100.0])
+def test_polygon_kernels_skip_nan_pixels(store, dilate):
+    """Polygon and dilated-polygon kernels against the brute-force mask:
+    NaN pixels and missing tiles are left out (xarray's skipna), not a
+    NaN mean."""
+    root, ndvi, lulc = store
+    rx = [np.concatenate(r)[:, 0].tolist() if r else [] for r in SHAPES]
+    ry = [np.concatenate(r)[:, 1].tolist() if r else [] for r in SHAPES]
+    sizes = [[len(p) for p in r] for r in SHAPES]
+    batch = pa.table({"doc_id": [f"s{i}" for i in range(len(SHAPES))],
+                      "ring_x": rx, "ring_y": ry, "ring_sizes": sizes})
+    masks = [_shape_mask(r, dilate, False) if r else (np.zeros(0, int),) * 2
+             for r in SHAPES]
+    want, want_cls = _brute_sums(ndvi, lulc, masks)
+    assert np.isnan(ndvi[masks[0]]).any() and (want[:4, 2] > 0).all()
+    _assert_mean_std(PolygonZonalLocal(root, "ndvi", dilate=dilate)(batch), want)
+    out = PolygonLandcoverLocal(root, {c: f"pct_{c}" for c in CLASSES},
+                                dilate=dilate)(batch)
+    for j, c in enumerate(CLASSES):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pct = np.round(want_cls[:, j] / want_cls[:, -1] * 100.0, 3)
+        assert np.array_equal(out.column(f"pct_{c}").to_numpy(), pct,
+                              equal_nan=True)
+
+
+@pytest.mark.parametrize("d", [25.0, 50.0])
+def test_line_kernel_skips_nan_pixels(store, d):
+    """Buffered polylines crossing tile edges, NaN pixels and the world
+    edge: NaN pixels count neither in the mean nor in ``n_pixels``."""
+    root, ndvi, lulc = store
+    lines = [r[0] for r in SHAPES if r] + [
+        np.array([[2300.0, 2590.0], [2800.0, 2600.0]]),
+        np.array([[-40.0, 30.0], [200.0, 30.0], [260.0, 400.0]])]
+    batch = pa.table({
+        "edge_id": np.arange(len(lines)),
+        "ax": [g[0, 0] for g in lines], "ay": [g[0, 1] for g in lines],
+        "bx": [g[-1, 0] for g in lines], "by": [g[-1, 1] for g in lines],
+        "geom_x": [g[:, 0].tolist() for g in lines],
+        "geom_y": [g[:, 1].tolist() for g in lines]})
+    masks = [_shape_mask([g], d, True) for g in lines]
+    want, _ = _brute_sums(ndvi, lulc, masks)
+    assert any(np.isnan(ndvi[m]).any() for m in masks)
+    out = LineZonalLocal(root, "ndvi", d)(batch)
+    _assert_mean_std(out, want)
+    assert out.column("n_pixels").to_pylist() == want[:, 2].astype(int).tolist()

@@ -56,6 +56,24 @@ def _kernel_class_sat(arr, classes):
                      for cls in classes])
 
 
+def _sat(store, band, tix, tiy, clamp_min):
+    """One tile's ``(c1, c2, c0)`` planes read off ``TileStore.stack``
+    through its slot table, or None for an absent tile; ``c0`` is None
+    for an all-finite tile."""
+    arr, c0, table = store.stack(("sat", clamp_min), band, [(tix, tiy)])
+    slot, c0slot = table.slots(tix, tiy)
+    if slot < 0:
+        return None
+    return arr[slot, 0], arr[slot, 1], None if c0slot < 0 else c0[c0slot]
+
+
+def _class_sat(store, band, tix, tiy, classes):
+    """One tile's per-class planes off ``TileStore.stack``, or None."""
+    arr, _, table = store.stack(("cls", tuple(classes)), band, [(tix, tiy)])
+    slot, _ = table.slots(tix, tiy)
+    return None if slot < 0 else arr[slot]
+
+
 def _assert_zero_column_planes(got, want):
     """``got`` is ``want`` behind a leading zero column."""
     assert got.shape[:-1] == want.shape[:-1]
@@ -67,13 +85,13 @@ def _check_planes(root, tix, tiy, classes, finite):
     store = TileStore(root)
     for clamp in (0.0, None):
         want = _kernel_sat(_parquet_tile(root, "ndvi", tix, tiy), clamp)
-        got = store.sat("ndvi", tix, tiy, clamp)
+        got = _sat(store, "ndvi", tix, tiy, clamp)
         assert (want[2] is None) == finite and (got[2] is None) == finite
         for g, w in zip(got, want):
             if w is not None:
                 _assert_zero_column_planes(g, w)
     _assert_zero_column_planes(
-        store.class_sat("lulc", tix, tiy, classes),
+        _class_sat(store, "lulc", tix, tiy, classes),
         _kernel_class_sat(_parquet_tile(root, "lulc", tix, tiy), classes))
 
 
@@ -81,8 +99,8 @@ def test_planes_match_kernel_tables_on_synthetic_tiles(tiles):
     for tix, tiy in ((0, 0), (3, 5)):
         _check_planes(tiles, tix, tiy, sorted(DEFAULT_CLASSMAP), finite=True)
     store = TileStore(tiles)
-    assert store.sat("ndvi", 99, 99, 0.0) is None
-    assert store.class_sat("lulc", 99, 99, [10]) is None
+    assert _sat(store, "ndvi", 99, 99, 0.0) is None
+    assert _class_sat(store, "lulc", 99, 99, [10]) is None
 
 
 def _strip_tiff(path, w, h, data):
@@ -113,7 +131,7 @@ def test_store_arrays_are_read_only(tiles):
     arr = store.get("ndvi", 1, 1)
     with pytest.raises(ValueError):
         arr[0, 0] = 1.0
-    c1, _, _ = store.sat("ndvi", 1, 1, 0.0)
+    c1, _, _ = _sat(store, "ndvi", 1, 1, 0.0)
     with pytest.raises(ValueError):
         c1[0, 0] = 1.0
     assert np.array_equal(arr, _parquet_tile(tiles, "ndvi", 1, 1))
@@ -125,14 +143,14 @@ def test_lookups_take_any_integer_type(tiles):
     for tix, tiy in ((np.int32(1), np.int32(2)), (np.int16(1), 2)):
         assert np.array_equal(store.get("ndvi", tix, tiy),
                               store.get("ndvi", 1, 2))
-        assert np.array_equal(store.sat("ndvi", tix, tiy, 0.0)[0],
-                              store.sat("ndvi", 1, 2, 0.0)[0])
-        assert np.array_equal(store.class_sat("lulc", tix, tiy, [10]),
-                              store.class_sat("lulc", 1, 2, [10]))
+        assert np.array_equal(_sat(store, "ndvi", tix, tiy, 0.0)[0],
+                              _sat(store, "ndvi", 1, 2, 0.0)[0])
+        assert np.array_equal(_class_sat(store, "lulc", tix, tiy, [10]),
+                              _class_sat(store, "lulc", 1, 2, [10]))
     for tix, tiy in ((np.int32(-1), np.int32(0)), (np.int32(99), 0)):
         assert store.get("ndvi", tix, tiy) is None
-        assert store.sat("ndvi", tix, tiy, 0.0) is None
-        assert store.class_sat("lulc", tix, tiy, [10]) is None
+        assert _sat(store, "ndvi", tix, tiy, 0.0) is None
+        assert _class_sat(store, "lulc", tix, tiy, [10]) is None
 
 
 def _points(n=400, seed=3):

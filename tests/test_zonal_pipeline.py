@@ -375,16 +375,6 @@ def test_append_metrics_fails_loud(world):
         "doc_id", "v", "m"]
 
 
-def test_heavy_pool_leaves_a_cpu_for_its_feed():
-    """An explicit width as wide as the (4-CPU) test cluster would hold
-    every CPU and starve the read tasks feeding the pool: a hang."""
-    from greenex_py_ray.functions.joins import heavy_pool
-
-    assert heavy_pool(4) == dict(concurrency=(3, 3), num_cpus=1)
-    assert heavy_pool((1, 8))["concurrency"] == (3, 3)
-    assert heavy_pool(2)["concurrency"] == (2, 2)
-
-
 @pytest.mark.parametrize("width", [None, 3])
 def test_kernel_stage_on_one_block_logs_no_concurrency_warning(world, width):
     """A kernel stage built without a width passes Ray no task cap, and
