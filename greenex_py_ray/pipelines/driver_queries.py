@@ -1526,7 +1526,7 @@ _NATY = dt.SQL_Y.format(k="n_nationkey")
 
 # IDW (stages/geostats.IDWInterpolator): smoothed power-2 weights with
 # int64-quantized terms — summation order cannot change the result, so
-# the SQL join-order-free SUM matches numpy's axis-1 sum exactly.  Every
+# the SQL join-order-free SUM matches numpy's per-pair int64 sum exactly.  Every
 # float expression mirrors the numpy associativity: w = 1/(d2+1), terms
 # (w * 1e12) and ((w * val) * 1e9).
 ORACLE_SQL["idw_interpolation"] = f"""
@@ -4940,26 +4940,29 @@ def _idw_stations(sf_dir: str) -> pa.Table:
 
 
 def q_idw_interpolation(sf_dir: str):
-    """IDW field interpolation (stages/geostats.IDWInterpolator): the
-    station table broadcasts once via ray.put; each batch computes one
-    (points × stations) distance matrix — no shuffle, int64-quantized
-    sums make the result summation-order independent across engines."""
+    """IDW field interpolation (stages/geostats.IDWInterpolator), a
+    KernelStage over the shipped station table: each batch sums its
+    (point, station) pairs from one grid gather — no shuffle,
+    int64-quantized sums make the result summation-order independent
+    across engines."""
+    from ..functions.joins import KernelStage
+    from ..sidefiles import shipped
     from ..stages.geostats import IDWInterpolator
 
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE)
-    ref = ray.put(_idw_stations(sf_dir))
-    out = ds.map_batches(
+    out = KernelStage(
         IDWInterpolator,
-        fn_constructor_kwargs=dict(stations_ref=ref, radius=IDW_RADIUS),
-        batch_format="pyarrow", concurrency=(1, 4), num_cpus=0.25,
-    )
+        dict(stations_ref=shipped(_idw_stations(sf_dir)), radius=IDW_RADIUS),
+        dict(num_cpus=0.25)).on(ds)
     return out.select_columns(["doc_id", "n_within", "idw"])
 
 
 def q_haversine_nearest(sf_dir: str):
     """Great-circle nearest facility (stages/geostats.HaversineNearest):
     geodesic twin of the planar kNN gate — facilities (nation table)
-    broadcast, ranking on round-6 km with fid ties."""
+    shipped to a KernelStage, ranking on round-6 km with fid ties."""
+    from ..functions.joins import KernelStage
+    from ..sidefiles import shipped
     from ..stages.geostats import HaversineNearest
 
     ds = dt.read_table(sf_dir, "documents", columns=["doc_id"])
@@ -4981,13 +4984,11 @@ def q_haversine_nearest(sf_dir: str):
     facilities = pa.table({"fid": pa.array(fk),
                            "flon": pa.array(fx * 0.018 - 180.0),
                            "flat": pa.array(fy * 0.0085 - 85.0)})
-    ref = ray.put(facilities)
-    out = ds.map_batches(add_lonlat, batch_format="pyarrow",
-                         zero_copy_batch=True).map_batches(
-        HaversineNearest,
-        fn_constructor_kwargs=dict(facilities_ref=ref),
-        batch_format="pyarrow", concurrency=(1, 4), num_cpus=0.25,
-    )
+    out = KernelStage(
+        HaversineNearest, dict(facilities_ref=shipped(facilities)),
+        dict(num_cpus=0.25)).on(
+        ds.map_batches(add_lonlat, batch_format="pyarrow",
+                       zero_copy_batch=True))
     return out.select_columns(["doc_id", "fid", "dist_km"])
 
 

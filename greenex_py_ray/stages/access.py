@@ -1,4 +1,4 @@
-"""Accessibility stages: nearest-greenspace distance (euclidean path).
+"""Accessibility stages: nearest greenspace and floating catchments.
 
 Reimplements ``accessibility.get_shortest_distance_greenspace``'s
 euclidean/centroids branch
@@ -14,10 +14,16 @@ The API derives it on the driver (read, dissolve, area threshold) and
 puts it in the object store once per file version
 (:func:`~greenex_py_ray.sidefiles.shared`); each kernel builds a
 :class:`~greenex_py_ray.state.index.GridIndex` in ``__init__``, once
-per worker process and file version, and the
-per-batch body is an exact cell-local kNN with ring expansion.  No
+per worker process and file version, and the per-batch body is one
+exact :meth:`~greenex_py_ray.state.index.GridIndex.nearest` call.  No
 shuffle at all on the big side (vs. the reference's per-row cKDTree
 rebuild).  The network-distance branch lives in ``stages/netaccess.py``.
+
+The floating-catchment family (2SFCA, gravity, E2SFCA) runs as
+:class:`~greenex_py_ray.functions.joins.KernelStage` tasks over the
+same kind of facility index: each batch takes its (point, facility)
+pairs within the catchment radius from one vectorized grid gather and
+reduces per-pair int64 terms, so every score is exact in any order.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..sidefiles import side_table
+from ..functions.joins import KernelStage
+from ..sidefiles import shipped, side_table
 from ..state.index import GridIndex, RectIndex
 
 
@@ -109,113 +116,145 @@ class PointsInRects:
 #: 2SFCA ratio quantization: R_j = supply_q * FCA_SCALE // demand_j
 FCA_SCALE = 1_000_000_000
 
-#: facility count above which the dense (batch x F) matrix paths
-#: switch to a per-actor uniform-grid candidate gather (the
-#: SegmentSnapper pattern): a (4096-row batch x 10^6 facilities)
-#: dense bool matrix is ~4 GB — the grid path touches only the cells
-#: within the catchment radius.  Results are bit-identical: the grid
-#: yields a SUPERSET of candidates and every per-pair term repeats the
-#: dense path's arithmetic; all reductions are int64 (order-exact).
-DENSE_FAC_MAX = 4096
 
-
-def _fac_grid(fx, fy, radius: float, dense_max: int):
-    """GridIndex over facility centroids when the dense path would
-    blow up; None keeps the dense matrix path (small F)."""
-    if len(fx) <= dense_max:
-        return None
-    return GridIndex(fx, fy, cell_size=max(float(radius), 1e-9))
-
-
-class FCADemandCount:
-    """Step-1 map_batches stage of the two-step floating catchment:
-    per-batch partial demand counts per facility.  Facilities (fx, fy)
-    broadcast once; each batch computes the (points × facilities)
-    within-``radius`` boolean and collapses to ONE count row per
-    facility — the shuffle ships O(F) integers per batch, never the
-    points."""
+class _Catchment:
+    """Base of the floating-catchment kernels: the broadcast facility
+    centroids in a :class:`GridIndex` with ``radius``-sized cells, and
+    the (point, facility, d²) pairs of a batch with ``d² <= radius²``.
+    The grid only prunes: every pair term repeats the ``(batch × F)``
+    arithmetic, and every reduction is an int64 sum (order-exact)."""
 
     def __init__(self, fac_ref, radius: float,
-                 x_col: str = "x", y_col: str = "y",
-                 dense_max: int = DENSE_FAC_MAX):
-        t = side_table(fac_ref)
-        self.fx = t.column("centroid_x").to_numpy(zero_copy_only=False)
-        self.fy = t.column("centroid_y").to_numpy(zero_copy_only=False)
-        self.fid = t.column("gs_id").to_numpy(zero_copy_only=False)
+                 x_col: str = "x", y_col: str = "y"):
+        self.fac = side_table(fac_ref)
+        self.fx = self.fac.column("centroid_x").to_numpy(zero_copy_only=False)
+        self.fy = self.fac.column("centroid_y").to_numpy(zero_copy_only=False)
         self.radius = float(radius)
-        self.r2 = float(radius) * float(radius)
+        self.r2 = self.radius * self.radius
         self.x_col, self.y_col = x_col, y_col
-        self.grid = _fac_grid(self.fx, self.fy, radius, dense_max)
+        self.grid = GridIndex(self.fx, self.fy,
+                              cell_size=max(self.radius, 1e-9))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def _within(self, batch: pa.Table):
+        """(point, facility, d²) of every pair within the radius."""
         x = batch.column(self.x_col).to_numpy(zero_copy_only=False)
         y = batch.column(self.y_col).to_numpy(zero_copy_only=False)
-        if self.grid is None:
-            dx = x[:, None] - self.fx[None, :]
-            dy = y[:, None] - self.fy[None, :]
-            within = (dx * dx + dy * dy) <= self.r2
-            n = within.sum(axis=0).astype(np.int64)
-        else:
-            n = np.zeros(len(self.fx), dtype=np.int64)
-            for sel, cand in self.grid.candidate_groups(x, y, self.radius):
-                dx = x[sel][:, None] - self.fx[cand][None, :]
-                dy = y[sel][:, None] - self.fy[cand][None, :]
-                within = (dx * dx + dy * dy) <= self.r2
-                np.add.at(n, cand, within.sum(axis=0).astype(np.int64))
-        nz = np.flatnonzero(n)
-        return pa.table({"gs_id": pa.array(self.fid[nz]),
-                         "n": pa.array(n[nz])})
+        pq, pc = self.grid._pairs(x, y, self.radius)
+        dx = x[pq] - self.fx[pc]
+        dy = y[pq] - self.fy[pc]
+        d2 = dx * dx + dy * dy
+        hit = d2 <= self.r2
+        return pq[hit], pc[hit], d2[hit]
 
-
-class FCAAccess:
-    """Step-2 map_batches actor: per demand point, sum the broadcast
-    facility ratios ``R_j`` (int64 ``supply_q·SCALE // demand_j`` —
-    exact under any summation order) over facilities within
-    ``radius``."""
-
-    def __init__(self, fac_ref, radius: float, key_col: str = "doc_id",
-                 x_col: str = "x", y_col: str = "y",
-                 dense_max: int = DENSE_FAC_MAX):
-        t = side_table(fac_ref)
-        self.fx = t.column("centroid_x").to_numpy(zero_copy_only=False)
-        self.fy = t.column("centroid_y").to_numpy(zero_copy_only=False)
-        self.rq = t.column("rq").to_numpy(zero_copy_only=False).astype(np.int64)
-        self.radius = float(radius)
-        self.r2 = float(radius) * float(radius)
-        self.key_col = key_col
-        self.x_col, self.y_col = x_col, y_col
-        self.grid = _fac_grid(self.fx, self.fy, radius, dense_max)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        x = batch.column(self.x_col).to_numpy(zero_copy_only=False)
-        y = batch.column(self.y_col).to_numpy(zero_copy_only=False)
-        if self.grid is None:
-            dx = x[:, None] - self.fx[None, :]
-            dy = y[:, None] - self.fy[None, :]
-            within = (dx * dx + dy * dy) <= self.r2
-            n_fac = within.sum(axis=1).astype(np.int64)
-            access_q = (within * self.rq[None, :]).sum(axis=1).astype(np.int64)
-        else:
-            n_fac = np.zeros(len(x), dtype=np.int64)
-            access_q = np.zeros(len(x), dtype=np.int64)
-            for sel, cand in self.grid.candidate_groups(x, y, self.radius):
-                dx = x[sel][:, None] - self.fx[cand][None, :]
-                dy = y[sel][:, None] - self.fy[cand][None, :]
-                within = (dx * dx + dy * dy) <= self.r2
-                n_fac[sel] = within.sum(axis=1).astype(np.int64)
-                access_q[sel] = (within * self.rq[cand][None, :]) \
-                    .sum(axis=1).astype(np.int64)
+    def _per_point(self, batch: pa.Table, pq: np.ndarray,
+                   terms: np.ndarray, counted: np.ndarray) -> pa.Table:
+        """Step-2 output: per demand point, the int64 sum of its pair
+        ``terms`` and the number of its pairs in ``counted`` (the
+        points of the pairs that count as facilities in reach)."""
+        n = batch.num_rows
+        access_q = np.zeros(n, dtype=np.int64)
+        np.add.at(access_q, pq, terms)
         return pa.table({
             self.key_col: batch.column(self.key_col),
-            "n_fac": pa.array(n_fac),
+            "n_fac": pa.array(np.bincount(counted, minlength=n)
+                              .astype(np.int64)),
             "access_q": pa.array(access_q),
         })
+
+    def _per_facility(self, pc: np.ndarray, terms: np.ndarray,
+                      name: str) -> pa.Table:
+        """Step-1 output: one row per facility with a nonzero int64 sum
+        of its pair ``terms`` — the shuffle ships O(F) integers per
+        batch, never the points."""
+        tot = np.zeros(len(self.fx), dtype=np.int64)
+        np.add.at(tot, pc, terms)
+        nz = np.flatnonzero(tot)
+        return pa.table({"gs_id": self.fac.column("gs_id").take(nz),
+                         name: pa.array(tot[nz])})
+
+
+class FCADemandCount(_Catchment):
+    """Step-1 stage of the two-step floating catchment: per-batch
+    partial demand counts (points within ``radius``) per facility."""
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        _, pc, _ = self._within(batch)
+        return self._per_facility(pc, np.ones(len(pc), np.int64), "n")
+
+
+class FCAAccess(_Catchment):
+    """Step-2 stage: per demand point, sum the broadcast facility ratios
+    ``R_j`` (int64 ``supply_q·SCALE // demand_j`` — exact under any
+    summation order) over facilities within ``radius``."""
+
+    def __init__(self, fac_ref, radius: float, key_col: str = "doc_id",
+                 x_col: str = "x", y_col: str = "y"):
+        super().__init__(fac_ref, radius, x_col, y_col)
+        self.rq = self.fac.column("rq").to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        self.key_col = key_col
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        pq, pc, _ = self._within(batch)
+        return self._per_point(batch, pq, self.rq[pc], pq)
+
+
+def _supply_table(facilities: pa.Table) -> pa.Table:
+    """The catchment facilities: gs_id, centroid and int64 supply, the
+    greenspace rect area.  floor(x + 0.5), not np.round: np.round is
+    ties-to-even while SQL round() is ties-away; exact .5 areas are
+    reachable on the integer rect lattice, so both engines evaluate
+    the identical floor(x+0.5) double expression instead (ADVICE r4)."""
+    def col(name):
+        return facilities.column(name).to_numpy(zero_copy_only=False)
+
+    sup = np.floor((col("x1") - col("x0")) * (col("y1") - col("y0"))
+                   + 0.5).astype(np.int64)
+    return pa.table({
+        "gs_id": facilities.column("gs_id"),
+        "centroid_x": facilities.column("centroid_x"),
+        "centroid_y": facilities.column("centroid_y"),
+        "supply_q": pa.array(sup),
+    })
+
+
+def _catchment_stage(cls: type, fac: pa.Table, kwargs: dict,
+                     concurrency) -> KernelStage:
+    """A catchment kernel over the facility table ``fac`` as a
+    :class:`KernelStage`."""
+    return KernelStage(cls, dict(fac_ref=shipped(fac), **kwargs),
+                       dict(num_cpus=0.5, concurrency=concurrency))
+
+
+def _ratio_table(poi: "ray.data.Dataset", fac: pa.Table, step1: type,
+                 kwargs: dict, name: str, scale: int,
+                 concurrency) -> pa.Table:
+    """Step 1 of a floating catchment: the ``step1`` kernel's per-batch
+    facility sums ``name`` over ``poi``, summed per gs_id, and the
+    int64 ratio ``rq = supply_q·scale // sum`` of every facility with a
+    positive sum (an O(F) driver table)."""
+    from ..functions.aggregates import bucket_group_reduce
+
+    # bucketed combiner, not groupby.aggregate: step-1 partials are
+    # O(F) rows per batch and F can be 10^6 — the generic sort-based
+    # groupby was 48x slower at that cardinality (round-4 finding)
+    part = _catchment_stage(step1, fac, kwargs, concurrency).on(poi)
+    sums = bucket_group_reduce(part, "gs_id", [name], ["sum"]).to_pandas()
+    merged = fac.to_pandas().merge(sums, on="gs_id", how="inner")
+    merged = merged[merged[name] > 0]
+    rq = (merged["supply_q"].to_numpy(dtype=np.int64) * scale
+          // merged[name].to_numpy(dtype=np.int64))
+    return pa.table({
+        "gs_id": pa.array(merged["gs_id"].to_numpy(dtype=np.int64)),
+        "centroid_x": pa.array(merged["centroid_x"].to_numpy()),
+        "centroid_y": pa.array(merged["centroid_y"].to_numpy()),
+        "rq": pa.array(rq),
+    })
 
 
 def two_step_fca(poi: "ray.data.Dataset", facilities: "pa.Table",
                  radius: float, key_col: str = "doc_id",
-                 concurrency=(1, 8),
-                 dense_max: int = DENSE_FAC_MAX) -> "ray.data.Dataset":
+                 concurrency=(1, 8)) -> "ray.data.Dataset":
     """Two-step floating catchment area accessibility (2SFCA, Luo &
     Wang 2003) with a binary catchment: step 1 computes each
     facility's supply-to-demand ratio ``R_j = S_j / |{i : d_ij <= r}|``;
@@ -225,163 +264,55 @@ def two_step_fca(poi: "ray.data.Dataset", facilities: "pa.Table",
     ``round((x1-x0)·(y1-y0))`` int64 m²).  Ratios are int64
     ``supply_q·1e9 // demand_j`` so both the ratio and the final sum
     are exact integers in any order / any engine.  The facility side
-    is tiny (broadcast twice); demand streams through both passes —
+    is tiny (shipped to both passes); demand streams through both —
     the step-1 shuffle is O(F) per batch."""
-    import ray as _ray
-
-    # floor(x + 0.5), not np.round: np.round is ties-to-even while SQL
-    # round() is ties-away; exact .5 areas are reachable on the integer
-    # rect lattice, so both engines evaluate the identical floor(x+0.5)
-    # double expression instead (ADVICE r4).
-    sup = np.floor(
-        (facilities.column("x1").to_numpy(zero_copy_only=False)
-         - facilities.column("x0").to_numpy(zero_copy_only=False))
-        * (facilities.column("y1").to_numpy(zero_copy_only=False)
-           - facilities.column("y0").to_numpy(zero_copy_only=False))
-        + 0.5
-    ).astype(np.int64)
-    fac = pa.table({
-        "gs_id": facilities.column("gs_id"),
-        "centroid_x": facilities.column("centroid_x"),
-        "centroid_y": facilities.column("centroid_y"),
-        "supply_q": pa.array(sup),
-    })
-    ref = _ray.put(fac)
-
-    from ..functions.aggregates import bucket_group_reduce
-
-    # bucketed combiner, not groupby.aggregate: step-1 partials are
-    # O(F) rows per batch and F can be 10^6 — the generic sort-based
-    # groupby was 48x slower at that cardinality (round-4 finding)
-    counts = (bucket_group_reduce(
-                  poi.map_batches(
-                      FCADemandCount,
-                      fn_constructor_kwargs=dict(fac_ref=ref, radius=radius,
-                                                 dense_max=dense_max),
-                      batch_format="pyarrow", zero_copy_batch=True,
-                      concurrency=concurrency, num_cpus=0.5),
-                  "gs_id", ["n"], ["sum"])
-              .to_pandas())
-    # O(F) driver table: attach ratios, drop zero-demand facilities
-    merged = fac.to_pandas().merge(counts, on="gs_id", how="inner")
-    rq = (merged["supply_q"].to_numpy(dtype=np.int64) * FCA_SCALE
-          // merged["n"].to_numpy(dtype=np.int64))
-    fac2 = pa.table({
-        "gs_id": pa.array(merged["gs_id"].to_numpy(dtype=np.int64)),
-        "centroid_x": pa.array(merged["centroid_x"].to_numpy()),
-        "centroid_y": pa.array(merged["centroid_y"].to_numpy()),
-        "rq": pa.array(rq),
-    })
-    ref2 = _ray.put(fac2)
-    return poi.map_batches(
-        FCAAccess,
-        fn_constructor_kwargs=dict(fac_ref=ref2, radius=radius,
-                                   key_col=key_col, dense_max=dense_max),
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency, num_cpus=0.5,
-    )
+    fac = _ratio_table(poi, _supply_table(facilities), FCADemandCount,
+                       dict(radius=radius), "n", FCA_SCALE, concurrency)
+    return _catchment_stage(FCAAccess, fac,
+                            dict(radius=radius, key_col=key_col),
+                            concurrency).on(poi)
 
 
 #: gravity weight quantization (micro-units per supply unit)
 GRAVITY_Q = 1_000_000
 
 
-class GravityAccess:
-    """map_batches actor: Hansen (1959) gravity / potential
-    accessibility with an inverse-quadratic impedance —
-    ``A_i = Σ_j round(S_j · 1e6 / (1 + d_ij²/θ²))`` over facilities
-    within ``cutoff``.  No exp/pow: the weight is one +,*,/ chain over
-    doubles both engines evaluate identically, rounded to int64 BEFORE
-    the sum, so the score is exact under any order.  Facilities
-    broadcast (small side); demand streams."""
+class GravityAccess(_Catchment):
+    """Hansen (1959) gravity / potential accessibility with an
+    inverse-quadratic impedance — ``A_i = Σ_j round(S_j · 1e6 / (1 +
+    d_ij²/θ²))`` over facilities within ``cutoff``.  No exp/pow: the
+    weight is one +,*,/ chain over doubles both engines evaluate
+    identically, rounded to int64 BEFORE the sum, so the score is
+    exact under any order.  Facilities broadcast (small side); demand
+    streams."""
 
     def __init__(self, fac_ref, theta: float, cutoff: float,
                  key_col: str = "doc_id",
-                 x_col: str = "x", y_col: str = "y",
-                 dense_max: int = DENSE_FAC_MAX):
-        t = side_table(fac_ref)
-        self.fx = t.column("centroid_x").to_numpy(zero_copy_only=False)
-        self.fy = t.column("centroid_y").to_numpy(zero_copy_only=False)
-        self.sup = t.column("supply_q").to_numpy(
+                 x_col: str = "x", y_col: str = "y"):
+        super().__init__(fac_ref, cutoff, x_col, y_col)
+        self.sup = self.fac.column("supply_q").to_numpy(
             zero_copy_only=False).astype(np.float64)
         self.t2 = float(theta) * float(theta)
-        self.cutoff = float(cutoff)
-        self.r2 = float(cutoff) * float(cutoff)
         self.key_col = key_col
-        self.x_col, self.y_col = x_col, y_col
-        self.grid = _fac_grid(self.fx, self.fy, cutoff, dense_max)
-
-    def _score(self, x, y, fsel):
-        """(len(x), len(fsel)) within mask + int64 weights with the
-        identical per-pair arithmetic on both the dense and grid
-        paths (fsel = slice of facilities under consideration)."""
-        dx = x[:, None] - self.fx[fsel][None, :]
-        dy = y[:, None] - self.fy[fsel][None, :]
-        d2 = dx * dx + dy * dy
-        within = d2 <= self.r2
-        # floor(x+0.5) tie rule (matches SQL; d2/theta2 is exact
-        # rational arithmetic, so .5 ties are reachable — ADVICE r4)
-        w = np.floor(self.sup[fsel][None, :] * GRAVITY_Q
-                     / (1.0 + d2 / self.t2) + 0.5).astype(np.int64)
-        return within, w
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        x = batch.column(self.x_col).to_numpy(zero_copy_only=False)
-        y = batch.column(self.y_col).to_numpy(zero_copy_only=False)
-        if self.grid is None:
-            within, w = self._score(x, y, slice(None))
-            n_fac = within.sum(axis=1).astype(np.int64)
-            access_q = np.where(within, w, 0).sum(axis=1).astype(np.int64)
-        else:
-            n_fac = np.zeros(len(x), dtype=np.int64)
-            access_q = np.zeros(len(x), dtype=np.int64)
-            for sel, cand in self.grid.candidate_groups(x, y, self.cutoff):
-                within, w = self._score(x[sel], y[sel], cand)
-                n_fac[sel] = within.sum(axis=1).astype(np.int64)
-                access_q[sel] = np.where(within, w, 0) \
-                    .sum(axis=1).astype(np.int64)
-        return pa.table({
-            self.key_col: batch.column(self.key_col),
-            "n_fac": pa.array(n_fac),
-            "access_q": pa.array(access_q),
-        })
+        pq, pc, d2 = self._within(batch)
+        # floor(x+0.5) tie rule (matches SQL; d2/theta2 is exact
+        # rational arithmetic, so .5 ties are reachable — ADVICE r4)
+        w = np.floor(self.sup[pc] * GRAVITY_Q / (1.0 + d2 / self.t2)
+                     + 0.5).astype(np.int64)
+        return self._per_point(batch, pq, w, pq)
 
 
 def gravity_access(poi: "ray.data.Dataset", facilities: "pa.Table",
                    theta: float = 400.0, cutoff: float = 1500.0,
                    key_col: str = "doc_id",
-                   concurrency=(1, 8),
-                   dense_max: int = DENSE_FAC_MAX) -> "ray.data.Dataset":
+                   concurrency=(1, 8)) -> "ray.data.Dataset":
     """Gravity/potential accessibility (see :class:`GravityAccess`);
     supply = greenspace rect area like :func:`two_step_fca`."""
-    import ray as _ray
-
-    # floor(x + 0.5), not np.round: np.round is ties-to-even while SQL
-    # round() is ties-away; exact .5 areas are reachable on the integer
-    # rect lattice, so both engines evaluate the identical floor(x+0.5)
-    # double expression instead (ADVICE r4).
-    sup = np.floor(
-        (facilities.column("x1").to_numpy(zero_copy_only=False)
-         - facilities.column("x0").to_numpy(zero_copy_only=False))
-        * (facilities.column("y1").to_numpy(zero_copy_only=False)
-           - facilities.column("y0").to_numpy(zero_copy_only=False))
-        + 0.5
-    ).astype(np.int64)
-    fac = pa.table({
-        "gs_id": facilities.column("gs_id"),
-        "centroid_x": facilities.column("centroid_x"),
-        "centroid_y": facilities.column("centroid_y"),
-        "supply_q": pa.array(sup),
-    })
-    ref = _ray.put(fac)
-    return poi.map_batches(
-        GravityAccess,
-        fn_constructor_kwargs=dict(fac_ref=ref, theta=theta,
-                                   cutoff=cutoff, key_col=key_col,
-                                   dense_max=dense_max),
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency, num_cpus=0.5,
-    )
+    return _catchment_stage(GravityAccess, _supply_table(facilities),
+                            dict(theta=theta, cutoff=cutoff,
+                                 key_col=key_col), concurrency).on(poi)
 
 
 #: E2SFCA decay-weight quantization (micro-units)
@@ -390,7 +321,7 @@ E2_WQ = 1_000_000
 E2_RQ = 1_000_000_000
 
 
-class E2DemandWeight:
+class E2DemandWeight(_Catchment):
     """Step-1 stage of the ENHANCED 2SFCA (Luo & Qi 2009): per-batch
     partial Gaussian-decayed demand weight sums per facility.
     ``w_ij = round(exp(−d²/denom)·1e6)`` int64 (the KDE precedent:
@@ -398,143 +329,54 @@ class E2DemandWeight:
     each batch collapses to O(F) rows."""
 
     def __init__(self, fac_ref, denom: float, cutoff: float,
-                 x_col: str = "x", y_col: str = "y",
-                 dense_max: int = DENSE_FAC_MAX):
-        t = side_table(fac_ref)
-        self.fx = t.column("centroid_x").to_numpy(zero_copy_only=False)
-        self.fy = t.column("centroid_y").to_numpy(zero_copy_only=False)
-        self.fid = t.column("gs_id").to_numpy(zero_copy_only=False)
+                 x_col: str = "x", y_col: str = "y"):
+        super().__init__(fac_ref, cutoff, x_col, y_col)
         self.denom = float(denom)
-        self.cutoff = float(cutoff)
-        self.r2 = float(cutoff) * float(cutoff)
-        self.x_col, self.y_col = x_col, y_col
-        self.grid = _fac_grid(self.fx, self.fy, cutoff, dense_max)
 
-    def _weights(self, x, y, fsel=slice(None)):
-        dx = x[:, None] - self.fx[fsel][None, :]
-        dy = y[:, None] - self.fy[fsel][None, :]
-        d2 = dx * dx + dy * dy
+    def _weights(self, batch: pa.Table):
+        pq, pc, d2 = self._within(batch)
         w = np.round(np.exp(-d2 / self.denom) * E2_WQ).astype(np.int64)
-        return np.where(d2 <= self.r2, w, 0)
+        return pq, pc, w
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        x = batch.column(self.x_col).to_numpy(zero_copy_only=False)
-        y = batch.column(self.y_col).to_numpy(zero_copy_only=False)
-        if self.grid is None:
-            tot = self._weights(x, y).sum(axis=0)
-        else:
-            tot = np.zeros(len(self.fx), dtype=np.int64)
-            for sel, cand in self.grid.candidate_groups(x, y, self.cutoff):
-                np.add.at(tot, cand,
-                          self._weights(x[sel], y[sel], cand).sum(axis=0))
-        nz = np.flatnonzero(tot)
-        return pa.table({"gs_id": pa.array(self.fid[nz]),
-                         "wsum": pa.array(tot[nz])})
+        _, pc, w = self._weights(batch)
+        return self._per_facility(pc, w, "wsum")
 
 
 class E2Access(E2DemandWeight):
-    """Step-2 actor: ``A_i = Σ_j round(w_ij · R_j / 1e6)`` over the
+    """Step-2 stage: ``A_i = Σ_j round(w_ij · R_j / 1e6)`` over the
     broadcast facility ratios (``R_j = supply_q·1e9 // Σw`` int64) —
     the per-term product is rounded on a double ≤ ~1e12, so the sum is
     exact int64 in any order."""
 
     def __init__(self, fac_ref, denom: float, cutoff: float,
                  key_col: str = "doc_id",
-                 x_col: str = "x", y_col: str = "y",
-                 dense_max: int = DENSE_FAC_MAX):
-        super().__init__(fac_ref, denom, cutoff, x_col, y_col,
-                         dense_max=dense_max)
-        t = side_table(fac_ref)
-        self.rq = t.column("rq").to_numpy(
+                 x_col: str = "x", y_col: str = "y"):
+        super().__init__(fac_ref, denom, cutoff, x_col, y_col)
+        self.rq = self.fac.column("rq").to_numpy(
             zero_copy_only=False).astype(np.float64)
         self.key_col = key_col
 
-    def _score(self, x, y, fsel):
-        w = self._weights(x, y, fsel)
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        pq, pc, w = self._weights(batch)
         # floor(x+0.5) tie rule: w*rq/1e6 is exact rational arithmetic
         # on integers, so exact .5 ties ARE reachable here (ADVICE r4)
-        terms = np.floor(w * self.rq[fsel][None, :] / E2_WQ
-                         + 0.5).astype(np.int64)
-        return ((w > 0).sum(axis=1).astype(np.int64),
-                terms.sum(axis=1).astype(np.int64))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        x = batch.column(self.x_col).to_numpy(zero_copy_only=False)
-        y = batch.column(self.y_col).to_numpy(zero_copy_only=False)
-        if self.grid is None:
-            n_fac, access_q = self._score(x, y, slice(None))
-        else:
-            n_fac = np.zeros(len(x), dtype=np.int64)
-            access_q = np.zeros(len(x), dtype=np.int64)
-            for sel, cand in self.grid.candidate_groups(x, y, self.cutoff):
-                n_fac[sel], access_q[sel] = self._score(x[sel], y[sel], cand)
-        return pa.table({
-            self.key_col: batch.column(self.key_col),
-            "n_fac": pa.array(n_fac),
-            "access_q": pa.array(access_q),
-        })
+        terms = np.floor(w * self.rq[pc] / E2_WQ + 0.5).astype(np.int64)
+        return self._per_point(batch, pq, terms, pq[w > 0])
 
 
 def enhanced_two_step_fca(poi: "ray.data.Dataset", facilities: "pa.Table",
                           sigma: float = 500.0, cutoff: float = 1500.0,
                           key_col: str = "doc_id",
-                          concurrency=(1, 8),
-                          dense_max: int = DENSE_FAC_MAX) -> "ray.data.Dataset":
+                          concurrency=(1, 8)) -> "ray.data.Dataset":
     """E2SFCA (Luo & Qi 2009): 2SFCA with a Gaussian distance decay in
     BOTH steps.  ``denom = 2σ²`` is precomputed once so both engines
     divide by the identical double; weights and ratios are int64 (see
     the step classes), so every aggregate is order-exact."""
-    import ray as _ray
-
-    from ..functions.aggregates import bucket_group_reduce
-
     denom = 2.0 * float(sigma) * float(sigma)
-    # floor(x + 0.5), not np.round: np.round is ties-to-even while SQL
-    # round() is ties-away; exact .5 areas are reachable on the integer
-    # rect lattice, so both engines evaluate the identical floor(x+0.5)
-    # double expression instead (ADVICE r4).
-    sup = np.floor(
-        (facilities.column("x1").to_numpy(zero_copy_only=False)
-         - facilities.column("x0").to_numpy(zero_copy_only=False))
-        * (facilities.column("y1").to_numpy(zero_copy_only=False)
-           - facilities.column("y0").to_numpy(zero_copy_only=False))
-        + 0.5
-    ).astype(np.int64)
-    fac = pa.table({
-        "gs_id": facilities.column("gs_id"),
-        "centroid_x": facilities.column("centroid_x"),
-        "centroid_y": facilities.column("centroid_y"),
-        "supply_q": pa.array(sup),
-    })
-    ref = _ray.put(fac)
-    # bucketed combiner (see two_step_fca): O(F)-row partials per
-    # batch, 10^6 distinct gs_id keys
-    wsums = (bucket_group_reduce(
-                 poi.map_batches(
-                     E2DemandWeight,
-                     fn_constructor_kwargs=dict(fac_ref=ref, denom=denom,
-                                                cutoff=cutoff,
-                                                dense_max=dense_max),
-                     batch_format="pyarrow", zero_copy_batch=True,
-                     concurrency=concurrency, num_cpus=0.5),
-                 "gs_id", ["wsum"], ["sum"])
-             .to_pandas())
-    merged = fac.to_pandas().merge(wsums, on="gs_id", how="inner")
-    merged = merged[merged["wsum"] > 0]
-    rq = (merged["supply_q"].to_numpy(dtype=np.int64) * E2_RQ
-          // merged["wsum"].to_numpy(dtype=np.int64))
-    fac2 = pa.table({
-        "gs_id": pa.array(merged["gs_id"].to_numpy(dtype=np.int64)),
-        "centroid_x": pa.array(merged["centroid_x"].to_numpy()),
-        "centroid_y": pa.array(merged["centroid_y"].to_numpy()),
-        "rq": pa.array(rq),
-    })
-    ref2 = _ray.put(fac2)
-    return poi.map_batches(
-        E2Access,
-        fn_constructor_kwargs=dict(fac_ref=ref2, denom=denom,
-                                   cutoff=cutoff, key_col=key_col,
-                                   dense_max=dense_max),
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency, num_cpus=0.5,
-    )
+    fac = _ratio_table(poi, _supply_table(facilities), E2DemandWeight,
+                       dict(denom=denom, cutoff=cutoff), "wsum", E2_RQ,
+                       concurrency)
+    return _catchment_stage(E2Access, fac,
+                            dict(denom=denom, cutoff=cutoff,
+                                 key_col=key_col), concurrency).on(poi)

@@ -8,14 +8,15 @@ accessibility pillars imply but never ship as standalone stages:
   standard fallback when no raster covers an AoI; see e.g. the zonal
   path `/root/reference/GreenExp/availability.py:90-140` which assumes a
   gridded NDVI — IDW is what you do when you only have station
-  measurements).  Physical plan: the station table is tiny → broadcast
-  once with ``ray.put``; each batch computes an ``(n_points, n_station)``
-  squared-distance matrix in one numpy shot.  No shuffle.
+  measurements).  Physical plan: the station table is small and
+  shipped to every kernel, which indexes it in a ``GridIndex``; each
+  batch takes its (point, station) pairs within the radius from one
+  vectorized grid gather and sums per-pair terms.  No shuffle.
 
 * **Great-circle (haversine) nearest-facility** — the geodesic twin of
   ``stages/access.NearestGreenspace`` (accessibility.py:277-320) for
   lon/lat inputs where a euclidean planar distance is wrong.  Same
-  broadcast-small-side plan.
+  small-side plan, over a lon/lat grid of the facilities.
 
 Cross-engine determinism (the DuckDB gate hashes values):
 
@@ -38,6 +39,7 @@ import ray
 
 from ..functions.exchange import bucket_exchange
 from ..sidefiles import side_table
+from ..state.index import GridIndex, _ranges, _seg_argmin
 
 #: integer quantization grids for the order-independent IDW sums
 IDW_DEN_Q = 1e12
@@ -46,7 +48,7 @@ EARTH_R_KM = 6371.0
 
 
 class IDWInterpolator:
-    """map_batches actor: smoothed power-2 IDW from broadcast stations.
+    """Kernel: smoothed power-2 IDW from broadcast stations.
 
     ``stations_ref``: (ObjectRef of) a pyarrow Table with columns
     ``sx, sy, val``.  Appends per input point:
@@ -55,11 +57,13 @@ class IDWInterpolator:
     * ``idw`` — ``round(Σ w·v / Σ w, 6)`` over those stations with
       ``w = 1/(d² + 1)``, computed through the int64-quantized sums
       described in the module docstring (NULL when ``n_within == 0``).
+
+    The (point, station) pairs come from one grid gather over stations
+    in ``radius``-sized cells; the grid only prunes.
     """
 
     def __init__(self, stations_ref, radius: float,
-                 x_col: str = "x", y_col: str = "y",
-                 dense_max: int = 4096):
+                 x_col: str = "x", y_col: str = "y"):
         t = side_table(stations_ref)
         self.sx = t.column("sx").to_numpy(zero_copy_only=False).astype(np.float64)
         self.sy = t.column("sy").to_numpy(zero_copy_only=False).astype(np.float64)
@@ -67,48 +71,26 @@ class IDWInterpolator:
         self.radius = float(radius)
         self.r2 = float(radius) * float(radius)
         self.x_col, self.y_col = x_col, y_col
-        # above dense_max stations, gather candidates from a uniform
-        # grid instead of the (batch x S) dense matrices; per-pair
-        # arithmetic is identical and all sums are int64, so the two
-        # paths are bit-equal (same pattern as stages/access.py)
-        self.grid = None
-        if len(self.sx) > dense_max:
-            from ..state.index import GridIndex
-            self.grid = GridIndex(self.sx, self.sy,
-                                  cell_size=max(self.radius, 1e-9))
-
-    def _terms(self, x, y, ssel):
-        """(within, den_t, num_t) for points x,y against the station
-        subset ``ssel`` — the one shared arithmetic of both paths."""
-        dx = x[:, None] - self.sx[ssel][None, :]
-        dy = y[:, None] - self.sy[ssel][None, :]
-        d2 = dx * dx + dy * dy
-        within = d2 <= self.r2
-        w = 1.0 / (d2 + 1.0)
-        # int64-quantized terms -> order-independent exact sums
-        den_t = np.where(within, np.round(w * IDW_DEN_Q), 0.0).astype(np.int64)
-        num_t = np.where(within,
-                         np.round(w * self.val[ssel][None, :] * IDW_NUM_Q),
-                         0.0).astype(np.int64)
-        return within, den_t, num_t
+        self.grid = GridIndex(self.sx, self.sy,
+                              cell_size=max(self.radius, 1e-9))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         x = batch.column(self.x_col).to_numpy(zero_copy_only=False)
         y = batch.column(self.y_col).to_numpy(zero_copy_only=False)
-        if self.grid is None:
-            within, den_t, num_t = self._terms(x, y, slice(None))
-            den = den_t.sum(axis=1)
-            num = num_t.sum(axis=1)
-            n_within = within.sum(axis=1).astype(np.int64)
-        else:
-            den = np.zeros(len(x), dtype=np.int64)
-            num = np.zeros(len(x), dtype=np.int64)
-            n_within = np.zeros(len(x), dtype=np.int64)
-            for sel, cand in self.grid.candidate_groups(x, y, self.radius):
-                within, den_t, num_t = self._terms(x[sel], y[sel], cand)
-                den[sel] = den_t.sum(axis=1)
-                num[sel] = num_t.sum(axis=1)
-                n_within[sel] = within.sum(axis=1).astype(np.int64)
+        pq, pc = self.grid._pairs(x, y, self.radius)
+        dx = x[pq] - self.sx[pc]
+        dy = y[pq] - self.sy[pc]
+        d2 = dx * dx + dy * dy
+        hit = d2 <= self.r2
+        pq, pc, d2 = pq[hit], pc[hit], d2[hit]
+        w = 1.0 / (d2 + 1.0)
+        # int64-quantized terms -> order-independent exact sums
+        den = np.zeros(len(x), dtype=np.int64)
+        num = np.zeros(len(x), dtype=np.int64)
+        np.add.at(den, pq, np.round(w * IDW_DEN_Q).astype(np.int64))
+        np.add.at(num, pq,
+                  np.round(w * self.val[pc] * IDW_NUM_Q).astype(np.int64))
+        n_within = np.bincount(pq, minlength=len(x)).astype(np.int64)
         safe_den = np.where(den > 0, den, 1)
         # num/den = (num/1e9)/(den/1e12) = num * 1e3 / den
         idw = np.round(num * (IDW_DEN_Q / IDW_NUM_Q) / safe_den, 6)
@@ -132,128 +114,115 @@ def haversine_km(lon1, lat1, lon2, lat2):
     return 2.0 * EARTH_R_KM * np.arcsin(np.sqrt(np.minimum(a, 1.0)))
 
 
+#: degree cell of :class:`HaversineNearest`'s lon/lat facility grid
+HAVERSINE_CELL_DEG = 0.5
+
+
 class HaversineNearest:
-    """map_batches actor: nearest broadcast facility by great-circle km.
+    """Kernel: nearest broadcast facility by great-circle km.
 
     ``facilities_ref``: (ObjectRef of) a pyarrow Table with columns
     ``fid, flon, flat``.  Appends ``fid`` (nearest facility id, ties by
-    smaller id on the round-6 distance) and ``dist_km`` (round 3).
+    smaller id on the round-6 distance) and ``dist_km`` (round 3); a
+    query without finite coordinates, or with no facility at all, gets
+    fid -1 and a NaN distance.
+
+    The search runs ``GridIndex.nearest``-style passes over a lon/lat
+    grid of the facilities: every still-open query cell gathers its
+    square of cells, all cells at once, and each query takes its
+    minimum ``(round(d, 6), fid)`` over the square.  A cell is done
+    when a chord lower bound on every facility outside its square
+    clears each query's best (or the square covers every facility);
+    see :meth:`_needed`.  Lon in [-180, 180], lat in [-90, 90].
     """
 
     def __init__(self, facilities_ref, lon_col: str = "lon",
-                 lat_col: str = "lat", dense_max: int = 4096,
-                 grid_cell_deg: float = 0.5):
+                 lat_col: str = "lat"):
         t = side_table(facilities_ref)
         self.fid = t.column("fid").to_numpy(zero_copy_only=False).astype(np.int64)
         self.flon = t.column("flon").to_numpy(zero_copy_only=False).astype(np.float64)
         self.flat = t.column("flat").to_numpy(zero_copy_only=False).astype(np.float64)
-        # ties on the quantized distance break by ascending fid: presort
+        # ties on the quantized distance break by ascending fid: presort,
+        # so the lowest facility row among ties has the smallest fid
         order = np.argsort(self.fid, kind="stable")
         self.fid = self.fid[order]
         self.flon = self.flon[order]
         self.flat = self.flat[order]
         self.lon_col, self.lat_col = lon_col, lat_col
-        # scale path: degree-space grid + ring expansion.  Partitioning
-        # assumptions (documented): lon in [-180, 180] with no
-        # antimeridian-wrapping neighbour pairs, |lat| < 89.9.  The
-        # ring lower bound is the chord bound in _grid_nearest, which
-        # needs cos(max facility |lat|).
-        self.grid = None
-        if len(self.fid) > dense_max:
-            from ..state.index import GridIndex
-            self.cs_deg = float(grid_cell_deg)
-            self.grid = GridIndex(self.flon, self.flat,
-                                  cell_size=self.cs_deg)
-            self.cos_lat_max = np.cos(np.radians(
-                min(89.9, float(np.abs(self.flat).max(initial=0.0)))))
+        self.grid = GridIndex(self.flon, self.flat,
+                              cell_size=HAVERSINE_CELL_DEG)
+        self.cos_lat_max = np.cos(np.radians(
+            min(89.9, float(np.abs(self.flat).max(initial=0.0)))))
+        self.lon_lo = float(self.flon.min(initial=0.0))
+        self.lon_hi = float(self.flon.max(initial=0.0))
 
-    def _dense(self, lon, lat):
-        d = haversine_km(lon[:, None], lat[:, None],
-                         self.flon[None, :], self.flat[None, :])
-        dq = np.round(d, 6)
-        # argmin on the quantized distance; fids ascending -> first min
-        # is the smallest fid among round-6 ties (matches the SQL
-        # row_number ORDER BY round(d,6), fid)
-        idx = np.argmin(dq, axis=1)
-        rows = np.arange(len(idx))
-        return self.fid[idx], d[rows, idx]
+    def _needed(self, lon, lat, dq):
+        """Per query: the smallest square radius (cells) that settles
+        its best round-6 distance ``dq``, or -1 if none can.
 
-    def _grid_nearest(self, lon, lat):
-        """Ring-expanding exact nearest by great-circle distance: the
-        grid only prunes (conservative km lower bound per unexplored
-        ring, including a 2e-6 slack for the round-6 tie rule); the
-        metric and (dq, fid) ordering are identical to the dense
-        path."""
-        g = self.grid
-        n = len(lon)
-        best_dq = np.full(n, np.inf)
-        best_draw = np.full(n, np.inf)
-        best_fid = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        qix = np.floor(lon / self.cs_deg).astype(np.int64)
-        qiy = np.floor(lat / self.cs_deg).astype(np.int64)
-        gkey = qix * (1 << 32) + qiy
-        order = np.argsort(gkey, kind="stable")
-        uq, starts = np.unique(gkey[order], return_index=True)
-        bounds = np.concatenate([starts, [n]])
-        for gidx in range(len(uq)):
-            sel = order[bounds[gidx]:bounds[gidx + 1]]
-            bix, biy = int(qix[sel[0]]), int(qiy[sel[0]])
-            glon, glat = lon[sel], lat[sel]
-            # sqrt(cos(query lat) * cos(max facility |lat|)), per query
-            cos_pair = np.sqrt(np.maximum(np.cos(np.radians(glat)), 0.0)
-                               * self.cos_lat_max)
-            bdq = best_dq[sel]
-            bdr = best_draw[sel]
-            bfid = best_fid[sel]
-            ring_cap = max(
-                2,
-                max(abs(bix - g._ix_lo), abs(bix - g._ix_hi)),
-                max(abs(biy - g._iy_lo), abs(biy - g._iy_hi)),
-            )
-            ring = g._ring_start(bix, biy)
-            while True:
-                cand = g._ring_indices(bix, biy, ring)
-                if len(cand):
-                    cand = np.sort(cand)  # fid-sorted arrays -> fid asc
-                    d = haversine_km(glon[:, None], glat[:, None],
-                                     self.flon[cand][None, :],
-                                     self.flat[cand][None, :])
-                    dq = np.round(d, 6)
-                    j = np.argmin(dq, axis=1)  # first min = lowest fid
-                    rows = np.arange(len(sel))
-                    cdq = dq[rows, j]
-                    cfid = self.fid[cand[j]]
-                    upd = (cdq < bdq) | ((cdq == bdq) & (cfid < bfid))
-                    bdq[upd] = cdq[upd]
-                    bdr[upd] = d[rows, j][upd]
-                    bfid[upd] = cfid[upd]
-                # cells beyond this ring are >= sep = ring*cs degrees
-                # away in lat or lon.  With haversine term a, the
-                # distance is 2R·asin(sqrt(a)) >= 2R·sqrt(a) (a chord),
-                # and a >= sin²(Δφ/2) for a lat separation, a >=
-                # cosφq·cosφf·sin²(Δλ/2) for a lon separation.  So
-                # 2R·sqrt(cosφq·cos(lat_max))·sin(sep/2) bounds both
-                # (cosφf >= cos(lat_max); the factor is <= 1), whatever
-                # the query's latitude; 2e-6 is the round-6 tie slack
-                sep = np.radians(min(ring * self.cs_deg, 180.0))
-                lower_next = (2.0 * EARTH_R_KM * cos_pair
-                              * np.sin(sep / 2.0))
-                done = np.isfinite(bdq) & (bdq + 2e-6 <= lower_next)
-                if done.all() or ring > ring_cap + 1:
-                    break
-                ring += 1
-            best_dq[sel] = bdq
-            best_draw[sel] = bdr
-            best_fid[sel] = bfid
-        return best_fid, best_draw
+        A facility outside a square of ``R`` cells is more than
+        ``sep = R·cs`` degrees away in lat or lon.  With haversine term
+        a, the distance is 2E·asin(sqrt(a)) >= 2E·sqrt(a) (a chord), and
+        a >= sin²(Δφ/2) for a lat separation, a >= cosφq·cosφf·sin²(Δλ/2)
+        for a lon separation.  So 2E·sqrt(cosφq·cos(lat_max))·sin(sep/2)
+        bounds both (cosφf >= cos(lat_max); the factor is <= 1).  Across
+        the antimeridian a lon separation is only ``360 - D`` degrees,
+        D the query's widest lon gap to the facility extent, so sep
+        is capped there (and at 180).  2e-6 is the round-6 tie slack."""
+        cos_pair = np.sqrt(np.maximum(np.cos(np.radians(lat)), 0.0)
+                           * self.cos_lat_max)
+        wrap = 360.0 - np.maximum(np.abs(lon - self.lon_lo),
+                                  np.abs(lon - self.lon_hi))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (dq + 2e-6) / (2.0 * EARTH_R_KM * cos_pair)
+        reach = np.sin(np.radians(np.minimum(wrap, 180.0)) / 2.0)
+        ok = np.isfinite(t) & (t <= reach)
+        need = np.full(len(dq), -1, dtype=np.int64)
+        sep = 2.0 * np.degrees(np.arcsin(t[ok]))
+        # the 1e-9-cell slack absorbs float rounding in cell assignment
+        need[ok] = np.floor(sep / HAVERSINE_CELL_DEG + 1e-9).astype(np.int64) + 1
+        return need
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = batch.column(self.lon_col).to_numpy(zero_copy_only=False)
-        lat = batch.column(self.lat_col).to_numpy(zero_copy_only=False)
-        if self.grid is None:
-            fid, draw = self._dense(lon, lat)
-        else:
-            fid, draw = self._grid_nearest(lon, lat)
+        lon = batch.column(self.lon_col).to_numpy(
+            zero_copy_only=False).astype(np.float64)
+        lat = batch.column(self.lat_col).to_numpy(
+            zero_copy_only=False).astype(np.float64)
+        best = np.full(len(lon), -1, dtype=np.int64)
+        ok = np.flatnonzero(np.isfinite(lon) & np.isfinite(lat))
+        g = self.grid
+        if len(ok) and len(self.fid):
+            order, starts, nq, cx, cy = g._cells(lon[ok], lat[ok])
+            order = ok[order]
+            gap, cap = g._reach(cx, cy)
+            radius = np.minimum(gap + 1, cap)
+            active = np.arange(len(starts))
+            while len(active):
+                r = radius[active]
+                nqa = nq[active]
+                qsel = order[_ranges(starts[active], nqa)]
+                pq, pc, qn = g._square_pairs(qsel, nqa, cx[active],
+                                             cy[active], r)
+                d = haversine_km(lon[pq], lat[pq],
+                                 self.flon[pc], self.flat[pc])
+                dq, best[qsel] = _seg_argmin(np.round(d, 6), pc, qn)
+                need = self._needed(lon[qsel], lat[qsel], dq)
+                first = np.cumsum(nqa) - nqa
+                need_cell = np.maximum.reduceat(need, first)
+                unsettled = np.minimum.reduceat(need, first) < 0
+                found = qn[first] > 0
+                done = (r >= cap[active]) | (found & ~unsettled
+                                             & (need_cell <= r))
+                grow = np.where(~found, 2 * r,
+                                np.where(unsettled, cap[active],
+                                         np.maximum(need_cell, r + 1)))
+                radius[active] = np.minimum(grow, cap[active])
+                active = active[~done]
+        hit = best >= 0
+        draw = np.full(len(lon), np.nan)
+        draw[hit] = haversine_km(lon[hit], lat[hit], self.flon[best[hit]],
+                                 self.flat[best[hit]])
+        fid = np.where(hit, self.fid[np.maximum(best, 0)], -1)
         return (batch.append_column("fid", pa.array(fid))
                 .append_column("dist_km",
                                pa.array(np.round(draw, 3),

@@ -296,22 +296,14 @@ class SamplePointsViewshedPolygon(SamplePointsViewshed):
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from .. import geom as _geom
-        from .zonal import split_rings
+        from .zonal import batch_rings
 
-        rx = batch.column("ring_x").to_pylist()
-        ry = batch.column("ring_y").to_pylist()
-        sizes = (batch.column("ring_sizes").to_pylist()
-                 if "ring_sizes" in batch.column_names
-                 else [None] * len(rx))
         keys = batch.column(self.key_col)
-        if not len(rx):
-            return self._empty(keys)
         all_qi, all_pj = [], []
-        for i in range(len(rx)):
-            ring = np.column_stack([np.asarray(rx[i], np.float64),
-                                    np.asarray(ry[i], np.float64)])
-            rings = split_rings(ring, sizes[i])
-            bx0, by0, bx1, by1 = _geom.rings_bbox(ring)
+        for i, rings in enumerate(batch_rings(batch)):
+            if not rings:
+                continue
+            bx0, by0, bx1, by1 = _geom.rings_bbox(np.concatenate(rings))
             cx, cy = (bx0 + bx1) / 2.0, (by0 + by1) / 2.0
             rad = (np.hypot(bx1 - cx, by1 - cy) + self.buffer_dist
                    + self.margin)
@@ -715,19 +707,13 @@ class StreetviewPoI:
         """(row, point) pairs: the points inside each row's ring bbox
         grown by ``buffer_dist``, refined by the dilated-polygon test."""
         from .. import geom as _geom
-        from .zonal import split_rings
+        from .zonal import batch_rings
 
-        rx = batch.column("ring_x").to_pylist()
-        ry = batch.column("ring_y").to_pylist()
-        sizes = (batch.column("ring_sizes").to_pylist()
-                 if "ring_sizes" in batch.column_names else [None] * len(rx))
-        rings, box = [], np.full((len(rx), 4), np.nan)
-        for i in range(len(rx)):
-            ring = np.column_stack([np.asarray(rx[i] or [], np.float64),
-                                    np.asarray(ry[i] or [], np.float64)])
-            rings.append(split_rings(ring, sizes[i]))
-            if len(ring):
-                box[i] = _geom.rings_bbox(ring)
+        rings = batch_rings(batch)
+        box = np.full((len(rings), 4), np.nan)
+        for i, row in enumerate(rings):
+            if row:
+                box[i] = _geom.rings_bbox(np.concatenate(row))
         d = self.buffer_dist
         qi, pj = self.index.in_boxes(box[:, 0] - d, box[:, 1] - d,
                                      box[:, 2] + d, box[:, 3] + d)
@@ -749,8 +735,6 @@ class StreetviewPoI:
                 batch.column("x").to_numpy(zero_copy_only=False),
                 batch.column("y").to_numpy(zero_copy_only=False),
                 self.buffer_dist)
-            order = np.argsort(qi, kind="stable")
-            qi, pj = qi[order], pj[order]
         # nearest image once per distinct point, GVI once per distinct
         # image and kernel (the miss "" scores NaN)
         upt, inv = np.unique(pj, return_inverse=True)

@@ -1,14 +1,16 @@
-"""Cell-bucketed spatial indexes held inside map_batches actors.
+"""Cell-bucketed spatial indexes built once per kernel.
 
 Replaces the reference's ad-hoc ``scipy.cKDTree`` builds per call
 (`/root/reference/GreenExp/accessibility.py:281`, `visibility.py:706`)
-with a grid-hash index built ONCE per actor in ``__init__`` from a
-broadcast side table (``ray.put`` once on the driver, read per actor).
-Queries are exact: ``nearest`` widens every query cell's candidate
-square, all cells in one vectorized pass at a time, until no closer
-point can lie outside it; ``in_boxes`` gathers each box's cells the
-same way; ``within`` / ``candidate_groups`` walk the Chebyshev rings a
-radius reaches.
+with a grid-hash index a kernel builds in ``__init__`` from its side
+table, once per worker process.  Every query reads one vectorized
+candidate gather, ``GridIndex._box_candidates`` (the points in a box of
+grid cells, for many boxes at once): ``nearest`` widens every query
+cell's square, all cells in one pass at a time, until no closer point
+can lie outside it; ``in_boxes`` gathers each box's cells; ``within``
+and the broadcast-facility kernels take the (query, point) pairs of
+each query cell's square a radius reaches (``_pairs``) and filter
+them with their own arithmetic.  No query loops over cells in Python.
 """
 
 from __future__ import annotations
@@ -20,6 +22,20 @@ def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(start[k], start[k] + length[k])``."""
     seg = np.cumsum(length) - length
     return np.arange(int(length.sum())) + np.repeat(start - seg, length)
+
+
+def _seg_argmin(v: np.ndarray, pc: np.ndarray, qn: np.ndarray):
+    """Per run of ``qn`` pairs: the least ``v`` and the least point
+    index ``pc`` that attains it; an empty run gets (inf, -1)."""
+    vmin = np.full(len(qn), np.inf)
+    imin = np.full(len(qn), -1, dtype=np.int64)
+    has = qn > 0
+    if has.any():
+        seg = (np.cumsum(qn) - qn)[has]
+        vmin[has] = np.minimum.reduceat(v, seg)
+        tie = np.where(v == np.repeat(vmin, qn), pc, np.iinfo(np.int64).max)
+        imin[has] = np.minimum.reduceat(tie, seg)
+    return vmin, imin
 
 
 class GridIndex:
@@ -54,52 +70,14 @@ class GridIndex:
         # populated grid columns, sorted: nearest() searches buckets per
         # (query cell, populated column)
         self._cols = np.unique(six)
-        # populated bucket extent — bounds ring expansion for unlimited
-        # nearest() queries (an empty index would otherwise expand to the
-        # global cap per query group: an effective hang)
+        # populated bucket extent — bounds the square growth of
+        # unlimited nearest() queries (an empty index would otherwise
+        # grow to the global cap per query group: an effective hang)
         if len(self.x):
             self._ix_lo, self._ix_hi = int(ix.min()), int(ix.max())
             self._iy_lo, self._iy_hi = int(iy.min()), int(iy.max())
         else:
             self._ix_lo = self._ix_hi = self._iy_lo = self._iy_hi = 0
-
-    def _bucket(self, bix: int, biy: int) -> np.ndarray:
-        """Original-array indices of points in grid bucket (bix, biy)."""
-        key = bix * (1 << 32) + biy
-        j = np.searchsorted(self._bucket_key, key)
-        if j >= len(self._bucket_key) or self._bucket_key[j] != key:
-            return np.empty(0, dtype=np.int64)
-        return self._order[self._bucket_start[j] : self._bucket_start[j + 1]]
-
-    def _ring_indices(self, bix: int, biy: int, ring: int) -> np.ndarray:
-        """Points in the Chebyshev ring at distance ``ring`` from the
-        query cell, clipped to the populated bucket extent (so a distant
-        query against a small index probes O(extent) cells per ring, not
-        O(ring))."""
-        if ring == 0:
-            return self._bucket(bix, biy)
-        cells = []
-        x0, x1 = bix - ring, bix + ring
-        y0, y1 = biy - ring, biy + ring
-        for yy in {y0, y1}:
-            if self._iy_lo <= yy <= self._iy_hi:
-                for xx in range(max(x0, self._ix_lo), min(x1, self._ix_hi) + 1):
-                    cells.append((xx, yy))
-        for xx in {x0, x1}:
-            if self._ix_lo <= xx <= self._ix_hi:
-                for yy in range(max(y0 + 1, self._iy_lo),
-                                min(y1 - 1, self._iy_hi) + 1):
-                    cells.append((xx, yy))
-        parts = [self._bucket(x, y) for x, y in cells]
-        parts = [p for p in parts if len(p)]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-    def _ring_start(self, bix: int, biy: int) -> int:
-        """Chebyshev distance from a query cell to the populated extent
-        box — rings below this are empty by construction."""
-        dx = max(self._ix_lo - bix, 0, bix - self._ix_hi)
-        dy = max(self._iy_lo - biy, 0, biy - self._iy_hi)
-        return max(dx, dy)
 
     def nearest(self, qx: np.ndarray, qy: np.ndarray, max_dist: float | None = None):
         """Exact 1-NN for each query point.
@@ -133,56 +111,33 @@ class GridIndex:
             # decodes to NaN) has no cell: it stays a miss
             best_d[ok], best_i[ok] = self.nearest(qx[ok], qy[ok], max_dist)
             return best_d, best_i
-        qix = np.floor(qx / self.cs).astype(np.int64)
-        qiy = np.floor(qy / self.cs).astype(np.int64)
-        gkey = qix * (1 << 32) + qiy
-        order = np.argsort(gkey, kind="stable")
-        _, starts = np.unique(gkey[order], return_index=True)
-        nq = np.diff(np.append(starts, n))
-        cx, cy = qix[order[starts]], qiy[order[starts]]
-        # Chebyshev distance to the populated extent (rings below it are
-        # empty) and the radius whose square covers all of it
-        gap = np.maximum(np.maximum(self._ix_lo - cx, cx - self._ix_hi),
-                         np.maximum(self._iy_lo - cy, cy - self._iy_hi))
-        cover = np.maximum(
-            np.maximum(np.abs(cx - self._ix_lo), np.abs(cx - self._ix_hi)),
-            np.maximum(np.abs(cy - self._iy_lo), np.abs(cy - self._iy_hi)))
-        cap = cover
+        order, starts, nq, cx, cy = self._cells(qx, qy)
+        gap, cap = self._reach(cx, cy)
         if max_dist is not None:
-            # rings past ceil(max_dist/cs)+1 are beyond max_dist
-            cap = np.minimum(cover, int(np.ceil(max_dist / self.cs)) + 1)
-        radius = np.minimum(np.maximum(gap, 0) + 1, cap)
+            # squares past ceil(max_dist/cs)+1 are beyond max_dist
+            cap = np.minimum(cap, int(np.ceil(max_dist / self.cs)) + 1)
+        radius = np.minimum(gap + 1, cap)
         active = np.arange(len(starts))
         while len(active):
             r = radius[active]
-            acx, acy = cx[active], cy[active]
-            counts, cand = self._box_candidates(acx - r, acy - r,
-                                                acx + r, acy + r)
-            # (query, candidate) pairs: each query against its cell's square
             nqa = nq[active]
             qsel = order[_ranges(starts[active], nqa)]
-            qcell = np.repeat(np.arange(len(active)), nqa)
-            qn = counts[qcell]
-            pc = cand[_ranges((np.cumsum(counts) - counts)[qcell], qn)]
-            pq = np.repeat(qsel, qn)
+            pq, pc, qn = self._square_pairs(qsel, nqa, cx[active],
+                                            cy[active], r)
             dx = qx[pq] - self.x[pc]
             dy = qy[pq] - self.y[pc]
-            d = np.sqrt(dx * dx + dy * dy)
-            has = qn > 0
-            dq = np.full(len(qsel), np.inf)
-            need = np.zeros(len(qsel), dtype=np.int64)
-            if has.any():
-                seg = (np.cumsum(qn) - qn)[has]
-                dq[has] = np.minimum.reduceat(d, seg)
-                tie = np.where(d == np.repeat(dq, qn), pc, len(self.x))
-                best_i[qsel[has]] = np.minimum.reduceat(tie, seg)
-                # smallest R with d < R*cs; the 1e-9-cell slack absorbs
-                # float rounding in the cell assignment of the points
-                need[has] = np.floor(dq[has] / self.cs + 1e-9).astype(np.int64) + 1
+            dq, best_i[qsel] = _seg_argmin(np.sqrt(dx * dx + dy * dy), pc, qn)
             best_d[qsel] = dq
-            need_cell = np.maximum.reduceat(need, np.cumsum(nqa) - nqa)
-            done = (r >= cap[active]) | ((counts > 0) & (need_cell <= r))
-            grow = np.where(counts > 0, np.maximum(need_cell, r + 1), 2 * r)
+            has = qn > 0
+            need = np.zeros(len(qsel), dtype=np.int64)
+            # smallest R with d < R*cs; the 1e-9-cell slack absorbs
+            # float rounding in the cell assignment of the points
+            need[has] = np.floor(dq[has] / self.cs + 1e-9).astype(np.int64) + 1
+            first = np.cumsum(nqa) - nqa
+            need_cell = np.maximum.reduceat(need, first)
+            found = has[first]
+            done = (r >= cap[active]) | (found & (need_cell <= r))
+            grow = np.where(found, np.maximum(need_cell, r + 1), 2 * r)
             radius[active] = np.minimum(grow, cap[active])
             active = active[~done]
         if max_dist is not None:
@@ -190,6 +145,53 @@ class GridIndex:
             best_d[miss] = np.inf
             best_i[miss] = -1
         return best_d, best_i
+
+    def _cells(self, qx: np.ndarray, qy: np.ndarray):
+        """Finite queries grouped by grid cell: (query order, group
+        starts in that order, queries per group, cell ix, cell iy)."""
+        qix = np.floor(qx / self.cs).astype(np.int64)
+        qiy = np.floor(qy / self.cs).astype(np.int64)
+        gkey = qix * (1 << 32) + qiy
+        order = np.argsort(gkey, kind="stable")
+        _, starts = np.unique(gkey[order], return_index=True)
+        nq = np.diff(np.append(starts, len(qx)))
+        return order, starts, nq, qix[order[starts]], qiy[order[starts]]
+
+    def _reach(self, cx: np.ndarray, cy: np.ndarray):
+        """Per query cell: the Chebyshev distance to the populated
+        extent (smaller squares are empty) and the square radius that
+        covers all of it."""
+        gap = np.maximum(np.maximum(self._ix_lo - cx, cx - self._ix_hi),
+                         np.maximum(self._iy_lo - cy, cy - self._iy_hi))
+        cover = np.maximum(
+            np.maximum(np.abs(cx - self._ix_lo), np.abs(cx - self._ix_hi)),
+            np.maximum(np.abs(cy - self._iy_lo), np.abs(cy - self._iy_hi)))
+        return np.maximum(gap, 0), cover
+
+    def _square_pairs(self, qsel: np.ndarray, nq: np.ndarray,
+                      cx: np.ndarray, cy: np.ndarray, r):
+        """(query, point) pairs of each cell's queries (``qsel``, ``nq``
+        per cell) against every indexed point in the cell's square of
+        ``r`` cells around it, grouped by query, plus the candidates per
+        query."""
+        counts, cand = self._box_candidates(cx - r, cy - r, cx + r, cy + r)
+        qn = counts[np.repeat(np.arange(len(cx)), nq)]
+        pc = cand[_ranges(np.repeat(np.cumsum(counts) - counts, nq), qn)]
+        return np.repeat(qsel, qn), pc, qn
+
+    def _pairs(self, qx: np.ndarray, qy: np.ndarray, radius: float):
+        """(query, point) candidate pairs: each finite query against
+        every indexed point in its cell's square of ``ceil(radius/cs) +
+        1`` cells, grouped by query cell, in one vectorized gather.  A
+        superset of the radius ball: the caller filters the pairs with
+        its own arithmetic."""
+        ok = np.flatnonzero(np.isfinite(qx) & np.isfinite(qy))
+        if not len(ok) or not len(self.x):
+            return np.empty(0, np.int64), np.empty(0, np.int64)
+        order, starts, nq, cx, cy = self._cells(qx[ok], qy[ok])
+        r = int(np.ceil(radius / self.cs)) + 1
+        pq, pc, _ = self._square_pairs(ok[order], nq, cx, cy, r)
+        return pq, pc
 
     def _box_candidates(self, x0: np.ndarray, y0: np.ndarray,
                         x1: np.ndarray, y1: np.ndarray):
@@ -214,76 +216,20 @@ class GridIndex:
         counts = np.bincount(pair, weights=npts, minlength=len(x0))
         return counts.astype(np.int64), self._order[_ranges(p_lo, npts)]
 
-    def candidate_groups(self, qx: np.ndarray, qy: np.ndarray,
-                         radius: float):
-        """Yield ``(query_indices, candidate_point_indices)`` per
-        occupied query cell; candidates are every indexed point within
-        ``ceil(radius/cs) + 1`` Chebyshev rings — a strict SUPERSET of
-        the radius ball, so the caller applies its own metric/filter
-        with its own arithmetic (the grid only prunes, it never
-        decides).  This is the scale path for broadcast-facility
-        stages: per-batch work drops from O(points x F) dense to
-        O(points x local candidates)."""
-        qx = np.asarray(qx, dtype=np.float64)
-        qy = np.asarray(qy, dtype=np.float64)
-        if not len(qx) or not len(self.x):
-            return
-        rings = int(np.ceil(radius / self.cs)) + 1
-        qix = np.floor(qx / self.cs).astype(np.int64)
-        qiy = np.floor(qy / self.cs).astype(np.int64)
-        gkey = qix * (1 << 32) + qiy
-        order = np.argsort(gkey, kind="stable")
-        uq, starts = np.unique(gkey[order], return_index=True)
-        bounds = np.concatenate([starts, [len(qx)]])
-        for g in range(len(uq)):
-            sel = order[bounds[g] : bounds[g + 1]]
-            bix = int(qix[sel[0]])
-            biy = int(qiy[sel[0]])
-            parts = [self._ring_indices(bix, biy, r)
-                     for r in range(rings + 1)]
-            parts = [p for p in parts if len(p)]
-            if not parts:
-                continue
-            yield sel, np.concatenate(parts)
-
     def within(self, qx: np.ndarray, qy: np.ndarray, radius: float):
         """All index points within ``radius`` of each query point.
-        Returns (query_local_index, point_index, dist) flat arrays; a
-        query with a NaN or infinite coordinate matches nothing."""
+        Returns (query_local_index, point_index, dist) flat arrays,
+        sorted by (query, point); a query with a NaN or infinite
+        coordinate matches nothing."""
         qx = np.asarray(qx, dtype=np.float64)
         qy = np.asarray(qy, dtype=np.float64)
-        ok = np.isfinite(qx) & np.isfinite(qy)
-        if not ok.all():
-            # no cell for a query without coordinates (see nearest)
-            qi, pj, d = self.within(qx[ok], qy[ok], radius)
-            return np.flatnonzero(ok)[qi], pj, d
-        rings = int(np.ceil(radius / self.cs)) + 1
-        out_q, out_p, out_d = [], [], []
-        qix = np.floor(qx / self.cs).astype(np.int64)
-        qiy = np.floor(qy / self.cs).astype(np.int64)
-        gkey = qix * (1 << 32) + qiy
-        order = np.argsort(gkey, kind="stable")
-        uq, starts = np.unique(gkey[order], return_index=True)
-        bounds = np.concatenate([starts, [len(qx)]])
-        for g in range(len(uq)):
-            sel = order[bounds[g] : bounds[g + 1]]
-            bix = int(qix[sel[0]])
-            biy = int(qiy[sel[0]])
-            cand = np.concatenate(
-                [self._ring_indices(bix, biy, r) for r in range(rings + 1)]
-            ) if rings >= 0 else np.empty(0, np.int64)
-            if not len(cand):
-                continue
-            dx = qx[sel][:, None] - self.x[cand][None, :]
-            dy = qy[sel][:, None] - self.y[cand][None, :]
-            d = np.sqrt(dx * dx + dy * dy)
-            qi, pj = np.nonzero(d <= radius)
-            out_q.append(sel[qi])
-            out_p.append(cand[pj])
-            out_d.append(d[qi, pj])
-        if not out_q:
-            return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-        return np.concatenate(out_q), np.concatenate(out_p), np.concatenate(out_d)
+        pq, pc = self._pairs(qx, qy, radius)
+        dx = qx[pq] - self.x[pc]
+        dy = qy[pq] - self.y[pc]
+        d = np.sqrt(dx * dx + dy * dy)
+        hit = np.flatnonzero(d <= radius)
+        hit = hit[np.lexsort((pc[hit], pq[hit]))]
+        return pq[hit], pc[hit], d[hit]
 
     def in_boxes(self, x0: np.ndarray, y0: np.ndarray,
                  x1: np.ndarray, y1: np.ndarray):

@@ -62,6 +62,21 @@ def test_grid_index_within_matches_bruteforce():
     assert got == {(int(a), int(b)) for a, b in exp}
 
 
+def test_grid_index_within_sorted_by_query_then_point():
+    """within() returns its pairs sorted by (query, point), whatever the
+    order of the query cells, with the distances of those pairs."""
+    px = np.array([900.0, 10.0, 450.0, 20.0, 880.0, 30.0])
+    py = np.array([900.0, 10.0, 450.0, 25.0, 910.0, 5.0])
+    qx = np.array([890.0, 15.0, 460.0, 12.0])
+    qy = np.array([905.0, 12.0, 440.0, 30.0])
+    qi, pj, d = GridIndex(px, py, cell_size=100.0).within(qx, qy, 50.0)
+    assert list(zip(qi.tolist(), pj.tolist())) == [
+        (0, 0), (0, 4), (1, 1), (1, 3), (1, 5), (2, 2), (3, 1), (3, 3),
+        (3, 5)]
+    dx, dy = qx[qi] - px[pj], qy[qi] - py[pj]
+    assert np.array_equal(d, np.sqrt(dx * dx + dy * dy))
+
+
 def test_grid_index_within_skips_queries_without_coordinates():
     """A NaN or infinite query (a document with no geom span) matches
     nothing; the finite queries of the same batch keep their matches
@@ -357,17 +372,14 @@ def test_grid_index_nearest_max_dist(max_dist):
         assert (d[~miss] <= max_dist).all()
 
 
-def test_grid_index_nearest_runs_no_per_cell_ring_loop(monkeypatch):
-    """nearest() answers without the per-cell bucket/ring helpers."""
-    def boom(*args, **kwargs):
-        raise AssertionError("per-cell helper called")
-
+def test_grid_index_nearest_runs_no_per_cell_ring_loop():
+    """nearest() is exact without any per-cell bucket/ring helper:
+    GridIndex has one candidate gather and none of those helpers."""
     rng = np.random.default_rng(10)
     px, py = rng.uniform(0, 5000, 100), rng.uniform(0, 5000, 100)
     qx, qy = rng.uniform(-500, 5500, 400), rng.uniform(-500, 5500, 400)
-    idx = GridIndex(px, py, cell_size=300.0)
-    monkeypatch.setattr(GridIndex, "_bucket", boom)
-    monkeypatch.setattr(GridIndex, "_ring_indices", boom)
-    d, i = idx.nearest(qx, qy)
+    assert [name for name in vars(GridIndex)
+            if "ring" in name or "bucket" in name or "group" in name] == []
+    d, i = GridIndex(px, py, cell_size=300.0).nearest(qx, qy)
     exp_d, exp_i = _bruteforce_nearest(px, py, qx, qy)
     assert np.array_equal(d, exp_d) and np.array_equal(i, exp_i)

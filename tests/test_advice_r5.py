@@ -54,11 +54,12 @@ def test_e2sfca_step2_tie_rounds_like_sql():
         "rq": pa.array(np.array([1_250_000], dtype=np.int64)),
     })
     acc = E2Access(fac, denom=denom, cutoff=10_000.0)
+    batch = pa.table({"doc_id": pa.array(["d0"]),
+                      "x": pa.array([dx]), "y": pa.array([0.0])})
     # guard: the constructed weight really is the knife-edge 2
-    w = acc._weights(np.array([dx]), np.array([0.0]))
-    assert w[0, 0] == 2
-    out = acc(pa.table({"doc_id": pa.array(["d0"]),
-                        "x": pa.array([dx]), "y": pa.array([0.0])}))
+    _, _, w = acc._weights(batch)
+    assert w.tolist() == [2]
+    out = acc(batch)
     assert out.column("access_q").to_pylist() == [3]
     assert duckdb.sql(
         "SELECT CAST(floor(2.0 * 1250000.0 / 1000000.0 + 0.5) "
