@@ -35,9 +35,9 @@ __all__ = list(_API_NAMES) + ["cells", "geom", "geoproj"]
 
 def __getattr__(name):  # PEP 562 lazy exports
     # Eagerly importing .api here pulls ray.data + pandas into EVERY
-    # process that unpickles a stage class (each actor of every pool
-    # pays ~0.8 s of import before its first batch — measured as the
-    # dominant share of actor-pool ramp at 32 CPUs).  Submodules and
+    # process that unpickles a stage class (each worker pays ~0.8 s of
+    # import before its first batch — measured as the dominant share
+    # of the stage ramp at 32 CPUs).  Submodules and
     # the reference-API functions resolve lazily instead.
     if name in _API_NAMES:
         from . import api

@@ -12,12 +12,14 @@ documents:
   Row count and key column are checked per batch, so a kernel that drops
   or reorders rows raises instead of losing documents.  Each kernel's
   stage is defined once as a ``KernelStage`` (class, constructor kwargs,
-  task wiring) that runs either here, on the documents, or over decoded
-  PoI rows (``KernelStage.on``).  Both run the same task function,
-  which keeps the last kernel it built in its worker process, keyed by
-  class and constructor kwargs (paths stamped with their files' mtime
-  and size): the next call of the same stage reuses that kernel's tile
-  cache, SAT tables and indexes instead of building them again.
+  task wiring) that runs either here, on the documents, or over any
+  other dataset (``KernelStage.on``: decoded PoI rows, gate tables);
+  every stateful stage of the package is one.  Both run the same task
+  function, which keeps the last kernel it built in its worker process,
+  keyed by class and constructor kwargs (paths stamped with their
+  files' mtime and size): the next call of the same stage reuses that
+  kernel's tile cache, SAT tables and indexes instead of building them
+  again.
 * ``bucket_join_attach`` — every keyed join (inner / left outer attach,
   semi, anti) as one :func:`~.exchange.bucket_exchange`: tag each side
   with ``__side``, align schemas with typed null columns, ``union`` →
@@ -51,7 +53,7 @@ from .exchange import bucket_exchange
 def cluster_cpus(default: int = 8) -> int:
     """Logical CPUs of the current Ray cluster (``default`` when Ray is
     not initialised / unreachable) — the one shared detection point for
-    every pool-sizing heuristic."""
+    every width-derived value (bucket and block counts)."""
     try:
         return int(ray.cluster_resources().get("CPU", default))
     except Exception:
@@ -247,16 +249,16 @@ def _freeze(v):
 
 
 class KernelStage(NamedTuple):
-    """The one definition of a one-row-per-PoI kernel's stage: its
+    """The one definition of a stateful per-batch stage: its kernel
     class, constructor kwargs and ``map_batches`` wiring (batch size,
-    CPUs, ``concurrency`` — at most that many kernel tasks at once; a
-    ``(min, max)`` pool spec caps at its max; none by default: a task
-    gives its CPU back when it ends, so unlike a fixed actor pool
-    it cannot starve its feed).  Both callers run
-    :func:`_run_kernel` tasks: :meth:`on` over decoded PoI rows (the
-    metric-table pipelines), :func:`append_metrics` on raw documents
-    (the span-preserving API).  The kernel cache key (:attr:`key`) is
-    computed once here, in the calling process."""
+    CPUs, ``concurrency`` — at most that many kernel tasks at once, none
+    by default: a task gives its CPU back when it ends, so it cannot
+    starve its feed; ``batch_format`` and ``zero_copy_batch`` override
+    the zero-copy pyarrow defaults).  Both callers run
+    :func:`_run_kernel` tasks: :meth:`on` over any dataset (the
+    metric-table pipelines and every other stage), :func:`append_metrics`
+    on raw documents (the span-preserving API).  The kernel cache key
+    (:attr:`key`) is computed once here, in the calling process."""
 
     cls: type
     kwargs: dict
@@ -268,10 +270,9 @@ class KernelStage(NamedTuple):
         return (self.cls, _freeze(self.kwargs))
 
     def _map(self, ds: "ray.data.Dataset", append=None) -> "ray.data.Dataset":
-        kw = dict(self.map_kwargs)
+        kw = {"batch_format": "pyarrow", "zero_copy_batch": True,
+              **self.map_kwargs}
         conc = kw.pop("concurrency", None)
-        if isinstance(conc, tuple):
-            conc = conc[-1]
         if conc is not None:
             # Ray warns of a cap above the operator's inputs: in-memory
             # data's block count is known up front, a read's is not
@@ -283,8 +284,7 @@ class KernelStage(NamedTuple):
             _run_kernel,
             fn_kwargs=dict(cls=self.cls, kwargs=self.kwargs, key=self.key,
                            append=append),
-            batch_format="pyarrow", zero_copy_batch=True, concurrency=conc,
-            **kw)
+            concurrency=conc, **kw)
 
     def on(self, poi: "ray.data.Dataset") -> "ray.data.Dataset":
         return self._map(poi)
@@ -315,22 +315,3 @@ def drop_zero_count(ds: "ray.data.Dataset", column: str) -> "ray.data.Dataset":
     that emits one row per input row reports an empty input (no sample
     point, no pixel) as a zero count, where a keyed rollup has no row."""
     return ds.filter(expr=f"{column} > 0")
-
-
-def as_pool(concurrency) -> tuple[int, int]:
-    """Normalize a concurrency spec to an autoscaling (min, max) actor
-    pool (a :class:`KernelStage` caps its tasks at the max).
-
-    Fixed-size pools reserve all their CPUs up front; on small clusters
-    two fixed pools can starve the shuffle tasks and deadlock the
-    streaming executor — (1, N) lets Ray scale each pool to available
-    resources."""
-    if isinstance(concurrency, tuple):
-        return concurrency
-    if concurrency is None:
-        cpus = cluster_cpus()
-        # a nonzero minimum matters: Ray's autoscaling pools ramp far
-        # too slowly to use a 32-CPU box within a short pipeline (we
-        # measured effective parallelism stuck at the pool minimum)
-        return (max(1, cpus // 8), max(2, cpus // 2))
-    return (1, max(1, int(concurrency)))

@@ -28,6 +28,8 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from .. import cells
+from ..functions.joins import KernelStage
+from ..sidefiles import shipped
 from ..sources import driver_tables as dt
 from ..sources import synth
 from ..stages import dedup as dedup_stage
@@ -66,13 +68,14 @@ def _world_docs_n() -> int:
     return int(os.environ.get("GREENEX_WORLD_DOCS", "2000"))
 
 
-def _zonal_batch_size(n_rows: int, pool_width: int = 16) -> int:
+def _zonal_batch_size(n_rows: int, width: int = 16) -> int:
     """Batch size for the fused SAT-chord zonal stage: as large as
     possible (big per-tile point groups amortize numpy dispatch, +40 %
-    single-thread at 16384) while still producing ≥4 batches per pool
-    actor so the stream keeps every actor fed."""
-    per_actor = max(1, n_rows // (4 * pool_width))
-    return int(min(16384, max(2048, per_actor)))
+    single-thread at 16384) while still producing ≥4 batches for each
+    of ``width`` concurrent kernel tasks, so the stream keeps every
+    worker fed."""
+    per_task = max(1, n_rows // (4 * width))
+    return int(min(16384, max(2048, per_task)))
 
 
 def _world_tiles_root() -> str:
@@ -132,11 +135,9 @@ def q_pip_count(sf_dir: str):
     """Point-in-polygon (axis-aligned) join: docs per greenspace rect
     (SURVEY J2/J6 cell-refined containment join)."""
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE)
-    ref = ray.put(_rects_from_part(sf_dir))
-    pairs = ds.map_batches(
-        PointsInRects, fn_constructor_kwargs=dict(rects_ref=ref),
-        batch_format="pyarrow", concurrency=(1, 4), num_cpus=0.25,
-    )
+    pairs = KernelStage(
+        PointsInRects, dict(rects_ref=shipped(_rects_from_part(sf_dir))),
+        dict(num_cpus=0.25)).on(ds)
     return pairs.groupby("gs_id").aggregate(Count(alias_name="n_docs"))
 
 
@@ -181,7 +182,6 @@ def q_stac_lowest_cloud(sf_dir: str):
     per-AoI).  Catalog broadcast; AoIs stream; no shuffle."""
     from ..stages.stac import LowestCloudSelector
 
-    cat_ref = ray.put(_stac_catalog_from_supplier(sf_dir))
     ds = dt.read_table(sf_dir, "customer", columns=["c_custkey"])
 
     def aoi(batch: pa.Table) -> pa.Table:
@@ -194,11 +194,11 @@ def q_stac_lowest_cloud(sf_dir: str):
         })
 
     a = ds.map_batches(aoi, batch_format="pyarrow", zero_copy_batch=True)
-    return a.map_batches(
+    return KernelStage(
         LowestCloudSelector,
-        fn_constructor_kwargs=dict(catalog_ref=cat_ref, max_cloud=20.0),
-        batch_format="pyarrow", concurrency=(1, 4), num_cpus=0.25,
-    )
+        dict(catalog_ref=shipped(_stac_catalog_from_supplier(sf_dir)),
+             max_cloud=20.0),
+        dict(num_cpus=0.25)).on(a)
 
 
 def q_line_buffer_ndvi(sf_dir: str):
@@ -228,19 +228,18 @@ def q_canopy_pct_rect(sf_dir: str):
     from ..stages.coverage import RectCoverage
 
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE).select_columns(["doc_id", "x", "y"])
-    ref = ray.put(_rects_from_part(sf_dir))
-    return ds.map_batches(
-        RectCoverage, fn_constructor_kwargs=dict(rects_ref=ref, half=250.0,
-                                                 name="rect_cover"),
-        batch_format="pyarrow", concurrency=(1, 4), num_cpus=0.25,
-    )
+    return KernelStage(
+        RectCoverage,
+        dict(rects_ref=shipped(_rects_from_part(sf_dir)), half=250.0,
+             name="rect_cover"),
+        dict(num_cpus=0.25)).on(ds)
 
 
 def q_cosine_pairs_exact(sf_dir: str):
     """Exact cosine similarity self-join (pairs >= 0.4) — the oracle-
     verified exact baseline of the embedding near-dup family."""
     ds = dt.read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    return similarity.cosine_pairs_exact(ds, EMB_DIM, 0.4, concurrency=4)
+    return similarity.cosine_pairs_exact(ds, EMB_DIM, 0.4)
 
 
 def q_zonal_mean_ndvi(sf_dir: str):
@@ -293,7 +292,8 @@ def q_quality(sf_dir: str):
 
 def q_langid(sf_dir: str):
     ds = dt.read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    out = ds.map_batches(text.LangId, batch_format="pandas", concurrency=(1, 2), num_cpus=0.25)
+    out = KernelStage(text.LangId, {},
+                      dict(batch_format="pandas", num_cpus=0.25)).on(ds)
     return out.select_columns(["doc_id", "lang_pred", "lang_score"])
 
 
@@ -307,7 +307,7 @@ def q_minhash_lsh(sf_dir: str):
     """MinHash+LSH near-dup candidate pairs (rows-only check; verified
     against exact n-gram Jaccard in tests)."""
     ds = dt.read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return dedup_stage.minhash_lsh_candidates(ds, key_col="doc_id", concurrency=8)
+    return dedup_stage.minhash_lsh_candidates(ds, key_col="doc_id")
 
 
 def q_near_dedup(sf_dir: str):
@@ -315,14 +315,13 @@ def q_near_dedup(sf_dir: str):
     components → keep min-key per cluster (rows-only; pieces verified
     in tests)."""
     ds = dt.read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    out = dedup_stage.near_dedup(ds, threshold=0.7, concurrency=4)
+    out = dedup_stage.near_dedup(ds, threshold=0.7)
     return out.select_columns(["doc_id"])
 
 
 def q_simhash(sf_dir: str):
     ds = dt.read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    out = ds.map_batches(dedup_stage.SimHasher, batch_format="pyarrow",
-                         concurrency=(1, 2), num_cpus=0.25)
+    out = KernelStage(dedup_stage.SimHasher, {}, dict(num_cpus=0.25)).on(ds)
     return out.select_columns(["doc_id", "simhash"])
 
 
@@ -338,7 +337,7 @@ def q_embedding_topk(sf_dir: str):
     )
     queries = {"query_id": ids[sel].tolist(), "vectors": Q}
     ds = dt.read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    out = similarity.brute_force_topk(ds, queries, TOPK_K, EMB_DIM, concurrency=(1, 4))
+    out = similarity.brute_force_topk(ds, queries, TOPK_K, EMB_DIM)
     return out.map_batches(
         lambda b: pa.table({
             "query_id": b.column("query_id"),
@@ -353,11 +352,9 @@ def q_embedding_near_dup(sf_dir: str):
     """Embedding-cosine near-dup pairs via hyperplane-LSH buckets +
     in-bucket exact verify (rows-only; recall measured in tests)."""
     ds = dt.read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    bucketed = ds.map_batches(
-        dedup_stage.EmbeddingLSH,
-        fn_constructor_kwargs=dict(dim=EMB_DIM, planes=10),
-        batch_format="pyarrow", concurrency=(1, 2), num_cpus=0.25,
-    )
+    bucketed = KernelStage(dedup_stage.EmbeddingLSH,
+                           dict(dim=EMB_DIM, planes=10),
+                           dict(num_cpus=0.25)).on(ds)
     # driver embeddings are random gaussians (max pairwise cosine ≈ 0.48)
     # so the "near-dup" threshold here is set low enough to surface the
     # distribution tail; real corpora would use ≥0.9.
@@ -538,7 +535,7 @@ _SW_SQL = {
 def _embedding_lsh_bucket_sql(vec_expr: str, dim: int = EMB_DIM,
                               planes: int = 10, seed: int = 13) -> str:
     """SQL expression for the hyperplane-LSH bucket id of ``vec_expr`` —
-    the same seed-13 gaussian planes every EmbeddingLSH actor draws,
+    the same seed-13 gaussian planes every EmbeddingLSH kernel draws,
     embedded as literals (full-precision repr round-trips exactly)."""
     H = dedup_stage.EmbeddingLSH(dim=dim, planes=planes, seed=seed).H
     terms = []
@@ -553,7 +550,7 @@ def _embedding_lsh_bucket_sql(vec_expr: str, dim: int = EMB_DIM,
 
 def _minhash_perms_sql() -> str:
     """(perm, a, b) VALUES rows of the seed-7 MinHash permutation
-    constants — the same numbers every MinHasher actor draws."""
+    constants — the same numbers every MinHasher kernel draws."""
     mh = dedup_stage.MinHasher(num_perm=64, shingle=5, seed=7)
     return ",".join(
         f"({p},{int(mh.a[p])}::HUGEINT,{int(mh.b[p])}::HUGEINT)"
@@ -2431,7 +2428,7 @@ def _world_poi(limit: int | None = None):
     if limit:
         # limit BEFORE decode so a large world doesn't decode rows the
         # query then drops.  A limit collapses the stream to a couple
-        # of blocks, which would feed the actor pools nearly serially —
+        # of blocks, which would feed the kernel tasks nearly serially —
         # but instead of a repartition (an all-to-all BARRIER that cost
         # ~2.4 s of the 7.3 s viewshed gate in round 3), let the decode
         # stage split blocks itself: map_batches emits one output block
@@ -2474,7 +2471,7 @@ def q_spans_mean_ndvi_metrics(sf_dir: str):
     # mean large groups and less numpy dispatch (+40 % single-thread on
     # the 6M-doc world, bit-identical output) — but at gate/bench scale
     # a 16384 batch would collapse the stream to a couple of tasks and
-    # starve the actor pool (the round-3 viewshed-pool lesson).
+    # starve the kernel tasks (the round-3 viewshed-pool lesson).
     return availability.mean_ndvi(poi, w["tiles"], 300.0, key_col="doc_id",
                                   concurrency=None,
                                   batch_size=_zonal_batch_size(_world_docs_n()))
@@ -2660,7 +2657,7 @@ def _seg_d2(px: str, py: str, ax: str, ay: str, bx: str, by: str) -> str:
 
 def _viewshed_tables(radius_px: int = 25, res: float = 10.0):
     """(rays VALUES, weight VALUES) from the SAME ViewshedKernel the
-    actors build — ray order, Bresenham steps and the exp-decay weight
+    kernels build — ray order, Bresenham steps and the exp-decay weight
     grid are embedded as full-precision literals so the oracle shares
     them bit-for-bit (numpy and DuckDB libm differ in the last ulp)."""
     from ..state.viewshed import ViewshedKernel
@@ -3982,13 +3979,10 @@ def q_zonal_median(sf_dir: str):
     from ..stages.zonal import ZonalMedianLocal
 
     poi, w = _world_poi(limit=COMPOSITE_POIS)
-    return drop_zero_count(poi.map_batches(
+    return drop_zero_count(KernelStage(
         ZonalMedianLocal,
-        fn_constructor_kwargs=dict(tile_root=w["tiles"], band="ndvi",
-                                   radius=NDVI_RADIUS),
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 4), num_cpus=0.5,
-    ), "n_pix")
+        dict(tile_root=w["tiles"], band="ndvi", radius=NDVI_RADIUS),
+        dict(num_cpus=0.5)).on(poi), "n_pix")
 
 
 def q_raster_downsample(sf_dir: str):
@@ -4157,7 +4151,7 @@ def q_fca_access(sf_dir: str):
 
     poi, w = _world_poi(limit=FCA_POIS)
     return two_step_fca(poi, pq.read_table(w["greenspace"]),
-                        radius=FCA_RADIUS, concurrency=(1, 4))
+                        radius=FCA_RADIUS)
 
 
 def q_gravity_access(sf_dir: str):
@@ -4167,8 +4161,7 @@ def q_gravity_access(sf_dir: str):
 
     poi, w = _world_poi(limit=FCA_POIS)
     return gravity_access(poi, pq.read_table(w["greenspace"]),
-                          theta=GRAV_THETA, cutoff=GRAV_CUTOFF,
-                          concurrency=(1, 4))
+                          theta=GRAV_THETA, cutoff=GRAV_CUTOFF)
 
 
 def q_e2sfca_access(sf_dir: str):
@@ -4178,8 +4171,7 @@ def q_e2sfca_access(sf_dir: str):
 
     poi, w = _world_poi(limit=FCA_POIS)
     return enhanced_two_step_fca(poi, pq.read_table(w["greenspace"]),
-                                 sigma=E2_SIGMA, cutoff=E2_CUTOFF,
-                                 concurrency=(1, 4))
+                                 sigma=E2_SIGMA, cutoff=E2_CUTOFF)
 
 
 def q_isochrone_ndvi(sf_dir: str):
@@ -4293,7 +4285,7 @@ def q_ivf_topk(sf_dir: str):
     cents = similarity.fixed_random_centroids(EMB_DIM, IVF_CENTROIDS)
     ds = dt.read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     out = similarity.ivf_topk(ds, queries, cents, TOPK_K, EMB_DIM,
-                              nprobe=IVF_NPROBE, concurrency=4)
+                              nprobe=IVF_NPROBE)
     return out.map_batches(
         lambda b: pa.table({
             "query_id": b.column("query_id"),
@@ -4677,7 +4669,7 @@ def q_tfidf_topk(sf_dir: str):
     """TF-IDF query ranking (stages/tfidf.tfidf_topk): top 20 documents
     by quantized-idf lexical score against a fixed 5-term query — DF is
     aggregated for the query terms only (O(#terms) shuffle), the weight
-    map rides into the scoring actors, and the global top-k is a
+    map rides into the scoring kernel, and the global top-k is a
     partial-top-k scan."""
     from ..stages.tfidf import tfidf_topk
 
@@ -5119,7 +5111,7 @@ def _road_segments_from_supplier(sf_dir: str) -> pa.Table:
 
 def q_snap_to_road(sf_dir: str):
     """Map matching (stages/mapmatch.snap_to_segments): broadcast
-    segment table, per-actor uniform-grid index, vectorized
+    segment table, per-worker uniform-grid index, vectorized
     point→segment projection, nearest within SNAP_R."""
     from ..stages.mapmatch import snap_to_segments
 
@@ -5435,13 +5427,13 @@ def q_orders_by_nation(sf_dir: str):
 def q_slope_gradient(sf_dir: str):
     """Raster derivative (stages/terrain.point_gradient): 3x3
     central-difference gradient at each doc's center pixel through the
-    actor-pool tile store; NULLs at the stored extent's edge."""
+    kernel's tile store; NULLs at the stored extent's edge."""
     from ..stages.terrain import point_gradient
 
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE)
     out = point_gradient(ds.select_columns(["doc_id", "x", "y"]),
                          _world_tiles_root(), band="ndvi",
-                         res=synth.RASTER_RES, concurrency=(1, 4))
+                         res=synth.RASTER_RES)
     return out.select_columns(["doc_id", "gx_q", "gy_q", "slope_q"])
 
 
@@ -7570,7 +7562,7 @@ def q_hillshade(sf_dir: str):
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE)
     out = point_gradient(ds.select_columns(["doc_id", "x", "y"]),
                          _world_tiles_root(), band="ndvi",
-                         res=synth.RASTER_RES, concurrency=(1, 4))
+                         res=synth.RASTER_RES)
     out = out.map_batches(hillshade_batch, batch_format="pyarrow",
                           zero_copy_batch=True)
     return out.select_columns(["doc_id", "hs_q"])
@@ -7638,7 +7630,7 @@ def q_d8_flow(sf_dir: str):
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE)
     out = d8_flow_direction(ds.select_columns(["doc_id", "x", "y"]),
                             _world_tiles_root(), band="ndvi",
-                            res=synth.RASTER_RES, concurrency=(1, 4))
+                            res=synth.RASTER_RES)
     return out.select_columns(["doc_id", "d8"])
 
 

@@ -32,9 +32,10 @@ def side_table(x):
 
 
 def shipped(x):
-    """A stage's form of a side argument: a table goes to the object
-    store, an ``ObjectRef`` as given."""
-    return ray.put(x) if isinstance(x, pa.Table) else x
+    """A stage's form of a side argument: an ``ObjectRef`` as given,
+    any other value put in the object store, so the kernel cache key
+    holds its id rather than its pickled bytes."""
+    return x if isinstance(x, ray.ObjectRef) else ray.put(x)
 
 
 #: (derive, path, args) → ((path stamp, Ray session), ObjectRef)

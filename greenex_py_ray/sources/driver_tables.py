@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray.data
 
 from .. import cells
+from ..functions.joins import cluster_cpus
 
 MOD = 1_000_003
 WORLD = 20_000.0
@@ -46,12 +48,7 @@ def derive_xy(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class DeriveXY:
-    """map_batches stage: append x, y, cell derived from an int key column.
-
-    The output carries no schema metadata: the testdata files' pandas
-    metadata is a dict, which makes pyarrow's ``Schema.__hash__`` fail
-    when Ray unifies the schemas of batched blocks (it logs "Failed to
-    hash the schemas")."""
+    """map_batches stage: append x, y, cell derived from an int key column."""
 
     def __init__(self, key_col: str, cell_size: float = cells.DEFAULT_CELL_SIZE):
         self.key_col = key_col
@@ -62,8 +59,7 @@ class DeriveXY:
         x, y = derive_xy(k)
         cell = cells.cell_of(x, y, self.cell_size)
         return (
-            batch.replace_schema_metadata()
-            .append_column("x", pa.array(x, pa.float64()))
+            batch.append_column("x", pa.array(x, pa.float64()))
             .append_column("y", pa.array(y, pa.float64()))
             .append_column("cell", pa.array(cell, pa.int64()))
         )
@@ -79,9 +75,7 @@ def _small_table_blocks(path: str) -> int | None:
     at 2×CPUs; ``None`` (Ray's default) for big tables so the
     scale-path streaming splits are untouched."""
     try:
-        import pyarrow.parquet as _pq
-
-        md = _pq.ParquetFile(path).metadata
+        md = pq.ParquetFile(path).metadata
         rows = md.num_rows
         nbytes = sum(md.row_group(i).total_byte_size
                      for i in range(md.num_row_groups))
@@ -92,18 +86,24 @@ def _small_table_blocks(path: str) -> int | None:
     # 900k multi-KB docs into 2×CPUs oversized blocks
     if rows >= 1_000_000 or nbytes >= 256 * 1024 * 1024:
         return None
-    cpus = 8
-    if ray.is_initialized():
-        cpus = int(ray.cluster_resources().get("CPU", 8) or 8)
-    nb = max(1, min(rows // 300 + 1, 2 * cpus))
+    nb = max(1, min(rows // 300 + 1, 2 * cluster_cpus()))
     # keep blocks under ~64 MB (uncompressed) even when the row count
     # alone would allow fewer
     return max(nb, nbytes // (64 * 1024 * 1024) + 1)
 
 
 def read_table(sf_dir: str, name: str, columns=None) -> "ray.data.Dataset":
+    """The testdata table ``name`` without schema metadata.  The files
+    carry pandas metadata, a dict, which pyarrow's ``Schema.__hash__``
+    cannot hash; Ray hashes block schemas when it unifies them (it logs
+    "Failed to hash the schemas").  The read is given the file's schema
+    without it, so its blocks come out bare with no extra stage (a map
+    could not fuse with a read that splits the file into blocks)."""
     path = f"{sf_dir}/{name}.parquet"
-    kwargs = {"columns": columns}
+    schema = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    kwargs = {"columns": columns, "schema": schema}
     nb = _small_table_blocks(path)
     if nb is not None:
         kwargs["override_num_blocks"] = nb
@@ -123,8 +123,6 @@ def greenspace_centroids_from_part(sf_dir: str) -> "pa.Table":
     """Greenspace centroid side table derived from ``part`` (small side —
     broadcast, never shuffled).  gx/gy use p_partkey with the same
     arithmetic scheme."""
-    import pyarrow.parquet as pq
-
     t = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey"])
     k = t.column("p_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
     x, y = derive_xy(k)

@@ -82,7 +82,7 @@ class NearestGreenspace:
 
 
 class PointsInRects:
-    """map_batches actor: semi-join of points against broadcast rectangles
+    """Kernel: semi-join of points against broadcast rectangles
     (the cell-refined point-in-polygon join of SURVEY J2/J6, restricted
     to axis-aligned AoIs so the DuckDB oracle is a BETWEEN join).
 
@@ -218,17 +218,15 @@ def _supply_table(facilities: pa.Table) -> pa.Table:
     })
 
 
-def _catchment_stage(cls: type, fac: pa.Table, kwargs: dict,
-                     concurrency) -> KernelStage:
+def _catchment_stage(cls: type, fac: pa.Table, kwargs: dict) -> KernelStage:
     """A catchment kernel over the facility table ``fac`` as a
     :class:`KernelStage`."""
     return KernelStage(cls, dict(fac_ref=shipped(fac), **kwargs),
-                       dict(num_cpus=0.5, concurrency=concurrency))
+                       dict(num_cpus=0.5))
 
 
 def _ratio_table(poi: "ray.data.Dataset", fac: pa.Table, step1: type,
-                 kwargs: dict, name: str, scale: int,
-                 concurrency) -> pa.Table:
+                 kwargs: dict, name: str, scale: int) -> pa.Table:
     """Step 1 of a floating catchment: the ``step1`` kernel's per-batch
     facility sums ``name`` over ``poi``, summed per gs_id, and the
     int64 ratio ``rq = supply_q·scale // sum`` of every facility with a
@@ -238,7 +236,7 @@ def _ratio_table(poi: "ray.data.Dataset", fac: pa.Table, step1: type,
     # bucketed combiner, not groupby.aggregate: step-1 partials are
     # O(F) rows per batch and F can be 10^6 — the generic sort-based
     # groupby was 48x slower at that cardinality (round-4 finding)
-    part = _catchment_stage(step1, fac, kwargs, concurrency).on(poi)
+    part = _catchment_stage(step1, fac, kwargs).on(poi)
     sums = bucket_group_reduce(part, "gs_id", [name], ["sum"]).to_pandas()
     merged = fac.to_pandas().merge(sums, on="gs_id", how="inner")
     merged = merged[merged[name] > 0]
@@ -253,8 +251,8 @@ def _ratio_table(poi: "ray.data.Dataset", fac: pa.Table, step1: type,
 
 
 def two_step_fca(poi: "ray.data.Dataset", facilities: "pa.Table",
-                 radius: float, key_col: str = "doc_id",
-                 concurrency=(1, 8)) -> "ray.data.Dataset":
+                 radius: float,
+                 key_col: str = "doc_id") -> "ray.data.Dataset":
     """Two-step floating catchment area accessibility (2SFCA, Luo &
     Wang 2003) with a binary catchment: step 1 computes each
     facility's supply-to-demand ratio ``R_j = S_j / |{i : d_ij <= r}|``;
@@ -267,10 +265,9 @@ def two_step_fca(poi: "ray.data.Dataset", facilities: "pa.Table",
     is tiny (shipped to both passes); demand streams through both —
     the step-1 shuffle is O(F) per batch."""
     fac = _ratio_table(poi, _supply_table(facilities), FCADemandCount,
-                       dict(radius=radius), "n", FCA_SCALE, concurrency)
+                       dict(radius=radius), "n", FCA_SCALE)
     return _catchment_stage(FCAAccess, fac,
-                            dict(radius=radius, key_col=key_col),
-                            concurrency).on(poi)
+                            dict(radius=radius, key_col=key_col)).on(poi)
 
 
 #: gravity weight quantization (micro-units per supply unit)
@@ -306,13 +303,12 @@ class GravityAccess(_Catchment):
 
 def gravity_access(poi: "ray.data.Dataset", facilities: "pa.Table",
                    theta: float = 400.0, cutoff: float = 1500.0,
-                   key_col: str = "doc_id",
-                   concurrency=(1, 8)) -> "ray.data.Dataset":
+                   key_col: str = "doc_id") -> "ray.data.Dataset":
     """Gravity/potential accessibility (see :class:`GravityAccess`);
     supply = greenspace rect area like :func:`two_step_fca`."""
     return _catchment_stage(GravityAccess, _supply_table(facilities),
                             dict(theta=theta, cutoff=cutoff,
-                                 key_col=key_col), concurrency).on(poi)
+                                 key_col=key_col)).on(poi)
 
 
 #: E2SFCA decay-weight quantization (micro-units)
@@ -367,16 +363,14 @@ class E2Access(E2DemandWeight):
 
 def enhanced_two_step_fca(poi: "ray.data.Dataset", facilities: "pa.Table",
                           sigma: float = 500.0, cutoff: float = 1500.0,
-                          key_col: str = "doc_id",
-                          concurrency=(1, 8)) -> "ray.data.Dataset":
+                          key_col: str = "doc_id") -> "ray.data.Dataset":
     """E2SFCA (Luo & Qi 2009): 2SFCA with a Gaussian distance decay in
     BOTH steps.  ``denom = 2σ²`` is precomputed once so both engines
     divide by the identical double; weights and ratios are int64 (see
     the step classes), so every aggregate is order-exact."""
     denom = 2.0 * float(sigma) * float(sigma)
     fac = _ratio_table(poi, _supply_table(facilities), E2DemandWeight,
-                       dict(denom=denom, cutoff=cutoff), "wsum", E2_RQ,
-                       concurrency)
+                       dict(denom=denom, cutoff=cutoff), "wsum", E2_RQ)
     return _catchment_stage(E2Access, fac,
                             dict(denom=denom, cutoff=cutoff,
-                                 key_col=key_col), concurrency).on(poi)
+                                 key_col=key_col)).on(poi)

@@ -34,7 +34,7 @@ from ..state.index import GridIndex, RectIndex
 def _ring_buffers(gs: pa.Table):
     """``rings`` column → flat (xs, ys, ring-list offsets, point
     offsets) numpy views straight off the Arrow buffers — no per-vertex
-    Python (actors build these in ``__init__``; a 10^6-ring side table
+    Python (kernels build these in ``__init__``; a 10^6-ring side table
     flattens in milliseconds instead of minutes)."""
     col = gs.column("rings")
     if isinstance(col, pa.ChunkedArray):
@@ -104,7 +104,7 @@ def union_area_of_convex(polys: list[np.ndarray], max_depth: int = 12) -> float:
 
 
 class RectCoverage:
-    """map_batches actor: percent of each PoI's SQUARE AoI covered by a
+    """Kernel: percent of each PoI's SQUARE AoI covered by a
     broadcast table of axis-aligned rectangles — the value-verified rect
     form of the coverage family (M16/A3/J2; the reference's
     ``clip(aoi).area.sum()`` at availability.py:764, no dissolve, so

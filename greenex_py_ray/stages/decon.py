@@ -7,26 +7,26 @@ grams.  The benchmark side is tiny relative to the corpus, so the
 physical plan is broadcast-not-shuffle:
 
 1. driver materializes the benchmark docs (a filter over the same
-   table — tiny), builds the distinct n-gram set once, ``ray.put``;
-2. an actor pool re-hydrates the set into a pandas hash index in
-   ``__init__`` (once per actor, NOT per batch);
+   table — tiny), builds the distinct n-gram set once and ships it to
+   the object store;
+2. a :class:`~greenex_py_ray.functions.joins.KernelStage` re-hydrates
+   the set into a pandas hash index in ``__init__`` (once per worker
+   process, NOT per batch);
 3. per batch: one explode+factorize, vectorized gram assembly on the
    flat token array, per-doc distinct via a (doc, gram) drop-duplicates,
    membership via hash-join ``Series.isin`` — no per-row Python.
 
 At 100 TB the benchmark set (a few thousand eval docs → <10⁶ grams)
-still fits comfortably in each actor; the corpus side streams.
+still fits comfortably in each worker; the corpus side streams.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
-import ray
-
-from ..sidefiles import side_table
+from ..functions.joins import KernelStage
+from ..sidefiles import shipped, side_table
 from .text import explode_words
 
 
@@ -56,13 +56,13 @@ def benchmark_gram_set(texts: "pd.Series", n: int) -> np.ndarray:
 
 
 class ContaminationTagger:
-    """map_batches actor: per-doc count of distinct benchmark-shared
+    """Kernel: per-doc count of distinct benchmark-shared
     n-grams.  Emits only contaminated rows ``(doc_id, n_shared)``."""
 
     def __init__(self, grams_ref, n: int, key_col: str = "doc_id",
                  text_col: str = "text"):
         grams = side_table(grams_ref)
-        # pandas hash index built once per actor
+        # pandas hash index built once per kernel
         self.index = pd.Index(grams)
         self.n = int(n)
         self.key_col = key_col
@@ -89,10 +89,8 @@ def decontaminate(ds: "ray.data.Dataset", benchmark_texts: "pd.Series",
     """Flag every doc in ``ds`` sharing ≥1 word-n-gram with
     ``benchmark_texts``; returns ``(key_col, n_shared)`` rows for
     contaminated docs only."""
-    grams_ref = ray.put(benchmark_gram_set(benchmark_texts, n))
-    return ds.map_batches(
+    return KernelStage(
         ContaminationTagger,
-        fn_constructor_kwargs=dict(grams_ref=grams_ref, n=n,
-                                   key_col=key_col, text_col=text_col),
-        batch_format="pandas", concurrency=(1, 8), num_cpus=0.5,
-    )
+        dict(grams_ref=shipped(benchmark_gram_set(benchmark_texts, n)),
+             n=n, key_col=key_col, text_col=text_col),
+        dict(batch_format="pandas", num_cpus=0.5)).on(ds)

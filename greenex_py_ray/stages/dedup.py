@@ -27,7 +27,8 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.exchange import bucket_exchange
-from ..functions.joins import as_pool
+from ..functions.joins import KernelStage
+from ..sidefiles import shipped, side_table
 
 # ---------------------------------------------------------------------------
 # content hash + exact dedup
@@ -87,11 +88,11 @@ _MERSENNE = (1 << 61) - 1
 
 
 class MinHasher:
-    """Actor stage: char-shingle MinHash signatures.
+    """Kernel: char-shingle MinHash signatures.
 
     ``num_perm`` permutations via (a*x+b) mod p universal hashes over
-    shingle hashes; parameters drawn once per actor from a fixed seed so
-    every actor produces identical signatures.
+    shingle hashes; parameters drawn once per kernel from a fixed seed so
+    every worker produces identical signatures.
     Appends ``minhash`` (fixed-size list<uint64>).
     """
 
@@ -229,8 +230,7 @@ def lsh_band_batch(batch: pa.Table, num_perm: int = 64, bands: int = 16,
 
 def minhash_lsh_candidates(
     ds: "ray.data.Dataset", num_perm: int = 64, bands: int = 16,
-    key_col: str = "doc_id", concurrency: int = 4,
-    max_bucket: int = 256,
+    key_col: str = "doc_id", max_bucket: int = 256,
 ) -> "ray.data.Dataset":
     """documents → candidate near-dup pairs (key_a < key_b) from shared
     LSH buckets, deduplicated across bands.
@@ -242,10 +242,8 @@ def minhash_lsh_candidates(
     there is quadratic blowup, while the star keeps every member
     transitively connected through the representative, which is what the
     downstream connected-components pass consumes."""
-    sigs = ds.map_batches(
-        MinHasher, fn_constructor_kwargs=dict(num_perm=num_perm),
-        batch_format="pyarrow", concurrency=as_pool(concurrency), num_cpus=0.25,
-    )
+    sigs = KernelStage(MinHasher, dict(num_perm=num_perm),
+                       dict(num_cpus=0.25)).on(ds)
     bands_ds = sigs.map_batches(
         lambda b: lsh_band_batch(b, num_perm, bands, key_col), batch_format="pyarrow"
     )
@@ -293,25 +291,23 @@ def minhash_lsh_candidates(
 
 
 class JaccardVerifier:
-    """Actor stage: exact char-shingle Jaccard for candidate pairs.
+    """Kernel: exact char-shingle Jaccard for candidate pairs.
 
     Two modes:
 
     * ``texts_ref`` given — texts fetched from a broadcast key→text
-      lookup (``ray.put`` of a small table; cheap when the corpus fits
-      one object-store entry).
+      lookup (a small table shipped to the object store; cheap when the
+      corpus fits one object-store entry).
     * ``texts_ref=None`` — the batch already carries ``text_a`` /
       ``text_b`` columns (attached upstream by a bucket join of the pair
       table against the text table: the 100 TB path, no driver
       materialization)."""
 
     def __init__(self, texts_ref=None, shingle: int = 5, threshold: float = 0.8):
-        import ray as _ray
-
         if texts_ref is None:
             self.lookup = None
         else:
-            t = _ray.get(texts_ref) if isinstance(texts_ref, _ray.ObjectRef) else texts_ref
+            t = side_table(texts_ref)
             self.lookup = dict(zip(t.column(0).to_pylist(), t.column(1).to_pylist()))
         self.shingle = shingle
         self.threshold = threshold
@@ -356,7 +352,7 @@ class JaccardVerifier:
 
 
 class SimHasher:
-    """Actor stage: 64-bit SimHash over word tokens (weight = term freq).
+    """Kernel: 64-bit SimHash over word tokens (weight = term freq).
     Appends ``simhash`` int64.
 
     The per-token hash is the same seeded 64-bit polynomial rolling hash
@@ -397,9 +393,9 @@ class SimHasher:
 
 
 class EmbeddingLSH:
-    """Actor stage: random-hyperplane LSH bucket for embeddings.
+    """Kernel: random-hyperplane LSH bucket for embeddings.
 
-    ``planes`` hyperplanes drawn from a fixed seed per actor → identical
+    ``planes`` hyperplanes drawn from a fixed seed per kernel → identical
     buckets everywhere.  Appends ``bucket`` (int64 sign pattern)."""
 
     def __init__(self, dim: int, planes: int = 12, seed: int = 13,
@@ -425,8 +421,7 @@ class EmbeddingLSH:
 def embedding_near_dups(ds: "ray.data.Dataset", dim: int, threshold: float,
                         key_col: str = "vec_id",
                         vec_col: str = "embedding", planes: int = 10,
-                        tables: int = 1,
-                        concurrency: int = 4) -> "ray.data.Dataset":
+                        tables: int = 1) -> "ray.data.Dataset":
     """Embedding-cosine near-dup pairs: hyperplane-LSH buckets →
     in-bucket block-tiled exact cosine, optionally UNIONED over
     ``tables`` independent hash tables (different hyperplane seeds)
@@ -438,12 +433,10 @@ def embedding_near_dups(ds: "ray.data.Dataset", dim: int, threshold: float,
     ~2× the bucketing cost — the standard LSH recall/cost dial."""
     pair_sets = []
     for t in range(tables):
-        bucketed = ds.map_batches(
+        bucketed = KernelStage(
             EmbeddingLSH,
-            fn_constructor_kwargs=dict(dim=dim, planes=planes,
-                                       seed=13 + t, vec_col=vec_col),
-            batch_format="pyarrow", concurrency=(1, concurrency),
-            num_cpus=1)
+            dict(dim=dim, planes=planes, seed=13 + t, vec_col=vec_col),
+            dict(num_cpus=1)).on(ds)
         pair_sets.append(bucketed.groupby("bucket").map_groups(
             lambda g: cosine_pairs_in_group(g, threshold, key_col,
                                             vec_col),
@@ -692,7 +685,6 @@ def connected_components(pairs: "ray.data.Dataset", max_rounds: int = 20,
 def near_dedup(ds: "ray.data.Dataset", key_col: str = "doc_id",
                text_col: str = "text", threshold: float = 0.8,
                num_perm: int = 64, bands: int = 16,
-               concurrency: int = 4,
                driver_threshold: int = 100_000) -> "ray.data.Dataset":
     """Full near-duplicate removal: MinHash-LSH candidates → exact
     n-gram Jaccard verify → connected components → keep the min-key
@@ -705,24 +697,18 @@ def near_dedup(ds: "ray.data.Dataset", key_col: str = "doc_id",
     the pair rows — the only path that works when the corpus text
     doesn't fit any single machine).
     """
-    import pyarrow as _pa
-
-    import ray as _ray
-
     from ..functions.joins import bucket_join_attach
 
     cand = minhash_lsh_candidates(ds, num_perm=num_perm, bands=bands,
-                                  key_col=key_col, concurrency=concurrency)
+                                  key_col=key_col)
     if ds.count() <= driver_threshold:
         # small-side text lookup (driver-side materialize of two columns)
         tdf = ds.select_columns([key_col, text_col]).to_pandas()
-        tlookup = _pa.Table.from_pandas(tdf, preserve_index=False)
-        verified = cand.map_batches(
+        tlookup = pa.Table.from_pandas(tdf, preserve_index=False)
+        verified = KernelStage(
             JaccardVerifier,
-            fn_constructor_kwargs=dict(texts_ref=_ray.put(tlookup),
-                                       threshold=threshold),
-            batch_format="pyarrow", concurrency=(1, concurrency), num_cpus=0.25,
-        )
+            dict(texts_ref=shipped(tlookup), threshold=threshold),
+            dict(num_cpus=0.25)).on(cand)
     else:
         texts = ds.select_columns([key_col, text_col])
         texts_a = texts.map_batches(
@@ -739,11 +725,9 @@ def near_dedup(ds: "ray.data.Dataset", key_col: str = "doc_id",
             bucket_join_attach(cand, texts_a, key="key_a"),
             texts_b, key="key_b",
         )
-        verified = with_texts.map_batches(
-            JaccardVerifier,
-            fn_constructor_kwargs=dict(texts_ref=None, threshold=threshold),
-            batch_format="pyarrow", concurrency=(1, concurrency), num_cpus=0.25,
-        )
+        verified = KernelStage(
+            JaccardVerifier, dict(texts_ref=None, threshold=threshold),
+            dict(num_cpus=0.25)).on(with_texts)
     dups = verified.map_batches(
         lambda b: b.filter(b.column("is_dup")), batch_format="pyarrow"
     )
@@ -760,16 +744,11 @@ def near_dedup(ds: "ray.data.Dataset", key_col: str = "doc_id",
     drop_tbls = [b for b in drop.iter_batches(batch_format="pyarrow") if len(b)]
     if not drop_tbls:
         return ds
-    drop_arr = _pa.concat_tables(drop_tbls).column("key").combine_chunks()
-    dref = _ray.put(drop_arr)
+    dref = shipped(pa.concat_tables(drop_tbls).column("key").combine_chunks())
 
     def keep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-
-        import ray as _r
-
-        dk = _r.get(dref)
-        mask = _pc.invert(_pc.is_in(batch.column(key_col), value_set=dk))
+        mask = pc.invert(pc.is_in(batch.column(key_col),
+                                  value_set=side_table(dref)))
         return batch.filter(mask)
 
     return ds.map_batches(keep, batch_format="pyarrow")

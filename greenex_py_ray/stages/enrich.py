@@ -2,11 +2,12 @@
 
 The canonical small-side join at 100 TB: the dimension table (customer
 → nation, tile → CRS, class code → label) is orders of magnitude
-smaller than the fact stream, so it broadcasts ONCE via ``ray.put`` and
+smaller than the fact stream, so it ships ONCE to the object store and
 every batch resolves its keys with one ``np.searchsorted`` over the
-sorted dim keys — no shuffle, no per-batch reshipping, no hash build
-per task.  Contrast with a shuffle join, which would move every fact
-row; see the same pattern at ``stages/access.NearestGreenspace`` and
+sorted dim keys — no shuffle, no per-batch reshipping, no sort per
+batch (each worker process's cached kernel sorts the keys once).
+Contrast with a shuffle join, which would move every fact row; see the
+same pattern at ``stages/access.NearestGreenspace`` and
 ``stages/spatial_join.py`` (broadcast side) for the spatial variants.
 """
 
@@ -17,13 +18,14 @@ import pyarrow as pa
 
 import ray
 
-from ..sidefiles import side_table
+from ..functions.joins import KernelStage
+from ..sidefiles import shipped, side_table
 
 
 class BroadcastLookup:
-    """map_batches actor: append dim columns resolved by sorted-key
-    binary search.  ``dim_ref``: (ObjectRef of) a pyarrow Table; it is
-    sorted by ``dim_key`` once per actor in ``__init__``.
+    """Kernel: append dim columns resolved by sorted-key binary
+    search.  ``dim_ref``: (ObjectRef of) a pyarrow Table; it is sorted
+    by ``dim_key`` once per kernel in ``__init__``.
 
     ``how='inner'`` drops fact rows with no dim match; ``'left'``
     appends nulls for them.
@@ -81,22 +83,18 @@ class BroadcastLookup:
 
 def broadcast_join(ds: "ray.data.Dataset", dim: pa.Table, key_col: str,
                    dim_key: str, add_cols: "tuple[str, ...]",
-                   how: str = "inner",
-                   concurrency=(1, 8)) -> "ray.data.Dataset":
+                   how: str = "inner") -> "ray.data.Dataset":
     """Enrich the fact stream with dim columns (see module docstring)."""
-    ref = ray.put(dim)
-    return ds.map_batches(
+    return KernelStage(
         BroadcastLookup,
-        fn_constructor_kwargs=dict(dim_ref=ref, key_col=key_col,
-                                   dim_key=dim_key, add_cols=add_cols,
-                                   how=how),
-        batch_format="pyarrow", concurrency=concurrency, num_cpus=0.25,
-    )
+        dict(dim_ref=shipped(dim), key_col=key_col, dim_key=dim_key,
+             add_cols=add_cols, how=how),
+        dict(num_cpus=0.25)).on(ds)
 
 
 class _MinMaxApply:
-    """map_batches actor for :func:`group_minmax_scale` pass 2: the
-    per-group (min,max) stats table is broadcast once; each batch
+    """Kernel of :func:`group_minmax_scale` pass 2: the per-group
+    (min,max) stats table is broadcast once; each batch
     resolves its group with one searchsorted over the sorted keys."""
 
     def __init__(self, stats_ref, group_col: str, value_col: str,
@@ -130,8 +128,8 @@ class _MinMaxApply:
 
 
 def group_minmax_scale(ds: "ray.data.Dataset", group_col: str,
-                       value_col: str, q_scale: float = 100.0,
-                       concurrency=(1, 8)) -> "ray.data.Dataset":
+                       value_col: str,
+                       q_scale: float = 100.0) -> "ray.data.Dataset":
     """Per-group min-max feature scaling — the normalization pass a
     training-data pipeline runs per source/segment before mixing.
 
@@ -140,8 +138,8 @@ def group_minmax_scale(ds: "ray.data.Dataset", group_col: str,
     are exact int64s from per-batch partials + one tiny groupby, and
     ``scaled = (vq − min) / (max − min)`` is a single double division
     the SQL oracle replays verbatim.  Groups with max == min yield
-    NULL.  Two streaming passes over the fact table, stats broadcast
-    once via ``ray.put`` — no fact-side shuffle.
+    NULL.  Two streaming passes over the fact table, stats shipped
+    once to the object store — no fact-side shuffle.
     """
     from ray.data.aggregate import Max, Min
 
@@ -168,11 +166,8 @@ def group_minmax_scale(ds: "ray.data.Dataset", group_col: str,
     # O(#groups) stats table — driver hop then one broadcast
     blocks = [t for t in (ray.get(r) for r in stats.to_arrow_refs())
               if t.num_rows]
-    stats_tbl = pa.concat_tables(blocks)
-    ref = ray.put(stats_tbl)
-    return ds.map_batches(
+    return KernelStage(
         _MinMaxApply,
-        fn_constructor_kwargs=dict(stats_ref=ref, group_col=group_col,
-                                   value_col=value_col, q_scale=q_scale),
-        batch_format="pyarrow", concurrency=concurrency, num_cpus=0.25,
-    )
+        dict(stats_ref=shipped(pa.concat_tables(blocks)),
+             group_col=group_col, value_col=value_col, q_scale=q_scale),
+        dict(num_cpus=0.25)).on(ds)

@@ -22,8 +22,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
+import ray.data
 
+from ..functions.joins import KernelStage
 from ..state.tiles import TileStore
 
 #: micro-unit quantization of pixel values before any focal sum
@@ -31,7 +32,7 @@ FOCAL_Q = 1_000_000.0
 
 
 class FocalTileStats:
-    """map_batches actor: per input (tix, tiy) tile row, the 3×3 focal
+    """Kernel: per input (tix, tiy) tile row, the 3×3 focal
     aggregate over every pixel CENTERED in the tile — ``focal_q`` =
     Σ_centers Σ_neighbors q (int64 micro-units), ``n_nbr`` = Σ_centers
     (#existing neighbors).  Boundary pixels simply have fewer
@@ -79,28 +80,28 @@ class FocalTileStats:
         })
 
 
-def focal_stats(tile_root: str, tiles: "list[tuple[int, int]]",
-                band: str = "ndvi",
-                concurrency=(1, 8)) -> "ray.data.Dataset":
-    """3×3 focal aggregate for an explicit tile list (a bbox cover at
-    gate scale; the full catalog in production — tiles ARE the
-    partitioning, one halo'd window fetch per task)."""
-    import ray.data
-
+def _per_tile(kernel: type, tiles: "list[tuple[int, int]]",
+              **kwargs) -> "ray.data.Dataset":
+    """``kernel`` run over the (tix, tiy) rows of ``tiles``, in up to
+    8 blocks — tiles ARE the partitioning."""
     t = pa.table({
         "tix": pa.array([a for a, _ in tiles], pa.int64()),
         "tiy": pa.array([b for _, b in tiles], pa.int64()),
     })
-    return ray.data.from_arrow(t).repartition(max(1, min(len(tiles), 8))) \
-        .map_batches(FocalTileStats,
-                     fn_constructor_kwargs=dict(tile_root=tile_root,
-                                                band=band),
-                     batch_format="pyarrow", zero_copy_batch=True,
-                     concurrency=concurrency, num_cpus=0.5)
+    ds = ray.data.from_arrow(t).repartition(max(1, min(len(tiles), 8)))
+    return KernelStage(kernel, kwargs, dict(num_cpus=0.5)).on(ds)
+
+
+def focal_stats(tile_root: str, tiles: "list[tuple[int, int]]",
+                band: str = "ndvi") -> "ray.data.Dataset":
+    """3×3 focal aggregate for an explicit tile list (a bbox cover at
+    gate scale; the full catalog in production — one halo'd window
+    fetch per tile)."""
+    return _per_tile(FocalTileStats, tiles, tile_root=tile_root, band=band)
 
 
 class DownsampleTile:
-    """map_batches actor: build ONE level-1 pyramid tile per input
+    """Kernel: build ONE level-1 pyramid tile per input
     (tix, tiy) row by 2×2 mean-pooling the four level-0 tiles under it
     (the raster-pyramid write path: zoomed-out tiles for plotting and
     coarse-first query planning).  Emits per OUTPUT pixel
@@ -147,26 +148,14 @@ class DownsampleTile:
 
 
 def downsample_level(tile_root: str, tiles: "list[tuple[int, int]]",
-                     band: str = "ndvi",
-                     concurrency=(1, 8)) -> "ray.data.Dataset":
+                     band: str = "ndvi") -> "ray.data.Dataset":
     """Level-1 pyramid build for an explicit OUTPUT-tile list — the
-    tile grid partitions the work, one 2×2-input window per task."""
-    import ray.data
-
-    t = pa.table({
-        "tix": pa.array([a for a, _ in tiles], pa.int64()),
-        "tiy": pa.array([b for _, b in tiles], pa.int64()),
-    })
-    return ray.data.from_arrow(t).repartition(max(1, min(len(tiles), 8))) \
-        .map_batches(DownsampleTile,
-                     fn_constructor_kwargs=dict(tile_root=tile_root,
-                                                band=band),
-                     batch_format="pyarrow", zero_copy_batch=True,
-                     concurrency=concurrency, num_cpus=0.5)
+    tile grid partitions the work, one 2×2-input window per tile."""
+    return _per_tile(DownsampleTile, tiles, tile_root=tile_root, band=band)
 
 
 class ContourCells:
-    """map_batches actor: marching-squares case census per tile — the
+    """Kernel: marching-squares case census per tile — the
     raster→vector direction (focal/downsample smooth and shrink;
     contouring EXTRACTS the greenness isoline the availability maps
     draw).  For every 2×2 pixel cell anchored in the tile (right/bottom
@@ -221,20 +210,9 @@ class ContourCells:
 
 
 def contour_census(tile_root: str, tiles: "list[tuple[int, int]]",
-                   band: str = "ndvi", threshold: float = 0.3,
-                   concurrency=(1, 8)) -> "ray.data.Dataset":
+                   band: str = "ndvi",
+                   threshold: float = 0.3) -> "ray.data.Dataset":
     """Marching-squares census for an explicit tile list — same
     tile-partitioned, halo-read, shuffle-free plan as focal_stats."""
-    import ray.data
-
-    t = pa.table({
-        "tix": pa.array([a for a, _ in tiles], pa.int64()),
-        "tiy": pa.array([b for _, b in tiles], pa.int64()),
-    })
-    return ray.data.from_arrow(t).repartition(max(1, min(len(tiles), 8))) \
-        .map_batches(ContourCells,
-                     fn_constructor_kwargs=dict(tile_root=tile_root,
-                                                band=band,
-                                                threshold=threshold),
-                     batch_format="pyarrow", zero_copy_batch=True,
-                     concurrency=concurrency, num_cpus=0.5)
+    return _per_tile(ContourCells, tiles, tile_root=tile_root, band=band,
+                     threshold=threshold)

@@ -18,7 +18,7 @@ Two physical plans, size-gated on the node count (the near_dedup
 
 * **Broadcast plan** (nodes ≤ ``broadcast_threshold``, default 20M ≈
   320 MB of rank state): the (sorted node, outdeg, rank) vectors live
-  on the driver and ship once per iteration via ``ray.put``; each
+  on the driver and ship once per iteration to the object store; each
   iteration is ONE ``map_batches`` pass over the (never reshuffled)
   edge table emitting per-batch pre-combined contributions + ONE
   bucketed O(active nodes) reduce (``functions/aggregates.py`` — the
@@ -46,6 +46,7 @@ from ray.data.aggregate import Sum
 
 from ..functions.exchange import bucket_exchange
 from ..functions.joins import bucket_join_attach
+from ..sidefiles import shipped, side_table
 
 
 def _distinct_nodes(edges: "ray.data.Dataset", src_col: str,
@@ -88,13 +89,12 @@ def _collect_columns(ds: "ray.data.Dataset", cols) -> dict:
 
 
 class _BroadcastContrib:
-    """map_batches actor for the broadcast plan: resolve each edge's
+    """Per-batch step of the broadcast plan: resolve each edge's
     source rank/outdeg by binary search over the broadcast sorted node
     vector, floor-divide, pre-combine by dst within the batch."""
 
     def __init__(self, state_ref, src_col: str, dst_col: str):
-        keys, ranks, deg = ray.get(state_ref) \
-            if isinstance(state_ref, ray.ObjectRef) else state_ref
+        keys, ranks, deg = side_table(state_ref)
         self.keys, self.ranks, self.deg = keys, ranks, deg
         self.src_col, self.dst_col = src_col, dst_col
 
@@ -137,12 +137,11 @@ def _pagerank_broadcast(edges, nodes, iters, scale, src_col, dst_col):
 
     edges = edges.materialize()  # scanned once per iteration, never shuffled
     for _ in range(iters):
-        ref = ray.put((keys, ranks, deg))
+        ref = shipped((keys, ranks, deg))
 
         def contrib(batch: pa.Table, _ref=ref) -> pa.Table:
-            # plain TASKS, not an actor pool: a fresh pool per
-            # iteration paid its ~2 s ramp x iters; ray.get on the
-            # broadcast ref inside a task is a zero-copy plasma read
+            # plain tasks: ray.get on the broadcast ref inside a task
+            # is a zero-copy plasma read
             return _BroadcastContrib(_ref, src_col, dst_col)(batch)
 
         parts = edges.map_batches(contrib, batch_format="pyarrow",

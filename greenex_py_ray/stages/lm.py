@@ -14,7 +14,7 @@ Physical plan:
    words — the 100 TB path; rare words collapse to one OOV weight) and
    quantizes each word's ``ln(c / T)`` to int64 micro-nats, making the
    per-doc sum order-independent and hash-exact across engines.
-2. **score pass** — vocab broadcasts once via ``ray.put``; each batch
+2. **score pass** — vocab ships once to the object store; each batch
    does one explode + ``pd.Index.get_indexer`` hash join + ``np.add.at``
    per-doc sum.  No shuffle.
 """
@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
-import ray
 from ray.data.aggregate import Sum
 
-from ..sidefiles import side_table
+from ..functions.joins import KernelStage
+from ..sidefiles import shipped, side_table
 from .text import explode_words
 
 #: logprob quantization: micro-nats (int64) — order-independent sums
@@ -65,7 +64,7 @@ def fit_unigram(ds: "ray.data.Dataset", text_col: str = "text",
 
 
 class UnigramScorer:
-    """map_batches actor: per-doc summed quantized logprob from the
+    """Kernel: per-doc summed quantized logprob from the
     broadcast vocab.  Appends ``n_words`` and ``sum_logp_q``."""
 
     def __init__(self, vocab_ref, key_col: str = "doc_id",
@@ -94,10 +93,8 @@ def unigram_logprob(ds: "ray.data.Dataset", key_col: str = "doc_id",
                     text_col: str = "text",
                     max_vocab: int | None = None) -> "ray.data.Dataset":
     """Two-pass corpus-fit unigram scoring (see module docstring)."""
-    ref = ray.put(fit_unigram(ds, text_col, max_vocab))
-    return ds.map_batches(
+    return KernelStage(
         UnigramScorer,
-        fn_constructor_kwargs=dict(vocab_ref=ref, key_col=key_col,
-                                   text_col=text_col),
-        batch_format="pandas", concurrency=(1, 8), num_cpus=0.5,
-    )
+        dict(vocab_ref=shipped(fit_unigram(ds, text_col, max_vocab)),
+             key_col=key_col, text_col=text_col),
+        dict(batch_format="pandas", num_cpus=0.5)).on(ds)

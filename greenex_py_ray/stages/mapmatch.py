@@ -7,8 +7,9 @@ general form of that operation is point→nearest-segment projection, the
 workhorse of GPS map matching.
 
 Scale shape: the segment table is the small side (a road network is
-10^6–10^8 edges vs 10^12 points), broadcast once via ``ray.put``; each
-actor builds a uniform-grid segment index in ``__init__`` (cell size =
+10^6–10^8 edges vs 10^12 points), shipped once to the object store;
+each worker process's cached kernel builds a uniform-grid segment
+index in ``__init__`` (cell size =
 snap radius, each segment registered in every cell its R-expanded bbox
 overlaps) so per-batch work is one vectorized projection per (point,
 candidate) pair gathered cell-by-cell — no all-to-all shuffle.  For a
@@ -23,13 +24,13 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
-
 from ..functions.exchange import bucket_exchange
+from ..functions.joins import KernelStage
+from ..sidefiles import shipped, side_table
 
 
 class SegmentSnapper:
-    """Actor stage: nearest-segment snap within ``radius``.
+    """Kernel: nearest-segment snap within ``radius``.
 
     Input batch: ``key_col`` + point columns ``x``/``y``.
     Output: input keys + ``edge_key`` (int64), ``snap_t`` (clamped
@@ -42,7 +43,7 @@ class SegmentSnapper:
     """
 
     def __init__(self, edges_ref, radius: float, key_col: str = "doc_id"):
-        t = ray.get(edges_ref) if isinstance(edges_ref, ray.ObjectRef) else edges_ref
+        t = side_table(edges_ref)
         ek = t.column("edge_key").to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(ek, kind="stable")  # argmin tie → lowest key
         self.ek = ek[order]
@@ -130,17 +131,15 @@ class SegmentSnapper:
 
 
 def snap_to_segments(points: "ray.data.Dataset", edges: pa.Table,
-                     radius: float, key_col: str = "doc_id",
-                     concurrency=(1, 8)) -> "ray.data.Dataset":
-    """Broadcast-index snap: ``edges`` (edge_key, ax, ay, bx, by) is
-    ``ray.put`` once; every actor builds the grid index in its ctor."""
-    ref = ray.put(edges)
-    return points.map_batches(
+                     radius: float,
+                     key_col: str = "doc_id") -> "ray.data.Dataset":
+    """Broadcast-index snap: ``edges`` (edge_key, ax, ay, bx, by) ships
+    to the object store once; each worker process builds the grid index
+    once, in its kernel's ctor."""
+    return KernelStage(
         SegmentSnapper,
-        fn_constructor_kwargs=dict(edges_ref=ref, radius=radius, key_col=key_col),
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency, num_cpus=0.5,
-    )
+        dict(edges_ref=shipped(edges), radius=radius, key_col=key_col),
+        dict(num_cpus=0.5)).on(points)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def _graph(nodes_ref, edges_ref) -> CSRGraph:
 def _rings_from_table(gs: pa.Table):
     """greenspace table → list of (gs_id, exterior ring ndarray (N,2),
     centroid xy) — ring arrays sliced off the flat Arrow buffers (no
-    per-vertex Python in actor ``__init__``)."""
+    per-vertex Python in a kernel's ``__init__``)."""
     from .coverage import _rings_list
 
     ids = gs.column("gs_id").to_pylist()
@@ -68,7 +68,7 @@ def _rings_from_table(gs: pa.Table):
 
 
 class NetworkDistance:
-    """map_batches actor: network shortest distance to greenspace.
+    """Kernel: network shortest distance to greenspace.
 
     Deviation vs the reference: entrance nodes are tested against the
     ORIGINAL greenspace boundary, not the boundary of the
@@ -226,12 +226,12 @@ class _IsochroneAoI:
 
 
 class IsochroneZonal(_IsochroneAoI):
-    """map_batches actor: per-PoI isochrone AoI + zonal band stats.
+    """Kernel: per-PoI isochrone AoI + zonal band stats.
 
-    One actor = graph + tile store; per row: Dijkstra ego subgraph →
+    One kernel = graph + tile store; per row: Dijkstra ego subgraph →
     capsule mask over the covering pixel window → hole fill → clamped
     mean/std (availability.py:289 semantics).  Emits final metrics
-    directly (the AoI never leaves the actor — no polygon shuffle).
+    directly (the AoI never leaves the kernel — no polygon shuffle).
     """
 
     def __init__(self, nodes_ref, edges_ref, tile_root: str,
@@ -278,7 +278,7 @@ class IsochroneZonal(_IsochroneAoI):
 
 
 class IsochroneLandcover(_IsochroneAoI):
-    """map_batches actor: landcover class percentages inside each PoI's
+    """Kernel: landcover class percentages inside each PoI's
     isochrone AoI — ``get_landcover_percentages`` with
     ``buffer_type='network'`` (reference availability.py:505-516 +
     calculate_landcover_percentages:1068-1082: rasterize the isochrone

@@ -30,10 +30,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 from ray.data.aggregate import Sum
 
-from ..sidefiles import side_table
+from ..sidefiles import shipped, side_table
 
 
 def _bucket_partial(batch: pa.Table, key_col: str, count_col: str,
@@ -159,7 +158,7 @@ def sequence_pack(ds: "ray.data.Dataset", seq_len: int,
     """Assign every doc its token offset and training-sequence range in
     the concat-then-chunk packing of the corpus ordered by ``key_col``.
     ``ds`` must carry integer ``key_col`` and ``count_col`` columns."""
-    ref = ray.put(bucket_offsets(ds, key_col, count_col, bucket_span))
+    ref = shipped(bucket_offsets(ds, key_col, count_col, bucket_span))
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         k = batch.column(key_col).to_numpy(

@@ -20,6 +20,9 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
 
+from ..functions.joins import KernelStage
+from ..sidefiles import shipped, side_table
+
 
 def value_counts(ds: "ray.data.Dataset", col: str) -> "ray.data.Dataset":
     """(v, c) distinct-value counts of ``ds[col]`` — partial per-batch
@@ -73,15 +76,11 @@ def exact_quantiles(ds: "ray.data.Dataset", col: str,
 
 
 class _RankLookup:
-    """map_batches actor: percent-rank lookup from the broadcast
-    cumulative histogram (built once per actor in ``__init__``)."""
+    """Kernel: percent-rank lookup from the broadcast cumulative
+    histogram (built once per kernel in ``__init__``)."""
 
     def __init__(self, hist_ref, col: str, out_col: str):
-        import ray
-
-        h = (ray.get(hist_ref)
-             if isinstance(hist_ref, ray.ObjectRef) else hist_ref)
-        self.v, cum, self.n = h
+        self.v, cum, self.n = side_table(hist_ref)
         # count of rows strictly below each distinct value
         self.below = np.concatenate(([0], cum[:-1]))
         self.col = col
@@ -110,11 +109,9 @@ def percent_rank(ds: "ray.data.Dataset", col: str,
     sort: ``(#rows < value) / (n - 1)``, ties share a rank.
 
     Two passes: the O(#distinct) value-count histogram (same bounded
-    pull as :func:`exact_quantiles`) cumsums on the driver and
-    broadcasts via ``ray.put``; a stateless lookup stage then maps each
-    row through one ``searchsorted``.  No row ever shuffles."""
-    import ray
-
+    pull as :func:`exact_quantiles`) cumsums on the driver and ships
+    to the object store; a lookup kernel stage then maps each row
+    through one ``searchsorted``.  No row ever shuffles."""
     tbls, total = [], 0
     for b in value_counts(ds, col).sort("v").iter_batches(
             batch_format="pyarrow"):
@@ -131,12 +128,10 @@ def percent_rank(ds: "ray.data.Dataset", col: str,
     c = hist.column("c").to_numpy(zero_copy_only=False).astype(np.int64)
     cum = np.cumsum(c)
     n = int(cum[-1]) if len(cum) else 0
-    ref = ray.put((v, cum, n))
-    return ds.map_batches(
+    return KernelStage(
         _RankLookup,
-        fn_constructor_kwargs=dict(hist_ref=ref, col=col, out_col=out_col),
-        batch_format="pyarrow", concurrency=(1, 8), num_cpus=0.25,
-    )
+        dict(hist_ref=shipped((v, cum, n)), col=col, out_col=out_col),
+        dict(num_cpus=0.25)).on(ds)
 
 
 def group_winsorize(ds: "ray.data.Dataset", group_col: str, col: str,
@@ -218,8 +213,6 @@ def global_rank_ntile(ds: "ray.data.Dataset", col: str, key_col: str,
     broadcast base.  NTILE uses SQL's exact fill rule (first ``n % t``
     tiles get the extra row).
     """
-    import ray as _ray
-    from ray.data.aggregate import Sum as _Sum
 
     def counts(batch: pa.Table) -> pa.Table:
         v = batch.column(col).to_numpy(zero_copy_only=False)
@@ -230,12 +223,12 @@ def global_rank_ntile(ds: "ray.data.Dataset", col: str, key_col: str,
 
     hist = (ds.map_batches(counts, batch_format="pyarrow",
                            zero_copy_batch=True)
-            .groupby("q").aggregate(_Sum("n", alias_name="n"))
+            .groupby("q").aggregate(Sum("n", alias_name="n"))
             .to_pandas().sort_values("q"))
     qs = hist["q"].to_numpy()
     base = np.concatenate(([0], np.cumsum(hist["n"].to_numpy())[:-1]))
     n_total = int(hist["n"].sum())
-    ref = _ray.put({"qs": qs, "base": base})
+    ref = shipped({"qs": qs, "base": base})
     per, rem = divmod(n_total, tiles)
 
     def add_q(batch: pa.Table) -> pa.Table:
@@ -246,7 +239,7 @@ def global_rank_ntile(ds: "ray.data.Dataset", col: str, key_col: str,
         })
 
     def rank_group(tbl: pa.Table) -> pa.Table:
-        st = _ray.get(ref)
+        st = side_table(ref)
         qv = int(tbl.column("q")[0].as_py())
         b = int(st["base"][np.searchsorted(st["qs"], qv)])
         keys = tbl.column(key_col).to_numpy(zero_copy_only=False)

@@ -3,11 +3,11 @@
 analysed in another).
 
 Ray-Data-native shape: the TARGET tile grid is the dataset (one row per
-output tile), and an actor-pool stage samples each output tile's pixel
+output tile), and a kernel stage samples each output tile's pixel
 centers from the SOURCE tile store after inverse-projecting them through
 :mod:`greenex_py_ray.geoproj` — nearest-neighbor resampling
 (``Resampling.nearest``, the reference default).  No global raster is
-ever materialized; each actor reads the memory-mapped source tiles.
+ever materialized; each kernel reads the memory-mapped source tiles.
 
 Output rows carry the same (band, tix, tiy, x0, y0, res, w, h, data)
 schema as :func:`greenex_py_ray.sources.synth.write_raster_tiles`, so
@@ -23,7 +23,7 @@ import pyarrow as pa
 import ray.data
 
 from .. import geoproj
-from ..functions.joins import as_pool
+from ..functions.joins import KernelStage
 from ..sources import synth
 from ..state.tiles import TileStore
 
@@ -52,10 +52,10 @@ def target_tiles_dataset(x0: float, y0: float, x1: float, y1: float,
 
 
 class RegridTiles:
-    """Actor stage: target tile descriptor rows → regridded tile rows.
+    """Kernel: target tile descriptor rows → regridded tile rows.
 
     For each output tile: pixel centers → inverse-project target→source
-    CRS → nearest source pixel (floor(x/res)) via the per-actor source
+    CRS → nearest source pixel (floor(x/res)) via the kernel's source
     TileStore.  Pixels falling outside the stored source extent become
     NaN (float bands) / ``fill_int`` (int bands)."""
 
@@ -137,16 +137,13 @@ class RegridTiles:
 
 
 def reproject_raster(src_root: str, band: str, src_crs: str, dst_crs: str,
-                     dst_bbox: tuple[float, float, float, float],
-                     concurrency: int | None = None) -> "ray.data.Dataset":
+                     dst_bbox: tuple[float, float, float, float]
+                     ) -> "ray.data.Dataset":
     """S8 entry: source tile store (in ``src_crs``) → Dataset of
     regridded tiles on the target grid covering ``dst_bbox`` (target-CRS
     coords).  Consume with ``.write_parquet`` for a reprojected store."""
-    tgt = target_tiles_dataset(*dst_bbox, band=band)
-    return tgt.map_batches(
+    return KernelStage(
         RegridTiles,
-        fn_constructor_kwargs=dict(src_root=src_root, src_crs=src_crs,
-                                   dst_crs=dst_crs, band=band),
-        batch_format="pyarrow", batch_size=8,
-        concurrency=as_pool(concurrency), num_cpus=0.25,
-    )
+        dict(src_root=src_root, src_crs=src_crs, dst_crs=dst_crs, band=band),
+        dict(batch_size=8, num_cpus=0.25)).on(
+            target_tiles_dataset(*dst_bbox, band=band))

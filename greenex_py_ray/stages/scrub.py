@@ -27,7 +27,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.joins import bucket_join_attach
+from ..functions.joins import KernelStage, bucket_join_attach
+from ..sidefiles import shipped, side_table
 from .text import explode_words
 
 #: RE2 patterns shared verbatim with the DuckDB oracle (both engines
@@ -164,7 +165,7 @@ def line_freq_partial(batch: pa.Table, width: int = 3,
 
 
 class LineFilter:
-    """Pass 2 actor: drop every line whose hash is in the banned set
+    """Pass 2 kernel: drop every line whose hash is in the banned set
     (broadcast as a sorted int64 array — boilerplate sets stay small
     even at corpus scale; a bucket-join variant would co-locate on the
     line hash if the set ever outgrew the object store).
@@ -174,10 +175,8 @@ class LineFilter:
 
     def __init__(self, banned_ref, width: int = 3, key_col: str = "doc_id",
                  text_col: str = "text"):
-        import ray as _ray
-
-        b = _ray.get(banned_ref) if isinstance(banned_ref, _ray.ObjectRef) else banned_ref
-        self.banned = np.sort(np.asarray(b, dtype=np.uint64))
+        self.banned = np.sort(np.asarray(side_table(banned_ref),
+                                         dtype=np.uint64))
         self.width = width
         self.key_col = key_col
         self.text_col = text_col
@@ -211,8 +210,8 @@ class LineFilter:
 
 
 def line_dedup(ds: "ray.data.Dataset", width: int = 3, min_docs: int = 4,
-               key_col: str = "doc_id", text_col: str = "text",
-               concurrency=(1, 8)) -> "ray.data.Dataset":
+               key_col: str = "doc_id",
+               text_col: str = "text") -> "ray.data.Dataset":
     """C4-style frequent-line removal: lines (runs of ``width`` tokens)
     that occur in ``>= min_docs`` distinct documents are boilerplate and
     are dropped from every document.
@@ -220,8 +219,7 @@ def line_dedup(ds: "ray.data.Dataset", width: int = 3, min_docs: int = 4,
     Scale shape: pass 1 collapses each batch to distinct (line, doc)
     partials, so the groupby ships O(distinct lines per batch); the
     banned set (frequency >= threshold) is tiny by construction and is
-    broadcast once via ``ray.put`` for the pass-2 rewrite."""
-    import ray as _ray
+    shipped once to the object store for the pass-2 rewrite."""
     from ray.data.aggregate import Sum
 
     freq = (ds.map_batches(
@@ -232,14 +230,11 @@ def line_dedup(ds: "ray.data.Dataset", width: int = 3, min_docs: int = 4,
         lambda b: b.filter(pc.greater_equal(b.column("n"), min_docs)),
         batch_format="pyarrow", zero_copy_batch=True).to_pandas())
     banned = banned_tbl["lh"].to_numpy(dtype=np.int64).view(np.uint64)
-    ref = _ray.put(banned)
-    return ds.map_batches(
+    return KernelStage(
         LineFilter,
-        fn_constructor_kwargs=dict(banned_ref=ref, width=width,
-                                   key_col=key_col, text_col=text_col),
-        batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=concurrency, num_cpus=0.5,
-    )
+        dict(banned_ref=shipped(banned), width=width, key_col=key_col,
+             text_col=text_col),
+        dict(num_cpus=0.5)).on(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +360,12 @@ def window_freq_partial(batch: pa.Table, width: int,
 
 
 class DupWindowFlag:
-    """Pass-2 actor (broadcast path): per document, count window
+    """Pass-2 kernel (broadcast path): per document, count window
     positions whose hash is in the duplicated-window set."""
 
     def __init__(self, dup_ref, width: int, key_col: str = "doc_id",
                  text_col: str = "text"):
-        import ray as _ray
-
-        d = _ray.get(dup_ref) if isinstance(dup_ref, _ray.ObjectRef) else dup_ref
-        self.dup = np.sort(np.asarray(d, dtype=np.uint64))
+        self.dup = np.sort(np.asarray(side_table(dup_ref), dtype=np.uint64))
         self.width = width
         self.key_col = key_col
         self.text_col = text_col
@@ -400,8 +392,7 @@ def dup_window_flags(ds: "ray.data.Dataset", width: int = 8,
                      min_docs: int = 2, key_col: str = "doc_id",
                      text_col: str = "text",
                      max_broadcast: int = 2_000_000,
-                     num_partitions: int = 16,
-                     concurrency=(1, 8)) -> "ray.data.Dataset":
+                     num_partitions: int = 16) -> "ray.data.Dataset":
     """ExactSubstr-style duplicate-window detection (Lee et al. 2022,
     "Deduplicating Training Data Makes Language Models Better"): every
     sliding run of ``width`` tokens that appears in ``>= min_docs``
@@ -415,12 +406,11 @@ def dup_window_flags(ds: "ray.data.Dataset", width: int = 8,
 
     Scale shape: pass 1 collapses each batch to distinct (window, doc)
     partials before the single O(distinct windows) groupby.  The
-    duplicated-window set is delivered two ways: broadcast via
-    ``ray.put`` when it fits (``<= max_broadcast`` keys — 16 MB/M keys),
+    duplicated-window set is delivered two ways: shipped to the object
+    store when it fits (``<= max_broadcast`` keys — 16 MB/M keys),
     else a bucket-exchange semi join of per-doc window partials against
     the dup-key table, followed by an O(docs) left-outer count join — no
     driver text materialization on either path."""
-    import ray as _ray
     from ray.data.aggregate import Sum
 
     freq = (ds.map_batches(
@@ -437,14 +427,11 @@ def dup_window_flags(ds: "ray.data.Dataset", width: int = 8,
         dup = (dup_keys.to_pandas()["wh"].to_numpy(dtype=np.int64)
                .view(np.uint64) if n_dup_keys else
                np.empty(0, np.uint64))
-        ref = _ray.put(dup)
-        return ds.map_batches(
+        return KernelStage(
             DupWindowFlag,
-            fn_constructor_kwargs=dict(dup_ref=ref, width=width,
-                                       key_col=key_col, text_col=text_col),
-            batch_format="pyarrow", zero_copy_batch=True,
-            concurrency=concurrency, num_cpus=0.5,
-        )
+            dict(dup_ref=shipped(dup), width=width, key_col=key_col,
+                 text_col=text_col),
+            dict(num_cpus=0.5)).on(ds)
 
     # Scale path: ship per-doc window partials through a semi join on
     # the window hash instead of broadcasting the dup set.

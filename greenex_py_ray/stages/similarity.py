@@ -1,7 +1,7 @@
 """Similarity search over an embedding column (ANN operators).
 
 * ``BruteForceTopK`` — baseline: per-batch numpy matmul of the batch's
-  embeddings against a BROADCAST query matrix (``ray.put`` once), local
+  embeddings against a BROADCAST query matrix (shipped once), local
   top-k per batch, then a global top-k reduce via
   ``sort(score).limit(k)`` over the small per-batch candidate set.
 * ``ivf_assign`` / IVF path — the scale variant: k-means-style coarse
@@ -12,14 +12,15 @@
 
 from __future__ import annotations
 
-from ..functions.joins import as_pool
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 import ray
 import ray.data
+
+from ..functions.joins import KernelStage, cluster_cpus
+from ..sidefiles import shipped, side_table
 
 
 def _to_matrix(col, dim: int) -> np.ndarray:
@@ -29,7 +30,7 @@ def _to_matrix(col, dim: int) -> np.ndarray:
 
 
 class BruteForceTopK:
-    """Actor stage: local top-k cosine per query against each batch.
+    """Local top-k cosine per query against each batch.
 
     Emits (query_id, key, score) rows — at most k per (query, batch);
     the global answer is the top-k of the union (guaranteed superset
@@ -39,7 +40,7 @@ class BruteForceTopK:
     def __init__(self, queries_ref, k: int, dim: int, key_col: str = "vec_id",
                  vec_col: str = "embedding", probe_cells=None,
                  cell_col: str = "ivf_cell"):
-        q = ray.get(queries_ref) if isinstance(queries_ref, ray.ObjectRef) else queries_ref
+        q = side_table(queries_ref)
         self.qids = q["query_id"]
         Q = np.asarray(q["vectors"], dtype=np.float64)
         qn = np.linalg.norm(Q, axis=1)
@@ -87,22 +88,19 @@ class BruteForceTopK:
 
 def brute_force_topk(
     ds: "ray.data.Dataset", queries: dict, k: int, dim: int,
-    key_col: str = "vec_id", concurrency: int = 4, probe_cells=None,
-    vec_col: str = "embedding",
+    key_col: str = "vec_id", probe_cells=None, vec_col: str = "embedding",
 ) -> "ray.data.Dataset":
     """Global top-k per query: broadcast queries, per-batch local top-k,
     then a tiny per-query reduce (the candidate set is ≤ k·num_batches
     rows — small).
 
-    The scan runs as stateless TASKS, not an actor pool: the only
-    "state" is the broadcast query matrix, and ``ray.get`` of a plasma
-    object inside a task is a zero-copy handle — an actor pool here
-    pays its spawn ramp for nothing (measured 2.5 s of a 4 s pipeline
-    on a small table).  The reduce is a single-partition vectorized
+    The scan runs as plain TASKS: the only "state" is the broadcast
+    query matrix, and ``ray.get`` of a plasma object inside a task is a
+    zero-copy handle.  The reduce is a single-partition vectorized
     lexsort instead of a sort-shuffle ``groupby.map_groups`` — the
     candidate set is k·num_batches rows by construction, so one narrow
     exchange beats all-to-all machinery at every scale."""
-    ref = ray.put(queries)
+    ref = shipped(queries)
 
     def scan(batch: pa.Table) -> pa.Table:
         return BruteForceTopK(ref, k=k, dim=dim, key_col=key_col,
@@ -163,11 +161,10 @@ def train_centroids(sample: np.ndarray, n_centroids: int, iters: int = 10,
 
 
 class IVFAssign:
-    """Actor stage: append ``ivf_cell`` = nearest coarse centroid id."""
+    """Kernel: append ``ivf_cell`` = nearest coarse centroid id."""
 
     def __init__(self, centroids_ref, dim: int, vec_col: str = "embedding"):
-        C = ray.get(centroids_ref) if isinstance(centroids_ref, ray.ObjectRef) else centroids_ref
-        self.C = np.asarray(C, dtype=np.float64)
+        self.C = np.asarray(side_table(centroids_ref), dtype=np.float64)
         self.dim = dim
         self.vec_col = vec_col
 
@@ -180,15 +177,11 @@ class IVFAssign:
 
 def ivf_topk(
     ds: "ray.data.Dataset", queries: dict, centroids: np.ndarray, k: int, dim: int,
-    nprobe: int = 4, key_col: str = "vec_id", concurrency: int = 4,
+    nprobe: int = 4, key_col: str = "vec_id",
 ) -> "ray.data.Dataset":
     """ANN: probe only the ``nprobe`` nearest IVF cells per query.
     Approximate — recall measured against ``brute_force_topk`` in tests."""
-    cref = ray.put(centroids)
-    assigned = ds.map_batches(
-        IVFAssign, fn_constructor_kwargs=dict(centroids_ref=cref, dim=dim),
-        batch_format="pyarrow", concurrency=as_pool(concurrency), num_cpus=0.25,
-    )
+    assigned = _ivf_assign(ds, centroids, dim)
     probe_cells = _probe_cells(queries, centroids, nprobe)
     cells = np.unique(probe_cells)
     # prune the dataset to probed cells, then brute-force inside
@@ -202,8 +195,18 @@ def ivf_topk(
         "query_id": queries["query_id"],
         "vectors": queries["vectors"],
     }
-    return brute_force_topk(pruned, per_query, k, dim, key_col, concurrency,
+    return brute_force_topk(pruned, per_query, k, dim, key_col,
                             probe_cells=probe_cells)
+
+
+def _ivf_assign(ds: "ray.data.Dataset", centroids: np.ndarray, dim: int,
+                vec_col: str = "embedding") -> "ray.data.Dataset":
+    """``ds`` with each vector's ``ivf_cell`` (:class:`IVFAssign`)."""
+    return KernelStage(
+        IVFAssign,
+        dict(centroids_ref=shipped(np.asarray(centroids, dtype=np.float64)),
+             dim=dim, vec_col=vec_col),
+        dict(num_cpus=0.25)).on(ds)
 
 
 def _probe_cells(queries: dict, centroids: np.ndarray,
@@ -218,7 +221,7 @@ def _probe_cells(queries: dict, centroids: np.ndarray,
 
 def ivf_build(ds: "ray.data.Dataset", centroids: np.ndarray, dim: int,
               out_dir: str, vec_col: str = "embedding",
-              concurrency: int = 4, overwrite: bool = False) -> str:
+              overwrite: bool = False) -> str:
     """Build a persisted IVF index: assign every vector to its coarse
     cell and write CELL-PARTITIONED parquet (one hive directory per
     ``ivf_cell``).  This is the build-once/query-many split
@@ -239,21 +242,15 @@ def ivf_build(ds: "ray.data.Dataset", centroids: np.ndarray, dim: int,
                 f"{out_dir} is not empty — a rebuild into a stale index "
                 "would mix old and new files; pass overwrite=True")
         _shutil.rmtree(out_dir)
-    cref = ray.put(np.asarray(centroids, dtype=np.float64))
-    assigned = ds.map_batches(
-        IVFAssign, fn_constructor_kwargs=dict(centroids_ref=cref, dim=dim,
-                                              vec_col=vec_col),
-        batch_format="pyarrow", concurrency=as_pool(concurrency),
-        num_cpus=0.25,
-    )
-    assigned.write_parquet(out_dir, partition_cols=["ivf_cell"])
+    _ivf_assign(ds, centroids, dim, vec_col).write_parquet(
+        out_dir, partition_cols=["ivf_cell"])
     return out_dir
 
 
 def ivf_query_index(index_dir: str, queries: dict, centroids: np.ndarray,
                     k: int, dim: int, nprobe: int = 4,
-                    key_col: str = "vec_id", vec_col: str = "embedding",
-                    concurrency: int = 4) -> "ray.data.Dataset":
+                    key_col: str = "vec_id",
+                    vec_col: str = "embedding") -> "ray.data.Dataset":
     """Top-k per query against a persisted :func:`ivf_build` index —
     reads only the probed cells' partitions, then brute-forces inside
     (the standard IVF probe).  Approximate: recall depends on how well
@@ -280,7 +277,7 @@ def ivf_query_index(index_dir: str, queries: dict, centroids: np.ndarray,
     if not paths:
         return brute_force_topk(
             ray.data.from_arrow(pa.table({key_col: pa.array([], pa.int64())})),
-            queries, k, dim, key_col, concurrency)
+            queries, k, dim, key_col)
     # the hive path segment (ivf_cell=N) is restored as a column on
     # read (as a string — cast back to int64), so per-query probe
     # masking stays strict: each query scores only ITS cells, not the
@@ -295,18 +292,16 @@ def ivf_query_index(index_dir: str, queries: dict, centroids: np.ndarray,
 
     # a partitioned build leaves ~write-concurrency small files per
     # cell; one read task per tiny file would swamp the probe with
-    # scheduling overhead, so bundle files into at most ~2×concurrency
-    # blocks
+    # scheduling overhead, so bundle files into at most ~2×CPUs blocks
     pruned = ray.data.read_parquet(
-        paths, override_num_blocks=max(1, min(len(paths),
-                                              2 * max(concurrency, 4))),
+        paths, override_num_blocks=min(len(paths), 2 * cluster_cpus()),
     ).map_batches(cast_cell, batch_format="pyarrow", zero_copy_batch=True)
-    return brute_force_topk(pruned, queries, k, dim, key_col, concurrency,
+    return brute_force_topk(pruned, queries, k, dim, key_col,
                             probe_cells=probe_cells, vec_col=vec_col)
 
 
 class CosinePairsExact:
-    """Actor stage: exact all-pairs cosine similarity join against a
+    """Kernel: exact all-pairs cosine similarity join against a
     BROADCAST (id, vector) matrix — each batch emits its pairs
     ``(key_a < key_b, cosine >= threshold)`` against the whole table.
 
@@ -320,7 +315,7 @@ class CosinePairsExact:
 
     def __init__(self, all_ref, dim: int, threshold: float,
                  key_col: str = "vec_id", vec_col: str = "embedding"):
-        a = ray.get(all_ref) if isinstance(all_ref, ray.ObjectRef) else all_ref
+        a = side_table(all_ref)
         self.all_ids = np.asarray(a["ids"], dtype=np.int64)
         V = np.asarray(a["vectors"], dtype=np.float64)
         n = np.linalg.norm(V, axis=1)
@@ -352,24 +347,21 @@ class CosinePairsExact:
 def cosine_pairs_exact(
     ds: "ray.data.Dataset", dim: int, threshold: float,
     key_col: str = "vec_id", vec_col: str = "embedding",
-    concurrency: int | None = 4,
 ) -> "ray.data.Dataset":
     """Exact cosine similarity self-join (pairs with cosine >= threshold).
 
-    Broadcasts the full (id, vector) matrix once via ``ray.put``; each
+    Ships the full (id, vector) matrix to the object store once; each
     batch computes its block of the similarity matrix."""
     parts = list(ds.select_columns([key_col, vec_col])
                  .iter_batches(batch_format="pyarrow"))
     full = pa.concat_tables(parts)
     ids = full.column(key_col).to_numpy(zero_copy_only=False)
     V = _to_matrix(full.column(vec_col), dim)
-    ref = ray.put({"ids": ids, "vectors": V})
-    return ds.map_batches(
+    return KernelStage(
         CosinePairsExact,
-        fn_constructor_kwargs=dict(all_ref=ref, dim=dim, threshold=threshold,
-                                   key_col=key_col, vec_col=vec_col),
-        batch_format="pyarrow", concurrency=as_pool(concurrency), num_cpus=0.25,
-    )
+        dict(all_ref=shipped({"ids": ids, "vectors": V}), dim=dim,
+             threshold=threshold, key_col=key_col, vec_col=vec_col),
+        dict(num_cpus=0.25)).on(ds)
 
 
 #: centroid quantization grid (int64 micro-units per component)
@@ -541,13 +533,13 @@ def lsh_topk(
     qids = np.asarray(queries["query_id"], dtype=np.int64)
     qq = np.round(qv * LSH_QUANT).astype(np.int64)
     qcodes = _band_codes(qq, planes, n_bands)           # (nq, n_bands)
-    qref = ray.put({"qids": qids, "qq": qq, "qcodes": qcodes})
+    qref = shipped({"qids": qids, "qq": qq, "qcodes": qcodes})
 
     def explode(batch: pa.Table) -> pa.Table:
         v = _to_matrix(batch.column(vec_col), dim)
         eq = np.round(v * LSH_QUANT).astype(np.int64)
         codes = _band_codes(eq, planes, n_bands)
-        q = ray.get(qref)
+        q = side_table(qref)
         # pre-filter: only (vector, band) rows whose code matches SOME
         # query in that band survive — the exploded shuffle side drops
         # from n_bands×rows to the true candidate postings
@@ -566,7 +558,7 @@ def lsh_topk(
     def score_group(tbl: pa.Table) -> pa.Table:
         band = int(tbl.column("band")[0].as_py())
         code = int(tbl.column("code")[0].as_py())
-        q = ray.get(qref)
+        q = side_table(qref)
         qsel = np.flatnonzero(q["qcodes"][:, band] == code)
         if len(qsel) == 0 or tbl.num_rows == 0:
             return pa.table({"query_id": pa.array([], pa.int64()),
@@ -744,7 +736,7 @@ def lsh_query_index(index_dir: str, queries: dict, k: int, dim: int,
                       "score": pa.array([], pa.float64())})
     if not paths:
         return ray.data.from_arrow(empty)
-    qref = ray.put({"qids": qids, "qq": qq,
+    qref = shipped({"qids": qids, "qq": qq,
                     "qbuckets": {int(b): np.flatnonzero(
                         (np.arange(n_bands)[None, :] * (1 << per)
                          + qcodes == b).any(1)).astype(np.int64)
@@ -756,7 +748,7 @@ def lsh_query_index(index_dir: str, queries: dict, k: int, dim: int,
 
         if batch.num_rows == 0:
             return empty
-        q = ray.get(qref)
+        q = side_table(qref)
         bcol = batch.column("lsh_bucket")
         if not pa.types.is_integer(bcol.type):
             bcol = _pc.cast(bcol, pa.int64())
@@ -820,10 +812,10 @@ def kmeans_assign_iterations(ds: "ray.data.Dataset", centroids0: np.ndarray,
     k = len(C)
 
     def assign_of(Ccur: np.ndarray):
-        cref = ray.put(Ccur)
+        cref = shipped(Ccur)
 
         def fn(batch: pa.Table) -> pa.Table:
-            Cl = ray.get(cref)
+            Cl = side_table(cref)
             v = _to_matrix(batch.column(vec_col), dim)
             eq = np.round(v * q_scale).astype(np.int64).astype(np.float64)
             d = -2.0 * (eq @ Cl.T) + (Cl * Cl).sum(1)[None, :]
@@ -836,10 +828,10 @@ def kmeans_assign_iterations(ds: "ray.data.Dataset", centroids0: np.ndarray,
         assigned = ds.map_batches(assign_of(C), batch_format="pyarrow",
                                   zero_copy_batch=True)
         # integer sufficient statistics for the update
-        cref = ray.put(C)
+        cref = shipped(C)
 
         def stats(batch: pa.Table) -> pa.Table:
-            Cl = ray.get(cref)
+            Cl = side_table(cref)
             v = _to_matrix(batch.column(vec_col), dim)
             eqf = np.round(v * q_scale).astype(np.int64)
             d = (-2.0 * (eqf.astype(np.float64) @ Cl.T)
@@ -895,7 +887,6 @@ def group_medoid(ds: "ray.data.Dataset", dim: int,
     the smaller ``key_col``.  All arithmetic is exact int64 on
     ``round(x·MEDOID_Q)`` components (both engines replay the identical
     integers)."""
-    import ray as _ray
     from ray.data.aggregate import Sum
 
     def sum_partial(batch: pa.Table) -> pa.Table:
@@ -927,11 +918,10 @@ def group_medoid(ds: "ray.data.Dataset", dim: int,
     N = np.zeros(len(groups), dtype=np.int64)
     S[gi, di] = stats["sum_q"].to_numpy(dtype=np.int64)
     N[gi] = stats["n"].to_numpy(dtype=np.int64)
-    ref = _ray.put((groups, S, N))
+    ref = shipped((groups, S, N))
 
     def score_partial(batch: pa.Table) -> pa.Table:
-        gr, Sm, Nn = _ray.get(ref) if isinstance(ref, _ray.ObjectRef) \
-            else ref
+        gr, Sm, Nn = side_table(ref)
         g = batch.column(group_col).to_numpy(
             zero_copy_only=False).astype(np.int64)
         k = batch.column(key_col).to_numpy(zero_copy_only=False)
@@ -984,8 +974,6 @@ def mmr_topk(ds: "ray.data.Dataset", query_vec: np.ndarray, k: int,
     "small side" a driver should own.  λ is carried in TENTHS so the
     mixed score is ``lam·relq − (10−lam)·msimq`` — pure int64, ties to
     the smaller id, bit-equal in any engine."""
-    import ray as _ray
-
     q64 = np.asarray(query_vec, dtype=np.float64)
     cand = brute_force_topk(
         ds, {"query_id": [0], "vectors": q64[None, :]}, m, dim,

@@ -32,6 +32,7 @@ import ray.data
 from ray.data.aggregate import Count
 
 from .. import cells
+from ..sidefiles import shipped, side_table
 
 
 def point_cell_stats(points: "ray.data.Dataset", cell_size: float) -> dict[int, int]:
@@ -82,14 +83,14 @@ def cell_pip_join(
     result."""
     salt_map = build_salt_map(point_cell_stats(points, cell_size),
                               hot_threshold, target_per_salt)
-    salt_ref = ray.put(salt_map)
+    salt_ref = shipped(salt_map)
     key_type = points.schema().base_schema.field(key_col).type
 
     def tag_points(batch: pa.Table) -> pa.Table:
         x = batch.column("x").to_numpy(zero_copy_only=False)
         y = batch.column("y").to_numpy(zero_copy_only=False)
         cell = cells.cell_of(x, y, cell_size)
-        smap = ray.get(salt_ref)
+        smap = side_table(salt_ref)
         keys = batch.column(key_col)
         # typed-array hashing (same trick as bucket_dedup): no
         # to_pylist() python-object round-trip; the hash only drives
@@ -119,7 +120,7 @@ def cell_pip_join(
         x1 = batch.column("x1").to_numpy(zero_copy_only=False)
         y1 = batch.column("y1").to_numpy(zero_copy_only=False)
         ridx, rcell = cells.cover_bbox(x0, y0, x1, y1, cell_size)
-        smap = ray.get(salt_ref)
+        smap = side_table(salt_ref)
         # replicate each (rect, cell) row to every salt bucket of that cell
         ks = np.ones(len(rcell), dtype=np.int64)
         if smap:

@@ -10,11 +10,11 @@ item with the lowest cloud cover wins, tie-broken by catalog order
 The reference does this once for a single global bbox; here it is a
 proper distributed operator — one selection per AoI row — because at
 100 TB the AoI side is the big table.  Physical plan: the catalog is
-the small side (a STAC search returns a bounded item list), broadcast
-once via ``ray.put``; each actor pre-sorts it by ``(cloud_cover,
-item_id)`` in ``__init__`` so the per-batch body is a vectorized
-first-containing-item scan (argmin == first hit in sorted order).  No
-shuffle at all.
+the small side (a STAC search returns a bounded item list), shipped
+once to the object store; each worker process's cached kernel pre-sorts
+it by ``(cloud_cover, item_id)`` in ``__init__`` so the per-batch body
+is a vectorized first-containing-item scan (argmin == first hit in
+sorted order).  No shuffle at all.
 
 The item-count axis is chunked (``item_chunk``) so the A×I containment
 mask never materializes more than ``batch × item_chunk`` booleans —
@@ -31,7 +31,7 @@ from ..sidefiles import side_table
 
 
 class LowestCloudSelector:
-    """map_batches actor: per AoI bbox, pick the catalog item with the
+    """Kernel: per AoI bbox, pick the catalog item with the
     lowest cloud cover whose footprint contains the AoI.
 
     Catalog table columns: ``item_id`` (int64), ``x0 y0 x1 y1``

@@ -8,9 +8,10 @@ gradient magnitude.  The reference samples rasters only through zonal
 means (``availability.py:90-140``); a derivative operator is what
 viewshed/drainage/terrain pipelines need from the same tile store.
 
-Scale shape: one actor pool holding a :class:`state.tiles.TileStore`
-LRU (tiles load once per actor, windows stitch across tile borders);
-points stream through in batches.  For cross-engine determinism the
+Scale shape: a :class:`~greenex_py_ray.functions.joins.KernelStage`
+whose kernel holds a :class:`state.tiles.TileStore` (built once per
+worker process; windows stitch across tile borders); points stream
+through in batches.  For cross-engine determinism the
 gradient components quantize to int64 nano-units and the magnitude is
 ``round(sqrt(dzdx² + dzdy²) · 1e9)`` — sqrt is correctly rounded in
 both engines and the inputs are bit-identical float64.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..functions.joins import KernelStage
 from ..state.tiles import TileStore
 
 #: gradient quantization (nano-units per meter)
@@ -31,7 +33,7 @@ GRAD_Q = 1e9
 
 
 class PointGradient:
-    """map_batches actor: central-difference gradient at each point's
+    """Kernel: central-difference gradient at each point's
     center pixel.  Appends ``gx_q``, ``gy_q``, ``slope_q`` (int64
     nano-units; NULL when any of the 4 neighbor pixels is missing)."""
 
@@ -97,14 +99,12 @@ class PointGradient:
 
 
 def point_gradient(ds: "ray.data.Dataset", tile_root: str,
-                   band: str = "ndvi", res: float = 10.0,
-                   concurrency=(1, 8)) -> "ray.data.Dataset":
+                   band: str = "ndvi",
+                   res: float = 10.0) -> "ray.data.Dataset":
     """Per-point raster gradient (see module docstring)."""
-    return ds.map_batches(
-        PointGradient,
-        fn_constructor_kwargs=dict(tile_root=tile_root, band=band, res=res),
-        batch_format="pyarrow", concurrency=concurrency, num_cpus=0.5,
-    )
+    return KernelStage(
+        PointGradient, dict(tile_root=tile_root, band=band, res=res),
+        dict(num_cpus=0.5)).on(ds)
 
 
 #: Hillshade light direction (GDAL defaults: azimuth 315°, altitude 45°)
@@ -153,7 +153,7 @@ SQRT2 = float(np.sqrt(2.0))
 
 
 class D8FlowDirection:
-    """map_batches actor: D8 steepest-descent direction at each point's
+    """Kernel: D8 steepest-descent direction at each point's
     center pixel.  drop(code) = (z_center − z_neighbor) / dist, with
     dist = res (axial) or res·√2 (diagonal); drops quantize to int64
     nano-units so the argmax is exact in both engines.  Emits
@@ -219,11 +219,9 @@ class D8FlowDirection:
 
 
 def d8_flow_direction(ds: "ray.data.Dataset", tile_root: str,
-                      band: str = "ndvi", res: float = 10.0,
-                      concurrency=(1, 8)) -> "ray.data.Dataset":
+                      band: str = "ndvi",
+                      res: float = 10.0) -> "ray.data.Dataset":
     """Per-point D8 flow direction (see :class:`D8FlowDirection`)."""
-    return ds.map_batches(
-        D8FlowDirection,
-        fn_constructor_kwargs=dict(tile_root=tile_root, band=band, res=res),
-        batch_format="pyarrow", concurrency=concurrency, num_cpus=0.5,
-    )
+    return KernelStage(
+        D8FlowDirection, dict(tile_root=tile_root, band=band, res=res),
+        dict(num_cpus=0.5)).on(ds)

@@ -3,8 +3,9 @@
 Beyond the reference's geospatial operators, a 100 TB document pipeline
 needs text hygiene operators; these run over the driver ``documents``
 table (``doc_id, text, lang, source, n_chars``) and over ``kind="text"``
-spans of the interleaved table.  All are stateless-vectorized or
-actor-pool ``map_batches`` stages.
+spans of the interleaved table.  All are stateless-vectorized
+``map_batches`` stages or kernels run as
+:class:`~greenex_py_ray.functions.joins.KernelStage` tasks.
 
 SQL-oracle notes: ``token_count`` uses whitespace splitting with the
 exact semantics of DuckDB ``string_split_regex(trim(text), '\\s+')`` so
@@ -145,9 +146,9 @@ def explode_words(texts: "pd.Series"):
 
 
 class LangId:
-    """Actor stage: stopword/character n-gram language scorer.
+    """Kernel: stopword/character n-gram language scorer.
 
-    State (stopword sets, compiled pattern) built once per actor.
+    State (stopword sets, compiled pattern) built once per kernel.
     Appends ``lang_pred`` and ``lang_score``.
     """
 

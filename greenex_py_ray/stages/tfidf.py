@@ -5,7 +5,7 @@ Scale design: document frequencies AND the corpus size are computed in
 ONE pass — each batch collapses to at most ``len(query)`` partial
 (term, df, nd) rows before anything shuffles, so the DF aggregation
 moves O(#query terms × #batches) rows no matter the corpus size; the
-resulting {term: weight} map is tiny and rides into the scoring actors
+resulting {term: weight} map is tiny and rides into the scoring kernel
 as a constructor argument; scoring + global top-k run as a per-batch
 partial-top-k scan (``stages/topk``), never a full sort.  Tokenization
 is :func:`~greenex_py_ray.stages.text.explode_words` — the SAME
@@ -28,6 +28,7 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Sum
 
+from ..functions.joins import KernelStage
 from .text import explode_words
 
 
@@ -70,7 +71,7 @@ def query_term_weights(ds: "ray.data.Dataset",
 
 
 class QueryScorer:
-    """Actor stage: append the integer TF-IDF score for ONE query."""
+    """Kernel: the integer TF-IDF score for ONE query."""
 
     def __init__(self, weights: "dict[str, int]"):
         self.weights = dict(weights)
@@ -84,8 +85,7 @@ class QueryScorer:
 
 
 def tfidf_topk(ds: "ray.data.Dataset", terms: "tuple[str, ...]", k: int,
-               key_col: str = "doc_id",
-               concurrency=(1, 4)) -> "ray.data.Dataset":
+               key_col: str = "doc_id") -> "ray.data.Dataset":
     """Global top-k documents by quantized TF-IDF score against a fixed
     term query; ties broken by ``key_col``.  ``ds`` needs (key, text)
     and is executed twice (weights pass + scoring pass) — inherent to
@@ -93,9 +93,8 @@ def tfidf_topk(ds: "ray.data.Dataset", terms: "tuple[str, ...]", k: int,
     from .topk import topk_per_group
 
     weights = query_term_weights(ds, terms)
-    scored = ds.map_batches(
-        QueryScorer, fn_constructor_kwargs=dict(weights=weights),
-        batch_format="pandas", concurrency=concurrency, num_cpus=0.25)
+    scored = KernelStage(QueryScorer, dict(weights=weights),
+                         dict(batch_format="pandas", num_cpus=0.25)).on(ds)
 
     def tag(b: pa.Table) -> pa.Table:
         return b.append_column("g", pa.array(np.zeros(len(b), np.int64)))
@@ -137,7 +136,7 @@ def bm25_stats(ds: "ray.data.Dataset",
 
 
 class BM25Scorer:
-    """Actor stage: Lucene-form BM25 against one fixed term query.
+    """Kernel: Lucene-form BM25 against one fixed term query.
 
     ``score(d) = Σ_t ln((N − df + 0.5)/(df + 0.5) + 1)
                  · tf·(k1+1) / (tf + k1·(1 − b + b·dl/avgdl))``
@@ -171,8 +170,8 @@ class BM25Scorer:
 
 
 def bm25_topk(ds: "ray.data.Dataset", terms: "tuple[str, ...]", k: int,
-              key_col: str = "doc_id", k1: float = 1.2, b: float = 0.75,
-              concurrency=(1, 4)) -> "ray.data.Dataset":
+              key_col: str = "doc_id", k1: float = 1.2,
+              b: float = 0.75) -> "ray.data.Dataset":
     """Global top-k documents by BM25 against a fixed term query —
     same two-pass shape as :func:`tfidf_topk` (stats pass + scoring
     pass with a bounded partial top-k)."""
@@ -182,11 +181,9 @@ def bm25_topk(ds: "ray.data.Dataset", terms: "tuple[str, ...]", k: int,
     idf = np.array([np.log((n_docs - df.get(t, 0) + 0.5)
                            / (df.get(t, 0) + 0.5) + 1.0)
                     for t in terms], dtype=np.float64)
-    scored = ds.map_batches(
-        BM25Scorer,
-        fn_constructor_kwargs=dict(terms=terms, idf=idf, avgdl=avgdl,
-                                   k1=k1, b=b),
-        batch_format="pandas", concurrency=concurrency, num_cpus=0.25)
+    scored = KernelStage(
+        BM25Scorer, dict(terms=terms, idf=idf, avgdl=avgdl, k1=k1, b=b),
+        dict(batch_format="pandas", num_cpus=0.25)).on(ds)
 
     def tag(batch: pa.Table) -> pa.Table:
         return batch.append_column(

@@ -365,7 +365,7 @@ def streetview_sample_batch(batch: pa.Table, interval: float = 50.0) -> pa.Table
 
 
 # ---------------------------------------------------------------------------
-# Viewshed GVI actor
+# Viewshed GVI kernel
 # ---------------------------------------------------------------------------
 
 

@@ -613,7 +613,7 @@ MEDIAN_Q = 1_000_000.0
 
 
 class ZonalMedianLocal:
-    """map_batches actor: per-PoI MEDIAN of the clamped raster values
+    """Kernel: per-PoI MEDIAN of the clamped raster values
     in the ``radius`` disk (the percentile sibling of
     :class:`ZonalStatsLocal` — SURVEY M14's aggregate family).
 

@@ -1,9 +1,9 @@
-"""Street-network graph state for actor pools (CSR + Dijkstra).
+"""Street-network graph state for kernels (CSR + Dijkstra).
 
 The reference holds one global ``networkx.MultiDiGraph`` in driver
 memory and walks it per row (`/root/reference/GreenExp/
 accessibility.py:149-156,234-273`, ``availability.py:255-275``).  Here
-the graph is a compact CSR structure built ONCE per actor from the
+the graph is a compact CSR structure built ONCE per kernel from the
 (broadcast) node/edge tables; per-batch operations are single-source
 Dijkstra with cutoff (= ``nx.ego_graph(radius, distance='length')``),
 entrance detection, and isochrone membership tests.

@@ -1,7 +1,7 @@
 """Viewshed + GVI kernel (visibility pillar).
 
 Reimplements ``GreenExp/visibility.py:441-564`` in vectorized numpy with
-rays precomputed once per actor:
+rays precomputed once per kernel:
 
 * Bresenham midpoint-circle perimeter endpoints (``circle_perimeter``,
   visibility.py:471) and Bresenham lines center→endpoint
@@ -79,7 +79,7 @@ def line_offsets(r1: int, c1: int) -> np.ndarray:
 class ViewshedKernel:
     """Precomputed-ray viewshed + GVI evaluator for a fixed radius.
 
-    Build once per actor (``__init__`` of the map_batches class); call
+    Build once per kernel (``__init__`` of the kernel class); call
     :meth:`gvi` per sample point with dense local windows.
     """
 

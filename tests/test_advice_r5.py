@@ -80,7 +80,7 @@ def test_supply_area_half_tie(ray_session):
     poi = ray.data.from_arrow(pa.table({
         "doc_id": pa.array(["d0"]),
         "x": pa.array([60.0]), "y": pa.array([50.0])}))
-    out = two_step_fca(poi, fac, radius=100.0, concurrency=1).to_pandas()
+    out = two_step_fca(poi, fac, radius=100.0).to_pandas()
     assert out["access_q"].tolist() == [3_000_000_000]
 
 
@@ -131,7 +131,6 @@ def test_point_gradient_negative_coords(ray_session, tmp_path):
         "y": pa.array([500.0, -5000.0, -5000.0]),
     })
     out = (point_gradient(ray.data.from_arrow(pts), paths["tiles"],
-                          band="ndvi", res=synth.RASTER_RES,
-                          concurrency=1)
+                          band="ndvi", res=synth.RASTER_RES)
            .to_pandas().sort_values("pid"))
     assert out["slope_q"].isna().all()

@@ -60,7 +60,7 @@ def test_minhash_candidates_contain_high_jaccard_pairs():
     tbl = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                     "text": pa.array(texts)})
     ds = rd.from_arrow(tbl)
-    cand = dedup.minhash_lsh_candidates(ds, key_col="doc_id", concurrency=2).to_pandas()
+    cand = dedup.minhash_lsh_candidates(ds, key_col="doc_id").to_pandas()
     pairs = set(map(tuple, cand[["key_a", "key_b"]].to_numpy()))
     assert (0, 1) in pairs and (0, 3) in pairs
     ver = rd.from_pandas(cand).map_batches(
@@ -95,7 +95,7 @@ def test_bruteforce_topk_matches_numpy(sf_dir):
     queries = {"query_id": [int(ids[0])], "vectors": V[:1]}
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["vec_id", "embedding"])
-    got = similarity.brute_force_topk(ds, queries, 5, 64, concurrency=2).to_pandas()
+    got = similarity.brute_force_topk(ds, queries, 5, 64).to_pandas()
     n = np.linalg.norm(V, axis=1)
     n[n == 0] = 1
     Vn = V / n[:, None]
@@ -113,9 +113,9 @@ def test_ivf_recall_reasonable(sf_dir):
     cents = similarity.train_centroids(V[:500], n_centroids=8)
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["vec_id", "embedding"])
-    exact = similarity.brute_force_topk(ds, queries, 10, 64, concurrency=2).to_pandas()
-    approx = similarity.ivf_topk(ds, queries, cents, 10, 64, nprobe=4,
-                                 concurrency=2).to_pandas()
+    exact = similarity.brute_force_topk(ds, queries, 10, 64).to_pandas()
+    approx = similarity.ivf_topk(ds, queries, cents, 10, 64,
+                                 nprobe=4).to_pandas()
     for qid in queries["query_id"]:
         e = set(exact[exact.query_id == qid]["vec_id"])
         a = set(approx[approx.query_id == qid]["vec_id"])
@@ -196,8 +196,7 @@ def test_near_dedup_end_to_end():
              base.replace("quick", "quik"), "another unrelated text entirely"]
     tbl = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                     "text": pa.array(texts)})
-    out = dedup.near_dedup(rd.from_arrow(tbl), threshold=0.6,
-                           concurrency=2).to_pandas()
+    out = dedup.near_dedup(rd.from_arrow(tbl), threshold=0.6).to_pandas()
     kept = set(out["doc_id"])
     # docs 0,1,3 form one near-dup cluster → only min key 0 survives
     assert kept == {0, 2, 4}
@@ -210,7 +209,7 @@ def test_lsh_hot_bucket_cap_star():
     tbl = pa.table({"doc_id": pa.array(range(n), pa.int64()),
                     "text": pa.array(["same boilerplate text " * 10] * n)})
     cand = dedup.minhash_lsh_candidates(
-        rd.from_arrow(tbl), concurrency=2, max_bucket=100
+        rd.from_arrow(tbl), max_bucket=100
     ).to_pandas()
     assert len(cand) == n - 1  # star from min key, dedup'd across bands
     assert set(cand["key_a"]) == {0}
@@ -226,7 +225,7 @@ def test_near_dedup_bucketed_text_path():
     tbl = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                     "text": pa.array(texts)})
     out = dedup.near_dedup(rd.from_arrow(tbl), threshold=0.6,
-                           concurrency=2, driver_threshold=0).to_pandas()
+                           driver_threshold=0).to_pandas()
     assert set(out["doc_id"]) == {0, 2, 4}
 
 
@@ -335,7 +334,7 @@ def test_embedding_near_dups_multitable_recall(ray_session):
 
     def stats(tables):
         out = embedding_near_dups(ds, dim=D, threshold=0.99,
-                                  tables=tables, concurrency=2).to_pandas()
+                                  tables=tables).to_pandas()
         a = out["key_a"].to_numpy()
         b = out["key_b"].to_numpy()
         planted = ((b - a == 1) & (b % 4 == 3)) | \
@@ -377,12 +376,11 @@ def test_ivf_index_build_query(ray_session, tmp_path):
          "vectors": V[[10, 500, 1500, 2500]] + 0.05 * rng.standard_normal((4, D))}
 
     idx = str(tmp_path / "ivf_idx")
-    sim.ivf_build(ds, C, D, idx, concurrency=2)
+    sim.ivf_build(ds, C, D, idx)
     assert any(d.startswith("ivf_cell=") for d in os.listdir(idx))
 
-    bf = sim.brute_force_topk(ds, q, 5, D, concurrency=2).to_pandas()
-    iv = sim.ivf_query_index(idx, q, C, 5, D, nprobe=2,
-                             concurrency=2).to_pandas()
+    bf = sim.brute_force_topk(ds, q, 5, D).to_pandas()
+    iv = sim.ivf_query_index(idx, q, C, 5, D, nprobe=2).to_pandas()
     hits = sum(len(set(bf[bf.query_id == i]["vec_id"])
                    & set(iv[iv.query_id == i]["vec_id"])) for i in range(4))
     assert hits / 20.0 >= 0.95  # clustered + trained → near-full recall
@@ -435,8 +433,7 @@ def test_lsh_topk_recall_and_self_hit(sf_dir):
     queries = {"query_id": [int(ids[0]), int(ids[1])], "vectors": V[:2]}
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["vec_id", "embedding"])
-    exact = similarity.brute_force_topk(ds, queries, 10, 64,
-                                        concurrency=2).to_pandas()
+    exact = similarity.brute_force_topk(ds, queries, 10, 64).to_pandas()
     approx = similarity.lsh_topk(ds, queries, 10, 64,
                                  n_planes=16, n_bands=4).to_pandas()
     for i, qid in enumerate(queries["query_id"]):
@@ -466,8 +463,7 @@ def test_lsh_topk_clustered_high_recall(ray_session):
                                           type=pa.list_(pa.float32()))})
     ds = rd.from_arrow(tbl)
     queries = {"query_id": [0, 40, 80], "vectors": V[[0, 40, 80]]}
-    exact = similarity.brute_force_topk(ds, queries, 10, 64,
-                                        concurrency=2).to_pandas()
+    exact = similarity.brute_force_topk(ds, queries, 10, 64).to_pandas()
     approx = similarity.lsh_topk(ds, queries, 10, 64).to_pandas()
     for qid in queries["query_id"]:
         e = set(exact[exact.query_id == qid]["vec_id"])

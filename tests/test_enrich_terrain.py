@@ -60,7 +60,7 @@ def test_point_gradient_matches_field(ray_session, tmp_path):
                     "x": pa.array(x), "y": pa.array(y)})
     out = (point_gradient(ray.data.from_arrow(pts).repartition(3),
                           paths["tiles"], band="ndvi",
-                          res=synth.RASTER_RES, concurrency=1)
+                          res=synth.RASTER_RES)
            .to_pandas().sort_values("pid").reset_index(drop=True))
 
     def field(px, py):

@@ -103,7 +103,7 @@ def test_regrid_tiles_nearest_neighbor(world):
     bbox = (float(ex.min()) + 100, float(ny.min()) + 100,
             float(ex.min()) + 2000, float(ny.min()) + 2000)
     out = reproject_raster(world["tiles"], "ndvi", "EPSG:3395", "UTM:31N",
-                           bbox, concurrency=2).to_pandas()
+                           bbox).to_pandas()
     assert len(out) >= 1
     store = TileStore(world["tiles"])
     res = synth.RASTER_RES
@@ -146,7 +146,7 @@ def test_regrid_write_back_roundtrip(world, tmp_path):
     bbox = (float(ex.min()), float(ny.min()),
             float(ex.min()) + 1500, float(ny.min()) + 1500)
     out = reproject_raster(world["tiles"], "ndvi", "EPSG:3395", "UTM:31N",
-                           bbox, concurrency=2)
+                           bbox)
     tbl = pa.concat_tables(list(out.iter_batches(batch_format="pyarrow")))
     dst = tmp_path / "regridded"
     dst.mkdir()

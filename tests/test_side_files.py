@@ -194,19 +194,27 @@ def test_docs_with_xy_blocks_unify_without_schema_hash_warning(sf_dir):
     """The gate plans ``ReadParquet → DeriveXY → kernel`` batch several
     read blocks into one kernel batch, and Ray unifies their schemas.
     The testdata's pandas schema metadata is a dict, which pyarrow's
-    ``Schema.__hash__`` cannot hash; ``DeriveXY`` drops it, so the
-    batching logs no "Failed to hash the schemas" line."""
+    ``Schema.__hash__`` cannot hash; ``read_table`` drops it, so the
+    blocks it reads (here through ``read_docs_with_xy``) carry no
+    metadata and the batching logs no "Failed to hash the schemas"
+    line."""
+    import ray
     from ray.data._internal.arrow_ops import transform_pyarrow
 
-    from greenex_py_ray.sources.driver_tables import DeriveXY
+    from greenex_py_ray.sources.driver_tables import (
+        read_docs_with_xy, read_table)
 
     path = os.path.join(sf_dir, "documents.parquet")
     if not os.path.exists(path):
         pytest.skip(f"no driver testdata at {sf_dir}")
-    read = pq.read_table(path, columns=["doc_id"])
-    derive = DeriveXY("doc_id", 500.0)
-    blocks = [derive(read.slice(0, 10)).select(["doc_id", "x", "y"]),
-              derive(read.slice(10, 10)).select(["doc_id", "x", "y"])]
+    assert pq.read_schema(path).metadata  # the file does carry metadata
+    read = ray.get(read_table(sf_dir, "documents", ["doc_id"]).to_arrow_refs())
+    assert all(t.schema.metadata is None for t in read)
+    ds = read_docs_with_xy(sf_dir, 500.0)
+    blocks = [t.select(["doc_id", "x", "y"])
+              for t in ray.get(ds.to_arrow_refs())]
+    assert len(blocks) >= 2
+    assert all(b.schema.metadata is None for b in blocks)
     # Ray's loggers do not propagate to the root logger pytest watches
     records = []
     handler = logging.Handler(logging.WARNING)
@@ -217,7 +225,7 @@ def test_docs_with_xy_blocks_unify_without_schema_hash_warning(sf_dir):
         out = transform_pyarrow.concat(blocks)
     finally:
         logger.removeHandler(handler)
-    assert out.num_rows == 20
+    assert out.num_rows == pq.ParquetFile(path).metadata.num_rows
     assert not [r for r in records
                 if "Failed to hash the schemas" in r.getMessage()]
 

@@ -363,7 +363,7 @@ def test_append_metrics_fails_loud(world):
                             ).slice(0, batch.num_rows - 1)
 
     ds = append_metrics(doc_src.read_documents(world["documents"]),
-                        KernelStage(DropLast, {}, dict(concurrency=(1, 1))))
+                        KernelStage(DropLast, {}, dict(concurrency=1)))
     with pytest.raises(Exception, match="one row per input row"):
         ds.materialize()
 
@@ -427,6 +427,31 @@ def test_kernel_cache_builds_once_per_process():
     assert all(len(b) == 1 for b in builds.values()), builds
     pids = [set(t.column("pid").to_pylist()) for t in runs]
     assert pids[0] & pids[1], pids
+
+
+def test_kernel_stage_on_runs_a_pandas_batch_kernel():
+    """``map_kwargs`` override the stage's pyarrow defaults: a kernel
+    asking for pandas batches gets DataFrames, and its DataFrame output
+    comes back as rows."""
+    import pandas as pd
+
+    from greenex_py_ray.functions.joins import KernelStage
+
+    class Scale:
+        def __init__(self, k):
+            self.k = k
+
+        def __call__(self, batch):
+            assert isinstance(batch, pd.DataFrame)
+            return pd.DataFrame({"doc_id": batch["doc_id"],
+                                 "v": batch["v"] * self.k})
+
+    poi = ray.data.from_items([{"doc_id": f"{i:03d}", "v": i}
+                               for i in range(64)], override_num_blocks=4)
+    out = _by_doc_id(_table(KernelStage(
+        Scale, dict(k=3), dict(batch_format="pandas", batch_size=16)).on(poi)))
+    assert out.column("doc_id").to_pylist() == [f"{i:03d}" for i in range(64)]
+    assert out.column("v").to_pylist() == [3 * i for i in range(64)]
 
 
 def test_kernel_cache_sees_tile_store_rewritten_in_place(world, tmp_path):

@@ -36,8 +36,7 @@ def main() -> None:
     queries = {"query_id": [0, 1, 2], "vectors": V[:3].astype(np.float64)}
 
     t0 = time.time()
-    exact = similarity.brute_force_topk(ds, queries, k, dim,
-                                        concurrency=8).to_pandas()
+    exact = similarity.brute_force_topk(ds, queries, k, dim).to_pandas()
     t_bf = time.time() - t0
 
     t0 = time.time()
