@@ -1,8 +1,8 @@
 """Driver contract for the graft builder (Ray Data target).
 
-``entry()`` runs the flagship pipeline (spans documents → decode →
-zonal mean-NDVI appended to each document batch) on a deterministic synthetic
-interleaved-document world plus the sf0.001 driver tables smoke path.
+``entry()`` runs the flagship pipeline, the public ``get_mean_NDVI``
+(spans documents → decode → zonal mean-NDVI appended to each document
+batch), on a deterministic synthetic interleaved-document world.
 ``queries()``/``oracle_sql()`` expose every implemented operator from
 SURVEY.md §2 over ``sf_dir`` with DuckDB oracles where SQL-expressible.
 
@@ -18,17 +18,12 @@ from typing import Any
 
 def entry() -> Any:
     """Flagship pipeline; driver checks rows >= 0 and a stable schema."""
-    import os
-
-    from greenex_py_ray.pipelines import availability
+    import greenex_py_ray as gx
     from greenex_py_ray.sources import synth
 
-    root = "/tmp/greenex_entry_world"
-    paths = synth.ensure_world(root, n_docs=500, seed=42)
-    out = availability.get_mean_ndvi_documents(
-        paths["documents"], paths["tiles"], buffer_dist=300.0, concurrency=2
-    )
-    return out
+    paths = synth.ensure_world("/tmp/greenex_entry_world", n_docs=500, seed=42)
+    return gx.get_mean_NDVI(paths["documents"], paths["tiles"],
+                            buffer_dist=300.0)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

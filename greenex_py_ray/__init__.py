@@ -13,7 +13,8 @@ Layout:
                            driver-testdata adapters
   stages/                — map_batches stage bodies (zonal, access, text, dedup…)
   state/                 — kernel state (mmapped tile store, grid indexes, graphs)
-  pipelines/             — end-to-end pipelines mirroring the reference API
+  pipelines/             — stage definitions (one KernelStage per reference metric,
+                           run by api.py) and the gate queries (driver_queries)
   functions/             — scalar helpers
 """
 

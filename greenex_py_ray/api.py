@@ -297,9 +297,11 @@ def _emit(ds, name: str, docs, kind: str, src_crs, write_to_file: bool,
 def _geom_kind(first: list) -> str:
     """Geometry type of the first geom span in ``first`` (the first PoI
     row's ``spans``, or empty) — the reference samples
-    ``poi.iloc[0]['geometry'].geom_type`` (availability.py:80-82);
-    homogeneity is validated separately (M1,
-    :func:`~greenex_py_ray.sources.documents.validate_geometry_homogeneous`)."""
+    ``poi.iloc[0]['geometry'].geom_type`` (availability.py:80-82).
+    Every row is routed by this type; the API does not check that the
+    other rows share it (the reference's M1 homogeneity check,
+    :func:`~greenex_py_ray.sources.documents.validate_geometry_homogeneous`,
+    is not run: it would cost a second pass over the data)."""
     for spans in first:
         for span in spans:
             if span["kind"] == "geom":

@@ -54,19 +54,6 @@ def cell_of(x: np.ndarray, y: np.ndarray, cell_size: float = DEFAULT_CELL_SIZE) 
     return cell_id(ix, iy)
 
 
-def cell_to_indices(cell: np.ndarray):
-    """Inverse of cell_id — CAVEAT: only for iy in [0, CELL_STRIDE);
-    a negative iy wraps across the stride (ix−1, iy+STRIDE).  Safe for
-    id-space arithmetic like ``neighbors`` (the linear key makes
-    re-encoded neighbor ids identical either way) but NOT for geometry
-    — derive (ix, iy) from coordinates directly there (see
-    stages/zonal.areal_cell_weights)."""
-    cell = np.asarray(cell, dtype=np.int64)
-    ix = cell // CELL_STRIDE
-    iy = cell - ix * CELL_STRIDE
-    return ix, iy
-
-
 def _part1by1(v: np.ndarray) -> np.ndarray:
     """Spread the low 32 bits of v into even bit positions (Morton helper)."""
     v = v.astype(np.uint64) & np.uint64(0xFFFFFFFF)
@@ -83,41 +70,6 @@ def zorder(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     return (_part1by1(np.asarray(ix)) | (_part1by1(np.asarray(iy)) << np.uint64(1))).astype(
         np.uint64
     )
-
-
-def cover_disk(
-    x: np.ndarray, y: np.ndarray, radius: float, cell_size: float = DEFAULT_CELL_SIZE
-):
-    """Cell cover of a disk of ``radius`` around each point.
-
-    Returns ``(point_index, cell)`` arrays: one row per (point, touched
-    cell).  Mirrors the per-PoI ``clip(buffer)`` scope of the reference
-    (``accessibility.py:228``, ``availability.py:236``) as a flat-map
-    cover expansion: a point contributes a row for every cell its buffer
-    bbox touches.  The cover uses the bounding box of the disk — a
-    superset of the exact disk cover; the exact predicate is refined
-    inside the per-cell group.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    ix0 = np.floor((x - radius) / cell_size).astype(np.int64)
-    ix1 = np.floor((x + radius) / cell_size).astype(np.int64)
-    iy0 = np.floor((y - radius) / cell_size).astype(np.int64)
-    iy1 = np.floor((y + radius) / cell_size).astype(np.int64)
-    nx = ix1 - ix0 + 1
-    ny = iy1 - iy0 + 1
-    counts = nx * ny
-    total = int(counts.sum())
-    point_index = np.repeat(np.arange(len(x), dtype=np.int64), counts)
-    # per-point local offsets 0..count-1
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    local = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    ny_rep = np.repeat(ny, counts)
-    dx = local // ny_rep
-    dy = local - dx * ny_rep
-    cix = np.repeat(ix0, counts) + dx
-    ciy = np.repeat(iy0, counts) + dy
-    return point_index, cell_id(cix, ciy)
 
 
 def cover_bbox(
@@ -140,15 +92,3 @@ def cover_bbox(
     dx = local // ny_rep
     dy = local - dx * ny_rep
     return idx, cell_id(np.repeat(ix0, counts) + dx, np.repeat(iy0, counts) + dy)
-
-
-def neighbors(cell: np.ndarray, rings: int = 1) -> np.ndarray:
-    """All cells within ``rings`` Chebyshev distance of each input cell.
-
-    Returns shape ``(len(cell), (2*rings+1)**2)``; used for cell-local
-    kNN ring expansion (SURVEY J3/J5/J7).
-    """
-    ix, iy = cell_to_indices(cell)
-    offs = np.arange(-rings, rings + 1, dtype=np.int64)
-    ox, oy = np.meshgrid(offs, offs, indexing="ij")
-    return cell_id(ix[:, None] + ox.ravel()[None, :], iy[:, None] + oy.ravel()[None, :])

@@ -22,28 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# WKT point parsing (the `geom` span payload of the documents table)
-# ---------------------------------------------------------------------------
-
-
-def parse_wkt_points(wkt: "np.ndarray | list[str]") -> tuple[np.ndarray, np.ndarray]:
-    """Parse an array of ``POINT(x y)`` WKT strings → (x, y) float64.
-
-    Vectorized via one join+split pass rather than a per-row regex.
-    """
-    stripped = [w[6:-1] if w.startswith("POINT(") else w[7:-1] for w in wkt]
-    if not stripped:
-        return np.empty(0), np.empty(0)
-    flat = np.array(" ".join(stripped).split(), dtype=np.float64)
-    xy = flat.reshape(-1, 2)
-    return xy[:, 0].copy(), xy[:, 1].copy()
-
-
-def format_wkt_points(x: np.ndarray, y: np.ndarray) -> list[str]:
-    return [f"POINT({a!r} {b!r})" for a, b in zip(x.tolist(), y.tolist())]
-
-
-# ---------------------------------------------------------------------------
 # Buffers
 # ---------------------------------------------------------------------------
 
@@ -191,13 +169,6 @@ def _edge_intersect(p0, p1, s0, s1):
     return p0 + t * (p1 - p0)
 
 
-def clip_area_convex(subject: np.ndarray, clip: np.ndarray) -> float:
-    clipped = clip_polygon_convex(subject, clip)
-    if len(clipped) < 3:
-        return 0.0
-    return polygon_area(clipped)
-
-
 # ---------------------------------------------------------------------------
 # Linestring interpolation (sample-point generation)
 # ---------------------------------------------------------------------------
@@ -226,28 +197,8 @@ def interpolate_along(coords: np.ndarray, distances: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Segment ↔ circle intersection (edge ∩ PoI-buffer prefilter, SURVEY J9)
+# Point ↔ segment distances (capsule and dilated-ring membership)
 # ---------------------------------------------------------------------------
-
-
-def segments_intersect_circle(
-    ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray,
-    cx: float, cy: float, r: float,
-) -> np.ndarray:
-    """Boolean mask: does each segment (a→b) come within r of (cx, cy)."""
-    ax = np.asarray(ax, dtype=np.float64) - cx
-    ay = np.asarray(ay, dtype=np.float64) - cy
-    bx = np.asarray(bx, dtype=np.float64) - cx
-    by = np.asarray(by, dtype=np.float64) - cy
-    dx = bx - ax
-    dy = by - ay
-    len2 = dx * dx + dy * dy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(len2 > 0, -(ax * dx + ay * dy) / len2, 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    px = ax + t * dx
-    py = ay + t * dy
-    return px * px + py * py <= r * r
 
 
 def seg_d2(px, py, sx0, sy0, sx1, sy1) -> np.ndarray:

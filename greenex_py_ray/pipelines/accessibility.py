@@ -1,9 +1,13 @@
-"""Accessibility pillar pipelines (nearest greenspace).
+"""Accessibility pillar stage definitions (nearest greenspace, network
+distance, OD matrix).
 
 Ray-Data-native reimplementation of
 ``GreenExp/accessibility.py::get_shortest_distance_greenspace``
-(`:24-223`), euclidean/centroids branch; the network branch is added by
-:func:`network_distance_stage`.
+(`:24-223`): :func:`nearest_greenspace_stage` is the
+euclidean/centroids branch, :func:`network_distance_stage` the network
+and entrance branches.  The public API appends them to the documents
+(``append_metrics``); the gates run them over decoded PoI rows
+(``KernelStage.on``).
 """
 
 from __future__ import annotations
@@ -12,9 +16,8 @@ import pyarrow as pa
 
 import ray.data
 
-from ..functions.joins import KernelStage, append_metrics
-from ..sidefiles import shared, shipped, stored_centroids
-from ..sources import documents as doc_src
+from ..functions.joins import KernelStage
+from ..sidefiles import shipped
 from ..stages.access import NearestGreenspace
 
 
@@ -31,24 +34,6 @@ def nearest_greenspace_stage(centroids, target_dist: float,
         dict(centroids_ref=shipped(centroids), target_dist=target_dist,
              key_col=key_col, flag_name=flag_name),
         dict(batch_size=8192, concurrency=concurrency, num_cpus=0.25))
-
-
-def get_shortest_distance_greenspace_documents(
-    documents_path: str,
-    greenspace_path: str,
-    target_dist: float = 300.0,
-    concurrency: int | None = None,
-) -> "ray.data.Dataset":
-    """Spans documents + greenspace table → documents + distance/flag
-    columns, spans untouched, one read and no exchange.  Greenspace
-    centroids come from the side table's precomputed centroid columns
-    (accessibility.py:134-135)."""
-    centroids = shared(stored_centroids, greenspace_path)
-    return append_metrics(
-        doc_src.read_documents(documents_path),
-        nearest_greenspace_stage(centroids, target_dist,
-                                 f"greenspace_within_{int(target_dist)}m",
-                                 concurrency=concurrency))
 
 
 def network_distance_stage(
@@ -77,24 +62,6 @@ def network_distance_stage(
              destination=destination, distance_type=distance_type,
              key_col=key_col, flag_name=flag_name),
         dict(batch_size=512, num_cpus=1, concurrency=concurrency))
-
-
-def network_distance_greenspace(
-    poi: "ray.data.Dataset",
-    nodes: "pa.Table",
-    edges: "pa.Table",
-    greenspace: "pa.Table",
-    target_dist: float = 300.0,
-    destination: str = "centroids",
-    distance_type: str = "network",
-    key_col: str = "doc_id",
-    concurrency: int | None = None,
-) -> "ray.data.Dataset":
-    """poi(key,x,y) → network/entrance distance rows; see
-    :func:`network_distance_stage`."""
-    return network_distance_stage(
-        nodes, edges, greenspace, target_dist, destination, distance_type,
-        key_col, concurrency).on(poi)
 
 
 def od_cost_matrix(

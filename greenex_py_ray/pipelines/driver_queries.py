@@ -28,12 +28,14 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from .. import cells
-from ..functions.joins import KernelStage
+from ..functions.joins import (KernelStage, append_metrics, cluster_cpus,
+                               drop_zero_count)
 from ..sidefiles import shipped
+from ..sources import documents as doc_src
 from ..sources import driver_tables as dt
 from ..sources import synth
 from ..stages import dedup as dedup_stage
-from ..stages import similarity, text, zonal
+from ..stages import similarity, text
 from ..stages.access import PointsInRects
 from . import availability
 
@@ -68,13 +70,12 @@ def _world_docs_n() -> int:
     return int(os.environ.get("GREENEX_WORLD_DOCS", "2000"))
 
 
-def _zonal_batch_size(n_rows: int, width: int = 16) -> int:
+def _zonal_batch_size(n_rows: int) -> int:
     """Batch size for the fused SAT-chord zonal stage: as large as
     possible (big per-tile point groups amortize numpy dispatch, +40 %
     single-thread at 16384) while still producing ≥4 batches for each
-    of ``width`` concurrent kernel tasks, so the stream keeps every
-    worker fed."""
-    per_task = max(1, n_rows // (4 * width))
+    of the cluster's CPUs, so the stream keeps every worker fed."""
+    per_task = max(1, n_rows // (4 * cluster_cpus()))
     return int(min(16384, max(2048, per_task)))
 
 
@@ -216,7 +217,7 @@ def q_line_buffer_ndvi(sf_dir: str):
                       "by": pa.array(by)})
     return availability.mean_ndvi_line_aoi(
         ray.data.from_arrow(edges), _world_tiles_root(), buffer_dist=50.0,
-        key_col="edge_id", concurrency=4,
+        key_col="edge_id",
     )
 
 
@@ -246,19 +247,15 @@ def q_zonal_mean_ndvi(sf_dir: str):
     """Zonal NDVI mean/std per doc against the synthetic tile store
     (SURVEY M14/A1: clamp ≥0, population std, round 3)."""
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE)
-    return availability.mean_ndvi(
-        ds.select_columns(["doc_id", "x", "y"]), _world_tiles_root(), NDVI_RADIUS,
-        key_col="doc_id",
-    )
+    return availability.mean_ndvi_stage(_world_tiles_root(), NDVI_RADIUS).on(
+        ds.select_columns(["doc_id", "x", "y"]))
 
 
 def q_landcover_pct(sf_dir: str):
     """Zonal landcover class percentages per doc (SURVEY M15/A2)."""
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE)
-    return availability.landcover_percentages(
-        ds.select_columns(["doc_id", "x", "y"]), _world_tiles_root(), LULC_RADIUS,
-        key_col="doc_id", stringify=False,
-    )
+    return availability.landcover_stage(_world_tiles_root(), LULC_RADIUS).on(
+        ds.select_columns(["doc_id", "x", "y"]))
 
 
 # ---------------------------------------------------------------------------
@@ -2417,8 +2414,6 @@ def _world_paths() -> dict:
 
 
 def _world_poi(limit: int | None = None):
-    from ..sources import documents as doc_src
-
     w = _world_paths()
     # metrics-only consumers never re-emit spans, so read only the
     # kind/text leaves (geom WKT lives in text); media_ref/offset stay
@@ -2454,10 +2449,10 @@ def q_spans_mean_ndvi(sf_dir: str):
     ``spans_mean_ndvi_payload`` (which runs THIS pipeline and serializes
     the spans); bench.py still times it directly as the flagship."""
     w = _world_paths()
-    return availability.get_mean_ndvi_documents(
-        w["documents"], w["tiles"], buffer_dist=300.0, concurrency=None,
-        batch_size=_zonal_batch_size(_world_docs_n()),
-    )
+    return append_metrics(
+        doc_src.read_documents(w["documents"]),
+        availability.mean_ndvi_stage(
+            w["tiles"], 300.0, batch_size=_zonal_batch_size(_world_docs_n())))
 
 
 def q_spans_mean_ndvi_metrics(sf_dir: str):
@@ -2472,9 +2467,8 @@ def q_spans_mean_ndvi_metrics(sf_dir: str):
     # the 6M-doc world, bit-identical output) — but at gate/bench scale
     # a 16384 batch would collapse the stream to a couple of tasks and
     # starve the kernel tasks (the round-3 viewshed-pool lesson).
-    return availability.mean_ndvi(poi, w["tiles"], 300.0, key_col="doc_id",
-                                  concurrency=None,
-                                  batch_size=_zonal_batch_size(_world_docs_n()))
+    return availability.mean_ndvi_stage(
+        w["tiles"], 300.0, batch_size=_zonal_batch_size(_world_docs_n())).on(poi)
 
 
 def q_spans_mean_ndvi_payload(sf_dir: str):
@@ -3975,7 +3969,6 @@ def q_zonal_median(sf_dir: str):
     SQL quantile_cont over the exact pixel table agree bit-for-bit.  A
     disk with no pixel (outside the tiled world) gets no row, like the
     oracle's inner join."""
-    from ..functions.joins import drop_zero_count
     from ..stages.zonal import ZonalMedianLocal
 
     poi, w = _world_poi(limit=COMPOSITE_POIS)
@@ -4010,11 +4003,10 @@ def q_viewshed_gvi(sf_dir: str):
     from . import visibility as vpipe
 
     poi, w = _world_poi(limit=int(os.environ.get("GREENEX_VIEWSHED_POIS", "300")))
-    rollup, _ = vpipe.viewshed_gvi(
-        poi, w["network_nodes"], w["network_edges"], w["tiles"],
+    return drop_zero_count(vpipe.viewshed_stage(
+        w["network_nodes"], w["network_edges"], w["tiles"],
         buffer_dist=100.0, viewing_dist=250.0, sample_dist=50.0,
-    )
-    return rollup
+    ).on(poi), "nr_of_points")
 
 
 def q_composite_exposure(sf_dir: str):
@@ -4027,8 +4019,6 @@ def q_composite_exposure(sf_dir: str):
     filter."""
     import json
 
-    from ..functions.joins import append_metrics, drop_zero_count
-    from ..sources import documents as doc_src
     from .accessibility import nearest_greenspace_stage
     from . import visibility as vpipe
 
@@ -4077,11 +4067,10 @@ def q_streetview_gvi(sf_dir: str):
     from . import visibility as vpipe
 
     poi, w = _world_poi()
-    rollup, _ = vpipe.streetview_gvi(
-        poi, w["network_nodes"], w["network_edges"], w["image_features"],
+    return vpipe.keep_sampled(vpipe.streetview_stage(
+        w["network_nodes"], w["network_edges"], w["image_features"],
         buffer_dist=100.0,
-    )
-    return rollup
+    ).on(poi))
 
 
 def q_streetview_quarters(sf_dir: str):
@@ -4091,11 +4080,10 @@ def q_streetview_quarters(sf_dir: str):
     from . import visibility as vpipe
 
     poi, w = _world_poi()
-    rollup, _ = vpipe.streetview_gvi(
-        poi, w["network_nodes"], w["network_edges"], w["image_features"],
+    return vpipe.keep_sampled(vpipe.streetview_stage(
+        w["network_nodes"], w["network_edges"], w["image_features"],
         buffer_dist=100.0, crop_by_road_centres=False,
-    )
-    return rollup
+    ).on(poi))
 
 
 def q_canopy_pct(sf_dir: str):
@@ -4105,8 +4093,8 @@ def q_canopy_pct(sf_dir: str):
     oracle (tests/test_netaccess_coverage)."""
     poi, w = _world_poi(limit=500)
     canopy = pq.read_table(w["canopy"])
-    return availability.canopy_percentage(poi, canopy, buffer_dist=250.0,
-                                          concurrency=None, aoi_shape="square")
+    return availability.coverage_stage(canopy, 250.0,
+                                       aoi_shape="square").on(poi)
 
 
 def q_greenspace_pct(sf_dir: str):
@@ -4115,18 +4103,18 @@ def q_greenspace_pct(sf_dir: str):
     slab-decomposition union-area oracle."""
     poi, w = _world_poi(limit=500)
     gs = pq.read_table(w["greenspace"])
-    return availability.greenspace_percentage(poi, gs, buffer_dist=300.0,
-                                              concurrency=None, aoi_shape="square")
+    return availability.coverage_stage(gs, 300.0, name="greenspace_cover",
+                                       aoi_shape="square").on(poi)
 
 
 def q_network_distance(sf_dir: str):
     from . import accessibility as apipe
 
     poi, w = _world_poi(limit=int(os.environ.get("GREENEX_NETDIST_POIS", "300")))
-    return apipe.network_distance_greenspace(
-        poi, pq.read_table(w["network_nodes"]), pq.read_table(w["network_edges"]),
-        pq.read_table(w["greenspace"]), target_dist=600.0, concurrency=None,
-    )
+    return apipe.network_distance_stage(
+        pq.read_table(w["network_nodes"]), pq.read_table(w["network_edges"]),
+        pq.read_table(w["greenspace"]), target_dist=600.0,
+    ).on(poi)
 
 
 def q_od_matrix(sf_dir: str):
@@ -4139,7 +4127,7 @@ def q_od_matrix(sf_dir: str):
     return apipe.od_cost_matrix(
         poi, pq.read_table(w["network_nodes"]),
         pq.read_table(w["network_edges"]),
-        cutoff=OD_CUTOFF, dest_mod=OD_DEST_MOD, concurrency=None,
+        cutoff=OD_CUTOFF, dest_mod=OD_DEST_MOD,
     )
 
 
@@ -4175,32 +4163,41 @@ def q_e2sfca_access(sf_dir: str):
 
 
 def q_isochrone_ndvi(sf_dir: str):
+    from ..stages.netaccess import IsochroneZonal
+
     poi, w = _world_poi(limit=200)
-    return availability.mean_ndvi_isochrone(
-        poi, pq.read_table(w["network_nodes"]), pq.read_table(w["network_edges"]),
-        w["tiles"], buffer_dist=500.0, concurrency=None,
-    )
+    return availability.isochrone_stage(
+        IsochroneZonal, pq.read_table(w["network_nodes"]),
+        pq.read_table(w["network_edges"]), tile_root=w["tiles"],
+        buffer_dist=500.0,
+    ).on(poi)
 
 
 def q_isochrone_landcover(sf_dir: str):
     """get_landcover_percentages(buffer_type='network'): per-class pixel
     percentages inside each PoI's isochrone AoI."""
+    from ..stages.netaccess import IsochroneLandcover
+
     poi, w = _world_poi(limit=200)
-    return availability.landcover_percentages_isochrone(
-        poi, pq.read_table(w["network_nodes"]), pq.read_table(w["network_edges"]),
-        w["tiles"], buffer_dist=500.0, concurrency=None, stringify=False,
-    )
+    return availability.isochrone_stage(
+        IsochroneLandcover, pq.read_table(w["network_nodes"]),
+        pq.read_table(w["network_edges"]), tile_root=w["tiles"],
+        buffer_dist=500.0, classmap=availability.DEFAULT_CLASSMAP,
+    ).on(poi)
 
 
 def q_isochrone_greenspace(sf_dir: str):
     """get_greenspace_percentage(buffer_type='network'): % of the
     isochrone AoI covered by the dissolved greenspace layer."""
+    from ..stages.netaccess import IsochroneCoverage
+
     poi, w = _world_poi(limit=200)
-    return availability.canopy_percentage_isochrone(
-        poi, pq.read_table(w["network_nodes"]), pq.read_table(w["network_edges"]),
-        pq.read_table(w["greenspace"]), buffer_dist=500.0, concurrency=None,
-        name="greenspace_cover", dissolve=True,
-    )
+    return availability.isochrone_stage(
+        IsochroneCoverage, pq.read_table(w["network_nodes"]),
+        pq.read_table(w["network_edges"]),
+        polys_ref=shipped(pq.read_table(w["greenspace"])), buffer_dist=500.0,
+        name="greenspace_cover",
+    ).on(poi)
 
 
 def q_dissolve(sf_dir: str):
@@ -4272,8 +4269,7 @@ def q_ivf_topk(sf_dir: str):
     """IVF-bucketed approximate top-k (scale ANN path; recall vs brute
     force measured in tests).  The gate uses the FIXED seeded quantizer
     (``fixed_random_centroids``) so the DuckDB oracle reproduces the
-    cell assignment + probe set exactly at any sf; production pipelines
-    train the quantizer on a sample (``train_centroids``) instead."""
+    cell assignment + probe set exactly at any sf."""
     emb = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     V = (
         emb.column("embedding").combine_chunks().flatten()
@@ -4342,8 +4338,6 @@ def _world_rect_poly_spans(limit: int = 400):
 def _world_rect_poly_docs(limit: int = 400):
     """Decoded rect-POLYGON PoIs (ring arrays) — see
     :func:`_world_rect_poly_spans` for the construction."""
-    from ..sources import documents as doc_src
-
     docs, w = _world_rect_poly_spans(limit)
     decoded = docs.map_batches(doc_src.DecodeGeom(parse_polygons=True),
                                batch_format="pyarrow")
@@ -4355,43 +4349,39 @@ def q_polygon_ndvi(sf_dir: str):
     """get_mean_NDVI with polygon PoIs, buffer_type=None — each row's
     own polygon is the AoI (availability.py:230-234)."""
     rects, w = _world_rect_poly_docs()
-    return availability.mean_ndvi_polygon_aoi(rects, w["tiles"],
-                                              concurrency=None)
+    return availability.mean_ndvi_polygon_stage(w["tiles"]).on(rects)
 
 
 def q_polygon_ndvi_buffered(sf_dir: str):
     """get_mean_NDVI with polygon PoIs, buffer_type='euclidean' — the
     polygon dilated by buffer_dist is the AoI (availability.py:235-237)."""
     rects, w = _world_rect_poly_docs()
-    return availability.mean_ndvi_polygon_aoi(rects, w["tiles"],
-                                              concurrency=None,
-                                              dilate=POLY_DILATE)
+    return availability.mean_ndvi_polygon_stage(
+        w["tiles"], dilate=POLY_DILATE).on(rects)
 
 
 def q_polygon_landcover(sf_dir: str):
     """get_landcover_percentages with polygon PoIs (buffer_type=None)."""
     rects, w = _world_rect_poly_docs()
-    return availability.landcover_percentages_polygon_aoi(
-        rects, w["tiles"], concurrency=None, stringify=False)
+    return availability.landcover_polygon_stage(w["tiles"]).on(rects)
 
 
 def q_polygon_canopy(sf_dir: str):
     """get_canopy_percentage with polygon PoIs (buffer_type=None) —
     exact clip-area overlay, per-polygon sum (no dissolve)."""
     rects, w = _world_rect_poly_docs()
-    return availability.coverage_percentage_polygon_aoi(
-        rects, pq.read_table(w["canopy"]), concurrency=None,
-        stringify=False, name="canopy_cover", dissolve=False)
+    return availability.coverage_stage(
+        pq.read_table(w["canopy"]), 0.0, aoi_shape="self",
+        dissolve=False).on(rects)
 
 
 def q_polygon_canopy_buffered(sf_dir: str):
     """get_canopy_percentage with polygon PoIs, buffer_type='euclidean'
     — pixel-center evaluation of the dilated-polygon AoI."""
     rects, w = _world_rect_poly_docs()
-    return availability.coverage_percentage_polygon_aoi(
-        rects, pq.read_table(w["canopy"]), concurrency=None,
-        stringify=False, name="canopy_cover", dissolve=False,
-        dilate=POLY_DILATE)
+    return availability.coverage_stage(
+        pq.read_table(w["canopy"]), POLY_DILATE, aoi_shape="self",
+        dissolve=False).on(rects)
 
 
 def q_polygon_viewshed(sf_dir: str):
@@ -4401,12 +4391,11 @@ def q_polygon_viewshed(sf_dir: str):
     from . import visibility as vpipe
 
     rects, w = _world_rect_poly_docs(VS_POLY_POIS)
-    rollup, _ = vpipe.viewshed_gvi(
-        rects, w["network_nodes"], w["network_edges"], w["tiles"],
+    return drop_zero_count(vpipe.viewshed_stage(
+        w["network_nodes"], w["network_edges"], w["tiles"],
         buffer_dist=None, viewing_dist=250.0, sample_dist=50.0,
         poi_kind="polygon",
-    )
-    return rollup
+    ).on(rects), "nr_of_points")
 
 
 def q_polygon_streetview(sf_dir: str):
@@ -4416,20 +4405,19 @@ def q_polygon_streetview(sf_dir: str):
     from . import visibility as vpipe
 
     rects, w = _world_rect_poly_docs()
-    rollup, _ = vpipe.streetview_gvi(
-        rects, w["network_nodes"], w["network_edges"], w["image_features"],
+    return vpipe.keep_sampled(vpipe.streetview_stage(
+        w["network_nodes"], w["network_edges"], w["image_features"],
         buffer_dist=POLY_DILATE, poi_kind="polygon",
-    )
-    return rollup
+    ).on(rects))
 
 
 def q_polygon_greenspace(sf_dir: str):
     """get_greenspace_percentage with polygon PoIs (buffer_type=None) —
     dissolved-union membership over the row's own polygon AoI."""
     rects, w = _world_rect_poly_docs()
-    return availability.coverage_percentage_polygon_aoi(
-        rects, pq.read_table(w["greenspace"]), concurrency=None,
-        stringify=False, name="greenspace_cover", dissolve=True)
+    return availability.coverage_stage(
+        pq.read_table(w["greenspace"]), 0.0, name="greenspace_cover",
+        aoi_shape="self").on(rects)
 
 
 #: geometry_validators gate knobs: mixed POINT ∪ POLYGON document set
@@ -4452,8 +4440,6 @@ def q_geometry_validators(sf_dir: str):
     output; their containment tests every vertex (ring min/max), so a
     rect can fail while its centroid passes."""
     import pyarrow.compute as pc
-
-    from ..sources import documents as doc_src
 
     w = _world_paths()
     pts = (doc_src.read_documents(w["documents"])
@@ -4880,8 +4866,6 @@ def q_polygon_centroid(sf_dir: str):
     PoIs are L-shaped hexagons so the centroid is off the bbox midpoint
     and the full formula is exercised end-to-end through the real
     spans→decode path."""
-    from ..sources import documents as doc_src
-
     ds = dt.read_table(sf_dir, "documents", columns=["doc_id"])
 
     def to_poly(batch: pa.Table) -> pa.Table:
@@ -4937,8 +4921,6 @@ def q_idw_interpolation(sf_dir: str):
     (point, station) pairs from one grid gather — no shuffle,
     int64-quantized sums make the result summation-order independent
     across engines."""
-    from ..functions.joins import KernelStage
-    from ..sidefiles import shipped
     from ..stages.geostats import IDWInterpolator
 
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE)
@@ -4953,8 +4935,6 @@ def q_haversine_nearest(sf_dir: str):
     """Great-circle nearest facility (stages/geostats.HaversineNearest):
     geodesic twin of the planar kNN gate — facilities (nation table)
     shipped to a KernelStage, ranking on round-6 km with fid ties."""
-    from ..functions.joins import KernelStage
-    from ..sidefiles import shipped
     from ..stages.geostats import HaversineNearest
 
     ds = dt.read_table(sf_dir, "documents", columns=["doc_id"])
@@ -5523,7 +5503,6 @@ def q_media_ref_rollup(sf_dir: str):
     """Media-asset manifest over the interleaved spans schema
     (stages/multimodal.media_ref_rollup): explode media spans, parse
     tile refs, bucketed rollup of span + distinct-doc counts."""
-    from ..sources import documents as doc_src
     from ..stages.multimodal import media_ref_rollup
 
     w = _world_paths()
@@ -5536,7 +5515,6 @@ def q_span_fingerprint(sf_dir: str):
     """Per-doc span-sequence fingerprint over the interleaved table
     (stages/multimodal.span_fingerprint_batch) — the north rule's
     span-sequence-equality invariant as a value gate."""
-    from ..sources import documents as doc_src
     from ..stages.multimodal import span_fingerprint_batch
 
     w = _world_paths()
@@ -5550,7 +5528,6 @@ def q_compact_text_spans(sf_dir: str):
     (stages/multimodal.compact_text_spans_batch): drop media spans,
     preserve text-span order, re-fingerprint — the strip-media
     projection with the north rule's order invariant on the output."""
-    from ..sources import documents as doc_src
     from ..stages.multimodal import compact_text_spans_batch
 
     w = _world_paths()
@@ -6717,7 +6694,6 @@ def q_frame_sample_plan(sf_dir: str):
     """Video frame-sampling schedule over the interleaved table
     (stages/multimodal.frame_sample_plan): distinct media assets × 8
     evenly-spaced deterministic frame indices, pre-deduped per batch."""
-    from ..sources import documents as doc_src
     from ..stages.multimodal import frame_sample_plan
 
     w = _world_paths()

@@ -1,12 +1,15 @@
-"""Visibility pillar pipelines: viewshed GVI + streetview GVI.
+"""Visibility pillar stage definitions: viewshed GVI + streetview GVI.
 
 Ray-Data-native reimplementation of
 ``GreenExp/visibility.py::get_viewshed_GVI`` (`:50-293`) and
-``::get_streetview_GVI`` (`:296-437`).  Both return the reference's two
-tables: per-PoI rollup (``GVI`` mean rounded 3 + ``nr_of_points``) and
-the per-sample-point table.  Each is one one-row-per-PoI
-``KernelStage`` (sample, score, roll up in one task, no exchange); the
-per-point table is a second run of the same stage in per-point mode.
+``::get_streetview_GVI`` (`:296-437`).  Each is one one-row-per-PoI
+``KernelStage`` (sample, score, roll up in one task, no exchange) that
+gives the reference's per-PoI rollup (``GVI`` mean rounded 3 +
+``nr_of_points``); the per-sample-point table is a second run of the
+same stage in per-point mode.  A PoI without sample points has no
+rollup row: callers filter the viewshed rollup with
+``drop_zero_count(..., "nr_of_points")`` and the streetview rollup with
+:func:`keep_sampled`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import ray.data
 
 from ..functions.joins import KernelStage, drop_zero_count
-from ..sources import documents as doc_src
 from ..stages import visibility as vis
 from ..stages.visibility import edge_coords_table  # noqa: F401  (re-export)
 
@@ -54,20 +56,6 @@ def viewshed_stage(
         # small batches still amortize a task and spread a few hundred
         # PoIs over the whole pool
         dict(batch_size=32, num_cpus=1, concurrency=concurrency))
-
-
-def viewshed_gvi(poi: "ray.data.Dataset", nodes_path: str, edges_path: str,
-                 tile_root: str, **kw
-                 ) -> tuple["ray.data.Dataset", "ray.data.Dataset"]:
-    """poi → (per-PoI rollup, per-sample-point GVI rows), both lazy
-    :func:`viewshed_stage` runs over ``poi``; ``kw`` go to
-    :func:`viewshed_stage`.  A PoI without sample points has no row in
-    either table, as in the gates' oracle, which joins sample points to
-    PoIs."""
-    return (drop_zero_count(viewshed_stage(nodes_path, edges_path, tile_root,
-                                           **kw).on(poi), "nr_of_points"),
-            viewshed_stage(nodes_path, edges_path, tile_root, per_point=True,
-                           **kw).on(poi))
 
 
 def streetview_stage(
@@ -112,48 +100,3 @@ def keep_sampled(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     without points has none."""
     return drop_zero_count(ds, "sample_points").drop_columns(
         ["sample_points"])
-
-
-def streetview_gvi(poi: "ray.data.Dataset", nodes_path: str,
-                   edges_path: str, features_path: str, **kw
-                   ) -> tuple["ray.data.Dataset", "ray.data.Dataset"]:
-    """poi → (per-PoI rollup, per-(PoI, sample point) rows), both lazy
-    :func:`streetview_stage` runs over ``poi``; ``kw`` go to
-    :func:`streetview_stage`."""
-    return (keep_sampled(streetview_stage(nodes_path, edges_path,
-                                          features_path, **kw).on(poi)),
-            streetview_stage(nodes_path, edges_path, features_path,
-                             per_point=True, **kw).on(poi))
-
-
-# ---------------------------------------------------------------------------
-# Interleaved-document entry points
-# ---------------------------------------------------------------------------
-
-
-def get_viewshed_gvi_documents(
-    documents_path: str, world_paths: dict, buffer_dist: float = 100.0,
-    viewing_dist: float = 250.0, sample_dist: float = 50.0,
-    concurrency: int | None = None,
-):
-    docs = doc_src.read_documents(documents_path)
-    poi = doc_src.decode_geom(docs).select_columns(["doc_id", "x", "y"])
-    return viewshed_gvi(
-        poi, world_paths["network_nodes"], world_paths["network_edges"],
-        world_paths["tiles"], buffer_dist=buffer_dist,
-        viewing_dist=viewing_dist, sample_dist=sample_dist,
-        concurrency=concurrency,
-    )
-
-
-def get_streetview_gvi_documents(
-    documents_path: str, world_paths: dict, buffer_dist: float = 100.0,
-    concurrency: int | None = None,
-):
-    docs = doc_src.read_documents(documents_path)
-    poi = doc_src.decode_geom(docs).select_columns(["doc_id", "x", "y"])
-    return streetview_gvi(
-        poi, world_paths["network_nodes"], world_paths["network_edges"],
-        world_paths["image_features"], buffer_dist=buffer_dist,
-        concurrency=concurrency,
-    )

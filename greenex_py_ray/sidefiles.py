@@ -104,17 +104,7 @@ def centroids(path: str, crs: str | None, min_area) -> "pa.Table":
     duplicates are harmless for a min-distance and deduping by gs_id
     alone would fabricate a phantom centroid if distinct rows ever
     shared an id, so rows pass through as-is."""
-    return _centroid_table(greenspace(path, crs, True, min_area))
-
-
-def stored_centroids(path: str) -> "pa.Table":
-    """(gs_id, cx, cy) from a greenspace file's stored centroid columns
-    (accessibility.py:134-135), reading only those columns."""
-    return _centroid_table(pq.read_table(
-        path, columns=["gs_id", "centroid_x", "centroid_y"]))
-
-
-def _centroid_table(gs: "pa.Table") -> "pa.Table":
+    gs = greenspace(path, crs, True, min_area)
     return pa.table({"gs_id": gs.column("gs_id"),
                      "cx": gs.column("centroid_x"),
                      "cy": gs.column("centroid_y")})
@@ -364,4 +354,3 @@ def _min_area_filter(gs: "pa.Table", min_area) -> "pa.Table":
             pc.subtract(gs.column("x1"), gs.column("x0")),
             pc.subtract(gs.column("y1"), gs.column("y0")))
     return gs.filter(pc.greater_equal(area, float(min_area)))
-

@@ -418,37 +418,6 @@ class EmbeddingLSH:
         return batch.append_column("bucket", pa.array(bucket))
 
 
-def embedding_near_dups(ds: "ray.data.Dataset", dim: int, threshold: float,
-                        key_col: str = "vec_id",
-                        vec_col: str = "embedding", planes: int = 10,
-                        tables: int = 1) -> "ray.data.Dataset":
-    """Embedding-cosine near-dup pairs: hyperplane-LSH buckets →
-    in-bucket block-tiled exact cosine, optionally UNIONED over
-    ``tables`` independent hash tables (different hyperplane seeds)
-    with the duplicate pairs bucket-deduped.
-
-    Single-table recall for near-identical vectors is
-    ``(1 - θ/π)^planes`` (measured 0.853 at 1M vectors, planes=10,
-    cosine ≈ 0.9987); two tables lift it to ``1 - (1-r)²`` ≈ 0.98 for
-    ~2× the bucketing cost — the standard LSH recall/cost dial."""
-    pair_sets = []
-    for t in range(tables):
-        bucketed = KernelStage(
-            EmbeddingLSH,
-            dict(dim=dim, planes=planes, seed=13 + t, vec_col=vec_col),
-            dict(num_cpus=1)).on(ds)
-        pair_sets.append(bucketed.groupby("bucket").map_groups(
-            lambda g: cosine_pairs_in_group(g, threshold, key_col,
-                                            vec_col),
-            batch_format="pandas"))
-    pairs = pair_sets[0]
-    for p in pair_sets[1:]:
-        pairs = pairs.union(p)
-    if tables > 1:
-        pairs = bucket_dedup(pairs, subset=["key_a", "key_b"])
-    return pairs
-
-
 def cosine_pairs_in_group(g: pd.DataFrame, threshold: float, key_col: str,
                           vec_col: str = "embedding",
                           block: int = 2048) -> pd.DataFrame:

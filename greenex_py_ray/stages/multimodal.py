@@ -1,23 +1,14 @@
-"""Multimodal (image/audio/video) column stages.
+"""Media-span operators over the interleaved documents.
 
-The interleaved documents carry ``kind="media"`` spans whose
-``media_ref`` points into a blob store (``tile://band/tix_tiy`` for
-raster tiles, ``img://id`` for imagery).  These stages treat media as
-opaque ``binary`` columns with typed metadata and run decode /
-feature-extract / resize / frame-sample as actor-pool ``map_batches``
-stages.
-
-The image/audio codec libraries are NOT in this container, so the codec
-boundary is stubbed exactly as the task prescribes: ``DecodeImage`` with
-``strict=True`` raises ``NotImplementedError`` at the decode call, and
-the default deterministic fake produces a stable pseudo-image from the
-payload bytes so the Ray-side plumbing (schema, batch size, actor
-signature, output layout) is real and tested end-to-end.
+The documents carry ``kind="media"`` spans whose ``media_ref`` points
+into a blob store (``tile://band/tix_tiy`` for raster tiles,
+``img://id`` for imagery).  These operators read the span metadata
+only: the media reference rollup, the span-sequence fingerprint, the
+text-only span compaction and the video frame-sampling plan.  No media
+payload is fetched or decoded.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 import pyarrow as pa
@@ -48,239 +39,6 @@ def extract_media_refs_batch(batch: pa.Table) -> pa.Table:
             "media_ref": flat.field("media_ref").take(pa.array(pos)),
         }
     )
-
-
-class FetchMedia:
-    """Actor stage: media_ref → payload bytes (binary column).
-
-    ``tile://`` refs resolve against the tile store parquet;
-    ``img://`` refs synthesize a deterministic payload (the sandbox has
-    no real blob store).  Payloads are opaque binary — large rows, so
-    callers use a small ``batch_size``."""
-
-    def __init__(self, tile_root: str | None = None):
-        from ..state.tiles import TileStore
-
-        self.store = TileStore(tile_root) if tile_root else None
-
-    def _fetch(self, ref: str) -> bytes:
-        if ref.startswith("tile://") and self.store is not None:
-            _, _, rest = ref.partition("tile://")
-            band, _, tile = rest.partition("/")
-            tix, _, tiy = tile.partition("_")
-            arr = self.store.get(band, int(tix), int(tiy))
-            return arr.tobytes() if arr is not None else b""
-        return hashlib.blake2b(ref.encode(), digest_size=32).digest() * 64
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        refs = batch.column("media_ref").to_pylist()
-        return batch.append_column(
-            "payload", pa.array([self._fetch(r) for r in refs], pa.binary())
-        )
-
-
-class DecodeImage:
-    """Actor stage: payload bytes → decoded (H, W, 3) uint8 image.
-
-    STUB: no image codec is available in this container.
-    ``strict=True`` raises ``NotImplementedError`` (the marked codec
-    boundary); the default fake decodes deterministically from the
-    payload hash so downstream stages (resize, feature extract) are
-    exercised for real."""
-
-    def __init__(self, height: int = 64, width: int = 96, strict: bool = False):
-        self.h = height
-        self.w = width
-        self.strict = strict
-
-    def decode(self, payload: bytes) -> np.ndarray:
-        if self.strict:
-            raise NotImplementedError(
-                "image codec not available in this environment; plug a real "
-                "decoder (PIL/libjpeg) here on a full cluster"
-            )
-        seed = int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
-        rng = np.random.default_rng(seed)
-        return rng.integers(0, 256, (self.h, self.w, 3), dtype=np.uint8)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch.column("payload").to_pylist()
-        imgs = [self.decode(p or b"") for p in payloads]
-        flat = np.stack(imgs).reshape(len(imgs), -1)
-        col = pa.FixedSizeListArray.from_arrays(
-            pa.array(flat.reshape(-1), pa.uint8()), self.h * self.w * 3
-        )
-        out = batch.drop_columns(["payload"])
-        out = out.append_column("image", col)
-        out = out.append_column("img_h", pa.array([self.h] * len(imgs), pa.int32()))
-        out = out.append_column("img_w", pa.array([self.w] * len(imgs), pa.int32()))
-        return out
-
-
-class ImageFeatures:
-    """Actor stage: decoded image → small feature vector (channel means,
-    stds, gradient energy) — a stand-in for a vision-model embedding
-    with the same actor/batch shape."""
-
-    def __init__(self, height: int = 64, width: int = 96):
-        self.h = height
-        self.w = width
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        img_col = batch.column("image")
-        if isinstance(img_col, pa.ChunkedArray):
-            img_col = img_col.combine_chunks()
-        flat = img_col.flatten().to_numpy(zero_copy_only=False)
-        imgs = flat.reshape(-1, self.h, self.w, 3).astype(np.float64)
-        means = imgs.mean(axis=(1, 2))
-        stds = imgs.std(axis=(1, 2))
-        grad = np.abs(np.diff(imgs, axis=2)).mean(axis=(1, 2))
-        feats = np.concatenate([means, stds, grad], axis=1)
-        col = pa.FixedSizeListArray.from_arrays(
-            pa.array(feats.reshape(-1)), feats.shape[1]
-        )
-        return batch.drop_columns(["image"]).append_column("features", col)
-
-
-class ResizeImage:
-    """Actor stage: decoded (H, W, 3) images → (h2, w2, 3) via
-    nearest-neighbor index sampling — REAL vectorized math (no codec
-    involved), batched over the whole fixed-size-list column at once."""
-
-    def __init__(self, src_h: int, src_w: int, dst_h: int, dst_w: int):
-        self.sh, self.sw = src_h, src_w
-        self.dh, self.dw = dst_h, dst_w
-        # precomputed source index grids (once per actor)
-        self.ri = np.minimum((np.arange(dst_h) + 0.5) * src_h / dst_h,
-                             src_h - 1).astype(np.int64)
-        self.ci = np.minimum((np.arange(dst_w) + 0.5) * src_w / dst_w,
-                             src_w - 1).astype(np.int64)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch.column("image")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        flat = col.flatten().to_numpy(zero_copy_only=False)
-        imgs = flat.reshape(-1, self.sh, self.sw, 3)
-        small = imgs[:, self.ri[:, None], self.ci[None, :], :]
-        out_col = pa.FixedSizeListArray.from_arrays(
-            pa.array(small.reshape(-1), pa.uint8()), self.dh * self.dw * 3
-        )
-        out = batch.drop_columns(["image"]).append_column("image", out_col)
-        ih = batch.column_names.index("img_h") if "img_h" in batch.column_names else None
-        if ih is not None:
-            out = out.drop_columns(["img_h", "img_w"])
-        out = out.append_column("img_h", pa.array([self.dh] * len(batch), pa.int32()))
-        out = out.append_column("img_w", pa.array([self.dw] * len(batch), pa.int32()))
-        return out
-
-
-class SampleVideoFrames:
-    """Actor stage: video payload → ``n_frames`` evenly-strided frames.
-
-    STUB at the codec boundary (no video decoder in this container;
-    ``strict=True`` raises ``NotImplementedError``): the fake container
-    derives a deterministic frame count and per-frame images from the
-    payload hash.  The Ray-side plumbing — one output ROW PER SAMPLED
-    FRAME (doc_id, frame_idx, image), small batches for large payloads —
-    is the real large-scale video-pipeline layout."""
-
-    def __init__(self, n_frames: int = 4, height: int = 48, width: int = 64,
-                 strict: bool = False):
-        self.n = n_frames
-        self.h = height
-        self.w = width
-        self.strict = strict
-
-    def _container_frames(self, payload: bytes) -> int:
-        if self.strict:
-            raise NotImplementedError(
-                "video codec not available in this environment; plug a real "
-                "demuxer (pyav/ffmpeg) here on a full cluster"
-            )
-        seed = int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
-        return 8 + seed % 120  # fake stream length
-
-    def _frame(self, payload: bytes, idx: int) -> np.ndarray:
-        seed = int.from_bytes(
-            hashlib.blake2b(payload + idx.to_bytes(4, "big"),
-                            digest_size=8).digest(), "big")
-        rng = np.random.default_rng(seed)
-        return rng.integers(0, 256, (self.h, self.w, 3), dtype=np.uint8)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch.column("payload").to_pylist()
-        keys = batch.column("doc_id")
-        out_idx, out_frame, out_imgs = [], [], []
-        for i, p in enumerate(payloads):
-            p = p or b""
-            total = self._container_frames(p)
-            # evenly strided sample positions (floor spacing, start at 0)
-            pos = (np.arange(self.n) * total) // self.n
-            for fp in pos:
-                out_idx.append(i)
-                out_frame.append(int(fp))
-                out_imgs.append(self._frame(p, int(fp)))
-        flat = np.stack(out_imgs).reshape(len(out_imgs), -1) if out_imgs else \
-            np.zeros((0, self.h * self.w * 3), np.uint8)
-        col = pa.FixedSizeListArray.from_arrays(
-            pa.array(flat.reshape(-1), pa.uint8()), self.h * self.w * 3
-        )
-        idx = pa.array(np.asarray(out_idx, dtype=np.int64))
-        return pa.table({
-            "doc_id": keys.take(idx),
-            "frame_idx": pa.array(np.asarray(out_frame, dtype=np.int32)),
-            "image": col,
-            "img_h": pa.array([self.h] * len(out_imgs), pa.int32()),
-            "img_w": pa.array([self.w] * len(out_imgs), pa.int32()),
-        })
-
-
-class AudioFeatures:
-    """Actor stage: audio payload → (rms, zero-crossing rate, band
-    energies) features.  STUB decode (deterministic waveform from the
-    payload hash; ``strict=True`` raises at the codec boundary) — the
-    feature math itself is real vectorized DSP."""
-
-    def __init__(self, n_samples: int = 4096, n_bands: int = 8,
-                 strict: bool = False):
-        self.n = n_samples
-        self.bands = n_bands
-        self.strict = strict
-
-    def _waveform(self, payload: bytes) -> np.ndarray:
-        if self.strict:
-            raise NotImplementedError(
-                "audio codec not available in this environment; plug a real "
-                "decoder (soundfile/librosa) here on a full cluster"
-            )
-        seed = int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal(self.n)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch.column("payload").to_pylist()
-        W = np.stack([self._waveform(p or b"") for p in payloads]) if len(payloads) \
-            else np.zeros((0, self.n))
-        rms = np.sqrt((W * W).mean(axis=1)) if len(W) else np.zeros(0)
-        zcr = (np.abs(np.diff(np.signbit(W), axis=1)).sum(axis=1) / self.n
-               if len(W) else np.zeros(0))
-        spec = np.abs(np.fft.rfft(W, axis=1)) ** 2 if len(W) else np.zeros((0, 1))
-        edges = np.linspace(0, spec.shape[1], self.bands + 1, dtype=np.int64)
-        bands = np.stack([
-            spec[:, edges[b]:max(edges[b + 1], edges[b] + 1)].mean(axis=1)
-            for b in range(self.bands)
-        ], axis=1) if len(W) else np.zeros((0, self.bands))
-        feats = np.concatenate([rms[:, None], zcr[:, None], bands], axis=1)
-        col = pa.FixedSizeListArray.from_arrays(
-            pa.array(feats.reshape(-1)), feats.shape[1]
-        )
-        return batch.drop_columns(["payload"]).append_column("audio_features", col)
-
-
-#: media_ref layout of the tile scheme (RE2 — same pattern in the SQL
-#: oracle)
-MEDIA_REF_RE = r"tile://([a-z]+)/(\d+)_(\d+)"
 
 
 def media_ref_rollup(ds: "ray.data.Dataset",
@@ -428,17 +186,17 @@ def compact_text_spans_batch(batch: pa.Table,
 def frame_sample_plan(ds: "ray.data.Dataset", k: int = 8) -> "ray.data.Dataset":
     """Video frame-sampling schedule per distinct media asset.
 
-    The decode/keyframe codec is environment-stubbed (see module
-    docstring), but the Ray-side *plan* — which frames each worker will
-    pull — is real: explode ``kind='media'`` spans, reduce to distinct
-    ``tile://band/tx_ty`` assets (pre-deduped per batch so the shuffle
-    carries O(#assets) rows), derive a deterministic pseudo-duration
-    ``n_frames = (7·tx + 13·ty) mod 290 + 10``, and emit the k
+    No video is decoded; the *plan* — which frames a sampler would
+    pull — is computed from the spans: explode ``kind='media'`` spans,
+    reduce to distinct ``tile://band/tx_ty`` assets (pre-deduped per
+    batch so the shuffle carries O(#assets) rows), derive a
+    deterministic pseudo-duration ``n_frames = (7·tx + 13·ty) mod 290 +
+    10``, and emit the k
     evenly-spaced frame indices ``floor(j·n_frames/k)`` every sampler
     uses (n_frames ≥ 10 ≥ k keeps them strictly increasing).
 
     Output: (band, tx, ty, n_frames, frame_idx) — one row per sampled
-    frame, ready to feed a ``FetchMedia``-style actor pool.
+    frame.
     """
     refs = ds.map_batches(extract_media_refs_batch, batch_format="pyarrow",
                           zero_copy_batch=True)

@@ -64,18 +64,6 @@ def assign_split(ds: "ray.data.Dataset", key_col: str,
                           zero_copy_batch=True)
 
 
-def hash_sample(ds: "ray.data.Dataset", key_col: str, rate_pct: int,
-                salt: int = 0) -> "ray.data.Dataset":
-    """Keep a deterministic ``rate_pct``% sample by key hash."""
-
-    def keep(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(hash_bucket(k, salt) < rate_pct))
-
-    return ds.map_batches(keep, batch_format="pyarrow",
-                          zero_copy_batch=True)
-
-
 def stratified_sample(ds: "ray.data.Dataset", group_col: str, key_col: str,
                       n_per_group: int,
                       salt: int = 0) -> "ray.data.Dataset":

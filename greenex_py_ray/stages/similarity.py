@@ -4,10 +4,9 @@
   embeddings against a BROADCAST query matrix (shipped once), local
   top-k per batch, then a global top-k reduce via
   ``sort(score).limit(k)`` over the small per-batch candidate set.
-* ``ivf_assign`` / IVF path — the scale variant: k-means-style coarse
-  centroids (trained on a driver-side sample), each vector assigned to
-  its nearest centroid cell; queries probe only ``nprobe`` cells — the
-  spatial-cell pattern applied to embedding space.
+* ``ivf_topk`` — the IVF variant: fixed coarse centroids, each vector
+  assigned to its nearest centroid cell; queries probe only ``nprobe``
+  cells — the spatial-cell pattern applied to embedding space.
 """
 
 from __future__ import annotations
@@ -16,10 +15,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 import ray.data
 
-from ..functions.joins import KernelStage, cluster_cpus
+from ..functions.joins import KernelStage
 from ..sidefiles import shipped, side_table
 
 
@@ -137,27 +135,11 @@ def brute_force_topk(
 def fixed_random_centroids(dim: int, n_centroids: int = 16,
                            seed: int = 17) -> np.ndarray:
     """Deterministic, data-independent coarse centroids (seeded standard
-    gaussian).  Production IVF trains the quantizer on a sample
-    (:func:`train_centroids`); the correctness GATE uses this fixed
-    quantizer so the DuckDB oracle can embed the centroid constants as
-    full-precision literals regardless of scale factor."""
+    gaussian).  The correctness GATE uses this fixed quantizer so the
+    DuckDB oracle can embed the centroid constants as full-precision
+    literals regardless of scale factor."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n_centroids, dim))
-
-
-def train_centroids(sample: np.ndarray, n_centroids: int, iters: int = 10,
-                    seed: int = 17) -> np.ndarray:
-    """Lloyd k-means on a driver-side sample (the coarse quantizer)."""
-    rng = np.random.default_rng(seed)
-    C = sample[rng.choice(len(sample), n_centroids, replace=False)].astype(np.float64)
-    for _ in range(iters):
-        d = ((sample[:, None, :] - C[None, :, :]) ** 2).sum(-1)
-        assign = d.argmin(1)
-        for c in range(n_centroids):
-            pts = sample[assign == c]
-            if len(pts):
-                C[c] = pts.mean(0)
-    return C
 
 
 class IVFAssign:
@@ -181,8 +163,14 @@ def ivf_topk(
 ) -> "ray.data.Dataset":
     """ANN: probe only the ``nprobe`` nearest IVF cells per query.
     Approximate — recall measured against ``brute_force_topk`` in tests."""
-    assigned = _ivf_assign(ds, centroids, dim)
-    probe_cells = _probe_cells(queries, centroids, nprobe)
+    C = np.asarray(centroids, dtype=np.float64)
+    assigned = KernelStage(
+        IVFAssign, dict(centroids_ref=shipped(C), dim=dim),
+        dict(num_cpus=0.25)).on(ds)
+    # (nq, nprobe) nearest coarse cells per query
+    Q = np.asarray(queries["vectors"], dtype=np.float64)
+    d = -2.0 * (Q @ C.T) + (C * C).sum(1)[None, :]
+    probe_cells = np.argsort(d, axis=1)[:, :nprobe]
     cells = np.unique(probe_cells)
     # prune the dataset to probed cells, then brute-force inside
     pruned = assigned.map_batches(
@@ -197,107 +185,6 @@ def ivf_topk(
     }
     return brute_force_topk(pruned, per_query, k, dim, key_col,
                             probe_cells=probe_cells)
-
-
-def _ivf_assign(ds: "ray.data.Dataset", centroids: np.ndarray, dim: int,
-                vec_col: str = "embedding") -> "ray.data.Dataset":
-    """``ds`` with each vector's ``ivf_cell`` (:class:`IVFAssign`)."""
-    return KernelStage(
-        IVFAssign,
-        dict(centroids_ref=shipped(np.asarray(centroids, dtype=np.float64)),
-             dim=dim, vec_col=vec_col),
-        dict(num_cpus=0.25)).on(ds)
-
-
-def _probe_cells(queries: dict, centroids: np.ndarray,
-                 nprobe: int) -> np.ndarray:
-    """(nq, nprobe) nearest coarse cells per query — the single probe
-    rule shared by the one-shot and persisted-index paths."""
-    C = np.asarray(centroids, dtype=np.float64)
-    Q = np.asarray(queries["vectors"], dtype=np.float64)
-    d = -2.0 * (Q @ C.T) + (C * C).sum(1)[None, :]
-    return np.argsort(d, axis=1)[:, :nprobe]
-
-
-def ivf_build(ds: "ray.data.Dataset", centroids: np.ndarray, dim: int,
-              out_dir: str, vec_col: str = "embedding",
-              overwrite: bool = False) -> str:
-    """Build a persisted IVF index: assign every vector to its coarse
-    cell and write CELL-PARTITIONED parquet (one hive directory per
-    ``ivf_cell``).  This is the build-once/query-many split
-    :func:`ivf_topk` lacks — that one-shot form re-assigns the whole
-    table per call, so it can never beat a brute scan; with the index
-    on disk a query reads ONLY its probed cells' files
-    (nprobe/n_centroids of the data).
-
-    Refuses a non-empty ``out_dir`` unless ``overwrite=True`` (which
-    clears it): ``write_parquet`` appends uuid-named files, so writing
-    into a stale index would silently mix old and new vectors."""
-    import os as _os
-    import shutil as _shutil
-
-    if _os.path.isdir(out_dir) and _os.listdir(out_dir):
-        if not overwrite:
-            raise FileExistsError(
-                f"{out_dir} is not empty — a rebuild into a stale index "
-                "would mix old and new files; pass overwrite=True")
-        _shutil.rmtree(out_dir)
-    _ivf_assign(ds, centroids, dim, vec_col).write_parquet(
-        out_dir, partition_cols=["ivf_cell"])
-    return out_dir
-
-
-def ivf_query_index(index_dir: str, queries: dict, centroids: np.ndarray,
-                    k: int, dim: int, nprobe: int = 4,
-                    key_col: str = "vec_id",
-                    vec_col: str = "embedding") -> "ray.data.Dataset":
-    """Top-k per query against a persisted :func:`ivf_build` index —
-    reads only the probed cells' partitions, then brute-forces inside
-    (the standard IVF probe).  Approximate: recall depends on how well
-    the quantizer separates the data (isotropic gaussians are the
-    worst case; clustered embeddings probe well)."""
-    import os as _os
-
-    if not _os.path.isdir(index_dir):
-        raise FileNotFoundError(
-            f"IVF index dir {index_dir} does not exist — run ivf_build "
-            "first (a silent empty result would be indistinguishable "
-            "from an empty probe)")
-    probe_cells = _probe_cells(queries, centroids, nprobe)
-    cells = np.unique(probe_cells)
-    import glob as _glob
-
-    # expand each probed cell dir to its parquet files (a list of
-    # directories is not reliably expanded by the reader)
-    paths = []
-    for c in cells.tolist():
-        d = _os.path.join(index_dir, f"ivf_cell={c}")
-        if _os.path.isdir(d):
-            paths.extend(sorted(_glob.glob(_os.path.join(d, "*.parquet"))))
-    if not paths:
-        return brute_force_topk(
-            ray.data.from_arrow(pa.table({key_col: pa.array([], pa.int64())})),
-            queries, k, dim, key_col)
-    # the hive path segment (ivf_cell=N) is restored as a column on
-    # read (as a string — cast back to int64), so per-query probe
-    # masking stays strict: each query scores only ITS cells, not the
-    # union across queries
-    import pyarrow.compute as _pc
-
-    def cast_cell(b: pa.Table) -> pa.Table:
-        i = b.schema.get_field_index("ivf_cell")
-        col = _pc.cast(_pc.cast(b.column("ivf_cell"), pa.string()),
-                       pa.int64())
-        return b.set_column(i, "ivf_cell", col)
-
-    # a partitioned build leaves ~write-concurrency small files per
-    # cell; one read task per tiny file would swamp the probe with
-    # scheduling overhead, so bundle files into at most ~2×CPUs blocks
-    pruned = ray.data.read_parquet(
-        paths, override_num_blocks=min(len(paths), 2 * cluster_cpus()),
-    ).map_batches(cast_cell, batch_format="pyarrow", zero_copy_batch=True)
-    return brute_force_topk(pruned, queries, k, dim, key_col,
-                            probe_cells=probe_cells, vec_col=vec_col)
 
 
 class CosinePairsExact:
@@ -593,200 +480,6 @@ def lsh_topk(
 
     return cand.repartition(1).map_batches(final_topk,
                                            batch_format="pyarrow",
-                                           batch_size=None)
-
-
-def pca_components(ds: "ray.data.Dataset", n_components: int = 2,
-                   col: str = "embedding", dim: int = 64,
-                   q_scale: float = 1e4,
-                   center: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Distributed PCA: top principal directions of an embedding column.
-
-    The heavy statistic is ONE distributed pass — the exact integer
-    Gram (:func:`embedding_gram` kernel) plus the column-sum / count for
-    centering, all O(d²) shuffle payload.  The eigen step runs
-    driver-side on the tiny d×d covariance via ``numpy.linalg.eigh``
-    (sign fixed so each component's largest-|.| coordinate is positive)
-    — the classic two-stage layout: cluster for the sufficient
-    statistic, driver for the d³ tail.  Power iteration was measured
-    too slow to converge on the near-degenerate spectrum of real
-    embedding clouds.  Returns (components (k, d), eigenvalues (k,)).
-    """
-    from ray.data.aggregate import Sum as _Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        arr = batch.column(col)
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        flat = np.asarray(arr.flatten(), dtype=np.float64)
-        q = np.round(flat * q_scale, 0).astype(np.int64).reshape(-1, dim)
-        g = q.T @ q
-        out = {"i": pa.array(np.repeat(np.arange(dim + 1, dtype=np.int64),
-                                       dim)),
-               "j": pa.array(np.tile(np.arange(dim, dtype=np.int64),
-                                     dim + 1))}
-        # row dim == the column-sum row; cell (dim, 0) also carries n
-        extra = q.sum(axis=0, dtype=np.int64)
-        vals = np.concatenate([g.ravel(), extra])
-        out["g"] = pa.array(vals)
-        out["n"] = pa.array(np.r_[np.zeros(dim * dim, dtype=np.int64),
-                                  np.full(dim, len(q), dtype=np.int64)])
-        return pa.table(out)
-
-    agg = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby(["i", "j"]).aggregate(_Sum("g", alias_name="g"),
-                                          _Sum("n", alias_name="n"))
-           ).to_pandas()
-    G = np.zeros((dim, dim))
-    s = np.zeros(dim)
-    n = 0
-    for _, r in agg.iterrows():
-        if r["i"] < dim:
-            G[int(r["i"]), int(r["j"])] = r["g"]
-        else:
-            s[int(r["j"])] = r["g"]
-            n = max(n, int(r["n"]))
-    G /= q_scale * q_scale
-    s /= q_scale
-    cov = G / n - np.outer(s / n, s / n) if center else G / n
-
-    w, U = np.linalg.eigh(cov)
-    order = np.argsort(-w)[:n_components]
-    comps, eigs = [], []
-    for c in order:
-        v = U[:, c]
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        comps.append(v)
-        eigs.append(float(w[c]))
-    return np.asarray(comps), np.asarray(eigs)
-
-
-def lsh_build(ds: "ray.data.Dataset", dim: int, out_dir: str,
-              n_planes: int = 32, n_bands: int = 4,
-              key_col: str = "vec_id", vec_col: str = "embedding",
-              overwrite: bool = False) -> str:
-    """Persist the LSH posting layout: every vector's (band, code)
-    postings written as hive-partitioned parquet (one directory per
-    ``lsh_bucket = band * 2^bits + code``).  The build-once/query-many
-    split for :func:`lsh_topk` — the one-shot form re-hashes the corpus
-    per call and measured SLOWER than a brute scan at 1M × 64
-    (BASELINE.md); against the persisted postings a query opens only
-    its n_bands bucket directories."""
-    import os as _os
-    import shutil as _shutil
-
-    if _os.path.isdir(out_dir) and _os.listdir(out_dir):
-        if not overwrite:
-            raise FileExistsError(
-                f"{out_dir} is not empty — pass overwrite=True")
-        _shutil.rmtree(out_dir)
-    planes = lsh_planes(dim, n_planes)
-    per = n_planes // n_bands
-
-    def explode(batch: pa.Table) -> pa.Table:
-        v = _to_matrix(batch.column(vec_col), dim)
-        eq = np.round(v * LSH_QUANT).astype(np.int64)
-        codes = _band_codes(eq, planes, n_bands)
-        n = len(eq)
-        rep = np.repeat(np.arange(n), n_bands)
-        band = np.tile(np.arange(n_bands, dtype=np.int64), n)
-        bucket = band * (1 << per) + codes[rep, band]
-        return pa.table({
-            key_col: batch.column(key_col).take(pa.array(rep)),
-            "lsh_bucket": pa.array(bucket),
-            "eq": pa.array(list(eq[rep]), type=pa.list_(pa.int64())),
-        })
-
-    posts = ds.map_batches(explode, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    posts.write_parquet(out_dir, partition_cols=["lsh_bucket"])
-    return out_dir
-
-
-def lsh_query_index(index_dir: str, queries: dict, k: int, dim: int,
-                    n_planes: int = 32, n_bands: int = 4,
-                    key_col: str = "vec_id") -> "ray.data.Dataset":
-    """Top-k per query against a persisted :func:`lsh_build` layout:
-    open ONLY the query's n_bands bucket directories, dedup candidate
-    keys, exact quantized-cosine re-rank."""
-    import glob as _glob
-    import os as _os
-
-    if not _os.path.isdir(index_dir):
-        raise FileNotFoundError(f"LSH index dir {index_dir} missing — "
-                                "run lsh_build first")
-    planes = lsh_planes(dim, n_planes)
-    per = n_planes // n_bands
-    qv = np.asarray(queries["vectors"], dtype=np.float64)
-    qids = np.asarray(queries["query_id"], dtype=np.int64)
-    qq = np.round(qv * LSH_QUANT).astype(np.int64)
-    qcodes = _band_codes(qq, planes, n_bands)
-    buckets = np.unique(
-        (np.arange(n_bands, dtype=np.int64)[None, :] * (1 << per)
-         + qcodes).ravel())
-    paths = []
-    for b in buckets.tolist():
-        d = _os.path.join(index_dir, f"lsh_bucket={b}")
-        if _os.path.isdir(d):
-            paths.extend(sorted(_glob.glob(_os.path.join(d, "*.parquet"))))
-    empty = pa.table({"query_id": pa.array([], pa.int64()),
-                      key_col: pa.array([], pa.int64()),
-                      "score": pa.array([], pa.float64())})
-    if not paths:
-        return ray.data.from_arrow(empty)
-    qref = shipped({"qids": qids, "qq": qq,
-                    "qbuckets": {int(b): np.flatnonzero(
-                        (np.arange(n_bands)[None, :] * (1 << per)
-                         + qcodes == b).any(1)).astype(np.int64)
-                        for b in buckets.tolist()}})
-    ds = ray.data.read_parquet(paths)
-
-    def score(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-
-        if batch.num_rows == 0:
-            return empty
-        q = side_table(qref)
-        bcol = batch.column("lsh_bucket")
-        if not pa.types.is_integer(bcol.type):
-            bcol = _pc.cast(bcol, pa.int64())
-        bks = bcol.to_numpy(zero_copy_only=False)
-        eq = np.asarray(batch.column("eq").combine_chunks().flatten()
-                        .to_numpy(zero_copy_only=False)
-                        ).reshape(batch.num_rows, dim).astype(np.float64)
-        keys = batch.column(key_col).to_numpy(zero_copy_only=False)
-        outs = []
-        for b in np.unique(bks):
-            qsel = q["qbuckets"].get(int(b))
-            if qsel is None or len(qsel) == 0:
-                continue
-            rows = np.flatnonzero(bks == b)
-            qm = q["qq"][qsel].astype(np.float64)
-            sub = eq[rows]
-            sim = (sub @ qm.T) / (np.linalg.norm(sub, axis=1)[:, None]
-                                  * np.linalg.norm(qm, axis=1)[None, :])
-            vi, qi = np.nonzero(np.ones_like(sim, dtype=bool))
-            outs.append(pa.table({
-                "query_id": pa.array(q["qids"][qsel][qi]),
-                key_col: pa.array(keys[rows][vi]),
-                "score": pa.array(np.round(sim[vi, qi], 6)),
-            }))
-        return pa.concat_tables(outs) if outs else empty
-
-    cand = ds.map_batches(score, batch_format="pyarrow")
-
-    def final(tbl: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = tbl.to_pandas().drop_duplicates(["query_id", key_col])
-        df = df.sort_values(["query_id", "score", key_col],
-                            ascending=[True, False, True])
-        df = df.groupby("query_id", sort=False).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    return cand.repartition(1).map_batches(final, batch_format="pyarrow",
                                            batch_size=None)
 
 

@@ -571,8 +571,8 @@ def areal_cell_weights(rects: "ray.data.Dataset",
         y0 = batch.column("y0").to_numpy(zero_copy_only=False)
         x1 = batch.column("x1").to_numpy(zero_copy_only=False)
         y1 = batch.column("y1").to_numpy(zero_copy_only=False)
-        # enumerate (ix, iy) directly: cell_to_indices cannot decode
-        # negative iy (the linear key wraps across the stride), and
+        # enumerate (ix, iy) directly: the linear cell key cannot be
+        # decoded for negative iy (it wraps across the stride), and
         # rects near the world's south edge do go below y = 0
         ix0 = np.floor(x0 / cell_size).astype(np.int64)
         ix1 = np.floor(x1 / cell_size).astype(np.int64)

@@ -6,6 +6,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from greenex_py_ray.functions.joins import append_metrics
 from greenex_py_ray.pipelines import accessibility
 from greenex_py_ray.sources import documents as doc_src
 from greenex_py_ray.state.index import GridIndex, RectIndex
@@ -143,10 +144,16 @@ def test_nearest_greenspace_semantics(world):
     """distance rounded to 0 decimals; miss/beyond-target → distance =
     target and flag False (accessibility.py:282,312-320)."""
     target = 400.0
-    out = accessibility.get_shortest_distance_greenspace_documents(
-        world["documents"], world["greenspace"], target_dist=target, concurrency=2
+    gs_t = pq.read_table(world["greenspace"])
+    cent = pa.table({"gs_id": gs_t.column("gs_id"),
+                     "cx": gs_t.column("centroid_x"),
+                     "cy": gs_t.column("centroid_y")})
+    out = append_metrics(
+        doc_src.read_documents(world["documents"]),
+        accessibility.nearest_greenspace_stage(
+            cent, target, f"greenspace_within_{int(target)}m", concurrency=2),
     ).to_pandas()
-    gs = pq.read_table(world["greenspace"]).to_pandas()
+    gs = gs_t.to_pandas()
     docs = doc_src.decode_geom(
         doc_src.read_documents(world["documents"])
     ).select_columns(["doc_id", "x", "y"]).to_pandas()

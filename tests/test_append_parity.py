@@ -1,7 +1,7 @@
 """Every public-API branch that appends a one-row-per-PoI kernel's
-columns to the documents equals the keyed join of the matching
-metric-table pipeline (the functions the driver query gates check) onto
-the same documents: values, spans, column names and order.
+columns to the documents equals the keyed join of the same stage run
+over the decoded PoIs (``KernelStage.on``, as the gate queries run
+it) onto the same documents: values, spans, column names and order.
 
 Both sides build their kernel stage from the same ``*_stage`` spec, so
 this pins the append step itself plus each branch's argument wiring
@@ -18,7 +18,11 @@ import greenex_py_ray as gx
 from greenex_py_ray import api
 from greenex_py_ray.functions.joins import bucket_join_attach
 from greenex_py_ray.pipelines import accessibility, availability
+from greenex_py_ray.sidefiles import shipped
 from greenex_py_ray.sources import documents as doc_src
+from greenex_py_ray.stages.netaccess import (IsochroneCoverage,
+                                             IsochroneLandcover,
+                                             IsochroneZonal)
 from greenex_py_ray.sources.synth import DOC_SCHEMA
 
 N_DOCS = 40
@@ -60,47 +64,53 @@ def _graph(world):
 def _ndvi_network(w, docs, poi):
     return (gx.get_mean_NDVI(docs, w["tiles"], buffer_dist=DIST,
                              buffer_type="network", **_net(w)),
-            availability.mean_ndvi_isochrone(poi, *_graph(w), w["tiles"],
-                                             buffer_dist=DIST))
+            availability.isochrone_stage(
+                IsochroneZonal, *_graph(w), tile_root=w["tiles"],
+                buffer_dist=DIST).on(poi))
 
 
 def _landcover_network(w, docs, poi):
     return (gx.get_landcover_percentages(docs, w["tiles"], buffer_dist=DIST,
                                          buffer_type="network", **_net(w)),
-            availability.landcover_percentages_isochrone(
-                poi, *_graph(w), w["tiles"], buffer_dist=DIST,
-                stringify=True))
+            availability.isochrone_stage(
+                IsochroneLandcover, *_graph(w), tile_root=w["tiles"],
+                buffer_dist=DIST, classmap=availability.DEFAULT_CLASSMAP,
+                stringify=True).on(poi))
 
 
 def _canopy_network(w, docs, poi):
     return (gx.get_canopy_percentage(docs, w["canopy"], buffer_dist=DIST,
                                      buffer_type="network", **_net(w)),
-            availability.canopy_percentage_isochrone(
-                poi, *_graph(w), pq.read_table(w["canopy"]),
-                buffer_dist=DIST, stringify=True, dissolve=False))
+            availability.isochrone_stage(
+                IsochroneCoverage, *_graph(w),
+                polys_ref=shipped(pq.read_table(w["canopy"])),
+                buffer_dist=DIST, stringify=True, dissolve=False).on(poi))
 
 
 def _greenspace_network(w, docs, poi):
     return (gx.get_greenspace_percentage(docs, w["greenspace"],
                                          buffer_dist=DIST,
                                          buffer_type="network", **_net(w)),
-            availability.canopy_percentage_isochrone(
-                poi, *_graph(w), pq.read_table(w["greenspace"]),
-                buffer_dist=DIST, stringify=True, name="greenspace_cover"))
+            availability.isochrone_stage(
+                IsochroneCoverage, *_graph(w),
+                polys_ref=shipped(pq.read_table(w["greenspace"])),
+                buffer_dist=DIST, stringify=True,
+                name="greenspace_cover").on(poi))
 
 
 def _canopy_euclidean(w, docs, poi):
     return (gx.get_canopy_percentage(docs, w["canopy"], buffer_dist=DIST),
-            availability.canopy_percentage(
-                poi, pq.read_table(w["canopy"]), DIST, stringify=True,
-                dissolve=False))
+            availability.coverage_stage(
+                pq.read_table(w["canopy"]), DIST, stringify=True,
+                dissolve=False).on(poi))
 
 
 def _greenspace_euclidean(w, docs, poi):
     return (gx.get_greenspace_percentage(docs, w["greenspace"],
                                          buffer_dist=DIST),
-            availability.greenspace_percentage(
-                poi, pq.read_table(w["greenspace"]), DIST, stringify=True))
+            availability.coverage_stage(
+                pq.read_table(w["greenspace"]), DIST, stringify=True,
+                name="greenspace_cover").on(poi))
 
 
 def _distance(distance_type, destination):
@@ -109,8 +119,8 @@ def _distance(distance_type, destination):
         gs = pq.read_table(w["greenspace"])
         if destination == "centroids" or "centroid_x" not in gs.column_names:
             gs = api._dissolve_units(gs)
-        metrics = accessibility.network_distance_greenspace(
-            poi, *_graph(w), gs, 300.0, destination, distance_type)
+        metrics = accessibility.network_distance_stage(
+            *_graph(w), gs, 300.0, destination, distance_type).on(poi)
         return (gx.get_shortest_distance_greenspace(
                     docs, w["greenspace"], target_dist=300.0,
                     distance_type=distance_type, destination=destination,
@@ -158,9 +168,10 @@ def test_polygon_coverage_matches_pipeline_join(world, dissolve, buffer_type,
     got = fn(docs, side, buffer_dist=(dilate or None), buffer_type=buffer_type)
     polys = docs.map_batches(doc_src.DecodeGeom(parse_polygons=True),
                              batch_format="pyarrow")
-    metrics = availability.coverage_percentage_polygon_aoi(
-        polys, pq.read_table(side), stringify=True, name=name,
-        dissolve=dissolve, dilate=dilate)
+    metrics = availability.coverage_stage(
+        pq.read_table(side), dilate, stringify=True, name=name,
+        aoi_shape="self", dissolve=dissolve,
+    ).on(polys.select_columns(["doc_id", "ring_x", "ring_y", "ring_sizes"]))
     a = _table(got)
     b = _table(bucket_join_attach(docs, metrics, key="doc_id"))
     assert a.num_rows == N_DOCS

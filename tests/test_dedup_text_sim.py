@@ -1,15 +1,14 @@
-"""Dedup / text / similarity / multimodal / lineage operator tests."""
+"""Dedup / text / similarity / lineage operator tests."""
 
 import numpy as np
 import pandas as pd
-import pytest
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
 
-from greenex_py_ray.stages import dedup, multimodal, similarity, text
+from greenex_py_ray.stages import dedup, similarity, text
 
 
 def _docs_ds(sf_dir):
@@ -104,13 +103,27 @@ def test_bruteforce_topk_matches_numpy(sf_dir):
     assert set(got["vec_id"]) == set(exp.tolist())
 
 
+def _lloyd_centroids(sample: np.ndarray, n_centroids: int, iters: int = 10,
+                     seed: int = 17) -> np.ndarray:
+    """Lloyd k-means on a sample: a trained coarse quantizer."""
+    rng = np.random.default_rng(seed)
+    C = sample[rng.choice(len(sample), n_centroids, replace=False)].astype(np.float64)
+    for _ in range(iters):
+        assign = ((sample[:, None, :] - C[None, :, :]) ** 2).sum(-1).argmin(1)
+        for c in range(n_centroids):
+            pts = sample[assign == c]
+            if len(pts):
+                C[c] = pts.mean(0)
+    return C
+
+
 def test_ivf_recall_reasonable(sf_dir):
     emb = pq.read_table(f"{sf_dir}/embeddings.parquet")
     V = emb.column("embedding").combine_chunks().flatten().to_numpy(
         zero_copy_only=False).reshape(-1, 64).astype(np.float64)
     ids = emb.column("vec_id").to_numpy(zero_copy_only=False)
     queries = {"query_id": [int(ids[0]), int(ids[1])], "vectors": V[:2]}
-    cents = similarity.train_centroids(V[:500], n_centroids=8)
+    cents = _lloyd_centroids(V[:500], n_centroids=8)
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
                          columns=["vec_id", "embedding"])
     exact = similarity.brute_force_topk(ds, queries, 10, 64).to_pandas()
@@ -129,43 +142,6 @@ def test_langid_predicts_english():
         text.LangId, batch_format="pandas", concurrency=1, num_cpus=1
     ).to_pandas()
     assert out["lang_pred"][0] == "en"
-
-
-def test_multimodal_pipeline(world):
-    docs = rd.read_parquet(world["documents"])
-    refs = docs.map_batches(multimodal.extract_media_refs_batch,
-                            batch_format="pyarrow")
-    fetched = refs.limit(32).map_batches(
-        multimodal.FetchMedia,
-        fn_constructor_kwargs=dict(tile_root=world["tiles"]),
-        batch_format="pyarrow", batch_size=8, concurrency=1, num_cpus=1,
-    )
-    decoded = fetched.map_batches(
-        multimodal.DecodeImage, batch_format="pyarrow", batch_size=8,
-        concurrency=1, num_cpus=1,
-    )
-    feats = decoded.map_batches(
-        multimodal.ImageFeatures, batch_format="pyarrow", batch_size=8,
-        concurrency=1, num_cpus=1,
-    ).to_pandas()
-    assert len(feats) == 32
-    assert len(feats["features"][0]) == 9
-    # determinism: same ref → same features
-    f2 = decoded.map_batches(
-        multimodal.ImageFeatures, batch_format="pyarrow", batch_size=8,
-        concurrency=1, num_cpus=1,
-    ).to_pandas()
-    a = feats.sort_values("media_ref")["features"].tolist()
-    b = f2.sort_values("media_ref")["features"].tolist()
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
-def test_decode_strict_raises():
-    import pytest
-
-    d = multimodal.DecodeImage(strict=True)
-    with pytest.raises(NotImplementedError):
-        d.decode(b"payload")
 
 
 def test_lineage_resume(tmp_path, sf_dir):
@@ -229,46 +205,6 @@ def test_near_dedup_bucketed_text_path():
     assert set(out["doc_id"]) == {0, 2, 4}
 
 
-def test_multimodal_resize_frames_audio():
-    """Resize (real math), video frame sampling and audio features
-    (stubbed codecs, real plumbing)."""
-    from greenex_py_ray.stages import multimodal as mm
-
-    payloads = [b"vid-1", b"vid-2", b"vid-3"]
-    tbl = pa.table({"doc_id": pa.array(["a", "b", "c"]),
-                    "payload": pa.array(payloads, pa.binary())})
-    # frame sampling: 3 docs × 4 frames, strided positions, stable
-    sv = mm.SampleVideoFrames(n_frames=4, height=16, width=24)
-    frames = sv(tbl)
-    assert len(frames) == 12
-    assert frames.column("frame_idx").to_pylist()[:4] == sorted(
-        frames.column("frame_idx").to_pylist()[:4])
-    again = sv(tbl)
-    assert frames.column("image").to_pylist() == again.column("image").to_pylist()
-    # resize: nearest-neighbor identity when dims match; half-size picks
-    # the precomputed source indices
-    rz = mm.ResizeImage(16, 24, 8, 12)
-    small = rz(frames)
-    assert small.column("img_h").to_pylist()[0] == 8
-    img0 = np.asarray(frames.column("image").to_pylist()[0],
-                      np.uint8).reshape(16, 24, 3)
-    small0 = np.asarray(small.column("image").to_pylist()[0],
-                        np.uint8).reshape(8, 12, 3)
-    assert np.array_equal(small0, img0[rz.ri[:, None], rz.ci[None, :], :])
-    # audio features deterministic + sane
-    af = mm.AudioFeatures(n_samples=1024, n_bands=4)
-    feats = af(tbl).column("audio_features").to_pylist()
-    assert len(feats) == 3 and len(feats[0]) == 6
-    assert feats == af(tbl).column("audio_features").to_pylist()
-    # codec boundary raises in strict mode
-    import pytest as _pytest
-
-    with _pytest.raises(NotImplementedError):
-        mm.SampleVideoFrames(strict=True)(tbl)
-    with _pytest.raises(NotImplementedError):
-        mm.AudioFeatures(strict=True)(tbl)
-
-
 def test_content_hash_large_string_offsets():
     """large_string columns carry int64 offsets; hashing must not
     reinterpret them as int32 (round-3 review fix: duplicates could
@@ -312,88 +248,6 @@ def test_minhash_shingle_chunking_identity():
     big.SHINGLE_CHUNK = 10 ** 12        # one pass
     assert small(batch).column("minhash").to_pylist() == \
         big(batch).column("minhash").to_pylist()
-
-
-def test_embedding_near_dups_multitable_recall(ray_session):
-    """Multi-table hyperplane LSH: the 2-table union recovers planted
-    near-dup pairs the single table misses, with no false pairs."""
-    import numpy as np
-    import pyarrow as pa
-
-    from greenex_py_ray.stages.dedup import embedding_near_dups
-
-    rng = np.random.default_rng(9)
-    N, D = 4000, 32
-    V = rng.standard_normal((N, D))
-    rows = np.flatnonzero(np.arange(N) % 4 == 3)
-    V[rows] = V[rows - 1] + 0.05 * rng.standard_normal((len(rows), D))
-    arr = pa.FixedSizeListArray.from_arrays(pa.array(V.reshape(-1)), D)
-    tbl = pa.table({"vec_id": pa.array(np.arange(N, dtype=np.int64)),
-                    "embedding": arr})
-    ds = ray.data.from_arrow(tbl)
-
-    def stats(tables):
-        out = embedding_near_dups(ds, dim=D, threshold=0.99,
-                                  tables=tables).to_pandas()
-        a = out["key_a"].to_numpy()
-        b = out["key_b"].to_numpy()
-        planted = ((b - a == 1) & (b % 4 == 3)) | \
-            ((a - b == 1) & (a % 4 == 3))
-        return planted.sum(), int((~planted).sum()), \
-            set(zip(a.tolist(), b.tolist()))
-
-    r1, f1, p1 = stats(1)
-    r2, f2, p2 = stats(2)
-    assert f1 == 0 and f2 == 0
-    assert r2 > r1              # second table adds recall
-    assert p1 <= p2             # union is a superset
-    assert r2 >= 0.9 * len(rows)
-
-
-def test_ivf_index_build_query(ray_session, tmp_path):
-    """Persisted IVF index: build writes one hive dir per cell; the
-    query path reads ONLY probed cells, keeps strict per-query probe
-    masking, and achieves full recall on clustered data with trained
-    centroids."""
-    import os
-
-    import numpy as np
-    import pyarrow as pa
-
-    from greenex_py_ray.stages import similarity as sim
-
-    rng = np.random.default_rng(17)
-    D, NC = 16, 8
-    centers = rng.standard_normal((NC, D)) * 4
-    lab = rng.integers(0, NC, 3000)
-    V = centers[lab] + 0.2 * rng.standard_normal((3000, D))
-    arr = pa.FixedSizeListArray.from_arrays(pa.array(V.reshape(-1)), D)
-    tbl = pa.table({"vec_id": pa.array(np.arange(3000, dtype=np.int64)),
-                    "embedding": arr})
-    ds = ray.data.from_arrow(tbl)
-    C = sim.train_centroids(V[::3], n_centroids=NC)
-    q = {"query_id": np.arange(4, dtype=np.int64),
-         "vectors": V[[10, 500, 1500, 2500]] + 0.05 * rng.standard_normal((4, D))}
-
-    idx = str(tmp_path / "ivf_idx")
-    sim.ivf_build(ds, C, D, idx)
-    assert any(d.startswith("ivf_cell=") for d in os.listdir(idx))
-
-    bf = sim.brute_force_topk(ds, q, 5, D).to_pandas()
-    iv = sim.ivf_query_index(idx, q, C, 5, D, nprobe=2).to_pandas()
-    hits = sum(len(set(bf[bf.query_id == i]["vec_id"])
-                   & set(iv[iv.query_id == i]["vec_id"])) for i in range(4))
-    assert hits / 20.0 >= 0.95  # clustered + trained → near-full recall
-
-    # strict probe masking: every result row's vector must sit in a
-    # cell its own query probed
-    Q = np.asarray(q["vectors"], dtype=np.float64)
-    d = -2.0 * (Q @ C.T) + (C * C).sum(1)[None, :]
-    probe = np.argsort(d, axis=1)[:, :2]
-    d2 = -2.0 * (V @ C.T) + (C * C).sum(1)[None, :]
-    cell_of = d2.argmin(1)
-    for _, row in iv.iterrows():
-        assert cell_of[int(row["vec_id"])] in probe[int(row["query_id"])]
 
 
 def _lev_ref(a: str, b: str) -> int:
@@ -469,51 +323,6 @@ def test_lsh_topk_clustered_high_recall(ray_session):
         e = set(exact[exact.query_id == qid]["vec_id"])
         a = set(approx[approx.query_id == qid]["vec_id"])
         assert len(e & a) / len(e) >= 0.9
-
-
-def test_pca_components_match_numpy(sf_dir):
-    emb = pq.read_table(f"{sf_dir}/embeddings.parquet")
-    V = emb.column("embedding").combine_chunks().flatten().to_numpy(
-        zero_copy_only=False).reshape(-1, 64).astype(np.float64)
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
-    comps, eigs = similarity.pca_components(ds, n_components=3, dim=64)
-    Q = np.round(V * 1e4) / 1e4            # the op's quantization
-    C = np.cov(Q, rowvar=False, bias=True)
-    w, U = np.linalg.eigh(C)
-    order = np.argsort(-w)
-    for c in range(3):
-        u = U[:, order[c]]
-        if u[np.argmax(np.abs(u))] < 0:
-            u = -u
-        assert eigs[c] == pytest.approx(w[order[c]], rel=1e-6)
-        assert np.abs(comps[c] @ u) == pytest.approx(1.0, abs=1e-5)
-
-
-def test_lsh_index_build_query_matches_oneshot(tmp_path, sf_dir):
-    emb = pq.read_table(f"{sf_dir}/embeddings.parquet")
-    V = emb.column("embedding").combine_chunks().flatten().to_numpy(
-        zero_copy_only=False).reshape(-1, 64).astype(np.float64)
-    ids = emb.column("vec_id").to_numpy(zero_copy_only=False)
-    queries = {"query_id": [int(ids[0]), int(ids[2])],
-               "vectors": V[[0, 2]]}
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
-    idx = str(tmp_path / "lsh_idx")
-    similarity.lsh_build(ds, 64, idx, n_planes=16, n_bands=4)
-    got = similarity.lsh_query_index(idx, queries, 10, 64,
-                                     n_planes=16, n_bands=4).to_pandas()
-    # persisted-postings result == one-shot bucket-shuffle result
-    ref = similarity.lsh_topk(ds, queries, 10, 64,
-                              n_planes=16, n_bands=4).to_pandas()
-    for q in queries["query_id"]:
-        g = got[got.query_id == q].reset_index(drop=True)
-        r = ref[ref.query_id == q].reset_index(drop=True)
-        assert list(g["vec_id"]) == list(r["vec_id"])
-        assert np.allclose(g["score"], r["score"])
-    # rebuild guard
-    with pytest.raises(FileExistsError):
-        similarity.lsh_build(ds, 64, idx, n_planes=16, n_bands=4)
 
 
 def test_kmeans_iterations_converge_on_clusters(ray_session):

@@ -52,9 +52,9 @@ def test_polygon_aoi_zonal_parity(world):
     ds = rd.from_arrow(tbl).map_batches(
         doc_src.DecodeGeom(parse_polygons=True), batch_format="pyarrow"
     )
-    out = availability.mean_ndvi_polygon_aoi(
-        ds, world["tiles"], concurrency=2
-    ).to_pandas().set_index("doc_id")
+    out = availability.mean_ndvi_polygon_stage(
+        world["tiles"], concurrency=2
+    ).on(ds).to_pandas().set_index("doc_id")
     res = synth.RASTER_RES
     for i, ring in enumerate(rings):
         bx0, by0, bx1, by1 = geom.rings_bbox(ring)
@@ -103,9 +103,9 @@ def test_multipolygon_zonal_even_odd(world):
     ds = rd.from_arrow(tbl).map_batches(
         doc_src.DecodeGeom(parse_polygons=True), batch_format="pyarrow"
     )
-    out = availability.mean_ndvi_polygon_aoi(
-        ds, world["tiles"], concurrency=2
-    ).to_pandas().set_index("doc_id")
+    out = availability.mean_ndvi_polygon_stage(
+        world["tiles"], concurrency=2
+    ).on(ds).to_pandas().set_index("doc_id")
     res = synth.RASTER_RES
     c0 = int(np.floor(4000 / res)); c1 = int(np.floor(5200 / res))
     px = (np.arange(c0, c1 + 1, dtype=np.float64) + 0.5) * res

@@ -261,19 +261,3 @@ def test_shared_derives_once_per_file_version(tmp_path, monkeypatch):
     assert len(calls) == 3
     with pytest.raises(ValueError, match="no column"):
         sidefiles.shared(derive, path, 3, needs=("b",))
-
-
-def test_documents_greenspace_reads_only_stored_centroids(world, tmp_path):
-    """The documents path reads just the greenspace file's stored
-    centroid columns, and a file without them raises in the call."""
-    from greenex_py_ray import sidefiles
-    from greenex_py_ray.pipelines.accessibility import (
-        get_shortest_distance_greenspace_documents)
-
-    t = sidefiles.stored_centroids(world["greenspace"])
-    assert t.column_names == ["gs_id", "cx", "cy"]
-    bare = str(tmp_path / "bare.parquet")
-    pq.write_table(pq.read_table(world["greenspace"]).drop_columns(
-        ["centroid_x", "centroid_y"]), bare)
-    with pytest.raises(ValueError):
-        get_shortest_distance_greenspace_documents(world["documents"], bare)

@@ -55,7 +55,7 @@ def test_topk_partial_pass_bounds_rows(ray_session):
 
 
 def test_hash_split_deterministic_and_partition_invariant(ray_session):
-    from greenex_py_ray.stages.sampling import assign_split, hash_sample
+    from greenex_py_ray.stages.sampling import assign_split
 
     tbl = pa.table({"doc_id": pa.array(np.arange(2000, dtype=np.int64))})
     a = assign_split(ray.data.from_arrow(tbl), "doc_id").to_pandas()
@@ -67,10 +67,6 @@ def test_hash_split_deterministic_and_partition_invariant(ray_session):
     assert set(a["split"]) == {"train", "val", "test"}
     frac = (a["split"] == "train").mean()
     assert 0.75 < frac < 0.85  # ~80% by construction
-
-    s = hash_sample(ray.data.from_arrow(tbl), "doc_id", 10).to_pandas()
-    assert set(s["doc_id"]) == set(
-        a.loc[a["bucket"] < 10, "doc_id"])
 
 
 def test_topk_unsigned_scores_and_negative_keys(ray_session):

@@ -103,12 +103,17 @@ def test_gvi_matches_oracle():
 def test_viewshed_pipeline_smoke(world):
     import pyarrow.dataset as pads
 
+    from greenex_py_ray.functions.joins import drop_zero_count
     from greenex_py_ray.pipelines import visibility as vpipe
+    from greenex_py_ray.sources import documents as doc_src
 
-    rollup, per_point = vpipe.get_viewshed_gvi_documents(
-        world["documents"], world, buffer_dist=100.0, viewing_dist=150.0,
-        sample_dist=50.0, concurrency=2,
-    )
+    poi = doc_src.decode_geom(doc_src.read_documents(
+        world["documents"])).select_columns(["doc_id", "x", "y"])
+    rollup = drop_zero_count(vpipe.viewshed_stage(
+        world["network_nodes"], world["network_edges"], world["tiles"],
+        buffer_dist=100.0, viewing_dist=150.0, sample_dist=50.0,
+        concurrency=2,
+    ).on(poi), "nr_of_points")
     df = rollup.to_pandas()
     n_docs = pads.dataset(world["documents"]).count_rows()
     assert 0 < len(df) <= n_docs
@@ -120,10 +125,14 @@ def test_viewshed_pipeline_smoke(world):
 
 def test_streetview_pipeline_smoke(world):
     from greenex_py_ray.pipelines import visibility as vpipe
+    from greenex_py_ray.sources import documents as doc_src
 
-    rollup, per_point = vpipe.get_streetview_gvi_documents(
-        world["documents"], world, buffer_dist=100.0, concurrency=2
-    )
+    poi = doc_src.decode_geom(doc_src.read_documents(
+        world["documents"])).select_columns(["doc_id", "x", "y"])
+    rollup = vpipe.keep_sampled(vpipe.streetview_stage(
+        world["network_nodes"], world["network_edges"],
+        world["image_features"], buffer_dist=100.0, concurrency=2,
+    ).on(poi))
     df = rollup.to_pandas()
     assert len(df) > 0
     ok = df["GVI"].dropna()

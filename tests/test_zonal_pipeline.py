@@ -64,10 +64,8 @@ def test_mean_ndvi_parity(world):
     doc_ids, x, y = decode_world_docs(world)
     ds = doc_src.decode_geom(doc_src.read_documents(world["documents"]))
     out = (
-        availability.mean_ndvi(
-            ds.select_columns(["doc_id", "x", "y"]), world["tiles"], radius,
-            concurrency=2,
-        )
+        availability.mean_ndvi_stage(world["tiles"], radius, concurrency=2)
+        .on(ds.select_columns(["doc_id", "x", "y"]))
         .to_pandas()
         .set_index("doc_id")
     )
@@ -86,10 +84,8 @@ def test_landcover_parity(world):
     doc_ids, x, y = decode_world_docs(world)
     ds = doc_src.decode_geom(doc_src.read_documents(world["documents"]))
     out = (
-        availability.landcover_percentages(
-            ds.select_columns(["doc_id", "x", "y"]), world["tiles"], radius,
-            concurrency=2,
-        )
+        availability.landcover_stage(world["tiles"], radius, concurrency=2)
+        .on(ds.select_columns(["doc_id", "x", "y"]))
         .to_pandas()
         .set_index("doc_id")
     )
@@ -105,9 +101,10 @@ def test_landcover_parity(world):
 
 def test_span_passthrough(world):
     """Per-row invariant: output spans == input spans, byte-identical."""
-    out = availability.get_mean_ndvi_documents(
-        world["documents"], world["tiles"], buffer_dist=200.0, concurrency=2
-    )
+    import greenex_py_ray as gx
+
+    out = gx.get_mean_NDVI(world["documents"], world["tiles"],
+                           buffer_dist=200.0, concurrency=2)
     got = out.to_pandas().set_index("doc_id")
     src = pq.read_table(world["documents"]).to_pandas().set_index("doc_id")
     assert len(got) == len(src)
@@ -304,11 +301,11 @@ def test_append_path_matches_bucket_join(world):
     poi = doc_src.decode_geom(docs).select_columns(["doc_id", "x", "y"])
     cases = [
         (gx.get_mean_NDVI(world["documents"], world["tiles"], buffer_dist=300.0),
-         availability.mean_ndvi(poi, world["tiles"], 300.0)),
+         availability.mean_ndvi_stage(world["tiles"], 300.0).on(poi)),
         (gx.get_landcover_percentages(world["documents"], world["tiles"],
                                       buffer_dist=500.0),
-         availability.landcover_percentages(poi, world["tiles"], 500.0,
-                                            stringify=True)),
+         availability.landcover_stage(world["tiles"], 500.0,
+                                      stringify=True).on(poi)),
     ]
     for got, metrics in cases:
         a = _by_doc_id(_table(got))
@@ -316,6 +313,22 @@ def test_append_path_matches_bucket_join(world):
         assert a.num_rows == 300
         assert a.column_names == b.column_names
         assert a.equals(b)
+
+
+def test_entry_output_schema_and_rows():
+    """The flagship pipeline, ``__ray_entry__.entry()``: the 500 world
+    documents with mean/std NDVI appended, spans untouched."""
+    import __ray_entry__ as em
+
+    t = _table(em.entry())
+    assert t.num_rows == 500
+    assert [(f.name, str(f.type)) for f in t.schema] == [
+        ("doc_id", "string"),
+        ("spans", "list<element: struct<kind: string, text: string, "
+                  "media_ref: string, offset: int32>>"),
+        ("mean_NDVI", "double"),
+        ("std_NDVI", "double"),
+    ]
 
 
 def test_mean_ndvi_plan_is_one_read_no_exchange(world):

@@ -49,21 +49,7 @@ def main() -> None:
         e = set(exact[exact.query_id == q]["vec_id"])
         a = set(approx[approx.query_id == q]["vec_id"])
         recalls.append(len(e & a) / len(e))
-    import shutil, tempfile
-    idx = tempfile.mkdtemp(prefix="lsh_idx_")
-    t0 = time.time()
-    similarity.lsh_build(ds, dim, idx, n_planes=32, n_bands=4,
-                         overwrite=True)
-    t_build = time.time() - t0
-    t0 = time.time()
-    similarity.lsh_query_index(idx, queries, k, dim,
-                               n_planes=32, n_bands=4).to_pandas()
-    t_q = time.time() - t0
-    shutil.rmtree(idx, ignore_errors=True)
-
     print({"n": n, "bf_sec": round(t_bf, 1), "lsh_sec": round(t_lsh, 1),
-           "lsh_build_sec": round(t_build, 1),
-           "lsh_index_query_sec": round(t_q, 2),
            "bf_vecs_per_s": round(n / t_bf),
            "lsh_vecs_per_s": round(n / t_lsh),
            "recall_at_10": [round(r, 2) for r in recalls],
