@@ -109,7 +109,11 @@ def _poi(poi) -> "tuple[ray.data.Dataset, str]":
     """``(docs, kind)``: the spans documents of a PoI input and the
     geometry type of their first row (:func:`_geom_kind`).  A path or
     ``.gpkg`` input is probed in this process; only a Dataset input runs
-    a one-row Ray job."""
+    a one-row Ray job.  A path is read with
+    :func:`~greenex_py_ray.sources.documents.read_documents`, planned
+    here from the parquet footers (no sampling task), so the
+    ``append_metrics`` stage that follows runs inside its read tasks:
+    one task per CPU that reads, decodes and runs the kernel."""
     if isinstance(poi, str) and poi.lower().endswith(".gpkg"):
         t = _docs_from_gpkg(poi)
         return (ray.data.from_arrow(t),
@@ -243,7 +247,8 @@ def _emit(ds, name: str, docs, kind: str, src_crs, write_to_file: bool,
         poly = kind in _POLYGONS
         geo_cols = _RING_COLS if poly else ["doc_id", "x", "y"]
         decoded = _decoded(
-            docs, doc_src.DecodeGeom(parse_polygons=poly, src_crs=src_crs),
+            docs, doc_src.DecodeGeom(parse_polygons=poly, src_crs=src_crs,
+                                     kind=kind),
             geo_cols).materialize()
         gt = pa.concat_tables(
             [ray.get(r) for r in decoded.to_arrow_refs()],
@@ -272,7 +277,8 @@ def _emit(ds, name: str, docs, kind: str, src_crs, write_to_file: bool,
 
         poly = kind in _POLYGONS
         pts = _decoded(
-            docs, doc_src.DecodeGeom(parse_polygons=poly, src_crs=src_crs),
+            docs, doc_src.DecodeGeom(parse_polygons=poly, src_crs=src_crs,
+                                     kind=kind),
             ["doc_id", "x", "y"]).limit(10_000)
         rows = pts.take_all()
         kind = "points"
@@ -298,10 +304,10 @@ def _geom_kind(first: list) -> str:
     """Geometry type of the first geom span in ``first`` (the first PoI
     row's ``spans``, or empty) — the reference samples
     ``poi.iloc[0]['geometry'].geom_type`` (availability.py:80-82).
-    Every row is routed by this type; the API does not check that the
-    other rows share it (the reference's M1 homogeneity check,
-    :func:`~greenex_py_ray.sources.documents.validate_geometry_homogeneous`,
-    is not run: it would cost a second pass over the data)."""
+    Every row is routed by this type; the ``DecodeGeom`` built with it
+    raises the reference's M1 mixed-geometry ``TypeError`` on a row of
+    another type, inside the same task (no second pass over the data,
+    so the error comes when the result is consumed)."""
     for spans in first:
         for span in spans:
             if span["kind"] == "geom":
@@ -309,7 +315,7 @@ def _geom_kind(first: list) -> str:
     return "POINT"
 
 
-_POLYGONS = ("POLYGON", "MULTIPOLYGON")
+_POLYGONS = doc_src._POLYGONS
 
 
 def _route_poi(kind, src_crs, polygon_type, buffer_type, dist):
@@ -339,7 +345,8 @@ def _route_poi(kind, src_crs, polygon_type, buffer_type, dist):
             "buffer distance required for point geometries "
             "(buffer_type='euclidean' needs a positive buffer_dist, or "
             "travel_speed + trip_time)")
-    decoder = doc_src.DecodeGeom(parse_polygons=is_poly, src_crs=src_crs)
+    decoder = doc_src.DecodeGeom(parse_polygons=is_poly, src_crs=src_crs,
+                                 kind=kind)
     if is_poly:
         if polygon_type not in ("neighbourhood", "house"):
             raise ValueError(
@@ -596,7 +603,7 @@ def get_shortest_distance_greenspace(poi, greenspace_vector_file: str,
     _validate_positive("target_dist", target_dist)
     docs, kind = _poi(poi)
     decoder = doc_src.DecodeGeom(parse_polygons=kind in _POLYGONS,
-                                 src_crs=src_crs)
+                                 src_crs=src_crs, kind=kind)
     flag = f"greenspace_within_{int(target_dist)}m"
     crs = _poi_crs(poi)
     if distance_type == "euclidean" and destination == "centroids":
@@ -641,7 +648,8 @@ def _vis_poi(kind, src_crs, polygon_type, buffer_dist):
         if polygon_type not in ("neighbourhood", "house"):
             raise ValueError(
                 "polygon_type must be 'neighbourhood' or 'house'")
-        decoder = doc_src.DecodeGeom(parse_polygons=True, src_crs=src_crs)
+        decoder = doc_src.DecodeGeom(parse_polygons=True, src_crs=src_crs,
+                                     kind=kind)
         if polygon_type == "house":
             _require_positive_buffer(buffer_dist)
             return "point", decoder, ["doc_id", "x", "y"]
@@ -649,7 +657,7 @@ def _vis_poi(kind, src_crs, polygon_type, buffer_dist):
             _require_positive_buffer(buffer_dist)
         return "polygon", decoder, _RING_COLS
     _require_positive_buffer(buffer_dist)
-    return ("point", doc_src.DecodeGeom(src_crs=src_crs),
+    return ("point", doc_src.DecodeGeom(src_crs=src_crs, kind=kind),
             ["doc_id", "x", "y"])
 
 

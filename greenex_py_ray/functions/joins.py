@@ -7,8 +7,13 @@ documents:
   row, in input order (zonal, nearest-centroid, isochrone, coverage,
   viewshed and streetview kernels).  One task stage decodes each raw
   document batch, runs the kernel on it and appends the kernel's
-  columns to the same batch: one read, no exchange, and the ``spans``
-  payload never leaves its batch.
+  columns to the same batch: no exchange, and the ``spans`` payload
+  never leaves its batch.  The stage maps whole blocks at one CPU, so
+  on a :func:`~greenex_py_ray.sources.documents.read_documents` input
+  Ray fuses it into the read: one task per read task, which reads,
+  decodes and runs the kernel, and no object-store hop before the
+  result.  A ``concurrency`` cap keeps read and kernel as two operators
+  (Ray fuses only task pools of equal size).
   Row count and key column are checked per batch, so a kernel that drops
   or reorders rows raises instead of losing documents.  Each kernel's
   stage is defined once as a ``KernelStage`` (class, constructor kwargs,
@@ -202,8 +207,10 @@ def _run_kernel(batch: pa.Table, cls, kwargs: dict, key,
                 append=None) -> pa.Table:
     """Task body of every :class:`KernelStage`: the process's cached
     kernel for ``key`` (built on a miss) applied to ``batch``, or, with
-    ``append=(columns, decode, shift)``, to the decoded and shifted
-    batch, its columns appended to the batch (:func:`append_metrics`)."""
+    ``append=(columns, decode, shift, size)``, to each ``size``-row
+    slice of the batch (the whole batch when ``size`` is None), decoded
+    and shifted, its columns appended to the slice
+    (:func:`append_metrics`)."""
     global _KERNEL
     if _KERNEL is None or _KERNEL[0] != key:
         _KERNEL = None  # drop the old kernel before building the new one
@@ -211,10 +218,15 @@ def _run_kernel(batch: pa.Table, cls, kwargs: dict, key,
     kernel = _KERNEL[1]
     if append is None:
         return kernel(batch)
-    columns, decode, shift = append
-    pts = shift_coords(decode(batch), *shift,
-                       xcols=("x", "ring_x"), ycols=("y", "ring_y"))
-    return append_columns(batch, kernel(pts), columns)
+    columns, decode, shift, size = append
+    step = size or batch.num_rows or 1
+    out = []
+    for lo in range(0, batch.num_rows or 1, step):
+        part = batch.slice(lo, step)
+        pts = shift_coords(decode(part), *shift,
+                           xcols=("x", "ring_x"), ycols=("y", "ring_y"))
+        out.append(append_columns(part, kernel(pts), columns))
+    return pa.concat_tables(out)
 
 
 def _path_stamp(path: str) -> tuple:
@@ -273,6 +285,12 @@ class KernelStage(NamedTuple):
         kw = {"batch_format": "pyarrow", "zero_copy_batch": True,
               **self.map_kwargs}
         conc = kw.pop("concurrency", None)
+        if append is not None:
+            # whole read blocks at the read's one CPU, so Ray fuses the
+            # map into the read task; the kernel still sees at most
+            # batch_size rows at a time
+            append = (*append, kw.pop("batch_size", None))
+            kw.pop("num_cpus", None)
         if conc is not None:
             # Ray warns of a cap above the operator's inputs: in-memory
             # data's block count is known up front, a read's is not
@@ -303,9 +321,12 @@ def append_metrics(
     point decode) → translate the decoded coordinates by ``shift`` into
     the tile store's frame → the ``stage`` kernel (keyed by ``doc_id``)
     → the input batch plus the kernel's ``columns`` (default: all but
-    ``doc_id``).  The decoded coordinates are not kept.  The stage's
-    ``map_kwargs`` (task cap, CPUs, ``batch_size``) go to
-    ``map_batches``."""
+    ``doc_id``).  The decoded coordinates are not kept.  The stage
+    maps whole blocks at the read's one CPU, so Ray fuses it into a
+    :func:`~greenex_py_ray.sources.documents.read_documents` read task
+    (unless its ``concurrency`` is set: Ray fuses only task pools of
+    equal size); its ``batch_size`` instead caps the rows of each
+    kernel call inside the task."""
     return stage._map(docs, append=(
         columns, decode if decode is not None else DecodeGeom(), shift))
 

@@ -2417,24 +2417,10 @@ def _world_poi(limit: int | None = None):
     w = _world_paths()
     # metrics-only consumers never re-emit spans, so read only the
     # kind/text leaves (geom WKT lives in text); media_ref/offset stay
-    # on disk — 2.3× fewer bytes through the object store on the
-    # DRAM-bandwidth-bound zonal scan (round-2 verdict #5)
-    docs = doc_src.read_documents_pruned(w["documents"])
-    if limit:
-        # limit BEFORE decode so a large world doesn't decode rows the
-        # query then drops.  A limit collapses the stream to a couple
-        # of blocks, which would feed the kernel tasks nearly serially —
-        # but instead of a repartition (an all-to-all BARRIER that cost
-        # ~2.4 s of the 7.3 s viewshed gate in round 3), let the decode
-        # stage split blocks itself: map_batches emits one output block
-        # per batch, so a small batch_size re-fans the stream with no
-        # shuffle
-        docs = docs.limit(limit)
-        poi = docs.map_batches(
-            doc_src.DecodeGeom(), batch_format="pyarrow",
-            zero_copy_batch=True, batch_size=max(32, limit // 64),
-        ).select_columns(["doc_id", "x", "y"])
-        return poi, w
+    # on disk.  A limit plans only the first rows in file order, over
+    # one read task per CPU, and the decode runs inside those tasks
+    docs = doc_src.read_documents(w["documents"], fields=("kind", "text"),
+                                  limit=limit)
     poi = doc_src.decode_geom(docs).select_columns(["doc_id", "x", "y"])
     return poi, w
 
@@ -4023,7 +4009,7 @@ def q_composite_exposure(sf_dir: str):
     from . import visibility as vpipe
 
     w = _world_paths()
-    docs = doc_src.read_documents(w["documents"]).limit(COMPOSITE_POIS)
+    docs = doc_src.read_documents(w["documents"], limit=COMPOSITE_POIS)
 
     gs = pq.read_table(w["greenspace"],
                        columns=["gs_id", "x0", "y0", "x1", "y1"])
@@ -4442,8 +4428,8 @@ def q_geometry_validators(sf_dir: str):
     import pyarrow.compute as pc
 
     w = _world_paths()
-    pts = (doc_src.read_documents(w["documents"])
-           .limit(VAL_POINT_POIS).select_columns(["doc_id", "spans"]))
+    pts = doc_src.read_documents(
+        w["documents"], limit=VAL_POINT_POIS).select_columns(["doc_id", "spans"])
     polys, _ = _world_rect_poly_spans(VAL_POLY_POIS)
 
     def suffix_ids(b: pa.Table) -> pa.Table:

@@ -1,4 +1,4 @@
-"""Interleaved-document source: Lance-style parquet fragments → Dataset.
+"""Interleaved-document source: parquet fragments → Dataset.
 
 The primary input is the spans table fixed by ``BASELINE.json
 input_hint``::
@@ -6,12 +6,25 @@ input_hint``::
     documents(doc_id: string,
               spans: list<struct<kind, text, media_ref, offset>>)
 
-``read_documents`` reads the fragments; ``decode_geom`` is the first
-``map_batches`` stage of every pipeline: it extracts each row's first
-``kind="geom"`` span, parses the ``POINT(x y)`` WKT, and appends
-``x, y, cell`` columns — *without touching* the ``spans`` column (the
-per-row invariant is span-sequence equality, so ``spans`` streams
-zero-copy through every stage and is emitted unchanged).
+:func:`read_documents` is the one reader of that table, a Ray
+``Datasource`` planned in the calling process from the parquet footers
+(no sampling task).  Fragments are taken in sorted order and their rows
+split by row count into ``max(cluster_cpus(), ceil(bytes /
+target_max_block_size))`` read tasks; each task yields one block per
+row-group slice, under the file schema without its metadata.  The read
+is built with one output block per task, so Ray adds no split step and
+fuses the next ``batch_size=None`` map with the same CPUs into the read
+task: :func:`~greenex_py_ray.functions.joins.append_metrics` decodes
+and runs its kernel there, and the ``spans`` payload never crosses the
+object store before the result.  ``fields`` reads only those ``spans``
+leaves (``kind``/``text`` is all a metrics-only pipeline needs) and
+``limit`` plans only the first rows in file order, so a limited read
+picks the same documents on every call.
+
+``DecodeGeom`` extracts each row's first ``kind="geom"`` span, parses
+its WKT and appends ``x, y, cell`` (and the ring columns for polygons)
+*without touching* the ``spans`` column: spans stream through every
+stage and are emitted unchanged.
 
 Replaces the reference's ``gpd.read_file`` + geometry/CRS normalization
 (`/root/reference/GreenExp/availability.py:45-143`) with a vectorized
@@ -20,113 +33,190 @@ Arrow batch transform.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
 import ray.data
+from ray.data.block import BlockMetadata
+from ray.data.datasource import Datasource, ReadTask
 
 from .. import cells, geom
 
 
-def read_documents(path: str, **kwargs) -> "ray.data.Dataset":
-    """Read the spans documents table (a parquet file/dir of fragments)."""
-    return ray.data.read_parquet(path, **kwargs)
-
-
-def read_documents_pruned(path: str, fields=("kind", "text"),
-                          rgs_per_task: int = 8) -> "ray.data.Dataset":
-    """Leaf-pruned spans read for metrics-only pipelines.
-
-    ``ray.data.read_parquet(columns=...)`` (and pyarrow's dataset
-    scanner) cannot prune struct subfields inside a ``list`` column, so
-    a metrics pipeline that only needs each row's geom span would still
-    stream the whole spans payload (``media_ref``/``offset``/…) through
-    the object store.  This reader drops to parquet LEAF columns
-    (``spans.list.element.<field>`` via ``pq.ParquetFile.read_row_group``
-    — measured 2.3× fewer in-memory bytes with kind+text) as a proper
-    :class:`~ray.data.datasource.Datasource`: one ReadTask per
-    ``rgs_per_task`` row groups, each carrying its true row count and
-    pruned byte size so the streaming executor schedules the tasks in
-    parallel and fuses/bundles downstream stages by REAL data volume.
-    (A from_items+map_batches formulation loses exactly that metadata —
-    384 one-row item blocks total ~29 KB, so operator fusion bundled
-    the whole read into ONE task and serialized the pipeline: measured
-    14× slower at 32 cores on the 6M-doc world.)  Only for pipelines
-    that do NOT re-emit spans (the payload invariant requires the full
-    column)."""
-    import glob as _glob
-    import os as _os
-
-    import pyarrow.parquet as _pq
-    from ray.data.block import BlockMetadata
-    from ray.data.datasource import Datasource, ReadTask
-
-    files = ([path] if _os.path.isfile(path) else
-             sorted(_glob.glob(_os.path.join(path, "*.parquet"))))
-    leafs = ["doc_id"] + [f"spans.list.element.{c}" for c in fields]
-    leaf_set = set(leafs)
-    items = []
+def _row_groups(path: str, leaves) -> tuple[list[str], list[tuple]]:
+    """The parquet files under ``path`` (a file, or a directory of
+    fragments, in sorted order) and ``(file, row group, rows, bytes)``
+    of each of their row groups; ``bytes`` is the uncompressed size of
+    the ``leaves`` column chunks (all columns when ``None``)."""
+    files = sorted(pads.dataset(path, format="parquet").files)
+    if not files:
+        raise ValueError(f"no parquet files under {path!r}")
+    groups = []
     for f in files:
-        md = _pq.ParquetFile(f).metadata
-        for lo in range(0, md.num_row_groups, rgs_per_task):
-            hi = min(lo + rgs_per_task, md.num_row_groups)
-            rows = bytes_ = 0
-            for rg in range(lo, hi):
-                g = md.row_group(rg)
-                rows += g.num_rows
-                for ci in range(g.num_columns):
-                    col = g.column(ci)
-                    if col.path_in_schema in leaf_set:
-                        bytes_ += col.total_uncompressed_size
-            items.append((f, lo, hi, rows, bytes_))
-
-    class _LeafSpanSource(Datasource):
-        def get_name(self) -> str:
-            return "DocumentsLeafPruned"
-
-        def estimate_inmemory_data_size(self):
-            return sum(it[4] for it in items)
-
-        def get_read_tasks(self, parallelism: int):
-            tasks = []
-            for f, lo, hi, rows, bytes_ in items:
-                def _read(p=f, a=lo, b=hi):
-                    pf = _pq.ParquetFile(p)
-                    return [pf.read_row_group(rg, columns=leafs)
-                            for rg in range(a, b)]
-                meta = BlockMetadata(num_rows=rows, size_bytes=bytes_,
-                                     exec_stats=None, input_files=[f])
-                tasks.append(ReadTask(_read, meta))
-            return tasks
-
-    return ray.data.read_datasource(_LeafSpanSource())
+        md = pq.ParquetFile(f).metadata
+        for i in range(md.num_row_groups):
+            g = md.row_group(i)
+            size = sum(g.column(c).total_uncompressed_size
+                       for c in range(g.num_columns)
+                       if leaves is None
+                       or g.column(c).path_in_schema in leaves)
+            groups.append((f, i, g.num_rows, size))
+    return files, groups
 
 
-def _first_geom_texts(spans: pa.ListArray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row, (x, y) parsed from its first kind='geom' span.
+def plan_reads(groups: list[tuple], num_tasks: int,
+               limit: int | None = None) -> list[list[tuple]]:
+    """Split the first ``limit`` rows (all rows when ``None``) of the
+    row groups ``groups``, in their order, into at most ``num_tasks``
+    tasks of near-equal row count (never an empty one, but one empty
+    task for no rows).  Each task is a list of ``(file, row group,
+    start, stop)`` slices in row order."""
+    total = sum(g[2] for g in groups)
+    if limit is not None:
+        total = min(total, limit)
+    n = max(1, min(num_tasks, total))
+    bounds = [total * i // n for i in range(n + 1)]
+    tasks: list[list[tuple]] = [[] for _ in range(n)]
+    first, t = 0, 0  # global row of the group's first row; current task
+    for f, rg, rows, _ in groups:
+        lo, hi = first, min(first + rows, total)
+        while lo < hi:
+            while bounds[t + 1] <= lo:
+                t += 1
+            cut = min(hi, bounds[t + 1])
+            tasks[t].append((f, rg, lo - first, cut - first))
+            lo = cut
+        first += rows
+        if first >= total:
+            break
+    return tasks
 
-    Fully vectorized: flatten the list column once, locate geom spans,
-    pick the first per parent row via a stable unique pass.
-    Rows with no geom span get NaN coordinates.
-    """
-    n = len(spans)
+
+def _project(schema: pa.Schema, fields) -> pa.Schema:
+    """``schema`` without its metadata, and with only the ``fields``
+    of its ``spans`` elements when ``fields`` is set (the schema of a
+    leaf-projected read)."""
+    schema = schema.remove_metadata()
+    if fields is None:
+        return schema
+    spans = schema.field("spans")
+    item = spans.type.value_field
+    elem = pa.struct([item.type.field(n) for n in fields])
+    return pa.schema([schema.field("doc_id"),
+                      spans.with_type(pa.list_(item.with_type(elem)))])
+
+
+def _read_slices(slices: list[tuple], columns, schema: pa.Schema):
+    """Read task body: one block per ``(file, row group, start, stop)``
+    slice (an empty block for a task with none)."""
+    if not slices:
+        yield schema.empty_table()
+        return
+    path = pf = None
+    for f, rg, lo, hi in slices:
+        if f != path:
+            path, pf = f, pq.ParquetFile(f)
+        t = pf.read_row_group(rg, columns=columns)
+        yield t.slice(lo, hi - lo).replace_schema_metadata(None)
+
+
+class _DocumentsSource(Datasource):
+    """The planned read of :func:`read_documents`: ``tasks`` is fixed
+    here, whatever parallelism Ray asks for."""
+
+    def __init__(self, path: str, fields=None, limit: int | None = None):
+        from ..functions.joins import cluster_cpus
+
+        self.leaves = (None if fields is None else
+                       ["doc_id"] + [f"spans.list.element.{c}" for c in fields])
+        files, groups = _row_groups(path, self.leaves)
+        self.groups = {(f, rg): (n, b) for f, rg, n, b in groups}
+        self.size = self._bytes(plan_reads(groups, 1, limit)[0])
+        target = ray.data.DataContext.get_current().target_max_block_size
+        self.tasks = plan_reads(groups, max(
+            cluster_cpus(), math.ceil(self.size / target) if target else 1),
+            limit)
+        self.schema = _project(pq.read_schema(files[0]), fields)
+
+    def _bytes(self, slices: list[tuple]) -> int:
+        """Bytes of ``slices``, a partly read row group pro rata."""
+        return sum(self.groups[f, rg][1] * (hi - lo)
+                   // max(self.groups[f, rg][0], 1)
+                   for f, rg, lo, hi in slices)
+
+    def get_name(self) -> str:
+        return "Documents"
+
+    def estimate_inmemory_data_size(self) -> int:
+        return self.size
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        return [ReadTask(
+            functools.partial(_read_slices, slices, self.leaves, self.schema),
+            BlockMetadata(num_rows=sum(hi - lo for _, _, lo, hi in slices),
+                          size_bytes=self._bytes(slices), exec_stats=None,
+                          input_files=sorted({s[0] for s in slices})),
+            schema=self.schema) for slices in self.tasks]
+
+
+def read_documents(path: str, fields=None,
+                   limit: int | None = None) -> "ray.data.Dataset":
+    """The spans documents table at ``path`` (a parquet file or a
+    directory of fragments), read in sorted-fragment order: all columns,
+    or ``doc_id`` and only the ``fields`` leaves of each span (for
+    pipelines that do not re-emit spans); the first ``limit`` rows only
+    when set.  See the module docstring for the task plan."""
+    src = _DocumentsSource(path, fields, limit)
+    return ray.data.read_datasource(src, override_num_blocks=len(src.tasks))
+
+
+def _first_geoms(spans: pa.ListArray) -> tuple[np.ndarray, pa.Array]:
+    """``(rows, texts)``: the rows that hold a ``kind='geom'`` span, in
+    order, and the text of each one's first geom span.  Vectorized:
+    flatten the list column once, locate geom spans, pick the first per
+    parent row via a stable unique pass."""
     flat = spans.flatten()
     offsets = spans.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    import pyarrow.compute as pc
-
-    kinds = flat.field("kind")
-    is_geom = pc.equal(kinds, "geom").to_numpy(zero_copy_only=False)
-    is_geom = np.asarray(is_geom, dtype=bool)
+    offsets -= offsets[0]  # a sliced array's offsets start past 0
+    is_geom = np.asarray(pc.equal(flat.field("kind"), "geom").to_numpy(
+        zero_copy_only=False), dtype=bool)
     pos = np.flatnonzero(is_geom)
+    parents = np.searchsorted(offsets, pos, side="right") - 1
+    # first geom span per parent (pos is ascending → first occurrence wins)
+    rows, first = np.unique(parents, return_index=True)
+    return rows, flat.field("text").take(pa.array(pos[first], pa.int64()))
+
+
+_POLYGONS = ("POLYGON", "MULTIPOLYGON")
+
+
+def _check_kind(texts: pa.Array, kind: str) -> None:
+    """Raise the reference's mixed-geometry ``TypeError`` unless every
+    WKT in ``texts`` has the type ``kind`` (polygons and multipolygons
+    count as one type: both decode to rings)."""
+    ok = functools.reduce(pc.or_, [
+        pc.starts_with(texts, k)
+        for k in (_POLYGONS if kind in _POLYGONS else (kind,))])
+    other = texts.filter(pc.invert(ok))
+    if len(other):
+        raise TypeError(
+            "geometries must all be of the same type, found "
+            f"{kind} and {other[0].as_py().split('(', 1)[0].strip()}")
+
+
+def _point_xy(n: int, rows: np.ndarray,
+              texts: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """``(x, y)`` of ``n`` rows from the ``POINT(x y)`` texts of
+    ``rows``; the other rows get NaN."""
     x = np.full(n, np.nan)
     y = np.full(n, np.nan)
-    if len(pos):
-        import pyarrow.compute as pc
-
-        parents = np.searchsorted(offsets, pos, side="right") - 1
-        # first geom span per parent (pos is ascending → first occurrence wins)
-        uniq_parents, first_idx = np.unique(parents, return_index=True)
-        texts = flat.field("text").take(pa.array(pos[first_idx]))
+    if len(rows):
         # Arrow-native POINT parse (C kernels; string→double cast is
         # correct-rounding so repr'd coordinates round-trip exactly)
         t = pc.replace_substring(texts, pattern="POINT(", replacement="")
@@ -135,8 +225,8 @@ def _first_geom_texts(spans: pa.ListArray) -> tuple[np.ndarray, np.ndarray]:
         if isinstance(parts, pa.ChunkedArray):
             parts = parts.combine_chunks()
         nums = parts.flatten().cast(pa.float64()).to_numpy(zero_copy_only=False)
-        x[uniq_parents] = nums[0::2]
-        y[uniq_parents] = nums[1::2]
+        x[rows] = nums[0::2]
+        y[rows] = nums[1::2]
     return x, y
 
 
@@ -149,11 +239,17 @@ class DecodeGeom:
     reference's M3 centroid conversion, accessibility.py:53-56) and the
     exterior ring is exposed as ``ring_x``/``ring_y`` list columns plus
     a ``geom_kind`` column for downstream polygon-AoI stages.
+
+    ``kind`` set (the type the API routed the input by) raises the
+    reference's mixed-geometry ``TypeError`` on a batch with a first
+    geom span of another type; rows without a geom span still decode
+    to NaN.
     """
 
     def __init__(self, cell_size: float = cells.DEFAULT_CELL_SIZE,
                  parse_polygons: bool = False,
-                 src_crs: str | None = None, dst_crs: str = "EPSG:3395"):
+                 src_crs: str | None = None, dst_crs: str = "EPSG:3395",
+                 kind: str | None = None):
         """``src_crs`` set (e.g. "EPSG:4326") reprojects decoded (x, y)
         into ``dst_crs`` — the reference's geographic→projected guard
         (M2, accessibility.py:40-50; default target EPSG:3395 like
@@ -162,6 +258,7 @@ class DecodeGeom:
         self.parse_polygons = parse_polygons
         self.src_crs = src_crs
         self.dst_crs = dst_crs
+        self.kind = kind
 
     def _project(self, x, y):
         if self.src_crs is None:
@@ -174,16 +271,20 @@ class DecodeGeom:
         spans = batch.column("spans")
         if isinstance(spans, pa.ChunkedArray):
             spans = spans.combine_chunks()
+        rows, found = _first_geoms(spans)
+        if self.kind is not None:
+            _check_kind(found, self.kind)
         if not self.parse_polygons:
-            x, y = _first_geom_texts(spans)
-            x, y = self._project(x, y)
+            x, y = self._project(*_point_xy(len(spans), rows, found))
             cell = cells.cell_of(x, y, self.cell_size)
             return (
                 batch.append_column("x", pa.array(x, pa.float64()))
                 .append_column("y", pa.array(y, pa.float64()))
                 .append_column("cell", pa.array(cell, pa.int64()))
             )
-        texts = _first_geom_span_texts(spans)
+        texts = [""] * len(spans)
+        for r, t in zip(rows, found.to_pylist()):
+            texts[r] = t
         x, y, kinds, rings = geom.parse_wkt_geoms(texts)
         x, y = self._project(x, y)
         if self.src_crs is not None:
@@ -223,26 +324,6 @@ class DecodeGeom:
         )
 
 
-def _first_geom_span_texts(spans: pa.ListArray) -> list[str]:
-    """Raw WKT text of each row's first geom span ('' if absent)."""
-    import pyarrow.compute as pc
-
-    n = len(spans)
-    flat = spans.flatten()
-    offsets = spans.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    is_geom = np.asarray(pc.equal(flat.field("kind"), "geom").to_numpy(
-        zero_copy_only=False), dtype=bool)
-    pos = np.flatnonzero(is_geom)
-    out = [""] * n
-    if len(pos):
-        parents = np.searchsorted(offsets, pos, side="right") - 1
-        uniq_parents, first_idx = np.unique(parents, return_index=True)
-        texts = flat.field("text").take(pa.array(pos[first_idx])).to_pylist()
-        for p, t in zip(uniq_parents, texts):
-            out[p] = t
-    return out
-
-
 def decode_geom(ds: "ray.data.Dataset", cell_size: float = cells.DEFAULT_CELL_SIZE,
                 src_crs: str | None = None, dst_crs: str = "EPSG:3395"):
     return ds.map_batches(DecodeGeom(cell_size, src_crs=src_crs, dst_crs=dst_crs),
@@ -255,8 +336,6 @@ def geometry_kinds(ds: "ray.data.Dataset") -> set[str]:
     tiny global distinct aggregate — no driver-side row scan)."""
 
     def kinds(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         spans = batch.column("spans")
         if isinstance(spans, pa.ChunkedArray):
             spans = spans.combine_chunks()
@@ -364,7 +443,6 @@ def shift_coords(tab: pa.Table, dx: float, dy: float,
     polyline/ring columns; absent columns are skipped."""
     if dx == 0.0 and dy == 0.0:
         return tab
-    import pyarrow.compute as pc
 
     def add(col, d):
         if pa.types.is_list(col.type) or pa.types.is_large_list(col.type):

@@ -5,7 +5,7 @@ parquet file per Morton-key block (``zorder(ix, iy) >> ZBLOCK_SHIFT``),
 so a bounding-box query enumerates exactly the blocks its cells touch
 and opens ONLY those files — on a 10^12-row table a city-scale bbox
 reads a few blocks instead of the whole corpus.  Same role as
-`sources/documents.read_documents_pruned` (column/row-group pruning),
+`sources/documents.read_documents` (leaf columns, planned row ranges),
 one level up: file pruning by spatial key.
 """
 

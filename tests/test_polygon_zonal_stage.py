@@ -41,7 +41,7 @@ def test_shared_doc_id_rows_get_their_own_polygon(world):
 
 def test_polygon_api_plan_is_one_read_no_exchange(world, tmp_path):
     """Polygon get_mean_NDVI and get_landcover_percentages on a
-    documents path: one ReadParquet, no all-to-all, union or join, and
+    documents path: one ReadDocuments, no all-to-all, union or join, and
     no schema-mismatch warning."""
     tbl, _ = _rect_docs(n=12, seed=5)
     path = str(tmp_path / "rects.parquet")
@@ -63,7 +63,7 @@ def test_polygon_api_plan_is_one_read_no_exchange(world, tmp_path):
                                                 buffer_type=None)):
             assert _table(ds).num_rows == 12
             names = _operator_names(ds)
-            assert sum("ReadParquet" in n for n in names) == 1, names
+            assert sum("ReadDocuments" in n for n in names) == 1, names
             assert not [n for n in names
                         if any(k in n for k in exchange)], names
     finally:

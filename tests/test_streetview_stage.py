@@ -48,14 +48,14 @@ def _with_image(world, xy):
 
 
 def test_streetview_plan_is_one_read_no_exchange(world):
-    """get_streetview_GVI on a documents path: one ReadParquet, kernel
+    """get_streetview_GVI on a documents path: one ReadDocuments, kernel
     tasks only — no actor pool, no all-to-all, no union or join."""
     ds, _ = _streetview(world, world["documents"])
     assert not [c for c in _compute_strategies(ds)
                 if isinstance(c, ActorPoolStrategy)]
     assert 0 < _table(ds).num_rows <= 300
     names = _operator_names(ds)
-    assert sum("ReadParquet" in n for n in names) == 1, names
+    assert sum("ReadDocuments" in n for n in names) == 1, names
     exchange = ("Sort", "Aggregate", "MapGroups", "Repartition", "Shuffle",
                 "Union", "Join", "ActorPool")
     assert not [n for n in names if any(k in n for k in exchange)], names

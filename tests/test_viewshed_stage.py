@@ -33,14 +33,14 @@ def _compute_strategies(ds) -> list:
 
 
 def test_viewshed_plan_is_one_read_no_exchange(world):
-    """get_viewshed_GVI on a documents path: one ReadParquet, kernel
+    """get_viewshed_GVI on a documents path: one ReadDocuments, kernel
     tasks only — no actor pool, no all-to-all, no union or sort."""
     ds, _ = _viewshed(world, 100.0)
     assert not [c for c in _compute_strategies(ds)
                 if isinstance(c, ActorPoolStrategy)]
     assert _table(ds).num_rows == 300
     names = _operator_names(ds)
-    assert sum("ReadParquet" in n for n in names) == 1, names
+    assert sum("ReadDocuments" in n for n in names) == 1, names
     exchange = ("Sort", "Aggregate", "MapGroups", "Repartition", "Shuffle",
                 "Union", "Join", "ActorPool")
     assert not [n for n in names if any(k in n for k in exchange)], names

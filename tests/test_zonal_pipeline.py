@@ -46,10 +46,9 @@ def sampled_and_edge_docs(x, y, radius, n, seed):
 
 
 def decode_world_docs(world):
-    t = pq.read_table(world["documents"])
-    spans = t.column("spans").combine_chunks()
-    x, y = doc_src._first_geom_texts(spans)
-    return t.column("doc_id").to_pylist(), x, y
+    t = doc_src.DecodeGeom()(pq.read_table(world["documents"]))
+    return (t.column("doc_id").to_pylist(),
+            t.column("x").to_numpy(), t.column("y").to_numpy())
 
 
 def test_decode_geom_matches_source(world):
@@ -354,7 +353,7 @@ def test_mean_ndvi_plan_is_one_read_no_exchange(world):
     finally:
         logger.removeHandler(handler)
     names = _operator_names(ds)
-    assert sum("ReadParquet" in n for n in names) == 1, names
+    assert sum("ReadDocuments" in n for n in names) == 1, names
     exchange = ("Sort", "Aggregate", "MapGroups", "Repartition", "Shuffle",
                 "Union", "Join")
     assert not [n for n in names if any(k in n for k in exchange)], names
