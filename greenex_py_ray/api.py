@@ -105,22 +105,32 @@ def _first_spans(path: str) -> list:
     return []
 
 
-def _poi(poi) -> "tuple[ray.data.Dataset, str]":
-    """``(docs, kind)``: the spans documents of a PoI input and the
+def _poi(poi) -> "tuple[str | ray.data.Dataset, str]":
+    """``(src, kind)``: the spans documents of a PoI input, as a
+    documents path or a Dataset (:func:`_docs` reads them), and the
     geometry type of their first row (:func:`_geom_kind`).  A path or
     ``.gpkg`` input is probed in this process; only a Dataset input runs
-    a one-row Ray job.  A path is read with
-    :func:`~greenex_py_ray.sources.documents.read_documents`, planned
-    here from the parquet footers (no sampling task), so the
-    ``append_metrics`` stage that follows runs inside its read tasks:
-    one task per CPU that reads, decodes and runs the kernel."""
+    a one-row Ray job."""
     if isinstance(poi, str) and poi.lower().endswith(".gpkg"):
         t = _docs_from_gpkg(poi)
         return (ray.data.from_arrow(t),
                 _geom_kind(t.column("spans").slice(0, 1).to_pylist()))
     if isinstance(poi, str):
-        return doc_src.read_documents(poi), _geom_kind(_first_spans(poi))
+        return poi, _geom_kind(_first_spans(poi))
     return poi, _geom_kind([r["spans"] for r in poi.limit(1).take(1)])
+
+
+def _docs(src, stage) -> "ray.data.Dataset":
+    """The documents of :func:`_poi`'s ``src`` for ``append_metrics``
+    of ``stage``.  A path is read with
+    :func:`~greenex_py_ray.sources.documents.read_documents`, planned
+    from the parquet footers (no sampling task); for a stage run
+    ``in_read`` the read makes one block per task, so that stage runs
+    inside the read tasks: one task per CPU that reads, decodes and
+    runs the kernel."""
+    if isinstance(src, str):
+        return doc_src.read_documents(src, fused=stage.in_read)
+    return src
 
 
 def _poi_crs(poi) -> str | None:
@@ -390,7 +400,7 @@ def get_mean_NDVI(poi, ndvi_tile_dir: str, buffer_dist: float | None = 300.0,
     (``buffer_type='euclidean'``), or collapsed to centroids for
     isochrones (``buffer_type='network'``) / ``polygon_type='house'``."""
     dist = _resolve_buffer(buffer_dist, travel_speed, trip_time)
-    docs, kind = _poi(poi)
+    src, kind = _poi(poi)
     mode, decoder = _route_poi(kind, src_crs, polygon_type, buffer_type, dist)
     tile_dir, shift, _ = _tiles(ndvi_tile_dir, "ndvi")
     if mode == "polygon":
@@ -407,6 +417,7 @@ def get_mean_NDVI(poi, ndvi_tile_dir: str, buffer_dist: float | None = 300.0,
             *_side.network(network_nodes_file, network_edges_file,
                       network_type, shift),
             concurrency, tile_root=tile_dir, buffer_dist=dist)
+    docs = _docs(src, stage)
     out = append_metrics(docs, stage, decode=decoder, shift=shift)
     return _emit(out, "mean_NDVI", docs, kind, src_crs,
                  write_to_file, output_dir, plot_aoi,
@@ -442,7 +453,7 @@ def get_landcover_percentages(poi, landcover_tile_dir: str,
     (availability.py:447-450,556); for a prebuilt tile store it defaults
     to the synthetic world's classes."""
     dist = _resolve_buffer(buffer_dist, travel_speed, trip_time)
-    docs, kind = _poi(poi)
+    src, kind = _poi(poi)
     mode, decoder = _route_poi(kind, src_crs, polygon_type, buffer_type, dist)
     tile_dir, shift, info = _tiles(landcover_tile_dir, "lulc")
     if classmap is None and info.get("codes"):
@@ -469,6 +480,7 @@ def get_landcover_percentages(poi, landcover_tile_dir: str,
         stage = _av.landcover_stage(tile_dir, dist, classmap=classmap,
                                     concurrency=concurrency,
                                     stringify=stringify)
+    docs = _docs(src, stage)
     out = append_metrics(docs, stage, decode=decoder, shift=shift)
     return _emit(out, "landcover_percentages", docs, kind,
                  src_crs, write_to_file, output_dir, plot_aoi,
@@ -488,7 +500,7 @@ def _coverage(poi, vector_file, name: str, dissolve: bool, buffer_dist,
     selects union membership (greenspace) vs the reference's raw
     per-member clip-sum (canopy, availability.py:764)."""
     dist = _resolve_buffer(buffer_dist, travel_speed, trip_time)
-    docs, kind = _poi(poi)
+    src, kind = _poi(poi)
     mode, decoder = _route_poi(kind, src_crs, polygon_type, buffer_type, dist)
     polys = _side.shared(_side._vector_table, vector_file, _poi_crs(poi),
                          needs=("rings",))
@@ -510,6 +522,7 @@ def _coverage(poi, vector_file, name: str, dissolve: bool, buffer_dist,
         stage = _av.coverage_stage(polys, dist, concurrency=concurrency,
                                    stringify=stringify, name=name,
                                    dissolve=dissolve)
+    docs = _docs(src, stage)
     out = append_metrics(docs, stage, decode=decoder)
     return _emit(out, out_name, docs, kind, src_crs, write_to_file, output_dir,
                  plot_aoi, buffer_dist=(dist if mode == "point" else None),
@@ -601,7 +614,7 @@ def get_shortest_distance_greenspace(poi, greenspace_vector_file: str,
     # network_type is validated only when a network is actually used
     # (reference accessibility.py:142-146), by _filter_network_type
     _validate_positive("target_dist", target_dist)
-    docs, kind = _poi(poi)
+    src, kind = _poi(poi)
     decoder = doc_src.DecodeGeom(parse_polygons=kind in _POLYGONS,
                                  src_crs=src_crs, kind=kind)
     flag = f"greenspace_within_{int(target_dist)}m"
@@ -611,6 +624,7 @@ def get_shortest_distance_greenspace(poi, greenspace_vector_file: str,
                           min_greenspace_area)
         stage = _acc.nearest_greenspace_stage(gs, target_dist, flag,
                                               concurrency=concurrency)
+        docs = _docs(src, stage)
         out = append_metrics(docs, stage,
                              columns=["distance_to_greenspace", flag],
                              decode=decoder)
@@ -630,6 +644,7 @@ def get_shortest_distance_greenspace(poi, greenspace_vector_file: str,
                            network_type),
             gs, target_dist, destination, distance_type,
             concurrency=concurrency, flag_name=flag)
+        docs = _docs(src, stage)
         out = append_metrics(docs, stage, decode=decoder)
     return _emit(out, "shortest_distance_greenspace",
                  docs, kind, src_crs, write_to_file, output_dir, plot_aoi,
@@ -693,7 +708,7 @@ def get_viewshed_GVI(poi, dsm_tile_dir: str,
     for n, v in [("viewing_dist", viewing_dist),
                  ("sample_dist", sample_dist), ("observer_height", observer_height)]:
         _validate_positive(n, v)
-    docs, kind = _poi(poi)
+    src, kind = _poi(poi)
     poi_kind, decoder, cols = _vis_poi(kind, src_crs, polygon_type,
                                        buffer_dist)
     if isinstance(dsm_tile_dir, str) and dsm_tile_dir.lower().endswith(
@@ -712,6 +727,7 @@ def get_viewshed_GVI(poi, dsm_tile_dir: str,
               concurrency=concurrency, poi_kind=poi_kind)
     stage = _vis.viewshed_stage(network_nodes_file, network_edges_file,
                                 dsm_tile_dir, **kw)
+    docs = _docs(src, stage)
     per_point = _vis.viewshed_stage(
         network_nodes_file, network_edges_file, dsm_tile_dir,
         per_point=True, **kw).on(_decoded(docs, decoder, cols))
@@ -744,13 +760,14 @@ def get_streetview_GVI(poi, network_nodes_file: str, network_edges_file: str,
     and ``nr_of_points`` 0.  The rollup is one kernel stage appended to
     the document read; the per-point table is a second run of the same
     stage that happens only when it is consumed."""
-    docs, kind = _poi(poi)
+    src, kind = _poi(poi)
     poi_kind, decoder, cols = _vis_poi(kind, src_crs, polygon_type,
                                        buffer_dist)
     kw = dict(buffer_dist=buffer_dist, concurrency=concurrency,
               poi_kind=poi_kind, crop_by_road_centres=crop_by_road_centres)
     stage = _vis.streetview_stage(network_nodes_file, network_edges_file,
                                   image_features_file, **kw)
+    docs = _docs(src, stage)
     per_point = _vis.streetview_stage(
         network_nodes_file, network_edges_file, image_features_file,
         per_point=True, **kw).on(_decoded(docs, decoder, cols))

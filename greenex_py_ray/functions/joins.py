@@ -8,12 +8,16 @@ documents:
   viewshed and streetview kernels).  One task stage decodes each raw
   document batch, runs the kernel on it and appends the kernel's
   columns to the same batch: no exchange, and the ``spans`` payload
-  never leaves its batch.  The stage maps whole blocks at one CPU, so
-  on a :func:`~greenex_py_ray.sources.documents.read_documents` input
-  Ray fuses it into the read: one task per read task, which reads,
-  decodes and runs the kernel, and no object-store hop before the
-  result.  A ``concurrency`` cap keeps read and kernel as two operators
-  (Ray fuses only task pools of equal size).
+  never leaves its batch.  A ``fused`` stage (a kernel cheap per row
+  next to a task's own cost: the point zonal and nearest-centroid
+  kernels) maps whole blocks at one CPU, so on a
+  ``read_documents(fused=True)`` input Ray fuses it into the read: one
+  task per read task, which reads, decodes and runs the kernel, and no
+  object-store hop before the result.  The other stages keep their own
+  batch size and CPUs, so a costly kernel is balanced over the read's
+  split blocks (about two per CPU); a ``concurrency`` cap keeps read
+  and kernel as two operators too (Ray fuses only task pools of equal
+  size).
   Row count and key column are checked per batch, so a kernel that drops
   or reorders rows raises instead of losing documents.  Each kernel's
   stage is defined once as a ``KernelStage`` (class, constructor kwargs,
@@ -262,11 +266,12 @@ def _freeze(v):
 
 class KernelStage(NamedTuple):
     """The one definition of a stateful per-batch stage: its kernel
-    class, constructor kwargs and ``map_batches`` wiring (batch size,
+    class, constructor kwargs, ``map_batches`` wiring (batch size,
     CPUs, ``concurrency`` — at most that many kernel tasks at once, none
     by default: a task gives its CPU back when it ends, so it cannot
     starve its feed; ``batch_format`` and ``zero_copy_batch`` override
-    the zero-copy pyarrow defaults).  Both callers run
+    the zero-copy pyarrow defaults) and whether :func:`append_metrics`
+    runs it inside the read task (``fused``).  Both callers run
     :func:`_run_kernel` tasks: :meth:`on` over any dataset (the
     metric-table pipelines and every other stage), :func:`append_metrics`
     on raw documents (the span-preserving API).  The kernel cache key
@@ -275,22 +280,32 @@ class KernelStage(NamedTuple):
     cls: type
     kwargs: dict
     map_kwargs: dict
+    fused: bool = False
 
     @property
     def key(self) -> tuple:
         """The kernel cache key: the class plus its frozen kwargs."""
         return (self.cls, _freeze(self.kwargs))
 
+    @property
+    def in_read(self) -> bool:
+        """Whether :func:`append_metrics` runs this stage inside the
+        read task: a ``fused`` stage without a ``concurrency`` cap."""
+        return self.fused and self.map_kwargs.get("concurrency") is None
+
     def _map(self, ds: "ray.data.Dataset", append=None) -> "ray.data.Dataset":
         kw = {"batch_format": "pyarrow", "zero_copy_batch": True,
               **self.map_kwargs}
         conc = kw.pop("concurrency", None)
         if append is not None:
-            # whole read blocks at the read's one CPU, so Ray fuses the
-            # map into the read task; the kernel still sees at most
-            # batch_size rows at a time
-            append = (*append, kw.pop("batch_size", None))
-            kw.pop("num_cpus", None)
+            size = None
+            if self.in_read:
+                # whole read blocks at the read's one CPU, so Ray fuses
+                # the map into the read task; the kernel still sees at
+                # most batch_size rows at a time
+                size = kw.pop("batch_size", None)
+                kw.pop("num_cpus", None)
+            append = (*append, size)
         if conc is not None:
             # Ray warns of a cap above the operator's inputs: in-memory
             # data's block count is known up front, a read's is not
@@ -321,12 +336,12 @@ def append_metrics(
     point decode) → translate the decoded coordinates by ``shift`` into
     the tile store's frame → the ``stage`` kernel (keyed by ``doc_id``)
     → the input batch plus the kernel's ``columns`` (default: all but
-    ``doc_id``).  The decoded coordinates are not kept.  The stage
-    maps whole blocks at the read's one CPU, so Ray fuses it into a
-    :func:`~greenex_py_ray.sources.documents.read_documents` read task
-    (unless its ``concurrency`` is set: Ray fuses only task pools of
-    equal size); its ``batch_size`` instead caps the rows of each
-    kernel call inside the task."""
+    ``doc_id``).  The decoded coordinates are not kept.  A stage run
+    :attr:`~KernelStage.in_read` maps whole blocks at the read's one
+    CPU, so Ray fuses it into a ``read_documents(fused=True)`` read task,
+    and its ``batch_size`` caps the rows of each kernel call inside the
+    task; any other stage's ``map_kwargs`` (task cap, CPUs,
+    ``batch_size``) go to ``map_batches``."""
     return stage._map(docs, append=(
         columns, decode if decode is not None else DecodeGeom(), shift))
 

@@ -28,12 +28,15 @@ def nearest_greenspace_stage(centroids, target_dist: float,
     distance_to_greenspace, ``flag_name``, nearest_gs_id).  A table
     goes to the object store; an ``ObjectRef`` (the API's, from
     :func:`~greenex_py_ray.sidefiles.shared`) is used as given, so calls
-    on one greenspace file version share the kernel cache key."""
+    on one greenspace file version share the kernel cache key.  The
+    kernel is cheap per row, so ``append_metrics`` runs it inside the
+    document read task (``fused``)."""
     return KernelStage(
         NearestGreenspace,
         dict(centroids_ref=shipped(centroids), target_dist=target_dist,
              key_col=key_col, flag_name=flag_name),
-        dict(batch_size=8192, concurrency=concurrency, num_cpus=0.25))
+        dict(batch_size=8192, concurrency=concurrency, num_cpus=0.25),
+        fused=True)
 
 
 def network_distance_stage(

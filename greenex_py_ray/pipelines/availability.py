@@ -38,11 +38,14 @@ def mean_ndvi_stage(tile_root: str, radius: float, key_col: str = "doc_id",
     """(key,x,y) → (key, mean_NDVI, std_NDVI); semantics of
     availability.py:289 (clamp ≥0, population std, round 3).  One task
     stage (``ZonalStatsLocal``), no shuffle: each disk's aggregation is
-    local to the worker's cached kernel and its tile store."""
+    local to the worker's cached kernel and its tile store.  The kernel
+    is cheap per row, so ``append_metrics`` runs it inside the document
+    read task (``fused``)."""
     return KernelStage(
         zonal.ZonalStatsLocal,
         dict(tile_root=tile_root, band="ndvi", radius=radius, key_col=key_col),
-        dict(batch_size=batch_size, num_cpus=1, concurrency=concurrency))
+        dict(batch_size=batch_size, num_cpus=1, concurrency=concurrency),
+        fused=True)
 
 
 def landcover_stage(tile_root: str, radius: float, key_col: str = "doc_id",

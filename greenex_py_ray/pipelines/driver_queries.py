@@ -2417,8 +2417,8 @@ def _world_poi(limit: int | None = None):
     w = _world_paths()
     # metrics-only consumers never re-emit spans, so read only the
     # kind/text leaves (geom WKT lives in text); media_ref/offset stay
-    # on disk.  A limit plans only the first rows in file order, over
-    # one read task per CPU, and the decode runs inside those tasks
+    # on disk.  A limit plans only the first rows in file order; Ray
+    # splits the read's blocks, so the next stage still fans out
     docs = doc_src.read_documents(w["documents"], fields=("kind", "text"),
                                   limit=limit)
     poi = doc_src.decode_geom(docs).select_columns(["doc_id", "x", "y"])
@@ -2435,10 +2435,10 @@ def q_spans_mean_ndvi(sf_dir: str):
     ``spans_mean_ndvi_payload`` (which runs THIS pipeline and serializes
     the spans); bench.py still times it directly as the flagship."""
     w = _world_paths()
+    stage = availability.mean_ndvi_stage(
+        w["tiles"], 300.0, batch_size=_zonal_batch_size(_world_docs_n()))
     return append_metrics(
-        doc_src.read_documents(w["documents"]),
-        availability.mean_ndvi_stage(
-            w["tiles"], 300.0, batch_size=_zonal_batch_size(_world_docs_n())))
+        doc_src.read_documents(w["documents"], fused=stage.in_read), stage)
 
 
 def q_spans_mean_ndvi_metrics(sf_dir: str):

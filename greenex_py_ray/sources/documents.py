@@ -7,19 +7,24 @@ input_hint``::
               spans: list<struct<kind, text, media_ref, offset>>)
 
 :func:`read_documents` is the one reader of that table, a Ray
-``Datasource`` planned in the calling process from the parquet footers
-(no sampling task).  Fragments are taken in sorted order and their rows
-split by row count into ``max(cluster_cpus(), ceil(bytes /
-target_max_block_size))`` read tasks; each task yields one block per
-row-group slice, under the file schema without its metadata.  The read
-is built with one output block per task, so Ray adds no split step and
-fuses the next ``batch_size=None`` map with the same CPUs into the read
-task: :func:`~greenex_py_ray.functions.joins.append_metrics` decodes
-and runs its kernel there, and the ``spans`` payload never crosses the
-object store before the result.  ``fields`` reads only those ``spans``
-leaves (``kind``/``text`` is all a metrics-only pipeline needs) and
-``limit`` plans only the first rows in file order, so a limited read
-picks the same documents on every call.
+``Datasource`` that lists the row groups from the parquet footers in
+the calling process (no sampling task) and plans its tasks when Ray
+runs the read, from the CPUs of the cluster then running.  Fragments
+are taken in sorted order; whole row groups go to ``max(cluster_cpus(),
+ceil(bytes / target_max_block_size))`` tasks balanced by row count, so
+each row group is read and decompressed once, and a file with fewer row
+groups than CPUs runs in fewer tasks.  Each task yields one block per
+row group under the file schema without its metadata.  By default Ray
+splits those blocks to its read parallelism (about two per CPU for a
+small table), as it does for ``read_parquet``, so the next stage is
+balanced over them.  ``fused=True`` asks for no split, so Ray fuses the
+next ``batch_size=None`` map with the same CPUs into the read task:
+:func:`~greenex_py_ray.functions.joins.append_metrics` of a fused stage
+decodes and runs its kernel there, and the ``spans`` payload never
+crosses the object store before the result.  ``fields`` reads only
+those ``spans`` leaves (``kind``/``text`` is all a metrics-only
+pipeline needs) and ``limit`` plans only the first rows in file order,
+so a limited read picks the same documents on every call.
 
 ``DecodeGeom`` extracts each row's first ``kind="geom"`` span, parses
 its WKT and appends ``x, y, cell`` (and the ring columns for polygons)
@@ -70,32 +75,41 @@ def _row_groups(path: str, leaves) -> tuple[list[str], list[tuple]]:
     return files, groups
 
 
+def _first_rows(groups: list[tuple], limit: int | None) -> list[tuple]:
+    """The non-empty row groups that hold the first ``limit`` rows (all
+    when ``None``), the last one's ``rows`` cut at the limit."""
+    kept, total = [], 0
+    for f, rg, rows, size in groups:
+        if limit is not None:
+            rows = min(rows, limit - total)
+        if rows > 0:
+            kept.append((f, rg, rows, size))
+            total += rows
+        if limit is not None and total >= limit:
+            break
+    return kept
+
+
 def plan_reads(groups: list[tuple], num_tasks: int,
                limit: int | None = None) -> list[list[tuple]]:
-    """Split the first ``limit`` rows (all rows when ``None``) of the
-    row groups ``groups``, in their order, into at most ``num_tasks``
-    tasks of near-equal row count (never an empty one, but one empty
-    task for no rows).  Each task is a list of ``(file, row group,
-    start, stop)`` slices in row order."""
-    total = sum(g[2] for g in groups)
-    if limit is not None:
-        total = min(total, limit)
-    n = max(1, min(num_tasks, total))
-    bounds = [total * i // n for i in range(n + 1)]
+    """The first ``limit`` rows (all rows when ``None``) of the row
+    groups ``groups``, in their order, as at most ``num_tasks`` tasks of
+    whole row groups near-equal in rows: a group goes to the task its
+    middle row falls in, so no group is read by two tasks, and there
+    are no more tasks than groups (one empty task for no rows).  Each
+    task is a list of ``(file, row group, rows)`` in row order, the
+    last group's ``rows`` cut at the limit."""
+    kept = _first_rows(groups, limit)
+    total = sum(g[2] for g in kept)
+    if not total:
+        return [[]]
+    n = min(num_tasks, len(kept))
     tasks: list[list[tuple]] = [[] for _ in range(n)]
-    first, t = 0, 0  # global row of the group's first row; current task
-    for f, rg, rows, _ in groups:
-        lo, hi = first, min(first + rows, total)
-        while lo < hi:
-            while bounds[t + 1] <= lo:
-                t += 1
-            cut = min(hi, bounds[t + 1])
-            tasks[t].append((f, rg, lo - first, cut - first))
-            lo = cut
+    first = 0
+    for f, rg, rows, _ in kept:
+        tasks[(2 * first + rows) * n // (2 * total)].append((f, rg, rows))
         first += rows
-        if first >= total:
-            break
-    return tasks
+    return [t for t in tasks if t]
 
 
 def _project(schema: pa.Schema, fields) -> pa.Schema:
@@ -112,68 +126,69 @@ def _project(schema: pa.Schema, fields) -> pa.Schema:
                       spans.with_type(pa.list_(item.with_type(elem)))])
 
 
-def _read_slices(slices: list[tuple], columns, schema: pa.Schema):
-    """Read task body: one block per ``(file, row group, start, stop)``
-    slice (an empty block for a task with none)."""
-    if not slices:
+def _read_groups(groups: list[tuple], columns, schema: pa.Schema):
+    """Read task body: one block per ``(file, row group, rows)``, the
+    group's first ``rows`` rows (an empty block for a task with
+    none)."""
+    if not groups:
         yield schema.empty_table()
         return
     path = pf = None
-    for f, rg, lo, hi in slices:
+    for f, rg, rows in groups:
         if f != path:
             path, pf = f, pq.ParquetFile(f)
         t = pf.read_row_group(rg, columns=columns)
-        yield t.slice(lo, hi - lo).replace_schema_metadata(None)
+        yield t.slice(0, rows).replace_schema_metadata(None)
 
 
 class _DocumentsSource(Datasource):
-    """The planned read of :func:`read_documents`: ``tasks`` is fixed
-    here, whatever parallelism Ray asks for."""
+    """The read of :func:`read_documents`: the row groups are listed
+    here, from the footers; the tasks are planned in
+    :meth:`get_read_tasks`, when Ray runs the read (and has started, if
+    it starts itself), whatever parallelism Ray asks for."""
 
     def __init__(self, path: str, fields=None, limit: int | None = None):
-        from ..functions.joins import cluster_cpus
-
         self.leaves = (None if fields is None else
                        ["doc_id"] + [f"spans.list.element.{c}" for c in fields])
         files, groups = _row_groups(path, self.leaves)
-        self.groups = {(f, rg): (n, b) for f, rg, n, b in groups}
-        self.size = self._bytes(plan_reads(groups, 1, limit)[0])
-        target = ray.data.DataContext.get_current().target_max_block_size
-        self.tasks = plan_reads(groups, max(
-            cluster_cpus(), math.ceil(self.size / target) if target else 1),
-            limit)
+        self.groups = _first_rows(groups, limit)
+        self.bytes = {(f, rg): b for f, rg, _, b in self.groups}
         self.schema = _project(pq.read_schema(files[0]), fields)
-
-    def _bytes(self, slices: list[tuple]) -> int:
-        """Bytes of ``slices``, a partly read row group pro rata."""
-        return sum(self.groups[f, rg][1] * (hi - lo)
-                   // max(self.groups[f, rg][0], 1)
-                   for f, rg, lo, hi in slices)
 
     def get_name(self) -> str:
         return "Documents"
 
     def estimate_inmemory_data_size(self) -> int:
-        return self.size
+        return sum(self.bytes.values())
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        from ..functions.joins import cluster_cpus
+
+        target = ray.data.DataContext.get_current().target_max_block_size
+        size = self.estimate_inmemory_data_size()
+        tasks = plan_reads(self.groups, max(
+            cluster_cpus(), math.ceil(size / target) if target else 1))
         return [ReadTask(
-            functools.partial(_read_slices, slices, self.leaves, self.schema),
-            BlockMetadata(num_rows=sum(hi - lo for _, _, lo, hi in slices),
-                          size_bytes=self._bytes(slices), exec_stats=None,
-                          input_files=sorted({s[0] for s in slices})),
-            schema=self.schema) for slices in self.tasks]
+            functools.partial(_read_groups, groups, self.leaves, self.schema),
+            BlockMetadata(num_rows=sum(g[2] for g in groups),
+                          size_bytes=sum(self.bytes[f, rg]
+                                         for f, rg, _ in groups),
+                          exec_stats=None,
+                          input_files=sorted({g[0] for g in groups})),
+            schema=self.schema) for groups in tasks]
 
 
-def read_documents(path: str, fields=None,
-                   limit: int | None = None) -> "ray.data.Dataset":
+def read_documents(path: str, fields=None, limit: int | None = None,
+                   fused: bool = False) -> "ray.data.Dataset":
     """The spans documents table at ``path`` (a parquet file or a
     directory of fragments), read in sorted-fragment order: all columns,
     or ``doc_id`` and only the ``fields`` leaves of each span (for
     pipelines that do not re-emit spans); the first ``limit`` rows only
-    when set.  See the module docstring for the task plan."""
-    src = _DocumentsSource(path, fields, limit)
-    return ray.data.read_datasource(src, override_num_blocks=len(src.tasks))
+    when set.  ``fused`` makes one block per read task, for a next map
+    that runs inside the read; otherwise Ray splits the tasks' blocks
+    to its read parallelism.  See the module docstring for the plan."""
+    return ray.data.read_datasource(_DocumentsSource(path, fields, limit),
+                                    override_num_blocks=1 if fused else None)
 
 
 def _first_geoms(spans: pa.ListArray) -> tuple[np.ndarray, pa.Array]:

@@ -3,10 +3,13 @@ append path that runs inside its read tasks: the task plan, what the
 tasks read, the fused plan of the public API, the kernel batch cap and
 the mixed-geometry check."""
 
+import ast
 import glob
 import inspect
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pyarrow as pa
@@ -97,41 +100,115 @@ def test_leaf_projection_reads_kind_and_text(tmp_path):
          want.column("spans").to_pylist()]
 
 
-def test_plan_balances_rows_over_tasks():
+def test_plan_takes_whole_row_groups():
+    """Tasks of whole row groups near-equal in rows: no group in two
+    tasks, no more tasks than groups, every row once and in order."""
     groups = [("a", 0, 10, 100), ("a", 1, 3, 30), ("b", 0, 0, 0),
-              ("b", 1, 8, 80)]
-    tasks = doc_src.plan_reads(groups, 4)
-    assert len(tasks) == 4
-    rows = [sum(hi - lo for _, _, lo, hi in t) for t in tasks]
-    assert sorted(rows) == [5, 5, 5, 6]
-    # slices cover every row once, in order
-    flat = [(f, rg, r) for t in tasks for f, rg, lo, hi in t
-            for r in range(lo, hi)]
-    assert flat == [(f, rg, r) for f, rg, n, _ in groups for r in range(n)]
-    assert doc_src.plan_reads(groups, 64) == [
-        [s] for s in [(f, rg, r, r + 1) for f, rg, n, _ in groups
-                      for r in range(n)]]
+              ("b", 1, 8, 80), ("b", 2, 4, 40)]
+    assert doc_src.plan_reads(groups, 2) == [
+        [("a", 0, 10), ("a", 1, 3)], [("b", 1, 8), ("b", 2, 4)]]
+    assert doc_src.plan_reads(groups, 4) == [
+        [("a", 0, 10)], [("a", 1, 3)], [("b", 1, 8)], [("b", 2, 4)]]
+    # more tasks than non-empty groups: one task per group
+    assert doc_src.plan_reads(groups, 64) == doc_src.plan_reads(groups, 4)
+    assert doc_src.plan_reads(groups, 1) == [
+        [("a", 0, 10), ("a", 1, 3), ("b", 1, 8), ("b", 2, 4)]]
     assert doc_src.plan_reads([("a", 0, 0, 0)], 4) == [[]]
+    equal = [("a", g, 16, 1) for g in range(19)]
+    tasks = doc_src.plan_reads(equal, 4)
+    assert [len(t) for t in tasks] == [5, 4, 5, 5]
+    assert [g for t in tasks for g in t] == [(f, g, n) for f, g, n, _ in equal]
 
 
 def test_limited_plan_takes_the_first_rows_in_file_order(tmp_path):
-    """Two fragments: a limit reads rows [0, L) in file order, over at
-    least two tasks on four CPUs, however the fragments finish."""
+    """Two fragments: a limit reads rows [0, L) in file order, each row
+    group in one task only, however the fragments finish; Ray splits
+    the read's blocks, so the next stage still gets several."""
     path = _fragments(tmp_path, (30, 30), 8)
     _, groups = doc_src._row_groups(path, None)
+    offsets, first = {}, 0
+    for f, rg, n, _ in groups:
+        offsets[f, rg] = first
+        first += n
     for limit in (5, 30, 41):
         tasks = doc_src.plan_reads(groups, 4, limit)
-        assert len(tasks) >= 2
-        offsets, first = {}, 0
-        for f, rg, n, _ in groups:
-            offsets[f, rg] = first
-            first += n
-        rows = [offsets[f, rg] + r for t in tasks for f, rg, lo, hi in t
-                for r in range(lo, hi)]
+        read = [(f, rg) for t in tasks for f, rg, _ in t]
+        assert len(read) == len(set(read))
+        rows = [offsets[f, rg] + r for t in tasks for f, rg, n in t
+                for r in range(n)]
         assert rows == list(range(limit))
-        got = _read(doc_src.read_documents(path, limit=limit))
-        assert got.column("doc_id").to_pylist() == [
+        ds = doc_src.read_documents(path, limit=limit)
+        ds.context.execution_options.preserve_order = True
+        ds = ds.materialize()
+        assert ds.num_blocks() >= 2
+        assert _read(ds).column("doc_id").to_pylist() == [
             f"d{i:05d}" for i in range(limit)]
+
+
+def test_single_row_group_is_read_once(tmp_path, monkeypatch):
+    """A file of one row group is one read task that reads the group
+    once, and reports the group's whole size."""
+    path = _fragments(tmp_path, (200,), 1 << 20)
+    src = doc_src._DocumentsSource(path)
+    (task,) = src.get_read_tasks(1)
+    (_, _, _, size), = doc_src._row_groups(path, None)[1]
+    assert task.metadata.num_rows == 200
+    assert task.metadata.size_bytes == size
+    reads = []
+    group = pq.ParquetFile.read_row_group
+    monkeypatch.setattr(pq.ParquetFile, "read_row_group",
+                        lambda self, i, **kw: reads.append(i) or group(
+                            self, i, **kw))
+    blocks = list(task())
+    assert reads == [0]
+    assert sum(b.num_rows for b in blocks) == 200
+
+
+def test_tasks_are_planned_when_ray_runs_the_read(tmp_path, monkeypatch):
+    """The task count follows the cluster's CPUs when the read runs,
+    not when the Dataset was built."""
+    from greenex_py_ray.functions import joins
+
+    path = _fragments(tmp_path, (160,), 16)
+    src = doc_src._DocumentsSource(path)
+    monkeypatch.setattr(joins, "cluster_cpus", lambda default=8: 3)
+    assert len(src.get_read_tasks(1)) == 3
+    monkeypatch.setattr(joins, "cluster_cpus", lambda default=8: 6)
+    assert len(src.get_read_tasks(1)) == 6
+
+
+_NO_INIT = """
+import re, sys
+import ray
+import greenex_py_ray as gx
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+ds = gx.get_mean_NDVI(sys.argv[1], sys.argv[2], buffer_dist=300.0)
+n = sum(b.num_rows for b in ds.iter_batches(batch_size=None,
+                                             batch_format="pyarrow"))
+tasks = {o.operator_name: int(re.search(r"(\\d+) tasks executed",
+                                        o.block_execution_summary_str)[1])
+         for o in ds._get_stats_summary().operators_stats}
+print(n, int(ray.cluster_resources()["CPU"]), tasks)
+"""
+
+
+def test_api_plans_the_read_without_a_prior_ray_init(world, tmp_path):
+    """A script that leaves starting Ray to Ray Data gets one fused task
+    per CPU of the cluster Ray starts, not a fixed default."""
+    path = _resplit(world, tmp_path, 8)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(gx.__file__))]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+           if p]))
+    env.pop("RAY_ADDRESS", None)
+    p = subprocess.run([sys.executable, "-c", _NO_INIT, path, world["tiles"]],
+                       capture_output=True, text=True, timeout=300, env=env)
+    assert p.returncode == 0, p.stderr[-3000:]
+    n, cpus, tasks = p.stdout.strip().splitlines()[-1].split(" ", 2)
+    assert int(n) == 300
+    assert ast.literal_eval(tasks) == {
+        "ReadDocuments->MapBatches(_run_kernel)": min(int(cpus), 38)}
 
 
 def test_ray_read_task_signatures():
@@ -160,15 +237,22 @@ def _operator_tasks(ds) -> dict:
     return out
 
 
-def test_api_runs_one_fused_read_task_per_cpu(world):
+def _resplit(world, tmp_path, rows):
+    """The world's documents rewritten as one file of ``rows``-row
+    groups."""
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(_expected(world["documents"]), path, row_group_size=rows)
+    return path
+
+
+def test_api_runs_one_fused_read_task_per_cpu(world, tmp_path):
     """get_mean_NDVI and get_shortest_distance_greenspace on a path each
     execute as one read operator fused with the kernel map, one task
-    per CPU."""
-    for ds in (gx.get_mean_NDVI(world["documents"], world["tiles"],
-                                buffer_dist=300.0),
+    per CPU (the file has more row groups than CPUs)."""
+    path = _resplit(world, tmp_path, 16)
+    for ds in (gx.get_mean_NDVI(path, world["tiles"], buffer_dist=300.0),
                gx.get_shortest_distance_greenspace(
-                   world["documents"], world["greenspace"],
-                   target_dist=300.0)):
+                   path, world["greenspace"], target_dist=300.0)):
         assert _read(ds).num_rows == 300
         ops = _operator_tasks(ds)
         fused = [n for n in ops
@@ -176,6 +260,19 @@ def test_api_runs_one_fused_read_task_per_cpu(world):
                      "->MapBatches(_run_kernel)")]
         assert fused == ["ReadDocuments->MapBatches(_run_kernel)"], ops
         assert ops[fused[0]] == cluster_cpus(), ops
+
+
+def test_api_keeps_costly_kernels_out_of_the_read(world):
+    """A stage not marked ``fused`` (the isochrone zonal kernel) keeps
+    its own batch size after a read whose blocks Ray splits, so it is
+    balanced over several tasks even on one row group."""
+    ds = gx.get_mean_NDVI(world["documents"], world["tiles"],
+                          buffer_dist=300.0, buffer_type="network",
+                          network_nodes_file=world["network_nodes"],
+                          network_edges_file=world["network_edges"])
+    assert _read(ds).num_rows == 300
+    ops = _operator_tasks(ds)
+    assert ops["MapBatches(_run_kernel)"] >= 2, ops
 
 
 def test_limited_read_fans_the_kernel_out(world):
@@ -203,8 +300,9 @@ def test_append_kernel_sees_at_most_batch_size_rows(world):
                              "rows": pa.array(np.full(batch.num_rows,
                                                       batch.num_rows))})
 
-    out = append_metrics(doc_src.read_documents(world["documents"]),
-                         KernelStage(Rows, {}, dict(batch_size=16)))
+    out = append_metrics(
+        doc_src.read_documents(world["documents"], fused=True),
+        KernelStage(Rows, {}, dict(batch_size=16), fused=True))
     rows = _read(out).column("rows").to_numpy()
     assert len(rows) == 300
     assert rows.max() == 16
