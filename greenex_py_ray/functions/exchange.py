@@ -5,7 +5,9 @@ one place" runs through :func:`bucket_exchange`: append ``__bucket =
 stable_bucket(key) % num_buckets`` to each batch, then
 ``groupby("__bucket").map_groups(kernel)``.  A bucket holds many keys,
 so the kernel is vectorized over all of them (one call per bucket, not
-per key), and the sort-based groupby has ``num_buckets`` groups.
+per key), and the sort-based groupby has ``num_buckets`` groups.  The
+one exception is ``lineage.resumable_write``: it splits each block by
+:func:`stable_bucket` itself and hands each bucket to a writer task.
 
 The placement hash is a function of the key value alone: integers hash
 as int64 values whatever their width and whether or not the batch holds
@@ -66,7 +68,11 @@ def bucket_exchange(ds, key, kernel, num_buckets: int,
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         b = stable_bucket([batch.column(c) for c in cols], num_buckets)
-        return batch.append_column("__bucket", pa.array(b))
+        # drop the pandas metadata of blocks a pandas stage made: pyarrow
+        # cannot hash a schema that carries it, and each block unify in
+        # the exchange then logs "Failed to hash the schemas"
+        return batch.append_column(
+            "__bucket", pa.array(b)).replace_schema_metadata()
 
     sides = [d.map_batches(add_bucket, batch_format="pyarrow",
                            zero_copy_batch=True)

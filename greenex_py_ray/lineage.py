@@ -7,14 +7,20 @@ resumable output with per-partition lineage.
 Layout::
 
     out_dir/
-      part-{partition:05d}.parquet      # one file per key-range bucket
+      part-{partition:05d}.parquet      # one file per key-hash bucket
       _manifest/partition-{i}.json      # written AFTER the part file
 
 A partition's manifest row records input fragments, row count, value
-checksum and wall time.  ``resumable_write`` skips partitions whose
-manifest row already exists, so a killed run re-does only missing
-partitions; output is deterministic because partitions are key-hash
-buckets (not execution order).
+checksum and wall time.  Output is deterministic because partitions are
+key-hash buckets (``exchange.stable_bucket``), not execution order.
+
+What resume skips: ``resumable_write`` skips partitions whose manifest
+row already exists, so a killed run re-does only missing partitions.
+The dataset it is handed is still executed in full (the upstream
+pipeline re-runs); the hash split drops the rows of completed
+partitions in each block's split task, so only the missing partitions'
+rows are moved to writers and written, and completed part files are not
+touched.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from .functions.exchange import bucket_exchange
+from .functions.exchange import stable_bucket
+from .functions.joins import cluster_cpus
 
 
 def _checksum(tbl: pa.Table) -> int:
@@ -108,6 +115,44 @@ def read_manifest(out_dir: str) -> list[dict]:
     return rows
 
 
+@ray.remote
+def _split(block: pa.Table, key: str, num_partitions: int,
+           writer_of: np.ndarray):
+    """One block's rows as one piece per writer, with their ``__bucket``:
+    bucket ``b``'s rows go to writer ``writer_of[b]``, and rows of
+    completed buckets (``-1``) are dropped."""
+    n = int(writer_of.max()) + 1
+    if block.num_rows == 0:
+        return block if n == 1 else [block] * n
+    bucket = stable_bucket([block.column(key)], num_partitions)
+    writer = writer_of[bucket]
+    order = np.argsort(writer, kind="stable")
+    bounds = np.searchsorted(writer[order], np.arange(n + 1))
+    block = block.append_column("__bucket", pa.array(bucket))
+    pieces = [block.take(order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return pieces[0] if n == 1 else pieces
+
+
+@ray.remote
+def _write(out_dir: str, key: str, buckets: list[int],
+           *pieces: pa.Table) -> None:
+    """Write each of ``buckets`` that has rows in ``pieces`` (this
+    writer's piece of every block) as one key-sorted partition."""
+    pieces = [p for p in pieces if p.num_rows]
+    if not pieces:
+        return
+    tbl = pa.concat_tables(pieces, promote_options="default")
+    bucket = tbl.column("__bucket").to_numpy()
+    tbl = tbl.drop_columns(["__bucket"])
+    order = np.argsort(bucket, kind="stable")
+    bounds = np.searchsorted(bucket[order], [buckets, np.add(buckets, 1)])
+    for part, lo, hi in zip(buckets, *bounds):
+        if hi > lo:
+            body = tbl.take(order[lo:hi])
+            body = body.take(pc.sort_indices(body.column(key)))
+            write_partition(body, out_dir, part)
+
+
 def resumable_write(ds: "ray.data.Dataset", out_dir: str, key: str,
                     num_partitions: int = 32) -> list[dict]:
     """Write ``ds`` as ``num_partitions`` key-hash bucket files with
@@ -115,24 +160,29 @@ def resumable_write(ds: "ray.data.Dataset", out_dir: str, key: str,
 
     The bucket assignment is a pure function of the key → a restarted
     run reproduces identical partition contents regardless of block
-    order (rows are sorted by key within each partition file)."""
+    order (rows are sorted by key within each partition file).  One
+    hash split per block of ``ds`` sends each to-do bucket's rows to one
+    of ``min(cluster CPUs, to-do buckets)`` writer tasks; nothing is
+    sorted or sampled across blocks."""
     os.makedirs(out_dir, exist_ok=True)
     done = completed_partitions(out_dir)
     todo = [p for p in range(num_partitions) if p not in done]
     if not todo:
         return read_manifest(out_dir)
 
-    todo_set = set(todo)
-
-    def write_group(tbl: pa.Table) -> pa.Table:
-        part = int(tbl.column("__bucket")[0].as_py())
-        if part in todo_set:
-            body = tbl.drop_columns(["__bucket"])
-            body = body.take(pa.compute.sort_indices(body.column(key)))
-            write_partition(body, out_dir, part)
-        return pa.table({"partition": pa.array([part], pa.int64())})
-
-    bucket_exchange(ds, key, write_group, num_partitions).materialize()
+    blocks = ds.to_arrow_refs()
+    # counted after to_arrow_refs, which starts Ray if the caller did not
+    n = min(cluster_cpus(), len(todo))
+    writer_of = np.full(num_partitions, -1, dtype=np.int64)
+    writer_of[todo] = np.arange(len(todo)) % n
+    split = [_split.options(num_returns=n).remote(b, key, num_partitions,
+                                                  writer_of)
+             for b in blocks]
+    if n == 1:
+        split = [[s] for s in split]
+    if blocks:
+        ray.get([_write.remote(out_dir, key, todo[w::n],
+                               *(s[w] for s in split)) for w in range(n)])
     return read_manifest(out_dir)
 
 

@@ -82,7 +82,9 @@ def chi_square_drift(ds: "ray.data.Dataset", group_col: str,
         g = df.groupby([group_col, cat_col], sort=False).size()
         g = g.reset_index(name="n")
         g["n"] = g["n"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        # no pandas metadata: the groupby's block unify cannot hash it
+        return pa.Table.from_pandas(
+            g, preserve_index=False).replace_schema_metadata()
 
     cont = (ds.map_batches(partial, batch_format="pyarrow",
                            zero_copy_batch=True)

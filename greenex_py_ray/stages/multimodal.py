@@ -212,7 +212,9 @@ def frame_sample_plan(ds: "ray.data.Dataset", k: int = 8) -> "ray.data.Dataset":
             "tx": m[1][ok].astype(np.int64),
             "ty": m[2][ok].astype(np.int64),
         }).drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
+        # no pandas metadata: the groupby's block unify cannot hash it
+        return pa.Table.from_pandas(
+            df, preserve_index=False).replace_schema_metadata()
 
     assets = (refs.map_batches(parse_dedup, batch_format="pyarrow")
               .groupby(["band", "tx", "ty"]).count())

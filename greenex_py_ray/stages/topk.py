@@ -49,13 +49,14 @@ def topk_per_group(ds: "ray.data.Dataset", group_col: str, score_col: str,
     bounded sliver of the input regardless of table size."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return batch
-        idx, _ = _topk_indices(
-            batch.column(group_col).to_numpy(zero_copy_only=False),
-            batch.column(score_col).to_numpy(zero_copy_only=False),
-            batch.column(tie_col).to_numpy(zero_copy_only=False), k)
-        return batch.take(pa.array(idx))
+        if len(batch):
+            idx, _ = _topk_indices(
+                batch.column(group_col).to_numpy(zero_copy_only=False),
+                batch.column(score_col).to_numpy(zero_copy_only=False),
+                batch.column(tie_col).to_numpy(zero_copy_only=False), k)
+            batch = batch.take(pa.array(idx))
+        # see functions/exchange.bucket_exchange: no pandas metadata
+        return batch.replace_schema_metadata()
 
     def final(batch: pa.Table) -> pa.Table:
         idx, rank = _topk_indices(

@@ -159,11 +159,20 @@ def test_lineage_resume(tmp_path, sf_dir):
         os.remove(os.path.join(out_dir, f"part-{p:05d}.parquet"))
         os.remove(os.path.join(out_dir, "_manifest", f"partition-{p}.json"))
     checks_before = {r["partition_id"]: r["checksum"] for r in m1}
+
+    def stats():
+        files = [os.path.join(out_dir, f"part-{p:05d}.parquet")
+                 for p in (0, 2, 3, 5, 7)]
+        return [(os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in files]
+
+    kept = stats()
     m2 = lineage.resumable_write(ds, out_dir, key="doc_id", num_partitions=8)
     assert len(m2) == 8
     # re-done partitions byte-identical to the first run
     for r in m2:
         assert r["checksum"] == checks_before[r["partition_id"]]
+    # completed partitions are not rewritten
+    assert stats() == kept
 
 
 def test_near_dedup_end_to_end():

@@ -10,10 +10,12 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+import ray
 import ray.data
 
 from greenex_py_ray.functions.exchange import bucket_exchange, stable_bucket
 from greenex_py_ray.functions.joins import bucket_join_attach
+from greenex_py_ray.stages.topk import topk_per_group
 
 PKG = pathlib.Path(__file__).resolve().parents[1] / "greenex_py_ray"
 
@@ -156,3 +158,21 @@ def test_lint_rules_catch_the_old_patterns():
     for line in ['", ".join(parts)', "os.path.join(out_dir, name)",
                  "g.agg(\",\".join)"]:
         assert not RULES["Dataset.join"].search(line), line
+
+
+@pytest.mark.parametrize("exchange, rows", [
+    (lambda ds: bucket_exchange(ds, "k", lambda t: t, 4), 20),
+    (lambda ds: topk_per_group(ds, "g", "v", 3, "k"), 6),
+], ids=["bucket_exchange", "topk_per_group"])
+def test_exchanges_drop_pandas_metadata(exchange, rows):
+    """A pandas stage's blocks carry pandas schema metadata, which
+    pyarrow cannot hash: every block unify in an exchange then logs
+    "Failed to hash the schemas".  The exchanges drop it on their map
+    side, so none reaches their output."""
+    tbl = pa.table({"k": np.arange(20), "g": np.arange(20) % 2,
+                    "v": np.arange(20.0)})
+    ds = ray.data.from_arrow([tbl.slice(0, 10), tbl.slice(10)]).map_batches(
+        lambda df: df, batch_format="pandas")
+    blocks = ray.get(exchange(ds).to_arrow_refs())
+    assert sum(b.num_rows for b in blocks) == rows
+    assert [b.schema.metadata for b in blocks] == [None] * len(blocks)

@@ -87,3 +87,69 @@ def test_checksum_matches_sorting_every_table(seed, dups):
     tbl = pa.concat_tables([tbl.slice(0, n // 2), tbl.slice(n // 2)])
     for t in (tbl, tbl.take(pc.sort_indices(tbl.column("k")))):
         assert _checksum(t) == _checksum_sorting_always(t)
+
+
+def _reference_write(tbl: pa.Table, out: str, key: str,
+                     num_partitions: int) -> None:
+    """In-process reference: ``stable_bucket`` → stable key sort →
+    ``write_partition``, one partition per non-empty bucket."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    from greenex_py_ray.functions.exchange import stable_bucket
+    from greenex_py_ray.lineage import write_partition
+
+    bucket = stable_bucket([tbl.column(key)], num_partitions)
+    for p in range(num_partitions):
+        rows = tbl.filter(pa.array(bucket == p))
+        if rows.num_rows:
+            write_partition(rows.take(pc.sort_indices(rows.column(key))),
+                            out, p)
+
+
+def _no_exchange(*args, **kwargs):
+    raise AssertionError("resumable_write ran a Ray Data exchange")
+
+
+@pytest.mark.parametrize("keys", [
+    ["a", "b", "b", None, "c", "d", "a", "e", None, "f", "g", "h"] * 3,
+    [5, 3, 3, None, 17, 2, 5, 9, -1, 123456789, 64, 0] * 3,
+])
+def test_resumable_write_matches_reference_without_exchange(
+        tmp_path, monkeypatch, keys):
+    """A multi-block input (with an empty block, null keys and duplicate
+    keys) is written as the in-process reference writes it: equal
+    manifests, byte-equal part files where the keys are unique.  The
+    write runs no Ray Data groupby or sort."""
+    from greenex_py_ray.lineage import read_manifest
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", _no_exchange)
+    monkeypatch.setattr(ray.data.Dataset, "sort", _no_exchange)
+    keys = keys[:20] + [f"u{i}" if isinstance(keys[0], str) else 1000 + i
+                        for i in range(40)]
+    tbl = pa.table({"k": keys, "v": [float(i) for i in range(len(keys))]})
+    blocks = [tbl.slice(0, 25), tbl.slice(0, 0), tbl.slice(25, 10),
+              tbl.slice(35)]
+    out, ref = str(tmp_path / "out"), str(tmp_path / "ref")
+    got = resumable_write(ray.data.from_arrow(blocks), out, key="k",
+                          num_partitions=8)
+    _reference_write(tbl, ref, "k", 8)
+
+    def rows(manifest):
+        return [{k: v for k, v in r.items() if k != "wall_ms"}
+                for r in manifest]
+
+    assert rows(got) == rows(read_manifest(ref))
+    assert sum(r["row_count"] for r in got) == tbl.num_rows
+    for r in got:
+        name = f"part-{r['partition_id']:05d}.parquet"
+        part = pq.read_table(os.path.join(ref, name)).column("k")
+        if len(part.unique()) == len(part):
+            with open(os.path.join(out, name), "rb") as a, \
+                    open(os.path.join(ref, name), "rb") as b:
+                assert a.read() == b.read(), name
+
+    empty = str(tmp_path / "empty")
+    assert resumable_write(ray.data.from_arrow(tbl.slice(0, 0)), empty,
+                           key="k", num_partitions=8) == []
+    assert not [f for f in os.listdir(empty) if f.endswith(".parquet")]

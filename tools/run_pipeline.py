@@ -11,13 +11,14 @@ Jobs API sets it; locally it falls back to a fresh local session), runs
 one named gate pipeline from the `queries()` registry over the input
 table directory, and lands the result as RESUMABLE partitioned parquet
 through `lineage.resumable_write` — per-partition manifest rows with
-order-free XOR checksums, so a preempted job re-submitted with the same
---out skips finished partitions.
+order-free crc32 checksums (of each partition's rows in a canonical
+order), so a preempted job re-submitted with the same --out skips
+finished partitions.
 
 Sandbox note: no multi-node cluster exists in this environment; this
 entrypoint is exercised end-to-end against a local session in
 tests/test_run_pipeline.py, and everything it does (connect-don't-init,
-streamed write, per-partition manifests) is the multi-node code path.
+hash-split write, per-partition manifests) is the multi-node code path.
 """
 
 from __future__ import annotations
