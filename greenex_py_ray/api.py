@@ -124,12 +124,12 @@ def _docs(src, stage) -> "ray.data.Dataset":
     """The documents of :func:`_poi`'s ``src`` for ``append_metrics``
     of ``stage``.  A path is read with
     :func:`~greenex_py_ray.sources.documents.read_documents`, planned
-    from the parquet footers (no sampling task); for a stage run
-    ``in_read`` the read makes one block per task, so that stage runs
-    inside the read tasks: one task per CPU that reads, decodes and
-    runs the kernel."""
+    from the parquet footers (no sampling task); for a ``fused`` stage
+    the read makes one block per task, so that stage runs inside the
+    read tasks: one task per CPU that reads, decodes and runs the
+    kernel."""
     if isinstance(src, str):
-        return doc_src.read_documents(src, fused=stage.in_read)
+        return doc_src.read_documents(src, fused=stage.fused)
     return src
 
 
@@ -275,8 +275,7 @@ def _emit(ds, name: str, docs, kind: str, src_crs, write_to_file: bool,
         # 3395 metres — stamping the file with src_crs would label
         # metre coordinates as e.g. degrees and place features
         # off-planet in QGIS
-        write_gpkg(flat, os.path.join(out, f"{name}.gpkg"), layer=name,
-                   crs="EPSG:3395")
+        write_gpkg(flat, os.path.join(out, f"{name}.gpkg"), layer=name)
     elif write_to_file:
         from .lineage import resumable_write
 
@@ -391,7 +390,6 @@ def get_mean_NDVI(poi, ndvi_tile_dir: str, buffer_dist: float | None = 300.0,
                   plot_aoi: bool = False, write_to_file: bool = False,
                   output_dir: str | None = None,
                   output_format: str = "parquet",
-                  concurrency: int | None = None,
                   src_crs: str | None = None) -> "ray.data.Dataset":
     """availability.get_mean_NDVI (availability.py:41-342).
 
@@ -405,10 +403,10 @@ def get_mean_NDVI(poi, ndvi_tile_dir: str, buffer_dist: float | None = 300.0,
     tile_dir, shift, _ = _tiles(ndvi_tile_dir, "ndvi")
     if mode == "polygon":
         stage = _av.mean_ndvi_polygon_stage(
-            tile_dir, concurrency=concurrency,
+            tile_dir,
             dilate=(dist if buffer_type == "euclidean" else 0.0))
     elif buffer_type == "euclidean":
-        stage = _av.mean_ndvi_stage(tile_dir, dist, concurrency=concurrency)
+        stage = _av.mean_ndvi_stage(tile_dir, dist)
     else:
         from .stages.netaccess import IsochroneZonal
 
@@ -416,7 +414,7 @@ def get_mean_NDVI(poi, ndvi_tile_dir: str, buffer_dist: float | None = 300.0,
             IsochroneZonal,
             *_side.network(network_nodes_file, network_edges_file,
                       network_type, shift),
-            concurrency, tile_root=tile_dir, buffer_dist=dist)
+            tile_root=tile_dir, buffer_dist=dist)
     docs = _docs(src, stage)
     out = append_metrics(docs, stage, decode=decoder, shift=shift)
     return _emit(out, "mean_NDVI", docs, kind, src_crs,
@@ -439,7 +437,6 @@ def get_landcover_percentages(poi, landcover_tile_dir: str,
                               write_to_file: bool = False,
                               output_dir: str | None = None,
                   output_format: str = "parquet",
-                              concurrency: int | None = None,
                               classmap: dict[int, str] | None = None,
                   src_crs: str | None = None) -> "ray.data.Dataset":
     """availability.get_landcover_percentages (availability.py:344-597).
@@ -464,7 +461,7 @@ def get_landcover_percentages(poi, landcover_tile_dir: str,
     classmap = classmap or _av.DEFAULT_CLASSMAP
     if mode == "polygon":
         stage = _av.landcover_polygon_stage(
-            tile_dir, classmap, concurrency=concurrency,
+            tile_dir, classmap,
             dilate=(dist if buffer_type == "euclidean" else 0.0),
             stringify=stringify)
     elif buffer_type == "network":
@@ -474,11 +471,10 @@ def get_landcover_percentages(poi, landcover_tile_dir: str,
             IsochroneLandcover,
             *_side.network(network_nodes_file, network_edges_file,
                       network_type, shift),
-            concurrency, tile_root=tile_dir, buffer_dist=dist,
+            tile_root=tile_dir, buffer_dist=dist,
             classmap=classmap, stringify=stringify)
     else:
         stage = _av.landcover_stage(tile_dir, dist, classmap=classmap,
-                                    concurrency=concurrency,
                                     stringify=stringify)
     docs = _docs(src, stage)
     out = append_metrics(docs, stage, decode=decoder, shift=shift)
@@ -492,7 +488,7 @@ def _coverage(poi, vector_file, name: str, dissolve: bool, buffer_dist,
               buffer_type, polygon_type, network_type, network_nodes_file,
               network_edges_file, travel_speed, trip_time, stringify,
               plot_aoi, write_to_file, output_dir, output_format,
-              concurrency, src_crs, out_name: str):
+              src_crs, out_name: str):
     """Shared body of get_canopy_percentage / get_greenspace_percentage:
     percent of each PoI's AoI covered by the vector layer — the
     euclidean buffer, the isochrone (``buffer_type='network'``), or a
@@ -507,7 +503,7 @@ def _coverage(poi, vector_file, name: str, dissolve: bool, buffer_dist,
     if mode == "polygon":
         stage = _av.coverage_stage(
             polys, (dist if buffer_type == "euclidean" else 0.0),
-            concurrency=concurrency, stringify=stringify, name=name,
+            stringify=stringify, name=name,
             aoi_shape="self", dissolve=dissolve)
     elif buffer_type == "network":
         from .stages.netaccess import IsochroneCoverage
@@ -516,12 +512,11 @@ def _coverage(poi, vector_file, name: str, dissolve: bool, buffer_dist,
             IsochroneCoverage,
             *_side.network(network_nodes_file, network_edges_file,
                            network_type),
-            concurrency, polys_ref=polys, buffer_dist=dist,
+            polys_ref=polys, buffer_dist=dist,
             name=name, stringify=stringify, dissolve=dissolve)
     else:
-        stage = _av.coverage_stage(polys, dist, concurrency=concurrency,
-                                   stringify=stringify, name=name,
-                                   dissolve=dissolve)
+        stage = _av.coverage_stage(polys, dist, stringify=stringify,
+                                   name=name, dissolve=dissolve)
     docs = _docs(src, stage)
     out = append_metrics(docs, stage, decode=decoder)
     return _emit(out, out_name, docs, kind, src_crs, write_to_file, output_dir,
@@ -543,7 +538,6 @@ def get_canopy_percentage(poi, canopy_vector_file: str,
                           write_to_file: bool = False,
                           output_dir: str | None = None,
                   output_format: str = "parquet",
-                          concurrency: int | None = None,
                   src_crs: str | None = None) -> "ray.data.Dataset":
     """availability.get_canopy_percentage (availability.py:600-780);
     ``buffer_type='network'`` uses the isochrone AoI
@@ -553,7 +547,7 @@ def get_canopy_percentage(poi, canopy_vector_file: str,
         poi, canopy_vector_file, "canopy_cover", False, buffer_dist,
         buffer_type, polygon_type, network_type, network_nodes_file,
         network_edges_file, travel_speed, trip_time, stringify, plot_aoi,
-        write_to_file, output_dir, output_format, concurrency, src_crs,
+        write_to_file, output_dir, output_format, src_crs,
         "canopy_percentage")
 
 
@@ -571,7 +565,6 @@ def get_greenspace_percentage(poi, greenspace_vector_file: str,
                               write_to_file: bool = False,
                               output_dir: str | None = None,
                   output_format: str = "parquet",
-                              concurrency: int | None = None,
                   src_crs: str | None = None) -> "ray.data.Dataset":
     """availability.get_greenspace_percentage (availability.py:783-1010);
     ``buffer_type='network'`` uses the isochrone AoI
@@ -581,7 +574,7 @@ def get_greenspace_percentage(poi, greenspace_vector_file: str,
         poi, greenspace_vector_file, "greenspace_cover", True, buffer_dist,
         buffer_type, polygon_type, network_type, network_nodes_file,
         network_edges_file, travel_speed, trip_time, stringify, plot_aoi,
-        write_to_file, output_dir, output_format, concurrency, src_crs,
+        write_to_file, output_dir, output_format, src_crs,
         "greenspace_percentage")
 
 
@@ -597,7 +590,6 @@ def get_shortest_distance_greenspace(poi, greenspace_vector_file: str,
                                      write_to_file: bool = False,
                                      output_dir: str | None = None,
                   output_format: str = "parquet",
-                                     concurrency: int | None = None,
                   src_crs: str | None = None) -> "ray.data.Dataset":
     """accessibility.get_shortest_distance_greenspace
     (accessibility.py:24-223).  Polygon/MultiPolygon PoIs are collapsed
@@ -622,8 +614,7 @@ def get_shortest_distance_greenspace(poi, greenspace_vector_file: str,
     if distance_type == "euclidean" and destination == "centroids":
         gs = _side.shared(_side.centroids, greenspace_vector_file, crs,
                           min_greenspace_area)
-        stage = _acc.nearest_greenspace_stage(gs, target_dist, flag,
-                                              concurrency=concurrency)
+        stage = _acc.nearest_greenspace_stage(gs, target_dist, flag)
         docs = _docs(src, stage)
         out = append_metrics(docs, stage,
                              columns=["distance_to_greenspace", flag],
@@ -643,7 +634,7 @@ def get_shortest_distance_greenspace(poi, greenspace_vector_file: str,
             *_side.network(network_nodes_file, network_edges_file,
                            network_type),
             gs, target_dist, destination, distance_type,
-            concurrency=concurrency, flag_name=flag)
+            flag_name=flag)
         docs = _docs(src, stage)
         out = append_metrics(docs, stage, decode=decoder)
     return _emit(out, "shortest_distance_greenspace",
@@ -695,7 +686,6 @@ def get_viewshed_GVI(poi, dsm_tile_dir: str,
                      write_to_file: bool = False,
                      output_dir: str | None = None,
                   output_format: str = "parquet",
-                     concurrency: int | None = None,
                   src_crs: str | None = None):
     """visibility.get_viewshed_GVI (visibility.py:50-293).  Returns
     (poi-with-metrics Dataset, per-sample-point Dataset).
@@ -724,7 +714,7 @@ def get_viewshed_GVI(poi, dsm_tile_dir: str,
             "into the same out_dir first")
     kw = dict(buffer_dist=buffer_dist, viewing_dist=viewing_dist,
               sample_dist=sample_dist, observer_height=observer_height,
-              concurrency=concurrency, poi_kind=poi_kind)
+              poi_kind=poi_kind)
     stage = _vis.viewshed_stage(network_nodes_file, network_edges_file,
                                 dsm_tile_dir, **kw)
     docs = _docs(src, stage)
@@ -746,7 +736,6 @@ def get_streetview_GVI(poi, network_nodes_file: str, network_edges_file: str,
                        write_to_file: bool = False,
                        output_dir: str | None = None,
                   output_format: str = "parquet",
-                       concurrency: int | None = None,
                   src_crs: str | None = None):
     """visibility.get_streetview_GVI (visibility.py:296-437) with the
     deterministic segmentation stub.  Returns (poi-with-metrics Dataset,
@@ -763,8 +752,8 @@ def get_streetview_GVI(poi, network_nodes_file: str, network_edges_file: str,
     src, kind = _poi(poi)
     poi_kind, decoder, cols = _vis_poi(kind, src_crs, polygon_type,
                                        buffer_dist)
-    kw = dict(buffer_dist=buffer_dist, concurrency=concurrency,
-              poi_kind=poi_kind, crop_by_road_centres=crop_by_road_centres)
+    kw = dict(buffer_dist=buffer_dist, poi_kind=poi_kind,
+              crop_by_road_centres=crop_by_road_centres)
     stage = _vis.streetview_stage(network_nodes_file, network_edges_file,
                                   image_features_file, **kw)
     docs = _docs(src, stage)
@@ -779,8 +768,7 @@ def get_streetview_GVI(poi, network_nodes_file: str, network_edges_file: str,
 
 
 def get_mean_NDVI_streets(network_nodes_file: str, network_edges_file: str,
-                          ndvi_tile_dir: str, buffer_dist: float = 10.0,
-                          concurrency: int | None = None):
+                          ndvi_tile_dir: str, buffer_dist: float = 10.0):
     """get_mean_NDVI with a street network as the PoI set — the README
     place-query flow (availability.py:52-61): each edge becomes a PoI
     row whose AoI is the edge geometry buffered by ``buffer_dist``
@@ -797,5 +785,4 @@ def get_mean_NDVI_streets(network_nodes_file: str, network_edges_file: str,
         "edge_id", pa.array(np.arange(len(edges_tbl), dtype=np.int64)))
     return _av.mean_ndvi_line_aoi(
         ray.data.from_arrow(edges_tbl), tile_dir,
-        buffer_dist=buffer_dist, key_col="edge_id", concurrency=concurrency,
-    )
+        buffer_dist=buffer_dist)

@@ -50,10 +50,9 @@ def _reduce_table(batch: pa.Table, key_col: str, cols: list[str],
 
 def bucket_group_reduce(ds: "ray.data.Dataset", key_col: str,
                         cols: list[str], ops: list[str],
-                        num_buckets: int = 64,
                         pre_reduce: bool = True) -> "ray.data.Dataset":
     """``GROUP BY key_col`` with ``ops[i]`` (``sum``/``min``/``max``/
-    ``count``) applied to ``cols[i]`` — a ``num_buckets``-way hash
+    ``count``) applied to ``cols[i]`` — a 64-bucket hash
     shuffle (the only exchange) with vectorized per-batch combiners on
     both sides.  ``count`` counts input rows per key (after the
     pre-reduce it is re-summed, so pass ``pre_reduce=False`` only if the
@@ -73,11 +72,11 @@ def bucket_group_reduce(ds: "ray.data.Dataset", key_col: str,
         ds = ds.map_batches(
             lambda b: _reduce_table(b, key_col, cols, ops),
             batch_format="pyarrow", zero_copy_batch=True)
-    return bucket_exchange(ds, key_col, final, num_buckets)
+    return bucket_exchange(ds, key_col, final, 64)
 
 
-def bucket_distinct(ds: "ray.data.Dataset", key_col: str,
-                    num_buckets: int = 64) -> "ray.data.Dataset":
+def bucket_distinct(ds: "ray.data.Dataset",
+                    key_col: str) -> "ray.data.Dataset":
     """Distinct values of an int64 column: per-batch ``np.unique``
     partials, one bucket shuffle, per-bucket ``np.unique`` — the
     pattern ``groupby(key).min(key)`` replays 48× slower."""
@@ -89,4 +88,4 @@ def bucket_distinct(ds: "ray.data.Dataset", key_col: str,
     return bucket_exchange(
         ds.map_batches(partial, batch_format="pyarrow",
                        zero_copy_batch=True),
-        key_col, partial, num_buckets)
+        key_col, partial, 64)

@@ -15,9 +15,7 @@ documents:
   task per read task, which reads, decodes and runs the kernel, and no
   object-store hop before the result.  The other stages keep their own
   batch size and CPUs, so a costly kernel is balanced over the read's
-  split blocks (about two per CPU); a ``concurrency`` cap keeps read
-  and kernel as two operators too (Ray fuses only task pools of equal
-  size).
+  split blocks (about two per CPU).
   Row count and key column are checked per batch, so a kernel that drops
   or reorders rows raises instead of losing documents.  Each kernel's
   stage is defined once as a ``KernelStage`` (class, constructor kwargs,
@@ -43,7 +41,6 @@ documents:
 
 from __future__ import annotations
 
-import contextlib
 import os
 from typing import NamedTuple
 
@@ -59,14 +56,14 @@ from ..sources.documents import DecodeGeom, shift_coords
 from .exchange import bucket_exchange
 
 
-def cluster_cpus(default: int = 8) -> int:
-    """Logical CPUs of the current Ray cluster (``default`` when Ray is
-    not initialised / unreachable) — the one shared detection point for
+def cluster_cpus() -> int:
+    """Logical CPUs of the current Ray cluster (8 when Ray is not
+    initialised / unreachable) — the one shared detection point for
     every width-derived value (bucket and block counts)."""
     try:
-        return int(ray.cluster_resources().get("CPU", default))
+        return int(ray.cluster_resources().get("CPU", 8))
     except Exception:
-        return default
+        return 8
 
 
 def bucket_join_attach(
@@ -266,12 +263,12 @@ def _freeze(v):
 
 class KernelStage(NamedTuple):
     """The one definition of a stateful per-batch stage: its kernel
-    class, constructor kwargs, ``map_batches`` wiring (batch size,
-    CPUs, ``concurrency`` — at most that many kernel tasks at once, none
-    by default: a task gives its CPU back when it ends, so it cannot
-    starve its feed; ``batch_format`` and ``zero_copy_batch`` override
-    the zero-copy pyarrow defaults) and whether :func:`append_metrics`
-    runs it inside the read task (``fused``).  Both callers run
+    class, constructor kwargs, ``map_batches`` wiring (batch size and
+    CPUs; Ray schedules the tasks over the cluster's CPUs, and a task
+    gives its CPU back when it ends, so it cannot starve its feed;
+    ``batch_format`` and ``zero_copy_batch`` override the zero-copy
+    pyarrow defaults) and whether :func:`append_metrics` runs it inside
+    the read task (``fused``).  Both callers run
     :func:`_run_kernel` tasks: :meth:`on` over any dataset (the
     metric-table pipelines and every other stage), :func:`append_metrics`
     on raw documents (the span-preserving API).  The kernel cache key
@@ -287,37 +284,23 @@ class KernelStage(NamedTuple):
         """The kernel cache key: the class plus its frozen kwargs."""
         return (self.cls, _freeze(self.kwargs))
 
-    @property
-    def in_read(self) -> bool:
-        """Whether :func:`append_metrics` runs this stage inside the
-        read task: a ``fused`` stage without a ``concurrency`` cap."""
-        return self.fused and self.map_kwargs.get("concurrency") is None
-
     def _map(self, ds: "ray.data.Dataset", append=None) -> "ray.data.Dataset":
         kw = {"batch_format": "pyarrow", "zero_copy_batch": True,
               **self.map_kwargs}
-        conc = kw.pop("concurrency", None)
         if append is not None:
             size = None
-            if self.in_read:
+            if self.fused:
                 # whole read blocks at the read's one CPU, so Ray fuses
                 # the map into the read task; the kernel still sees at
                 # most batch_size rows at a time
                 size = kw.pop("batch_size", None)
                 kw.pop("num_cpus", None)
             append = (*append, size)
-        if conc is not None:
-            # Ray warns of a cap above the operator's inputs: in-memory
-            # data's block count is known up front, a read's is not
-            # (read off Ray's private plan, left alone if that changes)
-            with contextlib.suppress(AttributeError):
-                if not ds._plan.has_lazy_input():
-                    conc = min(conc, ds._plan.initial_num_blocks() or conc)
         return ds.map_batches(
             _run_kernel,
             fn_kwargs=dict(cls=self.cls, kwargs=self.kwargs, key=self.key,
                            append=append),
-            concurrency=conc, **kw)
+            **kw)
 
     def on(self, poi: "ray.data.Dataset") -> "ray.data.Dataset":
         return self._map(poi)
@@ -336,12 +319,12 @@ def append_metrics(
     point decode) → translate the decoded coordinates by ``shift`` into
     the tile store's frame → the ``stage`` kernel (keyed by ``doc_id``)
     → the input batch plus the kernel's ``columns`` (default: all but
-    ``doc_id``).  The decoded coordinates are not kept.  A stage run
-    :attr:`~KernelStage.in_read` maps whole blocks at the read's one
+    ``doc_id``).  The decoded coordinates are not kept.  A
+    :attr:`~KernelStage.fused` stage maps whole blocks at the read's one
     CPU, so Ray fuses it into a ``read_documents(fused=True)`` read task,
     and its ``batch_size`` caps the rows of each kernel call inside the
-    task; any other stage's ``map_kwargs`` (task cap, CPUs,
-    ``batch_size``) go to ``map_batches``."""
+    task; any other stage's ``map_kwargs`` (CPUs, ``batch_size``) go to
+    ``map_batches``."""
     return stage._map(docs, append=(
         columns, decode if decode is not None else DecodeGeom(), shift))
 

@@ -39,9 +39,10 @@ def buffer_ngon(x: float, y: float, radius: float, quad_segs: int = 16) -> np.nd
     return np.column_stack((x + radius * np.cos(ang), y + radius * np.sin(ang)))
 
 
-def buffer_ngon_many(x: np.ndarray, y: np.ndarray, radius: float, quad_segs: int = 16) -> np.ndarray:
+def buffer_ngon_many(x: np.ndarray, y: np.ndarray,
+                     radius: float) -> np.ndarray:
     """Vectorized ``buffer_ngon`` for many centers → ``(M, 4*quad_segs, 2)``."""
-    n = 4 * quad_segs
+    n = 4 * 16
     ang = np.arange(n, dtype=np.float64) * (2.0 * np.pi / n)
     cx = np.asarray(x, dtype=np.float64)[:, None]
     cy = np.asarray(y, dtype=np.float64)[:, None]
@@ -237,8 +238,7 @@ def _ring_edges(rings: "list[np.ndarray]"):
 
 def points_within_rings_dist(px: np.ndarray, py: np.ndarray,
                              rings: "list[np.ndarray]",
-                             dist: float = 0.0,
-                             chunk: int = 1 << 20) -> np.ndarray:
+                             dist: float = 0.0) -> np.ndarray:
     """Boolean mask: each point is inside the (even-odd multi-ring)
     polygon, or within ``dist`` of its boundary — i.e. member of the
     polygon dilated by ``dist`` (shapely ``geom.buffer(d).contains(pt)``
@@ -254,7 +254,7 @@ def points_within_rings_dist(px: np.ndarray, py: np.ndarray,
     sx0, sy0, sx1, sy1 = _ring_edges(rings)
     out = np.flatnonzero(~mask)
     # chunk the P×E matrix so a huge boundary can't blow the heap
-    step = max(1, chunk // max(1, len(sx0)))
+    step = max(1, (1 << 20) // max(1, len(sx0)))
     for s in range(0, len(out), step):
         idx = out[s:s + step]
         # sqrt-compare: the SQL oracles' tie rule (sqrt(least(d2)) <= d)
@@ -267,8 +267,7 @@ def points_within_rings_dist(px: np.ndarray, py: np.ndarray,
 def segments_within_rings_dist(ax: np.ndarray, ay: np.ndarray,
                                bx: np.ndarray, by: np.ndarray,
                                rings: "list[np.ndarray]",
-                               dist: float = 0.0,
-                               chunk: int = 1 << 20) -> np.ndarray:
+                               dist: float = 0.0) -> np.ndarray:
     """Boolean mask: each segment (a→b) intersects the (even-odd
     multi-ring) polygon dilated by ``dist`` — an endpoint is inside,
     the segment crosses/touches a boundary edge, or (``dist`` > 0) it
@@ -283,7 +282,7 @@ def segments_within_rings_dist(ax: np.ndarray, ay: np.ndarray,
     sx0, sy0, sx1, sy1 = _ring_edges(rings)
     d2 = dist * dist
     todo = np.flatnonzero(~mask)
-    step = max(1, chunk // max(1, len(sx0)))
+    step = max(1, (1 << 20) // max(1, len(sx0)))
     for s in range(0, len(todo), step):
         idx = todo[s:s + step]
         sax, say = ax[idx][:, None], ay[idx][:, None]

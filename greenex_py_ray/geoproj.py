@@ -516,15 +516,15 @@ def transform(x, y, src: str, dst: str):
     return grid.forward(lon_r, lat_r)
 
 
-def bbox_to_wgs84(x0: float, y0: float, x1: float, y1: float, src: str,
-                  n_edge: int = 32):
+def bbox_to_wgs84(x0: float, y0: float, x1: float, y1: float, src: str):
     """Projected bbox → geographic (lon/lat) bbox (M8,
     availability.py:76-77).  Edges are densified before inverse
     projection so curvature of the projected graticule is bounded."""
-    t = np.linspace(0.0, 1.0, n_edge)
-    ex = np.concatenate([x0 + (x1 - x0) * t, np.full(n_edge, x1),
-                         x1 + (x0 - x1) * t, np.full(n_edge, x0)])
-    ey = np.concatenate([np.full(n_edge, y0), y0 + (y1 - y0) * t,
-                         np.full(n_edge, y1), y1 + (y0 - y1) * t])
+    n = 32  # points per edge
+    t = np.linspace(0.0, 1.0, n)
+    ex = np.concatenate([x0 + (x1 - x0) * t, np.full(n, x1),
+                         x1 + (x0 - x1) * t, np.full(n, x0)])
+    ey = np.concatenate([np.full(n, y0), y0 + (y1 - y0) * t,
+                         np.full(n, y1), y1 + (y0 - y1) * t])
     lon, lat = transform(ex, ey, src, "EPSG:4326")
     return float(lon.min()), float(lat.min()), float(lon.max()), float(lat.max())

@@ -71,8 +71,7 @@ def _checksum(tbl: pa.Table) -> int:
     return zlib.crc32(sink.getvalue().to_pybytes())
 
 
-def write_partition(tbl: pa.Table, out_dir: str, partition: int,
-                    inputs: list[str] | None = None) -> dict:
+def write_partition(tbl: pa.Table, out_dir: str, partition: int) -> dict:
     """Atomic partition write: temp file → rename, then manifest row."""
     os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
     t0 = time.time()
@@ -82,7 +81,7 @@ def write_partition(tbl: pa.Table, out_dir: str, partition: int,
     os.replace(tmp, final)
     row = {
         "partition_id": partition,
-        "input_fragments": inputs or [],
+        "input_fragments": [],
         "row_count": tbl.num_rows,
         "checksum": _checksum(tbl),
         "wall_ms": int((time.time() - t0) * 1000),
@@ -186,9 +185,7 @@ def resumable_write(ds: "ray.data.Dataset", out_dir: str, key: str,
     return read_manifest(out_dir)
 
 
-def partition_checksum(ds: "ray.data.Dataset", cell_col: str = "cell",
-                       key_col: str = "doc_id",
-                       text_col: str = "text") -> "ray.data.Dataset":
+def partition_checksum(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Per-partition content checksum — the audit/reconciliation table
     a resumable run compares across attempts (and across engines): one
     row per spatial cell with the doc count, the id range, and an
@@ -202,9 +199,9 @@ def partition_checksum(ds: "ray.data.Dataset", cell_col: str = "cell",
     from .stages.text import hash_string_array
 
     def partial(batch: pa.Table) -> pa.Table:
-        cell = batch.column(cell_col).to_numpy(zero_copy_only=False)
-        k = batch.column(key_col).to_numpy(zero_copy_only=False)
-        col = batch.column(text_col)
+        cell = batch.column("cell").to_numpy(zero_copy_only=False)
+        k = batch.column("doc_id").to_numpy(zero_copy_only=False)
+        col = batch.column("text")
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         h = hash_string_array(pc.fill_null(col, "")).view(np.int64)
@@ -217,7 +214,7 @@ def partition_checksum(ds: "ray.data.Dataset", cell_col: str = "cell",
         xor = np.bitwise_xor.reduceat(hs, starts) if len(cs) else \
             np.empty(0, np.int64)
         return pa.table({
-            cell_col: pa.array(cs[starts]),
+            "cell": pa.array(cs[starts]),
             "n_docs": pa.array((ends - starts).astype(np.int64)),
             "checksum": pa.array(xor),
             "min_doc": pa.array(np.minimum.reduceat(ks, starts)),
@@ -226,7 +223,7 @@ def partition_checksum(ds: "ray.data.Dataset", cell_col: str = "cell",
 
     def combine(tbl: pa.Table) -> pa.Table:
         return pa.table({
-            cell_col: tbl.column(cell_col).slice(0, 1),
+            "cell": tbl.column("cell").slice(0, 1),
             "n_docs": pa.array([int(
                 np.sum(tbl.column("n_docs").to_numpy(zero_copy_only=False)))],
                 pa.int64()),
@@ -243,4 +240,4 @@ def partition_checksum(ds: "ray.data.Dataset", cell_col: str = "cell",
 
     part = ds.map_batches(partial, batch_format="pyarrow",
                           zero_copy_batch=True)
-    return part.groupby(cell_col).map_groups(combine, batch_format="pyarrow")
+    return part.groupby("cell").map_groups(combine, batch_format="pyarrow")

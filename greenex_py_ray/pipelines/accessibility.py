@@ -22,8 +22,7 @@ from ..stages.access import NearestGreenspace
 
 
 def nearest_greenspace_stage(centroids, target_dist: float,
-                             flag_name: str, key_col: str = "doc_id",
-                             concurrency: int | None = None) -> KernelStage:
+                             flag_name: str) -> KernelStage:
     """(key,x,y) + small centroid table (gs_id, cx, cy) → (key,
     distance_to_greenspace, ``flag_name``, nearest_gs_id).  A table
     goes to the object store; an ``ObjectRef`` (the API's, from
@@ -34,8 +33,8 @@ def nearest_greenspace_stage(centroids, target_dist: float,
     return KernelStage(
         NearestGreenspace,
         dict(centroids_ref=shipped(centroids), target_dist=target_dist,
-             key_col=key_col, flag_name=flag_name),
-        dict(batch_size=8192, concurrency=concurrency, num_cpus=0.25),
+             flag_name=flag_name),
+        dict(batch_size=8192, num_cpus=0.25),
         fused=True)
 
 
@@ -47,7 +46,6 @@ def network_distance_stage(
     destination: str = "centroids",
     distance_type: str = "network",
     key_col: str = "doc_id",
-    concurrency: int | None = None,
     flag_name: str = "greenspace_within_target",
 ) -> KernelStage:
     """Network/entrance branches of get_shortest_distance_greenspace
@@ -64,7 +62,7 @@ def network_distance_stage(
              greenspace_ref=shipped(greenspace), target_dist=target_dist,
              destination=destination, distance_type=distance_type,
              key_col=key_col, flag_name=flag_name),
-        dict(batch_size=512, num_cpus=1, concurrency=concurrency))
+        dict(batch_size=512, num_cpus=1))
 
 
 def od_cost_matrix(
@@ -73,9 +71,6 @@ def od_cost_matrix(
     edges: "pa.Table",
     cutoff: float = 500.0,
     dest_mod: int | None = 16,
-    dest_ids=None,
-    key_col: str = "doc_id",
-    concurrency: int | None = None,
 ) -> "ray.data.Dataset":
     """Many-to-many origin→destination network cost matrix: one row per
     (PoI, destination node) pair within ``cutoff`` network metres, cost
@@ -86,6 +81,5 @@ def od_cost_matrix(
     return KernelStage(
         ODMatrix,
         dict(nodes_ref=shipped(nodes), edges_ref=shipped(edges),
-             cutoff=cutoff, dest_mod=dest_mod, dest_ids=dest_ids,
-             key_col=key_col),
-        dict(batch_size=256, num_cpus=1, concurrency=concurrency)).on(poi)
+             cutoff=cutoff, dest_mod=dest_mod),
+        dict(batch_size=256, num_cpus=1)).on(poi)

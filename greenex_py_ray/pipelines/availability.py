@@ -32,8 +32,7 @@ DEFAULT_CLASSMAP = {10: "pct_tree", 30: "pct_grass", 40: "pct_crop",
                     50: "pct_builtup", 60: "pct_bare", 80: "pct_water"}
 
 
-def mean_ndvi_stage(tile_root: str, radius: float, key_col: str = "doc_id",
-                    concurrency: int | None = None,
+def mean_ndvi_stage(tile_root: str, radius: float,
                     batch_size: int = 2048) -> KernelStage:
     """(key,x,y) → (key, mean_NDVI, std_NDVI); semantics of
     availability.py:289 (clamp ≥0, population std, round 3).  One task
@@ -43,14 +42,13 @@ def mean_ndvi_stage(tile_root: str, radius: float, key_col: str = "doc_id",
     read task (``fused``)."""
     return KernelStage(
         zonal.ZonalStatsLocal,
-        dict(tile_root=tile_root, band="ndvi", radius=radius, key_col=key_col),
-        dict(batch_size=batch_size, num_cpus=1, concurrency=concurrency),
+        dict(tile_root=tile_root, band="ndvi", radius=radius),
+        dict(batch_size=batch_size, num_cpus=1),
         fused=True)
 
 
-def landcover_stage(tile_root: str, radius: float, key_col: str = "doc_id",
+def landcover_stage(tile_root: str, radius: float,
                     classmap: dict[int, str] | None = None,
-                    concurrency: int | None = None, batch_size: int = 4096,
                     stringify: bool = False) -> KernelStage:
     """(key,x,y) → (key, pct_<class>...); availability.py:1068-1082
     semantics (count/total*100 round 3; ``stringify=True`` reproduces the
@@ -58,16 +56,13 @@ def landcover_stage(tile_root: str, radius: float, key_col: str = "doc_id",
     return KernelStage(
         zonal.LandcoverLocal,
         dict(tile_root=tile_root, radius=radius,
-             classmap=classmap or DEFAULT_CLASSMAP, key_col=key_col,
-             stringify=stringify),
-        dict(batch_size=batch_size, num_cpus=1, concurrency=concurrency))
+             classmap=classmap or DEFAULT_CLASSMAP, stringify=stringify),
+        dict(batch_size=4096, num_cpus=1))
 
 
 def coverage_stage(
     polys,
     buffer_dist: float,
-    key_col: str = "doc_id",
-    concurrency: int | None = None,
     stringify: bool = False,
     name: str = "canopy_cover",
     aoi_shape: str = "circle",
@@ -86,19 +81,18 @@ def coverage_stage(
     from ..stages.coverage import PolygonCoverage
 
     if aoi_shape == "self":
-        pool = dict(batch_size=256, concurrency=concurrency, num_cpus=0.5)
+        pool = dict(batch_size=256, num_cpus=0.5)
     else:
-        pool = dict(concurrency=concurrency, num_cpus=0.25)
+        pool = dict(num_cpus=0.25)
     return KernelStage(
         PolygonCoverage,
         dict(polys_ref=shipped(polys), buffer_dist=buffer_dist,
-             key_col=key_col, name=name, stringify=stringify,
+             name=name, stringify=stringify,
              aoi_shape=aoi_shape, dissolve=dissolve),
         pool)
 
 
 def isochrone_stage(kernel_cls, nodes, edges,
-                    concurrency: int | None = None,
                     **kwargs) -> KernelStage:
     """An isochrone kernel stage (``IsochroneZonal``,
     ``IsochroneLandcover`` or ``IsochroneCoverage`` from
@@ -110,26 +104,22 @@ def isochrone_stage(kernel_cls, nodes, edges,
     return KernelStage(
         kernel_cls,
         dict(nodes_ref=shipped(nodes), edges_ref=shipped(edges), **kwargs),
-        dict(batch_size=256, num_cpus=1, concurrency=concurrency))
+        dict(batch_size=256, num_cpus=1))
 
 
-def mean_ndvi_polygon_stage(tile_root: str, key_col: str = "doc_id",
-                            concurrency: int | None = None,
+def mean_ndvi_polygon_stage(tile_root: str,
                             dilate: float = 0.0) -> KernelStage:
     """(key, ring_x, ring_y[, ring_sizes]) → (key, mean_NDVI,
     std_NDVI) over each row's own polygon dilated by ``dilate``
     (``PolygonZonalLocal``)."""
     return KernelStage(
         zonal.PolygonZonalLocal,
-        dict(tile_root=tile_root, band="ndvi", key_col=key_col,
-             dilate=dilate),
-        dict(batch_size=256, num_cpus=1, concurrency=concurrency))
+        dict(tile_root=tile_root, band="ndvi", dilate=dilate),
+        dict(batch_size=256, num_cpus=1))
 
 
 def landcover_polygon_stage(tile_root: str,
                             classmap: dict[int, str] | None = None,
-                            key_col: str = "doc_id",
-                            concurrency: int | None = None,
                             dilate: float = 0.0,
                             stringify: bool = False) -> KernelStage:
     """(key, ring_x, ring_y[, ring_sizes]) → (key, pct_<class>...)
@@ -138,55 +128,47 @@ def landcover_polygon_stage(tile_root: str,
     return KernelStage(
         zonal.PolygonLandcoverLocal,
         dict(tile_root=tile_root, classmap=classmap or DEFAULT_CLASSMAP,
-             key_col=key_col, dilate=dilate, stringify=stringify),
-        dict(batch_size=256, num_cpus=1, concurrency=concurrency))
+             dilate=dilate, stringify=stringify),
+        dict(batch_size=256, num_cpus=1))
 
 
 def mean_ndvi_line_aoi(
     edges: "ray.data.Dataset",
     tile_root: str,
     buffer_dist: float,
-    key_col: str = "edge_id",
-    concurrency: int | None = None,
-    batch_size: int = 512,
 ) -> "ray.data.Dataset":
     """get_mean_NDVI over STREET EDGES as PoI rows — the reference's
     place-query flow (availability.py:52-61): each edge's AoI is its
     buffered polyline (``poi.geometry.buffer(buffer_dist)``, :134).
 
-    ``edges`` needs (key_col, ax, ay, bx, by) and optionally
+    ``edges`` needs (edge_id, ax, ay, bx, by) and optionally
     ``geom_x``/``geom_y`` polyline columns.  An edge whose buffer
     covers no stored pixel gets no row, like a keyed rollup over its
     pixels."""
     stage = KernelStage(
         zonal.LineZonalLocal,
-        dict(tile_root=tile_root, band="ndvi", buffer_dist=buffer_dist,
-             key_col=key_col),
-        dict(batch_size=batch_size, num_cpus=1, concurrency=concurrency))
+        dict(tile_root=tile_root, band="ndvi", buffer_dist=buffer_dist),
+        dict(batch_size=512, num_cpus=1))
     return drop_zero_count(stage.on(edges), "n_pixels").drop_columns(
         ["n_pixels"])
 
 
-def landcover_majority_stage(tile_root: str, radius: float,
-                             key_col: str = "doc_id",
-                             classmap: dict[int, str] | None = None,
-                             concurrency: int | None = None) -> KernelStage:
+def landcover_majority_stage(
+        tile_root: str, radius: float, key_col: str = "doc_id",
+        classmap: dict[int, str] | None = None) -> KernelStage:
     """(key,x,y) → (key, majority_class, cnt_major, cnt_total) per disk
     (``LandcoverMajorityLocal``)."""
     return KernelStage(
         zonal.LandcoverMajorityLocal,
         dict(tile_root=tile_root, radius=radius,
              classmap=classmap or DEFAULT_CLASSMAP, key_col=key_col),
-        dict(batch_size=4096, num_cpus=1, concurrency=concurrency))
+        dict(batch_size=4096, num_cpus=1))
 
 
 def landcover_majority(
     poi: "ray.data.Dataset",
     tile_root: str,
     radius: float,
-    key_col: str = "doc_id",
-    classmap: dict[int, str] | None = None,
-    concurrency: int | None = None,
 ) -> "ray.data.Dataset":
     """Zonal MAJORITY (dominant landcover class) per PoI buffer — the
     standard GIS zonal-statistics mode, from the same exact int64
@@ -195,6 +177,6 @@ def landcover_majority(
     class code.  A PoI whose disk holds no pixel (outside the tiled
     world) gets no row, like a keyed rollup over its pixels."""
     return drop_zero_count(
-        landcover_majority_stage(tile_root, radius, key_col, classmap,
-                                 concurrency).on(poi),
+        landcover_majority_stage(tile_root, radius, "doc_id",
+                                 None).on(poi),
         "cnt_total")

@@ -83,7 +83,7 @@ def _world_tiles_root() -> str:
     """Lazily materialize the shared synthetic tile store under /tmp
     (idempotent, driver-side, ~30 MB/band)."""
     root = f"/tmp/greenex_world_{_world_docs_n()}"
-    synth.ensure_world(root, n_docs=_world_docs_n(), seed=42)
+    synth.ensure_world(root, n_docs=_world_docs_n())
     return os.path.join(root, "tiles")
 
 
@@ -197,8 +197,7 @@ def q_stac_lowest_cloud(sf_dir: str):
     a = ds.map_batches(aoi, batch_format="pyarrow", zero_copy_batch=True)
     return KernelStage(
         LowestCloudSelector,
-        dict(catalog_ref=shipped(_stac_catalog_from_supplier(sf_dir)),
-             max_cloud=20.0),
+        dict(catalog_ref=shipped(_stac_catalog_from_supplier(sf_dir))),
         dict(num_cpus=0.25)).on(a)
 
 
@@ -216,9 +215,7 @@ def q_line_buffer_ndvi(sf_dir: str):
                       "ay": pa.array(ay), "bx": pa.array(bx),
                       "by": pa.array(by)})
     return availability.mean_ndvi_line_aoi(
-        ray.data.from_arrow(edges), _world_tiles_root(), buffer_dist=50.0,
-        key_col="edge_id",
-    )
+        ray.data.from_arrow(edges), _world_tiles_root(), buffer_dist=50.0)
 
 
 def q_canopy_pct_rect(sf_dir: str):
@@ -231,8 +228,7 @@ def q_canopy_pct_rect(sf_dir: str):
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE).select_columns(["doc_id", "x", "y"])
     return KernelStage(
         RectCoverage,
-        dict(rects_ref=shipped(_rects_from_part(sf_dir)), half=250.0,
-             name="rect_cover"),
+        dict(rects_ref=shipped(_rects_from_part(sf_dir)), half=250.0),
         dict(num_cpus=0.25)).on(ds)
 
 
@@ -265,7 +261,7 @@ def q_landcover_pct(sf_dir: str):
 
 def q_dedup_exact(sf_dir: str):
     ds = dt.read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    out = dedup_stage.exact_dedup(ds, key_col="doc_id", text_col="text")
+    out = dedup_stage.exact_dedup(ds)
     return out.select_columns(["doc_id"])
 
 
@@ -304,7 +300,7 @@ def q_minhash_lsh(sf_dir: str):
     """MinHash+LSH near-dup candidate pairs (rows-only check; verified
     against exact n-gram Jaccard in tests)."""
     ds = dt.read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return dedup_stage.minhash_lsh_candidates(ds, key_col="doc_id")
+    return dedup_stage.minhash_lsh_candidates(ds)
 
 
 def q_near_dedup(sf_dir: str):
@@ -529,14 +525,13 @@ _SW_SQL = {
 }
 
 
-def _embedding_lsh_bucket_sql(vec_expr: str, dim: int = EMB_DIM,
-                              planes: int = 10, seed: int = 13) -> str:
+def _embedding_lsh_bucket_sql(vec_expr: str) -> str:
     """SQL expression for the hyperplane-LSH bucket id of ``vec_expr`` —
     the same seed-13 gaussian planes every EmbeddingLSH kernel draws,
     embedded as literals (full-precision repr round-trips exactly)."""
-    H = dedup_stage.EmbeddingLSH(dim=dim, planes=planes, seed=seed).H
+    H = dedup_stage.EmbeddingLSH(dim=EMB_DIM, planes=10).H
     terms = []
-    for p in range(planes):
+    for p in range(H.shape[1]):
         lit = "[" + ", ".join(repr(float(v)) for v in H[:, p]) + "]"
         terms.append(
             f"(CASE WHEN list_dot_product({vec_expr}, {lit}) > 0 "
@@ -548,7 +543,7 @@ def _embedding_lsh_bucket_sql(vec_expr: str, dim: int = EMB_DIM,
 def _minhash_perms_sql() -> str:
     """(perm, a, b) VALUES rows of the seed-7 MinHash permutation
     constants — the same numbers every MinHasher kernel draws."""
-    mh = dedup_stage.MinHasher(num_perm=64, shingle=5, seed=7)
+    mh = dedup_stage.MinHasher()
     return ",".join(
         f"({p},{int(mh.a[p])}::HUGEINT,{int(mh.b[p])}::HUGEINT)"
         for p in range(64)
@@ -2410,7 +2405,7 @@ ORACLE_SQL["orders_with_bulk_item"] = """
 
 def _world_paths() -> dict:
     n = _world_docs_n()
-    return synth.ensure_world(f"/tmp/greenex_world_{n}", n_docs=n, seed=42)
+    return synth.ensure_world(f"/tmp/greenex_world_{n}", n_docs=n)
 
 
 def _world_poi(limit: int | None = None):
@@ -2438,7 +2433,7 @@ def q_spans_mean_ndvi(sf_dir: str):
     stage = availability.mean_ndvi_stage(
         w["tiles"], 300.0, batch_size=_zonal_batch_size(_world_docs_n()))
     return append_metrics(
-        doc_src.read_documents(w["documents"], fused=stage.in_read), stage)
+        doc_src.read_documents(w["documents"], fused=stage.fused), stage)
 
 
 def q_spans_mean_ndvi_metrics(sf_dir: str):
@@ -2635,15 +2630,15 @@ def _seg_d2(px: str, py: str, ax: str, ay: str, bx: str, by: str) -> str:
             f" + ({qy} - {t} * {dy}) * ({qy} - {t} * {dy}))")
 
 
-def _viewshed_tables(radius_px: int = 25, res: float = 10.0):
+def _viewshed_tables():
     """(rays VALUES, weight VALUES) from the SAME ViewshedKernel the
     kernels build — ray order, Bresenham steps and the exp-decay weight
     grid are embedded as full-precision literals so the oracle shares
     them bit-for-bit (numpy and DuckDB libm differ in the last ulp)."""
     from ..state.viewshed import ViewshedKernel
 
-    k = ViewshedKernel(radius_px=radius_px, resolution=res,
-                       observer_height=1.7, replicate_arg_swap=True)
+    k = ViewshedKernel(radius_px=25, resolution=10.0,
+                       observer_height=1.7)
     rays = []
     for ri in range(k.ray_r.shape[0]):
         for si in range(k.ray_r.shape[1]):
@@ -2688,7 +2683,7 @@ def world_oracle_sql() -> dict[str, str]:
     recursive-CTE components and bounded-walk Dijkstra."""
     n = _world_docs_n()
     root = f"/tmp/greenex_world_{n}"
-    synth.ensure_world(root, n_docs=n, seed=42)
+    synth.ensure_world(root, n_docs=n)
     glob = f"{root}/documents/*.parquet"
     gs_pq = f"'{root}/greenspace.parquet'"
     can_pq = f"'{root}/canopy.parquet'"
@@ -3971,7 +3966,7 @@ def q_raster_downsample(sf_dir: str):
     from ..stages.focal import downsample_level
 
     w = _world_paths()
-    return downsample_level(w["tiles"], [(0, 0)], band="ndvi")
+    return downsample_level(w["tiles"], [(0, 0)])
 
 
 def q_contour_census(sf_dir: str):
@@ -3982,7 +3977,7 @@ def q_contour_census(sf_dir: str):
 
     w = _world_paths()
     tiles = [(a, b) for a in range(2) for b in range(2)] + [(7, 7)]
-    return contour_census(w["tiles"], tiles, band="ndvi", threshold=0.3)
+    return contour_census(w["tiles"], tiles)
 
 
 def q_viewshed_gvi(sf_dir: str):
@@ -3990,9 +3985,8 @@ def q_viewshed_gvi(sf_dir: str):
 
     poi, w = _world_poi(limit=int(os.environ.get("GREENEX_VIEWSHED_POIS", "300")))
     return drop_zero_count(vpipe.viewshed_stage(
-        w["network_nodes"], w["network_edges"], w["tiles"],
-        buffer_dist=100.0, viewing_dist=250.0, sample_dist=50.0,
-    ).on(poi), "nr_of_points")
+        w["network_nodes"], w["network_edges"], w["tiles"]).on(poi),
+        "nr_of_points")
 
 
 def q_composite_exposure(sf_dir: str):
@@ -4026,8 +4020,7 @@ def q_composite_exposure(sf_dir: str):
             nearest_greenspace_stage(cent, KNN_TARGET,
                                      "greenspace_within_target"),
             vpipe.viewshed_stage(w["network_nodes"], w["network_edges"],
-                                 w["tiles"], buffer_dist=100.0,
-                                 viewing_dist=250.0, sample_dist=50.0)):
+                                 w["tiles"])):
         docs = append_metrics(docs, stage)
     out = drop_zero_count(docs, "nr_of_points")
 
@@ -4054,9 +4047,7 @@ def q_streetview_gvi(sf_dir: str):
 
     poi, w = _world_poi()
     return vpipe.keep_sampled(vpipe.streetview_stage(
-        w["network_nodes"], w["network_edges"], w["image_features"],
-        buffer_dist=100.0,
-    ).on(poi))
+        w["network_nodes"], w["network_edges"], w["image_features"]).on(poi))
 
 
 def q_streetview_quarters(sf_dir: str):
@@ -4068,7 +4059,7 @@ def q_streetview_quarters(sf_dir: str):
     poi, w = _world_poi()
     return vpipe.keep_sampled(vpipe.streetview_stage(
         w["network_nodes"], w["network_edges"], w["image_features"],
-        buffer_dist=100.0, crop_by_road_centres=False,
+        crop_by_road_centres=False,
     ).on(poi))
 
 
@@ -4235,7 +4226,7 @@ def q_dissolve_distributed(sf_dir: str):
     flat = flat_rings_table(gs)  # vectorized from Arrow offset buffers
     polys = ray.data.from_arrow(
         flat.set_column(0, "gs_id", gs.column("gs_id")))
-    out = dissolve_dataset(polys, key_col="gs_id")
+    out = dissolve_dataset(polys)
     return out.map_batches(
         lambda b: pa.table({
             "rep_id": b.column("rep_id"),
@@ -4379,8 +4370,7 @@ def q_polygon_viewshed(sf_dir: str):
     rects, w = _world_rect_poly_docs(VS_POLY_POIS)
     return drop_zero_count(vpipe.viewshed_stage(
         w["network_nodes"], w["network_edges"], w["tiles"],
-        buffer_dist=None, viewing_dist=250.0, sample_dist=50.0,
-        poi_kind="polygon",
+        buffer_dist=None, poi_kind="polygon",
     ).on(rects), "nr_of_points")
 
 
@@ -4832,7 +4822,7 @@ def q_buffer_vertices(sf_dir: str):
         k = batch.column("doc_id").to_numpy(
             zero_copy_only=False).astype(np.int64)
         x, y = dt.derive_xy(k)
-        rings = geom.buffer_ngon_many(x, y, BUFFER_GATE_R, quad_segs=16)
+        rings = geom.buffer_ngon_many(x, y, BUFFER_GATE_R)
         n = rings.shape[1]
         return pa.table({
             "doc_id": pa.array(np.repeat(k, n)),
@@ -5154,7 +5144,7 @@ def q_focal_stats(sf_dir: str):
 
     w = _world_paths()
     tiles = [(a, b) for a in range(2) for b in range(2)]
-    return focal_stats(w["tiles"], tiles, band="ndvi")
+    return focal_stats(w["tiles"], tiles)
 
 
 def q_tile_pyramid(sf_dir: str):
@@ -5192,7 +5182,7 @@ def q_ols_trend(sf_dir: str):
 
     ds = dt.read_table(sf_dir, "events",
                        columns=["event_id", "event_type", "value"])
-    return group_ols(ds, "event_type", "event_id", "value", y_scale=100.0)
+    return group_ols(ds, "event_type", "event_id", "value")
 
 
 def q_mixture_sample(sf_dir: str):
@@ -5353,7 +5343,7 @@ def q_percent_rank_tokens(sf_dir: str):
     toks = ds.map_batches(text.token_count_batch, batch_format="pyarrow",
                           zero_copy_batch=True).select_columns(
         ["doc_id", "n_tokens"])
-    out = percent_rank(toks, "n_tokens", out_col="pct_rank")
+    out = percent_rank(toks, "n_tokens")
     return out.select_columns(["doc_id", "n_tokens", "pct_rank_q6"])
 
 
@@ -5562,7 +5552,7 @@ def q_pagerank(sf_dir: str):
     return pagerank(edges, iters=PR_ITERS, scale=PR_SCALE)
 
 
-def _pagerank_sql(iters: int = PR_ITERS, scale: int = PR_SCALE) -> str:
+def _pagerank_sql() -> str:
     """Unrolled k-iteration integer PageRank: identical floor divisions
     over identical int64s as stages/graphalgo.pagerank."""
     ctes = [
@@ -5571,9 +5561,9 @@ def _pagerank_sql(iters: int = PR_ITERS, scale: int = PR_SCALE) -> str:
         "nodes AS (SELECT src AS node FROM e UNION SELECT dst FROM e)",
         "od AS (SELECT src, CAST(count(*) AS BIGINT) AS deg FROM e"
         " GROUP BY src)",
-        f"r0 AS (SELECT node, CAST({scale} AS BIGINT) AS r FROM nodes)",
+        f"r0 AS (SELECT node, CAST({PR_SCALE} AS BIGINT) AS r FROM nodes)",
     ]
-    for i in range(1, iters + 1):
+    for i in range(1, PR_ITERS + 1):
         ctes.append(
             f"c{i} AS (SELECT e.dst AS node,"
             f" CAST(sum(r{i - 1}.r // od.deg) AS BIGINT) AS c"
@@ -5581,10 +5571,10 @@ def _pagerank_sql(iters: int = PR_ITERS, scale: int = PR_SCALE) -> str:
             f" JOIN r{i - 1} ON r{i - 1}.node = e.src GROUP BY e.dst)")
         ctes.append(
             f"r{i} AS (SELECT n.node,"
-            f" (15 * {scale} + 85 * coalesce(c.c, 0)) // 100 AS r"
+            f" (15 * {PR_SCALE} + 85 * coalesce(c.c, 0)) // 100 AS r"
             f" FROM nodes n LEFT JOIN c{i} c ON c.node = n.node)")
     return ("WITH " + ",\n    ".join(ctes)
-            + f'\n    SELECT node, r AS "rank" FROM r{iters}')
+            + f'\n    SELECT node, r AS "rank" FROM r{PR_ITERS}')
 
 
 ORACLE_SQL["pagerank"] = _pagerank_sql()
@@ -6105,7 +6095,7 @@ def q_hll_registers(sf_dir: str):
 
     stream = ds.map_batches(toks, batch_format="pyarrow",
                             zero_copy_batch=True)
-    return hll_registers(stream, "tok", p=8)
+    return hll_registers(stream, "tok")
 
 
 ORACLE_SQL["hll_registers"] = r"""
@@ -6163,7 +6153,7 @@ def q_cms_registers(sf_dir: str):
 
     stream = ds.map_batches(toks, batch_format="pyarrow",
                             zero_copy_batch=True)
-    return cms_registers(stream, "tok", d=4, log2w=6)
+    return cms_registers(stream, "tok")
 
 
 # count-min registers: same poly-hash token stream as hll_registers;
@@ -6262,7 +6252,7 @@ def q_embedding_gram(sf_dir: str):
     from ..stages.similarity import embedding_gram
 
     ds = dt.read_table(sf_dir, "embeddings", columns=["embedding"])
-    return embedding_gram(ds, dim=64)
+    return embedding_gram(ds)
 
 
 ORACLE_SQL["embedding_gram"] = """
@@ -6442,7 +6432,7 @@ def q_rollup_revenue(sf_dir: str):
     wide = ds.map_batches(add_year, batch_format="pyarrow",
                           zero_copy_batch=True)
     return rollup_sum(wide, ["o_orderpriority", "o_year"],
-                      "o_totalprice", scale=100.0)
+                      "o_totalprice")
 
 
 ORACLE_SQL["rollup_revenue"] = """
@@ -6471,7 +6461,7 @@ def q_pivot_user_events(sf_dir: str):
     ds = dt.read_table(sf_dir, "events",
                        columns=["user_id", "event_type", "value"])
     return pivot_count_sum(ds, "user_id", "event_type", _EVENT_TYPES,
-                           "value", scale=100.0)
+                           "value")
 
 
 ORACLE_SQL["pivot_user_events"] = """
@@ -6496,8 +6486,7 @@ def q_pearson(sf_dir: str):
 
     ds = dt.read_table(sf_dir, "events",
                        columns=["event_id", "event_type", "value"])
-    return group_pearson(ds, "event_type", "event_id", "value",
-                         y_scale=100.0)
+    return group_pearson(ds, "event_type", "event_id", "value")
 
 
 ORACLE_SQL["pearson"] = """
@@ -6560,7 +6549,7 @@ def q_window_overlap(sf_dir: str):
     iv = ds.map_batches(to_intervals, batch_format="pyarrow",
                         zero_copy_batch=True)
     return interval_overlap_count(iv, wins, "s", "e",
-                                  value_col="value", scale=100.0)
+                                  value_col="value")
 
 
 ORACLE_SQL["window_overlap"] = f"""
@@ -6606,7 +6595,7 @@ def q_cube_revenue(sf_dir: str):
     wide = ds.map_batches(add_year, batch_format="pyarrow",
                           zero_copy_batch=True)
     return cube_sum(wide, ["o_orderpriority", "o_year"],
-                    "o_totalprice", scale=100.0)
+                    "o_totalprice")
 
 
 ORACLE_SQL["cube_revenue"] = """
@@ -6647,7 +6636,7 @@ def q_box_overlap_join(sf_dir: str):
     boxes = ds.map_batches(to_boxes, batch_format="pyarrow",
                            zero_copy_batch=True)
     return cell_box_join(boxes, _rects_from_part(sf_dir),
-                         cell_size=CELL_SIZE, key_col="doc_id")
+                         cell_size=CELL_SIZE)
 
 
 ORACLE_SQL["box_overlap_join"] = f"""
@@ -6684,7 +6673,7 @@ def q_frame_sample_plan(sf_dir: str):
 
     w = _world_paths()
     docs = doc_src.read_documents(w["documents"])
-    return frame_sample_plan(docs, k=8).select_columns(
+    return frame_sample_plan(docs).select_columns(
         ["band", "tx", "ty", "n_frames", "frame_idx"])
 
 
@@ -6779,8 +6768,7 @@ def q_lsh_topk(sf_dir: str):
     sel = np.isin(ids, TOPK_QUERY_IDS)
     queries = {"query_id": ids[sel].tolist(), "vectors": V[sel]}
     ds = dt.read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    return similarity.lsh_topk(ds, queries, TOPK_K, EMB_DIM,
-                               n_planes=16, n_bands=4)
+    return similarity.lsh_topk(ds, queries, TOPK_K, EMB_DIM)
 
 
 ORACLE_SQL["lsh_topk"] = _lsh_topk_sql()
@@ -6808,7 +6796,7 @@ def q_bloom_bits(sf_dir: str):
 
     stream = ds.map_batches(toks, batch_format="pyarrow",
                             zero_copy_batch=True)
-    return bloom_bits(stream, "tok", mbits=1024, k=4)
+    return bloom_bits(stream, "tok")
 
 
 ORACLE_SQL["bloom_bits"] = r"""
@@ -6993,7 +6981,7 @@ def q_kmv_sample(sf_dir: str):
 
     stream = ds.map_batches(toks, batch_format="pyarrow",
                             zero_copy_batch=True)
-    return kmv_bottomk(stream, "tok", k=64)
+    return kmv_bottomk(stream, "tok")
 
 
 ORACLE_SQL["kmv_sample"] = r"""
@@ -7058,7 +7046,7 @@ def q_areal_weights(sf_dir: str):
     from ..stages.zonal import areal_cell_weights
 
     rects = ray.data.from_arrow(_rects_from_part(sf_dir))
-    return areal_cell_weights(rects, cell_size=CELL_SIZE, key_col="gs_id")
+    return areal_cell_weights(rects, cell_size=CELL_SIZE)
 
 
 ORACLE_SQL["areal_weights"] = f"""
@@ -7152,8 +7140,7 @@ def q_interval_join(sf_dir: str):
                           zero_copy_batch=True)
     right = ds.map_batches(intervals(1, "b_id"), batch_format="pyarrow",
                            zero_copy_batch=True)
-    return interval_join(left, right, _IJ_BUCKET_US,
-                         left_key="a_id", right_key="b_id")
+    return interval_join(left, right, _IJ_BUCKET_US)
 
 
 ORACLE_SQL["interval_join"] = """
@@ -7179,8 +7166,7 @@ def q_price_rank_ntile(sf_dir: str):
 
     ds = dt.read_table(sf_dir, "orders",
                        columns=["o_orderkey", "o_totalprice"])
-    return global_rank_ntile(ds, "o_totalprice", "o_orderkey",
-                             tiles=10, scale=100.0)
+    return global_rank_ntile(ds, "o_totalprice", "o_orderkey")
 
 
 ORACLE_SQL["price_rank_ntile"] = """
@@ -7481,7 +7467,7 @@ def q_convex_hull(sf_dir: str):
     from ..stages.geostats import group_convex_hull
 
     ds = dt.read_docs_with_xy(sf_dir, HULL_CELL)
-    return group_convex_hull(ds, key_col="cell")
+    return group_convex_hull(ds)
 
 
 # p is a hull point iff some edge p→q supports the group (every other
@@ -7591,8 +7577,7 @@ def q_d8_flow(sf_dir: str):
 
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE)
     out = d8_flow_direction(ds.select_columns(["doc_id", "x", "y"]),
-                            _world_tiles_root(), band="ndvi",
-                            res=synth.RASTER_RES)
+                            _world_tiles_root(), res=synth.RASTER_RES)
     return out.select_columns(["doc_id", "d8"])
 
 
@@ -7647,8 +7632,7 @@ def q_landcover_majority(sf_dir: str):
     ds = dt.read_docs_with_xy(sf_dir, CELL_SIZE)
     return availability.landcover_majority(
         ds.select_columns(["doc_id", "x", "y"]), _world_tiles_root(),
-        LULC_RADIUS, key_col="doc_id",
-    )
+        LULC_RADIUS)
 
 
 ORACLE_SQL["landcover_majority"] = "WITH " + _PIXELS_CTE.format(

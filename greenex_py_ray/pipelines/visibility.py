@@ -30,7 +30,6 @@ def viewshed_stage(
     sample_dist: float = 50.0,
     observer_height: float = 1.7,
     key_col: str = "doc_id",
-    concurrency: int | None = None,
     poi_kind: str = "point",
     per_point: bool = False,
 ) -> KernelStage:
@@ -55,7 +54,7 @@ def viewshed_stage(
         # PoIs per task: each costs tens of sample-point kernel calls, so
         # small batches still amortize a task and spread a few hundred
         # PoIs over the whole pool
-        dict(batch_size=32, num_cpus=1, concurrency=concurrency))
+        dict(batch_size=32, num_cpus=1))
 
 
 def streetview_stage(
@@ -64,7 +63,6 @@ def streetview_stage(
     features_path: str,
     buffer_dist: float | None = 100.0,
     key_col: str = "doc_id",
-    concurrency: int | None = None,
     poi_kind: str = "point",
     crop_by_road_centres: bool = True,
     per_point: bool = False,
@@ -90,7 +88,7 @@ def streetview_stage(
              per_point=per_point),
         # PoIs per task: a few hundred, so each task's index queries and
         # its worker's image memo amortize over many PoIs
-        dict(batch_size=256, num_cpus=1, concurrency=concurrency))
+        dict(batch_size=256, num_cpus=1))
 
 
 def keep_sampled(ds: "ray.data.Dataset") -> "ray.data.Dataset":

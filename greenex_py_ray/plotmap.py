@@ -36,17 +36,9 @@ from . import geom, geoproj
 _LEAFLET_CSS = "https://cdn.jsdelivr.net/npm/leaflet@1.9.3/dist/leaflet.css"
 _LEAFLET_JS = "https://cdn.jsdelivr.net/npm/leaflet@1.9.3/dist/leaflet.js"
 
-_TILES = {
-    "openstreetmap": (
-        "https://tile.openstreetmap.org/{z}/{x}/{y}.png",
-        "&copy; OpenStreetMap contributors",
-    ),
-    # the reference's nature-map variant (availability.py:326)
-    "cartodb positron": (
-        "https://{s}.basemaps.cartocdn.com/light_all/{z}/{x}/{y}.png",
-        "&copy; OpenStreetMap contributors &copy; CARTO",
-    ),
-}
+#: the base-map tiles and their attribution
+_TILES = ("https://tile.openstreetmap.org/{z}/{x}/{y}.png",
+          "&copy; OpenStreetMap contributors")
 
 _DEFAULT_STYLES = [
     {"color": "#3388ff", "weight": 2, "fillOpacity": 0.2},
@@ -159,8 +151,8 @@ def layer_features(rows: list[dict], kind: str, src_crs: str,
 
 
 def write_map_html(out_path: str, layers: list[dict], title: str | None = None,
-                   src_crs: str = "EPSG:4326", zoom: int = 10,
-                   tiles: str = "openstreetmap", row_cap: int = 10_000) -> str:
+                   src_crs: str = "EPSG:4326",
+                   row_cap: int = 10_000) -> str:
     """Write a self-contained Leaflet HTML map.
 
     ``layers``: list of ``{"name", "data", "kind", "tooltip_fields"?,
@@ -169,8 +161,6 @@ def write_map_html(out_path: str, layers: list[dict], title: str | None = None,
     ``poi.unary_union.centroid``, accessibility.py:187) and gets a
     layer control plus the centered ``<h3>`` title.  Returns the path.
     """
-    if tiles not in _TILES:
-        raise ValueError(f"tiles must be one of {sorted(_TILES)}")
     rendered = []
     all_lon, all_lat = [], []
     for i, spec in enumerate(layers):
@@ -192,7 +182,7 @@ def write_map_html(out_path: str, layers: list[dict], title: str | None = None,
         })
     center = ([float(np.mean(all_lat)), float(np.mean(all_lon))]
               if all_lon else [0.0, 0.0])
-    url, attr = _TILES[tiles]
+    url, attr = _TILES
 
     layer_js = []
     for lyr in rendered:
@@ -237,7 +227,7 @@ def write_map_html(out_path: str, layers: list[dict], title: str | None = None,
 <style>#map {{ height: 94vh; }}</style></head>
 <body>{title_html}<div id="map"></div>
 <script>
-var map = L.map('map').setView({_js(center)}, {zoom});
+var map = L.map('map').setView({_js(center)}, 10);
 L.tileLayer({_js(url)}, {{attribution: {_js(attr)}}}).addTo(map);
 var overlays = {{}}; {overlay_init};
 {os.linesep.join(layer_js)}

@@ -90,16 +90,15 @@ def _first_rows(groups: list[tuple], limit: int | None) -> list[tuple]:
     return kept
 
 
-def plan_reads(groups: list[tuple], num_tasks: int,
-               limit: int | None = None) -> list[list[tuple]]:
-    """The first ``limit`` rows (all rows when ``None``) of the row
-    groups ``groups``, in their order, as at most ``num_tasks`` tasks of
-    whole row groups near-equal in rows: a group goes to the task its
-    middle row falls in, so no group is read by two tasks, and there
-    are no more tasks than groups (one empty task for no rows).  Each
-    task is a list of ``(file, row group, rows)`` in row order, the
-    last group's ``rows`` cut at the limit."""
-    kept = _first_rows(groups, limit)
+def plan_reads(groups: list[tuple], num_tasks: int) -> list[list[tuple]]:
+    """The row groups ``groups`` (a limited read's are cut by
+    :func:`_first_rows` first), in their order, as at most ``num_tasks``
+    tasks of whole row groups near-equal in rows: a group goes to the
+    task its middle row falls in, so no group is read by two tasks, and
+    there are no more tasks than non-empty groups (one empty task for
+    no rows).  Each task is a list of ``(file, row group, rows)`` in row
+    order."""
+    kept = [g for g in groups if g[2]]
     total = sum(g[2] for g in kept)
     if not total:
         return [[]]
@@ -263,8 +262,7 @@ class DecodeGeom:
 
     def __init__(self, cell_size: float = cells.DEFAULT_CELL_SIZE,
                  parse_polygons: bool = False,
-                 src_crs: str | None = None, dst_crs: str = "EPSG:3395",
-                 kind: str | None = None):
+                 src_crs: str | None = None, kind: str | None = None):
         """``src_crs`` set (e.g. "EPSG:4326") reprojects decoded (x, y)
         into ``dst_crs`` — the reference's geographic→projected guard
         (M2, accessibility.py:40-50; default target EPSG:3395 like
@@ -272,7 +270,7 @@ class DecodeGeom:
         self.cell_size = cell_size
         self.parse_polygons = parse_polygons
         self.src_crs = src_crs
-        self.dst_crs = dst_crs
+        self.dst_crs = "EPSG:3395"
         self.kind = kind
 
     def _project(self, x, y):
@@ -339,9 +337,8 @@ class DecodeGeom:
         )
 
 
-def decode_geom(ds: "ray.data.Dataset", cell_size: float = cells.DEFAULT_CELL_SIZE,
-                src_crs: str | None = None, dst_crs: str = "EPSG:3395"):
-    return ds.map_batches(DecodeGeom(cell_size, src_crs=src_crs, dst_crs=dst_crs),
+def decode_geom(ds: "ray.data.Dataset", src_crs: str | None = None):
+    return ds.map_batches(DecodeGeom(cells.DEFAULT_CELL_SIZE, src_crs=src_crs),
                           batch_format="pyarrow", zero_copy_batch=True)
 
 

@@ -126,8 +126,11 @@ def read_geotiff(path: str):
     return arr, meta
 
 
-def ingest_to_tiles(path: str, out_dir: str, band: str,
-                    tile_px: int = 256) -> dict:
+#: pixels per side of an ingested tile
+TILE_PX = 256
+
+
+def ingest_to_tiles(path: str, out_dir: str, band: str) -> dict:
     """Raster file → the engine's tiled parquet store.
 
     Returns ``{"shift_x", "shift_y", "res", ...}``: the translation that
@@ -171,27 +174,27 @@ def ingest_to_tiles(path: str, out_dir: str, band: str,
     sw_x = meta["x0"]
     sw_y = meta["y0"] - h * res
     shift_x, shift_y = -sw_x, -sw_y  # local frame starts at (0, 0)
-    ntx = int(np.ceil(w / tile_px))
-    nty = int(np.ceil(h / tile_px))
+    ntx = int(np.ceil(w / TILE_PX))
+    nty = int(np.ceil(h / TILE_PX))
     os.makedirs(out_dir, exist_ok=True)
     rows = {k: [] for k in ("tile_id", "band", "tix", "tiy", "x0", "y0",
                             "res", "w", "h", "data")}
     pad = np.nan if np.issubdtype(dtype, np.floating) else fill
     for tix in range(ntx):
         for tiy in range(nty):
-            tile = np.full((tile_px, tile_px), pad, dtype=dtype)
-            src = south[tiy * tile_px:(tiy + 1) * tile_px,
-                        tix * tile_px:(tix + 1) * tile_px]
+            tile = np.full((TILE_PX, TILE_PX), pad, dtype=dtype)
+            src = south[tiy * TILE_PX:(tiy + 1) * TILE_PX,
+                        tix * TILE_PX:(tix + 1) * TILE_PX]
             tile[: src.shape[0], : src.shape[1]] = src
             rows["tile_id"].append(f"{band}/{tix}_{tiy}")
             rows["band"].append(band)
             rows["tix"].append(tix)
             rows["tiy"].append(tiy)
-            rows["x0"].append(tix * tile_px * res)
-            rows["y0"].append(tiy * tile_px * res)
+            rows["x0"].append(tix * TILE_PX * res)
+            rows["y0"].append(tiy * TILE_PX * res)
             rows["res"].append(res)
-            rows["w"].append(tile_px)
-            rows["h"].append(tile_px)
+            rows["w"].append(TILE_PX)
+            rows["h"].append(TILE_PX)
             rows["data"].append(tile.tobytes())
     t = pa.table({
         "tile_id": pa.array(rows["tile_id"], pa.string()),
@@ -216,7 +219,7 @@ def ingest_to_tiles(path: str, out_dir: str, band: str,
         # and passes unknown codes through numerically
         # (availability.py:447-450,556 ``classmap.get(x, x)``)
         codes = {int(c) for c in np.unique(south).tolist()}
-        if w % tile_px or h % tile_px:
+        if w % TILE_PX or h % TILE_PX:
             # edge tiles were padded with the sentinel — include it so
             # the derived classmap labels those pixels 'nodata' and
             # percentages still sum to 100 for AoIs past the bounds

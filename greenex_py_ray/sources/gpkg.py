@@ -125,8 +125,9 @@ def parse_gpkg_blob(blob: bytes):
     return _parse_wkb(_Cursor(blob, 8 + env_len))
 
 
-def read_gpkg(path: str, layer: str | None = None) -> pa.Table:
-    """Read one GeoPackage layer into an Arrow table (see module doc).
+def read_gpkg(path: str) -> pa.Table:
+    """Read the first GeoPackage feature layer into an Arrow table (see
+    module doc).
 
     The table's schema metadata carries ``crs`` = ``EPSG:<srs_id>``.
     """
@@ -135,10 +136,8 @@ def read_gpkg(path: str, layer: str | None = None) -> pa.Table:
         rows = con.execute(
             "SELECT table_name, column_name, srs_id FROM gpkg_geometry_columns"
         ).fetchall()
-        if layer is not None:
-            rows = [r for r in rows if r[0] == layer]
         if not rows:
-            raise ValueError(f"no feature layer {layer!r} in {path}")
+            raise ValueError(f"no feature layer in {path}")
         table, geom_col, srs = rows[0]
         cols = [c[1] for c in con.execute(f'PRAGMA table_info("{table}")')]
         attr_cols = [c for c in cols if c != geom_col]
@@ -176,8 +175,9 @@ def read_gpkg(path: str, layer: str | None = None) -> pa.Table:
     return t.replace_schema_metadata({b"crs": f"EPSG:{srs}".encode()})
 
 
-def gpkg_crs(path: str, layer: str | None = None) -> str:
-    """CRS tag (``EPSG:<srs_id>``) of a layer — metadata-only query."""
+def gpkg_crs(path: str) -> str:
+    """CRS tag (``EPSG:<srs_id>``) of the first feature layer —
+    metadata-only query."""
     con = sqlite3.connect(path)
     try:
         rows = con.execute(
@@ -185,15 +185,12 @@ def gpkg_crs(path: str, layer: str | None = None) -> str:
         ).fetchall()
     finally:
         con.close()
-    if layer is not None:
-        rows = [r for r in rows if r[0] == layer]
     if not rows:
-        raise ValueError(f"no feature layer {layer!r} in {path}")
+        raise ValueError(f"no feature layer in {path}")
     return f"EPSG:{rows[0][1]}"
 
 
-def polygons_to_rings(t: pa.Table, dst_crs: str | None = None,
-                      id_col: str | None = None) -> pa.Table:
+def polygons_to_rings(t: pa.Table, dst_crs: str | None = None) -> pa.Table:
     """Flattened ``ring_x``/``ring_y``/``ring_sizes`` (as produced by
     :func:`read_gpkg` for polygon layers) → the engine's nested polygon
     model: ``gs_id`` + ``rings`` (``list<list<struct<x, y>>>``, even-odd),
@@ -217,8 +214,7 @@ def polygons_to_rings(t: pa.Table, dst_crs: str | None = None,
                           for k in range(s)])
             off += s
         rings_col.append(rings)
-    ids = (t.column(id_col).to_pylist() if id_col
-           else list(range(t.num_rows)))
+    ids = list(range(t.num_rows))
     pt = pa.struct([("x", pa.float64()), ("y", pa.float64())])
     out = pa.table({
         "gs_id": pa.array(ids, pa.int64()),
@@ -273,8 +269,7 @@ def _sql_type(t: pa.DataType) -> str:
     return "TEXT"
 
 
-def write_gpkg(t: pa.Table, path: str, layer: str = "results",
-               crs: str = "EPSG:3395") -> None:
+def write_gpkg(t: pa.Table, path: str, layer: str = "results") -> None:
     """Write an Arrow table as a one-layer GeoPackage (OGC 12-128r) —
     the reverse of :func:`read_gpkg`, so the reference's QGIS/geopandas
     round trip works (`accessibility.py:173-180`, `availability.py:294-301`
@@ -313,7 +308,7 @@ def write_gpkg(t: pa.Table, path: str, layer: str = "results",
                 f"nested column {c!r} is not representable in a "
                 "GeoPackage attribute table; drop it (spans belong to "
                 "the parquet sink)")
-    srs_id = int(str(crs).split(":")[-1]) if ":" in str(crs) else int(crs)
+    srs_id = 3395
 
     if os.path.exists(path):
         os.remove(path)

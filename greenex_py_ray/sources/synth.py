@@ -128,13 +128,13 @@ def tile_array(band: str, tix: int, tiy: int) -> np.ndarray:
     return _FIELDS[band](gx, gy)
 
 
-def write_raster_tiles(out_dir: str, bands=BANDS, extent: float = WORLD) -> str:
+def write_raster_tiles(out_dir: str) -> str:
     """Materialize the tile store as partitioned parquet: one row per
     (band, tile), data = float32/int16 row-major bytes.  Layout mirrors a
     Lance fragment set: file per band, tile_id addressable."""
     os.makedirs(out_dir, exist_ok=True)
-    ntiles = int(np.ceil(extent / TILE_SIZE))
-    for band in bands:
+    ntiles = int(np.ceil(WORLD / TILE_SIZE))
+    for band in BANDS:
         rows = {
             "tile_id": [], "band": [], "tix": [], "tiy": [],
             "x0": [], "y0": [], "res": [], "w": [], "h": [], "data": [],
@@ -326,7 +326,7 @@ def _rect_table(cx, cy, w, h, ids) -> pa.Table:
              .append_column("y1", pa.array(cy + h)))
 
 
-def make_greenspace(n: int = 120, seed: int = 43) -> pa.Table:
+def make_greenspace() -> pa.Table:
     """Axis-aligned rectangles, a third of them chained onto the
     previous rect's center so overlapping clusters exist (exercises the
     dissolve of ``accessibility.py:125-127``).
@@ -337,7 +337,8 @@ def make_greenspace(n: int = 120, seed: int = 43) -> pa.Table:
     distance, components, slab-decomposition union area/centroid).
     General/concave/holed geometry stays covered by the pytest parity
     fixtures in ``tests/``."""
-    rng = np.random.default_rng(seed)
+    n = 120
+    rng = np.random.default_rng(43)
     cx = np.empty(n)
     cy = np.empty(n)
     for i in range(n):
@@ -352,10 +353,11 @@ def make_greenspace(n: int = 120, seed: int = 43) -> pa.Table:
     return _rect_table(cx, cy, w, h, list(range(n)))
 
 
-def make_canopy(n: int = 300, seed: int = 44) -> pa.Table:
+def make_canopy() -> pa.Table:
     """Axis-aligned canopy rectangles (world v3, same rationale as
     :func:`make_greenspace`)."""
-    rng = np.random.default_rng(seed)
+    n = 300
+    rng = np.random.default_rng(44)
     cx = rng.uniform(200, WORLD - 200, n)
     cy = rng.uniform(200, WORLD - 200, n)
     w = rng.uniform(15, 120, n)
@@ -368,10 +370,11 @@ def make_canopy(n: int = 300, seed: int = 44) -> pa.Table:
 # ---------------------------------------------------------------------------
 
 
-def make_network(spacing: float = 200.0, seed: int = 45) -> tuple[pa.Table, pa.Table]:
+def make_network() -> tuple[pa.Table, pa.Table]:
     """Grid street network over the whole world: nodes at grid corners,
     edges horizontal/vertical plus deterministic diagonals."""
-    rng = np.random.default_rng(seed)
+    spacing = 200.0
+    rng = np.random.default_rng(45)
     m = int(WORLD // spacing) + 1
     ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     node_id = (ii * m + jj).ravel().astype(np.int64)
@@ -409,8 +412,9 @@ def make_network(spacing: float = 200.0, seed: int = 45) -> tuple[pa.Table, pa.T
 # ---------------------------------------------------------------------------
 
 
-def make_image_features(n: int = 2000, seed: int = 46) -> pa.Table:
-    rng = np.random.default_rng(seed)
+def make_image_features() -> pa.Table:
+    n = 2000
+    rng = np.random.default_rng(46)
     x = rng.uniform(0, WORLD, n)
     y = rng.uniform(0, WORLD, n)
     ids = [f"img-{i:08d}" for i in range(n)]

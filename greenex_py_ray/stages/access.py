@@ -46,20 +46,16 @@ class NearestGreenspace:
     worker, in ``__init__``.
     """
 
-    def __init__(self, centroids_ref, target_dist: float, key_col: str = "doc_id",
-                 index_cell: float = 500.0,
-                 dist_name: str = "distance_to_greenspace",
+    def __init__(self, centroids_ref, target_dist: float,
                  flag_name: str = "greenspace_within_target"):
         t = side_table(centroids_ref)  # pa.Table {gs_id, cx, cy}
         self.index = GridIndex(
             t.column("cx").to_numpy(zero_copy_only=False),
-            t.column("cy").to_numpy(zero_copy_only=False),
-            cell_size=index_cell,
-        )
+            t.column("cy").to_numpy(zero_copy_only=False))
         self.gs_ids = t.column("gs_id").to_numpy(zero_copy_only=False)
         self.target = float(target_dist)
-        self.key_col = key_col
-        self.dist_name = dist_name
+        self.key_col = "doc_id"
+        self.dist_name = "distance_to_greenspace"
         self.flag_name = flag_name
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -89,17 +85,15 @@ class PointsInRects:
     Emits one row per (point, containing rect): (key, gs_id).
     """
 
-    def __init__(self, rects_ref, key_col: str = "doc_id", index_cell: float = 1000.0):
+    def __init__(self, rects_ref):
         t = side_table(rects_ref)  # pa.Table {gs_id, x0, y0, x1, y1}
         self.index = RectIndex(
             t.column("x0").to_numpy(zero_copy_only=False),
             t.column("y0").to_numpy(zero_copy_only=False),
             t.column("x1").to_numpy(zero_copy_only=False),
             t.column("y1").to_numpy(zero_copy_only=False),
-            t.column("gs_id").to_numpy(zero_copy_only=False),
-            cell_size=index_cell,
-        )
-        self.key_col = key_col
+            t.column("gs_id").to_numpy(zero_copy_only=False))
+        self.key_col = "doc_id"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         x = batch.column("x").to_numpy(zero_copy_only=False)
@@ -251,8 +245,7 @@ def _ratio_table(poi: "ray.data.Dataset", fac: pa.Table, step1: type,
 
 
 def two_step_fca(poi: "ray.data.Dataset", facilities: "pa.Table",
-                 radius: float,
-                 key_col: str = "doc_id") -> "ray.data.Dataset":
+                 radius: float) -> "ray.data.Dataset":
     """Two-step floating catchment area accessibility (2SFCA, Luo &
     Wang 2003) with a binary catchment: step 1 computes each
     facility's supply-to-demand ratio ``R_j = S_j / |{i : d_ij <= r}|``;
@@ -267,7 +260,7 @@ def two_step_fca(poi: "ray.data.Dataset", facilities: "pa.Table",
     fac = _ratio_table(poi, _supply_table(facilities), FCADemandCount,
                        dict(radius=radius), "n", FCA_SCALE)
     return _catchment_stage(FCAAccess, fac,
-                            dict(radius=radius, key_col=key_col)).on(poi)
+                            dict(radius=radius, key_col="doc_id")).on(poi)
 
 
 #: gravity weight quantization (micro-units per supply unit)
@@ -302,13 +295,13 @@ class GravityAccess(_Catchment):
 
 
 def gravity_access(poi: "ray.data.Dataset", facilities: "pa.Table",
-                   theta: float = 400.0, cutoff: float = 1500.0,
-                   key_col: str = "doc_id") -> "ray.data.Dataset":
+                   theta: float = 400.0,
+                   cutoff: float = 1500.0) -> "ray.data.Dataset":
     """Gravity/potential accessibility (see :class:`GravityAccess`);
     supply = greenspace rect area like :func:`two_step_fca`."""
     return _catchment_stage(GravityAccess, _supply_table(facilities),
                             dict(theta=theta, cutoff=cutoff,
-                                 key_col=key_col)).on(poi)
+                                 key_col="doc_id")).on(poi)
 
 
 #: E2SFCA decay-weight quantization (micro-units)
@@ -362,8 +355,8 @@ class E2Access(E2DemandWeight):
 
 
 def enhanced_two_step_fca(poi: "ray.data.Dataset", facilities: "pa.Table",
-                          sigma: float = 500.0, cutoff: float = 1500.0,
-                          key_col: str = "doc_id") -> "ray.data.Dataset":
+                          sigma: float = 500.0,
+                          cutoff: float = 1500.0) -> "ray.data.Dataset":
     """E2SFCA (Luo & Qi 2009): 2SFCA with a Gaussian distance decay in
     BOTH steps.  ``denom = 2σ²`` is precomputed once so both engines
     divide by the identical double; weights and ratios are int64 (see
@@ -373,4 +366,4 @@ def enhanced_two_step_fca(poi: "ray.data.Dataset", facilities: "pa.Table",
                        dict(denom=denom, cutoff=cutoff), "wsum", E2_RQ)
     return _catchment_stage(E2Access, fac,
                             dict(denom=denom, cutoff=cutoff,
-                                 key_col=key_col)).on(poi)
+                                 key_col="doc_id")).on(poi)

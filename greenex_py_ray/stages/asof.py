@@ -28,14 +28,11 @@ def asof_join_latest(
     right_ts: str,
     left_id: str,
     out_col: str = "asof_ts",
-    num_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """For each left row: the max right ``right_ts`` with matching key
     and ``right_ts <= left_ts`` (microsecond int64; null on no match).
 
     Returns (left_id, left_ts, out_col)."""
-    if num_buckets is None:
-        num_buckets = 16
 
     def tag_left(batch: pa.Table) -> pa.Table:
         k = batch.column(left_key).to_numpy(zero_copy_only=False)
@@ -81,7 +78,7 @@ def asof_join_latest(
         return pd.DataFrame({left_id: m["row_id"].to_numpy(dtype="int64"),
                              out_col: m["rts"].to_numpy(dtype="float64") / 1e6})
 
-    return bucket_exchange([lt, rt], "k", merge, num_buckets, "pandas")
+    return bucket_exchange([lt, rt], "k", merge, 16, "pandas")
 
 
 def _lex_searchsorted(
@@ -124,7 +121,6 @@ def range_join_count(
     left_id: str,
     window_us: int,
     out_col: str = "n_in_window",
-    num_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """Temporal range join: per left row, COUNT of right rows with the
     same key and ``left_ts - window <= right_ts <= left_ts``.
@@ -132,8 +128,6 @@ def range_join_count(
     Same bucketed co-partition shape as the as-of join; the per-bucket
     body is two vectorized searchsorted passes over the right side's
     sorted timestamps per key."""
-    if num_buckets is None:
-        num_buckets = 16
 
     def tag(batch: pa.Table, key, ts, rid, side) -> pa.Table:
         k = batch.column(key).to_numpy(zero_copy_only=False)
@@ -170,13 +164,10 @@ def range_join_count(
         return pd.DataFrame({left_id: lg["row_id"].to_numpy(dtype="int64"),
                              out_col: out})
 
-    return bucket_exchange([lt, rt], "k", count, num_buckets, "pandas")
+    return bucket_exchange([lt, rt], "k", count, 16, "pandas")
 
 
-def sessionize(ds: "ray.data.Dataset", gap_us: int,
-               user_col: str = "user_id", ts_col: str = "ts",
-               order_col: str = "event_id", value_col: str = "value",
-               num_buckets: int = 64) -> "ray.data.Dataset":
+def sessionize(ds: "ray.data.Dataset", gap_us: int) -> "ray.data.Dataset":
     """Gap-based sessionization: per user, ordered events split into
     sessions wherever the inter-event gap exceeds ``gap_us``
     (microseconds — integer comparison, exactly SQL-reproducible);
@@ -184,26 +175,26 @@ def sessionize(ds: "ray.data.Dataset", gap_us: int,
     sum.
 
     Scale shape: users are HASH-BUCKETED (one ``bucket_exchange``)
-    so the shuffle has ``num_buckets`` groups, not one pandas call per
+    so the shuffle has 64 groups, not one pandas call per
     user; inside a bucket the multi-user kernel is one lexsort +
     vectorized break/reduceat pass.  Timestamps ride as int64
     microseconds end-to-end."""
     def project(b: pa.Table) -> pa.Table:
-        ts = b.column(ts_col)
+        ts = b.column("ts")
         if pa.types.is_timestamp(ts.type):
             ts = ts.cast(pa.int64())
         return pa.table({
-            user_col: b.column(user_col),
+            "user_id": b.column("user_id"),
             "ts_us": ts,
-            order_col: b.column(order_col),
-            value_col: b.column(value_col),
+            "event_id": b.column("event_id"),
+            "value": b.column("value"),
         })
 
     def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        u = g[user_col].to_numpy(np.int64)
+        u = g["user_id"].to_numpy(np.int64)
         t = g["ts_us"].to_numpy(np.int64)
-        e = g[order_col].to_numpy(np.int64)
-        v = g[value_col].to_numpy(np.float64)
+        e = g["event_id"].to_numpy(np.int64)
+        v = g["value"].to_numpy(np.float64)
         order = np.lexsort((e, t, u))
         u, t, e, v = u[order], t[order], e[order], v[order]
         brk = np.ones(len(u), dtype=bool)
@@ -221,7 +212,7 @@ def sessionize(ds: "ray.data.Dataset", gap_us: int,
         sess_id = sess - np.repeat(first_sess_of_user, runs)
         counts = np.diff(np.concatenate((starts, [len(u)])))
         return pd.DataFrame({
-            user_col: u[starts],
+            "user_id": u[starts],
             "session_id": sess_id[starts],
             "n_events": counts.astype(np.int64),
             "start_us": t[starts],
@@ -232,4 +223,4 @@ def sessionize(ds: "ray.data.Dataset", gap_us: int,
     return bucket_exchange(
         ds.map_batches(project, batch_format="pyarrow",
                        zero_copy_batch=True),
-        user_col, kernel, num_buckets, "pandas")
+        "user_id", kernel, 64, "pandas")

@@ -53,15 +53,15 @@ def _unpack(ck: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cx, cy
 
 
-def grid_dbscan(ds: "ray.data.Dataset", cell_size: float, min_pts: int,
-                x_col: str = "x", y_col: str = "y") -> "ray.data.Dataset":
+def grid_dbscan(ds: "ray.data.Dataset", cell_size: float,
+                min_pts: int) -> "ray.data.Dataset":
     """Returns one row per OCCUPIED cell:
     (ix, iy, n, core: bool, cluster: int64 | NULL)."""
     from .dedup import connected_components
 
     def counts(batch: pa.Table) -> pa.Table:
-        x = batch.column(x_col).to_numpy(zero_copy_only=False)
-        y = batch.column(y_col).to_numpy(zero_copy_only=False)
+        x = batch.column("x").to_numpy(zero_copy_only=False)
+        y = batch.column("y").to_numpy(zero_copy_only=False)
         cx = np.floor(x / cell_size).astype(np.int64)
         cy = np.floor(y / cell_size).astype(np.int64)
         uk, cnt = np.unique(_pack(cx, cy), return_counts=True)

@@ -27,11 +27,9 @@ from ..functions.exchange import bucket_exchange
 
 
 def compact_latest(base: "ray.data.Dataset", updates: "ray.data.Dataset",
-                   key_col: str, version_col: str,
-                   num_buckets: int = 64,
-                   tie_col: str | None = None) -> "ray.data.Dataset":
+                   key_col: str, version_col: str) -> "ray.data.Dataset":
     """Merge ``updates`` over ``base``; highest version per key wins."""
-    sort_cols = [key_col, version_col] + ([tie_col] if tie_col else [])
+    sort_cols = [key_col, version_col]
 
     def latest(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(sort_cols, kind="stable")
@@ -41,4 +39,4 @@ def compact_latest(base: "ray.data.Dataset", updates: "ray.data.Dataset",
         return latest(df).drop(columns="__bucket")
 
     part = base.union(updates).map_batches(latest, batch_format="pandas")
-    return bucket_exchange(part, key_col, finish, num_buckets, "pandas")
+    return bucket_exchange(part, key_col, finish, 64, "pandas")

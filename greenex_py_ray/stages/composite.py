@@ -28,15 +28,14 @@ import ray.data
 from ..functions.exchange import bucket_exchange
 
 
-def max_composite_stats(tiles: "ray.data.Dataset", n_dates: int,
-                        q_scale: float = 1e6,
-                        num_buckets: int = 32) -> "ray.data.Dataset":
+def max_composite_stats(tiles: "ray.data.Dataset",
+                        n_dates: int) -> "ray.data.Dataset":
     """Per-tile stats of the per-pixel MAX across dates.
 
     Input rows: ``(tx, ty, date, vals)`` with every tile present for
     every date and equal-length ``vals``.  Returns ``(tx, ty, n_px,
-    sum_q, mean_v)`` with ``sum_q = Σ round(max_d v · q_scale)`` exact
-    int64 and ``mean_v = sum_q / n_px / q_scale``.
+    sum_q, mean_v)`` with ``sum_q = Σ round(max_d v · 1e6)`` exact
+    int64 and ``mean_v = sum_q / n_px / 1e6``.
     """
 
     def reduce_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -45,7 +44,7 @@ def max_composite_stats(tiles: "ray.data.Dataset", n_dates: int,
         flat = np.concatenate(df["vals"].to_numpy()).reshape(
             len(df) // n_dates, n_dates, npx)
         comp = flat.max(axis=1)
-        vq = np.round(comp * q_scale, 0).astype(np.int64)
+        vq = np.round(comp * 1e6, 0).astype(np.int64)
         sum_q = vq.sum(axis=1)
         tx = df["tx"].to_numpy()[::n_dates]
         ty = df["ty"].to_numpy()[::n_dates]
@@ -53,10 +52,10 @@ def max_composite_stats(tiles: "ray.data.Dataset", n_dates: int,
             "tx": tx, "ty": ty,
             "n_px": np.full(len(tx), npx, dtype=np.int64),
             "sum_q": sum_q,
-            "mean_v": sum_q.astype(np.float64) / npx / q_scale,
+            "mean_v": sum_q.astype(np.float64) / npx / 1e6,
         })
 
-    return bucket_exchange(tiles, ["tx", "ty"], reduce_bucket, num_buckets,
+    return bucket_exchange(tiles, ["tx", "ty"], reduce_bucket, 32,
                            "pandas")
 
 

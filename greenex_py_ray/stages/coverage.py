@@ -73,7 +73,7 @@ def _polys_list(gs: pa.Table) -> "list[list[np.ndarray]]":
     ]
 
 
-def union_area_of_convex(polys: list[np.ndarray], max_depth: int = 12) -> float:
+def union_area_of_convex(polys: list[np.ndarray]) -> float:
     """Area of the union of CONVEX polygons via inclusion–exclusion.
 
     Intersections of convex sets are convex (successive S–H clips), so
@@ -96,7 +96,7 @@ def union_area_of_convex(polys: list[np.ndarray], max_depth: int = 12) -> float:
             if a <= 0.0:
                 continue
             total += sign * a
-            if depth < max_depth:
+            if depth < 12:
                 rec(j + 1, inter, depth + 1, -sign)
 
     rec(0, None, 1, 1.0)
@@ -116,8 +116,7 @@ class RectCoverage:
     decimals so summation order cannot flip the gate hash.
     """
 
-    def __init__(self, rects_ref, half: float, key_col: str = "doc_id",
-                 name: str = "rect_cover"):
+    def __init__(self, rects_ref, half: float):
         t = side_table(rects_ref)
         self.x0 = t.column("x0").to_numpy(zero_copy_only=False).astype(np.float64)
         self.y0 = t.column("y0").to_numpy(zero_copy_only=False).astype(np.float64)
@@ -130,8 +129,8 @@ class RectCoverage:
             self.x0 - half, self.y0 - half, self.x1 + half, self.y1 + half,
             np.arange(len(self.x0)),
         )
-        self.key_col = key_col
-        self.name = name
+        self.key_col = "doc_id"
+        self.name = "rect_cover"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         x = batch.column("x").to_numpy(zero_copy_only=False)
@@ -162,7 +161,7 @@ class PolygonCoverage:
     stringified ``"12.31%"`` when ``stringify=True``.
     """
 
-    def __init__(self, polys_ref, buffer_dist: float, key_col: str = "doc_id",
+    def __init__(self, polys_ref, buffer_dist: float,
                  name: str = "canopy_cover", stringify: bool = False,
                  quad_segs: int = 16, dissolve: bool = True,
                  aoi_shape: str = "circle"):
@@ -192,14 +191,14 @@ class PolygonCoverage:
              for gi, grp in enumerate(groups) for p in grp for r in p]
         )
         self.vert_owner = owner
-        self.vert_index = GridIndex(vx, vy, cell_size=500.0)
+        self.vert_index = GridIndex(vx, vy)
         self.max_span = max(
             (float(np.hypot(*(r.max(0) - r.min(0))))
              for grp in groups for p in grp for r in p),
             default=0.0,
         )
         self.buffer_dist = float(buffer_dist)
-        self.key_col = key_col
+        self.key_col = "doc_id"
         self.name = name
         self.stringify = stringify
         self.quad_segs = quad_segs

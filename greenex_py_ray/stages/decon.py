@@ -59,14 +59,13 @@ class ContaminationTagger:
     """Kernel: per-doc count of distinct benchmark-shared
     n-grams.  Emits only contaminated rows ``(doc_id, n_shared)``."""
 
-    def __init__(self, grams_ref, n: int, key_col: str = "doc_id",
-                 text_col: str = "text"):
+    def __init__(self, grams_ref, n: int):
         grams = side_table(grams_ref)
         # pandas hash index built once per kernel
         self.index = pd.Index(grams)
         self.n = int(n)
-        self.key_col = key_col
-        self.text_col = text_col
+        self.key_col = "doc_id"
+        self.text_col = "text"
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         parent, grams = ngram_strings(batch[self.text_col], self.n)
@@ -84,13 +83,12 @@ class ContaminationTagger:
 
 
 def decontaminate(ds: "ray.data.Dataset", benchmark_texts: "pd.Series",
-                  n: int, key_col: str = "doc_id",
-                  text_col: str = "text") -> "ray.data.Dataset":
+                  n: int) -> "ray.data.Dataset":
     """Flag every doc in ``ds`` sharing ≥1 word-n-gram with
-    ``benchmark_texts``; returns ``(key_col, n_shared)`` rows for
+    ``benchmark_texts``; returns ``(doc_id, n_shared)`` rows for
     contaminated docs only."""
     return KernelStage(
         ContaminationTagger,
         dict(grams_ref=shipped(benchmark_gram_set(benchmark_texts, n)),
-             n=n, key_col=key_col, text_col=text_col),
+             n=n),
         dict(batch_format="pandas", num_cpus=0.5)).on(ds)

@@ -66,18 +66,17 @@ def content_hash_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     return batch.append_column("content_hash", pa.array(h.astype(np.int64)))
 
 
-def exact_dedup(ds: "ray.data.Dataset", key_col: str = "doc_id",
-                text_col: str = "text") -> "ray.data.Dataset":
+def exact_dedup(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Keep the min-key row per distinct text. Hash-partition on the
     content hash; the per-group reduce keeps ``min(key)`` — matching the
     SQL oracle ``GROUP BY text → min(doc_id)``."""
     hashed = ds.map_batches(
-        lambda b: content_hash_batch(b, text_col), batch_format="pyarrow",
+        lambda b: content_hash_batch(b, "text"), batch_format="pyarrow",
         zero_copy_batch=True,
     )
 
-    return bucket_dedup(hashed, subset=["content_hash", text_col],
-                        sort_by=key_col)
+    return bucket_dedup(hashed, subset=["content_hash", "text"],
+                        sort_by="doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +95,12 @@ class MinHasher:
     Appends ``minhash`` (fixed-size list<uint64>).
     """
 
-    def __init__(self, num_perm: int = 64, shingle: int = 5, seed: int = 7):
-        rng = np.random.default_rng(seed)
+    def __init__(self, num_perm: int = 64):
+        rng = np.random.default_rng(7)
         self.a = rng.integers(1, _MERSENNE, num_perm, dtype=np.int64).astype(np.uint64)
         self.b = rng.integers(0, _MERSENNE, num_perm, dtype=np.int64).astype(np.uint64)
         self.num_perm = num_perm
-        self.shingle = shingle
+        self.shingle = 5
 
     def shingle_hashes(self, text: str) -> np.ndarray:
         b = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
@@ -228,24 +227,21 @@ def lsh_band_batch(batch: pa.Table, num_perm: int = 64, bands: int = 16,
     )
 
 
-def minhash_lsh_candidates(
-    ds: "ray.data.Dataset", num_perm: int = 64, bands: int = 16,
-    key_col: str = "doc_id", max_bucket: int = 256,
-) -> "ray.data.Dataset":
+def minhash_lsh_candidates(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """documents → candidate near-dup pairs (key_a < key_b) from shared
     LSH buckets, deduplicated across bands.
 
     Hot buckets are capped: a (band, band_hash) group larger than
-    ``max_bucket`` emits a STAR (min key ↔ every other member, O(n)
+    256 emits a STAR (min key ↔ every other member, O(n)
     pairs) instead of all pairs (O(n²)).  Web corpora routinely put
     thousands of near-identical boilerplate docs in one bucket — all-pairs
     there is quadratic blowup, while the star keeps every member
     transitively connected through the representative, which is what the
     downstream connected-components pass consumes."""
-    sigs = KernelStage(MinHasher, dict(num_perm=num_perm),
+    sigs = KernelStage(MinHasher, {},
                        dict(num_cpus=0.25)).on(ds)
     bands_ds = sigs.map_batches(
-        lambda b: lsh_band_batch(b, num_perm, bands, key_col), batch_format="pyarrow"
+        lambda b: lsh_band_batch(b, 64, 16, "doc_id"), batch_format="pyarrow"
     )
 
     # LSH buckets are NEAR-UNIQUE keys: groupby((band_id, band_hash))
@@ -255,7 +251,7 @@ def minhash_lsh_candidates(
     def pairs_in_coarse(g: pd.DataFrame) -> pd.DataFrame:
         bid = g["band_id"].to_numpy()
         bh = g["band_hash"].to_numpy()
-        ks = g[key_col].to_numpy()
+        ks = g["doc_id"].to_numpy()
         order = np.lexsort((ks, bh, bid))
         bid, bh, ks = bid[order], bh[order], ks[order]
         new = np.flatnonzero((np.diff(bid) != 0) | (np.diff(bh) != 0)) + 1
@@ -266,7 +262,7 @@ def minhash_lsh_candidates(
         for s, e, n in zip(starts[sizes > 1], ends[sizes > 1],
                            sizes[sizes > 1]):
             grp = ks[s:e]
-            if n > max_bucket:
+            if n > 256:
                 out_a.append(np.full(n - 1, grp[0]))
                 out_b.append(grp[1:])
             else:
@@ -303,15 +299,15 @@ class JaccardVerifier:
       table against the text table: the 100 TB path, no driver
       materialization)."""
 
-    def __init__(self, texts_ref=None, shingle: int = 5, threshold: float = 0.8):
+    def __init__(self, texts_ref=None, threshold: float = 0.8):
         if texts_ref is None:
             self.lookup = None
         else:
             t = side_table(texts_ref)
             self.lookup = dict(zip(t.column(0).to_pylist(), t.column(1).to_pylist()))
-        self.shingle = shingle
+        self.shingle = 5
         self.threshold = threshold
-        self.hasher = MinHasher(num_perm=1, shingle=shingle)
+        self.hasher = MinHasher(num_perm=1)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = len(batch)
@@ -360,8 +356,8 @@ class SimHasher:
     whole operator is reproducible in ANSI SQL (the DuckDB oracle votes
     the 64 bit positions over identical token hashes)."""
 
-    def __init__(self, seed: int = 11):
-        self.seed = seed
+    def __init__(self):
+        self.seed = 11
 
     @staticmethod
     def _token_hashes(text: str) -> np.ndarray:
@@ -398,11 +394,10 @@ class EmbeddingLSH:
     ``planes`` hyperplanes drawn from a fixed seed per kernel → identical
     buckets everywhere.  Appends ``bucket`` (int64 sign pattern)."""
 
-    def __init__(self, dim: int, planes: int = 12, seed: int = 13,
-                 vec_col: str = "embedding"):
-        rng = np.random.default_rng(seed)
+    def __init__(self, dim: int, planes: int = 12):
+        rng = np.random.default_rng(13)
         self.H = rng.standard_normal((dim, planes))
-        self.vec_col = vec_col
+        self.vec_col = "embedding"
         self.planes = planes
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -418,14 +413,24 @@ class EmbeddingLSH:
         return batch.append_column("bucket", pa.array(bucket))
 
 
-def cosine_pairs_in_group(g: pd.DataFrame, threshold: float, key_col: str,
-                          vec_col: str = "embedding",
-                          block: int = 2048) -> pd.DataFrame:
+def sql_round(x: np.ndarray, digits: int) -> np.ndarray:
+    """DuckDB's ``round(x, digits)`` on doubles: ``std::round(x * 10^d)
+    / 10^d``, ties away from zero (``np.round`` rounds them to even),
+    and ``x`` itself where the result is not finite."""
+    x = np.asarray(x, np.float64)
+    y = x * 10.0 ** digits
+    t = np.trunc(y)
+    out = np.where(np.abs(y - t) >= 0.5, t + np.sign(y), t) / 10.0 ** digits
+    return np.where(np.isfinite(out), out, x)
+
+
+def cosine_pairs_in_group(g: pd.DataFrame, threshold: float,
+                          key_col: str) -> pd.DataFrame:
     """Exact in-bucket cosine; emit pairs ≥ threshold (key_a < key_b).
 
-    The similarity matrix is computed in ``block × n`` tiles so a hot
+    The similarity matrix is computed in ``2048 × n`` tiles so a hot
     LSH bucket (near-identical embeddings collapsing into one bucket)
-    costs O(block·n) memory instead of O(n²)."""
+    costs O(n) memory instead of O(n²)."""
     empty = pd.DataFrame(
         {"key_a": pd.Series([], dtype=np.int64),
          "key_b": pd.Series([], dtype=np.int64),
@@ -435,18 +440,18 @@ def cosine_pairs_in_group(g: pd.DataFrame, threshold: float, key_col: str,
         return empty
     order = np.argsort(g[key_col].to_numpy())
     keys = g[key_col].to_numpy()[order]
-    V = np.stack(g[vec_col].to_numpy()[order]).astype(np.float64)
+    V = np.stack(g["embedding"].to_numpy()[order]).astype(np.float64)
     norms = np.linalg.norm(V, axis=1)
     norms[norms == 0] = 1.0
     n = len(keys)
     out_a, out_b, out_c = [], [], []
-    for s in range(0, n, block):
-        e = min(s + block, n)
+    for s in range(0, n, 2048):
+        e = min(s + 2048, n)
         # dot/(norm*norm), NOT pre-normalized rows: the same float64
         # expression form as DuckDB's list_cosine_similarity, then
-        # round 6 so the value hash is stable across summation orders
-        # (the CosinePairsExact precedent; pre-normalizing drifted the
-        # bit pattern by a few ulps)
+        # DuckDB's round 6 so the value hash is stable across summation
+        # orders (the CosinePairsExact precedent; pre-normalizing
+        # drifted the bit pattern by a few ulps)
         sim = (V[s:e] @ V.T) / (norms[s:e, None] * norms[None, :])
         bi, j = np.nonzero(sim >= threshold)
         i = bi + s
@@ -454,7 +459,7 @@ def cosine_pairs_in_group(g: pd.DataFrame, threshold: float, key_col: str,
         if keep.any():
             out_a.append(keys[i[keep]])
             out_b.append(keys[j[keep]])
-            out_c.append(np.round(sim[bi[keep], j[keep]], 6))
+            out_c.append(sql_round(sim[bi[keep], j[keep]], 6))
     if not out_a:
         return empty
     return pd.DataFrame(
@@ -470,15 +475,15 @@ def cosine_pairs_in_group(g: pd.DataFrame, threshold: float, key_col: str,
 
 
 def bucket_dedup(ds: "ray.data.Dataset", subset: list[str],
-                 num_buckets: int = 64, sort_by: str | None = None):
+                 sort_by: str | None = None):
     """Exact dedup on ``subset`` columns via hash-bucket co-location.
 
     ``groupby(key).map_groups(head(1))`` pays one pandas call per
     DISTINCT key — ruinous when keys are nearly unique (e.g. 81k sample
     points → 81k groups).  Duplicates necessarily share a bucket, so
-    ``groupby(bucket)`` (num_buckets groups) + a vectorized
-    ``drop_duplicates`` per bucket is equivalent and O(num_buckets)
-    pandas calls.  ``sort_by`` picks the surviving row deterministically
+    ``groupby(bucket)`` (64 groups) + a vectorized
+    ``drop_duplicates`` per bucket is equivalent and O(64) pandas
+    calls.  ``sort_by`` picks the surviving row deterministically
     (min of that column), matching GROUP BY → min() oracles."""
 
     def drop_dups(g: pd.DataFrame) -> pd.DataFrame:
@@ -486,7 +491,7 @@ def bucket_dedup(ds: "ray.data.Dataset", subset: list[str],
             g = g.sort_values(sort_by, kind="stable")
         return g.drop_duplicates(subset=subset).drop(columns="__bucket")
 
-    return bucket_exchange(ds, list(subset), drop_dups, num_buckets,
+    return bucket_exchange(ds, list(subset), drop_dups, 64,
                            "pandas")
 
 
@@ -495,25 +500,24 @@ def bucket_dedup(ds: "ray.data.Dataset", subset: list[str],
 # ---------------------------------------------------------------------------
 
 
-def dedup_undirected_edges(ds: "ray.data.Dataset", u_col: str = "u",
-                           v_col: str = "v") -> "ray.data.Dataset":
+def dedup_undirected_edges(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Remove duplicate road segments listed both as (u,v) and (v,u)
     (visibility.py:596-612): normalize to (min, max) then exact dedup."""
     def normalize(batch: pa.Table) -> pa.Table:
-        u = batch.column(u_col).to_numpy(zero_copy_only=False)
-        v = batch.column(v_col).to_numpy(zero_copy_only=False)
+        u = batch.column("u").to_numpy(zero_copy_only=False)
+        v = batch.column("v").to_numpy(zero_copy_only=False)
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
-        out = batch.drop_columns([u_col, v_col])
-        return out.append_column(u_col, pa.array(lo)).append_column(v_col, pa.array(hi))
+        out = batch.drop_columns(["u", "v"])
+        return out.append_column("u", pa.array(lo)).append_column(
+            "v", pa.array(hi))
 
     return bucket_dedup(ds.map_batches(normalize, batch_format="pyarrow",
                                        zero_copy_batch=True),
-                        subset=[u_col, v_col])
+                        subset=["u", "v"])
 
 
 def connected_components(pairs: "ray.data.Dataset", max_rounds: int = 20,
-                         a_col: str = "key_a", b_col: str = "key_b",
                          driver_threshold: int = 5_000_000) -> "ray.data.Dataset":
     """Near-dup clusters from a candidate-pair table: iterative min-label
     propagation, one groupby round at a time (no driver-side union-find,
@@ -538,7 +542,7 @@ def connected_components(pairs: "ray.data.Dataset", max_rounds: int = 20,
         # driver-side union-find over just the pair keys is cheap (the
         # distributed loop below is the spill-over path for pair tables
         # beyond driver memory)
-        pdf = pairs.select_columns([a_col, b_col]).to_pandas()
+        pdf = pairs.select_columns(["key_a", "key_b"]).to_pandas()
         parent: dict = {}
 
         def find(k):
@@ -549,19 +553,19 @@ def connected_components(pairs: "ray.data.Dataset", max_rounds: int = 20,
                 parent[k], k = root, parent[k]
             return root
 
-        for ka, kb in zip(pdf[a_col].tolist(), pdf[b_col].tolist()):
+        for ka, kb in zip(pdf["key_a"].tolist(), pdf["key_b"].tolist()):
             ra, rb = find(ka), find(kb)
             if ra != rb:
                 lo, hi = (ra, rb) if ra <= rb else (rb, ra)
                 parent[hi] = lo
-        keys = sorted({*pdf[a_col].tolist(), *pdf[b_col].tolist()})
+        keys = sorted({*pdf["key_a"].tolist(), *pdf["key_b"].tolist()})
         comp = [find(k) for k in keys]
         return _rd.from_arrow(pa.table({"key": pa.array(keys),
                                         "component": pa.array(comp)}))
 
     def explode(batch: pa.Table) -> pa.Table:
-        a = batch.column(a_col)
-        b = batch.column(b_col)
+        a = batch.column("key_a")
+        b = batch.column("key_b")
         if isinstance(a, pa.ChunkedArray):
             a = a.combine_chunks()
         if isinstance(b, pa.ChunkedArray):
@@ -651,9 +655,7 @@ def connected_components(pairs: "ray.data.Dataset", max_rounds: int = 20,
     )
 
 
-def near_dedup(ds: "ray.data.Dataset", key_col: str = "doc_id",
-               text_col: str = "text", threshold: float = 0.8,
-               num_perm: int = 64, bands: int = 16,
+def near_dedup(ds: "ray.data.Dataset", threshold: float = 0.8,
                driver_threshold: int = 100_000) -> "ray.data.Dataset":
     """Full near-duplicate removal: MinHash-LSH candidates → exact
     n-gram Jaccard verify → connected components → keep the min-key
@@ -668,26 +670,25 @@ def near_dedup(ds: "ray.data.Dataset", key_col: str = "doc_id",
     """
     from ..functions.joins import bucket_join_attach
 
-    cand = minhash_lsh_candidates(ds, num_perm=num_perm, bands=bands,
-                                  key_col=key_col)
+    cand = minhash_lsh_candidates(ds)
     if ds.count() <= driver_threshold:
         # small-side text lookup (driver-side materialize of two columns)
-        tdf = ds.select_columns([key_col, text_col]).to_pandas()
+        tdf = ds.select_columns(["doc_id", "text"]).to_pandas()
         tlookup = pa.Table.from_pandas(tdf, preserve_index=False)
         verified = KernelStage(
             JaccardVerifier,
             dict(texts_ref=shipped(tlookup), threshold=threshold),
             dict(num_cpus=0.25)).on(cand)
     else:
-        texts = ds.select_columns([key_col, text_col])
+        texts = ds.select_columns(["doc_id", "text"])
         texts_a = texts.map_batches(
-            lambda b: pa.table({"key_a": b.column(key_col),
-                                "text_a": b.column(text_col)}),
+            lambda b: pa.table({"key_a": b.column("doc_id"),
+                                "text_a": b.column("text")}),
             batch_format="pyarrow", zero_copy_batch=True,
         )
         texts_b = texts.map_batches(
-            lambda b: pa.table({"key_b": b.column(key_col),
-                                "text_b": b.column(text_col)}),
+            lambda b: pa.table({"key_b": b.column("doc_id"),
+                                "text_b": b.column("text")}),
             batch_format="pyarrow", zero_copy_batch=True,
         )
         with_texts = bucket_join_attach(
@@ -695,7 +696,7 @@ def near_dedup(ds: "ray.data.Dataset", key_col: str = "doc_id",
             texts_b, key="key_b",
         )
         verified = KernelStage(
-            JaccardVerifier, dict(texts_ref=None, threshold=threshold),
+            JaccardVerifier, dict(threshold=threshold),
             dict(num_cpus=0.25)).on(with_texts)
     dups = verified.map_batches(
         lambda b: b.filter(b.column("is_dup")), batch_format="pyarrow"
@@ -716,7 +717,7 @@ def near_dedup(ds: "ray.data.Dataset", key_col: str = "doc_id",
     dref = shipped(pa.concat_tables(drop_tbls).column("key").combine_chunks())
 
     def keep(batch: pa.Table) -> pa.Table:
-        mask = pc.invert(pc.is_in(batch.column(key_col),
+        mask = pc.invert(pc.is_in(batch.column("doc_id"),
                                   value_set=side_table(dref)))
         return batch.filter(mask)
 
@@ -807,28 +808,27 @@ def levenshtein_batch(texts_a, texts_b, band: "int | None" = None):
     return ans, la, lb
 
 
-def edit_distance_verify_batch(batch: pa.Table, text_a: str = "text_a",
-                               text_b: str = "text_b",
+def edit_distance_verify_batch(batch: pa.Table,
                                max_chars: int = 40) -> pa.Table:
     """Verify candidate pairs by normalized edit similarity over the
     first ``max_chars`` characters.  Appends ``lev`` (int64) and ``sim``
     = round(1 - lev/max(len), 6)."""
-    ta = pc.utf8_slice_codeunits(batch.column(text_a), 0, max_chars).to_pylist()
-    tb = pc.utf8_slice_codeunits(batch.column(text_b), 0, max_chars).to_pylist()
+    ta = pc.utf8_slice_codeunits(batch.column("text_a"), 0,
+                                 max_chars).to_pylist()
+    tb = pc.utf8_slice_codeunits(batch.column("text_b"), 0,
+                                 max_chars).to_pylist()
     lev, la, lb = levenshtein_batch(ta, tb)
     mx = np.maximum(la, lb)
     sim = np.round(np.where(mx == 0, 1.0,
                             1.0 - lev / np.maximum(mx, 1)), 6)
-    return (batch.drop_columns([text_a, text_b])
+    return (batch.drop_columns(["text_a", "text_b"])
             .append_column("lev", pa.array(lev.astype(np.int64)))
             .append_column("sim", pa.array(sim)))
 
 
-def edit_near_pairs(ds: "ray.data.Dataset", k: int = 12,
-                    key_col: str = "doc_id", text_col: str = "text",
-                    block_col: str = "lang") -> "ray.data.Dataset":
+def edit_near_pairs(ds: "ray.data.Dataset", k: int = 12) -> "ray.data.Dataset":
     """String-similarity self-join: all pairs with Levenshtein distance
-    ``<= k`` (and equal ``block_col``), via LOSSLESS length blocking —
+    ``<= k`` (and equal ``lang``), via LOSSLESS length blocking —
     ``|len(a) − len(b)| <= lev(a, b)``, so bucketing lengths by width
     ``k+1`` confines every qualifying pair to equal-or-adjacent
     buckets.
@@ -849,19 +849,19 @@ def edit_near_pairs(ds: "ray.data.Dataset", k: int = 12,
     width = k + 1
 
     def expand(batch: pa.Table) -> pa.Table:
-        keys = batch.column(key_col).to_numpy(zero_copy_only=False)
-        txt = batch.column(text_col)
-        blk = batch.column(block_col)
+        keys = batch.column("doc_id").to_numpy(zero_copy_only=False)
+        txt = batch.column("text")
+        blk = batch.column("lang")
         L = pc.utf8_length(txt).to_numpy(zero_copy_only=False).astype(np.int64)
         b = L // width
-        t1 = pa.table({key_col: pa.array(keys), "blk": blk,
+        t1 = pa.table({"doc_id": pa.array(keys), "blk": blk,
                        "txt": txt, "L": pa.array(L),
                        "bucket": pa.array(b), "ghost": pa.array(
                            np.zeros(len(L), dtype=bool))})
         # ghosts below bucket 0 can only meet other ghosts (excluded
         # pairs) — drop them at emission instead of shuffling them
         keep = b - 1 >= 0
-        t2 = pa.table({key_col: pa.array(keys[keep]),
+        t2 = pa.table({"doc_id": pa.array(keys[keep]),
                        "blk": blk.filter(pa.array(keep)),
                        "txt": txt.filter(pa.array(keep)),
                        "L": pa.array(L[keep]),
@@ -889,7 +889,7 @@ def edit_near_pairs(ds: "ray.data.Dataset", k: int = 12,
         # corpora: the per-group DP replayed the full loop each time)
         all_a, all_b, all_ta, all_tb = [], [], [], []
         for _, sub in grp.groupby(["blk", "bucket"], sort=False):
-            ids = sub[key_col].to_numpy()
+            ids = sub["doc_id"].to_numpy()
             txt = sub["txt"].to_numpy()
             L = sub["L"].to_numpy()
             ghost = sub["ghost"].to_numpy()

@@ -53,13 +53,13 @@ def _polys_overlap(pa_: "list[np.ndarray]", pb: "list[np.ndarray]") -> bool:
     return geom.overlay_area([pa_, pb], "intersection") > 0.0
 
 
-def overlap_pairs(polys, cell_size: float = 1000.0):
+def overlap_pairs(polys):
     """Candidate pairs from shared grid cells, refined by exact
     intersection (convex fast path; general overlay otherwise)."""
     polys = [_as_poly(p) for p in polys]
     buckets: dict[tuple[int, int], list[int]] = {}
     for i, p in enumerate(polys):
-        ix0, iy0, ix1, iy1 = _bbox_cells(p, cell_size)
+        ix0, iy0, ix1, iy1 = _bbox_cells(p, 1000.0)
         for bx in range(ix0, ix1 + 1):
             for by in range(iy0, iy1 + 1):
                 buckets.setdefault((bx, by), []).append(i)
@@ -105,8 +105,7 @@ def _union_moments_convex(grp: "list[np.ndarray]"):
     return area, cx, cy
 
 
-def dissolve_polygons(polys, ids: list[int] | None = None,
-                      cell_size: float = 1000.0) -> dict:
+def dissolve_polygons(polys, ids: list[int] | None = None) -> dict:
     """Dissolve overlapping polygons into blobs (general geometry).
 
     ``polys``: list where each member is a single ``(N, 2)`` ring or a
@@ -121,7 +120,7 @@ def dissolve_polygons(polys, ids: list[int] | None = None,
     n = len(polys)
     ids = ids if ids is not None else list(range(n))
     label = np.arange(n)
-    pairs = overlap_pairs(polys, cell_size)
+    pairs = overlap_pairs(polys)
 
     # union-find (path compression)
     def find(a):
@@ -168,12 +167,11 @@ def dissolve_polygons(polys, ids: list[int] | None = None,
     return out
 
 
-def dissolve_convex(rings, ids: list[int] | None = None,
-                    cell_size: float = 1000.0) -> dict:
+def dissolve_convex(rings, ids: list[int] | None = None) -> dict:
     """Round-1 name, now general: delegates to :func:`dissolve_polygons`
     but flattens ``groups_rings`` entries back to single rings when every
     member is single-ring (the round-1 shape its callers expect)."""
-    out = dissolve_polygons(rings, ids=ids, cell_size=cell_size)
+    out = dissolve_polygons(rings, ids=ids)
     flat_groups = []
     for grp in out["groups_rings"]:
         if all(len(p) == 1 for p in grp):
@@ -255,9 +253,7 @@ def _polys_from_flat(rx, ry, sizes):
 
 def dissolve_dataset(
     polys: "object",
-    cell_size: float = 1000.0,
     key_col: str = "gs_id",
-    pair_driver_threshold: int = 5_000_000,
     per_member: bool = False,
 ) -> "object":
     """DISTRIBUTED dissolve (D1 at side-table scale): the cross-cell
@@ -282,6 +278,7 @@ def dissolve_dataset(
     shape :func:`greenex_py_ray.sidefiles._dissolve_units` joins back onto
     the source table above its driver-size gate.
     """
+    cell_size = 1000.0
     import pyarrow as pa
 
     import pyarrow.compute as pc
@@ -342,7 +339,7 @@ def dissolve_dataset(
     pairs = covered.groupby("cell").map_groups(pairs_in_cell,
                                                batch_format="pyarrow")
     pairs = bucket_dedup(pairs, subset=["key_a", "key_b"]).materialize()
-    comp = connected_components(pairs, driver_threshold=pair_driver_threshold)
+    comp = connected_components(pairs)
     # singleton polygons never appear in the pair table: union their
     # identity labels in and take the min per key
     own = polys.map_batches(

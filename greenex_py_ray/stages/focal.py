@@ -92,12 +92,12 @@ def _per_tile(kernel: type, tiles: "list[tuple[int, int]]",
     return KernelStage(kernel, kwargs, dict(num_cpus=0.5)).on(ds)
 
 
-def focal_stats(tile_root: str, tiles: "list[tuple[int, int]]",
-                band: str = "ndvi") -> "ray.data.Dataset":
+def focal_stats(tile_root: str,
+                tiles: "list[tuple[int, int]]") -> "ray.data.Dataset":
     """3×3 focal aggregate for an explicit tile list (a bbox cover at
     gate scale; the full catalog in production — one halo'd window
     fetch per tile)."""
-    return _per_tile(FocalTileStats, tiles, tile_root=tile_root, band=band)
+    return _per_tile(FocalTileStats, tiles, tile_root=tile_root, band="ndvi")
 
 
 class DownsampleTile:
@@ -147,11 +147,11 @@ class DownsampleTile:
         return pa.concat_tables(outs)
 
 
-def downsample_level(tile_root: str, tiles: "list[tuple[int, int]]",
-                     band: str = "ndvi") -> "ray.data.Dataset":
+def downsample_level(tile_root: str,
+                     tiles: "list[tuple[int, int]]") -> "ray.data.Dataset":
     """Level-1 pyramid build for an explicit OUTPUT-tile list — the
     tile grid partitions the work, one 2×2-input window per tile."""
-    return _per_tile(DownsampleTile, tiles, tile_root=tile_root, band=band)
+    return _per_tile(DownsampleTile, tiles, tile_root=tile_root, band="ndvi")
 
 
 class ContourCells:
@@ -209,10 +209,9 @@ class ContourCells:
         })
 
 
-def contour_census(tile_root: str, tiles: "list[tuple[int, int]]",
-                   band: str = "ndvi",
-                   threshold: float = 0.3) -> "ray.data.Dataset":
+def contour_census(tile_root: str,
+                   tiles: "list[tuple[int, int]]") -> "ray.data.Dataset":
     """Marching-squares census for an explicit tile list — same
     tile-partitioned, halo-read, shuffle-free plan as focal_stats."""
-    return _per_tile(ContourCells, tiles, tile_root=tile_root, band=band,
-                     threshold=threshold)
+    return _per_tile(ContourCells, tiles, tile_root=tile_root, band="ndvi",
+                     threshold=0.3)

@@ -62,15 +62,14 @@ class IDWInterpolator:
     in ``radius``-sized cells; the grid only prunes.
     """
 
-    def __init__(self, stations_ref, radius: float,
-                 x_col: str = "x", y_col: str = "y"):
+    def __init__(self, stations_ref, radius: float):
         t = side_table(stations_ref)
         self.sx = t.column("sx").to_numpy(zero_copy_only=False).astype(np.float64)
         self.sy = t.column("sy").to_numpy(zero_copy_only=False).astype(np.float64)
         self.val = t.column("val").to_numpy(zero_copy_only=False).astype(np.float64)
         self.radius = float(radius)
         self.r2 = float(radius) * float(radius)
-        self.x_col, self.y_col = x_col, y_col
+        self.x_col, self.y_col = "x", "y"
         self.grid = GridIndex(self.sx, self.sy,
                               cell_size=max(self.radius, 1e-9))
 
@@ -136,8 +135,7 @@ class HaversineNearest:
     see :meth:`_needed`.  Lon in [-180, 180], lat in [-90, 90].
     """
 
-    def __init__(self, facilities_ref, lon_col: str = "lon",
-                 lat_col: str = "lat"):
+    def __init__(self, facilities_ref):
         t = side_table(facilities_ref)
         self.fid = t.column("fid").to_numpy(zero_copy_only=False).astype(np.int64)
         self.flon = t.column("flon").to_numpy(zero_copy_only=False).astype(np.float64)
@@ -148,7 +146,7 @@ class HaversineNearest:
         self.fid = self.fid[order]
         self.flon = self.flon[order]
         self.flat = self.flat[order]
-        self.lon_col, self.lat_col = lon_col, lat_col
+        self.lon_col, self.lat_col = "lon", "lat"
         self.grid = GridIndex(self.flon, self.flat,
                               cell_size=HAVERSINE_CELL_DEG)
         self.cos_lat_max = np.cos(np.radians(
@@ -290,14 +288,13 @@ class KDEPartial:
 
 
 def kde_grid(ds: "ray.data.Dataset", cell_size: float, sigma: float,
-             radius: float, nx: int, ny: int,
-             x_col: str = "x", y_col: str = "y") -> "ray.data.Dataset":
+             radius: float, nx: int, ny: int) -> "ray.data.Dataset":
     """Gaussian heatmap over an ``nx × ny`` grid: per-batch partial
     densities → one O(touched-cells) groupby sum."""
     from ray.data.aggregate import Sum
 
     part = ds.map_batches(
-        KDEPartial(cell_size, sigma, radius, nx, ny, x_col, y_col),
+        KDEPartial(cell_size, sigma, radius, nx, ny, "x", "y"),
         batch_format="pyarrow", zero_copy_batch=True)
     out = part.groupby(["ix", "iy"]).aggregate(
         Sum("n_contrib", alias_name="n_contrib"),
@@ -329,8 +326,7 @@ def hex_axial(x: np.ndarray, y: np.ndarray,
     return hq, hr
 
 
-def hexbin(ds: "ray.data.Dataset", size: float, x_col: str = "x",
-           y_col: str = "y") -> "ray.data.Dataset":
+def hexbin(ds: "ray.data.Dataset", size: float) -> "ray.data.Dataset":
     """Hexagonal binning: one output row per touched hex with the
     point count — the hex partition key a density map / spatial
     shuffle uses where squares alias along diagonals.
@@ -341,8 +337,8 @@ def hexbin(ds: "ray.data.Dataset", size: float, x_col: str = "x",
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column(x_col).to_numpy(zero_copy_only=False)
-        y = batch.column(y_col).to_numpy(zero_copy_only=False)
+        x = batch.column("x").to_numpy(zero_copy_only=False)
+        y = batch.column("y").to_numpy(zero_copy_only=False)
         hq, hr = hex_axial(x, y, size)
         enc = (hq << np.int64(32)) + (hr & np.int64(0xFFFFFFFF))
         uk, cnt = np.unique(enc, return_counts=True)
@@ -365,8 +361,7 @@ def hexbin(ds: "ray.data.Dataset", size: float, x_col: str = "x",
                            zero_copy_batch=True)
 
 
-def hex_kring(ds: "ray.data.Dataset", size: float, x_col: str = "x",
-              y_col: str = "y") -> "ray.data.Dataset":
+def hex_kring(ds: "ray.data.Dataset", size: float) -> "ray.data.Dataset":
     """K-ring (k=1) neighborhood aggregation on the hex lattice — the
     H3-style density smooth: per occupied hex, its own count plus the
     counts of its 6 axial neighbors (ring_n), and how many of those
@@ -384,8 +379,8 @@ def hex_kring(ds: "ray.data.Dataset", size: float, x_col: str = "x",
     OFFS = ((0, 0), (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
 
     def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column(x_col).to_numpy(zero_copy_only=False)
-        y = batch.column(y_col).to_numpy(zero_copy_only=False)
+        x = batch.column("x").to_numpy(zero_copy_only=False)
+        y = batch.column("y").to_numpy(zero_copy_only=False)
         hq, hr = hex_axial(x, y, size)
         enc = (hq << np.int64(32)) + (hr & np.int64(0xFFFFFFFF))
         uk, cnt = np.unique(enc, return_counts=True)
@@ -436,8 +431,8 @@ def hex_kring(ds: "ray.data.Dataset", size: float, x_col: str = "x",
                               zero_copy_batch=True)
 
 
-def tile_pyramid(ds: "ray.data.Dataset", base_cell: float, levels: int = 3,
-                 x_col: str = "x", y_col: str = "y") -> "ray.data.Dataset":
+def tile_pyramid(ds: "ray.data.Dataset", base_cell: float,
+                 levels: int = 3) -> "ray.data.Dataset":
     """Multi-zoom tile-count pyramid: point counts per cell at
     ``levels`` zooms, each zoom doubling the cell size (the
     pre-aggregation a map renderer / density service reads instead of
@@ -451,8 +446,8 @@ def tile_pyramid(ds: "ray.data.Dataset", base_cell: float, levels: int = 3,
     from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column(x_col).to_numpy(zero_copy_only=False)
-        y = batch.column(y_col).to_numpy(zero_copy_only=False)
+        x = batch.column("x").to_numpy(zero_copy_only=False)
+        y = batch.column("y").to_numpy(zero_copy_only=False)
         cx = np.floor(x / base_cell).astype(np.int64)
         cy = np.floor(y / base_cell).astype(np.int64)
         zs, xs, ys, ns = [], [], [], []
@@ -481,8 +476,7 @@ def tile_pyramid(ds: "ray.data.Dataset", base_cell: float, levels: int = 3,
         Sum("n", alias_name="n"))
 
 
-def morans_i(ds: "ray.data.Dataset", cell_size: float,
-             x_col: str = "x", y_col: str = "y") -> "ray.data.Dataset":
+def morans_i(ds: "ray.data.Dataset", cell_size: float) -> "ray.data.Dataset":
     """Global Moran's I spatial autocorrelation of the point-density
     surface: bin points to a square grid, value = count per occupied
     cell, weights = rook adjacency (w=1 for occupied cells sharing an
@@ -510,8 +504,8 @@ def morans_i(ds: "ray.data.Dataset", cell_size: float,
     from ..functions.joins import bucket_join_attach
 
     def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column(x_col).to_numpy(zero_copy_only=False)
-        y = batch.column(y_col).to_numpy(zero_copy_only=False)
+        x = batch.column("x").to_numpy(zero_copy_only=False)
+        y = batch.column("y").to_numpy(zero_copy_only=False)
         cx = np.floor(x / cell_size).astype(np.int64)
         cy = np.floor(y / cell_size).astype(np.int64)
         enc = (cx << np.int64(32)) + (cy & np.int64(0xFFFFFFFF))
@@ -589,9 +583,8 @@ def morans_i(ds: "ray.data.Dataset", cell_size: float,
     }))
 
 
-def getis_ord_gi_star(ds: "ray.data.Dataset", cell_size: float,
-                      x_col: str = "x",
-                      y_col: str = "y") -> "ray.data.Dataset":
+def getis_ord_gi_star(ds: "ray.data.Dataset",
+                      cell_size: float) -> "ray.data.Dataset":
     """Getis–Ord Gi* hot-spot statistic of the point-density surface:
     bin points to a square grid (value = count per occupied cell),
     weights = queen contiguity INCLUDING self (w_ij = 1 for the 3×3
@@ -620,8 +613,8 @@ def getis_ord_gi_star(ds: "ray.data.Dataset", cell_size: float,
     from ..functions.joins import bucket_join_attach
 
     def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column(x_col).to_numpy(zero_copy_only=False)
-        y = batch.column(y_col).to_numpy(zero_copy_only=False)
+        x = batch.column("x").to_numpy(zero_copy_only=False)
+        y = batch.column("y").to_numpy(zero_copy_only=False)
         cx = np.floor(x / cell_size).astype(np.int64)
         cy = np.floor(y / cell_size).astype(np.int64)
         enc = (cx << np.int64(32)) + (cy & np.int64(0xFFFFFFFF))
@@ -740,12 +733,10 @@ def _hull_points(x: np.ndarray, y: np.ndarray):
     return pts[keep, 0], pts[keep, 1]
 
 
-def group_convex_hull(ds: "ray.data.Dataset", key_col: str = "cell",
-                      x_col: str = "x", y_col: str = "y",
-                      scale: float = 1000.0,
-                      num_buckets: int = 32) -> "ray.data.Dataset":
-    """Convex hull vertex set per group, over ``floor(coord * scale)``
-    integer micro-unit coordinates (exact orientation tests — see
+def group_convex_hull(ds: "ray.data.Dataset",
+                      key_col: str = "cell") -> "ray.data.Dataset":
+    """Convex hull vertex set per group, over ``floor(coord * 1000)``
+    integer coordinates (exact orientation tests — see
     :func:`_hull_points`).  Output columns ``xq``/``yq`` are the
     quantized int64 coordinates.
 
@@ -760,10 +751,10 @@ def group_convex_hull(ds: "ray.data.Dataset", key_col: str = "cell",
 
     def partial(batch: pa.Table) -> pa.Table:
         k = batch.column(key_col).to_numpy(zero_copy_only=False)
-        x = np.floor(batch.column(x_col).to_numpy(zero_copy_only=False)
-                     * scale).astype(np.int64)
-        y = np.floor(batch.column(y_col).to_numpy(zero_copy_only=False)
-                     * scale).astype(np.int64)
+        x = np.floor(batch.column("x").to_numpy(zero_copy_only=False)
+                     * 1000.0).astype(np.int64)
+        y = np.floor(batch.column("y").to_numpy(zero_copy_only=False)
+                     * 1000.0).astype(np.int64)
         order = np.argsort(k, kind="stable")
         k, x, y = k[order], x[order], y[order]
         starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
@@ -797,16 +788,15 @@ def group_convex_hull(ds: "ray.data.Dataset", key_col: str = "cell",
 
     return bucket_exchange(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        key_col, final, num_buckets, "pandas")
+        key_col, final, 32, "pandas")
 
 
 # ---------------------------------------------------------------------------
 # Ripley's K pair counts
 # ---------------------------------------------------------------------------
 
-def ripley_pair_counts(ds: "ray.data.Dataset", radii: list[float],
-                       x_col: str = "x", y_col: str = "y",
-                       num_cells: int | None = None) -> "ray.data.Dataset":
+def ripley_pair_counts(ds: "ray.data.Dataset",
+                       radii: list[float]) -> "ray.data.Dataset":
     """Global ordered-pair counts ``|{(i, j) : i ≠ j, d_ij <= r}|`` for
     each radius — the numerator of Ripley's K point-pattern statistic
     (``K(r) = A/n² · Σ_{i≠j} 1[d_ij <= r]``; the caller scales by area
@@ -826,8 +816,8 @@ def ripley_pair_counts(ds: "ray.data.Dataset", radii: list[float],
     r2s = [float(r) * float(r) for r in radii]
 
     def expand(batch: pa.Table) -> pa.Table:
-        x = batch.column(x_col).to_numpy(zero_copy_only=False)
-        y = batch.column(y_col).to_numpy(zero_copy_only=False)
+        x = batch.column("x").to_numpy(zero_copy_only=False)
+        y = batch.column("y").to_numpy(zero_copy_only=False)
         cx = np.floor(x / rmax).astype(np.int64)
         cy = np.floor(y / rmax).astype(np.int64)
         xs, ys, cs, gs = [], [], [], []
@@ -842,8 +832,8 @@ def ripley_pair_counts(ds: "ray.data.Dataset", radii: list[float],
                 gs.append(np.full(len(x), dx != 0 or dy != 0,
                                   dtype=bool))
         return pa.table({
-            x_col: pa.array(np.concatenate(xs)),
-            y_col: pa.array(np.concatenate(ys)),
+            "x": pa.array(np.concatenate(xs)),
+            "y": pa.array(np.concatenate(ys)),
             "cell": pa.array(np.concatenate(cs)),
             "ghost": pa.array(np.concatenate(gs)),
         })
@@ -851,8 +841,8 @@ def ripley_pair_counts(ds: "ray.data.Dataset", radii: list[float],
     def kernel(grp) -> "pa.Table":
         import pandas as pd
 
-        x = grp[x_col].to_numpy()
-        y = grp[y_col].to_numpy()
+        x = grp["x"].to_numpy()
+        y = grp["y"].to_numpy()
         ghost = grp["ghost"].to_numpy()
         nat = np.flatnonzero(~ghost)
         if not len(nat):
@@ -884,9 +874,8 @@ def ripley_pair_counts(ds: "ray.data.Dataset", radii: list[float],
                            zero_copy_batch=True)
 
 
-def local_morans_i(ds: "ray.data.Dataset", cell_size: float,
-                   x_col: str = "x",
-                   y_col: str = "y") -> "ray.data.Dataset":
+def local_morans_i(ds: "ray.data.Dataset",
+                   cell_size: float) -> "ray.data.Dataset":
     """Local Moran's I (LISA, Anselin 1995) of the point-density
     surface: per occupied grid cell,
     ``I_i = z_i · Σ_j w_ij z_j / m2`` with queen weights EXCLUDING
@@ -907,8 +896,8 @@ def local_morans_i(ds: "ray.data.Dataset", cell_size: float,
     from ..functions.joins import bucket_join_attach
 
     def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column(x_col).to_numpy(zero_copy_only=False)
-        y = batch.column(y_col).to_numpy(zero_copy_only=False)
+        x = batch.column("x").to_numpy(zero_copy_only=False)
+        y = batch.column("y").to_numpy(zero_copy_only=False)
         cx = np.floor(x / cell_size).astype(np.int64)
         cy = np.floor(y / cell_size).astype(np.int64)
         enc = (cx << np.int64(32)) + (cy & np.int64(0xFFFFFFFF))

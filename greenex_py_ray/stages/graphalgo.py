@@ -227,8 +227,7 @@ def _pagerank_join(edges, nodes, iters, scale, src_col, dst_col):
 
 
 def pagerank(edges: "ray.data.Dataset", iters: int = 3,
-             scale: int = 1_000_000, src_col: str = "src",
-             dst_col: str = "dst",
+             scale: int = 1_000_000,
              broadcast_threshold: int = 20_000_000) -> "ray.data.Dataset":
     """Integer-exact PageRank (damping 0.85 as the 85/100 rational).
 
@@ -238,16 +237,14 @@ def pagerank(edges: "ray.data.Dataset", iters: int = 3,
     Both physical plans produce identical integers (asserted by the
     10M-edge stress oracle in ``tools/stress_graph_clustering.py``).
     """
-    nodes = _distinct_nodes(edges, src_col, dst_col).materialize()
+    nodes = _distinct_nodes(edges, "src", "dst").materialize()
     if nodes.count() <= broadcast_threshold:
         return _pagerank_broadcast(edges, nodes, iters, scale,
-                                   src_col, dst_col)
-    return _pagerank_join(edges, nodes, iters, scale, src_col, dst_col)
+                                   "src", "dst")
+    return _pagerank_join(edges, nodes, iters, scale, "src", "dst")
 
 
-def triangle_count(edges: "ray.data.Dataset", u_col: str = "u",
-                   v_col: str = "v",
-                   num_buckets: int = 64) -> "ray.data.Dataset":
+def triangle_count(edges: "ray.data.Dataset") -> "ray.data.Dataset":
     """Global triangle + wedge count over an undirected edge table with
     ``u < v`` and no duplicates — the clustering-coefficient numerator
     (graph QA: how cliquey is the link graph).
@@ -275,7 +272,7 @@ def triangle_count(edges: "ray.data.Dataset", u_col: str = "u",
         return (a << np.int64(32)) + b  # valid for ids < 2^31
 
     def project(batch: pa.Table) -> pa.Table:
-        return pa.table({"u": batch.column(u_col), "v": batch.column(v_col)})
+        return pa.table({"u": batch.column("u"), "v": batch.column("v")})
 
     def wedges(df: pd.DataFrame) -> pd.DataFrame:
         m = df.merge(df, on="u")
@@ -286,12 +283,12 @@ def triangle_count(edges: "ray.data.Dataset", u_col: str = "u",
     wedge_ds = bucket_exchange(
         edges.map_batches(project, batch_format="pyarrow",
                           zero_copy_batch=True),
-        "u", wedges, num_buckets, "pandas")
+        "u", wedges, 64, "pandas")
 
     ekeys = edges.map_batches(
         lambda b: pa.table({
-            "wk": key_of(b.column(u_col).to_numpy(zero_copy_only=False),
-                         b.column(v_col).to_numpy(zero_copy_only=False)),
+            "wk": key_of(b.column("u").to_numpy(zero_copy_only=False),
+                         b.column("v").to_numpy(zero_copy_only=False)),
             "closed": np.ones(b.num_rows, np.int64)}),
         batch_format="pyarrow", zero_copy_batch=True)
 
@@ -312,8 +309,8 @@ def triangle_count(edges: "ray.data.Dataset", u_col: str = "u",
     # correct and non-redundant for triangle closure, but not the
     # clustering-coefficient denominator)
     def endpoints(batch: pa.Table) -> pa.Table:
-        u = batch.column(u_col)
-        v = batch.column(v_col)
+        u = batch.column("u")
+        v = batch.column("v")
         if isinstance(u, pa.ChunkedArray):
             u = u.combine_chunks()
         if isinstance(v, pa.ChunkedArray):

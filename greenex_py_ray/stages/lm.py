@@ -67,11 +67,10 @@ class UnigramScorer:
     """Kernel: per-doc summed quantized logprob from the
     broadcast vocab.  Appends ``n_words`` and ``sum_logp_q``."""
 
-    def __init__(self, vocab_ref, key_col: str = "doc_id",
-                 text_col: str = "text"):
+    def __init__(self, vocab_ref):
         self.vocab, self.w_q, self.oov_q = side_table(vocab_ref)
-        self.key_col = key_col
-        self.text_col = text_col
+        self.key_col = "doc_id"
+        self.text_col = "text"
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         n, counts, parent, codes, uniq = explode_words(batch[self.text_col])
@@ -89,12 +88,9 @@ class UnigramScorer:
         })
 
 
-def unigram_logprob(ds: "ray.data.Dataset", key_col: str = "doc_id",
-                    text_col: str = "text",
-                    max_vocab: int | None = None) -> "ray.data.Dataset":
+def unigram_logprob(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Two-pass corpus-fit unigram scoring (see module docstring)."""
     return KernelStage(
         UnigramScorer,
-        dict(vocab_ref=shipped(fit_unigram(ds, text_col, max_vocab)),
-             key_col=key_col, text_col=text_col),
+        dict(vocab_ref=shipped(fit_unigram(ds, "text", None))),
         dict(batch_format="pandas", num_cpus=0.5)).on(ds)

@@ -32,7 +32,7 @@ from ..sidefiles import shipped, side_table
 class SegmentSnapper:
     """Kernel: nearest-segment snap within ``radius``.
 
-    Input batch: ``key_col`` + point columns ``x``/``y``.
+    Input batch: ``doc_id`` + point columns ``x``/``y``.
     Output: input keys + ``edge_key`` (int64), ``snap_t`` (clamped
     projection parameter), ``snap_dist`` — one row per point that has a
     segment within the radius (points with no candidate are dropped,
@@ -42,7 +42,7 @@ class SegmentSnapper:
     are deterministic and SQL-reproducible.
     """
 
-    def __init__(self, edges_ref, radius: float, key_col: str = "doc_id"):
+    def __init__(self, edges_ref, radius: float):
         t = side_table(edges_ref)
         ek = t.column("edge_key").to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(ek, kind="stable")  # argmin tie → lowest key
@@ -52,7 +52,7 @@ class SegmentSnapper:
         self.bx = t.column("bx").to_numpy(zero_copy_only=False)[order]
         self.by = t.column("by").to_numpy(zero_copy_only=False)[order]
         self.radius = float(radius)
-        self.key_col = key_col
+        self.key_col = "doc_id"
 
         # uniform grid over segment bboxes expanded by R: any segment
         # within R of a point covers the point's cell.
@@ -131,14 +131,13 @@ class SegmentSnapper:
 
 
 def snap_to_segments(points: "ray.data.Dataset", edges: pa.Table,
-                     radius: float,
-                     key_col: str = "doc_id") -> "ray.data.Dataset":
+                     radius: float) -> "ray.data.Dataset":
     """Broadcast-index snap: ``edges`` (edge_key, ax, ay, bx, by) ships
     to the object store once; each worker process builds the grid index
     once, in its kernel's ctor."""
     return KernelStage(
         SegmentSnapper,
-        dict(edges_ref=shipped(edges), radius=radius, key_col=key_col),
+        dict(edges_ref=shipped(edges), radius=radius),
         dict(num_cpus=0.5)).on(points)
 
 
@@ -147,8 +146,7 @@ def snap_to_segments(points: "ray.data.Dataset", edges: pa.Table,
 # ---------------------------------------------------------------------------
 
 def viterbi_match(pings: "ray.data.Dataset", segments: pa.Table,
-                  n_steps: int = 5, k_cand: int = 4,
-                  num_buckets: int = 32) -> "ray.data.Dataset":
+                  n_steps: int = 5, k_cand: int = 4) -> "ray.data.Dataset":
     """HMM map matching — the sequence form of :class:`SegmentSnapper`
     (Newson & Krumm 2009, simplified: no routing, transition cost =
     |snap-to-snap euclidean − ping step length|).  The reference snaps
@@ -190,7 +188,7 @@ def viterbi_match(pings: "ray.data.Dataset", segments: pa.Table,
     def run_bucket(t: pa.Table) -> pa.Table:
         return _viterbi_bucket(t, seg, S, K)
 
-    return bucket_exchange(pings, "user_id", run_bucket, num_buckets)
+    return bucket_exchange(pings, "user_id", run_bucket, 32)
 
 
 def _viterbi_bucket(t: pa.Table, seg: dict, S: int, K: int) -> pa.Table:

@@ -41,14 +41,13 @@ def extract_media_refs_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def media_ref_rollup(ds: "ray.data.Dataset",
-                     num_buckets: int = 16) -> "ray.data.Dataset":
+def media_ref_rollup(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Per-media-asset reference rollup over the interleaved spans
     schema: explode media spans (vectorized flatten), parse the tile
     coordinates out of each ``tile://band/tx_ty`` ref, and emit one
     row per asset with its span count and distinct referencing-doc
     count.  Tiles hash-bucket so the single shuffle is integer-keyed
-    with ``num_buckets`` groups; the per-bucket kernel dedups
+    with 16 groups; the per-bucket kernel dedups
     (doc, asset) pairs globally (a bucket sees every row of its
     assets).  The asset manifest a media-dedup / retrieval stage
     plans from at 100 TB."""
@@ -91,11 +90,10 @@ def media_ref_rollup(ds: "ray.data.Dataset",
 
     return bucket_exchange(
         ds.map_batches(parse, batch_format="pyarrow", zero_copy_batch=True),
-        ["tx", "ty"], kernel, num_buckets, "pandas")
+        ["tx", "ty"], kernel, 16, "pandas")
 
 
-def span_fingerprint_batch(batch: pa.Table,
-                           key_col: str = "doc_id") -> pa.Table:
+def span_fingerprint_batch(batch: pa.Table) -> pa.Table:
     """Order-sensitive fingerprint of each document's FULL span
     sequence — the per-row invariant the north rule pins against the
     reference ("span-sequence equality: kind, text, media_ref, order").
@@ -129,14 +127,13 @@ def span_fingerprint_batch(batch: pa.Table,
                                  else per_span), "")
     fp = hash_string_array(doc_str)
     return pa.table({
-        key_col: batch.column(key_col),
+        "doc_id": batch.column("doc_id"),
         "n_spans": pa.array(counts),
         "span_fp": pa.array(fp.view(np.int64)),
     })
 
 
-def compact_text_spans_batch(batch: pa.Table,
-                             key_col: str = "doc_id") -> pa.Table:
+def compact_text_spans_batch(batch: pa.Table) -> pa.Table:
     """Text-only span compaction: drop every non-``text`` span from the
     interleaved sequence, PRESERVING the relative order of the kept
     spans, and fingerprint the compacted sequence with the same
@@ -176,14 +173,14 @@ def compact_text_spans_batch(batch: pa.Table,
                                  else kept_span), "")
     fp = hash_string_array(doc_str)
     return pa.table({
-        key_col: batch.column(key_col),
+        "doc_id": batch.column("doc_id"),
         "n_kept": pa.array(n_kept),
         "n_dropped": pa.array(counts - n_kept),
         "text_fp": pa.array(fp.view(np.int64)),
     })
 
 
-def frame_sample_plan(ds: "ray.data.Dataset", k: int = 8) -> "ray.data.Dataset":
+def frame_sample_plan(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Video frame-sampling schedule per distinct media asset.
 
     No video is decoded; the *plan* — which frames a sampler would
@@ -198,6 +195,7 @@ def frame_sample_plan(ds: "ray.data.Dataset", k: int = 8) -> "ray.data.Dataset":
     Output: (band, tx, ty, n_frames, frame_idx) — one row per sampled
     frame.
     """
+    k = 8  # frames per asset
     refs = ds.map_batches(extract_media_refs_batch, batch_format="pyarrow",
                           zero_copy_batch=True)
 

@@ -81,7 +81,6 @@ class NetworkDistance:
     def __init__(self, nodes_ref, edges_ref, greenspace_ref,
                  target_dist: float, destination: str = "centroids",
                  distance_type: str = "network", key_col: str = "doc_id",
-                 dist_name: str = "distance_to_greenspace",
                  flag_name: str = "greenspace_within_target"):
         self.graph = _graph(nodes_ref, edges_ref)
         gs = side_table(greenspace_ref)
@@ -92,7 +91,7 @@ class NetworkDistance:
         self.vert_owner = np.concatenate(
             [np.full(len(g[1]), i, dtype=np.int64) for i, g in enumerate(self.greenspaces)]
         )
-        self.vert_index = GridIndex(vx, vy, cell_size=500.0)
+        self.vert_index = GridIndex(vx, vy)
         self.target = float(target_dist)
         self.destination = destination
         # "network": Dijkstra distances (accessibility.py:234-273);
@@ -100,7 +99,7 @@ class NetworkDistance:
         # to the nearest pseudo-entrance node (accessibility.py:286-301)
         self.distance_type = distance_type
         self.key_col = key_col
-        self.dist_name = dist_name
+        self.dist_name = "distance_to_greenspace"
         self.flag_name = flag_name
 
     def _candidates(self, x: float, y: float) -> list[int]:
@@ -358,7 +357,7 @@ class IsochroneCoverage(_IsochroneAoI):
         self.vert_owner = np.concatenate(
             [np.full(len(r), pi, dtype=np.int64)
              for pi, p in enumerate(polys) for r in p])
-        self.vert_index = GridIndex(vx, vy, cell_size=500.0)
+        self.vert_index = GridIndex(vx, vy)
         self.max_span = max(
             (float(np.hypot(*(r.max(0) - r.min(0))))
              for p in polys for r in p), default=0.0)
@@ -427,8 +426,7 @@ class ODMatrix:
     """
 
     def __init__(self, nodes_ref, edges_ref, cutoff: float,
-                 dest_mod: int | None = None, dest_ids=None,
-                 key_col: str = "doc_id"):
+                 dest_mod: int | None = None, dest_ids=None):
         self.graph = _graph(nodes_ref, edges_ref)
         g = self.graph
         if dest_ids is not None:
@@ -442,7 +440,7 @@ class ODMatrix:
         self.is_dest = np.zeros(len(g.node_id), dtype=bool)
         self.is_dest[self.dest_pos] = True
         self.cutoff = float(cutoff)
-        self.key_col = key_col
+        self.key_col = "doc_id"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         x = batch.column("x").to_numpy(zero_copy_only=False)

@@ -47,14 +47,13 @@ def _fine_partials(batch: pa.Table, keys: list[str], value_col: str,
     return pa.table(out)
 
 
-def rollup_sum(ds: "ray.data.Dataset", keys: list[str], value_col: str,
-               scale: float = 100.0,
-               sentinels: dict[str, object] | None = None) -> "ray.data.Dataset":
+def rollup_sum(ds: "ray.data.Dataset", keys: list[str],
+               value_col: str) -> "ray.data.Dataset":
     """``GROUP BY ROLLUP(keys...)`` over an integer-quantized sum.
 
     Returns one row per grouping set — (k1,...,kn), (k1,...,kn-1), ...,
     () — with a ``lvl`` column (number of live keys) and rolled-up keys
-    replaced by their sentinel (default ``'ALL'`` / ``-1``) so the
+    replaced by a sentinel (``'ALL'`` / ``-1``) so the
     schema stays NULL-free and hash-stable.
 
     Scale shape: raw rows shuffle ONCE, pre-reduced per batch to the
@@ -62,7 +61,6 @@ def rollup_sum(ds: "ray.data.Dataset", keys: list[str], value_col: str,
     aggregate, whose cardinality is the product of key cardinalities —
     KB-scale even when the input is 10^12 rows.
     """
-    sentinels = sentinels or {}
     schema = ds.schema()
     raw_types = dict(zip(schema.names, schema.types))
 
@@ -72,12 +70,11 @@ def rollup_sum(ds: "ray.data.Dataset", keys: list[str], value_col: str,
         return t if isinstance(t, pa.DataType) else pa.string()
 
     key_types = {c: _patype(c) for c in keys}
-    pads = {c: sentinels.get(
-        c, "ALL" if pa.types.is_string(key_types[c]) else -1)
-        for c in keys}
+    pads = {c: "ALL" if pa.types.is_string(key_types[c]) else -1
+            for c in keys}
 
     part = ds.map_batches(
-        lambda b: _fine_partials(b, keys, value_col, scale),
+        lambda b: _fine_partials(b, keys, value_col, 100.0),
         batch_format="pyarrow", zero_copy_batch=True)
     fine = part.groupby(keys).aggregate(
         Sum("n", alias_name="n"), Sum("sum_q", alias_name="sum_q"))
@@ -119,8 +116,7 @@ def rollup_sum(ds: "ray.data.Dataset", keys: list[str], value_col: str,
 # ---------------------------------------------------------------------------
 
 def pivot_count_sum(ds: "ray.data.Dataset", key_col: str, type_col: str,
-                    types: list[str], value_col: str,
-                    scale: float = 100.0) -> "ray.data.Dataset":
+                    types: list[str], value_col: str) -> "ray.data.Dataset":
     """Pivot ``type_col`` into ``n_<type>`` / ``sum_<type>`` wide
     columns per key (conditional aggregation, integer-exact).
 
@@ -137,7 +133,7 @@ def pivot_count_sum(ds: "ray.data.Dataset", key_col: str, type_col: str,
         known = tv_ser.notna().to_numpy()
         tv = tv_ser.fillna(0).to_numpy().astype(np.int64)
         val = batch.column(value_col).to_numpy(zero_copy_only=False)
-        vq = np.round(val * scale, 0).astype(np.int64)
+        vq = np.round(val * 100.0, 0).astype(np.int64)
         uniq, codes = np.unique(keys, return_inverse=True)
         k = len(uniq)
         flat = codes * nt + tv
@@ -165,8 +161,7 @@ def pivot_count_sum(ds: "ray.data.Dataset", key_col: str, type_col: str,
 
 def interval_overlap_count(ds: "ray.data.Dataset", windows: pa.Table,
                            start_col: str, end_col: str,
-                           value_col: str | None = None,
-                           scale: float = 100.0) -> "ray.data.Dataset":
+                           value_col: str | None = None) -> "ray.data.Dataset":
     """Count rows whose [start,end] interval overlaps each window
     (half-open overlap test ``row_start <= w_end AND row_end >= w_start``
     on int64 epoch-us), plus an optional quantized value sum.
@@ -191,7 +186,7 @@ def interval_overlap_count(ds: "ray.data.Dataset", windows: pa.Table,
         cols = {"w_id": pa.array(w_id), "n_overlap": pa.array(n)}
         if value_col is not None:
             vq = np.round(batch.column(value_col)
-                          .to_numpy(zero_copy_only=False) * scale,
+                          .to_numpy(zero_copy_only=False) * 100.0,
                           0).astype(np.int64)
             cols["sum_q"] = pa.array((hit * vq[:, None]).sum(axis=0)
                                      .astype(np.int64))
@@ -205,9 +200,8 @@ def interval_overlap_count(ds: "ray.data.Dataset", windows: pa.Table,
     return part.groupby("w_id").aggregate(*aggs)
 
 
-def cube_sum(ds: "ray.data.Dataset", keys: list[str], value_col: str,
-             scale: float = 100.0,
-             sentinels: dict[str, object] | None = None) -> "ray.data.Dataset":
+def cube_sum(ds: "ray.data.Dataset", keys: list[str],
+             value_col: str) -> "ray.data.Dataset":
     """``GROUP BY CUBE(keys...)`` — every key subset as a grouping set.
 
     Same single-shuffle design as :func:`rollup_sum`: the raw rows
@@ -218,17 +212,15 @@ def cube_sum(ds: "ray.data.Dataset", keys: list[str], value_col: str,
     """
     from itertools import combinations
 
-    sentinels = sentinels or {}
     schema = ds.schema()
     raw_types = dict(zip(schema.names, schema.types))
     key_types = {c: (t if isinstance(t := raw_types[c], pa.DataType)
                      else pa.string()) for c in keys}
-    pads = {c: sentinels.get(
-        c, "ALL" if pa.types.is_string(key_types[c]) else -1)
-        for c in keys}
+    pads = {c: "ALL" if pa.types.is_string(key_types[c]) else -1
+            for c in keys}
 
     part = ds.map_batches(
-        lambda b: _fine_partials(b, keys, value_col, scale),
+        lambda b: _fine_partials(b, keys, value_col, 100.0),
         batch_format="pyarrow", zero_copy_batch=True)
     fine = part.groupby(keys).aggregate(
         Sum("n", alias_name="n"), Sum("sum_q", alias_name="sum_q"))
@@ -270,9 +262,7 @@ def cube_sum(ds: "ray.data.Dataset", keys: list[str], value_col: str,
 # ---------------------------------------------------------------------------
 
 def interval_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
-                  bucket_us: int, left_key: str = "a_id",
-                  right_key: str = "b_id",
-                  cols=("s", "e")) -> "ray.data.Dataset":
+                  bucket_us: int) -> "ray.data.Dataset":
     """Overlap-join two LARGE interval sets: ``[s,e]`` pairs meeting in
     time buckets, each overlapping pair reported only from the bucket
     containing ``max(s_left, s_right)`` — the 1-D ownership rule of
@@ -284,7 +274,7 @@ def interval_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
     bucket the overlap test is one (n_left × n_right) vectorized
     predicate.  Emits (left_key, right_key) pairs.
     """
-    s_col, e_col = cols
+    s_col, e_col = ("s", "e")
 
     def explode(side: int, key: str):
         def fn(batch: pa.Table) -> pa.Table:
@@ -305,17 +295,17 @@ def interval_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
             })
         return fn
 
-    lt = left.map_batches(explode(0, left_key), batch_format="pyarrow",
+    lt = left.map_batches(explode(0, "a_id"), batch_format="pyarrow",
                           zero_copy_batch=True)
-    rt = right.map_batches(explode(1, right_key), batch_format="pyarrow",
+    rt = right.map_batches(explode(1, "b_id"), batch_format="pyarrow",
                            zero_copy_batch=True)
     u = lt.union(rt)
 
     def join_group(tbl: pa.Table) -> pa.Table:
         side = tbl.column("side").to_numpy(zero_copy_only=False)
         li, ri = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
-        empty = pa.table({left_key: pa.array([], pa.int64()),
-                          right_key: pa.array([], pa.int64())})
+        empty = pa.table({"a_id": pa.array([], pa.int64()),
+                          "b_id": pa.array([], pa.int64())})
         if len(li) == 0 or len(ri) == 0:
             return empty
         bucket = int(tbl.column("bucket")[0].as_py())
@@ -329,8 +319,8 @@ def interval_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         own = np.maximum(s[li][ai], s[ri][bj]) // bucket_us
         keep = own == bucket
         return pa.table({
-            left_key: tbl.column("key").take(pa.array(li[ai[keep]])),
-            right_key: tbl.column("key").take(pa.array(ri[bj[keep]])),
+            "a_id": tbl.column("key").take(pa.array(li[ai[keep]])),
+            "b_id": tbl.column("key").take(pa.array(ri[bj[keep]])),
         })
 
     return u.groupby("bucket").map_groups(join_group,

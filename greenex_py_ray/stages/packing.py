@@ -105,14 +105,13 @@ class _PackGroup:
         return out
 
 
-def chunk_plan(ds: "ray.data.Dataset", window: int, stride: int,
-               key_col: str = "doc_id",
-               count_col: str = "n_tokens") -> "ray.data.Dataset":
+def chunk_plan(ds: "ray.data.Dataset", window: int,
+               stride: int) -> "ray.data.Dataset":
     """Sliding-window chunk plan: one output row per training chunk of
     ``window`` tokens advancing by ``stride`` (< window ⇒ overlap),
     the per-document layout step of a context-window training set.
 
-    Per doc with ``n = count_col`` tokens: ``k = 1`` chunk when
+    Per doc with ``n = n_tokens`` tokens: ``k = 1`` chunk when
     ``n <= window`` else ``1 + ceil((n - window) / stride)`` (the last
     chunk is the first one whose window reaches the end; every token
     is covered, chunk ``i`` spans ``[i*stride, i*stride + n_tok)``
@@ -127,9 +126,9 @@ def chunk_plan(ds: "ray.data.Dataset", window: int, stride: int,
         raise ValueError("need 0 < stride <= window")
 
     def expand(batch: pa.Table) -> pa.Table:
-        key = batch.column(key_col).to_numpy(
+        key = batch.column("doc_id").to_numpy(
             zero_copy_only=False).astype(np.int64)
-        n = batch.column(count_col).to_numpy(
+        n = batch.column("n_tokens").to_numpy(
             zero_copy_only=False).astype(np.int64)
         k = np.where(n <= 0, 0,
                      np.where(n <= window, 1,
@@ -142,7 +141,7 @@ def chunk_plan(ds: "ray.data.Dataset", window: int, stride: int,
         start_tok = chunk_id * stride
         n_tok = np.minimum(window, n_rep - start_tok)
         return pa.table({
-            key_col: pa.array(keys),
+            "doc_id": pa.array(keys),
             "chunk_id": pa.array(chunk_id),
             "start_tok": pa.array(start_tok),
             "n_tok": pa.array(n_tok),
@@ -153,21 +152,20 @@ def chunk_plan(ds: "ray.data.Dataset", window: int, stride: int,
 
 
 def sequence_pack(ds: "ray.data.Dataset", seq_len: int,
-                  key_col: str = "doc_id", count_col: str = "n_tokens",
                   bucket_span: int = 8192) -> "ray.data.Dataset":
     """Assign every doc its token offset and training-sequence range in
-    the concat-then-chunk packing of the corpus ordered by ``key_col``.
-    ``ds`` must carry integer ``key_col`` and ``count_col`` columns."""
-    ref = shipped(bucket_offsets(ds, key_col, count_col, bucket_span))
+    the concat-then-chunk packing of the corpus ordered by ``doc_id``.
+    ``ds`` must carry integer ``doc_id`` and ``n_tokens`` columns."""
+    ref = shipped(bucket_offsets(ds, "doc_id", "n_tokens", bucket_span))
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).to_numpy(
+        k = batch.column("doc_id").to_numpy(
             zero_copy_only=False).astype(np.int64)
         return batch.append_column("bucket", pa.array(k // bucket_span))
 
     with_bucket = ds.map_batches(add_bucket, batch_format="pyarrow",
                                  zero_copy_batch=True)
-    body = _PackGroup(ref, seq_len, key_col, count_col, bucket_span)
+    body = _PackGroup(ref, seq_len, "doc_id", "n_tokens", bucket_span)
 
     def pack_group(grp: pd.DataFrame) -> pd.DataFrame:
         return body(grp)

@@ -103,8 +103,7 @@ class _RankLookup:
                                pa.array(pr_q6.astype(np.int64))))
 
 
-def percent_rank(ds: "ray.data.Dataset", col: str,
-                 out_col: str = "pct_rank") -> "ray.data.Dataset":
+def percent_rank(ds: "ray.data.Dataset", col: str) -> "ray.data.Dataset":
     """SQL ``percent_rank()`` over the whole dataset without a global
     sort: ``(#rows < value) / (n - 1)``, ties share a rank.
 
@@ -130,7 +129,7 @@ def percent_rank(ds: "ray.data.Dataset", col: str,
     n = int(cum[-1]) if len(cum) else 0
     return KernelStage(
         _RankLookup,
-        dict(hist_ref=shipped((v, cum, n)), col=col, out_col=out_col),
+        dict(hist_ref=shipped((v, cum, n)), col=col, out_col="pct_rank"),
         dict(num_cpus=0.25)).on(ds)
 
 
@@ -200,8 +199,7 @@ def group_winsorize(ds: "ray.data.Dataset", group_col: str, col: str,
 
 
 def global_rank_ntile(ds: "ray.data.Dataset", col: str, key_col: str,
-                      tiles: int = 10,
-                      scale: float = 100.0) -> "ray.data.Dataset":
+                      tiles: int = 10) -> "ray.data.Dataset":
     """Exact global ``row_number()`` + ``NTILE(tiles)`` ordered by
     (quantized value, key) — WITHOUT a global sort.
 
@@ -216,7 +214,7 @@ def global_rank_ntile(ds: "ray.data.Dataset", col: str, key_col: str,
 
     def counts(batch: pa.Table) -> pa.Table:
         v = batch.column(col).to_numpy(zero_copy_only=False)
-        q = np.round(v * scale, 0).astype(np.int64)
+        q = np.round(v * 100.0, 0).astype(np.int64)
         uniq, cnt = np.unique(q, return_counts=True)
         return pa.table({"q": pa.array(uniq),
                          "n": pa.array(cnt.astype(np.int64))})
@@ -235,7 +233,7 @@ def global_rank_ntile(ds: "ray.data.Dataset", col: str, key_col: str,
         v = batch.column(col).to_numpy(zero_copy_only=False)
         return pa.table({
             key_col: batch.column(key_col),
-            "q": pa.array(np.round(v * scale, 0).astype(np.int64)),
+            "q": pa.array(np.round(v * 100.0, 0).astype(np.int64)),
         })
 
     def rank_group(tbl: pa.Table) -> pa.Table:

@@ -34,8 +34,7 @@ _TB = np.int64(1 << 20)
 
 
 def rasterize_coverage(rects: "ray.data.Dataset", res: float,
-                       tile_px: int = 256,
-                       num_buckets: int = 64) -> "ray.data.Dataset":
+                       tile_px: int = 256) -> "ray.data.Dataset":
     """Burn rects (x0, y0, x1, y1) onto the ``res``-metre pixel grid;
     one output row per touched tile: (tix, tiy, n_covered) where
     ``n_covered`` counts pixels covered by >= 1 rect (union, not sum).
@@ -109,4 +108,4 @@ def rasterize_coverage(rects: "ray.data.Dataset", res: float,
     return bucket_exchange(
         rects.map_batches(to_tiles, batch_format="pyarrow",
                           zero_copy_batch=True),
-        "tkey", burn, num_buckets)
+        "tkey", burn, 64)

@@ -38,7 +38,7 @@ def _partials(batch: pa.Table, group_col: str, x_col: str, y_col: str,
 
 
 def group_ols(ds: "ray.data.Dataset", group_col: str, x_col: str,
-              y_col: str, y_scale: float = 100.0) -> "ray.data.Dataset":
+              y_col: str) -> "ray.data.Dataset":
     """Least-squares ``y ~ a + b·x`` per group.
 
     Output: group, n, ``slope`` and ``intercept`` (in quantized-y units
@@ -55,7 +55,7 @@ def group_ols(ds: "ray.data.Dataset", group_col: str, x_col: str,
        exactness anyway).
     """
     part = ds.map_batches(
-        lambda b: _partials(b, group_col, x_col, y_col, y_scale),
+        lambda b: _partials(b, group_col, x_col, y_col, 100.0),
         batch_format="pyarrow", zero_copy_batch=True)
     agg = part.groupby(group_col).aggregate(
         Sum("n", alias_name="n"), Sum("sx", alias_name="sx"),
@@ -71,8 +71,8 @@ def group_ols(ds: "ray.data.Dataset", group_col: str, x_col: str,
         den = n * sxx - sx * sx
         ok = den != 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (n * sxy - sx * sy) / den / y_scale
-            intercept = (sy / y_scale - slope * sx) / n
+            slope = (n * sxy - sx * sy) / den / 100.0
+            intercept = (sy / 100.0 - slope * sx) / n
         return pa.table({
             batch.column_names[0]: batch.column(0),
             "n": batch.column("n"),
@@ -105,7 +105,7 @@ def _pearson_partials(batch: pa.Table, group_col: str, x_col: str,
 
 
 def group_pearson(ds: "ray.data.Dataset", group_col: str, x_col: str,
-                  y_col: str, y_scale: float = 100.0) -> "ray.data.Dataset":
+                  y_col: str) -> "ray.data.Dataset":
     """Per-group Pearson correlation between an integer x column and a
     quantized y column.
 
@@ -116,11 +116,11 @@ def group_pearson(ds: "ray.data.Dataset", group_col: str, x_col: str,
     — replayed token-for-token by the SQL oracle, so the gate is
     bit-stable under any partitioning.  NULL for degenerate groups
     (zero variance on either side).  The y quantization drops
-    correlation information below 1/y_scale — acceptable for gate
+    correlation information below 1/100 — acceptable for gate
     determinism; pass a larger scale when fidelity matters.
     """
     part = ds.map_batches(
-        lambda b: _pearson_partials(b, group_col, x_col, y_col, y_scale),
+        lambda b: _pearson_partials(b, group_col, x_col, y_col, 100.0),
         batch_format="pyarrow", zero_copy_batch=True)
     agg = part.groupby(group_col).aggregate(
         Sum("n", alias_name="n"), Sum("sx", alias_name="sx"),

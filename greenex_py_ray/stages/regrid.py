@@ -57,15 +57,15 @@ class RegridTiles:
     For each output tile: pixel centers → inverse-project target→source
     CRS → nearest source pixel (floor(x/res)) via the kernel's source
     TileStore.  Pixels falling outside the stored source extent become
-    NaN (float bands) / ``fill_int`` (int bands)."""
+    NaN (float bands) / -1 (int bands)."""
 
     def __init__(self, src_root: str, src_crs: str, dst_crs: str,
-                 band: str, fill_int: int = -1):
+                 band: str):
         self.store = TileStore(src_root)
         self.src_crs = src_crs
         self.dst_crs = dst_crs
         self.band = band
-        self.fill_int = fill_int
+        self.fill_int = (-1)
         # emit the band's canonical storage dtype so the output rows can
         # be written back as a tile store TileStore decodes correctly
         self.out_dtype = synth.BAND_DTYPE.get(band, np.float64)

@@ -65,8 +65,7 @@ def assign_split(ds: "ray.data.Dataset", key_col: str,
 
 
 def stratified_sample(ds: "ray.data.Dataset", group_col: str, key_col: str,
-                      n_per_group: int,
-                      salt: int = 0) -> "ray.data.Dataset":
+                      n_per_group: int) -> "ray.data.Dataset":
     """Deterministic ``n_per_group`` rows per group (training-data op:
     class/domain balancing).  Rows are ranked by the Lehmer hash of
     their key — a stable pseudo-random order — and the per-group top-n
@@ -79,7 +78,7 @@ def stratified_sample(ds: "ray.data.Dataset", group_col: str, key_col: str,
         k = batch.column(key_col).to_numpy(zero_copy_only=False)
         # negate so the SMALLEST hash wins under top-k's desc ordering
         return batch.append_column(
-            "neg_rank", pa.array(-hash_rank(k, salt), pa.int64()))
+            "neg_rank", pa.array(-hash_rank(k, 0), pa.int64()))
 
     ranked = ds.map_batches(add_rank, batch_format="pyarrow",
                             zero_copy_batch=True)
@@ -88,15 +87,12 @@ def stratified_sample(ds: "ray.data.Dataset", group_col: str, key_col: str,
     return out.drop_columns(["neg_rank"])
 
 
-def mixture_sample(ds: "ray.data.Dataset", weight_of,
-                   group_col: str = "source", size_col: str = "n_chars",
-                   key_col: str = "doc_id",
-                   salt: int = 0) -> "ray.data.Dataset":
+def mixture_sample(ds: "ray.data.Dataset", weight_of) -> "ray.data.Dataset":
     """Data-mixing sampler: downsample each source to hit a target
     mixture without upsampling any of them.
 
     Given target weights ``w_s`` (``weight_of(group) -> float``) and
-    available sizes ``n_s = sum(size_col)``, the largest corpus
+    available sizes ``n_s = sum(n_chars)``, the largest corpus
     honouring the mixture is ``T* = min_s(n_s / w_s)``; each source
     keeps a deterministic ``w_s·T*/n_s`` fraction of its rows by Lehmer
     key hash — membership is stable across runs and cluster sizes.
@@ -106,25 +102,25 @@ def mixture_sample(ds: "ray.data.Dataset", weight_of,
     streaming vectorized map_batches."""
     from ray.data.aggregate import Sum
 
-    avail_df = (ds.groupby(group_col)
-                .aggregate(Sum(size_col, alias_name="avail")).to_pandas())
-    groups = avail_df[group_col].to_numpy()
+    avail_df = (ds.groupby("source")
+                .aggregate(Sum("n_chars", alias_name="avail")).to_pandas())
+    groups = avail_df["source"].to_numpy()
     avail = avail_df["avail"].to_numpy(dtype=np.float64)
     wt = np.array([weight_of(g) for g in groups], dtype=np.float64)
     ts = float((avail / wt).min())
     rates = dict(zip(groups, (wt * ts) / avail))
 
     def keep(batch: pa.Table) -> pa.Table:
-        r = batch.column(group_col).to_pandas().map(rates).to_numpy(
+        r = batch.column("source").to_pandas().map(rates).to_numpy(
             dtype=np.float64)
-        k = np.asarray(batch.column(key_col).to_numpy(zero_copy_only=False),
+        k = np.asarray(batch.column("doc_id").to_numpy(zero_copy_only=False),
                        dtype=np.int64)
         if k.size and k.min() < 0:
             raise ValueError("mixture_sample requires non-negative keys")
         # NOT hash_rank: the Lehmer residue k*48271 % (2^31-1) doesn't
         # wrap for small keys, so u would be far from uniform on dense
         # low ids.  k*1103515245 wraps the 1e6 modulus from k=1 up.
-        u = ((k * 1103515245 + 12345 + salt) % 1000003) / 1000003.0
+        u = ((k * 1103515245 + 12345) % 1000003) / 1000003.0
         return batch.filter(pa.array(u < r))
 
     return ds.map_batches(keep, batch_format="pyarrow",

@@ -39,14 +39,14 @@ EMAIL_TOKEN = "<EMAIL>"
 PHONE_TOKEN = "<PHONE>"
 
 
-def pii_redact_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
+def pii_redact_batch(batch: pa.Table) -> pa.Table:
     """Append ``n_emails``, ``n_phones``, ``red_text``.
 
     Emails are redacted FIRST, then phones are counted/redacted on the
     email-redacted text (so digit runs inside an address can't be
     double-counted) — the oracle mirrors the same two-pass order.
     """
-    col = pc.fill_null(batch.column(text_col), "")
+    col = pc.fill_null(batch.column("text"), "")
     n_emails = pc.count_substring_regex(col, EMAIL_RE)
     step1 = pc.replace_substring_regex(col, EMAIL_RE, EMAIL_TOKEN)
     n_phones = pc.count_substring_regex(step1, PHONE_RE)
@@ -56,7 +56,7 @@ def pii_redact_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
             .append_column("red_text", red))
 
 
-def normalize_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
+def normalize_batch(batch: pa.Table) -> pa.Table:
     """Append ``norm_text`` (NFC unicode normalization + whitespace
     collapse + trim) and ``changed`` — the canonicalization pass every
     web-crawl corpus runs before hashing/dedup (decomposed accents and
@@ -69,7 +69,7 @@ def normalize_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     'g'))`` matches byte-for-byte (RE2 ``\\s`` is ASCII in both)."""
     import unicodedata
 
-    col = pc.fill_null(batch.column(text_col), "")
+    col = pc.fill_null(batch.column("text"), "")
     nfc = pa.array([unicodedata.normalize("NFC", s)
                     for s in col.to_pylist()], pa.string())
     norm = pc.utf8_trim_whitespace(
@@ -173,13 +173,12 @@ class LineFilter:
     Output: key + ``clean_text`` (kept lines re-joined), ``n_lines``,
     ``n_removed``."""
 
-    def __init__(self, banned_ref, width: int = 3, key_col: str = "doc_id",
-                 text_col: str = "text"):
+    def __init__(self, banned_ref, width: int = 3):
         self.banned = np.sort(np.asarray(side_table(banned_ref),
                                          dtype=np.uint64))
         self.width = width
-        self.key_col = key_col
-        self.text_col = text_col
+        self.key_col = "doc_id"
+        self.text_col = "text"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         vals, parent, h_line, line_parent, line_gid, n = \
@@ -209,9 +208,8 @@ class LineFilter:
         })
 
 
-def line_dedup(ds: "ray.data.Dataset", width: int = 3, min_docs: int = 4,
-               key_col: str = "doc_id",
-               text_col: str = "text") -> "ray.data.Dataset":
+def line_dedup(ds: "ray.data.Dataset", width: int = 3,
+               min_docs: int = 4) -> "ray.data.Dataset":
     """C4-style frequent-line removal: lines (runs of ``width`` tokens)
     that occur in ``>= min_docs`` distinct documents are boilerplate and
     are dropped from every document.
@@ -223,7 +221,7 @@ def line_dedup(ds: "ray.data.Dataset", width: int = 3, min_docs: int = 4,
     from ray.data.aggregate import Sum
 
     freq = (ds.map_batches(
-                lambda b: line_freq_partial(b, width, text_col),
+                lambda b: line_freq_partial(b, width, "text"),
                 batch_format="pyarrow", zero_copy_batch=True)
             .groupby("lh").aggregate(Sum("n", alias_name="n")))
     banned_tbl = (freq.map_batches(
@@ -232,8 +230,7 @@ def line_dedup(ds: "ray.data.Dataset", width: int = 3, min_docs: int = 4,
     banned = banned_tbl["lh"].to_numpy(dtype=np.int64).view(np.uint64)
     return KernelStage(
         LineFilter,
-        dict(banned_ref=shipped(banned), width=width, key_col=key_col,
-             text_col=text_col),
+        dict(banned_ref=shipped(banned), width=width),
         dict(num_cpus=0.5)).on(ds)
 
 
@@ -252,13 +249,7 @@ FILTER_RULES = (
 )
 
 
-def filter_chain_batch(batch: pa.Table, min_tokens: int = 15,
-                       min_stopword_ratio: float = 0.02,
-                       max_dup_frac: float = 0.6,
-                       max_top_frac: float = 0.14,
-                       min_ent_micro_nats: int = 2_800_000,
-                       text_col: str = "text",
-                       key_col: str = "doc_id") -> pa.Table:
+def filter_chain_batch(batch: pa.Table) -> pa.Table:
     """One-pass multi-signal corpus filter: composes the quality,
     repetition and token-entropy kernels over the same batch and emits
     a ``reasons`` bitmask (see :data:`FILTER_RULES`) + ``keep`` flag.
@@ -268,27 +259,27 @@ def filter_chain_batch(batch: pa.Table, min_tokens: int = 15,
     so no float threshold wobble across engines."""
     from .text import quality_score_batch, token_entropy_batch
 
-    q = quality_score_batch(batch, text_col)
+    q = quality_score_batch(batch, "text")
     nt = q.column("q_n_tokens").to_numpy(zero_copy_only=False)
     sw = q.column("q_stopword_ratio").to_numpy(zero_copy_only=False)
 
     rep = repetition_batch(
-        batch.select([key_col, text_col]).to_pandas(), text_col)
+        batch.select(["doc_id", "text"]).to_pandas(), "text")
     dup = rep["dup_frac"].to_numpy()
     top = rep["top_frac"].to_numpy()
 
-    ent = token_entropy_batch(batch, text_col, key_col)
+    ent = token_entropy_batch(batch, "text", "doc_id")
     eq = ent.column("ent_q").to_numpy(zero_copy_only=False)
     en = ent.column("n_tokens").to_numpy(zero_copy_only=False)
 
     reasons = np.zeros(len(batch), dtype=np.int64)
-    reasons += np.where(nt < min_tokens, 1, 0)
-    reasons += np.where(sw < min_stopword_ratio, 2, 0)
-    reasons += np.where(dup > max_dup_frac, 4, 0)
-    reasons += np.where(top > max_top_frac, 8, 0)
-    reasons += np.where(eq < min_ent_micro_nats * en, 16, 0)
+    reasons += np.where(nt < 15, 1, 0)
+    reasons += np.where(sw < 0.02, 2, 0)
+    reasons += np.where(dup > 0.6, 4, 0)
+    reasons += np.where(top > 0.14, 8, 0)
+    reasons += np.where(eq < 2_800_000 * en, 16, 0)
     return pa.table({
-        key_col: batch.column(key_col),
+        "doc_id": batch.column("doc_id"),
         "reasons": pa.array(reasons),
         "keep": pa.array(reasons == 0),
     })
@@ -363,12 +354,11 @@ class DupWindowFlag:
     """Pass-2 kernel (broadcast path): per document, count window
     positions whose hash is in the duplicated-window set."""
 
-    def __init__(self, dup_ref, width: int, key_col: str = "doc_id",
-                 text_col: str = "text"):
+    def __init__(self, dup_ref, width: int):
         self.dup = np.sort(np.asarray(side_table(dup_ref), dtype=np.uint64))
         self.width = width
-        self.key_col = key_col
-        self.text_col = text_col
+        self.key_col = "doc_id"
+        self.text_col = "text"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         wh, wp, n_win = _window_structure(batch.column(self.text_col),
@@ -389,13 +379,10 @@ class DupWindowFlag:
 
 
 def dup_window_flags(ds: "ray.data.Dataset", width: int = 8,
-                     min_docs: int = 2, key_col: str = "doc_id",
-                     text_col: str = "text",
-                     max_broadcast: int = 2_000_000,
-                     num_partitions: int = 16) -> "ray.data.Dataset":
+                     max_broadcast: int = 2_000_000) -> "ray.data.Dataset":
     """ExactSubstr-style duplicate-window detection (Lee et al. 2022,
     "Deduplicating Training Data Makes Language Models Better"): every
-    sliding run of ``width`` tokens that appears in ``>= min_docs``
+    sliding run of ``width`` tokens that appears in ``>= 2``
     distinct documents corpus-wide marks its positions as duplicated;
     per document we report how many of its windows are duplicated and a
     ``keep`` flag (no duplicated window at all).
@@ -414,11 +401,11 @@ def dup_window_flags(ds: "ray.data.Dataset", width: int = 8,
     from ray.data.aggregate import Sum
 
     freq = (ds.map_batches(
-                lambda b: window_freq_partial(b, width, text_col),
+                lambda b: window_freq_partial(b, width, "text"),
                 batch_format="pyarrow", zero_copy_batch=True)
             .groupby("wh").aggregate(Sum("n", alias_name="n")))
     dup_keys = freq.map_batches(
-        lambda b: b.filter(pc.greater_equal(b.column("n"), min_docs))
+        lambda b: b.filter(pc.greater_equal(b.column("n"), 2))
                    .select(["wh"]),
         batch_format="pyarrow", zero_copy_batch=True)
     n_dup_keys = dup_keys.count()
@@ -429,51 +416,50 @@ def dup_window_flags(ds: "ray.data.Dataset", width: int = 8,
                np.empty(0, np.uint64))
         return KernelStage(
             DupWindowFlag,
-            dict(dup_ref=shipped(dup), width=width, key_col=key_col,
-                 text_col=text_col),
+            dict(dup_ref=shipped(dup), width=width),
             dict(num_cpus=0.5)).on(ds)
 
     # Scale path: ship per-doc window partials through a semi join on
     # the window hash instead of broadcasting the dup set.
     def win_partial(batch: pa.Table) -> pa.Table:
-        wh, wp, _ = _window_structure(batch.column(text_col), width)
+        wh, wp, _ = _window_structure(batch.column("text"), width)
         order = np.lexsort((wp, wh))
         hs, ps = wh[order], wp[order]
         first = np.ones(len(hs), dtype=bool)
         first[1:] = (hs[1:] != hs[:-1]) | (ps[1:] != ps[:-1])
         starts = np.flatnonzero(first)
         k = np.diff(np.append(starts, len(hs)))
-        doc_ids = batch.column(key_col).to_numpy(zero_copy_only=False)
+        doc_ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         return pa.table({
             "wh": pa.array(hs[starts].view(np.int64)),
-            key_col: pa.array(doc_ids[ps[starts]]),
+            "doc_id": pa.array(doc_ids[ps[starts]]),
             "k": pa.array(k.astype(np.int64)),
         })
 
     def base_counts(batch: pa.Table) -> pa.Table:
-        _, _, n_win = _window_structure(batch.column(text_col), width)
-        return pa.table({key_col: batch.column(key_col),
+        _, _, n_win = _window_structure(batch.column("text"), width)
+        return pa.table({"doc_id": batch.column("doc_id"),
                          "n_windows": pa.array(n_win)})
 
     hits = (bucket_join_attach(
                 ds.map_batches(win_partial, batch_format="pyarrow",
                                zero_copy_batch=True),
-                dup_keys, key="wh", num_buckets=num_partitions, how="semi")
-            .groupby(key_col).aggregate(Sum("k", alias_name="n_dup")))
+                dup_keys, key="wh", num_buckets=16, how="semi")
+            .groupby("doc_id").aggregate(Sum("k", alias_name="n_dup")))
     base = ds.map_batches(base_counts, batch_format="pyarrow",
                           zero_copy_batch=True)
     # both schemas are known: probing the lazy `hits` would run its join
     sch = ds.schema()
-    kf = pa.field(key_col, sch.types[sch.names.index(key_col)])
+    kf = pa.field("doc_id", sch.types[sch.names.index("doc_id")])
     joined = bucket_join_attach(
-        base, hits, key=key_col, num_buckets=num_partitions,
+        base, hits, num_buckets=16,
         left_fields=[kf, pa.field("n_windows", pa.int64())],
         right_fields=[kf, pa.field("n_dup", pa.int64())], how="left_outer")
 
     def finish(batch: pa.Table) -> pa.Table:
         nd = pc.fill_null(batch.column("n_dup"), 0)
         return pa.table({
-            key_col: batch.column(key_col),
+            "doc_id": batch.column("doc_id"),
             "n_windows": batch.column("n_windows"),
             "n_dup": nd,
             "keep": pc.equal(nd, 0),

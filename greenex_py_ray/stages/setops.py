@@ -36,23 +36,22 @@ def distinct_keys(ds: "ray.data.Dataset", key_col: str) -> "ray.data.Dataset":
 
 def exists_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                 on: str, right_on: str | None = None,
-                anti: bool = False,
-                num_partitions: int = 8) -> "ray.data.Dataset":
+                anti: bool = False) -> "ray.data.Dataset":
     """Left rows that have (semi) / lack (anti) a key match in right."""
     right_on = right_on or on
     return bucket_join_attach(left, distinct_keys(right, right_on), key=on,
                               right_key=right_on,
-                              num_buckets=num_partitions,
+                              num_buckets=8,
                               how="anti" if anti else "semi")
 
 
-def distinct_count(ds: "ray.data.Dataset", key_col: str, val_col: str,
-                   num_buckets: int = 64) -> "ray.data.Dataset":
+def distinct_count(ds: "ray.data.Dataset", key_col: str,
+                   val_col: str) -> "ray.data.Dataset":
     """Exact per-key distinct-value count (``COUNT(DISTINCT val)``).
 
     Scale shape: per-batch pair dedup collapses rows before anything
     moves, keys HASH-BUCKET (one ``bucket_exchange``) so the single
-    shuffle has ``num_buckets`` integer-keyed groups (a 2-column
+    shuffle has 64 integer-keyed groups (a 2-column
     string-keyed ``groupby`` aggregate measured ~8× slower on the same
     input), and the per-bucket kernel is one pandas
     drop_duplicates + groupby-size over all rows of its keys — global
@@ -70,4 +69,4 @@ def distinct_count(ds: "ray.data.Dataset", key_col: str, val_col: str,
 
     return bucket_exchange(
         ds.map_batches(pair_partial, batch_format="pandas"),
-        key_col, kernel, num_buckets, "pandas")
+        key_col, kernel, 64, "pandas")

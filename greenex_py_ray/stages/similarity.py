@@ -36,8 +36,7 @@ class BruteForceTopK:
     """
 
     def __init__(self, queries_ref, k: int, dim: int, key_col: str = "vec_id",
-                 vec_col: str = "embedding", probe_cells=None,
-                 cell_col: str = "ivf_cell"):
+                 probe_cells=None):
         q = side_table(queries_ref)
         self.qids = q["query_id"]
         Q = np.asarray(q["vectors"], dtype=np.float64)
@@ -47,13 +46,13 @@ class BruteForceTopK:
         self.k = k
         self.dim = dim
         self.key_col = key_col
-        self.vec_col = vec_col
+        self.vec_col = "embedding"
         # IVF mode: (nq, nprobe) per-query probed cell ids — each query
         # is scored ONLY against rows in its own probe cells, not the
         # union across queries (the round-1 over-scan)
         self.probe_cells = (np.asarray(probe_cells, dtype=np.int64)
                             if probe_cells is not None else None)
-        self.cell_col = cell_col
+        self.cell_col = "ivf_cell"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         V = _to_matrix(batch.column(self.vec_col), self.dim)
@@ -86,8 +85,7 @@ class BruteForceTopK:
 
 def brute_force_topk(
     ds: "ray.data.Dataset", queries: dict, k: int, dim: int,
-    key_col: str = "vec_id", probe_cells=None, vec_col: str = "embedding",
-) -> "ray.data.Dataset":
+    key_col: str = "vec_id", probe_cells=None) -> "ray.data.Dataset":
     """Global top-k per query: broadcast queries, per-batch local top-k,
     then a tiny per-query reduce (the candidate set is ≤ k·num_batches
     rows — small).
@@ -102,7 +100,6 @@ def brute_force_topk(
 
     def scan(batch: pa.Table) -> pa.Table:
         return BruteForceTopK(ref, k=k, dim=dim, key_col=key_col,
-                              vec_col=vec_col,
                               probe_cells=probe_cells)(batch)
 
     cand = ds.map_batches(scan, batch_format="pyarrow")
@@ -132,23 +129,22 @@ def brute_force_topk(
 # ---------------------------------------------------------------------------
 
 
-def fixed_random_centroids(dim: int, n_centroids: int = 16,
-                           seed: int = 17) -> np.ndarray:
+def fixed_random_centroids(dim: int, n_centroids: int = 16) -> np.ndarray:
     """Deterministic, data-independent coarse centroids (seeded standard
     gaussian).  The correctness GATE uses this fixed quantizer so the
     DuckDB oracle can embed the centroid constants as full-precision
     literals regardless of scale factor."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(17)
     return rng.standard_normal((n_centroids, dim))
 
 
 class IVFAssign:
     """Kernel: append ``ivf_cell`` = nearest coarse centroid id."""
 
-    def __init__(self, centroids_ref, dim: int, vec_col: str = "embedding"):
+    def __init__(self, centroids_ref, dim: int):
         self.C = np.asarray(side_table(centroids_ref), dtype=np.float64)
         self.dim = dim
-        self.vec_col = vec_col
+        self.vec_col = "embedding"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         V = _to_matrix(batch.column(self.vec_col), self.dim)
@@ -158,9 +154,8 @@ class IVFAssign:
 
 
 def ivf_topk(
-    ds: "ray.data.Dataset", queries: dict, centroids: np.ndarray, k: int, dim: int,
-    nprobe: int = 4, key_col: str = "vec_id",
-) -> "ray.data.Dataset":
+    ds: "ray.data.Dataset", queries: dict, centroids: np.ndarray, k: int,
+    dim: int, nprobe: int = 4) -> "ray.data.Dataset":
     """ANN: probe only the ``nprobe`` nearest IVF cells per query.
     Approximate — recall measured against ``brute_force_topk`` in tests."""
     C = np.asarray(centroids, dtype=np.float64)
@@ -183,7 +178,7 @@ def ivf_topk(
         "query_id": queries["query_id"],
         "vectors": queries["vectors"],
     }
-    return brute_force_topk(pruned, per_query, k, dim, key_col,
+    return brute_force_topk(pruned, per_query, k, dim, "vec_id",
                             probe_cells=probe_cells)
 
 
@@ -200,8 +195,7 @@ class CosinePairsExact:
     decimals so the value hash is stable across summation orders.
     """
 
-    def __init__(self, all_ref, dim: int, threshold: float,
-                 key_col: str = "vec_id", vec_col: str = "embedding"):
+    def __init__(self, all_ref, dim: int, threshold: float):
         a = side_table(all_ref)
         self.all_ids = np.asarray(a["ids"], dtype=np.int64)
         V = np.asarray(a["vectors"], dtype=np.float64)
@@ -211,8 +205,8 @@ class CosinePairsExact:
         self.norms = n
         self.dim = dim
         self.threshold = float(threshold)
-        self.key_col = key_col
-        self.vec_col = vec_col
+        self.key_col = "vec_id"
+        self.vec_col = "embedding"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         Vb = _to_matrix(batch.column(self.vec_col), self.dim)
@@ -232,22 +226,20 @@ class CosinePairsExact:
 
 
 def cosine_pairs_exact(
-    ds: "ray.data.Dataset", dim: int, threshold: float,
-    key_col: str = "vec_id", vec_col: str = "embedding",
-) -> "ray.data.Dataset":
+    ds: "ray.data.Dataset", dim: int, threshold: float) -> "ray.data.Dataset":
     """Exact cosine similarity self-join (pairs with cosine >= threshold).
 
     Ships the full (id, vector) matrix to the object store once; each
     batch computes its block of the similarity matrix."""
-    parts = list(ds.select_columns([key_col, vec_col])
+    parts = list(ds.select_columns(["vec_id", "embedding"])
                  .iter_batches(batch_format="pyarrow"))
     full = pa.concat_tables(parts)
-    ids = full.column(key_col).to_numpy(zero_copy_only=False)
-    V = _to_matrix(full.column(vec_col), dim)
+    ids = full.column("vec_id").to_numpy(zero_copy_only=False)
+    V = _to_matrix(full.column("embedding"), dim)
     return KernelStage(
         CosinePairsExact,
         dict(all_ref=shipped({"ids": ids, "vectors": V}), dim=dim,
-             threshold=threshold, key_col=key_col, vec_col=vec_col),
+             threshold=threshold),
         dict(num_cpus=0.25)).on(ds)
 
 
@@ -255,10 +247,7 @@ def cosine_pairs_exact(
 CENTROID_Q = 1e6
 
 
-def group_centroids(
-    ds: "ray.data.Dataset", dim: int, group_col: str = "label",
-    key_col: str = "vec_id", vec_col: str = "embedding",
-) -> "ray.data.Dataset":
+def group_centroids(ds: "ray.data.Dataset", dim: int) -> "ray.data.Dataset":
     """Per-group embedding centroid (the k-means M-step / cluster
     profiling primitive).  Per-batch partials collapse each batch to
     one row per (group, dim) with int64 micro-unit component sums —
@@ -266,9 +255,9 @@ def group_centroids(
     O(#groups × dim) shuffle.  Emits (grp, dim, n, sum_q, mean)."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = batch.column(group_col).to_numpy(
+        g = batch.column("label").to_numpy(
             zero_copy_only=False).astype(np.int64)
-        M = _to_matrix(batch.column(vec_col), dim)
+        M = _to_matrix(batch.column("embedding"), dim)
         q = np.round(M * CENTROID_Q).astype(np.int64)
         ug, inv = np.unique(g, return_inverse=True)
         sums = np.zeros((len(ug), dim), dtype=np.int64)
@@ -303,9 +292,7 @@ NORM_SQ_Q = 1e12
 
 
 def vector_norms(
-    ds: "ray.data.Dataset", dim: int,
-    key_col: str = "vec_id", vec_col: str = "embedding",
-) -> "ray.data.Dataset":
+    ds: "ray.data.Dataset", dim: int) -> "ray.data.Dataset":
     """Per-vector L2 norm with an exact-integer interior: each squared
     component quantizes to int64 pico-units BEFORE the sum, so the
     accumulation order can never move the result across engines; the
@@ -313,12 +300,12 @@ def vector_norms(
     norm_q6).  Stateless map — no shuffle."""
 
     def body(batch: pa.Table) -> pa.Table:
-        M = _to_matrix(batch.column(vec_col), dim)
+        M = _to_matrix(batch.column("embedding"), dim)
         q = np.round((M * M) * NORM_SQ_Q).astype(np.int64)
         s = q.sum(axis=1)
         norm_q6 = np.round(np.sqrt(s / NORM_SQ_Q) * 1e6).astype(np.int64)
         return pa.table({
-            key_col: batch.column(key_col),
+            "vec_id": batch.column("vec_id"),
             "sumsq_q": pa.array(s),
             "norm_q6": pa.array(norm_q6),
         })
@@ -326,23 +313,23 @@ def vector_norms(
     return ds.map_batches(body, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def embedding_gram(ds: "ray.data.Dataset", col: str = "embedding",
-                   dim: int = 64, q_scale: float = 1e4) -> "ray.data.Dataset":
+def embedding_gram(ds: "ray.data.Dataset",
+                   dim: int = 64) -> "ray.data.Dataset":
     """Exact integer Gram matrix G = Σ_vec q qᵀ of an embedding column
     (the whitening / PCA-input statistic an embedding-quality pass
-    accumulates).  Values quantize to int64 ``q_scale`` units FIRST, so
+    accumulates).  Values quantize to int64 1e-4 units FIRST, so
     the d×d sums are exact under any partitioning; each batch collapses
     to d² partial rows via one integer matmul — the shuffle is O(d²)
     per batch regardless of row count.  Returns (i, j, gram_q, gram)
-    with gram = gram_q / q_scale²."""
+    with gram = gram_q / 1e8."""
     from ray.data.aggregate import Sum as _Sum
 
     def partial(batch: pa.Table) -> pa.Table:
-        arr = batch.column(col)
+        arr = batch.column("embedding")
         if isinstance(arr, pa.ChunkedArray):
             arr = arr.combine_chunks()
         flat = np.asarray(arr.flatten(), dtype=np.float64)
-        q = np.round(flat * q_scale, 0).astype(np.int64).reshape(-1, dim)
+        q = np.round(flat * 1e4, 0).astype(np.int64).reshape(-1, dim)
         g = q.T @ q  # int64 matmul — exact
         ii, jj = np.meshgrid(np.arange(dim, dtype=np.int64),
                              np.arange(dim, dtype=np.int64),
@@ -359,7 +346,7 @@ def embedding_gram(ds: "ray.data.Dataset", col: str = "embedding",
         return pa.table({
             "i": batch.column("i"), "j": batch.column("j"),
             "gram_q": batch.column("gram_q"),
-            "gram": gq.astype(np.float64) / (q_scale * q_scale),
+            "gram": gq.astype(np.float64) / 1e8,
         })
 
     return agg.map_batches(fin, batch_format="pyarrow",
@@ -398,9 +385,7 @@ def _band_codes(eq: np.ndarray, planes: np.ndarray,
 
 def lsh_topk(
     ds: "ray.data.Dataset", queries: dict, k: int, dim: int,
-    n_planes: int = 16, n_bands: int = 4, key_col: str = "vec_id",
-    vec_col: str = "embedding",
-) -> "ray.data.Dataset":
+    n_planes: int = 16, n_bands: int = 4) -> "ray.data.Dataset":
     """LSH-bucketed approximate top-k: vectors and queries hash to
     ``n_bands`` band codes; candidates are vectors sharing ANY band
     bucket with a query; exact cosine re-rank inside the bucket.
@@ -423,7 +408,7 @@ def lsh_topk(
     qref = shipped({"qids": qids, "qq": qq, "qcodes": qcodes})
 
     def explode(batch: pa.Table) -> pa.Table:
-        v = _to_matrix(batch.column(vec_col), dim)
+        v = _to_matrix(batch.column("embedding"), dim)
         eq = np.round(v * LSH_QUANT).astype(np.int64)
         codes = _band_codes(eq, planes, n_bands)
         q = side_table(qref)
@@ -433,7 +418,7 @@ def lsh_topk(
         hit = (codes[:, :, None] == q["qcodes"].T[None, :, :]).any(2)
         vi, bi = np.nonzero(hit)
         return pa.table({
-            key_col: batch.column(key_col).take(pa.array(vi)),
+            "vec_id": batch.column("vec_id").take(pa.array(vi)),
             "band": pa.array(bi.astype(np.int64)),
             "code": pa.array(codes[vi, bi]),
             "eq": pa.array(list(eq[vi]), type=pa.list_(pa.int64())),
@@ -449,7 +434,7 @@ def lsh_topk(
         qsel = np.flatnonzero(q["qcodes"][:, band] == code)
         if len(qsel) == 0 or tbl.num_rows == 0:
             return pa.table({"query_id": pa.array([], pa.int64()),
-                             key_col: pa.array([], pa.int64()),
+                             "vec_id": pa.array([], pa.int64()),
                              "score": pa.array([], pa.float64())})
         eq = np.asarray(tbl.column("eq").combine_chunks()
                         .flatten().to_numpy(zero_copy_only=False)
@@ -459,10 +444,10 @@ def lsh_topk(
         sim = dots / (np.linalg.norm(eq, axis=1)[:, None]
                       * np.linalg.norm(qm, axis=1)[None, :])
         vi, qi = np.nonzero(np.ones_like(sim, dtype=bool))
-        keys = tbl.column(key_col).to_numpy(zero_copy_only=False)
+        keys = tbl.column("vec_id").to_numpy(zero_copy_only=False)
         return pa.table({
             "query_id": pa.array(q["qids"][qsel][qi]),
-            key_col: pa.array(keys[vi]),
+            "vec_id": pa.array(keys[vi]),
             "score": pa.array(np.round(sim[vi, qi], 6)),
         })
 
@@ -472,8 +457,8 @@ def lsh_topk(
     def final_topk(tbl: pa.Table) -> pa.Table:
         import pandas as pd
 
-        df = tbl.to_pandas().drop_duplicates(["query_id", key_col])
-        df = df.sort_values(["query_id", "score", key_col],
+        df = tbl.to_pandas().drop_duplicates(["query_id", "vec_id"])
+        df = df.sort_values(["query_id", "score", "vec_id"],
                             ascending=[True, False, True])
         df = df.groupby("query_id", sort=False).head(k)
         return pa.Table.from_pandas(df, preserve_index=False)
@@ -484,10 +469,7 @@ def lsh_topk(
 
 
 def kmeans_assign_iterations(ds: "ray.data.Dataset", centroids0: np.ndarray,
-                             dim: int, iters: int = 2,
-                             q_scale: float = 1e4,
-                             key_col: str = "vec_id",
-                             vec_col: str = "embedding"):
+                             dim: int, iters: int = 2):
     """Distributed Lloyd k-means, exact enough to value-gate: vectors
     quantize to int64 once, every centroid update is an INTEGER
     per-cluster (n, Σq per dim) reduce (O(k·d) shuffle payload per
@@ -501,7 +483,7 @@ def kmeans_assign_iterations(ds: "ray.data.Dataset", centroids0: np.ndarray,
     """
     from ray.data.aggregate import Sum as _Sum
 
-    C = np.asarray(centroids0, dtype=np.float64) * q_scale
+    C = np.asarray(centroids0, dtype=np.float64) * 1e4
     k = len(C)
 
     def assign_of(Ccur: np.ndarray):
@@ -509,11 +491,11 @@ def kmeans_assign_iterations(ds: "ray.data.Dataset", centroids0: np.ndarray,
 
         def fn(batch: pa.Table) -> pa.Table:
             Cl = side_table(cref)
-            v = _to_matrix(batch.column(vec_col), dim)
-            eq = np.round(v * q_scale).astype(np.int64).astype(np.float64)
+            v = _to_matrix(batch.column("embedding"), dim)
+            eq = np.round(v * 1e4).astype(np.int64).astype(np.float64)
             d = -2.0 * (eq @ Cl.T) + (Cl * Cl).sum(1)[None, :]
             cl = np.argmin(d, axis=1).astype(np.int64)  # first-index tie
-            return pa.table({key_col: batch.column(key_col),
+            return pa.table({"vec_id": batch.column("vec_id"),
                              "cluster": pa.array(cl)})
         return fn
 
@@ -525,8 +507,8 @@ def kmeans_assign_iterations(ds: "ray.data.Dataset", centroids0: np.ndarray,
 
         def stats(batch: pa.Table) -> pa.Table:
             Cl = side_table(cref)
-            v = _to_matrix(batch.column(vec_col), dim)
-            eqf = np.round(v * q_scale).astype(np.int64)
+            v = _to_matrix(batch.column("embedding"), dim)
+            eqf = np.round(v * 1e4).astype(np.int64)
             d = (-2.0 * (eqf.astype(np.float64) @ Cl.T)
                  + (Cl * Cl).sum(1)[None, :])
             cl = np.argmin(d, axis=1)
@@ -563,9 +545,7 @@ def kmeans_assign_iterations(ds: "ray.data.Dataset", centroids0: np.ndarray,
 MEDOID_Q = 1e4
 
 
-def group_medoid(ds: "ray.data.Dataset", dim: int,
-                 group_col: str = "label", key_col: str = "vec_id",
-                 vec_col: str = "embedding") -> "ray.data.Dataset":
+def group_medoid(ds: "ray.data.Dataset", dim: int) -> "ray.data.Dataset":
     """Per-group medoid (the exemplar-selection primitive for cluster
     summarization / curation): the member minimizing the sum of squared
     distances to its group.
@@ -583,9 +563,9 @@ def group_medoid(ds: "ray.data.Dataset", dim: int,
     from ray.data.aggregate import Sum
 
     def sum_partial(batch: pa.Table) -> pa.Table:
-        g = batch.column(group_col).to_numpy(
+        g = batch.column("label").to_numpy(
             zero_copy_only=False).astype(np.int64)
-        M = _to_matrix(batch.column(vec_col), dim)
+        M = _to_matrix(batch.column("embedding"), dim)
         q = np.round(M * MEDOID_Q).astype(np.int64)
         ug, inv = np.unique(g, return_inverse=True)
         sums = np.zeros((len(ug), dim), dtype=np.int64)
@@ -615,10 +595,10 @@ def group_medoid(ds: "ray.data.Dataset", dim: int,
 
     def score_partial(batch: pa.Table) -> pa.Table:
         gr, Sm, Nn = side_table(ref)
-        g = batch.column(group_col).to_numpy(
+        g = batch.column("label").to_numpy(
             zero_copy_only=False).astype(np.int64)
-        k = batch.column(key_col).to_numpy(zero_copy_only=False)
-        M = _to_matrix(batch.column(vec_col), dim)
+        k = batch.column("vec_id").to_numpy(zero_copy_only=False)
+        M = _to_matrix(batch.column("embedding"), dim)
         q = np.round(M * MEDOID_Q).astype(np.int64)
         gi = np.searchsorted(gr, g)
         # score = n·|v|² − 2·v·S  (int64-exact)
@@ -630,7 +610,7 @@ def group_medoid(ds: "ray.data.Dataset", dim: int,
         first = np.ones(len(gs), dtype=bool)
         first[1:] = gs[1:] != gs[:-1]
         return pa.table({"grp": pa.array(gs[first]),
-                         key_col: pa.array(ks[first]),
+                         "vec_id": pa.array(ks[first]),
                          "score_q": pa.array(ss[first])})
 
     part = ds.map_batches(score_partial, batch_format="pyarrow",
@@ -639,7 +619,7 @@ def group_medoid(ds: "ray.data.Dataset", dim: int,
     def final(grp_df):
         import pandas as pd
 
-        d = grp_df.sort_values(["grp", "score_q", key_col])
+        d = grp_df.sort_values(["grp", "score_q", "vec_id"])
         out = d.groupby("grp", sort=False).head(1)
         return out.reset_index(drop=True)
 
@@ -652,9 +632,7 @@ MMR_Q = 1e6
 
 
 def mmr_topk(ds: "ray.data.Dataset", query_vec: np.ndarray, k: int,
-             dim: int, m: int = 40, lam_tenths: int = 7,
-             key_col: str = "vec_id",
-             vec_col: str = "embedding") -> "pa.Table":
+             dim: int, m: int = 40, lam_tenths: int = 7) -> "pa.Table":
     """Maximal-marginal-relevance diversified top-k (Carbonell &
     Goldstein 1998): greedily pick ``k`` of the ``m`` most-relevant
     candidates, each step maximizing
@@ -669,23 +647,22 @@ def mmr_topk(ds: "ray.data.Dataset", query_vec: np.ndarray, k: int,
     the smaller id, bit-equal in any engine."""
     q64 = np.asarray(query_vec, dtype=np.float64)
     cand = brute_force_topk(
-        ds, {"query_id": [0], "vectors": q64[None, :]}, m, dim,
-        key_col=key_col, vec_col=vec_col).to_pandas()
-    ids = np.sort(cand[key_col].to_numpy(dtype=np.int64))
+        ds, {"query_id": [0], "vectors": q64[None, :]}, m, dim).to_pandas()
+    ids = np.sort(cand["vec_id"].to_numpy(dtype=np.int64))
     idset = set(ids.tolist())
 
     def pick(batch: pa.Table) -> pa.Table:
-        kk = batch.column(key_col).to_numpy(zero_copy_only=False)
+        kk = batch.column("vec_id").to_numpy(zero_copy_only=False)
         keep = np.isin(kk, ids)
         return batch.filter(pa.array(keep))
 
     pool = (ds.map_batches(pick, batch_format="pyarrow",
                            zero_copy_batch=True).to_pandas()
-            .sort_values(key_col).reset_index(drop=True))
-    assert set(pool[key_col]) == idset
+            .sort_values("vec_id").reset_index(drop=True))
+    assert set(pool["vec_id"]) == idset
     V = np.stack([np.asarray(v, dtype=np.float64)
-                  for v in pool[vec_col]])
-    vid = pool[key_col].to_numpy(dtype=np.int64)
+                  for v in pool["embedding"]])
+    vid = pool["vec_id"].to_numpy(dtype=np.int64)
     norms = np.sqrt((V * V).sum(axis=1))
     relq = np.round(V @ q64 / (norms * np.sqrt(q64 @ q64))
                     * MMR_Q).astype(np.int64)
@@ -714,6 +691,6 @@ def mmr_topk(ds: "ray.data.Dataset", query_vec: np.ndarray, k: int,
     sel = np.asarray(selected)
     return pa.table({
         "rank": pa.array(np.arange(len(sel), dtype=np.int64)),
-        key_col: pa.array(vid[sel]),
+        "vec_id": pa.array(vid[sel]),
         "relq": pa.array(relq[sel]),
     })

@@ -66,8 +66,7 @@ def hll_partial(values_hash: np.ndarray, p: int = 8) -> pa.Table:
                      "rho": slots[touched]})
 
 
-def hll_registers(ds: "ray.data.Dataset", col: str,
-                  p: int = 8) -> "ray.data.Dataset":
+def hll_registers(ds: "ray.data.Dataset", col: str) -> "ray.data.Dataset":
     """HLL register table of a string column: one row per touched
     register, ``rho`` = max leading-zero rank seen.  One O(m·batches)
     groupby — the input never shuffles."""
@@ -76,7 +75,7 @@ def hll_registers(ds: "ray.data.Dataset", col: str,
         c = batch.column(col)
         if isinstance(c, pa.ChunkedArray):
             c = c.combine_chunks()
-        return hll_partial(hash_string_array(c), p)
+        return hll_partial(hash_string_array(c), 8)
 
     part = ds.map_batches(partial, batch_format="pyarrow",
                           zero_copy_batch=True)
@@ -131,24 +130,21 @@ def cms_partial(values_hash: np.ndarray, d: int = 4,
                      "n": pa.array(np.concatenate(ns))})
 
 
-def cms_registers(ds: "ray.data.Dataset", col: str, d: int = 4,
-                  log2w: int = 6) -> "ray.data.Dataset":
+def cms_registers(ds: "ray.data.Dataset", col: str) -> "ray.data.Dataset":
     """Count-min sketch register table of a string stream: d×w int64
     occurrence counters, each batch collapsing to ≤ d·w partial rows
     before the one O(d·w·batches) groupby — the mergeable heavy-hitter
     /frequency sketch (Cormode & Muthukrishnan 2005) a 100 TB profiler
     keeps where an exact per-token count shuffle is unaffordable.
     Integer-exact: hash = the corpus 64-bit polynomial hash, row r's
-    cell = top ``log2w`` bits of ``hash · CMS_ROW_CONSTS[r] mod 2^64``
+    cell = top 6 bits of ``hash · CMS_ROW_CONSTS[r] mod 2^64``
     — every register SQL-replayable bit-for-bit."""
-    if not (1 <= d <= len(CMS_ROW_CONSTS)):
-        raise ValueError(f"d must be in 1..{len(CMS_ROW_CONSTS)}")
 
     def partial(batch: pa.Table) -> pa.Table:
         c = batch.column(col)
         if isinstance(c, pa.ChunkedArray):
             c = c.combine_chunks()
-        return cms_partial(hash_string_array(c), d, log2w)
+        return cms_partial(hash_string_array(c), 4, 6)
 
     from ray.data.aggregate import Sum
 
@@ -194,8 +190,7 @@ def bloom_positions(values_hash: np.ndarray, mbits: int = 1024,
     return ((h1[:, None] + i[None, :] * h2[:, None]) % mbits).ravel()
 
 
-def bloom_bits(ds: "ray.data.Dataset", col: str, mbits: int = 1024,
-               k: int = 4) -> "ray.data.Dataset":
+def bloom_bits(ds: "ray.data.Dataset", col: str) -> "ray.data.Dataset":
     """Build a Bloom filter over a string column as its SET-BIT table.
 
     Each batch collapses to ≤ mbits distinct ``pos`` rows (the batch's
@@ -210,7 +205,7 @@ def bloom_bits(ds: "ray.data.Dataset", col: str, mbits: int = 1024,
         if isinstance(c, pa.ChunkedArray):
             c = c.combine_chunks()
         h = hash_string_array(c)
-        pos = np.unique(bloom_positions(h, mbits, k))
+        pos = np.unique(bloom_positions(h, 1024, 4))
         return pa.table({"pos": pa.array(pos)})
 
     return (ds.map_batches(partial, batch_format="pyarrow",
@@ -233,8 +228,7 @@ def bloom_probe(bits: set[int], keys_hash: np.ndarray, mbits: int = 1024,
 # KMV / bottom-k hash sample (mergeable distinct-sample + cardinality)
 # ---------------------------------------------------------------------------
 
-def kmv_bottomk(ds: "ray.data.Dataset", col: str,
-                k: int = 64) -> "ray.data.Dataset":
+def kmv_bottomk(ds: "ray.data.Dataset", col: str) -> "ray.data.Dataset":
     """Bottom-k distinct sample: the k smallest φ-mixed 64-bit hashes
     of a string column, with their values.
 
@@ -260,14 +254,14 @@ def kmv_bottomk(ds: "ray.data.Dataset", col: str,
         signed = (mixed - np.uint64(1 << 63)).view(np.int64)
         vals = c.to_pandas().to_numpy()
         uniq, idx = np.unique(signed, return_index=True)
-        take = min(k, len(uniq))
+        take = min(64, len(uniq))
         return pa.table({"h": pa.array(uniq[:take]),
                          col: pa.array(vals[idx[:take]])})
 
     def merge(tbl: pa.Table) -> pa.Table:
         h = tbl.column("h").to_numpy(zero_copy_only=False)
         uniq, idx = np.unique(h, return_index=True)
-        take = min(k, len(uniq))
+        take = min(64, len(uniq))
         return pa.table({"h": pa.array(uniq[:take]),
                          col: tbl.column(col).take(pa.array(idx[:take]))})
 

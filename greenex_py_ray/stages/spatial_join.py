@@ -57,10 +57,10 @@ def point_cell_stats(points: "ray.data.Dataset", cell_size: float) -> dict[int, 
 
 
 def build_salt_map(cell_counts: dict[int, int], hot_threshold: int = 20_000,
-                   target_per_salt: int = 10_000, max_salt: int = 64) -> dict[int, int]:
+                   target_per_salt: int = 10_000) -> dict[int, int]:
     """k(cell) for cells whose row count exceeds the hot threshold."""
     return {
-        c: int(min(max_salt, int(np.ceil(n / target_per_salt))))
+        c: int(min(64, int(np.ceil(n / target_per_salt))))
         for c, n in cell_counts.items()
         if n > hot_threshold
     }
@@ -70,7 +70,6 @@ def cell_pip_join(
     points: "ray.data.Dataset",
     rects: pa.Table,
     cell_size: float = cells.DEFAULT_CELL_SIZE,
-    key_col: str = "doc_id",
     hot_threshold: int = 20_000,
     target_per_salt: int = 10_000,
 ) -> "ray.data.Dataset":
@@ -84,14 +83,14 @@ def cell_pip_join(
     salt_map = build_salt_map(point_cell_stats(points, cell_size),
                               hot_threshold, target_per_salt)
     salt_ref = shipped(salt_map)
-    key_type = points.schema().base_schema.field(key_col).type
+    key_type = points.schema().base_schema.field("doc_id").type
 
     def tag_points(batch: pa.Table) -> pa.Table:
         x = batch.column("x").to_numpy(zero_copy_only=False)
         y = batch.column("y").to_numpy(zero_copy_only=False)
         cell = cells.cell_of(x, y, cell_size)
         smap = side_table(salt_ref)
-        keys = batch.column(key_col)
+        keys = batch.column("doc_id")
         # typed-array hashing (same trick as bucket_dedup): no
         # to_pylist() python-object round-trip; the hash only drives
         # salt-bucket placement
@@ -103,7 +102,7 @@ def cell_pip_join(
                 ks[cell == c] = k
         salt = (kh % ks.astype(np.uint64)).astype(np.int64)
         return pa.table({
-            key_col: keys,
+            "doc_id": keys,
             "px": pa.array(x), "py": pa.array(y),
             "cell": pa.array(cell), "salt": pa.array(salt),
             "side": pa.array(np.zeros(len(cell), dtype=np.int8)),
@@ -133,7 +132,7 @@ def cell_pip_join(
         gs = batch.column("gs_id").to_numpy(zero_copy_only=False)
         n = total
         return pa.table({
-            key_col: pa.nulls(n, key_type),
+            "doc_id": pa.nulls(n, key_type),
             "px": pa.nulls(n, pa.float64()),
             "py": pa.nulls(n, pa.float64()),
             "cell": pa.array(rcell[rep]), "salt": pa.array(salt),
@@ -148,7 +147,7 @@ def cell_pip_join(
     rects_tagged = ray.data.from_arrow(rects).map_batches(
         explode_rects, batch_format="pyarrow"
     )
-    cols = [key_col, "px", "py", "cell", "salt", "side", "gs_id",
+    cols = ["doc_id", "px", "py", "cell", "salt", "side", "gs_id",
             "x0", "y0", "x1", "y1"]
     u = pts_tagged.select_columns(cols).union(rects_tagged.select_columns(cols))
 
@@ -157,7 +156,7 @@ def cell_pip_join(
         pi = np.flatnonzero(side == 0)
         ri = np.flatnonzero(side == 1)
         if len(pi) == 0 or len(ri) == 0:
-            return pa.table({key_col: pa.array([], key_type),
+            return pa.table({"doc_id": pa.array([], key_type),
                              "gs_id": pa.array([], pa.int64())})
         px = tbl.column("px").to_numpy(zero_copy_only=False)[pi]
         py = tbl.column("py").to_numpy(zero_copy_only=False)[pi]
@@ -174,7 +173,7 @@ def cell_pip_join(
         # contain the point while covering several cells, but the pair is
         # only emitted from the point's own (cell, salt) group
         return pa.table({
-            key_col: tbl.column(key_col).take(pa.array(pi[qi])),
+            "doc_id": tbl.column("doc_id").take(pa.array(pi[qi])),
             "gs_id": tbl.column("gs_id").take(pa.array(ri[rj])),
         })
 

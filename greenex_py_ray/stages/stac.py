@@ -39,18 +39,17 @@ class LowestCloudSelector:
     filtering (the STAC ``datetime`` search window) is the caller's
     job, exactly as in the reference where the search query carries it.
 
-    AoI batch columns: ``key_col``, ``x0 y0 x1 y1``.  Output: one row
+    AoI batch columns: ``doc_id``, ``x0 y0 x1 y1``.  Output: one row
     per AoI that found an item — ``(key, item_id, cloud_cover)``;
     AoIs with no eligible containing item are dropped (the reference
     raises on an empty result set; a distributed pipeline must not).
     """
 
-    def __init__(self, catalog_ref, max_cloud: float = 20.0,
-                 key_col: str = "aoi_id", item_chunk: int = 65536):
+    def __init__(self, catalog_ref, item_chunk: int = 65536):
         t = side_table(catalog_ref)
         cloud = t.column("cloud_cover").to_numpy(zero_copy_only=False)
         item_id = t.column("item_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = cloud < float(max_cloud)  # availability.py:163 (lt 20)
+        keep = cloud < 20.0  # availability.py:163 (lt 20)
         # Sort by (cloud, item_id): the first containing item in this
         # order IS the argmin with the reference's iloc[0] tie-break.
         order = np.lexsort((item_id[keep], cloud[keep]))
@@ -62,7 +61,7 @@ class LowestCloudSelector:
         self.ix1, self.iy1 = col("x1"), col("y1")
         self.item_id = item_id[keep][order]
         self.cloud = cloud[keep][order]
-        self.key_col = key_col
+        self.key_col = "aoi_id"
         self.item_chunk = int(item_chunk)
 
     def __call__(self, batch: pa.Table) -> pa.Table:

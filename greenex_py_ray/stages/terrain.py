@@ -38,11 +38,11 @@ class PointGradient:
     nano-units; NULL when any of the 4 neighbor pixels is missing)."""
 
     def __init__(self, tile_root: str, band: str = "ndvi",
-                 res: float = 10.0, x_col: str = "x", y_col: str = "y"):
+                 res: float = 10.0):
         self.store = TileStore(tile_root)
         self.band = band
         self.res = float(res)
-        self.x_col, self.y_col = x_col, y_col
+        self.x_col, self.y_col = "x", "y"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         x = batch.column(self.x_col).to_numpy(zero_copy_only=False)
@@ -161,12 +161,11 @@ class D8FlowDirection:
     0 when no neighbor is lower (pit/flat), NULL when any of the 8
     neighbors (or the center) is outside the stored extent."""
 
-    def __init__(self, tile_root: str, band: str = "ndvi",
-                 res: float = 10.0, x_col: str = "x", y_col: str = "y"):
+    def __init__(self, tile_root: str, res: float = 10.0):
         self.store = TileStore(tile_root)
-        self.band = band
+        self.band = "ndvi"
         self.res = float(res)
-        self.x_col, self.y_col = x_col, y_col
+        self.x_col, self.y_col = "x", "y"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         x = batch.column(self.x_col).to_numpy(zero_copy_only=False)
@@ -219,9 +218,8 @@ class D8FlowDirection:
 
 
 def d8_flow_direction(ds: "ray.data.Dataset", tile_root: str,
-                      band: str = "ndvi",
                       res: float = 10.0) -> "ray.data.Dataset":
     """Per-point D8 flow direction (see :class:`D8FlowDirection`)."""
     return KernelStage(
-        D8FlowDirection, dict(tile_root=tile_root, band=band, res=res),
+        D8FlowDirection, dict(tile_root=tile_root, res=res),
         dict(num_cpus=0.5)).on(ds)

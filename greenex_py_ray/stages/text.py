@@ -40,13 +40,13 @@ STOPWORDS = {
 }
 
 
-def token_count_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
+def token_count_batch(batch: pa.Table) -> pa.Table:
     """Append ``n_tokens``: whitespace-token count, DuckDB-compatible
     (``array_length(string_split_regex(trim(text), '\\s+'))``; empty
     string → 1, matching DuckDB's split of '' → ['']).
 
     Arrow-native: trim → regex split → list length, no Python loop."""
-    col = batch.column(text_col)
+    col = batch.column("text")
     trimmed = pc.utf8_trim_whitespace(col)
     n = pc.list_value_length(pc.split_pattern_regex(trimmed, r"\s+"))
     n = pc.fill_null(pc.cast(n, pa.int64()), 0)  # null text → 0
@@ -152,9 +152,9 @@ class LangId:
     Appends ``lang_pred`` and ``lang_score``.
     """
 
-    def __init__(self, langs=("en", "es", "de", "fr")):
-        self.langs = langs
-        self.stop = {l: STOPWORDS[l] for l in langs}
+    def __init__(self):
+        self.langs = ("en", "es", "de", "fr")
+        self.stop = {l: STOPWORDS[l] for l in self.langs}
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         # one explode + factorize, then per-language membership on the
@@ -242,8 +242,8 @@ def hash_string_array(arr: "pa.Array") -> np.ndarray:
     return _poly_hash_segments(flat, offsets - offsets[0])
 
 
-def fingerprint_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    fp = fingerprint64(batch.column(text_col).to_pylist())
+def fingerprint_batch(batch: pa.Table) -> pa.Table:
+    fp = fingerprint64(batch.column("text").to_pylist())
     return batch.append_column("fingerprint", pa.array(fp.astype(np.int64)))
 
 
@@ -266,8 +266,7 @@ def bigram_counts_partial(batch: pd.DataFrame,
                          "c": vc.to_numpy(np.int64)})
 
 
-def bigram_topk(ds: "ray.data.Dataset", k: int,
-                text_col: str = "text") -> "ray.data.Dataset":
+def bigram_topk(ds: "ray.data.Dataset", k: int) -> "ray.data.Dataset":
     """Global top-k bigrams by corpus count, ties by bigram string:
     per-batch partial counts → groupby(bigram) sum (shuffle payload is
     O(#distinct bigrams), not rows) → bounded partial top-k."""
@@ -279,7 +278,7 @@ def bigram_topk(ds: "ray.data.Dataset", k: int,
     from .topk import topk_per_group
 
     counts = (ds.map_batches(
-        lambda b: bigram_counts_partial(b, text_col),
+        lambda b: bigram_counts_partial(b, "text"),
         batch_format="pandas")
         .groupby("bigram").aggregate(Sum("c", alias_name="c")))
 
@@ -293,9 +292,7 @@ def bigram_topk(ds: "ray.data.Dataset", k: int,
     return out.select_columns(["bigram", "c", "rank"])
 
 
-def corpus_profile(ds: "ray.data.Dataset",
-                   group_cols: "tuple[str, ...]" = ("source", "lang"),
-                   chars_col: str = "n_chars") -> "ray.data.Dataset":
+def corpus_profile(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Corpus profiling rollup: per group, document count, total chars
     and distinct-doc-length count — the data-quality dashboard scan a
     100 TB corpus runs nightly.  Per-batch pandas groupby partials
@@ -304,10 +301,10 @@ def corpus_profile(ds: "ray.data.Dataset",
     import ray.data
     from ray.data.aggregate import Sum
 
-    cols = list(group_cols)
+    cols = ["source", "lang"]
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.groupby(cols, sort=False)[chars_col].agg(["count", "sum"])
+        g = batch.groupby(cols, sort=False)["n_chars"].agg(["count", "sum"])
         g = g.reset_index()
         return pd.DataFrame({
             **{c: g[c] for c in cols},
@@ -372,19 +369,17 @@ def token_entropy_batch(batch: pa.Table, text_col: str = "text",
 JSON_INT_RE = r'"{name}":\s*(?P<v>-?\d+)'
 
 
-def extract_json_int(batch: pa.Table, prop: str, json_col: str = "props",
-                     out_col: str | None = None) -> pa.Table:
+def extract_json_int(batch: pa.Table, prop: str) -> pa.Table:
     """Schema-on-read: pull an integer property out of a JSON string
     column (NULL when absent), vectorized RE2."""
     pat = JSON_INT_RE.format(name=prop)
-    m = pc.extract_regex(batch.column(json_col), pat)
+    m = pc.extract_regex(batch.column("props"), pat)
     out = pc.cast(pc.struct_field(m, "v"), pa.int64())
-    return batch.append_column(out_col or prop, out)
+    return batch.append_column(prop, out)
 
 
-def build_postings(ds: "ray.data.Dataset", min_df: int = 1,
-                   text_col: str = "text", key_col: str = "doc_id",
-                   num_buckets: int = 64) -> "ray.data.Dataset":
+def build_postings(ds: "ray.data.Dataset",
+                   min_df: int = 1) -> "ray.data.Dataset":
     """Inverted-index postings: one row per token with its document
     frequency and the comma-joined ascending doc-id posting list — the
     IR-side artifact a retrieval / decontamination pipeline builds over
@@ -400,22 +395,22 @@ def build_postings(ds: "ray.data.Dataset", min_df: int = 1,
     import pandas as _pd
 
     def explode(batch: pa.Table) -> pa.Table:
-        col = batch.column(text_col)
+        col = batch.column("text")
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         flat, parent, nonempty = _ws_token_lists(col)
         toks = pc.utf8_lower(flat).to_numpy(zero_copy_only=False)
-        docs = batch.column(key_col).to_numpy(
+        docs = batch.column("doc_id").to_numpy(
             zero_copy_only=False)[parent]
         toks, docs = toks[nonempty], docs[nonempty]
-        df = _pd.DataFrame({"token": toks, key_col: docs})
+        df = _pd.DataFrame({"token": toks, "doc_id": docs})
         df = df.drop_duplicates()
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def assemble(df: "_pd.DataFrame") -> "_pd.DataFrame":
-        df = df.drop_duplicates(["token", key_col]).sort_values(
-            ["token", key_col], kind="stable")
-        ids = df[key_col].astype(str)
+        df = df.drop_duplicates(["token", "doc_id"]).sort_values(
+            ["token", "doc_id"], kind="stable")
+        ids = df["doc_id"].astype(str)
         g = ids.groupby(df["token"].to_numpy())
         out = _pd.DataFrame({
             "token": g.size().index,
@@ -426,11 +421,11 @@ def build_postings(ds: "ray.data.Dataset", min_df: int = 1,
 
     part = ds.map_batches(explode, batch_format="pyarrow",
                           zero_copy_batch=True)
-    return bucket_exchange(part, "token", assemble, num_buckets, "pandas")
+    return bucket_exchange(part, "token", assemble, 64, "pandas")
 
 
-def pmi_topk(ds: "ray.data.Dataset", k: int = 20, min_count: int = 5,
-             text_col: str = "text") -> "ray.data.Dataset":
+def pmi_topk(ds: "ray.data.Dataset", k: int = 20,
+             min_count: int = 5) -> "ray.data.Dataset":
     """Top-k collocations by pointwise mutual information:
     ``pmi = ln(c_ab·Nu² / (Nb·c_a·c_b))`` over corpus bigram/unigram
     counts, ties by bigram string.
@@ -450,7 +445,7 @@ def pmi_topk(ds: "ray.data.Dataset", k: int = 20, min_count: int = 5,
     from .topk import topk_per_group
 
     def unigram_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        _, _, _, codes, uniq = explode_words(batch[text_col])
+        _, _, _, codes, uniq = explode_words(batch["text"])
         cnt = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
         return pd.DataFrame({"tok": pd.Series(uniq, dtype=object),
                              "uc": cnt})
@@ -459,7 +454,7 @@ def pmi_topk(ds: "ray.data.Dataset", k: int = 20, min_count: int = 5,
            .groupby("tok").aggregate(Sum("uc", alias_name="uc"))
            .materialize())
     bi = (ds.map_batches(
-        lambda b: bigram_counts_partial(b, text_col),
+        lambda b: bigram_counts_partial(b, "text"),
         batch_format="pandas")
         .groupby("bigram").aggregate(Sum("c", alias_name="c"))
         .filter(expr=f"c >= {min_count}")

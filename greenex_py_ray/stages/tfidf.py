@@ -32,10 +32,9 @@ from ..functions.joins import KernelStage
 from .text import explode_words
 
 
-def term_frequencies(batch: pd.DataFrame, terms,
-                     text_col: str = "text") -> np.ndarray:
+def term_frequencies(batch: pd.DataFrame, terms) -> np.ndarray:
     """(n_rows, len(terms)) per-doc term counts, vectorized."""
-    n, _, parent, codes, uniq = explode_words(batch[text_col])
+    n, _, parent, codes, uniq = explode_words(batch["text"])
     tf = np.zeros((n, len(terms)), dtype=np.int64)
     for j, t in enumerate(terms):
         member = uniq == t
@@ -84,10 +83,10 @@ class QueryScorer:
                              "score_q6": tf @ w})
 
 
-def tfidf_topk(ds: "ray.data.Dataset", terms: "tuple[str, ...]", k: int,
-               key_col: str = "doc_id") -> "ray.data.Dataset":
+def tfidf_topk(ds: "ray.data.Dataset", terms: "tuple[str, ...]",
+               k: int) -> "ray.data.Dataset":
     """Global top-k documents by quantized TF-IDF score against a fixed
-    term query; ties broken by ``key_col``.  ``ds`` needs (key, text)
+    term query; ties broken by ``doc_id``.  ``ds`` needs (key, text)
     and is executed twice (weights pass + scoring pass) — inherent to
     TF-IDF, not three times (no separate count pass)."""
     from .topk import topk_per_group
@@ -101,8 +100,8 @@ def tfidf_topk(ds: "ray.data.Dataset", terms: "tuple[str, ...]", k: int,
 
     tagged = scored.map_batches(tag, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    out = topk_per_group(tagged, "g", "score_q6", k, key_col)
-    return out.select_columns([key_col, "score_q6", "rank"])
+    out = topk_per_group(tagged, "g", "score_q6", k, "doc_id")
+    return out.select_columns(["doc_id", "score_q6", "rank"])
 
 
 def bm25_stats(ds: "ray.data.Dataset",
@@ -145,13 +144,12 @@ class BM25Scorer:
     arithmetic shape, and ranking uses the ROUNDED score (ties by key)
     so float summation order cannot flip the cross-engine order."""
 
-    def __init__(self, terms, idf: np.ndarray, avgdl: float,
-                 k1: float = 1.2, b: float = 0.75):
+    def __init__(self, terms, idf: np.ndarray, avgdl: float):
         self.terms = tuple(terms)
         self.idf = np.asarray(idf, dtype=np.float64)
         self.avgdl = float(avgdl)
-        self.k1 = float(k1)
-        self.b = float(b)
+        self.k1 = 1.2
+        self.b = 0.75
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         n, counts, _, _, _ = explode_words(batch["text"])
@@ -169,9 +167,8 @@ class BM25Scorer:
                              "score_r6": np.round(score, 6)})
 
 
-def bm25_topk(ds: "ray.data.Dataset", terms: "tuple[str, ...]", k: int,
-              key_col: str = "doc_id", k1: float = 1.2,
-              b: float = 0.75) -> "ray.data.Dataset":
+def bm25_topk(ds: "ray.data.Dataset", terms: "tuple[str, ...]",
+              k: int) -> "ray.data.Dataset":
     """Global top-k documents by BM25 against a fixed term query —
     same two-pass shape as :func:`tfidf_topk` (stats pass + scoring
     pass with a bounded partial top-k)."""
@@ -182,7 +179,7 @@ def bm25_topk(ds: "ray.data.Dataset", terms: "tuple[str, ...]", k: int,
                            / (df.get(t, 0) + 0.5) + 1.0)
                     for t in terms], dtype=np.float64)
     scored = KernelStage(
-        BM25Scorer, dict(terms=terms, idf=idf, avgdl=avgdl, k1=k1, b=b),
+        BM25Scorer, dict(terms=terms, idf=idf, avgdl=avgdl),
         dict(batch_format="pandas", num_cpus=0.25)).on(ds)
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -191,5 +188,5 @@ def bm25_topk(ds: "ray.data.Dataset", terms: "tuple[str, ...]", k: int,
 
     tagged = scored.map_batches(tag, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    out = topk_per_group(tagged, "g", "score_r6", k, key_col)
-    return out.select_columns([key_col, "score_r6", "rank"])
+    out = topk_per_group(tagged, "g", "score_r6", k, "doc_id")
+    return out.select_columns(["doc_id", "score_r6", "rank"])

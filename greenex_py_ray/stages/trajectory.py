@@ -30,33 +30,29 @@ from ..functions.exchange import bucket_exchange
 TRAJ_Q = 1e6
 
 
-def trajectory_stats(ds: "ray.data.Dataset",
-                     id_col: str = "user_id", ts_col: str = "ts",
-                     order_col: str = "event_id",
-                     x_col: str = "x", y_col: str = "y",
-                     num_buckets: int = 64) -> "ray.data.Dataset":
+def trajectory_stats(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """One row per entity: ``n_pings``, ``path_q`` (int64 micro-unit
     total path length), ``disp_q`` (micro-unit first→last
-    displacement).  Ordering is (ts, order_col) within entity."""
+    displacement).  Ordering is (ts, event_id) within entity."""
 
     def project(b: pa.Table) -> pa.Table:
-        ts = b.column(ts_col)
+        ts = b.column("ts")
         if pa.types.is_timestamp(ts.type):
             ts = ts.cast(pa.int64())
         return pa.table({
-            id_col: b.column(id_col),
+            "user_id": b.column("user_id"),
             "ts_us": ts,
-            order_col: b.column(order_col),
-            x_col: b.column(x_col),
-            y_col: b.column(y_col),
+            "event_id": b.column("event_id"),
+            "x": b.column("x"),
+            "y": b.column("y"),
         })
 
     def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        u = g[id_col].to_numpy(np.int64)
+        u = g["user_id"].to_numpy(np.int64)
         t = g["ts_us"].to_numpy(np.int64)
-        e = g[order_col].to_numpy(np.int64)
-        x = g[x_col].to_numpy(np.float64)
-        y = g[y_col].to_numpy(np.float64)
+        e = g["event_id"].to_numpy(np.int64)
+        x = g["x"].to_numpy(np.float64)
+        y = g["y"].to_numpy(np.float64)
         order = np.lexsort((e, t, u))
         u, t, x, y = u[order], t[order], x[order], y[order]
         same = np.zeros(len(u), dtype=bool)
@@ -80,7 +76,7 @@ def trajectory_stats(ds: "ray.data.Dataset",
         disp_q = np.round(np.sqrt(ddx * ddx + ddy * ddy)
                           * TRAJ_Q).astype(np.int64)
         return pd.DataFrame({
-            id_col: u[starts],
+            "user_id": u[starts],
             "n_pings": n,
             "path_q": path_q,
             "disp_q": disp_q,
@@ -88,4 +84,4 @@ def trajectory_stats(ds: "ray.data.Dataset",
 
     return bucket_exchange(
         ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
-        id_col, kernel, num_buckets, "pandas")
+        "user_id", kernel, 64, "pandas")

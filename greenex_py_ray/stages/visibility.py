@@ -135,7 +135,7 @@ class SamplePointsViewshed:
             self.midx = mid[:, 0]
             self.midy = mid[:, 1]
             self.margin = float(rad.max()) if len(rad) else 0.0
-        self.index = GridIndex(self.midx, self.midy, cell_size=500.0)
+        self.index = GridIndex(self.midx, self.midy)
         self.buffer_dist = float(buffer_dist)
         self.sample_dist = float(sample_dist)
         self.key_col = key_col
@@ -377,14 +377,11 @@ class ViewshedGVI:
     sample-point row (key, sp_x, sp_y)."""
 
     def __init__(self, tile_root: str, viewing_dist: float,
-                 observer_height: float = 1.7, key_col: str = "doc_id",
-                 replicate_arg_swap: bool = True):
+                 observer_height: float = 1.7, key_col: str = "doc_id"):
         res = synth.RASTER_RES
         self.kernel = ViewshedKernel(
             radius_px=int(viewing_dist // res), resolution=res,
-            observer_height=observer_height,
-            replicate_arg_swap=replicate_arg_swap,
-        )
+            observer_height=observer_height)
         self.store = TileStore(tile_root)
         self.key_col = key_col
         self.res = res
@@ -467,21 +464,18 @@ class NearestImageFeature:
     """Nearest image feature within 100 m of each sample point (J7,
     visibility.py:706-717); misses get image_id "" / distance NaN."""
 
-    def __init__(self, features_ref, max_distance: float = 100.0,
-                 index_cell: float = 500.0):
+    def __init__(self, features_ref):
         t = side_table(features_ref)
         self.index = GridIndex(
             t.column("x").to_numpy(zero_copy_only=False),
-            t.column("y").to_numpy(zero_copy_only=False),
-            cell_size=index_cell,
-        )
+            t.column("y").to_numpy(zero_copy_only=False))
         # keep ids as an Arrow array so the per-batch gather is a
         # zero-copy take, not a Python-list comprehension per row
         ids = t.column("image_id")
         self.image_ids = (ids.combine_chunks()
                           if isinstance(ids, pa.ChunkedArray) else ids)
         self.is_pano = t.column("is_panoramic").to_numpy(zero_copy_only=False)
-        self.max_distance = float(max_distance)
+        self.max_distance = 100.0
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         x = batch.column("sp_x").to_numpy(zero_copy_only=False)
@@ -532,10 +526,10 @@ def find_peaks_1d(x: np.ndarray, distance: int, prominence: float) -> np.ndarray
     return np.array(sorted(chosen), dtype=np.int64)
 
 
-def find_road_centres(seg: np.ndarray, road_class: int = 0) -> np.ndarray:
+def find_road_centres(seg: np.ndarray) -> np.ndarray:
     """Road-centre columns from a segmentation array: per-column road
     run lengths → peaks (M24, visibility.py:759-782)."""
-    road = seg == road_class
+    road = seg == 0
     col_runs = np.zeros(seg.shape[1])
     for c in range(seg.shape[1]):
         _, lengths, values = run_length_encoding(road[:, c])
@@ -595,9 +589,8 @@ class SegmentationGVI:
 
     VEGETATION = 8
 
-    def __init__(self, model: type = FakeSegmentation,
-                 crop_by_road_centres: bool = True):
-        self.model = model()  # loaded once per kernel
+    def __init__(self, crop_by_road_centres: bool = True):
+        self.model = FakeSegmentation()  # loaded once per kernel
         self.crop_by_road_centres = bool(crop_by_road_centres)
 
     def _gvi_pano(self, seg: np.ndarray) -> float:

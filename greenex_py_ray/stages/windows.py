@@ -61,10 +61,7 @@ def _bucketed_events(ds: "ray.data.Dataset", user_col: str, ts_col: str,
         user_col, kernel, num_buckets, "pandas")
 
 
-def funnel(ds: "ray.data.Dataset", steps: list[str],
-           user_col: str = "user_id", ts_col: str = "ts",
-           type_col: str = "event_type",
-           num_buckets: int = 64) -> "ray.data.Dataset":
+def funnel(ds: "ray.data.Dataset", steps: list[str]) -> "ray.data.Dataset":
     """Per-user conversion funnel over ``steps``: one output row per
     user with ``steps_completed`` (0..len(steps)) and ``complete_us``
     (int64 microseconds of the earliest full completion, NULL when the
@@ -81,12 +78,12 @@ def funnel(ds: "ray.data.Dataset", steps: list[str],
 
     def kernel(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
-            return pd.DataFrame({user_col: pd.Series([], dtype="int64"),
+            return pd.DataFrame({"user_id": pd.Series([], dtype="int64"),
                                  "steps_completed": pd.Series([], dtype="int64"),
                                  "complete_us": pd.array([], dtype="Int64")})
-        u = g[user_col].to_numpy(np.int64)
+        u = g["user_id"].to_numpy(np.int64)
         t = g["ts_us"].to_numpy(np.int64)
-        codes_raw, uniq = pd.factorize(g[type_col])
+        codes_raw, uniq = pd.factorize(g["event_type"])
         step_code = {s: i for i, s in enumerate(uniq)}
         codes = codes_raw.astype(np.int64)
         order = np.lexsort((t, u))
@@ -114,7 +111,7 @@ def funnel(ds: "ray.data.Dataset", steps: list[str],
                 break
         complete = done == len(steps)
         out = pd.DataFrame({
-            user_col: u[ustarts],
+            "user_id": u[ustarts],
             "steps_completed": done,
             "complete_us": pd.array(
                 np.where(complete, thr, 0), dtype="Int64"),
@@ -122,17 +119,14 @@ def funnel(ds: "ray.data.Dataset", steps: list[str],
         out.loc[~complete, "complete_us"] = pd.NA
         return out
 
-    return _bucketed_events(ds, user_col, ts_col, [type_col], kernel,
-                            num_buckets)
+    return _bucketed_events(ds, "user_id", "ts", ["event_type"], kernel,
+                            64)
 
 
-def rolling_window(ds: "ray.data.Dataset", window: int,
-                   user_col: str = "user_id", ts_col: str = "ts",
-                   order_col: str = "event_id", value_col: str = "value",
-                   num_buckets: int = 64) -> "ray.data.Dataset":
+def rolling_window(ds: "ray.data.Dataset", window: int) -> "ray.data.Dataset":
     """Trailing ``window``-row frame aggregate per entity: one output
     row per input event with ``n_frame`` (rows in frame) and
-    ``sum_q`` (int64 micro-unit frame sum of ``value_col``).
+    ``sum_q`` (int64 micro-unit frame sum of ``value``).
 
     Kernel: lexsort by (user, ts, order), quantize values to int64
     micro-units, one cumulative sum; each row's frame sum is two
@@ -143,14 +137,14 @@ def rolling_window(ds: "ray.data.Dataset", window: int,
 
     def kernel(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
-            return pd.DataFrame({user_col: pd.Series([], dtype="int64"),
-                                 order_col: pd.Series([], dtype="int64"),
+            return pd.DataFrame({"user_id": pd.Series([], dtype="int64"),
+                                 "event_id": pd.Series([], dtype="int64"),
                                  "n_frame": pd.Series([], dtype="int64"),
                                  "sum_q": pd.Series([], dtype="int64")})
-        u = g[user_col].to_numpy(np.int64)
+        u = g["user_id"].to_numpy(np.int64)
         t = g["ts_us"].to_numpy(np.int64)
-        e = g[order_col].to_numpy(np.int64)
-        v = g[value_col].to_numpy(np.float64)
+        e = g["event_id"].to_numpy(np.int64)
+        v = g["value"].to_numpy(np.float64)
         order = np.lexsort((e, t, u))
         u, t, e, v = u[order], t[order], e[order], v[order]
         vq = np.round(v * WIN_Q).astype(np.int64)
@@ -164,28 +158,25 @@ def rolling_window(ds: "ray.data.Dataset", window: int,
         win = np.minimum(i - seg_start + 1, window)
         cs = np.concatenate(([0], np.cumsum(vq)))
         return pd.DataFrame({
-            user_col: u,
-            order_col: e,
+            "user_id": u,
+            "event_id": e,
             "n_frame": win.astype(np.int64),
             "sum_q": cs[i + 1] - cs[i + 1 - win],
         })
 
-    return _bucketed_events(ds, user_col, ts_col, [order_col, value_col],
-                            kernel, num_buckets)
+    return _bucketed_events(ds, "user_id", "ts", ["event_id", "value"],
+                            kernel, 64)
 
 
-def cohort_retention(ds: "ray.data.Dataset", user_col: str = "user_id",
-                     ts_col: str = "ts",
-                     unit_us: int = 86_400_000_000,
-                     num_buckets: int = 64) -> "ray.data.Dataset":
+def cohort_retention(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Cohort retention triangle: cohort = the entity's FIRST active
-    ``unit_us`` period (day by default); one output row per
+    day; one output row per
     (cohort, period-offset) with the count of distinct entities active
     in that offset period — the standard product-analytics retention
     matrix.
 
     Scale shape: users are hash-bucketed so each user's full history is
-    in ONE group (a single ``num_buckets``-way shuffle); the per-bucket
+    in ONE group (a single 64-way shuffle); the per-bucket
     kernel is one lexsort + consecutive-dedup (distinct user-periods)
     + ``np.unique`` partial counts, so the second shuffle moves only
     O(#cohorts × #offsets) rows per bucket."""
@@ -196,8 +187,8 @@ def cohort_retention(ds: "ray.data.Dataset", user_col: str = "user_id",
                 "cohort_day": pd.Series([], dtype="int64"),
                 "day_offset": pd.Series([], dtype="int64"),
                 "n_users": pd.Series([], dtype="int64")})
-        u = g[user_col].to_numpy(np.int64)
-        p = g["ts_us"].to_numpy(np.int64) // unit_us
+        u = g["user_id"].to_numpy(np.int64)
+        p = g["ts_us"].to_numpy(np.int64) // 86_400_000_000
         order = np.lexsort((p, u))
         u, p = u[order], p[order]
         ubrk = np.ones(len(u), dtype=bool)
@@ -218,15 +209,14 @@ def cohort_retention(ds: "ray.data.Dataset", user_col: str = "user_id",
 
     from ray.data.aggregate import Sum
 
-    part = _bucketed_events(ds, user_col, ts_col, [], kernel, num_buckets)
+    part = _bucketed_events(ds, "user_id", "ts", [], kernel, 64)
     return (part.groupby(["cohort_day", "day_offset"])
             .aggregate(Sum("n_users", alias_name="n_users")))
 
 
-def resample_fill(ds: "ray.data.Dataset", key_col: str = "event_type",
-                  ts_col: str = "ts", value_col: str = "value",
+def resample_fill(ds: "ray.data.Dataset",
                   unit_us: int = 3_600_000_000) -> "ray.data.Dataset":
-    """Gap-filled time resample: per ``key_col``, the event count and
+    """Gap-filled time resample: per ``event_type``, the event count and
     exact micro-unit value sum for EVERY ``unit_us`` period between the
     key's first and last event — missing periods emitted with zeros
     (the "regularize an event stream into a dense time series" op a
@@ -242,21 +232,22 @@ def resample_fill(ds: "ray.data.Dataset", key_col: str = "event_type",
 
     def partial(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
-            return pa.table({key_col: pa.array([], pa.string()),
+            return pa.table({"event_type": pa.array([], pa.string()),
                              "unit": pa.array([], pa.int64()),
                              "n": pa.array([], pa.int64()),
                              "sum_q": pa.array([], pa.int64())})
-        ts = batch.column(ts_col)
+        ts = batch.column("ts")
         if pa.types.is_timestamp(ts.type):
             ts = ts.cast(pa.int64())
         t = ts.to_numpy(zero_copy_only=False) // unit_us
-        v = batch.column(value_col).to_numpy(zero_copy_only=False)
+        v = batch.column("value").to_numpy(zero_copy_only=False)
         vq = np.round(v * WIN_Q).astype(np.int64)
-        g = pa.table({key_col: batch.column(key_col),
+        g = pa.table({"event_type": batch.column("event_type"),
                       "unit": pa.array(t),
                       "vq": pa.array(vq)}).group_by(
-            [key_col, "unit"]).aggregate([("vq", "sum"), ([], "count_all")])
-        return pa.table({key_col: g.column(key_col),
+            ["event_type", "unit"]).aggregate(
+                [("vq", "sum"), ([], "count_all")])
+        return pa.table({"event_type": g.column("event_type"),
                          "unit": g.column("unit"),
                          "n": g.column("count_all").cast(pa.int64()),
                          "sum_q": g.column("vq_sum").cast(pa.int64())})
@@ -264,7 +255,7 @@ def resample_fill(ds: "ray.data.Dataset", key_col: str = "event_type",
     def final(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
             return pd.DataFrame({
-                key_col: pd.Series([], dtype="object"),
+                "event_type": pd.Series([], dtype="object"),
                 "unit": pd.Series([], dtype="int64"),
                 "n_events": pd.Series([], dtype="int64"),
                 "sum_q": pd.Series([], dtype="int64")})
@@ -286,20 +277,17 @@ def resample_fill(ds: "ray.data.Dataset", key_col: str = "event_type",
         idx = uq - uq[0]
         n_out[idx] = cc
         s_out[idx] = ss
-        return pd.DataFrame({key_col: g[key_col].iloc[0],
+        return pd.DataFrame({"event_type": g["event_type"].iloc[0],
                              "unit": full,
                              "n_events": n_out,
                              "sum_q": s_out})
 
     return (ds.map_batches(partial, batch_format="pyarrow",
                            zero_copy_batch=True)
-            .groupby(key_col).map_groups(final, batch_format="pandas"))
+            .groupby("event_type").map_groups(final, batch_format="pandas"))
 
 
-def event_transitions(ds: "ray.data.Dataset", user_col: str = "user_id",
-                      ts_col: str = "ts", type_col: str = "event_type",
-                      tie_col: str = "event_id",
-                      num_buckets: int = 64) -> "ray.data.Dataset":
+def event_transitions(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Markov transition counts: (from_type, to_type, n) over each
     user's (ts, tie) -ordered event sequence.
 
@@ -315,11 +303,11 @@ def event_transitions(ds: "ray.data.Dataset", user_col: str = "user_id",
     def kernel(g: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd
 
-        order = np.lexsort((g[tie_col].to_numpy(),
+        order = np.lexsort((g["event_id"].to_numpy(),
                             g["ts_us"].to_numpy(),
-                            g[user_col].to_numpy()))
-        u = g[user_col].to_numpy()[order]
-        codes, uniq = pd.factorize(g[type_col].to_numpy()[order])
+                            g["user_id"].to_numpy()))
+        u = g["user_id"].to_numpy()[order]
+        codes, uniq = pd.factorize(g["event_type"].to_numpy()[order])
         same = u[1:] == u[:-1]
         a, b = codes[:-1][same], codes[1:][same]
         k = len(uniq)
@@ -330,7 +318,7 @@ def event_transitions(ds: "ray.data.Dataset", user_col: str = "user_id",
             "n": flat[ai, bi].astype(np.int64),
         })
 
-    part = _bucketed_events(ds, user_col, ts_col, [type_col, tie_col],
-                            kernel, num_buckets)
+    part = _bucketed_events(ds, "user_id", "ts", ["event_type", "event_id"],
+                            kernel, 64)
     return part.groupby(["from_type", "to_type"]).aggregate(
         _Sum("n", alias_name="n"))

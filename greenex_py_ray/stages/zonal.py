@@ -131,9 +131,8 @@ class PolygonLandcoverLocal(PolygonZonalLocal):
     Non-finite pixels are left out of the total."""
 
     def __init__(self, tile_root: str, classmap: dict[int, str],
-                 key_col: str = "doc_id", band: str = "lulc",
                  dilate: float = 0.0, stringify: bool = False):
-        super().__init__(tile_root, band, key_col=key_col, clamp_min=None,
+        super().__init__(tile_root, "lulc", key_col="doc_id", clamp_min=None,
                          dilate=dilate)
         self.classes = sorted(classmap)
         self.names = [classmap[c] for c in self.classes]
@@ -437,16 +436,14 @@ class ZonalStatsLocal:
     the SQL oracle); only floating-point summation order differs.
     """
 
-    def __init__(self, tile_root: str, band: str, radius: float,
-                 key_col: str = "doc_id", clamp_min: float | None = 0.0,
-                 mean_name: str = "mean_NDVI", std_name: str = "std_NDVI"):
+    def __init__(self, tile_root: str, band: str, radius: float):
         self.store = TileStore(tile_root)
         self.band = band
         self.radius = radius
-        self.key_col = key_col
-        self.clamp_min = clamp_min
-        self.mean_name = mean_name
-        self.std_name = std_name
+        self.key_col = "doc_id"
+        self.clamp_min = 0.0
+        self.mean_name = "mean_NDVI"
+        self.std_name = "std_NDVI"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         x = batch.column("x").to_numpy(zero_copy_only=False)
@@ -529,16 +526,14 @@ class LineZonalLocal:
     (``pipelines.availability.mean_ndvi_line_aoi``).
     """
 
-    def __init__(self, tile_root: str, band: str, buffer_dist: float,
-                 key_col: str = "edge_id", clamp_min: float | None = 0.0,
-                 mean_name: str = "mean_NDVI", std_name: str = "std_NDVI"):
+    def __init__(self, tile_root: str, band: str, buffer_dist: float):
         self.store = TileStore(tile_root)
         self.band = band
         self.d = float(buffer_dist)
-        self.key_col = key_col
-        self.clamp_min = clamp_min
-        self.mean_name = mean_name
-        self.std_name = std_name
+        self.key_col = "edge_id"
+        self.clamp_min = 0.0
+        self.mean_name = "mean_NDVI"
+        self.std_name = "std_NDVI"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         chords = shape_chords(*polyline_edges(batch), self.d, area=False)
@@ -551,8 +546,7 @@ class LineZonalLocal:
 
 
 def areal_cell_weights(rects: "ray.data.Dataset",
-                       cell_size: float = 500.0,
-                       key_col: str = "gs_id") -> "ray.data.Dataset":
+                       cell_size: float = 500.0) -> "ray.data.Dataset":
     """Areal-interpolation weights: for every (rect, grid-cell) pair the
     exact overlap area and the fraction of the rect it covers — the
     raster⇄vector reaggregation primitive (transfer a polygon-level
@@ -597,7 +591,7 @@ def areal_cell_weights(rects: "ray.data.Dataset",
         keep = area > 0.0
         full = (x1 - x0) * (y1 - y0)
         return pa.table({
-            key_col: batch.column(key_col).take(pa.array(idx[keep])),
+            "gs_id": batch.column("gs_id").take(pa.array(idx[keep])),
             "cell": pa.array(cell[keep]),
             "overlap_area": pa.array(np.round(area[keep], 6)),
             "frac": pa.array(np.round(area[keep] / full[idx][keep], 6)),
@@ -625,12 +619,11 @@ class ZonalMedianLocal:
     way.  One halo'd window fetch per point; per-point work is one
     vectorized mask + partition."""
 
-    def __init__(self, tile_root: str, band: str, radius: float,
-                 key_col: str = "doc_id"):
+    def __init__(self, tile_root: str, band: str, radius: float):
         self.store = TileStore(tile_root)
         self.band = band
         self.radius = float(radius)
-        self.key_col = key_col
+        self.key_col = "doc_id"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..sources import synth

@@ -262,13 +262,13 @@ class RectIndex:
     point's cell.
     """
 
-    def __init__(self, x0, y0, x1, y1, ids, cell_size: float = 1000.0):
+    def __init__(self, x0, y0, x1, y1, ids):
         self.x0 = np.asarray(x0, np.float64)
         self.y0 = np.asarray(y0, np.float64)
         self.x1 = np.asarray(x1, np.float64)
         self.y1 = np.asarray(y1, np.float64)
         self.ids = np.asarray(ids)
-        self.cs = float(cell_size)
+        self.cs = 1000.0
         buckets: dict[tuple[int, int], list[int]] = {}
         ix0 = np.floor(self.x0 / self.cs).astype(np.int64)
         ix1 = np.floor(self.x1 / self.cs).astype(np.int64)

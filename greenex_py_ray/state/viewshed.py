@@ -84,10 +84,10 @@ class ViewshedKernel:
     """
 
     def __init__(self, radius_px: int, resolution: float,
-                 observer_height: float, replicate_arg_swap: bool = True):
+                 observer_height: float):
         self.R = int(radius_px)
         self.res = float(resolution)
-        if replicate_arg_swap:
+        if True:
             # visibility.py:475 swaps the args: height0 += resolution,
             # slope denominator = dist_px * observer_height
             self.h0_add = float(resolution)

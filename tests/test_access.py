@@ -127,7 +127,7 @@ def test_rect_index_matches_bruteforce():
     cy = rng.uniform(0, 5000, 80)
     w = rng.uniform(50, 700, 80)
     h = rng.uniform(50, 700, 80)
-    idx = RectIndex(cx - w, cy - h, cx + w, cy + h, np.arange(80), cell_size=800.0)
+    idx = RectIndex(cx - w, cy - h, cx + w, cy + h, np.arange(80))
     qx = rng.uniform(0, 5000, 200)
     qy = rng.uniform(0, 5000, 200)
     qi, rj = idx.containing(qx, qy)
@@ -151,7 +151,7 @@ def test_nearest_greenspace_semantics(world):
     out = append_metrics(
         doc_src.read_documents(world["documents"]),
         accessibility.nearest_greenspace_stage(
-            cent, target, f"greenspace_within_{int(target)}m", concurrency=2),
+            cent, target, f"greenspace_within_{int(target)}m"),
     ).to_pandas()
     gs = gs_t.to_pandas()
     docs = doc_src.decode_geom(

@@ -305,7 +305,7 @@ def test_nearest_image_feature_matches_bruteforce():
     sx = rng.uniform(-200, 5200, 400)
     sy = rng.uniform(-200, 5200, 400)
     b = pa.table({"sp_x": pa.array(sx), "sp_y": pa.array(sy)})
-    out = NearestImageFeature(feat, max_distance=100.0)(b)
+    out = NearestImageFeature(feat)(b)
 
     fx = feat.column("x").to_numpy()
     fy = feat.column("y").to_numpy()

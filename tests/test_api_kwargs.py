@@ -327,7 +327,7 @@ def test_crop_by_road_centres_api_smoke(world):
     rollup, _ = gx.get_streetview_GVI(
         world["documents"], world["network_nodes"], world["network_edges"],
         world["image_features"], buffer_dist=150.0,
-        crop_by_road_centres=False, concurrency=2)
+        crop_by_road_centres=False)
     df = rollup.to_pandas()
     ok = df["GVI"].dropna()
     assert len(ok) and ((ok >= 0) & (ok <= 1)).all()

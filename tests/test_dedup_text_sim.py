@@ -59,7 +59,7 @@ def test_minhash_candidates_contain_high_jaccard_pairs():
     tbl = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                     "text": pa.array(texts)})
     ds = rd.from_arrow(tbl)
-    cand = dedup.minhash_lsh_candidates(ds, key_col="doc_id").to_pandas()
+    cand = dedup.minhash_lsh_candidates(ds).to_pandas()
     pairs = set(map(tuple, cand[["key_a", "key_b"]].to_numpy()))
     assert (0, 1) in pairs and (0, 3) in pairs
     ver = rd.from_pandas(cand).map_batches(
@@ -193,9 +193,7 @@ def test_lsh_hot_bucket_cap_star():
     n = 600
     tbl = pa.table({"doc_id": pa.array(range(n), pa.int64()),
                     "text": pa.array(["same boilerplate text " * 10] * n)})
-    cand = dedup.minhash_lsh_candidates(
-        rd.from_arrow(tbl), max_bucket=100
-    ).to_pandas()
+    cand = dedup.minhash_lsh_candidates(rd.from_arrow(tbl)).to_pandas()
     assert len(cand) == n - 1  # star from min key, dedup'd across bands
     assert set(cand["key_a"]) == {0}
     assert set(cand["key_b"]) == set(range(1, n))
@@ -425,3 +423,52 @@ def test_levenshtein_banded_matches_full():
         small = full <= band
         assert (bd[small] == full[small]).all()
         assert (bd[~small] > band).all()
+
+
+def _tie_values() -> np.ndarray:
+    """Doubles ``c`` whose ``c * 1e6`` is exactly ``k + 0.5`` for an
+    even ``k`` (where ties-to-even and ties-away-from-zero differ), with
+    ``(c, sqrt(1 - c²))`` of norm exactly 1, so a cosine against
+    ``(1, 0)`` computes to ``c`` itself."""
+    out = []
+    for k in range(300_000, 301_000, 2):
+        c = (k + 0.5) / 1e6
+        if c * 1e6 != k + 0.5:
+            continue
+        if np.linalg.norm([c, np.sqrt(1 - c * c)]) == 1.0:
+            out.append(c)
+    assert len(out) >= 5
+    return np.array(out)
+
+
+def _duckdb_round(values, digits: int) -> np.ndarray:
+    import duckdb
+
+    con = duckdb.connect()
+    got = con.execute(
+        f"SELECT round(v, {digits}) FROM (SELECT unnest(?::DOUBLE[]) AS v)",
+        [list(map(float, values))]).fetchall()
+    return np.array([r[0] for r in got], np.float64)
+
+
+def test_sql_round_matches_duckdb_on_ties_and_random_values():
+    rng = np.random.default_rng(0)
+    ties = _tie_values()
+    x = np.concatenate([ties, -ties, rng.uniform(-1, 1, 2000),
+                        rng.normal(0, 1e3, 500), [0.0, -0.0, 2.5e-7, -2.5e-7]])
+    got = dedup.sql_round(x, 6)
+    want = _duckdb_round(x, 6)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert not np.array_equal(np.round(ties, 6), _duckdb_round(ties, 6))
+
+
+def test_cosine_pairs_round_ties_like_duckdb():
+    """An exact tie of the 6-digit rounding goes away from zero, as the
+    oracle's ``round(list_cosine_similarity(...), 6)`` does."""
+    ties = _tie_values()
+    emb = [[1.0, 0.0]] + [[c, float(np.sqrt(1 - c * c))] for c in ties]
+    g = pd.DataFrame({"vec_id": np.arange(len(emb), dtype=np.int64),
+                      "embedding": [np.array(e) for e in emb]})
+    out = dedup.cosine_pairs_in_group(g, 0.30, "vec_id")
+    got = out[out["key_a"] == 0].sort_values("key_b")["cosine"].to_numpy()
+    assert np.array_equal(got, _duckdb_round(ties, 6))

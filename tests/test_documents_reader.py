@@ -131,7 +131,7 @@ def test_limited_plan_takes_the_first_rows_in_file_order(tmp_path):
         offsets[f, rg] = first
         first += n
     for limit in (5, 30, 41):
-        tasks = doc_src.plan_reads(groups, 4, limit)
+        tasks = doc_src.plan_reads(doc_src._first_rows(groups, limit), 4)
         read = [(f, rg) for t in tasks for f, rg, _ in t]
         assert len(read) == len(set(read))
         rows = [offsets[f, rg] + r for t in tasks for f, rg, n in t

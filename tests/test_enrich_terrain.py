@@ -96,10 +96,9 @@ def test_exists_join_semi_anti(ray_session):
         "v": pa.array(np.arange(5, dtype=np.int64))}))
     right = ray.data.from_arrow(pa.table({
         "rk": pa.array(np.array([2, 2, 4, 9], dtype=np.int64))}))
-    semi = exists_join(left, right, on="k", right_on="rk",
-                       num_partitions=2).to_pandas()
-    anti = exists_join(left, right, on="k", right_on="rk", anti=True,
-                       num_partitions=2).to_pandas()
+    semi = exists_join(left, right, on="k", right_on="rk").to_pandas()
+    anti = exists_join(left, right, on="k", right_on="rk",
+                       anti=True).to_pandas()
     assert sorted(semi["k"]) == [2, 4]
     assert sorted(anti["k"]) == [1, 3, 5]
     # no row duplication from the duplicated right key
@@ -213,7 +212,7 @@ def test_d8_flow_direction_ramp_and_pit(world):
     xs = np.array([505.0, 1200.0, 2345.0, 3901.0, 5.0])
     ys = np.array([505.0, 800.0, 1999.0, 2750.0, 5.0])
     batch = pa.table({"doc_id": np.arange(5), "x": xs, "y": ys})
-    act = D8FlowDirection(world["tiles"], band="ndvi", res=res)
+    act = D8FlowDirection(world["tiles"], res=res)
     out = act(batch).to_pandas()
     st = act.store
     for i in range(5):

@@ -376,7 +376,7 @@ def test_dup_window_flags_paths_agree_and_oracle():
     out_b = (dup_window_flags(ds, width=width).to_pandas()
              .sort_values("doc_id").reset_index(drop=True))
     out_j = (dup_window_flags(ray.data.from_arrow(tbl), width=width,
-                              max_broadcast=0, num_partitions=2)
+                              max_broadcast=0)
              .to_pandas().sort_values("doc_id").reset_index(drop=True))
     pd.testing.assert_frame_equal(out_b, out_j[out_b.columns])
 

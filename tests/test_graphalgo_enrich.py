@@ -174,7 +174,7 @@ def test_embedding_gram_matches_numpy():
         "embedding": pa.array([list(r) for r in v],
                               pa.list_(pa.float32())),
     }))
-    out = embedding_gram(ds, dim=8, q_scale=1e4).take_all()
+    out = embedding_gram(ds, dim=8).take_all()
     got = np.zeros((8, 8), dtype=np.int64)
     for r in out:
         got[r["i"], r["j"]] = r["gram_q"]

@@ -153,3 +153,139 @@ def test_resumable_write_matches_reference_without_exchange(
     assert resumable_write(ray.data.from_arrow(tbl.slice(0, 0)), empty,
                            key="k", num_partitions=8) == []
     assert not [f for f in os.listdir(empty) if f.endswith(".parquet")]
+
+
+# -- kill and resume --------------------------------------------------
+
+_CHILD = """
+import sys
+import ray
+ray.init(num_cpus=1, object_store_memory=200 * 1024 ** 2,
+         include_dashboard=False, logging_level="ERROR")
+import ray.data
+from greenex_py_ray.lineage import resumable_write
+resumable_write(ray.data.read_parquet(sys.argv[1]), sys.argv[2], key="k")
+"""
+
+
+def _resume_input(path) -> str:
+    """A 400k-row input: 32 partitions of ~12.5k rows, so a one-writer
+    run writes them one after another for long enough to be killed."""
+    import numpy as np
+
+    n = 400_000
+    rng = np.random.default_rng(0)
+    pq.write_table(pa.table({
+        "k": np.arange(n, dtype=np.int64),
+        "v": rng.normal(size=n),
+        "s": pa.array([f"s{i % 977}" for i in range(n)]),
+    }), path, row_group_size=50_000)
+    return str(path)
+
+
+def _state(out_dir: str) -> tuple:
+    """The manifest rows without their wall time, and every file's
+    bytes by name."""
+    from greenex_py_ray.lineage import read_manifest
+
+    rows = [{k: v for k, v in r.items() if k != "wall_ms"}
+            for r in read_manifest(out_dir)]
+    files = {}
+    for d, _, names in os.walk(out_dir):
+        for n in names:
+            if not n.endswith(".json"):
+                with open(os.path.join(d, n), "rb") as f:
+                    files[os.path.relpath(os.path.join(d, n), out_dir)] = \
+                        f.read()
+    return rows, files
+
+
+def _group_alive(pgid: int) -> list:
+    alive = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            alive.append(int(pid))
+    return alive
+
+
+def test_resume_after_sigkill_matches_an_uninterrupted_write(tmp_path):
+    """A write killed with SIGKILL part way (in a child process with its
+    own Ray cluster, killed as a whole process group) and then resumed
+    leaves the manifest rows and part files of an uninterrupted write."""
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    src = _resume_input(tmp_path / "in.parquet")
+    ref, out = str(tmp_path / "ref"), str(tmp_path / "out")
+    resumable_write(ray.data.read_parquet(src), ref, key="k")
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    child = subprocess.Popen([sys.executable, "-c", _CHILD, src, out],
+                             env=env, start_new_session=True,
+                             stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL)
+    mdir = os.path.join(out, "_manifest")
+    try:
+        deadline = time.time() + 120
+        while child.poll() is None and time.time() < deadline:
+            if os.path.isdir(mdir) and any(
+                    n.endswith(".json") for n in os.listdir(mdir)):
+                break
+            time.sleep(0.001)
+    finally:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.wait()
+        deadline = time.time() + 60
+        while _group_alive(child.pid) and time.time() < deadline:
+            time.sleep(0.2)
+    assert _group_alive(child.pid) == []
+    done = [n for n in os.listdir(mdir) if n.endswith(".json")]
+    assert 0 < len(done) < 32, "the kill did not land mid-write"
+
+    resumable_write(ray.data.read_parquet(src), out, key="k")
+    assert _state(out) == _state(ref)
+
+
+def test_resume_repairs_the_states_a_kill_leaves(tmp_path):
+    """The states a kill can leave, built by hand: a part ``.tmp`` that
+    was never renamed, a part file with no manifest row, a manifest
+    ``.tmp`` and a partition never started.  A resumed write redoes
+    exactly those partitions and matches an uninterrupted write."""
+    src = _resume_input(tmp_path / "in.parquet")
+    ref, out = str(tmp_path / "ref"), str(tmp_path / "out")
+    resumable_write(ray.data.read_parquet(src), ref, key="k")
+    resumable_write(ray.data.read_parquet(src), out, key="k")
+
+    def part(p):
+        return os.path.join(out, f"part-{p:05d}.parquet")
+
+    def manifest(p):
+        return os.path.join(out, "_manifest", f"partition-{p}.json")
+
+    os.remove(manifest(3))  # killed after the rename
+    os.remove(manifest(5))  # killed before the rename
+    os.replace(part(5), part(5) + ".tmp")
+    with open(part(5) + ".tmp", "r+b") as f:
+        f.truncate(100)
+    os.remove(manifest(9))  # killed while writing its manifest
+    with open(manifest(9) + ".tmp", "w") as f:
+        f.write('{"partition_id": 9, "row_co')
+    os.remove(manifest(12))  # never started
+    os.remove(part(12))
+    kept = {p: os.stat(part(p)).st_mtime_ns for p in range(32)
+            if p not in (5, 12)}
+
+    resumable_write(ray.data.read_parquet(src), out, key="k")
+    assert _state(out) == _state(ref)
+    assert not [n for _, _, ns in os.walk(out) for n in ns
+                if n.endswith(".tmp")]
+    assert [p for p, t in kept.items()
+            if os.stat(part(p)).st_mtime_ns != t] == [3, 9]

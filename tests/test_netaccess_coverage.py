@@ -415,8 +415,8 @@ def test_od_matrix_line_graph():
     # origins snap to node 10 (origin A, snap 5) and node 12 (B, snap 0)
     batch = pa.table({"doc_id": ["A", "B"],
                       "x": [0.0, 200.0], "y": [5.0, 0.0]})
-    od = ODMatrix(nodes, edges, cutoff=250.0, dest_mod=2,
-                  key_col="doc_id")  # dests: even ids 10, 12, 14
+    # dests: even ids 10, 12, 14
+    od = ODMatrix(nodes, edges, cutoff=250.0, dest_mod=2)
     out = od(batch).to_pandas().sort_values(
         ["doc_id", "dest_node"]).reset_index(drop=True)
     got = {(r.doc_id, r.dest_node): r.cost for r in out.itertuples()}
@@ -433,7 +433,6 @@ def test_od_matrix_explicit_dest_ids():
                       "x": [0.0, 50.0, 100.0], "y": [0.0, 0.0, 0.0]})
     edges = pa.table({"u": [1, 2], "v": [2, 3], "length": [50.0, 50.0]})
     batch = pa.table({"doc_id": ["p"], "x": [0.0], "y": [0.0]})
-    od = ODMatrix(nodes, edges, cutoff=1000.0, dest_ids=[3],
-                  key_col="doc_id")
+    od = ODMatrix(nodes, edges, cutoff=1000.0, dest_ids=[3])
     out = od(batch).to_pandas()
     assert out.dest_node.tolist() == [3] and out.cost.tolist() == [100.0]

@@ -34,8 +34,7 @@ def sales_df():
 
 def test_rollup_matches_pandas(sales_df):
     ds = ray.data.from_pandas(sales_df).repartition(7)
-    out = rollup_sum(ds, ["region", "year"], "amount",
-                     scale=100.0).to_pandas()
+    out = rollup_sum(ds, ["region", "year"], "amount").to_pandas()
     cents = np.round(sales_df["amount"] * 100.0, 0).astype(np.int64)
     df = sales_df.assign(cents=cents)
 
@@ -63,7 +62,7 @@ def test_rollup_matches_pandas(sales_df):
 def test_pivot_count_sum(sales_df):
     ds = ray.data.from_pandas(sales_df).repartition(5)
     out = pivot_count_sum(ds, "year", "region", ["n", "s", "e"],
-                          "amount", scale=100.0).to_pandas()
+                          "amount").to_pandas()
     out = out.set_index("year").sort_index()
     cents = np.round(sales_df["amount"] * 100.0, 0).astype(np.int64)
     df = sales_df.assign(cents=cents)
@@ -96,7 +95,7 @@ def test_interval_overlap_count():
     })
     out = interval_overlap_count(
         ray.data.from_pandas(df).repartition(2), wins, "s", "e",
-        value_col="v", scale=100.0).to_pandas().set_index("w_id")
+        value_col="v").to_pandas().set_index("w_id")
     assert out.loc[0, "n_overlap"] == 2          # [10,20], [90,110]
     assert out.loc[1, "n_overlap"] == 2          # [90,110], [150,160]
     assert out.loc[0, "sum_q"] == 300            # 100 + 200
@@ -115,7 +114,7 @@ def test_group_pearson_matches_numpy():
     })
     df.loc[df.g == "a", "y"] += 0.01 * df.loc[df.g == "a", "x"]
     out = group_pearson(ray.data.from_pandas(df).repartition(6),
-                        "g", "x", "y", y_scale=100.0).to_pandas()
+                        "g", "x", "y").to_pandas()
     out = out.set_index("g").sort_index()
     for g in ["a", "b"]:
         sub = df[df.g == g]
@@ -136,7 +135,7 @@ def test_cube_sum_grouping_sets(sales_df):
     from greenex_py_ray.stages.olap import cube_sum
 
     ds = ray.data.from_pandas(sales_df).repartition(4)
-    out = cube_sum(ds, ["region", "year"], "amount", scale=100.0).to_pandas()
+    out = cube_sum(ds, ["region", "year"], "amount").to_pandas()
     cents = np.round(sales_df["amount"] * 100.0, 0).astype(np.int64)
     df = sales_df.assign(cents=cents)
     # lvl bitmask: 3 = fine, 1 = region only, 2 = year only, 0 = total
@@ -203,7 +202,7 @@ def test_frame_sample_plan_dedup_and_spacing():
             [txt],
         ], type=pa.list_(span_t)),
     })
-    out = frame_sample_plan(ray.data.from_arrow(docs), k=8).to_pandas()
+    out = frame_sample_plan(ray.data.from_arrow(docs)).to_pandas()
     # 2 distinct assets x 8 frames, duplicates collapsed
     assert len(out) == 16
     one = out[(out.band == "ndvi") & (out.tx == 3)].sort_values("frame_idx")

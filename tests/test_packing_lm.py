@@ -182,8 +182,7 @@ def test_trajectory_stats_matches_bruteforce(ray_session):
     tbl = pa.table({"user_id": pa.array(uid), "ts": pa.array(ts),
                     "event_id": pa.array(eid),
                     "x": pa.array(x), "y": pa.array(y)})
-    out = (trajectory_stats(ray.data.from_arrow(tbl).repartition(5),
-                            num_buckets=4)
+    out = (trajectory_stats(ray.data.from_arrow(tbl).repartition(5))
            .to_pandas().sort_values("user_id").reset_index(drop=True))
     for u in np.unique(uid):
         m = uid == u

@@ -53,7 +53,7 @@ def test_polygon_aoi_zonal_parity(world):
         doc_src.DecodeGeom(parse_polygons=True), batch_format="pyarrow"
     )
     out = availability.mean_ndvi_polygon_stage(
-        world["tiles"], concurrency=2
+        world["tiles"]
     ).on(ds).to_pandas().set_index("doc_id")
     res = synth.RASTER_RES
     for i, ring in enumerate(rings):
@@ -104,7 +104,7 @@ def test_multipolygon_zonal_even_odd(world):
         doc_src.DecodeGeom(parse_polygons=True), batch_format="pyarrow"
     )
     out = availability.mean_ndvi_polygon_stage(
-        world["tiles"], concurrency=2
+        world["tiles"]
     ).on(ds).to_pandas().set_index("doc_id")
     res = synth.RASTER_RES
     c0 = int(np.floor(4000 / res)); c1 = int(np.floor(5200 / res))

@@ -223,8 +223,7 @@ def test_viewshed_polygon_house_equals_point(world):
     cy = (R[:, 1] + R[:, 3]) / 2.0
     pts = _docs_table([f"r{i}" for i in range(len(R))],
                       [f"POINT({cx[i]!r} {cy[i]!r})" for i in range(len(R))])
-    kw = dict(buffer_dist=100.0, viewing_dist=150.0, sample_dist=50.0,
-              concurrency=2)
+    kw = dict(buffer_dist=100.0, viewing_dist=150.0, sample_dist=50.0)
     house, _ = gx.get_viewshed_GVI(
         rd.from_arrow(tbl), world["tiles"], world["network_nodes"],
         world["network_edges"], polygon_type="house", **kw)
@@ -243,7 +242,7 @@ def test_viewshed_polygon_neighbourhood_smoke(world):
         rollup, per_point = gx.get_viewshed_GVI(
             rd.from_arrow(tbl), world["tiles"], world["network_nodes"],
             world["network_edges"], buffer_dist=bd, viewing_dist=150.0,
-            sample_dist=50.0, concurrency=2)
+            sample_dist=50.0)
         df = rollup.to_pandas()
         assert len(df) == len(R)
         ok = df["GVI"].dropna()
@@ -256,7 +255,7 @@ def test_streetview_polygon_house_equals_point(world):
     cy = (R[:, 1] + R[:, 3]) / 2.0
     pts = _docs_table([f"r{i}" for i in range(len(R))],
                       [f"POINT({cx[i]!r} {cy[i]!r})" for i in range(len(R))])
-    kw = dict(buffer_dist=150.0, concurrency=2)
+    kw = dict(buffer_dist=150.0)
     house, _ = gx.get_streetview_GVI(
         rd.from_arrow(tbl), world["network_nodes"], world["network_edges"],
         world["image_features"], polygon_type="house", **kw)
@@ -273,7 +272,7 @@ def test_streetview_polygon_neighbourhood_smoke(world):
     tbl, _ = _rect_docs(n=5, seed=31, lo=4000, hi=12000)
     rollup, per_point = gx.get_streetview_GVI(
         rd.from_arrow(tbl), world["network_nodes"], world["network_edges"],
-        world["image_features"], buffer_dist=None, concurrency=2)
+        world["image_features"], buffer_dist=None)
     df = rollup.to_pandas()
     assert len(df) == 5
     ok = df["GVI"].dropna()
@@ -321,11 +320,11 @@ def test_gvi_rollup_attach_logs_no_schema_warning(world):
         view, _ = gx.get_viewshed_GVI(
             rd.from_arrow(pts), world["tiles"], world["network_nodes"],
             world["network_edges"], buffer_dist=100.0, viewing_dist=150.0,
-            sample_dist=50.0, concurrency=2)
+            sample_dist=50.0)
         street, _ = gx.get_streetview_GVI(
             rd.from_arrow(pts), world["network_nodes"],
             world["network_edges"], world["image_features"],
-            buffer_dist=150.0, concurrency=2)
+            buffer_dist=150.0)
         assert view.count() == len(R)
         assert street.count() == len(R)
     finally:

@@ -22,7 +22,7 @@ def test_rasterize_matches_bruteforce(ray_session):
         "x1": pa.array(cx + w), "y1": pa.array(cy + h),
     })
     got = (rasterize_coverage(ray.data.from_arrow(rects).repartition(3),
-                              res=res, tile_px=px, num_buckets=8)
+                              res=res, tile_px=px)
            .to_pandas().sort_values(["tix", "tiy"]).reset_index(drop=True))
 
     # brute force: one huge boolean grid over the covered extent

@@ -20,7 +20,7 @@ def test_bit_length_exact_at_float_boundaries():
 
 
 def _reg_table(ds):
-    rows = hll_registers(ds, "v", p=8).take_all()
+    rows = hll_registers(ds, "v").take_all()
     return {r["register"]: r["rho"] for r in rows}
 
 
@@ -41,7 +41,7 @@ def test_hll_estimate_accuracy():
     n = 20_000
     ds = rd.from_items([{"v": f"token-{i}"} for i in range(n)],
                        override_num_blocks=8)
-    regs = hll_registers(ds, "v", p=8).take_all()
+    regs = hll_registers(ds, "v").take_all()
     tbl = pa.table({
         "register": pa.array([r["register"] for r in regs], pa.int64()),
         "rho": pa.array([r["rho"] for r in regs], pa.int64()),
@@ -64,7 +64,7 @@ def test_cms_exact_counts_and_bounds(ray_session):
     n_total = len(stream)
     ds = rd.from_arrow(pa.table({"v": pa.array(list(stream))}))
     ds = ds.repartition(7)
-    regs = cms_registers(ds, "v", d=4, log2w=6).to_pandas()
+    regs = cms_registers(ds, "v").to_pandas()
     # grid mass conservation: every row sums to the stream length
     for r in range(4):
         assert regs[regs["row"] == r]["n"].sum() == n_total
@@ -125,7 +125,7 @@ def test_kmv_bottomk_and_estimate(ray_session):
     n_distinct = 5000
     toks = [f"tok-{i % n_distinct}" for i in range(20000)]
     ds = rd.from_arrow(pa.table({"tok": pa.array(toks)})).repartition(8)
-    out = kmv_bottomk(ds, "tok", k=64).to_pandas()
+    out = kmv_bottomk(ds, "tok").to_pandas()
     assert len(out) == 64
     assert out["h"].is_monotonic_increasing
     # matches the driver-side bottom-64 of the full distinct hash set
@@ -137,5 +137,5 @@ def test_kmv_bottomk_and_estimate(ray_session):
     assert abs(est - n_distinct) / n_distinct < 0.35   # ~1/sqrt(63) noise
     # under-full sample -> exact count
     small = kmv_bottomk(rd.from_arrow(pa.table(
-        {"tok": pa.array(["a", "b", "a"])})), "tok", k=64).to_pandas()
+        {"tok": pa.array(["a", "b", "a"])})), "tok").to_pandas()
     assert kmv_estimate(small["h"].to_numpy(), k=64) == 2.0

@@ -63,7 +63,7 @@ def _oracle(cat: pa.Table, aoi: pa.Table, max_cloud=20.0):
 @pytest.mark.parametrize("chunk", [65536, 7])
 def test_lowest_cloud_matches_oracle(chunk):
     cat, aoi = _catalog(), _aois()
-    sel = LowestCloudSelector(cat, max_cloud=20.0, item_chunk=chunk)
+    sel = LowestCloudSelector(cat, item_chunk=chunk)
     got = sel(aoi)
     exp = _oracle(cat, aoi)
     got_d = {int(k): (int(i), float(cc)) for k, i, cc in zip(

@@ -19,8 +19,7 @@ from test_zonal_pipeline import _operator_names, _table
 def _streetview(world, poi, buffer_dist=100.0, features=None):
     return gx.get_streetview_GVI(
         poi, world["network_nodes"], world["network_edges"],
-        features or world["image_features"], buffer_dist=buffer_dist,
-        concurrency=2)
+        features or world["image_features"], buffer_dist=buffer_dist)
 
 
 def _network_points(world):

@@ -240,7 +240,7 @@ def test_sessionize_matches_bruteforce(ray_session):
 
     for nblocks in (1, 7):
         ds = ray.data.from_arrow(tbl).repartition(nblocks)
-        out = sessionize(ds, gap, num_buckets=8).to_pandas()
+        out = sessionize(ds, gap).to_pandas()
         got = {(int(r.user_id), int(r.session_id)):
                (int(r.n_events), int(r.start_us), int(r.end_us),
                 round(float(r.sum_value), 6))

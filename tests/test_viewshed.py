@@ -112,7 +112,6 @@ def test_viewshed_pipeline_smoke(world):
     rollup = drop_zero_count(vpipe.viewshed_stage(
         world["network_nodes"], world["network_edges"], world["tiles"],
         buffer_dist=100.0, viewing_dist=150.0, sample_dist=50.0,
-        concurrency=2,
     ).on(poi), "nr_of_points")
     df = rollup.to_pandas()
     n_docs = pads.dataset(world["documents"]).count_rows()
@@ -131,7 +130,7 @@ def test_streetview_pipeline_smoke(world):
         world["documents"])).select_columns(["doc_id", "x", "y"])
     rollup = vpipe.keep_sampled(vpipe.streetview_stage(
         world["network_nodes"], world["network_edges"],
-        world["image_features"], buffer_dist=100.0, concurrency=2,
+        world["image_features"], buffer_dist=100.0,
     ).on(poi))
     df = rollup.to_pandas()
     assert len(df) > 0

@@ -120,7 +120,7 @@ def test_viterbi_match_distributed(ray_session):
     t, seg = _world(9, n_users=40)
     S, K = 5, 4
     ds = ray.data.from_arrow(t).repartition(4)
-    got = (viterbi_match(ds, seg, n_steps=S, k_cand=K, num_buckets=8)
+    got = (viterbi_match(ds, seg, n_steps=S, k_cand=K)
            .to_pandas()
            .sort_values(["user_id", "step", "edge_key"])
            .reset_index(drop=True))

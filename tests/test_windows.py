@@ -44,8 +44,7 @@ def _brute_funnel(df, steps):
 def test_funnel_matches_bruteforce(ray_session):
     df = _events()
     steps = ["signup", "click", "purchase"]
-    got = funnel(ray.data.from_pandas(df), steps,
-                 num_buckets=4).to_pandas()
+    got = funnel(ray.data.from_pandas(df), steps).to_pandas()
     want = _brute_funnel(df, steps)
     assert len(got) == len(want)
     for r in got.itertuples():
@@ -70,8 +69,8 @@ def test_funnel_strictness_and_partial(ray_session):
         "value": np.zeros(6),
     })
     got = funnel(ray.data.from_pandas(df),
-                 ["signup", "click", "purchase"],
-                 num_buckets=2).to_pandas().set_index("user_id")
+                 ["signup", "click", "purchase"]).to_pandas().set_index(
+                     "user_id")
     assert got.loc[1, "steps_completed"] == 3
     assert got.loc[1, "complete_us"] == 300
     assert got.loc[2, "steps_completed"] == 1
@@ -81,8 +80,7 @@ def test_funnel_strictness_and_partial(ray_session):
 def test_rolling_window_matches_pandas(ray_session):
     df = _events(300, users=5, seed=11)
     w = 5
-    got = rolling_window(ray.data.from_pandas(df), w,
-                         num_buckets=4).to_pandas()
+    got = rolling_window(ray.data.from_pandas(df), w).to_pandas()
     got = got.set_index("event_id").sort_index()
     df2 = df.copy()
     df2["ts_us"] = df2["ts"].astype("int64")
@@ -103,9 +101,7 @@ def test_cohort_retention_matches_pandas(ray_session):
     from greenex_py_ray.stages.windows import cohort_retention
 
     df = _events(500, users=12, seed=3)
-    got = cohort_retention(ray.data.from_pandas(df),
-                           unit_us=86_400_000_000,
-                           num_buckets=4).to_pandas()
+    got = cohort_retention(ray.data.from_pandas(df)).to_pandas()
     d = df.assign(day=df["ts"].astype("int64") // 86_400_000_000)
     d["cohort_day"] = d.groupby("user_id")["day"].transform("min")
     d["day_offset"] = d["day"] - d["cohort_day"]
@@ -151,8 +147,7 @@ def test_resample_fill_matches_bruteforce(ray_session):
 
     df = _events(400, users=6, seed=19)
     unit = 3_600_000_000
-    got = resample_fill(ray.data.from_pandas(df), key_col="event_type",
-                        unit_us=unit).to_pandas()
+    got = resample_fill(ray.data.from_pandas(df), unit_us=unit).to_pandas()
     d = df.assign(unit=df["ts"].astype("int64") // unit,
                   vq=np.round(df["value"].to_numpy() * WIN_Q)
                   .astype(np.int64))
@@ -187,8 +182,7 @@ def test_event_transitions_tiny(ray_session):
         "event_type": ["a", "b", "a", "b", "a", "a"],
         "event_id": [10, 11, 12, 21, 20, 30],
     })
-    out = event_transitions(rd.from_pandas(df).repartition(3),
-                            num_buckets=4).to_pandas()
+    out = event_transitions(rd.from_pandas(df).repartition(3)).to_pandas()
     got = {(r.from_type, r.to_type): r.n for r in out.itertuples()}
     # user1: a->b, b->a; user2 (ts tie, id 20 first): a->b; user3: none
     assert got == {("a", "b"): 2, ("b", "a"): 1}

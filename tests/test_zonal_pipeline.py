@@ -63,7 +63,7 @@ def test_mean_ndvi_parity(world):
     doc_ids, x, y = decode_world_docs(world)
     ds = doc_src.decode_geom(doc_src.read_documents(world["documents"]))
     out = (
-        availability.mean_ndvi_stage(world["tiles"], radius, concurrency=2)
+        availability.mean_ndvi_stage(world["tiles"], radius)
         .on(ds.select_columns(["doc_id", "x", "y"]))
         .to_pandas()
         .set_index("doc_id")
@@ -83,7 +83,7 @@ def test_landcover_parity(world):
     doc_ids, x, y = decode_world_docs(world)
     ds = doc_src.decode_geom(doc_src.read_documents(world["documents"]))
     out = (
-        availability.landcover_stage(world["tiles"], radius, concurrency=2)
+        availability.landcover_stage(world["tiles"], radius)
         .on(ds.select_columns(["doc_id", "x", "y"]))
         .to_pandas()
         .set_index("doc_id")
@@ -103,7 +103,7 @@ def test_span_passthrough(world):
     import greenex_py_ray as gx
 
     out = gx.get_mean_NDVI(world["documents"], world["tiles"],
-                           buffer_dist=200.0, concurrency=2)
+                           buffer_dist=200.0)
     got = out.to_pandas().set_index("doc_id")
     src = pq.read_table(world["documents"]).to_pandas().set_index("doc_id")
     assert len(got) == len(src)
@@ -129,8 +129,7 @@ def test_line_buffer_zonal_polyline_matches_grid(world):
         "geom_x": pa.array([g[:, 0].tolist()], pa.list_(pa.float64())),
         "geom_y": pa.array([g[:, 1].tolist()], pa.list_(pa.float64())),
     })
-    lz = LineZonalLocal(world["tiles"], "ndvi", buffer_dist=60.0,
-                        key_col="edge_id")
+    lz = LineZonalLocal(world["tiles"], "ndvi", buffer_dist=60.0)
     out = lz(batch).to_pandas()
     # brute force: pixel centers within 60 m of any sub-segment
     res = synth.RASTER_RES
@@ -226,8 +225,8 @@ def test_landcover_majority_matches_class_count_argmax(world):
     doc_ids, x, y = decode_world_docs(world)
     ds = doc_src.decode_geom(doc_src.read_documents(world["documents"]))
     out = (availability.landcover_majority(
-        ds.select_columns(["doc_id", "x", "y"]), world["tiles"], radius,
-        concurrency=2).to_pandas().set_index("doc_id"))
+        ds.select_columns(["doc_id", "x", "y"]), world["tiles"],
+        radius).to_pandas().set_index("doc_id"))
     assert len(out) == len(doc_ids)
     codes = sorted(availability.DEFAULT_CLASSMAP)
     for i in np.random.default_rng(13).choice(len(doc_ids), 30, replace=False):
@@ -387,19 +386,16 @@ def test_append_metrics_fails_loud(world):
         "doc_id", "v", "m"]
 
 
-@pytest.mark.parametrize("width", [None, 3])
-def test_kernel_stage_on_one_block_logs_no_concurrency_warning(world, width):
-    """A kernel stage built without a width passes Ray no task cap, and
-    a width over in-memory data is capped at its block count, so a
-    one-block input does not make Ray warn that the cap is more tasks
-    than the operator has inputs."""
+def test_kernel_stage_on_one_block_logs_no_concurrency_warning(world):
+    """A kernel stage passes Ray no task cap, so a one-block input does
+    not make Ray warn that the cap is more tasks than the operator has
+    inputs."""
     import warnings
 
     from greenex_py_ray.functions.joins import append_metrics
 
     docs = ray.data.from_arrow(pq.read_table(world["documents"]).slice(0, 50))
-    stage = availability.mean_ndvi_stage(world["tiles"], 300.0,
-                                         concurrency=width)
+    stage = availability.mean_ndvi_stage(world["tiles"], 300.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = _table(append_metrics(docs, stage))
