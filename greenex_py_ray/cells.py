@@ -9,13 +9,17 @@ network nodes are all tagged with the uint64 id of the grid cell(s) they
 touch, the shuffle is a ``groupby(cell)``, and exact geometry predicates
 are refined inside the group.
 
-Two keyings are provided:
+Three keyings are provided:
 
 * ``cell_id(ix, iy)`` — linear key ``ix * 2**20 + iy``.  Deliberately
   SQL-expressible (``floor(x/cs)*1048576 + floor(y/cs)``) so DuckDB
   oracles can reproduce tile assignments bit-for-bit.
 * ``zorder(ix, iy)`` — Morton interleave of the same indices, used when
   we want range-partition locality (output ordering, tile manifests).
+* ``pack_cell(ix, iy)`` — ``(ix << 32) + (iy & 0xFFFFFFFF)``, the one
+  sign-safe key of the grid statistics (``stages/stencil``) and the
+  segment grid of ``stages/mapmatch``: any |ix|, |iy| <= 2³¹ − 1 round
+  trips through ``unpack_cell``, cells west/south of the origin too.
 
 All functions are vectorized numpy over float64/uint64 arrays; no Python
 per-row loops.
@@ -52,6 +56,30 @@ def cell_id(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
 def cell_of(x: np.ndarray, y: np.ndarray, cell_size: float = DEFAULT_CELL_SIZE) -> np.ndarray:
     ix, iy = cell_indices(x, y, cell_size)
     return cell_id(ix, iy)
+
+
+_LO32 = np.int64(0xFFFFFFFF)
+
+
+def pack_cell(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """Sign-safe int64 key of cells ``(ix, iy)``: ix in the high 32 bits,
+    iy's low 32 bits (two's complement) below."""
+    return (np.asarray(ix, dtype=np.int64) << np.int64(32)) + (
+        np.asarray(iy, dtype=np.int64) & _LO32)
+
+
+def unpack_cell(ck: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`pack_cell`: the arithmetic shifts floor ix and
+    sign-extend iy's low 32 bits."""
+    ck = np.asarray(ck, dtype=np.int64)
+    return ck >> np.int64(32), (ck << np.int64(32)) >> np.int64(32)
+
+
+def shift_cells(ck: np.ndarray, offsets) -> np.ndarray:
+    """The keys of cells ``ck`` moved by each ``(dx, dy)`` of ``offsets``,
+    offset-major: row ``k * len(ck) + i`` is cell i moved by offset k."""
+    ix, iy = unpack_cell(ck)
+    return np.concatenate([pack_cell(ix + dx, iy + dy) for dx, dy in offsets])
 
 
 def _part1by1(v: np.ndarray) -> np.ndarray:

@@ -10,8 +10,8 @@ Layout::
       part-{partition:05d}.parquet      # one file per key-hash bucket
       _manifest/partition-{i}.json      # written AFTER the part file
 
-A partition's manifest row records input fragments, row count, value
-checksum and wall time.  Output is deterministic because partitions are
+A partition's manifest row records row count, value checksum, wall time
+and file bytes.  Output is deterministic because partitions are
 key-hash buckets (``exchange.stable_bucket``), not execution order.
 
 What resume skips: ``resumable_write`` skips partitions whose manifest
@@ -81,7 +81,6 @@ def write_partition(tbl: pa.Table, out_dir: str, partition: int) -> dict:
     os.replace(tmp, final)
     row = {
         "partition_id": partition,
-        "input_fragments": [],
         "row_count": tbl.num_rows,
         "checksum": _checksum(tbl),
         "wall_ms": int((time.time() - t0) * 1000),

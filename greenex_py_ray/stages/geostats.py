@@ -32,14 +32,19 @@ Cross-engine determinism (the DuckDB gate hashes values):
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
 
 import ray
 
+from ..cells import cell_indices, pack_cell, unpack_cell
 from ..functions.exchange import bucket_exchange
 from ..sidefiles import side_table
 from ..state.index import GridIndex, _ranges, _seg_argmin
+from .stencil import (HEX_RING, QUEEN, ROOK, cell_counts, col, moments,
+                      stencil)
 
 #: integer quantization grids for the order-independent IDW sums
 IDW_DEN_Q = 1e12
@@ -332,103 +337,37 @@ def hexbin(ds: "ray.data.Dataset", size: float) -> "ray.data.Dataset":
     shuffle uses where squares alias along diagonals.
 
     Scale shape: per-batch partial counts collapse each batch to its
-    distinct hexes (encoded as one int64) before the groupby, so the
-    shuffle payload is O(#touched hexes), not O(#points)."""
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column("x").to_numpy(zero_copy_only=False)
-        y = batch.column("y").to_numpy(zero_copy_only=False)
-        hq, hr = hex_axial(x, y, size)
-        enc = (hq << np.int64(32)) + (hr & np.int64(0xFFFFFFFF))
-        uk, cnt = np.unique(enc, return_counts=True)
-        return pa.table({"hex": pa.array(uk),
-                         "n": pa.array(cnt.astype(np.int64))})
+    distinct hexes (one ``cells.pack_cell`` key each) before the
+    groupby, so the shuffle payload is O(#touched hexes), not
+    O(#points) (see :mod:`.stencil`)."""
 
     def decode(batch: pa.Table) -> pa.Table:
-        enc = batch.column("hex").to_numpy(zero_copy_only=False)
-        hq = enc >> np.int64(32)
-        lo = enc & np.int64(0xFFFFFFFF)
-        hr = np.where(lo >= np.int64(1) << np.int64(31),
-                      lo - (np.int64(1) << np.int64(32)), lo)
-        return pa.table({"hq": pa.array(hq), "hr": pa.array(hr),
-                         "n": batch.column("n")})
+        hq, hr = unpack_cell(col(batch, "ck"))
+        return pa.table({"hq": hq, "hr": hr, "n": batch.column("n")})
 
-    part = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-    agg = part.groupby("hex").aggregate(Sum("n", alias_name="n"))
-    return agg.map_batches(decode, batch_format="pyarrow",
-                           zero_copy_batch=True)
+    return cell_counts(ds, partial(hex_axial, size=size)).map_batches(
+        decode, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def hex_kring(ds: "ray.data.Dataset", size: float) -> "ray.data.Dataset":
     """K-ring (k=1) neighborhood aggregation on the hex lattice — the
     H3-style density smooth: per occupied hex, its own count plus the
     counts of its 6 axial neighbors (ring_n), and how many of those
-    neighbors are occupied (n_nbr).  The shuffle shape mirrors
-    :func:`local_morans_i`'s queen window on squares: per-batch hex
-    partials, each occupied hex EMITS its count to itself and its 6
-    axial-offset neighbors, one groupby — O(7·touched hexes) shuffle
-    payload, never the points.  Only occupied hexes appear in the
-    output (the emission join is inner on the occupied set)."""
-    from ray.data.aggregate import Sum
-
-    from ..functions.joins import bucket_join_attach
-
-    #: pointy-top axial k=1 ring offsets (public hex-grid geometry)
-    OFFS = ((0, 0), (1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column("x").to_numpy(zero_copy_only=False)
-        y = batch.column("y").to_numpy(zero_copy_only=False)
-        hq, hr = hex_axial(x, y, size)
-        enc = (hq << np.int64(32)) + (hr & np.int64(0xFFFFFFFF))
-        uk, cnt = np.unique(enc, return_counts=True)
-        return pa.table({"hex": pa.array(uk),
-                         "n": pa.array(cnt.astype(np.int64))})
-
-    part = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-    counts = part.groupby("hex").aggregate(Sum("n", alias_name="n"))                  .materialize()
-
-    def emit(batch: pa.Table) -> pa.Table:
-        enc = batch.column("hex").to_numpy(zero_copy_only=False)
-        n = batch.column("n").to_numpy(zero_copy_only=False)
-        hq = enc >> np.int64(32)
-        lo = enc & np.int64(0xFFFFFFFF)
-        hr = np.where(lo >= np.int64(1) << np.int64(31),
-                      lo - (np.int64(1) << np.int64(32)), lo)
-        outs, vals, occ = [], [], []
-        for dq, dr in ((0, 0), (1, 0), (1, -1), (0, -1), (-1, 0),
-                       (-1, 1), (0, 1)):
-            outs.append(((hq + dq) << np.int64(32))
-                        + ((hr + dr) & np.int64(0xFFFFFFFF)))
-            vals.append(n)
-            occ.append(np.full(len(n), 0 if (dq, dr) == (0, 0) else 1,
-                               np.int64))
-        return pa.table({"hex": pa.array(np.concatenate(outs)),
-                         "ring_n": pa.array(np.concatenate(vals)),
-                         "n_nbr": pa.array(np.concatenate(occ))})
-
-    ring = (counts.map_batches(emit, batch_format="pyarrow",
-                               zero_copy_batch=True)
-            .groupby("hex").aggregate(Sum("ring_n", alias_name="ring_n"),
-                                      Sum("n_nbr", alias_name="n_nbr")))
-    joined = bucket_join_attach(counts, ring, key="hex")
+    neighbors are occupied (n_nbr).  The plan is :func:`hexbin`'s
+    counts and one :func:`.stencil.stencil` over the 7-hex ring:
+    O(7·touched hexes) shuffle payload, never the points.  Only
+    occupied hexes appear in the output (the emission join is inner on
+    the occupied set)."""
 
     def decode(batch: pa.Table) -> pa.Table:
-        enc = batch.column("hex").to_numpy(zero_copy_only=False)
-        hq = enc >> np.int64(32)
-        lo = enc & np.int64(0xFFFFFFFF)
-        hr = np.where(lo >= np.int64(1) << np.int64(31),
-                      lo - (np.int64(1) << np.int64(32)), lo)
-        return pa.table({"hq": pa.array(hq), "hr": pa.array(hr),
-                         "n": batch.column("n"),
-                         "ring_n": batch.column("ring_n"),
-                         "n_nbr": batch.column("n_nbr")})
+        hq, hr = unpack_cell(col(batch, "ck"))
+        return pa.table({"hq": hq, "hr": hr, "n": batch.column("n"),
+                         "ring_n": batch.column("nx"),
+                         "n_nbr": col(batch, "w") - 1})
 
-    return joined.map_batches(decode, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    cells = cell_counts(ds, partial(hex_axial, size=size))
+    return stencil(cells, HEX_RING).map_batches(
+        decode, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def tile_pyramid(ds: "ray.data.Dataset", base_cell: float,
@@ -445,32 +384,23 @@ def tile_pyramid(ds: "ray.data.Dataset", base_cell: float,
     shuffle for the whole pyramid, not one per level."""
     from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column("x").to_numpy(zero_copy_only=False)
-        y = batch.column("y").to_numpy(zero_copy_only=False)
-        cx = np.floor(x / base_cell).astype(np.int64)
-        cy = np.floor(y / base_cell).astype(np.int64)
-        zs, xs, ys, ns = [], [], [], []
+    def partial_counts(batch: pa.Table) -> pa.Table:
+        cx, cy = cell_indices(col(batch, "x"), col(batch, "y"), base_cell)
+        zs, ks, ns = [], [], []
         for z in range(levels - 1, -1, -1):
-            # sign-safe pack/unpack (negative cells west/south of the
-            # origin survive the round trip — same scheme as hexbin)
-            enc = (cx << np.int64(32)) + (cy & np.int64(0xFFFFFFFF))
-            uk, cnt = np.unique(enc, return_counts=True)
-            lo = uk & np.int64(0xFFFFFFFF)
+            uk, cnt = np.unique(pack_cell(cx, cy), return_counts=True)
             zs.append(np.full(len(uk), z, dtype=np.int64))
-            xs.append(uk >> np.int64(32))
-            ys.append(np.where(lo >= np.int64(1) << np.int64(31),
-                               lo - (np.int64(1) << np.int64(32)), lo))
+            ks.append(uk)
             ns.append(cnt.astype(np.int64))
             # arithmetic >> floors toward -inf — exactly floor(c/2),
             # matching the SQL parent derivation for negative cells too
             cx, cy = cx >> 1, cy >> 1
+        cx, cy = unpack_cell(np.concatenate(ks))
         return pa.table({"zoom": pa.array(np.concatenate(zs)),
-                         "cx": pa.array(np.concatenate(xs)),
-                         "cy": pa.array(np.concatenate(ys)),
+                         "cx": pa.array(cx), "cy": pa.array(cy),
                          "n": pa.array(np.concatenate(ns))})
 
-    part = ds.map_batches(partial, batch_format="pyarrow",
+    part = ds.map_batches(partial_counts, batch_format="pyarrow",
                           zero_copy_batch=True)
     return part.groupby(["zoom", "cx", "cy"]).aggregate(
         Sum("n", alias_name="n"))
@@ -490,89 +420,34 @@ def morans_i(ds: "ray.data.Dataset", cell_size: float) -> "ray.data.Dataset":
         I = n·Σ_ij w_ij z_i z_j / (W · Σ_i z_i²)
 
     equals the textbook (n/W)·Σw(x−x̄)(x−x̄)/Σ(x−x̄)² because the n²
-    factors cancel.  Every sum is an exact int64; the single closed-form
-    double division is replayed token-for-token by the SQL oracle.
+    factors cancel.  With NX_i = Σ_j w_ij x_j and W_i = Σ_j w_ij from the
+    rook stencil, Σ_j w_ij z_j = n·NX_i − S·W_i, and
+    Σ_i z_i² = n·(n·Σx² − S²).  Every sum is an exact int64; the single
+    closed-form double division is replayed token-for-token by the SQL
+    oracle.
 
-    Scale shape: per-batch partial counts → groupby(ix,iy) over
-    O(touched cells); neighbor sums via a 4-way key-shifted emission +
-    one more O(cells) groupby + a bucket hash-join back — never a
-    driver-side O(cells²) pass.  Returns ONE row:
-    (n_cells, w_pairs, moran_i).
+    Scale shape: :func:`.stencil.cell_counts` over O(touched cells),
+    then one rook :func:`.stencil.stencil` — never a driver-side
+    O(cells²) pass.  Returns ONE row: (n_cells, w_pairs, moran_i).
     """
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
-    from ..functions.joins import bucket_join_attach
-
-    def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column("x").to_numpy(zero_copy_only=False)
-        y = batch.column("y").to_numpy(zero_copy_only=False)
-        cx = np.floor(x / cell_size).astype(np.int64)
-        cy = np.floor(y / cell_size).astype(np.int64)
-        enc = (cx << np.int64(32)) + (cy & np.int64(0xFFFFFFFF))
-        uk, cnt = np.unique(enc, return_counts=True)
-        return pa.table({"ck": pa.array(uk),
-                         "n": pa.array(cnt.astype(np.int64))})
-
-    cellcnt = (ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-               .groupby("ck").aggregate(Sum("n", alias_name="n"))
-               .materialize())  # O(occupied cells) — small vs points
-
-    g = cellcnt.aggregate(Count(), Sum("n", alias_name="s"))
-    ncells = int(g["count()"])
-    s_total = int(g["s"])
-
-    def with_z(batch: pa.Table) -> pa.Table:
-        n = batch.column("n").to_numpy(zero_copy_only=False)
-        return pa.table({"ck": batch.column("ck"),
-                         "z": ncells * n - s_total})
-
-    z = cellcnt.map_batches(with_z, batch_format="pyarrow",
-                            zero_copy_batch=True).materialize()
-
-    ss = int(z.map_batches(
-        lambda b: pa.table({"zz": b.column("z").to_numpy(
-            zero_copy_only=False) ** 2}),
-        batch_format="pyarrow", zero_copy_batch=True,
-    ).aggregate(Sum("zz", alias_name="zz"))["zz"])
-
-    def emit_neighbors(batch: pa.Table) -> pa.Table:
-        ck = batch.column("ck").to_numpy(zero_copy_only=False)
-        zz = batch.column("z").to_numpy(zero_copy_only=False)
-        # decode, shift by the 4 rook offsets, re-encode
-        cx = ck >> np.int64(32)
-        lo = ck & np.int64(0xFFFFFFFF)
-        cy = np.where(lo >= np.int64(1) << np.int64(31),
-                      lo - (np.int64(1) << np.int64(32)), lo)
-        outs, vals = [], []
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            outs.append(((cx + dx) << np.int64(32))
-                        + ((cy + dy) & np.int64(0xFFFFFFFF)))
-            vals.append(zz)
-        return pa.table({"ck": pa.array(np.concatenate(outs)),
-                         "zn": pa.array(np.concatenate(vals)),
-                         "w": pa.array(np.ones(4 * len(ck), np.int64))})
-
-    nbr = (z.map_batches(emit_neighbors, batch_format="pyarrow",
-                         zero_copy_batch=True)
-           .groupby("ck").aggregate(Sum("zn", alias_name="zn"),
-                                    Sum("w", alias_name="w")))
-    # inner join: emissions landing on unoccupied cells drop out, which
-    # is exactly the w_ij = 0 case
-    joined = bucket_join_attach(z, nbr, key="ck")
+    cells = cell_counts(ds, partial(cell_indices, cell_size=cell_size))
+    ncells, s_total, sxx = moments(cells)
 
     def cross_part(batch: pa.Table) -> pa.Table:
-        zv = batch.column("z").to_numpy(zero_copy_only=False)
-        zn = batch.column("zn").to_numpy(zero_copy_only=False)
-        w = batch.column("w").to_numpy(zero_copy_only=False)
-        return pa.table({"cross": pa.array([int((zv * zn).sum())]),
+        w = col(batch, "w")
+        z = ncells * col(batch, "n") - s_total
+        zn = ncells * col(batch, "nx") - s_total * w
+        return pa.table({"cross": pa.array([int((z * zn).sum())]),
                          "w": pa.array([int(w.sum())])})
 
-    tot = joined.map_batches(cross_part, batch_format="pyarrow",
-                             zero_copy_batch=True).aggregate(
-        Sum("cross", alias_name="cross"), Sum("w", alias_name="w"))
+    tot = stencil(cells, ROOK).map_batches(
+        cross_part, batch_format="pyarrow", zero_copy_batch=True
+    ).aggregate(Sum("cross", alias_name="cross"), Sum("w", alias_name="w"))
     cross = int(tot["cross"])
     w_pairs = int(tot["w"])
+    ss = ncells * (ncells * sxx - s_total * s_total)
     moran = (np.float64(ncells) * np.float64(cross)) / (
         np.float64(w_pairs) * np.float64(ss))
     import ray.data as _rd
@@ -581,6 +456,34 @@ def morans_i(ds: "ray.data.Dataset", cell_size: float) -> "ray.data.Dataset":
         "w_pairs": pa.array([w_pairs], pa.int64()),
         "moran_i": pa.array([float(moran)], pa.float64()),
     }))
+
+
+def _queen_scores(ds: "ray.data.Dataset", cell_size: float, what: str,
+                  name: str, score) -> "ray.data.Dataset":
+    """Per occupied square cell ``(ix, iy, n_nbr, <name>)`` from the 3×3
+    queen stencil (self included): ``score(n, nx, w, ncells, sx, var)``
+    gives ``(n_nbr, value)`` from the cell's count, its window sums and
+    the moments (``var = ncells·Σn² − (Σn)²``).  Refuses fewer than 2
+    cells, and zero variance, where numpy's ±inf/NaN and the SQL
+    oracle's NULL would disagree."""
+    cells = cell_counts(ds, partial(cell_indices, cell_size=cell_size))
+    ncells, sx, sxx = moments(cells)
+    if ncells < 2:
+        raise ValueError(f"{what} needs at least 2 occupied cells")
+    var = float(ncells * sxx - sx * sx)
+    if var == 0.0:
+        raise ValueError(f"{what} undefined: zero variance "
+                         "(all occupied cells have equal counts)")
+
+    def finish(batch: pa.Table) -> pa.Table:
+        ix, iy = unpack_cell(col(batch, "ck"))
+        n_nbr, v = score(col(batch, "n"), col(batch, "nx"), col(batch, "w"),
+                         ncells, sx, var)
+        return pa.table({"ix": ix, "iy": iy, "n_nbr": n_nbr,
+                         name: pa.array(v, pa.float64())})
+
+    return stencil(cells, QUEEN).map_batches(
+        finish, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def getis_ord_gi_star(ds: "ray.data.Dataset",
@@ -601,90 +504,15 @@ def getis_ord_gi_star(ds: "ray.data.Dataset",
         Gi* = (n·NX − Sx·W) / sqrt((n·Sxx − Sx²) · (n·W − W²) / (n−1))
 
     — every operand an exact int64, ONE closed-form double expression
-    replayed token-for-token by the SQL oracle.
+    replayed token-for-token by the SQL oracle.  Plan: see
+    :func:`_queen_scores`."""
 
-    Scale shape: per-batch partial counts → one O(occupied-cells)
-    groupby; the 3×3 neighbor sums are a 9-way key-shifted emission +
-    a second O(cells) groupby + a bucket hash-join back (emissions
-    landing on unoccupied cells drop out in the inner join — the
-    w_ij = 0 case).  No driver-side O(cells²) pass."""
-    from ray.data.aggregate import Count, Sum
-
-    from ..functions.joins import bucket_join_attach
-
-    def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column("x").to_numpy(zero_copy_only=False)
-        y = batch.column("y").to_numpy(zero_copy_only=False)
-        cx = np.floor(x / cell_size).astype(np.int64)
-        cy = np.floor(y / cell_size).astype(np.int64)
-        enc = (cx << np.int64(32)) + (cy & np.int64(0xFFFFFFFF))
-        uk, cnt = np.unique(enc, return_counts=True)
-        return pa.table({"ck": pa.array(uk),
-                         "n": pa.array(cnt.astype(np.int64))})
-
-    cellcnt = (ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-               .groupby("ck").aggregate(Sum("n", alias_name="n"))
-               .materialize())  # O(occupied cells) — small vs points
-
-    g = cellcnt.aggregate(Count(), Sum("n", alias_name="s"))
-    ncells = int(g["count()"])
-    s_total = int(g["s"])
-    if ncells < 2:
-        raise ValueError("Gi* needs at least 2 occupied cells")
-    sxx = int(cellcnt.map_batches(
-        lambda b: pa.table({"xx": b.column("n").to_numpy(
-            zero_copy_only=False).astype(np.int64) ** 2}),
-        batch_format="pyarrow", zero_copy_batch=True,
-    ).aggregate(Sum("xx", alias_name="xx"))["xx"])
-
-    def emit_window(batch: pa.Table) -> pa.Table:
-        ck = batch.column("ck").to_numpy(zero_copy_only=False)
-        xv = batch.column("n").to_numpy(zero_copy_only=False)
-        cx = ck >> np.int64(32)
-        lo = ck & np.int64(0xFFFFFFFF)
-        cy = np.where(lo >= np.int64(1) << np.int64(31),
-                      lo - (np.int64(1) << np.int64(32)), lo)
-        outs, vals = [], []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                outs.append(((cx + dx) << np.int64(32))
-                            + ((cy + dy) & np.int64(0xFFFFFFFF)))
-                vals.append(xv)
-        return pa.table({"ck": pa.array(np.concatenate(outs)),
-                         "nx": pa.array(np.concatenate(vals)),
-                         "w": pa.array(np.ones(9 * len(ck), np.int64))})
-
-    nbr = (cellcnt.map_batches(emit_window, batch_format="pyarrow",
-                               zero_copy_batch=True)
-           .groupby("ck").aggregate(Sum("nx", alias_name="nx"),
-                                    Sum("w", alias_name="w")))
-    joined = bucket_join_attach(cellcnt, nbr, key="ck")
-    b_var = float(ncells * sxx - s_total * s_total)
-    if b_var == 0.0:
-        # uniform density: sqrt(0)/0 divergence between numpy (±inf/
-        # NaN) and the SQL oracle (NULL) — refuse on both sides
-        raise ValueError("Gi* undefined: zero variance "
-                         "(all occupied cells have equal counts)")
-    nm1 = float(ncells - 1)
-
-    def score(batch: pa.Table) -> pa.Table:
-        ck = batch.column("ck").to_numpy(zero_copy_only=False)
-        nx = batch.column("nx").to_numpy(zero_copy_only=False)
-        w = batch.column("w").to_numpy(zero_copy_only=False)
-        a = (ncells * nx - s_total * w).astype(np.float64)
+    def score(n, nx, w, ncells, sx, var):
+        a = (ncells * nx - sx * w).astype(np.float64)
         c = (ncells * w - w * w).astype(np.float64)
-        gi = a / np.sqrt(b_var * c / nm1)
-        cx = ck >> np.int64(32)
-        lo = ck & np.int64(0xFFFFFFFF)
-        cy = np.where(lo >= np.int64(1) << np.int64(31),
-                      lo - (np.int64(1) << np.int64(32)), lo)
-        return pa.table({"ix": pa.array(cx), "iy": pa.array(cy),
-                         "n_nbr": batch.column("w"),
-                         "gi_star": pa.array(gi)})
+        return w, a / np.sqrt(var * c / float(ncells - 1))
 
-    return joined.map_batches(score, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    return _queen_scores(ds, cell_size, "Gi*", "gi_star", score)
 
 
 # ---------------------------------------------------------------------------
@@ -888,86 +716,12 @@ def local_morans_i(ds: "ray.data.Dataset",
 
     with NXᵉ/Wᵉ the self-EXCLUDED neighbor sums — every operand exact
     int64, ONE closed-form double division replayed token-for-token in
-    SQL.  Same physical plan as Gi*: O(cells) partial counts, 9-way
-    key-shifted emission, bucket join; self-exclusion is a subtraction
-    of the cell's own (x, 1) after the inclusive window sum."""
-    from ray.data.aggregate import Count, Sum
+    SQL.  Same plan as Gi* (:func:`_queen_scores`); self-exclusion is a
+    subtraction of the cell's own (x, 1) from the inclusive window sum."""
 
-    from ..functions.joins import bucket_join_attach
+    def score(n, nx, w, ncells, sx, var):
+        a = (ncells * n - sx).astype(np.float64)
+        b = (ncells * (nx - n) - sx * (w - 1)).astype(np.float64)
+        return w - 1, a * b / var
 
-    def partial(batch: pa.Table) -> pa.Table:
-        x = batch.column("x").to_numpy(zero_copy_only=False)
-        y = batch.column("y").to_numpy(zero_copy_only=False)
-        cx = np.floor(x / cell_size).astype(np.int64)
-        cy = np.floor(y / cell_size).astype(np.int64)
-        enc = (cx << np.int64(32)) + (cy & np.int64(0xFFFFFFFF))
-        uk, cnt = np.unique(enc, return_counts=True)
-        return pa.table({"ck": pa.array(uk),
-                         "n": pa.array(cnt.astype(np.int64))})
-
-    cellcnt = (ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-               .groupby("ck").aggregate(Sum("n", alias_name="n"))
-               .materialize())
-
-    g = cellcnt.aggregate(Count(), Sum("n", alias_name="s"))
-    ncells = int(g["count()"])
-    s_total = int(g["s"])
-    if ncells < 2:
-        raise ValueError("local Moran needs at least 2 occupied cells")
-    sxx = int(cellcnt.map_batches(
-        lambda b: pa.table({"xx": b.column("n").to_numpy(
-            zero_copy_only=False).astype(np.int64) ** 2}),
-        batch_format="pyarrow", zero_copy_batch=True,
-    ).aggregate(Sum("xx", alias_name="xx"))["xx"])
-
-    def emit_window(batch: pa.Table) -> pa.Table:
-        ck = batch.column("ck").to_numpy(zero_copy_only=False)
-        xv = batch.column("n").to_numpy(zero_copy_only=False)
-        cx = ck >> np.int64(32)
-        lo = ck & np.int64(0xFFFFFFFF)
-        cy = np.where(lo >= np.int64(1) << np.int64(31),
-                      lo - (np.int64(1) << np.int64(32)), lo)
-        outs, vals = [], []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                outs.append(((cx + dx) << np.int64(32))
-                            + ((cy + dy) & np.int64(0xFFFFFFFF)))
-                vals.append(xv)
-        return pa.table({"ck": pa.array(np.concatenate(outs)),
-                         "nx": pa.array(np.concatenate(vals)),
-                         "w": pa.array(np.ones(9 * len(ck), np.int64))})
-
-    nbr = (cellcnt.map_batches(emit_window, batch_format="pyarrow",
-                               zero_copy_batch=True)
-           .groupby("ck").aggregate(Sum("nx", alias_name="nx"),
-                                    Sum("w", alias_name="w")))
-    joined = bucket_join_attach(cellcnt, nbr, key="ck")
-    denom = float(ncells * sxx - s_total * s_total)
-    if denom == 0.0:
-        # uniform density: numpy would emit ±inf/NaN where the SQL
-        # oracle's 0/0 yields NULL — refuse on both sides instead
-        # (mirrors the ncells < 2 guard; ADVICE r4)
-        raise ValueError("local Moran undefined: zero variance "
-                         "(all occupied cells have equal counts)")
-
-    def score(batch: pa.Table) -> pa.Table:
-        ck = batch.column("ck").to_numpy(zero_copy_only=False)
-        xi = batch.column("n").to_numpy(zero_copy_only=False)
-        nx = batch.column("nx").to_numpy(zero_copy_only=False)
-        w = batch.column("w").to_numpy(zero_copy_only=False)
-        nx_ex = nx - xi
-        w_ex = w - 1
-        a = (ncells * xi - s_total).astype(np.float64)
-        b = (ncells * nx_ex - s_total * w_ex).astype(np.float64)
-        li = a * b / denom
-        cx = ck >> np.int64(32)
-        lo = ck & np.int64(0xFFFFFFFF)
-        cy = np.where(lo >= np.int64(1) << np.int64(31),
-                      lo - (np.int64(1) << np.int64(32)), lo)
-        return pa.table({"ix": pa.array(cx), "iy": pa.array(cy),
-                         "n_nbr": pa.array(w_ex.astype(np.int64)),
-                         "local_i": pa.array(li)})
-
-    return joined.map_batches(score, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    return _queen_scores(ds, cell_size, "local Moran", "local_i", score)

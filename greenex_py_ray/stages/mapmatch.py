@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..cells import cell_indices, pack_cell
 from ..functions.exchange import bucket_exchange
 from ..functions.joins import KernelStage
 from ..sidefiles import shipped, side_table
@@ -74,7 +75,7 @@ class SegmentSnapper:
         w = np.repeat(gy1 - gy0 + 1, spans)
         cx = np.repeat(gx0, spans) + local // w
         cy = np.repeat(gy0, spans) + local % w
-        key = cx << np.int64(32) | (cy & np.int64(0xFFFFFFFF))
+        key = pack_cell(cx, cy)
         srt = np.argsort(key, kind="stable")
         self.cell_keys, starts = np.unique(key[srt], return_index=True)
         self.cell_offsets = np.append(starts, tot)
@@ -85,8 +86,7 @@ class SegmentSnapper:
         py = batch.column("y").to_numpy(zero_copy_only=False)
         n = len(px)
         cs = self.radius
-        pcell = (np.floor(px / cs).astype(np.int64) << np.int64(32)
-                 | (np.floor(py / cs).astype(np.int64) & np.int64(0xFFFFFFFF)))
+        pcell = pack_cell(*cell_indices(px, py, cs))
 
         best_d2 = np.full(n, np.inf)
         best_i = np.full(n, -1, dtype=np.int64)

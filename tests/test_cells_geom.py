@@ -12,6 +12,40 @@ def test_cell_roundtrip():
     assert (iy == np.floor(y / 500)).all()
 
 
+def test_pack_cell_roundtrip_at_int32_limits():
+    m = 2**31 - 1
+    v = np.array([-m, -m + 1, -1, 0, 1, m - 1, m], dtype=np.int64)
+    ix, iy = (a.ravel() for a in np.meshgrid(v, v))
+    ck = cells.pack_cell(ix, iy)
+    assert len(np.unique(ck)) == len(ck)
+    back_x, back_y = cells.unpack_cell(ck)
+    assert (back_x == ix).all() and (back_y == iy).all()
+    # the key format: ix in the high word, iy's two's complement below
+    assert cells.pack_cell(np.int64(-1), np.int64(-1)) == -1
+    assert cells.pack_cell(np.int64(1), np.int64(-1)) == (1 << 33) - 1
+    moved = cells.shift_cells(cells.pack_cell(ix, iy), [(0, 0), (-1, 1)])
+    assert (moved[:len(ix)] == ck).all()
+    mx, my = cells.unpack_cell(moved[len(ix):])
+    keep = (ix > -m) & (iy < m)  # moved cells still inside the range
+    assert (mx[keep] == ix[keep] - 1).all()
+    assert (my[keep] == iy[keep] + 1).all()
+
+
+def test_cell_key_is_packed_only_in_cells():
+    """``cells.pack_cell``/``unpack_cell`` are the one sign-safe cell
+    packer: no other module masks a cell index's low 32 bits inline
+    (hash masks are ``np.uint64``)."""
+    import pathlib
+
+    import greenex_py_ray
+
+    root = pathlib.Path(greenex_py_ray.__file__).parent
+    hits = [str(p.relative_to(root)) for p in sorted(root.rglob("*.py"))
+            if p.name != "cells.py"
+            and "np.int64(0xFFFFFFFF)" in p.read_text()]
+    assert hits == []
+
+
 def test_zorder_distinct_and_local():
     ix = np.arange(100)
     iy = np.arange(100)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 import ray.data as rd
 
@@ -18,13 +19,16 @@ def _pts(coords):
     }))
 
 
-def test_grid_dbscan_two_blobs_and_noise():
+@pytest.mark.parametrize("shift", [0, -20], ids=["origin", "negative"])
+def test_grid_dbscan_two_blobs_and_noise(shift):
     # blob A: 12 points in cell (0,0); blob B: 12 in (10,10);
-    # loner: 1 point in (5,5); straggler next to blob A in (1,0)
+    # loner: 1 point in (5,5); straggler next to blob A in (1,0);
+    # shift moves every cell by (shift, shift), west/south of the origin
     coords = ([(0.5, 0.5)] * 12 + [(10.5, 10.5)] * 12
               + [(5.5, 5.5)] + [(1.5, 0.5)] * 2)
+    coords = [(x + shift, y + shift) for x, y in coords]
     out = grid_dbscan(_pts(coords), 1.0, 10).take_all()
-    rows = {(r["ix"], r["iy"]): r for r in out}
+    rows = {(r["ix"] - shift, r["iy"] - shift): r for r in out}
     assert len(rows) == 4
     a, b = rows[(0, 0)], rows[(10, 10)]
     assert a["core"] and b["core"]
@@ -33,6 +37,26 @@ def test_grid_dbscan_two_blobs_and_noise():
     assert edge["core"] and edge["cluster"] == a["cluster"]
     loner = rows[(5, 5)]
     assert not loner["core"] and loner["cluster"] is None  # noise
+
+
+def test_grid_dbscan_blocks_type_cluster_int64():
+    """Every output block types ``cluster`` int64, the blocks whose
+    cells are all noise too (a groupby-min over only null labels would
+    make it a null-typed column)."""
+    import ray
+
+    rng = np.random.default_rng(5)
+    # one dense blob and 200 lone points, each in a cell of its own
+    lone = rng.choice(400 * 400, 200, replace=False)
+    coords = ([(0.5, 0.5)] * 40
+              + [(10.0 + 3 * (c // 400) + 0.5, 10.0 + 3 * (c % 400) + 0.5)
+                 for c in lone])
+    out = grid_dbscan(_pts(coords).repartition(8), 1.0, 10)
+    tables = ray.get(out.to_arrow_refs())
+    assert sum(t.num_rows for t in tables) == 201
+    for t in tables:
+        if t.num_rows:  # Ray's exchange may add empty, schema-less blocks
+            assert t.schema.field("cluster").type == pa.int64()
 
 
 def test_grid_dbscan_border_cell():

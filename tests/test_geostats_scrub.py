@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 import ray
 import ray.data
@@ -313,18 +314,21 @@ def test_filter_chain_rules_fire(ray_session):
     assert not bool(out.loc[2, "keep"])
 
 
-def test_gi_star_matches_bruteforce(ray_session):
+@pytest.mark.parametrize("shift", [0.0, -500.0],
+                         ids=["origin", "negative"])
+def test_gi_star_matches_bruteforce(ray_session, shift):
     from greenex_py_ray.stages.geostats import getis_ord_gi_star
 
     rng = np.random.default_rng(31)
     n = 800
-    # clustered points: two hot blobs + uniform background
-    x = np.concatenate([rng.normal(100, 30, 200),
-                        rng.normal(900, 25, 200),
-                        rng.uniform(0, 1000, 400)])
-    y = np.concatenate([rng.normal(100, 30, 200),
-                        rng.normal(900, 25, 200),
-                        rng.uniform(0, 1000, 400)])
+    # clustered points: two hot blobs + uniform background; a negative
+    # shift puts half the cells west/south of the origin
+    x = shift + np.concatenate([rng.normal(100, 30, 200),
+                                rng.normal(900, 25, 200),
+                                rng.uniform(0, 1000, 400)])
+    y = shift + np.concatenate([rng.normal(100, 30, 200),
+                                rng.normal(900, 25, 200),
+                                rng.uniform(0, 1000, 400)])
     cell = 100.0
     ds = ray.data.from_arrow(pa.table({"x": x, "y": y})).repartition(4)
     got = getis_ord_gi_star(ds, cell).to_pandas()
@@ -522,3 +526,78 @@ def test_local_moran_checkerboard_negative():
     exp = z[idx(2, 2)] * sum(z[t] for t in nbrs) / m2 / n
     got = float(out[(out.ix == 2) & (out.iy == 2)].local_i.iloc[0])
     assert np.isclose(got, exp * n, rtol=1e-12) or np.isclose(got, exp, rtol=1e-12)
+
+
+def _straddling_points(seed, n=1500):
+    """Points on both sides of the origin: a blob at (-300, 200), one at
+    (250, -250) and a uniform background over [-1000, 1000)²."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([rng.normal(-300, 60, n // 3),
+                        rng.normal(250, 40, n // 3),
+                        rng.uniform(-1000, 1000, n - 2 * (n // 3))])
+    y = np.concatenate([rng.normal(200, 60, n // 3),
+                        rng.normal(-250, 40, n // 3),
+                        rng.uniform(-1000, 1000, n - 2 * (n // 3))])
+    return x, y
+
+
+def _window(ix, iy, offsets):
+    """Per cell i, the indices of the cells at ``offsets`` from it."""
+    at = {(a, b): j for j, (a, b) in enumerate(zip(ix, iy))}
+    return [[at[(a + dx, b + dy)] for dx, dy in offsets
+             if (a + dx, b + dy) in at] for a, b in zip(ix, iy)]
+
+
+def test_hex_kring_matches_bruteforce(ray_session):
+    from greenex_py_ray.stages.geostats import hex_axial, hex_kring
+
+    x, y = _straddling_points(41)
+    size = 90.0
+    out = (hex_kring(ray.data.from_arrow(pa.table({"x": x, "y": y}))
+                     .repartition(5), size)
+           .to_pandas().set_index(["hq", "hr"]).sort_index())
+
+    c = (pd.DataFrame(dict(zip(("hq", "hr"), hex_axial(x, y, size))))
+         .groupby(["hq", "hr"]).size().rename("n").reset_index())
+    assert (c["hq"] < 0).any() and (c["hr"] < 0).any()
+    ring = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
+    nbrs = _window(c["hq"].tolist(), c["hr"].tolist(), ring)
+    n = c["n"].to_numpy()
+    c["ring_n"] = [n[i] + n[j].sum() for i, j in enumerate(nbrs)]
+    c["n_nbr"] = [len(j) for j in nbrs]
+    exp = c.set_index(["hq", "hr"]).sort_index()
+    pd.testing.assert_frame_equal(
+        out[["n", "ring_n", "n_nbr"]].astype("int64"), exp)
+
+
+def _square_counts(x, y, cell):
+    c = (pd.DataFrame({"ix": np.floor(x / cell).astype(np.int64),
+                       "iy": np.floor(y / cell).astype(np.int64)})
+         .groupby(["ix", "iy"]).size().rename("n").reset_index())
+    assert (c["ix"] < 0).any() and (c["iy"] < 0).any()
+    return c
+
+
+def test_local_morans_i_matches_bruteforce(ray_session):
+    from greenex_py_ray.stages.geostats import local_morans_i
+
+    x, y = _straddling_points(47)
+    cell = 100.0
+    got = (local_morans_i(ray.data.from_arrow(pa.table({"x": x, "y": y}))
+                          .repartition(5), cell)
+           .to_pandas().set_index(["ix", "iy"]).sort_index())
+
+    c = _square_counts(x, y, cell)
+    v = c["n"].to_numpy(np.float64)
+    z = v - v.mean()
+    m2 = (z * z).sum() / len(c)
+    queen = _window(c["ix"].tolist(), c["iy"].tolist(),
+                    [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                     if (dx, dy) != (0, 0)])
+    c["n_nbr"] = [len(j) for j in queen]
+    c["local_i"] = [z[i] * z[j].sum() / m2 for i, j in enumerate(queen)]
+    exp = c.set_index(["ix", "iy"]).sort_index()
+    assert len(got) == len(exp)
+    assert (got["n_nbr"] == exp["n_nbr"]).all()
+    assert np.allclose(got["local_i"], exp["local_i"], rtol=1e-9,
+                       atol=1e-12)

@@ -90,9 +90,11 @@ def test_morans_i_checkerboard_negative():
     assert row["moran_i"] < -0.5
 
 
-def test_morans_i_matches_textbook_formula():
+@pytest.mark.parametrize("shift", [0.0, -4.0], ids=["origin", "negative"])
+def test_morans_i_matches_textbook_formula(shift):
+    # a negative shift puts half the cells west/south of the origin
     rng = np.random.default_rng(3)
-    pts = rng.uniform(0, 8, size=(200, 2))
+    pts = shift + rng.uniform(0, 8, size=(200, 2))
     row = _moran_of([tuple(p) for p in pts], cell=2.0)
     # dense textbook recompute
     ij = np.floor(pts / 2.0).astype(np.int64)
